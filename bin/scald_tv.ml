@@ -14,7 +14,7 @@ let read_file path =
   close_in ic;
   s
 
-let run file case_file jobs sched corners summary xref quiet paths corr_advice prob
+let run file case_file jobs corners summary xref quiet paths corr_advice prob
     slack diagram vcd_out phys lint lint_only lint_fatal lint_json profile_out
     metrics_out explain trace_buffer no_prune classes no_window_prune merge_cases
     windows =
@@ -108,7 +108,7 @@ let run file case_file jobs sched corners summary xref quiet paths corr_advice p
     let report =
       Verifier.verify
         ?probe:(Option.map Scald_obs.Obs.probe obs)
-        ?corners ~cases ~jobs:(max 0 jobs) ~sched ~prune:(not no_prune)
+        ?corners ~cases ~jobs:(max 0 jobs) ~prune:(not no_prune)
         ~window_prune:(not no_window_prune) ~merge_cases nl
     in
     if summary then Format.printf "@.%a@." Report.pp_summary report.Verifier.r_eval;
@@ -156,25 +156,7 @@ let run file case_file jobs sched corners summary xref quiet paths corr_advice p
     (* The error listing above is the reference corner's; on a
        multi-corner run follow it with the per-corner tally and the full
        listing of the worst corner (when it is not the reference). *)
-    (match report.Verifier.r_corners with
-    | [] | [ _ ] -> ()
-    | rcs ->
-      Format.printf "@.MULTI-CORNER SUMMARY@.";
-      List.iter
-        (fun (cr : Verifier.corner_result) ->
-          let n = List.length cr.Verifier.co_violations in
-          Format.printf "  %-24s %d error%s@."
-            (Format.asprintf "%a" Corner.pp cr.Verifier.co_corner)
-            n (if n = 1 then "" else "s"))
-        rcs;
-      (match Verifier.worst_corner report with
-      | Some cr when cr != List.hd rcs && cr.Verifier.co_violations <> [] ->
-        Format.printf "@.WORST CORNER %a@."
-          Corner.pp cr.Verifier.co_corner;
-        List.iter
-          (fun v -> Format.printf "%a@." Check.pp v)
-          cr.Verifier.co_violations
-      | _ -> ()));
+    Format.printf "%a" Verifier.pp_corner_listing report;
     if not quiet then
       Format.printf "@.cases: %d  events: %d  evaluations: %d@."
         (List.length report.Verifier.r_cases)
@@ -213,20 +195,6 @@ let file =
 let case_file =
   let doc = "Case-analysis specification file (e.g. \"CONTROL = 0; CONTROL = 1;\")." in
   Arg.(value & opt (some file) None & info [ "c"; "cases" ] ~docv:"CASES" ~doc)
-
-let sched =
-  let doc =
-    "Evaluation scheduling discipline: $(b,level) (the default) orders the \
-     work list by topological level so each instance outside a feedback loop \
-     is evaluated at most once per settled wavefront; $(b,fifo) is the \
-     historical first-in-first-out relaxation.  Both produce the same \
-     violations and waveforms; they differ only in evaluation counts."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("level", Scald_core.Eval.Level); ("fifo", Scald_core.Eval.Fifo) ])
-        Scald_core.Eval.Level
-    & info [ "sched" ] ~docv:"DISCIPLINE" ~doc)
 
 let corners =
   let doc =
@@ -406,7 +374,7 @@ let windows =
 
 let verify_term =
   Term.(
-    const run $ file $ case_file $ jobs $ sched $ corners $ summary $ xref $ quiet $ paths
+    const run $ file $ case_file $ jobs $ corners $ summary $ xref $ quiet $ paths
     $ corr_advice $ prob $ slack $ diagram $ vcd_out $ phys $ lint $ lint_only
     $ lint_fatal $ lint_json $ profile_out $ metrics_out $ explain $ trace_buffer
     $ no_prune $ classes $ no_window_prune $ merge_cases $ windows)

@@ -30,33 +30,40 @@ let kind_name = function
   | 10 -> "MIN PULSE WIDTH"
   | _ -> "CONST"
 
-type mode = Fifo | Level
-
-(* Per-corner evaluation state for corners 1..k-1 (doc/CORNERS.md).
-   Corner 0 — the reference — lives in the netlist itself ([n_value] and
-   the evaluator's main caches), so the single-corner path carries no
-   lane state at all.  Each extra lane mirrors the lane-0 memo structure
-   (per-conn input cache, per-net shared record, register materialize
-   memo), keyed on the same [n_gen] stamps: any lane changing a net
-   bumps the stamp, so every lane's caches miss together. *)
+(* Per-corner evaluation state (doc/CORNERS.md), one record per corner:
+   lane 0 is the reference.  Every lane carries the same memo structure,
+   keyed on the nets' [n_gen] stamps: any lane changing a net bumps the
+   stamp, so every lane's caches miss together. *)
 type lane = {
   l_dscale : float;  (* element-delay scale factor of this corner *)
   l_wscale : float;  (* interconnection-delay scale factor *)
-  l_value : Waveform.t array;  (* per-net lane waveform; shares the
-                                  lane-0 record whenever equal *)
+  l_value : Waveform.t array;
+      (* per-net lane waveform, sharing the lane-0 record whenever equal;
+         empty on lane 0, whose waveforms live in [Netlist.net.n_value]
+         where the reporting modules read them *)
+  (* Generation-stamped input cache: [conn_base.(i) + k] is the flat
+     index of input [k] of instance [i]; the cached waveform is valid
+     while the driving net's [n_gen] still equals [l_cache_gen]. *)
   l_cache_gen : int array;
   l_cache_wf : Waveform.t array;
+  (* Per-net memo backing the per-conn cache: for the common
+     untransformed connection (no inversion, no explicit directive) the
+     derived input waveform depends only on the driving net, so every
+     such conn of one net shares a single record per generation instead
+     of allocating its own. *)
   l_net_gen : int array;
   l_net_wf : Waveform.t array;
+  (* Register data-materialization memo, same generation key. *)
   l_mat_gen : int array;
   l_mat_wf : Waveform.t array;
-  (* Generation-keyed checker-verdict memo: a lane's verdicts for one
-     instance are a pure function of its input waveforms, so they are
-     re-derived only when some input net's stamp moved — the per-case
-     check sweep of a multi-case run recomputes just the dirty cone.
-     Lane 0 is deliberately not memoized: the single-corner check pass
-     is the historical baseline and stays byte-identical. *)
-  l_chk_gen : int array;  (* per-conn input-net stamp at memo time *)
+  (* Checker-verdict memo: an instance's verdicts are a pure function of
+     its input waveforms, so they are re-derived only when some input
+     net's stamp moved — the per-case check sweep of a multi-case run,
+     and a session's re-verify, recompute just the dirty cone.  The key
+     is the sum of the input stamps at memo time: stamps only grow, so
+     the sum moves iff some stamp moved.  [touch_inst] resets it when
+     the instance's own parameters change. *)
+  l_chk_key : int array;  (* per-inst input-stamp sum, -1 invalid *)
   l_chk : Check.t list array;  (* per-inst memoized verdicts *)
   l_chk_net_gen : int array;
   l_chk_net : Check.t list array;  (* per-net assertion verdicts *)
@@ -64,45 +71,22 @@ type lane = {
 
 type t = {
   nl : Netlist.t;
-  mode : mode;
-  mutable sched : Sched.t option;
-      (* Level mode: computed at the first run unless passed to create *)
-  queue : int Queue.t;  (* Fifo mode work list *)
-  mutable buckets : int Queue.t array;
-      (* Level mode work list: one FIFO bucket per topological level *)
+  sched : Sched.t;
+  buckets : int Queue.t array;  (* work list: one FIFO bucket per level *)
   mutable cur_level : int;  (* bucket sweep cursor *)
   mutable queue_len : int;  (* items queued across all buckets *)
-  mutable scc_evals : int array;  (* per cyclic component: evals this run *)
+  scc_evals : int array;  (* per cyclic component: evals this run *)
   mutable diverged_slot : int;  (* cyclic slot that blew its budget, -1 none *)
   in_queue : Bytes.t;  (* packed booleans, one byte per instance *)
   case : Tvalue.t option array;
-  (* Generation-stamped input cache: [conn_base.(i) + k] is the flat
-     index of input [k] of instance [i]; the cached waveform is valid
-     while the driving net's [n_gen] still equals [cache_gen]. *)
   conn_base : int array;
-  cache_gen : int array;
-  cache_wf : Waveform.t array;
-  (* Per-net memo backing the per-conn cache: for the common
-     untransformed connection (no inversion, no explicit directive) the
-     derived input waveform depends only on the driving net, so every
-     such conn of one net shares a single record per generation instead
-     of allocating its own. *)
-  net_gen : int array;
-  net_wf : Waveform.t array;
-  (* Register data-materialization memo, same generation key. *)
-  mat_gen : int array;
-  mat_wf : Waveform.t array;
-  (* Multi-corner lanes: corner 0 is evaluated through the fields above;
-     [lanes] holds corners 1..k-1 and is empty for a single-corner
-     netlist, so the historical path pays nothing. *)
   corners : Corner.table;
-  c0_dscale : float;
-  c0_wscale : float;
-  lanes : lane array;
+  lanes : lane array;  (* one per corner, lane 0 the reference *)
   mutable lanes_shared : int;
   mutable evals_saved : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
+  mutable check_hits : int;  (* verdicts served from the memo *)
   (* Stable-cone pruning (doc/FLOW.md): instances the static analysis
      proved inert are frozen after the first run and skipped at enqueue
      time.  [frozen] stays all-false without a [flow] table. *)
@@ -130,7 +114,7 @@ type t = {
   mutable initialized : bool;
 }
 
-let create ?(mode = Level) ?sched ?flow ?window nl =
+let create ?sched ?flow ?window nl =
   let n_insts = Netlist.n_insts nl in
   let conn_base = Array.make (max 1 n_insts) 0 in
   let n_conns = ref 0 in
@@ -140,65 +124,47 @@ let create ?(mode = Level) ?sched ?flow ?window nl =
   let dummy_wf =
     Waveform.const ~period:(Timebase.period (Netlist.timebase nl)) Tvalue.Unknown
   in
-  let sched = match mode with Level -> sched | Fifo -> None in
-  let buckets =
-    match sched with
-    | None -> [||]
-    | Some s -> Array.init (max 1 (Sched.n_levels s)) (fun _ -> Queue.create ())
-  in
-  let scc_evals =
-    match sched with None -> [||] | Some s -> Array.make (Sched.n_cyclic s) 0
-  in
+  let sched = match sched with Some s -> s | None -> Sched.compute nl in
   let corners = Netlist.corners nl in
   let n_nets = max 1 (Netlist.n_nets nl) in
   let lanes =
-    Array.init
-      (Array.length corners - 1)
-      (fun i ->
-        let c = corners.(i + 1) in
+    Array.mapi
+      (fun i (c : Corner.t) ->
         {
-          l_dscale = c.Corner.delay_scale;
-          l_wscale = c.Corner.wire_scale;
-          l_value = Array.make n_nets dummy_wf;
+          l_dscale = c.delay_scale;
+          l_wscale = c.wire_scale;
+          l_value = (if i = 0 then [||] else Array.make n_nets dummy_wf);
           l_cache_gen = Array.make (max 1 !n_conns) (-1);
           l_cache_wf = Array.make (max 1 !n_conns) dummy_wf;
           l_net_gen = Array.make n_nets (-1);
           l_net_wf = Array.make n_nets dummy_wf;
           l_mat_gen = Array.make (max 1 n_insts) (-1);
           l_mat_wf = Array.make (max 1 n_insts) dummy_wf;
-          l_chk_gen = Array.make (max 1 !n_conns) (-1);
+          l_chk_key = Array.make (max 1 n_insts) (-1);
           l_chk = Array.make (max 1 n_insts) [];
           l_chk_net_gen = Array.make n_nets (-1);
           l_chk_net = Array.make n_nets [];
         })
+      corners
   in
   {
     nl;
-    mode;
     sched;
-    queue = Queue.create ();
-    buckets;
+    buckets = Array.init (max 1 (Sched.n_levels sched)) (fun _ -> Queue.create ());
     cur_level = 0;
     queue_len = 0;
-    scc_evals;
+    scc_evals = Array.make (Sched.n_cyclic sched) 0;
     diverged_slot = -1;
     in_queue = Bytes.make (max 1 n_insts) '\000';
-    case = Array.make (max 1 (Netlist.n_nets nl)) None;
+    case = Array.make n_nets None;
     conn_base;
-    cache_gen = Array.make (max 1 !n_conns) (-1);
-    cache_wf = Array.make (max 1 !n_conns) dummy_wf;
-    net_gen = Array.make (max 1 (Netlist.n_nets nl)) (-1);
-    net_wf = Array.make (max 1 (Netlist.n_nets nl)) dummy_wf;
-    mat_gen = Array.make (max 1 n_insts) (-1);
-    mat_wf = Array.make (max 1 n_insts) dummy_wf;
     corners;
-    c0_dscale = corners.(0).Corner.delay_scale;
-    c0_wscale = corners.(0).Corner.wire_scale;
     lanes;
     lanes_shared = 0;
     evals_saved = 0;
     cache_hits = 0;
     cache_misses = 0;
+    check_hits = 0;
     flow;
     window;
     frozen =
@@ -206,10 +172,10 @@ let create ?(mode = Level) ?sched ?flow ?window nl =
        (match window with
        | Some w ->
          (* Statically proven checkers never need evaluating: their
-            verdict is served by [check_inst_lane], and evaluating a
-            checker computes nothing (no output net).  Frozen before the
-            first run — unlike flow pruning, which must see every
-            instance evaluated once. *)
+            verdict is served by [check_inst], and evaluating a checker
+            computes nothing (no output net).  Frozen before the first
+            run — unlike flow pruning, which must see every instance
+            evaluated once. *)
          for id = 0 to n_insts - 1 do
            if Window.inst_proven w id then Bytes.unsafe_set b id '\002'
          done
@@ -232,13 +198,13 @@ let create ?(mode = Level) ?sched ?flow ?window nl =
   }
 
 let netlist t = t.nl
-let mode t = t.mode
 let corners t = t.corners
 let n_corners t = Array.length t.corners
 
 let events t = t.events
 let evaluations t = t.evals
 let converged t = t.converged
+let check_hits t = t.check_hits
 
 let count_request t = t.requests <- t.requests + 1
 
@@ -251,6 +217,7 @@ let reset_counters t =
   t.queue_hwm <- 0;
   t.cache_hits <- 0;
   t.cache_misses <- 0;
+  t.check_hits <- 0;
   t.pruned_evals <- 0;
   t.window_evals <- 0;
   t.window_checks <- 0;
@@ -295,11 +262,6 @@ let counters t =
     if t.evals_by_kind.(tag) > 0 then
       by_kind := (kind_name tag, t.evals_by_kind.(tag)) :: !by_kind
   done;
-  let sched_levels, sccs, max_scc =
-    match t.sched with
-    | Some s -> (Sched.n_levels s, Sched.n_sccs s, Sched.max_scc_size s)
-    | None -> (0, 0, 0)
-  in
   let pruned_insts, (nc, ns, nck, nd, nu) =
     match t.flow with
     | Some f -> ((if t.froze then Flow.n_prunable f else 0), Flow.class_counts f)
@@ -312,9 +274,9 @@ let counters t =
     c_queued = t.queued;
     c_coalesced = t.coalesced;
     c_queue_hwm = t.queue_hwm;
-    c_sched_levels = sched_levels;
-    c_sccs = sccs;
-    c_max_scc_size = max_scc;
+    c_sched_levels = Sched.n_levels t.sched;
+    c_sccs = Sched.n_sccs t.sched;
+    c_max_scc_size = Sched.max_scc_size t.sched;
     c_cache_hits = t.cache_hits;
     c_cache_misses = t.cache_misses;
     c_pruned_insts = pruned_insts;
@@ -452,17 +414,6 @@ let assign (n : Netlist.net) wf eval_str =
   n.n_eval_str <- eval_str;
   n.n_gen <- n.n_gen + 1
 
-let ensure_sched t =
-  match t.mode with
-  | Fifo -> ()
-  | Level ->
-    if t.sched = None then begin
-      let s = Sched.compute t.nl in
-      t.sched <- Some s;
-      t.buckets <- Array.init (max 1 (Sched.n_levels s)) (fun _ -> Queue.create ());
-      t.scc_evals <- Array.make (Sched.n_cyclic s) 0
-    end
-
 let enqueue t inst_id =
   let fz = Bytes.unsafe_get t.frozen inst_id in
   if fz <> '\000' then
@@ -475,12 +426,9 @@ let enqueue t inst_id =
     if Bytes.unsafe_get t.in_queue inst_id <> '\000' then t.coalesced <- t.coalesced + 1
     else begin
       Bytes.unsafe_set t.in_queue inst_id '\001';
-      (match t.mode with
-      | Fifo -> Queue.add inst_id t.queue
-      | Level ->
-        let l = Sched.level (Option.get t.sched) inst_id in
-        Queue.add inst_id t.buckets.(l);
-        if l < t.cur_level then t.cur_level <- l);
+      let l = Sched.level t.sched inst_id in
+      Queue.add inst_id t.buckets.(l);
+      if l < t.cur_level then t.cur_level <- l;
       t.queue_len <- t.queue_len + 1;
       if t.queue_len > t.queue_hwm then t.queue_hwm <- t.queue_len
     end
@@ -496,9 +444,7 @@ let clear_work t =
     Queue.iter (fun id -> Bytes.unsafe_set t.in_queue id '\000') q;
     Queue.clear q
   in
-  (match t.mode with
-  | Fifo -> drop t.queue
-  | Level -> Array.iter drop t.buckets);
+  Array.iter drop t.buckets;
   t.queue_len <- 0
 
 (* ---- directive resolution --------------------------------------------- *)
@@ -523,7 +469,9 @@ let wire_delay_of t (n : Netlist.net) =
    reference-lane) path is byte-identical to the unscaled evaluator. *)
 let scaled f d = if f = 1.0 then d else Delay.scale f d
 
-let lane_dscale t lane = if lane = 0 then t.c0_dscale else t.lanes.(lane - 1).l_dscale
+(* A net's raw (underived) waveform on a lane. *)
+let raw_value t lane (n : Netlist.net) =
+  if lane = 0 then n.n_value else t.lanes.(lane).l_value.(n.n_id)
 
 let apply_delay d wf =
   if Delay.equal d Delay.zero then wf
@@ -538,104 +486,66 @@ let apply_delay d wf =
       | Some w -> w
       | None -> envelope ())
 
+(* A lane k > 0 shares lane 0's derived input (and its memo record) when
+   its raw waveform is the lane-0 record itself and either the wire
+   scale matches lane 0's or the waveform is a single segment — skew is
+   the only thing a delay can add to a constant, and skew is
+   unobservable on one segment (materialization drops it, the pointwise
+   maps ignore it). *)
+let shares_lane0 t lane (n : Netlist.net) =
+  lane > 0
+  &&
+  let ln = t.lanes.(lane) in
+  ln.l_value.(n.n_id) == n.n_value
+  && (ln.l_wscale = t.lanes.(0).l_wscale || Waveform.n_segments n.n_value = 1)
+
 (* The input waveform is a pure function of the driving net's evaluation
    state (value + evaluation string) and of static structure, so it is
    memoized per connection, keyed on the net's generation stamp.  High-
    fanout nets and the checker pass (which re-derives every input) hit
    the cache instead of re-applying inversion and wire delay. *)
-let input_waveform t (inst : Netlist.inst) i =
+let rec input_waveform t lane (inst : Netlist.inst) i =
   let c = inst.i_inputs.(i) in
   let n = Netlist.net t.nl c.c_net in
-  let idx = t.conn_base.(inst.i_id) + i in
-  if t.cache_gen.(idx) = n.n_gen then begin
-    t.cache_hits <- t.cache_hits + 1;
-    t.cache_wf.(idx)
-  end
+  if shares_lane0 t lane n then input_waveform t 0 inst i
   else begin
-    t.cache_misses <- t.cache_misses + 1;
-    let wf =
-      if (not c.c_invert) && c.c_directive = [] then begin
-        (* Untransformed connection: the result is a function of the
-           net alone, so all such conns share one record per
-           generation (the per-conn stamps and hit/miss accounting
-           are unchanged — only the allocation is shared). *)
-        if t.net_gen.(c.c_net) = n.n_gen then t.net_wf.(c.c_net)
-        else begin
-          let letter = head_letter n.n_eval_str in
-          let wf = n.n_value in
-          let wf =
-            if Directive.zero_wire letter then wf
-            else apply_delay (scaled t.c0_wscale (wire_delay_of t n)) wf
-          in
-          t.net_gen.(c.c_net) <- n.n_gen;
-          t.net_wf.(c.c_net) <- wf;
-          wf
-        end
-      end
-      else begin
-        let letter = head_letter (effective_directive t inst i) in
-        let wf = n.n_value in
-        let wf = if c.c_invert then Waveform.map Tvalue.lnot wf else wf in
-        if Directive.zero_wire letter then wf
-        else apply_delay (scaled t.c0_wscale (wire_delay_of t n)) wf
-      end
-    in
-    t.cache_gen.(idx) <- n.n_gen;
-    t.cache_wf.(idx) <- wf;
-    wf
-  end
-
-(* A lane shares lane 0's derived input (and its memo record) when the
-   raw lane waveform is the lane-0 record itself and either the wire
-   scale matches lane 0's or the waveform is a single segment — skew is
-   the only thing a delay can add to a constant, and skew is
-   unobservable on one segment (materialization drops it, the pointwise
-   maps ignore it). *)
-let lane_shares_input t (ln : lane) (n : Netlist.net) =
-  ln.l_value.(n.n_id) == n.n_value
-  && (ln.l_wscale = t.c0_wscale || Waveform.n_segments n.n_value = 1)
-
-let input_waveform_lane t lane (inst : Netlist.inst) i =
-  if lane = 0 then input_waveform t inst i
-  else begin
-    let ln = t.lanes.(lane - 1) in
-    let c = inst.i_inputs.(i) in
-    let n = Netlist.net t.nl c.c_net in
-    if lane_shares_input t ln n then input_waveform t inst i
+    let ln = t.lanes.(lane) in
+    let idx = t.conn_base.(inst.i_id) + i in
+    if ln.l_cache_gen.(idx) = n.n_gen then begin
+      t.cache_hits <- t.cache_hits + 1;
+      ln.l_cache_wf.(idx)
+    end
     else begin
-      let idx = t.conn_base.(inst.i_id) + i in
-      if ln.l_cache_gen.(idx) = n.n_gen then begin
-        t.cache_hits <- t.cache_hits + 1;
-        ln.l_cache_wf.(idx)
-      end
-      else begin
-        t.cache_misses <- t.cache_misses + 1;
-        let raw = ln.l_value.(c.c_net) in
-        let wf =
-          if (not c.c_invert) && c.c_directive = [] then begin
-            if ln.l_net_gen.(c.c_net) = n.n_gen then ln.l_net_wf.(c.c_net)
-            else begin
-              let letter = head_letter n.n_eval_str in
-              let wf =
-                if Directive.zero_wire letter then raw
-                else apply_delay (scaled ln.l_wscale (wire_delay_of t n)) raw
-              in
-              ln.l_net_gen.(c.c_net) <- n.n_gen;
-              ln.l_net_wf.(c.c_net) <- wf;
-              wf
-            end
-          end
+      t.cache_misses <- t.cache_misses + 1;
+      let raw = raw_value t lane n in
+      let wf =
+        if (not c.c_invert) && c.c_directive = [] then begin
+          (* Untransformed connection: the result is a function of the
+             net alone, so all such conns share one record per
+             generation (the per-conn stamps and hit/miss accounting
+             are unchanged — only the allocation is shared). *)
+          if ln.l_net_gen.(c.c_net) = n.n_gen then ln.l_net_wf.(c.c_net)
           else begin
-            let letter = head_letter (effective_directive t inst i) in
-            let wf = if c.c_invert then Waveform.map Tvalue.lnot raw else raw in
-            if Directive.zero_wire letter then wf
-            else apply_delay (scaled ln.l_wscale (wire_delay_of t n)) wf
+            let letter = head_letter n.n_eval_str in
+            let wf =
+              if Directive.zero_wire letter then raw
+              else apply_delay (scaled ln.l_wscale (wire_delay_of t n)) raw
+            in
+            ln.l_net_gen.(c.c_net) <- n.n_gen;
+            ln.l_net_wf.(c.c_net) <- wf;
+            wf
           end
-        in
-        ln.l_cache_gen.(idx) <- n.n_gen;
-        ln.l_cache_wf.(idx) <- wf;
-        wf
-      end
+        end
+        else begin
+          let letter = head_letter (effective_directive t inst i) in
+          let wf = if c.c_invert then Waveform.map Tvalue.lnot raw else raw in
+          if Directive.zero_wire letter then wf
+          else apply_delay (scaled ln.l_wscale (wire_delay_of t n)) wf
+        end
+      in
+      ln.l_cache_gen.(idx) <- n.n_gen;
+      ln.l_cache_wf.(idx) <- wf;
+      wf
     end
   end
 
@@ -740,42 +650,24 @@ let reg_output ~period ~delay ~data_m ~clock =
    generation: the register is typically re-evaluated for clock events
    while its data is unchanged, and materialization (folding the skew
    windows into the segment list) is the expensive half. *)
-let materialized_data t (inst : Netlist.inst) =
-  let c = inst.i_inputs.(0) in
-  let n = Netlist.net t.nl c.c_net in
-  let id = inst.i_id in
-  if t.mat_gen.(id) = n.n_gen then begin
-    t.cache_hits <- t.cache_hits + 1;
-    t.mat_wf.(id)
-  end
+let rec materialized_data t lane (inst : Netlist.inst) =
+  let n = Netlist.net t.nl inst.i_inputs.(0).c_net in
+  if shares_lane0 t lane n then materialized_data t 0 inst
   else begin
-    t.cache_misses <- t.cache_misses + 1;
-    let m = Waveform.materialize (input_waveform t inst 0) in
-    t.mat_gen.(id) <- n.n_gen;
-    t.mat_wf.(id) <- m;
-    m
-  end
-
-let materialized_data_lane t lane (inst : Netlist.inst) =
-  if lane = 0 then materialized_data t inst
-  else
-    let ln = t.lanes.(lane - 1) in
-    let n = Netlist.net t.nl inst.i_inputs.(0).c_net in
-    if lane_shares_input t ln n then materialized_data t inst
-    else begin
-      let id = inst.i_id in
-      if ln.l_mat_gen.(id) = n.n_gen then begin
-        t.cache_hits <- t.cache_hits + 1;
-        ln.l_mat_wf.(id)
-      end
-      else begin
-        t.cache_misses <- t.cache_misses + 1;
-        let m = Waveform.materialize (input_waveform_lane t lane inst 0) in
-        ln.l_mat_gen.(id) <- n.n_gen;
-        ln.l_mat_wf.(id) <- m;
-        m
-      end
+    let ln = t.lanes.(lane) in
+    let id = inst.i_id in
+    if ln.l_mat_gen.(id) = n.n_gen then begin
+      t.cache_hits <- t.cache_hits + 1;
+      ln.l_mat_wf.(id)
     end
+    else begin
+      t.cache_misses <- t.cache_misses + 1;
+      let m = Waveform.materialize (input_waveform t lane inst 0) in
+      ln.l_mat_gen.(id) <- n.n_gen;
+      ln.l_mat_wf.(id) <- m;
+      m
+    end
+  end
 
 (* Transparent-latch value as a function of the data and enable values
    at an instant; the result is then delayed by the latch delay. *)
@@ -829,9 +721,9 @@ let paint_change_windows ~period ~d windows wf =
 (* One lane's output: the primitive models are corner-invariant; only
    the element and wire delays differ per lane, so the body is shared
    and the lane selects the input derivation and the delay scale. *)
-let eval_output_lane t lane (inst : Netlist.inst) =
-  let input i = input_waveform_lane t lane inst i in
-  let sc d = scaled (lane_dscale t lane) d in
+let eval_output t lane (inst : Netlist.inst) =
+  let input i = input_waveform t lane inst i in
+  let sc d = scaled t.lanes.(lane).l_dscale d in
   match inst.i_prim with
   | Primitive.Setup_hold_check _ | Primitive.Setup_rise_hold_fall_check _
   | Primitive.Min_pulse_width _ ->
@@ -879,7 +771,7 @@ let eval_output_lane t lane (inst : Netlist.inst) =
     Some (paint_change_windows ~period:(period t) ~d (Waveform.change_windows s) out)
   | Primitive.Reg { delay; has_set_reset } ->
     let delay = sc delay in
-    let data_m = lazy (materialized_data_lane t lane inst) in
+    let data_m = lazy (materialized_data t lane inst) in
     let clock = input 1 in
     let out = reg_output ~period:(period t) ~delay ~data_m ~clock in
     if not has_set_reset then Some out
@@ -953,7 +845,7 @@ let eval_inst t inst_id =
   t.evals <- t.evals + 1;
   t.evals_by_kind.(kind_tag inst.i_prim) <-
     t.evals_by_kind.(kind_tag inst.i_prim) + 1;
-  match eval_output_lane t 0 inst with
+  match eval_output t 0 inst with
   | None -> ()
   | Some wf -> (
     match inst.i_output with
@@ -969,8 +861,8 @@ let eval_inst t inst_id =
          the *new* reference waveform. *)
       if changed then assign n wf eval_str;
       let lane_changed = ref false in
-      for c = 1 to Array.length t.lanes do
-        let ln = t.lanes.(c - 1) in
+      for c = 1 to Array.length t.lanes - 1 do
+        let ln = t.lanes.(c) in
         let prev = ln.l_value.(out_id) in
         let next =
           if lane_eval_skippable t ln inst then begin
@@ -979,7 +871,7 @@ let eval_inst t inst_id =
           end
           else begin
             let o =
-              apply_case t out_id (Option.get (eval_output_lane t c inst))
+              apply_case t out_id (Option.get (eval_output t c inst))
             in
             (* Converge storage: a lane output equal to the reference
                (or to its own previous value) keeps the existing record,
@@ -1037,55 +929,40 @@ let fixpoint t =
      of evaluation order. *)
   let bound = max 10_000 (Netlist.n_insts t.nl * 200) in
   let start = t.evals in
-  (match t.mode with
-  | Fifo ->
-    let rec loop () =
-      if t.evals - start > bound then t.converged <- false
-      else
-        match Queue.take_opt t.queue with
-        | None -> ()
-        | Some id ->
-          t.queue_len <- t.queue_len - 1;
-          Bytes.unsafe_set t.in_queue id '\000';
+  let s = t.sched in
+  t.cur_level <- 0;
+  Array.fill t.scc_evals 0 (Array.length t.scc_evals) 0;
+  (* In level order every acyclic instance runs at most once per
+     wavefront, so the global bound can only trip inside feedback — the
+     per-component budget below catches it first and names the region;
+     the global bound remains as a backstop. *)
+  let rec loop () =
+    if t.evals - start > bound then t.converged <- false
+    else
+      match dequeue_level t with
+      | None -> ()
+      | Some id ->
+        t.queue_len <- t.queue_len - 1;
+        Bytes.unsafe_set t.in_queue id '\000';
+        let slot = Sched.cyclic_slot s id in
+        if slot < 0 then begin
           eval_inst t id;
           loop ()
-    in
-    loop ()
-  | Level ->
-    let s = Option.get t.sched in
-    t.cur_level <- 0;
-    Array.fill t.scc_evals 0 (Array.length t.scc_evals) 0;
-    (* In level order every acyclic instance runs at most once per
-       wavefront, so the global bound can only trip inside feedback —
-       the per-component budget below catches it first and names the
-       region; the global bound remains as a backstop. *)
-    let rec loop () =
-      if t.evals - start > bound then t.converged <- false
-      else
-        match dequeue_level t with
-        | None -> ()
-        | Some id ->
-          t.queue_len <- t.queue_len - 1;
-          Bytes.unsafe_set t.in_queue id '\000';
-          let slot = Sched.cyclic_slot s id in
-          if slot < 0 then begin
+        end
+        else begin
+          let c = t.scc_evals.(slot) + 1 in
+          t.scc_evals.(slot) <- c;
+          if c > max 10_000 (Sched.cyclic_size s slot * 200) then begin
+            t.converged <- false;
+            t.diverged_slot <- slot
+          end
+          else begin
             eval_inst t id;
             loop ()
           end
-          else begin
-            let c = t.scc_evals.(slot) + 1 in
-            t.scc_evals.(slot) <- c;
-            if c > max 10_000 (Sched.cyclic_size s slot * 200) then begin
-              t.converged <- false;
-              t.diverged_slot <- slot
-            end
-            else begin
-              eval_inst t id;
-              loop ()
-            end
-          end
-    in
-    loop ());
+        end
+  in
+  loop ();
   (* On divergence the pending work is dropped *and* the in-queue flags
      cleared, so a later incremental case starts from a consistent work
      list instead of silently coalescing away its re-evaluations. *)
@@ -1095,12 +972,11 @@ let fixpoint t =
    waveform: initial values are corner-independent (assertions and case
    mappings carry no delay), so every lane starts on the shared record. *)
 let reset_lanes t (n : Netlist.net) =
-  for c = 1 to Array.length t.lanes do
-    t.lanes.(c - 1).l_value.(n.n_id) <- n.n_value
+  for c = 1 to Array.length t.lanes - 1 do
+    t.lanes.(c).l_value.(n.n_id) <- n.n_value
   done
 
 let run ?(case = []) t =
-  ensure_sched t;
   if not t.initialized then begin
     t.initialized <- true;
     List.iter (fun (id, v) -> t.case.(id) <- Some v) case;
@@ -1145,10 +1021,7 @@ let run ?(case = []) t =
     done
   | Some _ | None -> ()
 
-let value t id = (Netlist.net t.nl id).n_value
-
-let value_lane t lane id =
-  if lane = 0 then (Netlist.net t.nl id).n_value else t.lanes.(lane - 1).l_value.(id)
+let value ?(lane = 0) t id = raw_value t lane (Netlist.net t.nl id)
 
 (* ---- incremental-service hooks (lib/incr, doc/SERVICE.md) ---------------- *)
 
@@ -1209,14 +1082,19 @@ let rewindow t =
    and the next [rewindow] re-derives the frozen set from it. *)
 let set_window t w = t.window <- w
 
-let enqueue_inst t inst_id = enqueue t inst_id
+(* An instance-parameter edit (element delay, checker margins) moves no
+   input stamp, so it drops the instance's memoized verdicts on every
+   lane explicitly and re-evaluates it. *)
+let touch_inst t inst_id =
+  Array.iter (fun ln -> ln.l_chk_key.(inst_id) <- -1) t.lanes;
+  enqueue t inst_id
 
 (* ---- checking ------------------------------------------------------------ *)
 
 let net_name t id = (Netlist.net t.nl id).n_name
 
 let check_inst_compute t lane (inst : Netlist.inst) =
-  let input i = input_waveform_lane t lane inst i in
+  let input i = input_waveform t lane inst i in
   match inst.i_prim with
   | Primitive.Setup_hold_check { setup; hold } ->
     let data = input 0 and ck = input 1 in
@@ -1260,98 +1138,79 @@ let check_inst_compute t lane (inst : Netlist.inst) =
   | Primitive.Const _ ->
     []
 
-(* Lane verdicts are served from the generation-keyed memo whenever no
-   input net's stamp moved since the last derivation — across the cases
-   of a multi-case run only the dirty cone is re-checked.  The memo is
+let memo_hit t =
+  t.cache_hits <- t.cache_hits + 1;
+  t.check_hits <- t.check_hits + 1
+
+(* Verdicts are served from the generation-keyed memo whenever no input
+   net's stamp moved since the last derivation.  The memo is
    deterministic under case sharding for the same reason the input
-   caches are: warm-start priming replays the preceding case's lane
-   checks, leaving every stamp exactly where the sequential run's did. *)
-let check_inst_lane t lane (inst : Netlist.inst) =
-  match t.window with
-  | Some w when Window.inst_proven w inst.i_id ->
+   caches are: warm-start priming replays the preceding case's checks,
+   leaving every stamp exactly where the sequential run's did. *)
+let check_inst t lane (inst : Netlist.inst) =
+  match t.window, inst.i_prim with
+  | Some w, _ when Window.inst_proven w inst.i_id ->
     (* statically proven clean at every corner: serve the verdict the
        dynamic check would compute (verdict equality argued in
        doc/WINDOWS.md, pinned by the QCheck soundness property) *)
     t.window_checks <- t.window_checks + 1;
     []
-  | _ ->
-  if lane = 0 then check_inst_compute t 0 inst
-  else begin
-    let ln = t.lanes.(lane - 1) in
-    let n_in = Array.length inst.i_inputs in
-    if n_in = 0 then []
-    else begin
-      let base = t.conn_base.(inst.i_id) in
-      let rec fresh i =
-        i >= n_in
-        || (ln.l_chk_gen.(base + i)
-              = (Netlist.net t.nl inst.i_inputs.(i).c_net).n_gen
-           && fresh (i + 1))
-      in
-      if fresh 0 then begin
-        t.cache_hits <- t.cache_hits + 1;
-        ln.l_chk.(inst.i_id)
-      end
-      else begin
-        t.cache_misses <- t.cache_misses + 1;
-        let r = check_inst_compute t lane inst in
-        for i = 0 to n_in - 1 do
-          ln.l_chk_gen.(base + i) <-
-            (Netlist.net t.nl inst.i_inputs.(i).c_net).n_gen
-        done;
-        ln.l_chk.(inst.i_id) <- r;
-        r
-      end
+  | _, (Primitive.Buf _ | Primitive.Mux2 _ | Primitive.Reg _ | Primitive.Latch _
+       | Primitive.Const _) ->
+    []
+  | _, (Primitive.Gate _ | Primitive.Setup_hold_check _
+       | Primitive.Setup_rise_hold_fall_check _ | Primitive.Min_pulse_width _) ->
+    let ln = t.lanes.(lane) in
+    let key =
+      Array.fold_left
+        (fun acc (c : Netlist.conn) -> acc + (Netlist.net t.nl c.c_net).n_gen)
+        0 inst.i_inputs
+    in
+    if ln.l_chk_key.(inst.i_id) = key then begin
+      memo_hit t;
+      ln.l_chk.(inst.i_id)
     end
-  end
+    else begin
+      t.cache_misses <- t.cache_misses + 1;
+      let r = check_inst_compute t lane inst in
+      ln.l_chk_key.(inst.i_id) <- key;
+      ln.l_chk.(inst.i_id) <- r;
+      r
+    end
 
-let check_inst t inst = check_inst_lane t 0 inst
-
-let check_one t inst_id = check_inst t (Netlist.inst t.nl inst_id)
-
-let check_net_compute t lane net_id =
+(* A driven net's stable-assertion verdict, memoized on its own stamp. *)
+let check_net t lane net_id =
   let n = Netlist.net t.nl net_id in
-  match n.n_assertion, n.n_driver with
-  | Some a, Some _ ->
-    Check.check_stable_assertion ~signal:n.n_name ~tb:(Netlist.timebase t.nl) a
-      (value_lane t lane net_id)
-  | (None | Some _), _ -> []
-
-let check_net_lane t lane net_id =
-  match t.window with
-  | Some w when Window.net_proven w net_id ->
+  match t.window, n.n_assertion, n.n_driver with
+  | Some w, _, _ when Window.net_proven w net_id ->
     t.window_checks <- t.window_checks + 1;
     []
-  | _ ->
-  if lane = 0 then check_net_compute t 0 net_id
-  else begin
-    let ln = t.lanes.(lane - 1) in
-    let n = Netlist.net t.nl net_id in
-    if n.n_assertion = None || n.n_driver = None then []
-    else if ln.l_chk_net_gen.(net_id) = n.n_gen then begin
-      t.cache_hits <- t.cache_hits + 1;
+  | _, Some a, Some _ ->
+    let ln = t.lanes.(lane) in
+    if ln.l_chk_net_gen.(net_id) = n.n_gen then begin
+      memo_hit t;
       ln.l_chk_net.(net_id)
     end
     else begin
       t.cache_misses <- t.cache_misses + 1;
-      let r = check_net_compute t lane net_id in
+      let r =
+        Check.check_stable_assertion ~signal:n.n_name ~tb:(Netlist.timebase t.nl) a
+          (raw_value t lane n)
+      in
       ln.l_chk_net_gen.(net_id) <- n.n_gen;
       ln.l_chk_net.(net_id) <- r;
       r
     end
-  end
-
-let check_net t net_id = check_net_lane t 0 net_id
+  | _, (None | Some _), _ -> []
 
 let divergence t =
   if t.converged then []
   else
     let detail =
-      match t.diverged_slot, t.sched with
-      | slot, Some s when slot >= 0 ->
+      if t.diverged_slot >= 0 then
         Printf.sprintf "evaluation budget exceeded in feedback region: %s"
-          (Sched.cyclic_region s slot t.nl)
-      | _ -> "evaluation bound exceeded; the circuit may contain unbroken feedback"
+          (Sched.cyclic_region t.sched t.diverged_slot t.nl)
+      else "evaluation bound exceeded; the circuit may contain unbroken feedback"
     in
     [
       {
@@ -1366,11 +1225,8 @@ let divergence t =
       };
     ]
 
-let check_lane t lane =
+let check ?(lane = 0) t =
   let acc = ref [] in
-  Netlist.iter_insts t.nl (fun inst -> acc := check_inst_lane t lane inst :: !acc);
-  Netlist.iter_nets t.nl (fun n -> acc := check_net_lane t lane n.n_id :: !acc);
-  let base = List.concat (List.rev !acc) in
-  divergence t @ base
-
-let check t = check_lane t 0
+  Netlist.iter_insts t.nl (fun inst -> acc := check_inst t lane inst :: !acc);
+  Netlist.iter_nets t.nl (fun n -> acc := check_net t lane n.n_id :: !acc);
+  divergence t @ List.concat (List.rev !acc)

@@ -12,41 +12,35 @@
     additional cases cost time proportional to the events they cause
     (§2.7, §3.3.2).
 
-    Two work-list disciplines are available (see [doc/SCHEDULER.md]):
+    The work list is ordered by a structural schedule ({!Sched}, see
+    [doc/SCHEDULER.md]): ready instances are taken in topological-level
+    order, so each acyclic instance is evaluated at most once per
+    settled wavefront; instances inside feedback components relax in
+    FIFO order under a per-component budget, and a [No_convergence]
+    verdict names the cyclic region.  {!Sched.flat} — one level, one
+    component — turns this into the plain FIFO relaxation, the
+    reference discipline the tests compare against.
 
-    - {!Level} (the default): a structural schedule ({!Sched.compute})
-      orders ready instances by topological level, so each acyclic
-      instance is evaluated at most once per settled wavefront; only
-      instances inside feedback components relax in FIFO order, under a
-      per-component budget, and a [No_convergence] verdict names the
-      cyclic region.
-    - {!Fifo}: the historical plain first-in-first-out relaxation.
-
-    Both disciplines reach the same fixpoint — same waveforms, same
-    violations — they differ only in how many evaluations it takes.
-    Input waveforms are additionally memoized per connection, keyed on a
-    per-net generation stamp, in either mode. *)
+    Every delay corner is a {e lane} with the same derivation and memo
+    state (doc/CORNERS.md): input waveforms, register data and checker
+    verdicts are memoized per lane, keyed on per-net generation stamps.
+    Lane 0 — the reference corner — keeps its waveforms in the netlist
+    ([Netlist.net.n_value]), where the reporting modules read them. *)
 
 type t
 
-type mode =
-  | Fifo  (** historical FIFO relaxation *)
-  | Level  (** level-ordered sweep, FIFO inside feedback components *)
-
-val create :
-  ?mode:mode -> ?sched:Sched.t -> ?flow:Flow.t -> ?window:Window.t -> Netlist.t -> t
-(** [mode] defaults to {!Level}.  [sched] supplies a precomputed
-    schedule (it must describe the same structure, e.g. the original of
-    a {!Netlist.copy}); without it, {!Level} mode computes one at the
-    first {!run}.  [sched] is ignored in {!Fifo} mode.
+val create : ?sched:Sched.t -> ?flow:Flow.t -> ?window:Window.t -> Netlist.t -> t
+(** [sched] supplies a precomputed schedule (it must describe the same
+    structure, e.g. the original of a {!Netlist.copy}); without it one
+    is computed here.
 
     [flow] enables stable-cone pruning (doc/FLOW.md): after the first
     {!run} — which evaluates every instance at least once — instances
     the analysis proved inert ({!Flow.prunable}) are frozen and skipped
     by every later enqueue.  The analysis must describe the same
     structure and must have been given the union of the mapped nets of
-    every case that will be run ([Flow.analyse ~case_nets]); both modes
-    honour it.  Without [flow] nothing is ever frozen.
+    every case that will be run ([Flow.analyse ~case_nets]).  Without
+    [flow] nothing is ever frozen.
 
     [window] enables arrival-window pruning (doc/WINDOWS.md): checkers
     the analysis statically proves clean at every corner
@@ -55,8 +49,6 @@ val create :
     assertions are proven ({!Window.net_proven}) are served likewise.
     The analysis must describe the same structure and have been given
     the same [~case_nets] union as [flow]. *)
-
-val mode : t -> mode
 
 val netlist : t -> Netlist.t
 
@@ -72,54 +64,36 @@ val run : ?case:(int * Tvalue.t) list -> t -> unit
     value substituted for [Stable]; an empty list clears the mapping).
     Successive calls are incremental. *)
 
-val check : t -> Check.t list
+val check : ?lane:int -> t -> Check.t list
 (** Run all checker primitives, [&A]/[&H] hazard checks and
-    stable-assertion checks against the current signal values, plus a
-    {!Check.No_convergence} report if the last {!run} hit the evaluation
-    bound.  In {!Level} mode the report names the feedback region whose
-    relaxation budget was exceeded. *)
+    stable-assertion checks against the current signal values of corner
+    [lane] (default [0], the reference), plus a {!Check.No_convergence}
+    report if the last {!run} hit the evaluation bound — shared by every
+    lane, since convergence is a property of the whole packed run; it
+    names the feedback region whose relaxation budget was exceeded.
 
-val check_one : t -> int -> Check.t list
-(** The checks of a single instance (by id): checker primitives report
-    their margins, gates their [&A]/[&H] hazard scans, everything else
-    reports nothing.  [check] is the concatenation of [check_one] over
-    all instances (in id order) followed by {!check_net} over all nets
-    (in id order), with {!divergence} in front — exposed so an
-    incremental service can cache per-instance verdicts keyed on input
-    generation stamps and still reproduce a cold run's list exactly. *)
+    The list is per-instance verdicts in id order, then per-net
+    assertion verdicts in id order, with the divergence report in
+    front.  Each instance's verdicts are memoized per lane on its input
+    nets' generation stamps, each net's on its own stamp: a verdict is
+    a pure function of those waveforms, so the memo never changes the
+    list, and a re-check after an incremental run re-derives only the
+    dirty cone. *)
 
-val check_net : t -> int -> Check.t list
-(** The stable-assertion check of a single net (by id); empty unless the
-    net is both asserted and driven. *)
+val check_hits : t -> int
+(** Verdicts the check passes served from the memo since creation (or
+    the last {!reset_counters}); they are also counted in
+    [c_cache_hits]. *)
 
-val check_lane : t -> int -> Check.t list
-(** [check_lane t lane] — the full {!check} list evaluated against lane
-    [lane]'s waveforms ([0 <= lane < n_corners]).  [check t] is
-    [check_lane t 0].  The divergence report is shared: convergence is a
-    property of the whole packed run. *)
-
-val check_inst_lane : t -> int -> Netlist.inst -> Check.t list
-(** Per-lane {!check_one} (taking the instance record directly). *)
-
-val check_net_lane : t -> int -> int -> Check.t list
-(** Per-lane {!check_net}: [check_net_lane t lane net_id]. *)
-
-val divergence : t -> Check.t list
-(** The {!Check.No_convergence} report of the most recent {!run}, or
-    [[]] if it converged. *)
-
-val value : t -> int -> Waveform.t
-(** Current waveform of a net (the reference corner's). *)
-
-val value_lane : t -> int -> int -> Waveform.t
-(** [value_lane t lane net_id] — the net's waveform on the given corner
-    lane; [value_lane t 0] is {!value}.  Lanes whose waveform equals the
-    reference return the very same record (see [c_corner_lanes_shared]). *)
+val value : ?lane:int -> t -> int -> Waveform.t
+(** Current waveform of a net on corner [lane] (default [0], the
+    reference).  Lanes whose waveform equals the reference return the
+    very same record (see [c_corner_lanes_shared]). *)
 
 (** {2 Incremental-service hooks}
 
     Used by [lib/incr] (doc/SERVICE.md) to replay a netlist edit on a
-    persistent evaluator.  All three leave waveforms outside the touched
+    persistent evaluator.  They all leave waveforms outside the touched
     cone untouched, so generation-keyed caches keep their value. *)
 
 val touch_net : t -> int -> unit
@@ -154,24 +128,20 @@ val set_window : t -> Window.t option -> unit
     {!rewindow} (after {!refreeze}) so the frozen set matches the new
     proofs. *)
 
-val enqueue_inst : t -> int -> unit
+val touch_inst : t -> int -> unit
 (** Put one instance on the work list for the next {!run} (a no-op if
-    frozen or already queued).  Used to re-evaluate an instance whose
-    own parameters — element delay, checker margins — changed without
+    frozen or already queued) and drop its memoized verdicts on every
+    lane.  Used after an edit of the instance's own parameters — element
+    delay, checker margins — which changes its output or verdict without
     any input net changing. *)
 
-val input_waveform : t -> Netlist.inst -> int -> Waveform.t
-(** The waveform a primitive instance actually sees on input [i]: the
-    net value after complementation and interconnection delay, with
-    evaluation directives applied.  Exposed for reporting (the Figure
-    3-11 listing prints the values seen by the checker).  Memoized per
-    connection on the driving net's generation stamp. *)
-
-val input_waveform_lane : t -> int -> Netlist.inst -> int -> Waveform.t
-(** Per-lane {!input_waveform}: [input_waveform_lane t lane inst i] is
-    the waveform the instance sees on input [i] with lane [lane]'s
-    wire-delay scale applied.  [input_waveform_lane t 0] is
-    {!input_waveform}. *)
+val input_waveform : t -> int -> Netlist.inst -> int -> Waveform.t
+(** [input_waveform t lane inst i] — the waveform the instance sees on
+    input [i] at corner [lane]: the net value after complementation and
+    the lane's scaled interconnection delay, with evaluation directives
+    applied.  Exposed for reporting (the Figure 3-11 listing prints the
+    values seen by the checker).  Memoized per connection on the driving
+    net's generation stamp. *)
 
 val events : t -> int
 (** Number of events processed so far: an event is an output being given
@@ -216,13 +186,13 @@ type counters = {
           the work list — the saving of the call-list discipline *)
   c_queue_hwm : int;  (** work-list high-water mark *)
   c_sched_levels : int;
-      (** topological levels in the schedule; [0] in {!Fifo} mode or
-          before the schedule is computed *)
+      (** topological levels in the schedule *)
   c_sccs : int;  (** strongly connected components in the schedule *)
   c_max_scc_size : int;  (** largest component ([1] when acyclic) *)
   c_cache_hits : int;
-      (** input-waveform / register-data cache hits (generation match) *)
-  c_cache_misses : int;  (** cache fills *)
+      (** input-waveform / register-data / verdict memo hits (generation
+          match) *)
+  c_cache_misses : int;  (** memo fills *)
   c_pruned_insts : int;
       (** instances frozen by stable-cone pruning; [0] until the first
           run has completed, or when no {!Flow.t} was supplied *)

@@ -31,7 +31,7 @@ let find_checker_inputs ev (v : Check.t) =
   Netlist.iter_insts nl (fun i -> if i.i_name = v.v_inst then found := Some i);
   match !found with
   | Some i when Array.length i.i_inputs >= 2 ->
-    Some (Eval.input_waveform ev i 0, Eval.input_waveform ev i 1, i)
+    Some (Eval.input_waveform ev 0 i 0, Eval.input_waveform ev 0 i 1, i)
   | Some _ | None -> None
 
 let pp_violation_with_values ppf ev (v : Check.t) =

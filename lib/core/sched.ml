@@ -141,6 +141,23 @@ let compute nl =
     s_max_scc_size = max_scc_size;
   }
 
+(* Every instance in one level and one feedback component: the level
+   sweep degenerates to a single FIFO bucket under one budget of
+   [max 10_000 (n * 200)] evaluations — the plain FIFO relaxation. *)
+let flat nl =
+  let n = Netlist.n_insts nl in
+  let k = min 1 n in
+  {
+    s_level = Array.make (max 1 n) 0;
+    s_scc = Array.make (max 1 n) 0;
+    s_slot = Array.make (max 1 n) 0;
+    s_cyclic_size = Array.make k n;
+    s_cyclic_scc = Array.make k 0;
+    s_n_levels = k;
+    s_n_sccs = k;
+    s_max_scc_size = n;
+  }
+
 let level t i = t.s_level.(i)
 let scc t i = t.s_scc.(i)
 let cyclic_slot t i = t.s_slot.(i)

@@ -11,7 +11,7 @@
     ready queue: sweeping the buckets in level order evaluates each
     acyclic instance at most once per settled wavefront, while instances
     inside a feedback component share a level and relax in FIFO order
-    exactly as the historical scheduler did (see [doc/SCHEDULER.md]).
+    (see [doc/SCHEDULER.md]).
 
     A schedule only reads the netlist structure (drivers and fanout),
     which is immutable after construction, so one schedule can be shared
@@ -23,6 +23,14 @@ type t
 val compute : Netlist.t -> t
 (** Condense the instance graph and levelize it.  O(instances +
     connections); purely structural — never reads evaluation state. *)
+
+val flat : Netlist.t -> t
+(** The degenerate schedule: every instance in one level and one cyclic
+    component.  The evaluator then takes ready instances in plain FIFO
+    order under one budget of [max 10_000 (200 * instances)]
+    evaluations — exactly the historical FIFO relaxation, kept as the
+    reference the levelized schedule is tested against (same fixpoint,
+    more evaluations). *)
 
 val level : t -> int -> int
 (** [level t inst_id] — topological level of the instance's component,

@@ -93,12 +93,12 @@ let entries_of_inst ev lane (inst : Netlist.inst) =
   match inst.Netlist.i_prim with
   | Primitive.Setup_hold_check { setup; hold }
   | Primitive.Setup_rise_hold_fall_check { setup; hold } ->
-    let data = Eval.input_waveform_lane ev lane inst 0
-    and ck = Eval.input_waveform_lane ev lane inst 1 in
+    let data = Eval.input_waveform ev lane inst 0
+    and ck = Eval.input_waveform ev lane inst 1 in
     setup_hold_entries ~inst:inst.Netlist.i_name ~signal:(net_name 0) ~clock:(net_name 1)
       ~setup ~hold ~data ~ck
   | Primitive.Min_pulse_width { high; low } ->
-    let wf = Eval.input_waveform_lane ev lane inst 0 in
+    let wf = Eval.input_waveform ev lane inst 0 in
     pulse_entries ~inst:inst.Netlist.i_name ~signal:(net_name 0) ~required:high
       ~kind:Min_high ~value:Tvalue.V1 wf
     @ pulse_entries ~inst:inst.Netlist.i_name ~signal:(net_name 0) ~required:low

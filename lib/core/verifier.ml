@@ -108,7 +108,7 @@ let obs_of_counters (c : Eval.counters) =
     os_window_lanes_static = c.Eval.c_window_lanes_static;
     os_window_evals = c.Eval.c_window_evals;
     os_window_checks = c.Eval.c_window_checks;
-    os_cases_merged = 0;  (* overridden by [verify] when merging is on *)
+    os_cases_merged = 0;  (* overridden by [make_report] when merging is on *)
     os_evals_by_kind = c.Eval.c_evals_by_kind;
   }
 
@@ -116,49 +116,50 @@ let obs_of_counters (c : Eval.counters) =
    empty for a single-corner evaluator, so the historical path never
    runs an extra check pass. *)
 let lane_checks ev =
-  List.init (Eval.n_corners ev - 1) (fun l -> Eval.check_lane ev (l + 1))
+  List.init (Eval.n_corners ev - 1) (fun l -> Eval.check ~lane:(l + 1) ev)
 
-(* ---- the sequential engine (jobs = 1, the §2.7 baseline) ----------------- *)
+(* ---- one case of the sweep --------------------------------------------- *)
 
-let verify_sequential ~sched ~probe ~analysis ~window ~case_list nl =
-  (* [span] must stay let-bound polymorphic (it wraps both unit and
-     list-returning phases), so each engine rebuilds it from [probe]
-     rather than taking it as a (monomorphic) argument. *)
+let run_case ?probe ev nl i case =
+  (* [span] must stay let-bound polymorphic: it wraps both unit and
+     list-returning phases. *)
   let span : 'a. string -> (unit -> 'a) -> 'a =
    fun name f -> match probe with None -> f () | Some p -> p.pr_span name f
   in
+  let before_events = Eval.events ev and before_evals = Eval.evaluations ev in
+  span
+    (Printf.sprintf "evaluate:case%d" (i + 1))
+    (fun () -> Eval.run ~case:(Case_analysis.resolve nl case) ev);
+  let violations =
+    span (Printf.sprintf "check:case%d" (i + 1)) (fun () -> Eval.check ev)
+  in
+  let corner_violations =
+    (* no extra span (or work) on the single-corner path: traces must
+       stay identical to the historical ones *)
+    if Eval.n_corners ev = 1 then []
+    else
+      span (Printf.sprintf "check:case%d:corners" (i + 1)) (fun () -> lane_checks ev)
+  in
+  ( {
+      cr_case = case;
+      cr_violations = violations;
+      cr_events = Eval.events ev - before_events;
+      cr_evaluations = Eval.evaluations ev - before_evals;
+      (* sampled per case: a later converging case must not mask an
+         earlier one that hit the evaluation bound *)
+      cr_converged = Eval.converged ev;
+    },
+    corner_violations )
+
+(* ---- the sequential engine (jobs = 1, the §2.7 baseline) ----------------- *)
+
+let verify_sequential ~probe ~analysis ~window ~case_list nl =
   let schedule = Option.map fst analysis and flow = Option.map snd analysis in
-  let ev = Eval.create ~mode:sched ?sched:schedule ?flow ?window nl in
+  let ev = Eval.create ?sched:schedule ?flow ?window nl in
   (match probe with
   | Some { pr_event = Some _ as h; _ } -> Eval.set_event_hook ev h
   | Some { pr_event = None; _ } | None -> ());
-  let run_case i case =
-    let before_events = Eval.events ev and before_evals = Eval.evaluations ev in
-    span
-      (Printf.sprintf "evaluate:case%d" (i + 1))
-      (fun () -> Eval.run ~case:(Case_analysis.resolve nl case) ev);
-    let violations =
-      span (Printf.sprintf "check:case%d" (i + 1)) (fun () -> Eval.check ev)
-    in
-    let corner_violations =
-      (* no extra span (or work) on the single-corner path: traces must
-         stay identical to the historical ones *)
-      if Eval.n_corners ev = 1 then []
-      else
-        span (Printf.sprintf "check:case%d:corners" (i + 1)) (fun () -> lane_checks ev)
-    in
-    ( {
-        cr_case = case;
-        cr_violations = violations;
-        cr_events = Eval.events ev - before_events;
-        cr_evaluations = Eval.evaluations ev - before_evals;
-        (* sampled per case: a later converging case must not mask an
-           earlier one that hit the evaluation bound *)
-        cr_converged = Eval.converged ev;
-      },
-      corner_violations )
-  in
-  let results = List.mapi run_case case_list in
+  let results = List.mapi (run_case ?probe ev nl) case_list in
   (results, Eval.counters ev, ev)
 
 (* ---- the domain-parallel engine (jobs > 1) -------------------------------- *)
@@ -169,7 +170,7 @@ let verify_sequential ~sched ~probe ~analysis ~window ~case_list nl =
    measured case starts from exactly the state the sequential run would
    have given it — per-case event counts, violations and the merged
    counters are then identical to [jobs:1] (doc/PARALLEL.md). *)
-let verify_parallel ~sched ~probe ~analysis ~window ~case_list ~jobs nl =
+let verify_parallel ~probe ~analysis ~window ~case_list ~jobs nl =
   let span : 'a. string -> (unit -> 'a) -> 'a =
    fun name f -> match probe with None -> f () | Some p -> p.pr_span name f
   in
@@ -191,10 +192,7 @@ let verify_parallel ~sched ~probe ~analysis ~window ~case_list ~jobs nl =
      once and shared read-only by all domains. *)
   let flow = Option.map snd analysis in
   let schedule =
-    match analysis, sched with
-    | Some (s, _), _ -> Some s
-    | None, Eval.Level -> Some (Sched.compute nl)
-    | None, Eval.Fifo -> None
+    match analysis with Some (s, _) -> s | None -> Sched.compute nl
   in
   let record_events =
     match probe with Some { pr_event = Some _; _ } -> true | _ -> false
@@ -203,17 +201,15 @@ let verify_parallel ~sched ~probe ~analysis ~window ~case_list ~jobs nl =
     let lo, hi = shards.(k) in
     (* the window table, like the flow, is structural and read-only:
        every domain queries the shared one by id *)
-    let ev = Eval.create ~mode:sched ?sched:schedule ?flow ?window netlists.(k) in
+    let ev = Eval.create ~sched:schedule ?flow ?window netlists.(k) in
     if lo > 0 then begin
       (* Warm-start priming: un-measured, un-hooked, un-counted.  The
-         check pass is replayed too: it fills the input-waveform cache
-         exactly as the sequential run's preceding case did, so the
-         cache hit/miss counters of every measured case stay identical
-         to jobs:1. *)
+         check passes are replayed too: they fill the input-waveform
+         caches and the verdict memos of every lane exactly as the
+         sequential run's preceding case did, so the cache hit/miss
+         counters of every measured case stay identical to jobs:1. *)
       Eval.run ~case:resolved.(lo - 1) ev;
       ignore (Eval.check ev);
-      (* lane checks fill the per-lane caches too, keeping the measured
-         cache counters identical to jobs:1 at any corner count *)
       ignore (lane_checks ev);
       Eval.reset_counters ev
     end;
@@ -225,22 +221,8 @@ let verify_parallel ~sched ~probe ~analysis ~window ~case_list ~jobs nl =
       List.init (hi - lo) (fun j ->
           let i = lo + j in
           buf := [];
-          let before_events = Eval.events ev
-          and before_evals = Eval.evaluations ev in
-          Eval.run ~case:resolved.(i) ev;
-          let violations = Eval.check ev in
-          let corner_violations =
-            if Eval.n_corners ev = 1 then [] else lane_checks ev
-          in
-          ( ( {
-                cr_case = case_arr.(i);
-                cr_violations = violations;
-                cr_events = Eval.events ev - before_events;
-                cr_evaluations = Eval.evaluations ev - before_evals;
-                cr_converged = Eval.converged ev;
-              },
-              corner_violations ),
-            List.rev !buf ))
+          let r = run_case ev netlists.(k) i case_arr.(i) in
+          (r, List.rev !buf))
     in
     (results, Eval.counters ev, ev)
   in
@@ -278,9 +260,45 @@ let verify_parallel ~sched ~probe ~analysis ~window ~case_list ~jobs nl =
   let _, _, last_ev = shard_results.(jobs - 1) in
   (results, counters, last_ev)
 
-let verify ?lint ?probe ?(cases = []) ?(jobs = 1) ?(sched = Eval.Level)
-    ?(prune = true) ?(window_prune = true) ?(merge_cases = false) ?analysis
-    ?window ?corners nl =
+let make_report ?lint ?(cases_merged = 0) ?obs ~jobs paired counters ev =
+  let results = List.map fst paired in
+  let r_violations =
+    dedup_violations (List.concat_map (fun r -> r.cr_violations) results)
+  in
+  let corner_tbl = Eval.corners ev in
+  (* Corner 0 shares the headline violation list; the extra corners
+     aggregate their per-case lane verdicts the same way (concatenate in
+     case order, dedup). *)
+  let r_corners =
+    List.init (Array.length corner_tbl) (fun c ->
+        let viols =
+          if c = 0 then r_violations
+          else
+            dedup_violations
+              (List.concat_map (fun (_, lanes) -> List.nth lanes (c - 1)) paired)
+        in
+        { co_corner = corner_tbl.(c); co_violations = viols })
+  in
+  let obs = Option.value obs ~default:counters in
+  {
+    r_cases = results;
+    r_events = counters.Eval.c_events;
+    r_evaluations = counters.Eval.c_evaluations;
+    r_violations;
+    r_corners;
+    r_converged = List.for_all (fun r -> r.cr_converged) results;
+    r_unasserted =
+      List.map
+        (fun (n : Netlist.net) -> n.n_name)
+        (Netlist.undriven_unasserted (Eval.netlist ev));
+    r_lint = lint;
+    r_obs = { (obs_of_counters obs) with os_cases_merged = cases_merged };
+    r_eval = ev;
+    r_jobs = jobs;
+  }
+
+let verify ?lint ?probe ?(cases = []) ?(jobs = 1) ?(prune = true)
+    ?(window_prune = true) ?(merge_cases = false) ?analysis ?window ?corners nl =
   if jobs < 0 then invalid_arg "Verifier.verify: jobs must be >= 0";
   (* Install the corner table before any evaluator (or netlist copy) is
      created; every domain's evaluator then packs the same lanes. *)
@@ -333,7 +351,7 @@ let verify ?lint ?probe ?(cases = []) ?(jobs = 1) ?(sched = Eval.Level)
   (* Case-equivalence merging: the representative's verdicts stand for
      its whole class, so only representatives are evaluated; the dropped
      count is reported in [r_obs.os_cases_merged]. *)
-  let case_list, n_cases_merged =
+  let case_list, cases_merged =
     match window with
     | Some w when merge_cases ->
       Case_analysis.partition
@@ -346,42 +364,10 @@ let verify ?lint ?probe ?(cases = []) ?(jobs = 1) ?(sched = Eval.Level)
   let jobs = max 1 (min jobs (List.length case_list)) in
   let paired, counters, ev =
     if jobs = 1 then
-      verify_sequential ~sched ~probe ~analysis ~window:eval_window ~case_list nl
-    else
-      verify_parallel ~sched ~probe ~analysis ~window:eval_window ~case_list ~jobs
-        nl
+      verify_sequential ~probe ~analysis ~window:eval_window ~case_list nl
+    else verify_parallel ~probe ~analysis ~window:eval_window ~case_list ~jobs nl
   in
-  let results = List.map fst paired in
-  let all = List.concat_map (fun r -> r.cr_violations) results in
-  let r_violations = dedup_violations all in
-  let corner_tbl = Eval.corners ev in
-  (* Corner 0 shares the headline violation list; the extra corners
-     aggregate their per-case lane verdicts the same way (concatenate in
-     case order, dedup). *)
-  let r_corners =
-    List.init (Array.length corner_tbl) (fun c ->
-        let viols =
-          if c = 0 then r_violations
-          else
-            dedup_violations
-              (List.concat_map (fun (_, lanes) -> List.nth lanes (c - 1)) paired)
-        in
-        { co_corner = corner_tbl.(c); co_violations = viols })
-  in
-  {
-    r_cases = results;
-    r_events = counters.Eval.c_events;
-    r_evaluations = counters.Eval.c_evaluations;
-    r_violations;
-    r_corners;
-    r_converged = List.for_all (fun r -> r.cr_converged) results;
-    r_unasserted =
-      List.map (fun (n : Netlist.net) -> n.n_name) (Netlist.undriven_unasserted nl);
-    r_lint = lint_summary;
-    r_obs = { (obs_of_counters counters) with os_cases_merged = n_cases_merged };
-    r_eval = ev;
-    r_jobs = jobs;
-  }
+  make_report ?lint:lint_summary ~cases_merged ~jobs paired counters ev
 
 let clean r =
   List.for_all (fun c -> c.co_violations = []) r.r_corners
@@ -397,6 +383,24 @@ let worst_corner r =
            if List.length c.co_violations > List.length acc.co_violations then c
            else acc)
          first r.r_corners)
+
+let pp_corner_listing ppf r =
+  match r.r_corners with
+  | [] | [ _ ] -> ()
+  | cs ->
+    Format.fprintf ppf "@.MULTI-CORNER SUMMARY@.";
+    List.iter
+      (fun c ->
+        let n = List.length c.co_violations in
+        Format.fprintf ppf "  %-24s %d error%s@."
+          (Format.asprintf "%a" Corner.pp c.co_corner)
+          n (if n = 1 then "" else "s"))
+      cs;
+    (match worst_corner r with
+    | Some c when c != List.hd cs && c.co_violations <> [] ->
+      Format.fprintf ppf "@.WORST CORNER %a@." Corner.pp c.co_corner;
+      List.iter (fun v -> Format.fprintf ppf "%a@." Check.pp v) c.co_violations
+    | _ -> ())
 
 let violations_of_kind kind r =
   List.filter (fun (v : Check.t) -> v.v_kind = kind) r.r_violations

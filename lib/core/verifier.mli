@@ -45,13 +45,13 @@ type obs_summary = {
       (** enqueue requests absorbed because the target was already
           queued *)
   os_queue_hwm : int;  (** work-list high-water mark *)
-  os_sched_levels : int;
-      (** topological levels of the evaluation schedule; [0] under
-          [~sched:Eval.Fifo] (no schedule is computed) *)
+  os_sched_levels : int;  (** topological levels of the evaluation schedule *)
   os_sccs : int;  (** strongly connected components in the schedule *)
   os_max_scc_size : int;  (** largest component; [1] when acyclic *)
-  os_cache_hits : int;  (** input-waveform cache hits (see {!Eval}) *)
-  os_cache_misses : int;  (** input-waveform cache fills *)
+  os_cache_hits : int;
+      (** input-waveform, register-data and verdict memo hits (see
+          {!Eval}) *)
+  os_cache_misses : int;  (** memo fills *)
   os_pruned_insts : int;
       (** instances frozen by stable-cone pruning; [0] under
           [~prune:false] *)
@@ -134,7 +134,6 @@ val verify :
   ?probe:probe ->
   ?cases:Case_analysis.case list ->
   ?jobs:int ->
-  ?sched:Eval.mode ->
   ?prune:bool ->
   ?window_prune:bool ->
   ?merge_cases:bool ->
@@ -150,19 +149,12 @@ val verify :
     [probe] is given its span hook brackets every internal phase and its
     event hook (if any) sees every evaluator event.
 
-    [sched] (default {!Eval.Level}) selects the evaluator's work-list
-    discipline (CLI: [--sched fifo|level]).  Both disciplines produce
-    the same violations, waveforms and convergence verdicts; the level
-    schedule does it in fewer evaluations, so the flow counters
-    ([r_events], [r_evaluations], [r_obs]) differ between disciplines —
-    but never between job counts within one discipline (see
-    [doc/SCHEDULER.md]).  With [jobs > 1] the schedule is computed once
-    on the calling domain and shared read-only by every worker.
-
     [jobs] (default 1) is the number of domains to shard the cases
     over; [0] means {!Par.available}.  It is clamped to the case count,
     so small runs never over-spawn.  [jobs:1] is exactly the historical
-    sequential path.  With [jobs > 1] the lint hook and case resolution
+    sequential path.  With [jobs > 1] the evaluation schedule is
+    computed once on the calling domain and shared read-only by every
+    worker, and the lint hook and case resolution
     still run on the calling domain; workers never call [pr_span] (the
     parallel section is bracketed by single ["evaluate:parallel(jN)"]
     and ["merge:events"] spans from the calling domain), and per-event
@@ -198,7 +190,8 @@ val verify :
     [analysis] supplies a precomputed schedule and flow analysis (they
     must describe this netlist's structure and cover this run's case
     nets); used by the incremental service, which computes them once per
-    session.  Ignored under [~prune:false].  [window] likewise supplies
+    session, and by tests that evaluate under {!Sched.flat} (the FIFO
+    reference discipline).  Ignored under [~prune:false].  [window] likewise supplies
     a precomputed window analysis (kept current across edits with
     {!Window.update}); ignored when both [window_prune] and
     [merge_cases] are off.
@@ -211,6 +204,35 @@ val verify :
     and convergence flags are bit-identical to a plain single-corner run
     at any [jobs].  CLI: [--corners slow,typ,fast].
     @raise Invalid_argument when [jobs < 0]. *)
+
+val run_case :
+  ?probe:probe ->
+  Eval.t ->
+  Netlist.t ->
+  int ->
+  Case_analysis.case ->
+  case_result * Check.t list list
+(** [run_case ev nl i case] — one step of the case sweep: evaluate case
+    number [i] (0-based) to a fixpoint, then check the reference corner
+    and every extra corner lane, under the spans ["evaluate:caseN"],
+    ["check:caseN"] and (multi-corner only) ["check:caseN:corners"].
+    Returns the case result and the per-lane verdicts of corners
+    1..k-1.  Exposed so the incremental service replays exactly the
+    sweep {!verify} runs. *)
+
+val make_report :
+  ?lint:lint_summary ->
+  ?cases_merged:int ->
+  ?obs:Eval.counters ->
+  jobs:int ->
+  (case_result * Check.t list list) list ->
+  Eval.counters ->
+  Eval.t ->
+  report
+(** Assemble a report from the {!run_case} results of a sweep, the
+    sweep's counters and the final evaluator.  [obs] (default: the
+    sweep's counters) is what [r_obs] reports — the incremental service
+    passes its cumulative totals. *)
 
 val clean : report -> bool
 (** No violations in any case on any corner. *)
@@ -228,6 +250,11 @@ val obs_of_counters : Eval.counters -> obs_summary
 (** Project evaluator counters into the report's observability summary.
     Exposed so the incremental service ([lib/incr]) can build reports
     with the same shape as {!verify}'s. *)
+
+val pp_corner_listing : Format.formatter -> report -> unit
+(** The multi-corner tail of the error listing: the per-corner tally and
+    the full listing of the worst corner when it is not the reference.
+    Prints nothing for a single-corner report. *)
 
 val violations_of_kind : Check.kind -> report -> Check.t list
 

@@ -265,12 +265,6 @@ let target_session t j =
     | Some s -> Ok s
     | None -> Error "no session loaded")
 
-let sched_of j =
-  match opt_str j "sched" with
-  | None | Some "level" -> Ok Eval.Level
-  | Some "fifo" -> Ok Eval.Fifo
-  | Some s -> Error (Printf.sprintf "unknown sched %S (expected \"level\" or \"fifo\")" s)
-
 let cases_of j =
   match Json.member "cases" j, opt_str j "cases_file" with
   | Some (Json.Str text), None -> Case_analysis.parse text
@@ -303,13 +297,12 @@ let session_fields s =
 let do_load t j =
   let* src = source_of j in
   let* cases = cases_of j in
-  let* mode = sched_of j in
   let* ast = Scald_sdl.Parser.parse src in
   let* { Scald_sdl.Expander.e_netlist = nl; _ } = Scald_sdl.Expander.expand ast in
   let probe =
     if t.sv_telemetry then Some (Scald_obs.Obs.probe t.sv_obs) else None
   in
-  let outcome = Store.load t.sv_store ~mode ~cases ?probe nl in
+  let outcome = Store.load t.sv_store ~cases ?probe nl in
   let s, mode_str, staged =
     match outcome with
     | Store.Cold s -> (s, "cold", 0)

@@ -18,7 +18,6 @@ type t = {
   mutable s_digest : string option;
   s_skeleton : string;
   s_sched : Sched.t;
-  s_mode : Eval.mode;
   (* mutable: kept current across edits with [Window.update]; rebuilt
      wholesale on a [Cases] or [Corners] edit, which change the
      volatile-net set resp. the lane count baked into the table *)
@@ -38,82 +37,19 @@ type t = {
   mutable s_cum : Eval.counters;
   mutable s_requests : int;
   mutable s_last : stats;
-  (* Cross-run violation caches: without them a re-verify would still
-     pay a full check pass over every instance, capping the win well
-     below the evaluation savings.  Entries are keyed on the generation
-     stamps of the instance's input nets (resp. the net's own stamp) at
-     the time the verdict was computed — any evaluation or edit that
-     could change the verdict bumps a stamp and misses the cache.
-     Instance-parameter edits don't move any stamp, so those entries are
-     invalidated explicitly in [reverify]. *)
-  v_inst : (Check.t list * int array) option array;
-  v_net : (Check.t list * int) option array;
 }
 
 let resolved_case_nets nl cases =
   List.sort_uniq compare
     (List.concat_map (fun c -> List.map fst (Case_analysis.resolve nl c)) cases)
 
-let input_gens nl (i : Netlist.inst) =
-  Array.map (fun (c : Netlist.conn) -> (Netlist.net nl c.c_net).n_gen) i.i_inputs
-
-(* allocation-free equality against the live stamps, for the hit path *)
-let gens_current nl (i : Netlist.inst) g =
-  let n = Array.length i.i_inputs in
-  Array.length g = n
-  &&
-  let rec go k =
-    k = n
-    || (Netlist.net nl i.i_inputs.(k).c_net).n_gen = g.(k) && go (k + 1)
-  in
-  go 0
-
-(* One checking pass with the exact shape of [Eval.check] — per-instance
-   lists in id order, then per-net lists in id order, divergence report
-   in front — so the concatenation is bit-identical to a cold run's. *)
-let cached_check t =
-  let nl = t.s_nl and ev = t.s_ev in
-  let hits = ref 0 in
-  let acc = ref [] in
-  for id = 0 to Netlist.n_insts nl - 1 do
-    let i = Netlist.inst nl id in
-    let vs =
-      match t.v_inst.(id) with
-      | Some (vs, g) when gens_current nl i g ->
-        incr hits;
-        vs
-      | _ ->
-        let vs = Eval.check_one ev id in
-        t.v_inst.(id) <- Some (vs, input_gens nl i);
-        vs
-    in
-    acc := vs :: !acc
-  done;
-  for id = 0 to Netlist.n_nets nl - 1 do
-    let n = Netlist.net nl id in
-    let vs =
-      match t.v_net.(id) with
-      | Some (vs, g) when g = n.n_gen ->
-        incr hits;
-        vs
-      | _ ->
-        let vs = Eval.check_net ev id in
-        t.v_net.(id) <- Some (vs, n.n_gen);
-        vs
-    in
-    acc := vs :: !acc
-  done;
-  let base = List.concat (List.rev !acc) in
-  (Eval.divergence ev @ base, !hits)
-
-let load ?(mode = Eval.Level) ?(cases = []) ?probe nl =
+let load ?(cases = []) ?probe nl =
   let sched = Sched.compute nl in
   let case_nets = resolved_case_nets nl cases in
   let flow = Flow.analyse ~sched ~case_nets nl in
   let window = Window.analyse ~sched ~case_nets nl in
   let report =
-    Verifier.verify ~cases ~jobs:1 ?probe ~sched:mode ~analysis:(sched, flow)
-      ~window nl
+    Verifier.verify ~cases ~jobs:1 ?probe ~analysis:(sched, flow) ~window nl
   in
   let ev = report.Verifier.r_eval in
   let t =
@@ -123,7 +59,6 @@ let load ?(mode = Eval.Level) ?(cases = []) ?probe nl =
       s_digest = None;
       s_skeleton = Fingerprint.skeleton nl;
       s_sched = sched;
-      s_mode = mode;
       s_window = window;
       s_ev = ev;
       s_probe = probe;
@@ -144,16 +79,12 @@ let load ?(mode = Eval.Level) ?(cases = []) ?probe nl =
           st_events = report.Verifier.r_events;
           st_evaluations = report.Verifier.r_evaluations;
         };
-      v_inst = Array.make (max 1 (Netlist.n_insts nl)) None;
-      v_net = Array.make (max 1 (Netlist.n_nets nl)) None;
     }
   in
   t.s_digest <- Some t.s_id;
-  (* Prime the violation caches against the final cold-run state so the
-     first re-verify reuses every verdict outside its dirty cone.  This
-     replays one check pass; its waveform-cache traffic lands in the
-     cumulative counters sampled next. *)
-  ignore (cached_check t);
+  (* The cold run's last check pass left the evaluator's verdict memos
+     holding the final state, so the first re-verify reuses every
+     verdict outside its dirty cone. *)
   Eval.count_request ev;
   t.s_cum <- Eval.counters ev;
   t
@@ -169,7 +100,6 @@ let digest t =
     d
 let skeleton t = t.s_skeleton
 let netlist t = t.s_nl
-let mode t = t.s_mode
 let report t = t.s_report
 let cases t = t.s_cases
 let stats t = t.s_last
@@ -179,7 +109,8 @@ let stage t e = t.s_pending <- e :: t.s_pending
 let pending t = List.length t.s_pending
 
 let listing_string (r : Verifier.report) =
-  Format.asprintf "@.%a@." Report.pp_violations r.Verifier.r_violations
+  Format.asprintf "@.%a@.%a" Report.pp_violations r.Verifier.r_violations
+    Verifier.pp_corner_listing r
 
 let listing t = listing_string t.s_report
 
@@ -249,9 +180,8 @@ let reverify ?(carry_counters = true) t =
   | None -> ());
   (* A corners edit changed the lane count, which is fixed at
      [Eval.create] time: swap in a fresh evaluator (cold — its first run
-     below re-initializes every net, bumping every generation stamp) and
-     drop the cached verdicts wholesale.  The cumulative counters keep
-     accumulating across the swap. *)
+     below re-initializes every net, and its memos start empty).  The
+     cumulative counters keep accumulating across the swap. *)
   let window_rebuilt = ref false in
   let reanalyse_window () =
     t.s_window <- Window.analyse ~sched:t.s_sched ~case_nets:t.s_case_nets nl;
@@ -260,13 +190,9 @@ let reverify ?(carry_counters = true) t =
   if not (Corner.table_equal (Eval.corners t.s_ev) (Netlist.corners nl)) then begin
     (* the lane count is baked into the window table too *)
     reanalyse_window ();
-    let fresh =
-      Eval.create ~mode:t.s_mode ~sched:t.s_sched ~window:t.s_window nl
-    in
+    let fresh = Eval.create ~sched:t.s_sched ~window:t.s_window nl in
     Eval.set_event_hook fresh (Eval.event_hook t.s_ev);
-    t.s_ev <- fresh;
-    Array.fill t.v_inst 0 (Array.length t.v_inst) None;
-    Array.fill t.v_net 0 (Array.length t.v_net) None
+    t.s_ev <- fresh
   end
   else if !new_cases <> None then begin
     (* the volatile-net set is baked into the window table *)
@@ -329,72 +255,23 @@ let reverify ?(carry_counters = true) t =
         Eval.rewindow ev;
         net_dirty)
   in
-  (* 3. inject the edits into the evaluator: bump stamps, wake cones *)
+  (* 3. inject the edits into the evaluator: bump stamps, wake cones;
+     an instance-parameter edit moves no stamp, so [touch_inst] drops
+     the instance's memoized verdicts on every lane *)
   List.iter (Eval.touch_net ev) touched_nets;
   List.iter (Eval.reassert_net ev) reinit_nets;
-  List.iter (Eval.enqueue_inst ev) touched_insts;
-  (* an instance-parameter edit moves no stamp; drop its cached verdict *)
-  List.iter (fun id -> t.v_inst.(id) <- None) touched_insts;
-  (* 4. replay the case sweep, checking each case through the caches *)
-  let warm = ref 0 in
+  List.iter (Eval.touch_inst ev) touched_insts;
+  (* 4. replay the case sweep; the check passes re-derive only the
+     verdicts whose input stamps moved *)
   let case_list = match t.s_cases with [] -> [ [] ] | cs -> cs in
-  let run_case i case =
-    let before_events = Eval.events ev and before_evals = Eval.evaluations ev in
-    span
-      (Printf.sprintf "evaluate:case%d" (i + 1))
-      (fun () -> Eval.run ~case:(Case_analysis.resolve nl case) ev);
-    let violations, hits =
-      span (Printf.sprintf "check:case%d" (i + 1)) (fun () -> cached_check t)
-    in
-    warm := !warm + hits;
-    (* the extra corners are checked uncached: the verdict caches key on
-       lane-0 stamps only, and lane stamps share them *)
-    let corner_violations =
-      if Eval.n_corners ev = 1 then []
-      else List.init (Eval.n_corners ev - 1) (fun l -> Eval.check_lane ev (l + 1))
-    in
-    ( {
-        Verifier.cr_case = case;
-        cr_violations = violations;
-        cr_events = Eval.events ev - before_events;
-        cr_evaluations = Eval.evaluations ev - before_evals;
-        cr_converged = Eval.converged ev;
-      },
-      corner_violations )
-  in
-  let paired = List.mapi run_case case_list in
-  let results = List.map fst paired in
-  (* 5. merge counters and rebuild the report in Verifier.verify's shape *)
+  let paired = List.mapi (Verifier.run_case ?probe:t.s_probe ev nl) case_list in
+  (* 5. merge counters and build the report in Verifier.verify's shape *)
   let c = Eval.counters ev in
   t.s_cum <- Eval.merge_counters t.s_cum c;
-  let all = List.concat_map (fun r -> r.Verifier.cr_violations) results in
-  let r_violations = Verifier.dedup_violations all in
-  let corner_tbl = Eval.corners ev in
-  let r_corners =
-    List.init (Array.length corner_tbl) (fun cidx ->
-        let viols =
-          if cidx = 0 then r_violations
-          else
-            Verifier.dedup_violations
-              (List.concat_map (fun (_, lanes) -> List.nth lanes (cidx - 1)) paired)
-        in
-        { Verifier.co_corner = corner_tbl.(cidx); co_violations = viols })
-  in
   let report =
-    {
-      Verifier.r_cases = results;
-      r_events = c.Eval.c_events;
-      r_evaluations = c.Eval.c_evaluations;
-      r_violations;
-      r_corners;
-      r_converged = List.for_all (fun r -> r.Verifier.cr_converged) results;
-      r_unasserted =
-        List.map (fun (n : Netlist.net) -> n.n_name) (Netlist.undriven_unasserted nl);
-      r_lint = None;
-      r_obs = Verifier.obs_of_counters (if carry_counters then t.s_cum else c);
-      r_eval = ev;
-      r_jobs = 1;
-    }
+    Verifier.make_report ~jobs:1
+      ~obs:(if carry_counters then t.s_cum else c)
+      paired c ev
   in
   t.s_report <- report;
   (* 6. invalidate the content address (recomputed on demand, off this
@@ -416,7 +293,7 @@ let reverify ?(carry_counters = true) t =
       st_requests = t.s_requests;
       st_reused_nets = Netlist.n_nets nl - dirtied;
       st_dirtied_nets = dirtied;
-      st_warm_hits = !warm;
+      st_warm_hits = Eval.check_hits ev;
       st_fp_changed = fp_changed;
       st_events = c.Eval.c_events;
       st_evaluations = c.Eval.c_evaluations;

@@ -13,8 +13,9 @@
       PR-5 freeze path, {!Scald_core.Eval.refreeze}), and bumps
       generation stamps only inside it, so every generation-keyed cache
       outside the cone keeps its value;
-    + replays the case sweep and re-checks through per-instance /
-      per-net violation caches keyed on those same stamps;
+    + replays the case sweep, whose check passes re-derive only the
+      verdicts whose input stamps moved (the evaluator's per-lane
+      verdict memo, {!Scald_core.Eval.check});
     + merges cached and fresh violations into a report with the exact
       shape, content and order of a cold {!Scald_core.Verifier.verify}
       of the edited design.
@@ -36,7 +37,9 @@ type stats = {
   st_requests : int;  (** verify requests served so far, this one included *)
   st_reused_nets : int;  (** nets outside the dirty cone (waveform reused) *)
   st_dirtied_nets : int;  (** nets inside the dirty cone *)
-  st_warm_hits : int;  (** violation-cache verdicts reused by the check pass *)
+  st_warm_hits : int;
+      (** verdicts the check passes served from the evaluator's memo
+          ({!Scald_core.Eval.check_hits}), over every case and corner *)
   st_fp_changed : int;
       (** nets whose {!Fingerprint.cones} fingerprint changed — the
           content-addressed view of the same cone, as a cross-check *)
@@ -45,19 +48,19 @@ type stats = {
 }
 
 val load :
-  ?mode:Eval.mode ->
   ?cases:Case_analysis.case list ->
   ?probe:Verifier.probe ->
   Netlist.t ->
   t
-(** Cold-start a session: verify the netlist sequentially (computing the
+(** Cold-start a session: verify the netlist sequentially, computing the
     schedule and flow analysis once, to be shared by every later
-    request) and prime the violation caches from the final state.
+    request.
 
     [probe] is kept for the session's lifetime: the cold verify runs
     under it, and every later {!reverify} wraps its phases ([apply],
     [cone], [evaluate:caseN], [check:caseN], [fingerprint]) in
-    [pr_span] — so a serve daemon that sets a trace lane per request
+    [pr_span] (plus [check:caseN:corners] on a multi-corner design)
+    — so a serve daemon that sets a trace lane per request
     (see {!Scald_obs.Span.set_lane}) gets correctly attributed
     per-request spans instead of one interleaved stream. *)
 
@@ -95,7 +98,6 @@ val skeleton : t -> string
     edits. *)
 
 val netlist : t -> Netlist.t
-val mode : t -> Eval.mode
 val report : t -> Verifier.report
 (** The most recent report (cold-run report right after {!load}). *)
 
@@ -111,5 +113,6 @@ val fingerprints : t -> int64 array
 
 val listing : t -> string
 (** The violation listing exactly as [scald_tv -q] prints it for the
-    current report (leading and trailing newline included), for
-    byte-for-byte comparison against a cold run. *)
+    current report (leading and trailing newline included, and the
+    multi-corner summary on a multi-corner design), for byte-for-byte
+    comparison against a cold run. *)

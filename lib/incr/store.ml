@@ -1,5 +1,3 @@
-open Scald_core
-
 type outcome =
   | Cold of Session.t
   | Warm of Session.t
@@ -34,12 +32,12 @@ let promote t s =
 
 let same_cases a b = a = b
 
-let load t ?(mode = Eval.Level) ?(cases = []) ?probe nl =
+let load t ?(cases = []) ?probe nl =
   t.loads <- t.loads + 1;
   let digest = Fingerprint.digest nl in
   let by_digest =
     List.find_opt
-      (fun s -> String.equal (Session.digest s) digest && Session.mode s = mode)
+      (fun s -> String.equal (Session.digest s) digest)
       t.sessions
   in
   match by_digest with
@@ -58,9 +56,7 @@ let load t ?(mode = Eval.Level) ?(cases = []) ?probe nl =
     let by_skeleton =
       List.find_opt
         (fun s ->
-          String.equal (Session.skeleton s) skeleton
-          && Session.mode s = mode
-          && Session.pending s = 0)
+          String.equal (Session.skeleton s) skeleton && Session.pending s = 0)
         t.sessions
     in
     match by_skeleton with
@@ -82,6 +78,6 @@ let load t ?(mode = Eval.Level) ?(cases = []) ?probe nl =
       promote t s;
       Adopted (s, n)
     | None ->
-      let s = Session.load ~mode ~cases ?probe nl in
+      let s = Session.load ~cases ?probe nl in
       t.sessions <- s :: t.sessions;
       Cold s)

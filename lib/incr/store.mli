@@ -16,8 +16,8 @@ type t
 type outcome =
   | Cold of Session.t  (** no reusable session: full cold verify ran *)
   | Warm of Session.t
-      (** digest, mode and case group all match a live session — full
-          reuse, its current report stands *)
+      (** digest and case group both match a live session — full reuse,
+          its current report stands *)
   | Adopted of Session.t * int
       (** an existing session was adopted; [int] edits were staged
           (parameter diff, possibly plus a case-group swap) *)
@@ -26,7 +26,6 @@ val create : unit -> t
 
 val load :
   t ->
-  ?mode:Eval.mode ->
   ?cases:Case_analysis.case list ->
   ?probe:Verifier.probe ->
   Netlist.t ->

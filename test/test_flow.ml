@@ -198,19 +198,15 @@ let test_prune_counters_surface () =
 
 let properties =
   [
-    prop "pruning preserves verdicts across sched x jobs"
+    prop "pruning preserves verdicts across jobs"
       QCheck.(int_range 1 1000)
       (fun seed ->
         let nl = netgen_nl seed in
         let cases = netgen_cases nl in
+        let off = Verifier.verify ~cases ~prune:false nl in
         List.for_all
-          (fun sched ->
-            let off = Verifier.verify ~cases ~sched ~prune:false nl in
-            List.for_all
-              (fun jobs ->
-                verdicts_equal off (Verifier.verify ~cases ~sched ~jobs nl))
-              [ 1; 4 ])
-          [ Eval.Level; Eval.Fifo ]);
+          (fun jobs -> verdicts_equal off (Verifier.verify ~cases ~jobs nl))
+          [ 1; 4 ]);
   ]
 
 let suite =

@@ -129,7 +129,7 @@ let json_roundtrip_property =
 (* IN0/IN1 -> U0 (AND) -> U1 (BUF) -> DATA, registered by U2 on CK with
    a setup/hold checker U3: upstream delay edits move DATA's settling
    time and flip the setup verdict, exercising violation (un)caching. *)
-let build_circuit ?(u0_max = 3.0) ?(data_wire = None) () =
+let build_circuit ?(u0_max = 3.0) ?(data_wire = None) ?(u3_setup = 8.0) () =
   let nl =
     Netlist.create
       (Timebase.make ~period_ns:50.0 ~clock_unit_ns:6.25)
@@ -162,11 +162,13 @@ let build_circuit ?(u0_max = 3.0) ?(data_wire = None) () =
   ignore
     (Netlist.add nl ~name:"U3"
        (Primitive.Setup_hold_check
-          { setup = Timebase.ps_of_ns 8.0; hold = Timebase.ps_of_ns 1.0 })
+          { setup = Timebase.ps_of_ns u3_setup; hold = Timebase.ps_of_ns 1.0 })
        ~inputs:[ Netlist.conn data; Netlist.conn ck ]
        ~output:None);
   nl
 
+(* Verdict equality covers every corner's list, not just the reference
+   corner's [r_violations]. *)
 let verdicts_equal (a : Verifier.report) (b : Verifier.report) =
   a.Verifier.r_violations = b.Verifier.r_violations
   && a.Verifier.r_converged = b.Verifier.r_converged
@@ -178,9 +180,16 @@ let verdicts_equal (a : Verifier.report) (b : Verifier.report) =
          && x.Verifier.cr_violations = y.Verifier.cr_violations
          && x.Verifier.cr_converged = y.Verifier.cr_converged)
        a.Verifier.r_cases b.Verifier.r_cases
+  && List.map (fun (c : Verifier.corner_result) -> c.Verifier.co_violations)
+       a.Verifier.r_corners
+     = List.map (fun (c : Verifier.corner_result) -> c.Verifier.co_violations)
+         b.Verifier.r_corners
 
+(* What [scald_tv -q] prints: the reference listing, then the
+   multi-corner summary on a multi-corner design. *)
 let cold_listing (r : Verifier.report) =
-  Format.asprintf "@.%a@." Report.pp_violations r.Verifier.r_violations
+  Format.asprintf "@.%a@.%a" Report.pp_violations r.Verifier.r_violations
+    Verifier.pp_corner_listing r
 
 (* ---- Fingerprint ------------------------------------------------------------ *)
 
@@ -272,10 +281,10 @@ let test_edit_of_json () =
 
 (* ---- Session ----------------------------------------------------------------- *)
 
-let edited_cold ?(cases = []) ?(mode = Eval.Level) ?(jobs = 1) edits =
+let edited_cold ?(cases = []) ?(jobs = 1) edits =
   let nl = build_circuit () in
   List.iter (fun e -> ignore (Edit.apply nl e)) edits;
-  Verifier.verify ~cases ~jobs ~sched:mode nl
+  Verifier.verify ~cases ~jobs nl
 
 let test_session_reverify_equals_cold () =
   let edits =
@@ -301,7 +310,11 @@ let test_session_reverify_equals_cold () =
     (Session.digest s);
   Alcotest.(check int) "nothing pending afterwards" 0 (Session.pending s);
   Alcotest.(check bool) "clock's cone was reused" true (st.Session.st_reused_nets > 0);
-  Alcotest.(check bool) "some verdicts were reused" true (st.Session.st_warm_hits > 0);
+  (* both reporting instances sit in the edits' cone — U0 was edited
+     itself, U3 reads DATA — so no memoized verdict could be served;
+     the non-reporting BUF and REG never count *)
+  Alcotest.(check int) "no verdict outside the cone to reuse" 0
+    st.Session.st_warm_hits;
   Alcotest.(check bool) "the dirty cone was re-verified" true
     (st.Session.st_dirtied_nets > 0 && st.Session.st_evaluations > 0)
 
@@ -393,6 +406,51 @@ let test_session_corners_edit () =
   | cs ->
     Alcotest.failf "expected a single corner entry, got %d" (List.length cs));
   Alcotest.(check string) "and the original digest" base_digest (Session.digest s)
+
+(* A checker-margin edit moves no input stamp: the session must drop the
+   checker's memoized verdict on every corner lane, not just the
+   reference's, or the slow corner keeps reporting the old margin. *)
+let test_session_margin_edit_all_corners () =
+  let build () =
+    let nl = build_circuit ~u3_setup:2.0 () in
+    Netlist.set_corners nl (Corner.of_spec "typ,slow");
+    nl
+  in
+  let edit =
+    Edit.Replace_prim
+      {
+        inst = "U3";
+        prim =
+          Primitive.Setup_hold_check
+            { setup = Timebase.ps_of_ns 3.0; hold = Timebase.ps_of_ns 1.0 };
+      }
+  in
+  let s = Session.load (build ()) in
+  Session.stage s edit;
+  let report, _ = Session.reverify s in
+  let cold =
+    let nl = build () in
+    ignore (Edit.apply nl edit);
+    Verifier.verify nl
+  in
+  Alcotest.(check bool) "verdicts equal the cold run" true (verdicts_equal report cold);
+  List.iter2
+    (fun (a : Verifier.corner_result) (b : Verifier.corner_result) ->
+      Alcotest.(check bool)
+        (a.Verifier.co_corner.Corner.name ^ " corner equals the cold run")
+        true
+        (a.Verifier.co_violations = b.Verifier.co_violations))
+    report.Verifier.r_corners cold.Verifier.r_corners;
+  let slow = List.nth report.Verifier.r_corners 1 in
+  match
+    List.find_opt
+      (fun (v : Check.t) -> v.Check.v_kind = Check.Setup_violation)
+      slow.Verifier.co_violations
+  with
+  | Some v ->
+    Alcotest.(check int) "slow corner reports the edited setup margin" 3000
+      v.Check.v_required
+  | None -> Alcotest.fail "slow corner lost its setup violation"
 
 (* IN .S0-4 -> BUF -> D ; SETUP HOLD CHK (D, CK .P2-3).  At the default
    delays the checker is statically proven clean by the arrival-window
@@ -720,15 +778,16 @@ let test_serve_lanes_and_slow () =
 (* ---- the bit-identity property ------------------------------------------------ *)
 
 (* Random acyclic gate networks (always convergent) feeding the
-   registered/checked output stage, plus one random edit: staging the
-   edit on a live session and re-verifying must give the same verdicts
-   and listing as a cold verify of an identically edited fresh build —
-   across both scheduling disciplines and sequential/parallel case
-   evaluation. *)
+   registered/checked output stage, on a random corner table, plus one
+   random edit: staging the edit on a live session and re-verifying must
+   give the same verdicts — on every corner — and listing as a cold
+   verify of an identically edited fresh build, with sequential and
+   parallel case evaluation. *)
 
 type recipe = {
   rc_n_inputs : int;
   rc_gates : (int * int * int) list;
+  rc_corners : string;  (* corner-table spec, "" for the single default *)
   rc_edit : int * int * int;  (* kind selector, operand selectors *)
 }
 
@@ -740,14 +799,24 @@ let gen_recipe =
     let* rc_gates =
       list_repeat n_gates (triple (int_range 0 4) (int_range 0 1000) (int_range 0 1000))
     in
-    let* rc_edit = triple (int_range 0 5) (int_range 0 1000) (int_range 0 40) in
-    return { rc_n_inputs; rc_gates; rc_edit }
+    let* lanes = int_range 0 2 in
+    let scale = map (fun s -> float_of_int s /. 100.) (int_range 50 200) in
+    let* scales = list_repeat lanes (pair scale scale) in
+    let rc_corners =
+      if scales = [] then ""
+      else
+        ((1.0, 1.0) :: scales)
+        |> List.mapi (fun i (d, w) -> Printf.sprintf "c%d=%.2f/%.2f" i d w)
+        |> String.concat ","
+    in
+    let* rc_edit = triple (int_range 0 6) (int_range 0 1000) (int_range 0 40) in
+    return { rc_n_inputs; rc_gates; rc_corners; rc_edit }
   in
   QCheck.make
     ~print:(fun r ->
       let k, a, b = r.rc_edit in
-      Printf.sprintf "%d inputs, %d gates, edit (%d,%d,%d)" r.rc_n_inputs
-        (List.length r.rc_gates) k a b)
+      Printf.sprintf "%d inputs, %d gates, corners %S, edit (%d,%d,%d)"
+        r.rc_n_inputs (List.length r.rc_gates) r.rc_corners k a b)
     gen
 
 let input_name i = Printf.sprintf "IN%d .S0-6" i
@@ -794,6 +863,7 @@ let build_recipe r =
           { setup = Timebase.ps_of_ns 6.0; hold = Timebase.ps_of_ns 1.0 })
        ~inputs:[ Netlist.conn last; Netlist.conn ck ]
        ~output:None);
+  if r.rc_corners <> "" then Netlist.set_corners nl (Corner.of_spec r.rc_corners);
   nl
 
 let recipe_edit r =
@@ -806,7 +876,19 @@ let recipe_edit r =
   | 2 -> Edit.Element_delay { inst = Printf.sprintf "U%d" (a mod n_gates); delay = Delay.of_ns 1.0 (2.0 +. float_of_int (b mod 9)) }
   | 3 -> Edit.Assertion { signal = input_name (a mod r.rc_n_inputs); assertion = Some (assertion "S1-7") }
   | 4 -> Edit.Assertion { signal = input_name (a mod r.rc_n_inputs); assertion = None }
-  | _ -> Edit.Cases (Case_analysis.complete_exn [ input_name (a mod r.rc_n_inputs) ])
+  | 5 -> Edit.Cases (Case_analysis.complete_exn [ input_name (a mod r.rc_n_inputs) ])
+  | _ ->
+    (* checker-margin edit: moves no input stamp *)
+    Edit.Replace_prim
+      {
+        inst = "UCHK";
+        prim =
+          Primitive.Setup_hold_check
+            {
+              setup = Timebase.ps_of_ns (float_of_int (b mod 12));
+              hold = Timebase.ps_of_ns (float_of_int (a mod 3));
+            };
+      }
 
 let recipe_cases () = Case_analysis.complete_exn [ input_name 0 ]
 
@@ -815,23 +897,18 @@ let bit_identity_property =
     (fun r ->
       let edit = recipe_edit r in
       let cases = recipe_cases () in
+      let s = Session.load ~cases (build_recipe r) in
+      Session.stage s edit;
+      let report, _ = Session.reverify s in
+      let incr_listing = Session.listing s in
       List.for_all
-        (fun mode ->
-          let s = Session.load ~mode ~cases (build_recipe r) in
-          Session.stage s edit;
-          let report, _ = Session.reverify s in
-          let incr_listing = Session.listing s in
-          List.for_all
-            (fun jobs ->
-              let nl = build_recipe r in
-              ignore (Edit.apply nl edit);
-              let cases =
-                match edit with Edit.Cases cs -> cs | _ -> cases
-              in
-              let cold = Verifier.verify ~cases ~jobs ~sched:mode nl in
-              verdicts_equal report cold && incr_listing = cold_listing cold)
-            [ 1; 4 ])
-        [ Eval.Level; Eval.Fifo ])
+        (fun jobs ->
+          let nl = build_recipe r in
+          ignore (Edit.apply nl edit);
+          let cases = match edit with Edit.Cases cs -> cs | _ -> cases in
+          let cold = Verifier.verify ~cases ~jobs nl in
+          verdicts_equal report cold && incr_listing = cold_listing cold)
+        [ 1; 4 ])
 
 let suite =
   [
@@ -853,6 +930,8 @@ let suite =
     Alcotest.test_case "session case-group swap" `Quick test_session_cases_swap;
     Alcotest.test_case "session corners edit and revert" `Quick
       test_session_corners_edit;
+    Alcotest.test_case "session margin edit reaches every corner" `Quick
+      test_session_margin_edit_all_corners;
     Alcotest.test_case "session window pruning tracks edits" `Quick
       test_session_window_prune_tracks_edits;
     Alcotest.test_case "session counters carry" `Quick test_session_counters_carry;

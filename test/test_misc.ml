@@ -149,7 +149,7 @@ let test_eval_input_waveform_exposed () =
   in
   let ev = Eval.create nl in
   Eval.run ev;
-  let seen = Eval.input_waveform ev chk 0 in
+  let seen = Eval.input_waveform ev 0 chk 0 in
   Alcotest.(check (pair int int)) "wire skew included" (0, 2_000) (Waveform.skew seen)
 
 let suite =

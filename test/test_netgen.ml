@@ -56,12 +56,12 @@ let test_chip_count_near_target () =
         (abs (got - chips) < max 40 (chips / 5)))
     [ 200; 1000; 3000 ]
 
-(* Randomized determinism sweep across the scheduler matrix: within one
-   work-list discipline the full report — violations, r_obs counters,
-   case results, everything pp prints — must be bit-identical no matter
-   the domain count; across disciplines the evaluator counters may
-   legitimately differ, but violations and the convergence verdict may
-   not (verifier.mli's contract). *)
+(* Randomized determinism sweep across the schedule matrix: within one
+   schedule the full report — violations, r_obs counters, case results,
+   everything pp prints — must be bit-identical no matter the domain
+   count; between the level and the flat (FIFO) schedule the evaluator
+   counters may legitimately differ, but violations and the convergence
+   verdict may not. *)
 let prop_report_deterministic =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:12 ~name:"report deterministic across sched x jobs"
@@ -70,19 +70,16 @@ let prop_report_deterministic =
          let d = Netgen.generate { (Netgen.scaled ~chips ()) with Netgen.seed } in
          let e = Netgen.to_netlist d in
          let nl = e.Scald_sdl.Expander.e_netlist in
-         let render ~sched ~jobs =
-           Format.asprintf "%a" Verifier.pp (Verifier.verify ~sched ~jobs nl)
-         in
+         let render verify = Format.asprintf "%a" Verifier.pp (verify nl) in
          let violations r =
            List.map (fun (v : Check.t) -> Format.asprintf "%a" Check.pp v)
              r.Verifier.r_violations
          in
-         let fifo1 = render ~sched:Eval.Fifo ~jobs:1 in
-         let fifo3 = render ~sched:Eval.Fifo ~jobs:3 in
-         let level1 = render ~sched:Eval.Level ~jobs:1 in
-         let level3 = render ~sched:Eval.Level ~jobs:3 in
-         let rf = Verifier.verify ~sched:Eval.Fifo nl
-         and rl = Verifier.verify ~sched:Eval.Level nl in
+         let fifo1 = render (Test_par.verify_flat ~jobs:1) in
+         let fifo3 = render (Test_par.verify_flat ~jobs:3) in
+         let level1 = render (Verifier.verify ~jobs:1) in
+         let level3 = render (Verifier.verify ~jobs:3) in
+         let rf = Test_par.verify_flat nl and rl = Verifier.verify nl in
          String.equal fifo1 fifo3 && String.equal level1 level3
          && violations rf = violations rl
          && rf.Verifier.r_converged = rl.Verifier.r_converged))

@@ -93,6 +93,20 @@ let slow_loop () =
        ~output:(Some x));
   nl
 
+(* The FIFO reference discipline as a schedule: under [Sched.flat] the
+   evaluator dequeues in plain FIFO order.  The static analyses still
+   see the real structure, exactly as a default run computes them. *)
+let verify_flat ?(cases = []) ?(jobs = 1) ?corners nl =
+  Option.iter (Netlist.set_corners nl) corners;
+  let case_nets =
+    List.concat_map (fun c -> List.map fst (Case_analysis.resolve nl c)) cases
+  in
+  let sched = Sched.compute nl in
+  Verifier.verify ~cases ~jobs
+    ~analysis:(Sched.flat nl, Flow.analyse ~sched ~case_nets nl)
+    ~window:(Window.analyse ~sched ~case_nets nl)
+    nl
+
 let slow_loop_cases = Case_analysis.parse_exn "CTL .S0-9 = 1;\nCTL .S0-9 = 0;\n"
 
 let test_divergence_not_masked () =

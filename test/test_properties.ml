@@ -112,7 +112,7 @@ type corner_recipe = {
   co_chips : int;
   co_broken : int;
   co_spec : string;
-  co_fifo : bool;
+  co_flat : bool;
   co_jobs : int;
 }
 
@@ -131,15 +131,15 @@ let gen_corner_recipe =
       |> List.mapi (fun i (d, w) -> Printf.sprintf "c%d=%.2f/%.2f" i d w)
       |> String.concat ","
     in
-    let* co_fifo = bool in
+    let* co_flat = bool in
     let* co_jobs = oneofl [ 1; 3 ] in
-    return { co_seed; co_chips; co_broken; co_spec = spec; co_fifo; co_jobs }
+    return { co_seed; co_chips; co_broken; co_spec = spec; co_flat; co_jobs }
   in
   QCheck.make
     ~print:(fun c ->
       Printf.sprintf "seed %d, %d chips, %d broken, corners %s, %s, -j %d"
         c.co_seed c.co_chips c.co_broken c.co_spec
-        (if c.co_fifo then "fifo" else "level")
+        (if c.co_flat then "flat" else "level")
         c.co_jobs)
     gen
 
@@ -160,7 +160,10 @@ let corner_lane0_matches_scalar c =
         then found := n.Netlist.n_name :: !found);
     Case_analysis.complete_exn (List.rev !found)
   in
-  let sched = if c.co_fifo then Eval.Fifo else Eval.Level in
+  let verify ~corners =
+    if c.co_flat then Test_par.verify_flat ~cases ~jobs:c.co_jobs ~corners nl
+    else Verifier.verify ~cases ~jobs:c.co_jobs ~corners nl
+  in
   let corners = Corner.of_spec c.co_spec in
   let render vs = List.map (Format.asprintf "%a" Check.pp) vs in
   let snapshot (r : Verifier.report) =
@@ -173,14 +176,8 @@ let corner_lane0_matches_scalar c =
       r.Verifier.r_converged,
       waveforms nl r.Verifier.r_eval )
   in
-  let packed =
-    snapshot (Verifier.verify ~cases ~jobs:c.co_jobs ~sched ~corners nl)
-  in
-  let scalar =
-    snapshot
-      (Verifier.verify ~cases ~jobs:c.co_jobs ~sched
-         ~corners:(Array.sub corners 0 1) nl)
-  in
+  let packed = snapshot (verify ~corners) in
+  let scalar = snapshot (verify ~corners:(Array.sub corners 0 1)) in
   let pv, pc, pok, pw = packed and sv, sc, sok, sw = scalar in
   pv = sv && pc = sc && pok = sok && List.for_all2 Waveform.equal pw sw
 

@@ -1,7 +1,7 @@
 (* Levelized scheduler: the schedule must reflect the circuit's
    structure (levels, components, feedback regions), and — the contract
-   that makes it safe to ship as the default — the levelized evaluator
-   must reach exactly the verdicts of the historical FIFO relaxation on
+   that makes it safe to ship — the levelized evaluator must reach
+   exactly the verdicts of the plain FIFO relaxation ([Sched.flat]) on
    every circuit, including ones that diverge. *)
 
 open Scald_core
@@ -111,14 +111,26 @@ let test_self_loop () =
            slot := Sched.cyclic_slot s inst.Netlist.i_id);
      !slot = 0)
 
-(* ---- level vs fifo equivalence ------------------------------------------------ *)
+let test_flat () =
+  let nl, _ = chain 4 in
+  let s = Sched.flat nl in
+  Alcotest.(check int) "one level" 1 (Sched.n_levels s);
+  Alcotest.(check int) "one component" 1 (Sched.n_sccs s);
+  Alcotest.(check int) "which is cyclic" 1 (Sched.n_cyclic s);
+  Alcotest.(check int) "and holds every instance" 4 (Sched.cyclic_size s 0);
+  Netlist.iter_insts nl (fun inst ->
+      Alcotest.(check int) "every instance in slot 0" 0
+        (Sched.cyclic_slot s inst.Netlist.i_id))
 
-(* Cross-discipline equality is verdict-based: the violation listing
+(* ---- level vs flat (FIFO) equivalence --------------------------------------------- *)
+
+(* Cross-schedule equality is verdict-based: the violation listing
    (contents and order), per-case verdicts, convergence flags and the
    unasserted listing must match; counters and event totals legitimately
    differ — fewer evaluations is the point.  The one field that differs
-   on purpose is the [No_convergence] detail: the levelized verdict
-   names the feedback region, the historical one cannot. *)
+   on purpose is the [No_convergence] detail: each names its own
+   feedback region, and under the flat schedule that is the whole
+   design. *)
 let normalize (v : Check.t) =
   if v.Check.v_kind = Check.No_convergence then { v with Check.v_detail = "" }
   else v
@@ -137,17 +149,17 @@ let verdicts_equal (a : Verifier.report) (b : Verifier.report) =
   && List.for_all2 case_equal a.Verifier.r_cases b.Verifier.r_cases
 
 let test_modes_agree_on_feedback () =
-  let run sched = Verifier.verify ~sched (Test_par.slow_loop ()) in
   Alcotest.(check bool) "verdicts agree on the feedback circuit" true
-    (verdicts_equal (run Eval.Fifo) (run Eval.Level))
+    (verdicts_equal
+       (Test_par.verify_flat (Test_par.slow_loop ()))
+       (Verifier.verify (Test_par.slow_loop ())))
 
 let test_modes_agree_on_divergence () =
   (* the slow-relaxation regression: case 1 diverges under both
-     disciplines, and the level verdict now names the feedback region *)
-  let run sched =
-    Verifier.verify ~sched ~cases:Test_par.slow_loop_cases (Test_par.slow_loop ())
-  in
-  let rf = run Eval.Fifo and rl = run Eval.Level in
+     schedules, and the level verdict names the feedback region *)
+  let cases = Test_par.slow_loop_cases in
+  let rf = Test_par.verify_flat ~cases (Test_par.slow_loop ())
+  and rl = Verifier.verify ~cases (Test_par.slow_loop ()) in
   Alcotest.(check bool) "fifo diverges on case 1" false rf.Verifier.r_converged;
   Alcotest.(check bool) "level diverges on case 1" false rl.Verifier.r_converged;
   let flags r =
@@ -162,13 +174,13 @@ let test_modes_agree_on_divergence () =
   | [] -> Alcotest.fail "level run reported no No_convergence violation")
 
 let test_waveforms_agree () =
-  (* the converging case (CTL = 0 cuts the loop): both disciplines must
+  (* the converging case (CTL = 0 cuts the loop): both schedules must
      settle every net to the same waveform.  Diverged cases make no such
      promise — their truncated waveforms depend on the visit order. *)
   let case = Case_analysis.parse_exn "CTL .S0-9 = 0;\n" in
   let nl_f = Test_par.slow_loop () and nl_l = Test_par.slow_loop () in
-  let ef = Eval.create ~mode:Eval.Fifo nl_f in
-  let el = Eval.create ~mode:Eval.Level nl_l in
+  let ef = Eval.create ~sched:(Sched.flat nl_f) nl_f in
+  let el = Eval.create nl_l in
   Eval.run ~case:(Case_analysis.resolve nl_f (List.hd case)) ef;
   Eval.run ~case:(Case_analysis.resolve nl_l (List.hd case)) el;
   Alcotest.(check bool) "fifo converged" true (Eval.converged ef);
@@ -191,11 +203,11 @@ let test_structural_counters () =
   Alcotest.(check bool) "cache was exercised" true
     (r.Verifier.r_obs.Verifier.os_cache_misses > 0);
   let nl2, _ = chain 4 in
-  let rf = Verifier.verify ~sched:Eval.Fifo nl2 in
-  Alcotest.(check int) "fifo mode never computes a schedule" 0
+  let rf = Test_par.verify_flat nl2 in
+  Alcotest.(check int) "the flat schedule has one level" 1
     rf.Verifier.r_obs.Verifier.os_sched_levels;
-  Alcotest.(check int) "fifo component count is zero" 0
-    rf.Verifier.r_obs.Verifier.os_sccs
+  Alcotest.(check int) "holding every instance in one component" 4
+    rf.Verifier.r_obs.Verifier.os_max_scc_size
 
 let test_cache_hits_during_relaxation () =
   (* inside the feedback region the loop signal changes every pass while
@@ -209,6 +221,46 @@ let test_cache_hits_during_relaxation () =
   Alcotest.(check bool) "relaxation hits the input cache" true
     (c.Eval.c_cache_hits > 0)
 
+(* ---- pinned evaluation counts ------------------------------------------------------ *)
+
+(* The level schedule's work on two fixed workloads, pinned exactly: any
+   change to how the evaluator schedules, prunes or caches its way to
+   the fixpoint moves these numbers.  The flat (FIFO) schedule reaches
+   the same verdicts with more evaluations — at least [flat_extra]
+   percent more on a deep generated pipeline, the saving levelization
+   exists for.  (On the shallow s1 subset the two orders nearly
+   coincide.) *)
+let s1_subset () =
+  let src = In_channel.with_open_bin "../examples/s1_subset.sdl" In_channel.input_all in
+  match Scald_sdl.Expander.load src with
+  | Ok e -> e.Scald_sdl.Expander.e_netlist
+  | Error m -> Alcotest.fail m
+
+let s1_subset_cases () =
+  Case_analysis.parse_exn
+    (In_channel.with_open_bin "../examples/s1_subset.cases" In_channel.input_all)
+
+let check_pinned name build cases ~events ~evaluations ~flat_extra =
+  let rl = Verifier.verify ~cases (build ()) in
+  let rf = Test_par.verify_flat ~cases (build ()) in
+  Alcotest.(check int) (name ^ ": level events") events rl.Verifier.r_events;
+  Alcotest.(check int) (name ^ ": level evaluations") evaluations
+    rl.Verifier.r_evaluations;
+  Alcotest.(check bool) (name ^ ": flat verdicts equal level") true
+    (verdicts_equal rf rl);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: flat %d evaluations >= level %d + %d%%" name
+       rf.Verifier.r_evaluations rl.Verifier.r_evaluations flat_extra)
+    true
+    (rf.Verifier.r_evaluations * 100 >= rl.Verifier.r_evaluations * (100 + flat_extra))
+
+let test_pinned_counts () =
+  check_pinned "s1_subset" s1_subset (s1_subset_cases ()) ~events:28 ~evaluations:36
+    ~flat_extra:0;
+  let nl () = Test_flow.netgen_nl 1 in
+  check_pinned "netgen 120 chips" nl (Test_flow.netgen_cases (nl ())) ~events:191
+    ~evaluations:222 ~flat_extra:30
+
 (* ---- properties ----------------------------------------------------------------- *)
 
 let properties =
@@ -217,13 +269,13 @@ let properties =
       (fun r ->
         let cases = Test_par.recipe_cases r in
         verdicts_equal
-          (Verifier.verify ~cases ~sched:Eval.Fifo (Test_par.build_recipe r))
-          (Verifier.verify ~cases ~sched:Eval.Level (Test_par.build_recipe r)));
+          (Test_par.verify_flat ~cases (Test_par.build_recipe r))
+          (Verifier.verify ~cases (Test_par.build_recipe r)));
     prop "level and fifo waveforms agree on random netlists" Test_par.gen_recipe
       (fun r ->
         let nl_f = Test_par.build_recipe r and nl_l = Test_par.build_recipe r in
-        let ef = Eval.create ~mode:Eval.Fifo nl_f in
-        let el = Eval.create ~mode:Eval.Level nl_l in
+        let ef = Eval.create ~sched:(Sched.flat nl_f) nl_f in
+        let el = Eval.create nl_l in
         Eval.run ef;
         Eval.run el;
         List.for_all2 Waveform.equal
@@ -236,6 +288,7 @@ let suite =
     Alcotest.test_case "chain levels" `Quick test_chain_levels;
     Alcotest.test_case "feedback scc" `Quick test_feedback_scc;
     Alcotest.test_case "self loop" `Quick test_self_loop;
+    Alcotest.test_case "flat schedule" `Quick test_flat;
     Alcotest.test_case "modes agree on feedback" `Quick test_modes_agree_on_feedback;
     Alcotest.test_case "modes agree on divergence" `Quick
       test_modes_agree_on_divergence;
@@ -243,5 +296,6 @@ let suite =
     Alcotest.test_case "structural counters" `Quick test_structural_counters;
     Alcotest.test_case "cache hits during relaxation" `Quick
       test_cache_hits_during_relaxation;
+    Alcotest.test_case "pinned evaluation counts" `Quick test_pinned_counts;
   ]
   @ properties

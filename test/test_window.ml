@@ -72,7 +72,7 @@ let assert_contained nl w ev ~ctx =
       let id = n.Netlist.n_id in
       if not (Window.may_unknown w id) then
         for lane = 0 to Eval.n_corners ev - 1 do
-          let wf = Eval.value_lane ev lane id in
+          let wf = Eval.value ~lane ev id in
           let wins = Window.wins w ~corner:lane id in
           List.iter
             (fun { Waveform.w_start; w_stop } ->
@@ -218,11 +218,9 @@ let verdicts_equal (a : Verifier.report) (b : Verifier.report) =
   && List.for_all2 corner_equal a.Verifier.r_corners b.Verifier.r_corners
 
 let test_prune_verdict_equality =
-  prop ~count:6 "window pruning preserves verdicts (sched × jobs × corners)"
-    QCheck.(
-      quad (int_bound 1000) (int_bound 1) (oneofl [ 1; 4 ])
-        (oneofl [ Eval.Level; Eval.Fifo ]))
-    (fun (seed, ci, jobs, sched) ->
+  prop ~count:6 "window pruning preserves verdicts (jobs × corners)"
+    QCheck.(triple (int_bound 1000) (int_bound 1) (oneofl [ 1; 4 ]))
+    (fun (seed, ci, jobs) ->
       let make () =
         let nl = netgen_nl seed in
         Netlist.set_corners nl corner_tables.(ci);
@@ -230,10 +228,8 @@ let test_prune_verdict_equality =
       in
       let nl = make () in
       let cases = netgen_cases nl in
-      let on = Verifier.verify ~cases ~jobs ~sched nl in
-      let off =
-        Verifier.verify ~cases ~jobs ~sched ~window_prune:false (make ())
-      in
+      let on = Verifier.verify ~cases ~jobs nl in
+      let off = Verifier.verify ~cases ~jobs ~window_prune:false (make ()) in
       if not (verdicts_equal on off) then
         QCheck.Test.fail_reportf "verdicts differ: seed %d jobs %d" seed jobs;
       (* and something was actually proven on this workload *)
