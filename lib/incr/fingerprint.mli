@@ -19,7 +19,11 @@
       the service reports reuse in these terms ([reused_nets] /
       [dirtied_nets]).  Fingerprints are diagnostic — the dirty-cone
       computation that decides what to re-evaluate is structural, so a
-      hash collision can never produce a wrong verdict. *)
+      hash collision can never produce a wrong verdict.
+
+    A session keeps all three current across edits with an {!index},
+    whose {!refresh} costs the edit's own elements plus the
+    fingerprints of their forward cone, not the design. *)
 
 open Scald_core
 
@@ -31,15 +35,51 @@ val digest : Netlist.t -> string
 val skeleton : Netlist.t -> string
 (** Hex digest of structure only. *)
 
-val cones :
-  ?sched:Sched.t -> ?prev:int64 array -> ?dirty:(int -> bool) -> Netlist.t -> int64 array
-(** Per-net input-cone fingerprints, indexed by net id.  [sched] reuses
-    a precomputed condensation.  [prev] and [dirty] together select the
-    incremental mode: hashes are recomputed only for nets satisfying
-    [dirty], everything else is copied from [prev].  Correct only when
-    [dirty] is closed under forward reachability from every net or
-    instance whose parameters changed since [prev] was computed — which
-    is exactly the dirty cone [Session.reverify] already has in hand. *)
+val cones : ?sched:Sched.t -> Netlist.t -> int64 array
+(** Per-net input-cone fingerprints, indexed by net id, recomputed from
+    scratch.  [sched] reuses a precomputed condensation. *)
 
 val diff_count : int64 array -> int64 array -> int
 (** Number of positions where two fingerprint arrays disagree. *)
+
+(** {1 Maintained digests} *)
+
+type content
+(** The canonical dump of one netlist, kept as separate chunks: a
+    header, one chunk per net, one per instance and a trailer holding
+    the corner table.  Built in one walk, which also yields the
+    skeleton. *)
+
+val content : Netlist.t -> content
+
+val content_digest : content -> string
+(** Equals {!digest} of the netlist the content describes.  Memoized:
+    the first call after a change joins the cached chunks and hashes
+    them, without re-serializing anything. *)
+
+val content_skeleton : content -> string
+(** Equals {!skeleton}; fixed, since edits never change structure. *)
+
+type index
+(** A {!content} plus every net's and instance's local hash and the
+    current {!cones}, maintained in place by {!refresh}. *)
+
+val index : ?content:content -> sched:Sched.t -> Netlist.t -> index
+(** Index a netlist.  [content], when given, must describe the netlist
+    as it is now (the store builds it for its own lookups); the index
+    takes it over and mutates it. *)
+
+val index_content : index -> content
+
+val index_cones : index -> int64 array
+(** A copy of the current fingerprints; equals {!cones}. *)
+
+val refresh : index -> Netlist.t -> nets:int list -> insts:int list -> int
+(** Bring the index up to date after parameter edits, given every net
+    and instance whose parameters may have changed ([nets] and [insts]
+    may over-approximate).  Re-serializes their chunks and the trailer,
+    re-hashes them, and recomputes the fingerprints of the forward
+    closure of those whose local hash moved, in descending component
+    order.  The digest is recomputed lazily, on the next
+    {!content_digest}.  Returns the number of fingerprints that changed,
+    i.e. {!diff_count} of {!cones} before and after. *)

@@ -13,10 +13,9 @@ type stats = {
 type t = {
   s_nl : Netlist.t;
   s_id : string;
-  (* content digest of the netlist as currently edited; [None] after a
-     re-verify, recomputed on demand — off the re-verify hot path *)
-  mutable s_digest : string option;
-  s_skeleton : string;
+  (* the content digest, skeleton and cone fingerprints of the netlist
+     as currently edited, refreshed by [reverify] for what it touched *)
+  s_ix : Fingerprint.index;
   s_sched : Sched.t;
   (* mutable: kept current across edits with [Window.update]; rebuilt
      wholesale on a [Cases] or [Corners] edit, which change the
@@ -29,7 +28,6 @@ type t = {
      emitted here inherit whatever lane the serve loop set, so traces
      attribute each phase to its request *)
   s_probe : Verifier.probe option;
-  mutable s_fp : int64 array;
   mutable s_cases : Case_analysis.case list;
   mutable s_case_nets : int list;
   mutable s_pending : Edit.t list;  (* reversed: newest first *)
@@ -43,8 +41,9 @@ let resolved_case_nets nl cases =
   List.sort_uniq compare
     (List.concat_map (fun c -> List.map fst (Case_analysis.resolve nl c)) cases)
 
-let load ?(cases = []) ?probe nl =
+let load ?(cases = []) ?probe ?content nl =
   let sched = Sched.compute nl in
+  let ix = Fingerprint.index ?content ~sched nl in
   let case_nets = resolved_case_nets nl cases in
   let flow = Flow.analyse ~sched ~case_nets nl in
   let window = Window.analyse ~sched ~case_nets nl in
@@ -55,14 +54,12 @@ let load ?(cases = []) ?probe nl =
   let t =
     {
       s_nl = nl;
-      s_id = Fingerprint.digest nl;
-      s_digest = None;
-      s_skeleton = Fingerprint.skeleton nl;
+      s_id = Fingerprint.content_digest (Fingerprint.index_content ix);
+      s_ix = ix;
       s_sched = sched;
       s_window = window;
       s_ev = ev;
       s_probe = probe;
-      s_fp = Fingerprint.cones ~sched nl;
       s_cases = cases;
       s_case_nets = case_nets;
       s_pending = [];
@@ -81,7 +78,6 @@ let load ?(cases = []) ?probe nl =
         };
     }
   in
-  t.s_digest <- Some t.s_id;
   (* The cold run's last check pass left the evaluator's verdict memos
      holding the final state, so the first re-verify reuses every
      verdict outside its dirty cone. *)
@@ -91,20 +87,14 @@ let load ?(cases = []) ?probe nl =
 
 let id t = t.s_id
 
-let digest t =
-  match t.s_digest with
-  | Some d -> d
-  | None ->
-    let d = Fingerprint.digest t.s_nl in
-    t.s_digest <- Some d;
-    d
-let skeleton t = t.s_skeleton
+let digest t = Fingerprint.content_digest (Fingerprint.index_content t.s_ix)
+let skeleton t = Fingerprint.content_skeleton (Fingerprint.index_content t.s_ix)
 let netlist t = t.s_nl
 let report t = t.s_report
 let cases t = t.s_cases
 let stats t = t.s_last
 let cumulative t = t.s_cum
-let fingerprints t = t.s_fp
+let fingerprints t = Fingerprint.index_cones t.s_ix
 let stage t e = t.s_pending <- e :: t.s_pending
 let pending t = List.length t.s_pending
 
@@ -274,19 +264,14 @@ let reverify ?(carry_counters = true) t =
       paired c ev
   in
   t.s_report <- report;
-  (* 6. invalidate the content address (recomputed on demand, off this
-     hot path) and refresh the cone fingerprints incrementally: the
-     dirty cone is forward-closed around everything that changed, which
-     is exactly what the incremental mode needs *)
-  t.s_digest <- None;
-  let fp =
+  (* 6. refresh the index for the edited nets and instances alone — the
+     case cones in [net_dirty] move waveforms, never fingerprints, and a
+     corners edit, which touches every net, moves no net's local hash;
+     the content digest itself is re-hashed on demand, off this path *)
+  let fp_changed =
     span "fingerprint" (fun () ->
-        Fingerprint.cones ~sched:t.s_sched ~prev:t.s_fp
-          ~dirty:(fun nid -> net_dirty.(nid))
-          nl)
+        Fingerprint.refresh t.s_ix nl ~nets:(touched_nets @ reinit_nets) ~insts:touched_insts)
   in
-  let fp_changed = Fingerprint.diff_count t.s_fp fp in
-  t.s_fp <- fp;
   let dirtied = Array.fold_left (fun a d -> if d then a + 1 else a) 0 net_dirty in
   let st =
     {

@@ -42,7 +42,8 @@ type stats = {
           ({!Scald_core.Eval.check_hits}), over every case and corner *)
   st_fp_changed : int;
       (** nets whose {!Fingerprint.cones} fingerprint changed — the
-          content-addressed view of the same cone, as a cross-check *)
+          content-addressed view of the parameter edits' cone; case
+          swaps move no fingerprint *)
   st_events : int;  (** events processed by this request *)
   st_evaluations : int;  (** evaluations performed by this request *)
 }
@@ -50,11 +51,17 @@ type stats = {
 val load :
   ?cases:Case_analysis.case list ->
   ?probe:Verifier.probe ->
+  ?content:Fingerprint.content ->
   Netlist.t ->
   t
 (** Cold-start a session: verify the netlist sequentially, computing the
     schedule and flow analysis once, to be shared by every later
     request.
+
+    [content], when given, is the netlist's {!Fingerprint.content},
+    already built by the caller (the {!Store} builds it for its
+    lookups); the session's {!Fingerprint.index} takes it over, so the
+    design is serialized once.
 
     [probe] is kept for the session's lifetime: the cold verify runs
     under it, and every later {!reverify} wraps its phases ([apply],
@@ -87,11 +94,12 @@ val id : t -> string
     loaded with.  Stable for the session's lifetime. *)
 
 val digest : t -> string
-(** Content digest of the design {e as currently edited}.  Computed
-    lazily — {!reverify} only invalidates it, and the first reader
-    after a re-verify (a response, a {!Store} lookup) pays for the
-    recompute, keeping the re-verify itself proportional to the dirty
-    cone. *)
+(** Content digest of the design {e as currently edited}, equal to
+    {!Fingerprint.digest} of {!netlist}.  {!reverify} re-serializes only
+    the chunks of the nets and instances its edits touched
+    ({!Fingerprint.refresh}); the first reader after a change (a
+    response, a {!Store} lookup) joins the cached chunks and hashes
+    them, without walking the design. *)
 
 val skeleton : t -> string
 (** Structure-only digest ({!Fingerprint.skeleton}); invariant under
@@ -109,7 +117,8 @@ val cumulative : t -> Eval.counters
 (** Counters accumulated over every request of this session. *)
 
 val fingerprints : t -> int64 array
-(** Current per-net cone fingerprints. *)
+(** Current per-net cone fingerprints, equal to {!Fingerprint.cones}
+    of {!netlist}; a fresh copy. *)
 
 val listing : t -> string
 (** The violation listing exactly as [scald_tv -q] prints it for the

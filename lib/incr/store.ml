@@ -34,7 +34,10 @@ let same_cases a b = a = b
 
 let load t ?(cases = []) ?probe nl =
   t.loads <- t.loads + 1;
-  let digest = Fingerprint.digest nl in
+  (* one canonical walk serves both lookups and, on a cold load, the
+     new session's index *)
+  let content = Fingerprint.content nl in
+  let digest = Fingerprint.content_digest content in
   let by_digest =
     List.find_opt
       (fun s -> String.equal (Session.digest s) digest)
@@ -52,7 +55,7 @@ let load t ?(cases = []) ?probe nl =
     promote t s;
     Adopted (s, 1)
   | _ -> (
-    let skeleton = Fingerprint.skeleton nl in
+    let skeleton = Fingerprint.content_skeleton content in
     let by_skeleton =
       List.find_opt
         (fun s ->
@@ -78,6 +81,6 @@ let load t ?(cases = []) ?probe nl =
       promote t s;
       Adopted (s, n)
     | None ->
-      let s = Session.load ~cases ?probe nl in
+      let s = Session.load ~cases ?probe ~content nl in
       t.sessions <- s :: t.sessions;
       Cold s)

@@ -524,6 +524,64 @@ let test_session_counters_carry () =
     ((Session.cumulative s).Eval.c_evaluations
     = cum1 + st2.Session.st_evaluations)
 
+(* The maintained index follows edits through a feedback component —
+   s1_subset's loop, whose members share one component seed — and a
+   revert brings back the loaded design's digest and fingerprints. *)
+let test_session_index_feedback () =
+  let load () =
+    let src = In_channel.with_open_bin "../examples/s1_subset.sdl" In_channel.input_all in
+    match Result.bind (Scald_sdl.Parser.parse src) Scald_sdl.Expander.expand with
+    | Ok e -> e.Scald_sdl.Expander.e_netlist
+    | Error m -> Alcotest.fail m
+  in
+  let s = Session.load (load ()) in
+  let nl = Session.netlist s in
+  let sched = Sched.compute nl in
+  let loop = List.filter (fun id -> Sched.cyclic_slot sched id >= 0) (List.init (Netlist.n_insts nl) Fun.id) in
+  let member =
+    Netlist.inst nl
+      (List.find
+         (fun id ->
+           Edit.check nl
+             (Edit.Element_delay { inst = (Netlist.inst nl id).i_name; delay = Delay.zero })
+           = Ok ())
+         loop)
+  in
+  let loaded = Session.fingerprints s in
+  Alcotest.(check bool) "loaded fingerprints equal a full recompute" true
+    (loaded = Fingerprint.cones nl);
+  let step edits =
+    let before = Session.fingerprints s in
+    List.iter (Session.stage s) edits;
+    let _, st = Session.reverify s in
+    let full = Fingerprint.cones nl in
+    Alcotest.(check string) "digest equals a full recompute" (Fingerprint.digest nl)
+      (Session.digest s);
+    Alcotest.(check bool) "fingerprints equal a full recompute" true
+      (Session.fingerprints s = full);
+    Alcotest.(check int) "fp_changed counts the moved fingerprints"
+      (Fingerprint.diff_count before full) st.Session.st_fp_changed;
+    full
+  in
+  let out = Netlist.net nl (Option.get member.i_output) in
+  let edited =
+    step
+      [
+        Edit.Element_delay { inst = member.i_name; delay = Delay.of_ns 1.0 7.0 };
+        Edit.Wire_delay { signal = out.n_name; delay = Some (Delay.of_ns 0.5 4.0) };
+      ]
+  in
+  Alcotest.(check bool) "every loop member's output moved" true
+    (List.for_all
+       (fun id ->
+         match (Netlist.inst nl id).i_output with
+         | Some o -> edited.(o) <> loaded.(o)
+         | None -> true)
+       loop);
+  let reverted = step (Edit.diff nl (load ())) in
+  Alcotest.(check bool) "the revert restores every fingerprint" true (reverted = loaded);
+  Alcotest.(check string) "and the loaded digest" (Session.id s) (Session.digest s)
+
 (* ---- Store -------------------------------------------------------------------- *)
 
 let test_store_warm_adopt_cold () =
@@ -551,6 +609,8 @@ let test_store_warm_adopt_cold () =
   (match Store.load st (Netlist.create (Timebase.make ~period_ns:50.0 ~clock_unit_ns:6.25) ~default_wire_delay:Delay.zero) with
   | Store.Cold _ -> ()
   | _ -> Alcotest.fail "a different structure must load cold");
+  Alcotest.(check string) "the cold session's skeleton is the design's"
+    (Fingerprint.skeleton (build_circuit ())) (Session.skeleton s0);
   Alcotest.(check int) "two sessions live" 2 (Store.n_sessions st);
   Alcotest.(check int) "five loads" 5 (Store.loads st);
   Alcotest.(check int) "two warm" 2 (Store.warm_loads st);
@@ -778,17 +838,20 @@ let test_serve_lanes_and_slow () =
 (* ---- the bit-identity property ------------------------------------------------ *)
 
 (* Random acyclic gate networks (always convergent) feeding the
-   registered/checked output stage, on a random corner table, plus one
-   random edit: staging the edit on a live session and re-verifying must
-   give the same verdicts — on every corner — and listing as a cold
-   verify of an identically edited fresh build, with sequential and
-   parallel case evaluation. *)
+   registered/checked output stage, on a random corner table, plus a
+   short random edit sequence with a revert to the loaded design in it:
+   after each edit is staged on a live session and re-verified, the
+   session must give the same verdicts — on every corner — and listing
+   as a cold verify of an identically edited fresh build, with
+   sequential and parallel case evaluation; and its maintained digest
+   and cone fingerprints must equal a from-scratch recompute. *)
 
 type recipe = {
   rc_n_inputs : int;
   rc_gates : (int * int * int) list;
   rc_corners : string;  (* corner-table spec, "" for the single default *)
-  rc_edit : int * int * int;  (* kind selector, operand selectors *)
+  rc_edits : (int * int * int) list;  (* kind selector, operand selectors *)
+  rc_revert_at : int;  (* the revert is staged after this many edits *)
 }
 
 let gen_recipe =
@@ -809,14 +872,20 @@ let gen_recipe =
         |> List.mapi (fun i (d, w) -> Printf.sprintf "c%d=%.2f/%.2f" i d w)
         |> String.concat ","
     in
-    let* rc_edit = triple (int_range 0 6) (int_range 0 1000) (int_range 0 40) in
-    return { rc_n_inputs; rc_gates; rc_corners; rc_edit }
+    let* n_edits = int_range 1 2 in
+    let* rc_edits =
+      list_repeat n_edits (triple (int_range 0 8) (int_range 0 1000) (int_range 0 40))
+    in
+    let* rc_revert_at = int_range 1 n_edits in
+    return { rc_n_inputs; rc_gates; rc_corners; rc_edits; rc_revert_at }
   in
   QCheck.make
     ~print:(fun r ->
-      let k, a, b = r.rc_edit in
-      Printf.sprintf "%d inputs, %d gates, corners %S, edit (%d,%d,%d)"
-        r.rc_n_inputs (List.length r.rc_gates) r.rc_corners k a b)
+      Printf.sprintf "%d inputs, %d gates, corners %S, edits [%s], revert after %d"
+        r.rc_n_inputs (List.length r.rc_gates) r.rc_corners
+        (String.concat "; "
+           (List.map (fun (k, a, b) -> Printf.sprintf "(%d,%d,%d)" k a b) r.rc_edits))
+        r.rc_revert_at)
     gen
 
 let input_name i = Printf.sprintf "IN%d .S0-6" i
@@ -866,18 +935,18 @@ let build_recipe r =
   if r.rc_corners <> "" then Netlist.set_corners nl (Corner.of_spec r.rc_corners);
   nl
 
-let recipe_edit r =
-  let kind, a, b = r.rc_edit in
+let recipe_edit r (kind, a, b) =
   let n_gates = List.length r.rc_gates in
   let gate_net = Printf.sprintf "G%d" (a mod n_gates) in
+  let gate = Printf.sprintf "U%d" (a mod n_gates) in
   match kind with
   | 0 -> Edit.Wire_delay { signal = gate_net; delay = Some (Delay.of_ns 0.5 (1.0 +. float_of_int b)) }
   | 1 -> Edit.Wire_delay { signal = gate_net; delay = None }
-  | 2 -> Edit.Element_delay { inst = Printf.sprintf "U%d" (a mod n_gates); delay = Delay.of_ns 1.0 (2.0 +. float_of_int (b mod 9)) }
+  | 2 -> Edit.Element_delay { inst = gate; delay = Delay.of_ns 1.0 (2.0 +. float_of_int (b mod 9)) }
   | 3 -> Edit.Assertion { signal = input_name (a mod r.rc_n_inputs); assertion = Some (assertion "S1-7") }
   | 4 -> Edit.Assertion { signal = input_name (a mod r.rc_n_inputs); assertion = None }
   | 5 -> Edit.Cases (Case_analysis.complete_exn [ input_name (a mod r.rc_n_inputs) ])
-  | _ ->
+  | 6 ->
     (* checker-margin edit: moves no input stamp *)
     Edit.Replace_prim
       {
@@ -889,26 +958,57 @@ let recipe_edit r =
               hold = Timebase.ps_of_ns (float_of_int (a mod 3));
             };
       }
+  | 7 ->
+    let directive = List.nth [ []; [ Directive.W ]; [ Directive.Z ]; [ Directive.H ] ] (b mod 4) in
+    Edit.Directive { inst = gate; input = a mod 2; directive }
+  | _ ->
+    Edit.Corners
+      (if b mod 3 = 0 then Corner.default
+       else Corner.of_spec (Printf.sprintf "c0=1.00/1.00,c1=1.%02d/1.10" b))
 
 let recipe_cases () = Case_analysis.complete_exn [ input_name 0 ]
 
 let bit_identity_property =
   prop ~count:40 "incremental re-verify is bit-identical to a cold run" gen_recipe
     (fun r ->
-      let edit = recipe_edit r in
-      let cases = recipe_cases () in
-      let s = Session.load ~cases (build_recipe r) in
-      Session.stage s edit;
-      let report, _ = Session.reverify s in
-      let incr_listing = Session.listing s in
+      let cases0 = recipe_cases () in
+      let s = Session.load ~cases:cases0 (build_recipe r) in
+      let steps =
+        List.concat
+          (List.mapi
+             (fun i e ->
+               if i + 1 = r.rc_revert_at then [ Some (recipe_edit r e); None ]
+               else [ Some (recipe_edit r e) ])
+             r.rc_edits)
+      in
+      let history = ref [] and cases = ref cases0 in
       List.for_all
-        (fun jobs ->
-          let nl = build_recipe r in
-          ignore (Edit.apply nl edit);
-          let cases = match edit with Edit.Cases cs -> cs | _ -> cases in
-          let cold = Verifier.verify ~cases ~jobs nl in
-          verdicts_equal report cold && incr_listing = cold_listing cold)
-        [ 1; 4 ])
+        (fun step ->
+          let before = Fingerprint.cones (Session.netlist s) in
+          let edits =
+            match step with
+            | Some e -> [ e ]
+            | None -> Edit.diff (Session.netlist s) (build_recipe r) @ [ Edit.Cases cases0 ]
+          in
+          List.iter (Session.stage s) edits;
+          List.iter (function Edit.Cases cs -> cases := cs | _ -> ()) edits;
+          history := !history @ edits;
+          let report, st = Session.reverify s in
+          let incr_listing = Session.listing s in
+          let nl = Session.netlist s in
+          let after = Fingerprint.cones nl in
+          Session.digest s = Fingerprint.digest nl
+          && (step <> None || Session.digest s = Session.id s)
+          && Session.fingerprints s = after
+          && st.Session.st_fp_changed = Fingerprint.diff_count before after
+          && List.for_all
+               (fun jobs ->
+                 let nl = build_recipe r in
+                 List.iter (fun e -> ignore (Edit.apply nl e)) !history;
+                 let cold = Verifier.verify ~cases:!cases ~jobs nl in
+                 verdicts_equal report cold && incr_listing = cold_listing cold)
+               [ 1; 4 ])
+        steps)
 
 let suite =
   [
@@ -935,6 +1035,8 @@ let suite =
     Alcotest.test_case "session window pruning tracks edits" `Quick
       test_session_window_prune_tracks_edits;
     Alcotest.test_case "session counters carry" `Quick test_session_counters_carry;
+    Alcotest.test_case "session index through a feedback loop" `Quick
+      test_session_index_feedback;
     Alcotest.test_case "store warm/adopt/cold" `Quick test_store_warm_adopt_cold;
     Alcotest.test_case "serve protocol" `Quick test_serve_protocol;
     Alcotest.test_case "serve listing equals CLI" `Quick test_serve_matches_cli_listing;
