@@ -21,7 +21,7 @@ let timed f =
 
 (* With --metrics-dir DIR, experiments that verify a design also write
    their evaluator counters (plus any hand-timed phases) to
-   DIR/BENCH_<id>.json in the scald-metrics/5 shape, so runs can be
+   DIR/BENCH_<id>.json in the scald-metrics/6 shape, so runs can be
    compared column-by-column across commits. *)
 let metrics_dir : string option ref = ref None
 
@@ -823,7 +823,7 @@ let par_speedup () =
     equal
   end
 
-(* Cross-configuration comparisons (pruning on/off, packed/dedicated
+(* Cross-configuration comparisons (window pruning on/off, packed/dedicated
    corners, incremental/cold) are verdict-based: the violations and
    their order, every per-case verdict and the convergence flags must
    agree, while counters legitimately differ. *)
@@ -839,74 +839,11 @@ let verdicts_equal (a : Verifier.report) (b : Verifier.report) =
   && List.length a.Verifier.r_cases = List.length b.Verifier.r_cases
   && List.for_all2 case_equal a.Verifier.r_cases b.Verifier.r_cases
 
-(* ---- flow pruning ------------------------------------------------------------------------------------- *)
-
-(* Stable-cone pruning (doc/FLOW.md) freezes the instances whose entire
-   input support the static signal-class analysis proved Const/Stable —
-   checkers above all, which the incremental evaluator otherwise
-   re-evaluates on every case.  The savings must be real (>= 15% fewer
-   evaluations on the multi-case workload) and free (identical
-   verdicts, and still bit-identical across job counts). *)
-let flow_prune () =
-  section "FLOW PRUNING: stable-cone freezing vs full evaluation, 8000-chip design";
-  let d = Netgen.generate (Netgen.scaled ~chips:8000 ()) in
-  let e = Netgen.to_netlist d in
-  let nl = e.Scald_sdl.Expander.e_netlist in
-  (* 256 cases (complete over 8 inputs): the first run evaluates every
-     instance once by design, so the freezing only pays off across the
-     case sweep — a deep sweep is exactly the thesis's workload (§2.7). *)
-  let inputs =
-    let found = ref [] in
-    Netlist.iter_nets nl (fun n ->
-        if List.length !found < 8
-           && String.length n.Netlist.n_name >= 3
-           && String.sub n.Netlist.n_name 0 3 = "IN "
-        then found := n.Netlist.n_name :: !found);
-    List.rev !found
-  in
-  let cases = Case_analysis.complete_exn inputs in
-  Printf.printf "  workload: %d chips, %d primitives, %d cases over %s\n"
-    (Netgen.n_chips d) (Netlist.n_insts nl) (List.length cases)
-    (String.concat ", " inputs);
-  let r_off, t_off =
-    wall_timed (fun () -> Verifier.verify ~cases ~jobs:1 ~prune:false nl)
-  in
-  let r_on, t_on = wall_timed (fun () -> Verifier.verify ~cases ~jobs:1 nl) in
-  let ev_off = r_off.Verifier.r_evaluations in
-  let ev_on = r_on.Verifier.r_evaluations in
-  let reduction =
-    100. *. (1. -. (float_of_int ev_on /. float_of_int (max 1 ev_off)))
-  in
-  let o = r_on.Verifier.r_obs in
-  Printf.printf "  %-44s %12d %10.4f s\n" "evaluations, pruning off" ev_off t_off;
-  Printf.printf "  %-44s %12d %10.4f s\n" "evaluations, pruning on" ev_on t_on;
-  Printf.printf "  %-44s %11.1f %%\n" "evaluation reduction" reduction;
-  Printf.printf "  %-44s %12d of %d\n" "instances frozen after the first run"
-    o.Verifier.os_pruned_insts (Netlist.n_insts nl);
-  Printf.printf "  %-44s %12d\n" "evaluations skipped on frozen instances"
-    o.Verifier.os_pruned_evals;
-  Printf.printf "  net classes: %d const, %d stable, %d clock, %d data, %d unknown\n"
-    o.Verifier.os_nets_const o.Verifier.os_nets_stable o.Verifier.os_nets_clock
-    o.Verifier.os_nets_data o.Verifier.os_nets_unknown;
-  let agree = verdicts_equal r_off r_on in
-  Printf.printf "  verdicts identical with pruning on vs off: %s\n"
-    (if agree then "PASS" else "FAIL");
-  let det = reports_equal r_on (Verifier.verify ~cases ~jobs:4 nl) in
-  Printf.printf "  pruned report bit-identical at -j 4: %s\n"
-    (if det then "PASS" else "FAIL");
-  emit_bench_metrics "flow-prune"
-    ~phases:[ ("verify_noprune", t_off); ("verify_prune", t_on) ]
-    r_on;
-  let budget = 15.0 in
-  Printf.printf "\n  evaluation-reduction budget >= %.0f%%: %s\n" budget
-    (if reduction >= budget then "PASS" else "FAIL");
-  agree && det && reduction >= budget
-
 (* ---- window pruning ----------------------------------------------------------------------------------- *)
 
 (* Window pruning (doc/WINDOWS.md) proves checkers clean from static
-   arrival windows and serves their verdicts without evaluating them —
-   before the first run, where flow pruning cannot reach.  The gate is
+   arrival windows and serves their verdicts without evaluating them,
+   from before the first run.  The gate is
    on checker-kind evaluations (the work the proofs replace): at least
    20% fewer with window pruning on, for free (identical verdicts, and
    still bit-identical across job counts). *)
@@ -1529,7 +1466,6 @@ let experiments =
     ("obs-overhead", gated obs_overhead);
     ("par-speedup", gated par_speedup);
     ("corner-speedup", gated corner_speedup);
-    ("flow-prune", gated flow_prune);
     ("window-prune", gated window_prune_bench);
     ("incr-reverify", gated incr_reverify);
     ("telemetry-overhead", gated telemetry_overhead);

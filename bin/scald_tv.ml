@@ -16,7 +16,7 @@ let read_file path =
 
 let run file case_file jobs corners summary xref quiet paths corr_advice prob
     slack diagram vcd_out phys lint lint_only lint_fatal lint_json profile_out
-    metrics_out explain trace_buffer no_prune classes no_window_prune merge_cases
+    metrics_out explain trace_buffer classes no_window_prune merge_cases
     windows =
   (* The observability layer is built only when asked for; with every
      obs flag off the verifier sees no probe and the evaluator's event
@@ -108,8 +108,8 @@ let run file case_file jobs corners summary xref quiet paths corr_advice prob
     let report =
       Verifier.verify
         ?probe:(Option.map Scald_obs.Obs.probe obs)
-        ?corners ~cases ~jobs:(max 0 jobs) ~prune:(not no_prune)
-        ~window_prune:(not no_window_prune) ~merge_cases nl
+        ?corners ~cases ~jobs:(max 0 jobs) ~window_prune:(not no_window_prune)
+        ~merge_cases nl
     in
     if summary then Format.printf "@.%a@." Report.pp_summary report.Verifier.r_eval;
     if diagram then
@@ -327,15 +327,6 @@ let trace_buffer =
   in
   Arg.(value & opt int 4096 & info [ "trace-buffer" ] ~docv:"N" ~doc)
 
-let no_prune =
-  let doc =
-    "Disable stable-cone pruning: evaluate every instance on every pass \
-     instead of freezing the instances whose entire input support the static \
-     signal-class analysis proved constant or stable.  Pruning never changes \
-     the verdict; this flag exists to measure it and to rule it out."
-  in
-  Arg.(value & flag & info [ "no-prune" ] ~doc)
-
 let classes =
   let doc =
     "Print the signal class listing — every net's statically inferred class \
@@ -377,7 +368,7 @@ let verify_term =
     const run $ file $ case_file $ jobs $ corners $ summary $ xref $ quiet $ paths
     $ corr_advice $ prob $ slack $ diagram $ vcd_out $ phys $ lint $ lint_only
     $ lint_fatal $ lint_json $ profile_out $ metrics_out $ explain $ trace_buffer
-    $ no_prune $ classes $ no_window_prune $ merge_cases $ windows)
+    $ classes $ no_window_prune $ merge_cases $ windows)
 
 let verify_cmd =
   let doc = "verify one design and print the error listing (the default command)" in
@@ -385,7 +376,7 @@ let verify_cmd =
 
 let serve_metrics =
   let doc =
-    "On shutdown, write the final run metrics (scald-metrics/5, with the \
+    "On shutdown, write the final run metrics (scald-metrics/6, with the \
      $(b,incr_*)/$(b,svc_*)/$(b,mem_*) service counters) as JSON to $(docv)."
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)

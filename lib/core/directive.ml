@@ -34,6 +34,8 @@ let to_string t =
   List.iteri (fun i l -> Bytes.unsafe_set b i (char_of_letter l)) t;
   Bytes.unsafe_to_string b
 
+let head = function [] -> E | l :: _ -> l
+
 let zero_wire = function W | Z | H -> true | E | A -> false
 
 let zero_gate = function Z | H -> true | E | W | A -> false

@@ -26,6 +26,10 @@ val of_string_exn : string -> t
 
 val to_string : t -> string
 
+val head : t -> letter
+(** The letter that applies to the next level of gating: the first one,
+    or [E] once the string is used up. *)
+
 val zero_wire : letter -> bool
 (** [W], [Z] and [H] zero the incoming wire delay. *)
 

@@ -87,18 +87,14 @@ type t = {
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable check_hits : int;  (* verdicts served from the memo *)
-  (* Stable-cone pruning (doc/FLOW.md): instances the static analysis
-     proved inert are frozen after the first run and skipped at enqueue
-     time.  [frozen] stays all-false without a [flow] table. *)
-  flow : Flow.t option;
   (* Window pruning (doc/WINDOWS.md): checkers the arrival-window
      analysis proved at every corner are frozen from creation — their
      verdicts are served statically by the check functions below.
-     [frozen] is three-valued: '\000' live, '\001' flow-frozen,
-     '\002' window-frozen, so the two prunes count separately. *)
+     [frozen] is three-valued: '\000' live, '\001' frozen by
+     [refreeze] (outside an edit's dirty cone), '\002' window-frozen,
+     so the two skips count separately. *)
   mutable window : Window.t option;
-  frozen : Bytes.t;  (* '\000' live / '\001' flow / '\002' window *)
-  mutable froze : bool;
+  frozen : Bytes.t;  (* '\000' live / '\001' refreeze / '\002' window *)
   mutable pruned_evals : int;
   mutable window_evals : int;
   mutable window_checks : int;
@@ -114,7 +110,7 @@ type t = {
   mutable initialized : bool;
 }
 
-let create ?sched ?flow ?window nl =
+let create ?sched ?window nl =
   let n_insts = Netlist.n_insts nl in
   let conn_base = Array.make (max 1 n_insts) 0 in
   let n_conns = ref 0 in
@@ -165,7 +161,6 @@ let create ?sched ?flow ?window nl =
     cache_hits = 0;
     cache_misses = 0;
     check_hits = 0;
-    flow;
     window;
     frozen =
       (let b = Bytes.make (max 1 n_insts) '\000' in
@@ -174,14 +169,12 @@ let create ?sched ?flow ?window nl =
          (* Statically proven checkers never need evaluating: their
             verdict is served by [check_inst], and evaluating a checker
             computes nothing (no output net).  Frozen before the first
-            run — unlike flow pruning, which must see every instance
-            evaluated once. *)
+            run. *)
          for id = 0 to n_insts - 1 do
            if Window.inst_proven w id then Bytes.unsafe_set b id '\002'
          done
        | None -> ());
        b);
-    froze = false;
     pruned_evals = 0;
     window_evals = 0;
     window_checks = 0;
@@ -237,13 +230,7 @@ type counters = {
   c_max_scc_size : int;
   c_cache_hits : int;
   c_cache_misses : int;
-  c_pruned_insts : int;
   c_pruned_evals : int;
-  c_nets_const : int;
-  c_nets_stable : int;
-  c_nets_clock : int;
-  c_nets_data : int;
-  c_nets_unknown : int;
   c_corners : int;
   c_corner_lanes_shared : int;
   c_corner_evals_saved : int;
@@ -262,11 +249,6 @@ let counters t =
     if t.evals_by_kind.(tag) > 0 then
       by_kind := (kind_name tag, t.evals_by_kind.(tag)) :: !by_kind
   done;
-  let pruned_insts, (nc, ns, nck, nd, nu) =
-    match t.flow with
-    | Some f -> ((if t.froze then Flow.n_prunable f else 0), Flow.class_counts f)
-    | None -> (0, (0, 0, 0, 0, 0))
-  in
   {
     c_requests = t.requests;
     c_events = t.events;
@@ -279,13 +261,7 @@ let counters t =
     c_max_scc_size = Sched.max_scc_size t.sched;
     c_cache_hits = t.cache_hits;
     c_cache_misses = t.cache_misses;
-    c_pruned_insts = pruned_insts;
     c_pruned_evals = t.pruned_evals;
-    c_nets_const = nc;
-    c_nets_stable = ns;
-    c_nets_clock = nck;
-    c_nets_data = nd;
-    c_nets_unknown = nu;
     c_corners = Array.length t.corners;
     c_corner_lanes_shared = t.lanes_shared;
     c_corner_evals_saved = t.evals_saved;
@@ -316,13 +292,7 @@ let zero_counters =
     c_max_scc_size = 0;
     c_cache_hits = 0;
     c_cache_misses = 0;
-    c_pruned_insts = 0;
     c_pruned_evals = 0;
-    c_nets_const = 0;
-    c_nets_stable = 0;
-    c_nets_clock = 0;
-    c_nets_data = 0;
-    c_nets_unknown = 0;
     c_corners = 0;
     c_corner_lanes_shared = 0;
     c_corner_evals_saved = 0;
@@ -349,9 +319,9 @@ let merge_by_kind a b =
   in
   go a b
 
-(* Accumulators sum; the high-water mark, the schedule shape and the
-   pruning shape (identical across runs of one structure, or
-   incomparable across structures) take the max. *)
+(* Accumulators sum; the high-water mark and the schedule shape
+   (identical across runs of one structure, or incomparable across
+   structures) take the max. *)
 let merge_counters a b =
   {
     c_requests = a.c_requests + b.c_requests;
@@ -365,13 +335,7 @@ let merge_counters a b =
     c_max_scc_size = max a.c_max_scc_size b.c_max_scc_size;
     c_cache_hits = a.c_cache_hits + b.c_cache_hits;
     c_cache_misses = a.c_cache_misses + b.c_cache_misses;
-    c_pruned_insts = max a.c_pruned_insts b.c_pruned_insts;
     c_pruned_evals = a.c_pruned_evals + b.c_pruned_evals;
-    c_nets_const = max a.c_nets_const b.c_nets_const;
-    c_nets_stable = max a.c_nets_stable b.c_nets_stable;
-    c_nets_clock = max a.c_nets_clock b.c_nets_clock;
-    c_nets_data = max a.c_nets_data b.c_nets_data;
-    c_nets_unknown = max a.c_nets_unknown b.c_nets_unknown;
     c_corners = max a.c_corners b.c_corners;
     c_corner_lanes_shared = a.c_corner_lanes_shared + b.c_corner_lanes_shared;
     c_corner_evals_saved = a.c_corner_evals_saved + b.c_corner_evals_saved;
@@ -457,34 +421,11 @@ let effective_directive t (inst : Netlist.inst) i =
   if c.c_directive <> [] then c.c_directive
   else (Netlist.net t.nl c.c_net).n_eval_str
 
-let head_letter = function [] -> Directive.E | l :: _ -> l
-
 (* ---- input processing --------------------------------------------------- *)
-
-let wire_delay_of t (n : Netlist.net) =
-  match n.n_wire_delay with Some d -> d | None -> Netlist.default_wire_delay t.nl
-
-(* Corner scaling with the reference shortcut: a factor of exactly 1.0
-   returns the very same delay value, so the single-corner (and
-   reference-lane) path is byte-identical to the unscaled evaluator. *)
-let scaled f d = if f = 1.0 then d else Delay.scale f d
 
 (* A net's raw (underived) waveform on a lane. *)
 let raw_value t lane (n : Netlist.net) =
   if lane = 0 then n.n_value else t.lanes.(lane).l_value.(n.n_id)
-
-let apply_delay d wf =
-  if Delay.equal d Delay.zero then wf
-  else
-    let envelope () = Waveform.delay ~dmin:d.Delay.dmin ~dmax:d.Delay.dmax wf in
-    match Delay.rise_fall d with
-    | None -> envelope ()
-    | Some (rise, fall) -> (
-      (* Exact per-edge delays on value-known (clock) paths; the
-         conservative envelope elsewhere (§4.2.2). *)
-      match Waveform.delay_rise_fall ~rise ~fall wf with
-      | Some w -> w
-      | None -> envelope ())
 
 (* A lane k > 0 shares lane 0's derived input (and its memo record) when
    its raw waveform is the lane-0 record itself and either the wire
@@ -526,10 +467,13 @@ let rec input_waveform t lane (inst : Netlist.inst) i =
              are unchanged — only the allocation is shared). *)
           if ln.l_net_gen.(c.c_net) = n.n_gen then ln.l_net_wf.(c.c_net)
           else begin
-            let letter = head_letter n.n_eval_str in
+            let letter = Directive.head n.n_eval_str in
             let wf =
               if Directive.zero_wire letter then raw
-              else apply_delay (scaled ln.l_wscale (wire_delay_of t n)) raw
+              else
+                Waveform.apply_delay
+                  (Delay.scale ln.l_wscale (Netlist.wire_delay t.nl n))
+                  raw
             in
             ln.l_net_gen.(c.c_net) <- n.n_gen;
             ln.l_net_wf.(c.c_net) <- wf;
@@ -537,10 +481,11 @@ let rec input_waveform t lane (inst : Netlist.inst) i =
           end
         end
         else begin
-          let letter = head_letter (effective_directive t inst i) in
+          let letter = Directive.head (effective_directive t inst i) in
           let wf = if c.c_invert then Waveform.map Tvalue.lnot raw else raw in
           if Directive.zero_wire letter then wf
-          else apply_delay (scaled ln.l_wscale (wire_delay_of t n)) wf
+          else
+            Waveform.apply_delay (Delay.scale ln.l_wscale (Netlist.wire_delay t.nl n)) wf
         end
       in
       ln.l_cache_gen.(idx) <- n.n_gen;
@@ -550,19 +495,6 @@ let rec input_waveform t lane (inst : Netlist.inst) i =
   end
 
 (* ---- primitive models --------------------------------------------------- *)
-
-let enabling_value = function
-  | Primitive.And -> Tvalue.V1
-  | Primitive.Or -> Tvalue.V0
-  | Primitive.Xor -> Tvalue.V0
-  | Primitive.Chg -> Tvalue.Stable
-
-let gate_fold fn vs =
-  match fn with
-  | Primitive.And -> List.fold_left Tvalue.land_ Tvalue.V1 vs
-  | Primitive.Or -> List.fold_left Tvalue.lor_ Tvalue.V0 vs
-  | Primitive.Xor -> List.fold_left Tvalue.lxor_ Tvalue.V0 vs
-  | Primitive.Chg -> List.fold_left Tvalue.chg Tvalue.Stable vs
 
 (* Output value of a 2-input multiplexer as a function of the three
    input values at an instant, with a stable-but-unknown or changing
@@ -723,21 +655,21 @@ let paint_change_windows ~period ~d windows wf =
    and the lane selects the input derivation and the delay scale. *)
 let eval_output t lane (inst : Netlist.inst) =
   let input i = input_waveform t lane inst i in
-  let sc d = scaled t.lanes.(lane).l_dscale d in
+  let sc d = Delay.scale t.lanes.(lane).l_dscale d in
   match inst.i_prim with
   | Primitive.Setup_hold_check _ | Primitive.Setup_rise_hold_fall_check _
   | Primitive.Min_pulse_width _ ->
     None
   | Primitive.Const v -> Some (Waveform.const ~period:(period t) v)
   | Primitive.Buf { invert; delay } ->
-    let letter = head_letter (effective_directive t inst 0) in
+    let letter = Directive.head (effective_directive t inst 0) in
     let wf = input 0 in
     let wf = if invert then Waveform.map Tvalue.lnot wf else wf in
     let d = if Directive.zero_gate letter then Delay.zero else sc delay in
-    Some (apply_delay d wf)
+    Some (Waveform.apply_delay d wf)
   | Primitive.Gate { fn; n_inputs; invert; delay } ->
     let letters =
-      Array.init n_inputs (fun i -> head_letter (effective_directive t inst i))
+      Array.init n_inputs (fun i -> Directive.head (effective_directive t inst i))
     in
     let hazard = Array.exists Directive.check_hazard letters in
     let zero_gate = Array.exists Directive.zero_gate letters in
@@ -746,24 +678,24 @@ let eval_output t lane (inst : Netlist.inst) =
           if hazard && not (Directive.check_hazard letters.(i)) then
             (* &A / &H: assume the other (control) inputs enable the
                gate, so the output follows the clock alone (§2.6). *)
-            Waveform.const ~period:(period t) (enabling_value fn)
+            Waveform.const ~period:(period t) (Primitive.enabling_value fn)
           else input i)
     in
-    let combined = Waveform.mapn (gate_fold fn) wfs in
+    let combined = Waveform.mapn (Primitive.gate_fold fn) wfs in
     let combined = if invert then Waveform.map Tvalue.lnot combined else combined in
     let d = if zero_gate then Delay.zero else sc delay in
-    Some (apply_delay d combined)
+    Some (Waveform.apply_delay d combined)
   | Primitive.Mux2 { delay; select_extra } ->
     let a = input 0 and b = input 1 and s = input 2 in
-    let s = apply_delay (sc select_extra) s in
+    let s = Waveform.apply_delay (sc select_extra) s in
     let zero_gate =
       List.exists
-        (fun i -> Directive.zero_gate (head_letter (effective_directive t inst i)))
+        (fun i -> Directive.zero_gate (Directive.head (effective_directive t inst i)))
         [ 0; 1; 2 ]
     in
     let combined = Waveform.map3 mux_value a b s in
     let d = if zero_gate then Delay.zero else sc delay in
-    let out = apply_delay d combined in
+    let out = Waveform.apply_delay d combined in
     (* A select transition may change the output even when both data
        inputs are stable (their unknown stable values can differ), so
        paint Change over every select-transition window dilated by the
@@ -776,12 +708,13 @@ let eval_output t lane (inst : Netlist.inst) =
     let out = reg_output ~period:(period t) ~delay ~data_m ~clock in
     if not has_set_reset then Some out
     else
-      let s = apply_delay delay (input 2) and r = apply_delay delay (input 3) in
+      let s = Waveform.apply_delay delay (input 2)
+      and r = Waveform.apply_delay delay (input 3) in
       Some (Waveform.map3 set_reset_overlay out s r)
   | Primitive.Latch { delay; has_set_reset } ->
     let delay = sc delay in
     let data = input 0 and enable = input 1 in
-    let out = apply_delay delay (Waveform.map2 latch_value data enable) in
+    let out = Waveform.apply_delay delay (Waveform.map2 latch_value data enable) in
     (* The opening (rising-enable) edge may change the output even with
        stable data: the held value from the previous cycle can differ
        from the current data value.  Zero-width edges are invisible to
@@ -792,7 +725,8 @@ let eval_output t lane (inst : Netlist.inst) =
     in
     if not has_set_reset then Some out
     else
-      let s = apply_delay delay (input 2) and r = apply_delay delay (input 3) in
+      let s = Waveform.apply_delay delay (input 2)
+      and r = Waveform.apply_delay delay (input 3) in
       Some (Waveform.map3 set_reset_overlay out s r)
 
 (* The evaluation string passed along with the output value: the rest of
@@ -1004,22 +938,7 @@ let run ?(case = []) t =
         end)
       wanted
   end;
-  fixpoint t;
-  (* Freeze after the first run: every instance has been evaluated at
-     least once by now, and a provably inert instance (doc/FLOW.md) can
-     only ever recompute what it already holds — the work list need
-     never see it again.  The set is static, so every evaluator of the
-     same netlist (including the Netlist.copys of parallel case
-     evaluation) freezes identically. *)
-  match t.flow with
-  | Some f when not t.froze ->
-    t.froze <- true;
-    for id = 0 to Netlist.n_insts t.nl - 1 do
-      (* never downgrade a window freeze to a flow freeze *)
-      if Flow.prunable f id && Bytes.unsafe_get t.frozen id = '\000' then
-        Bytes.unsafe_set t.frozen id '\001'
-    done
-  | Some _ | None -> ()
+  fixpoint t
 
 let value ?(lane = 0) t id = raw_value t lane (Netlist.net t.nl id)
 
@@ -1053,13 +972,11 @@ let reassert_net t net_id =
 (* Replace the frozen set wholesale: [active id] instances stay live,
    everything else is skipped at enqueue time.  The incremental service
    thaws exactly the dirty cone of an edit and freezes the rest —
-   instances outside the cone already hold their fixpoint waveforms, so
-   freezing them is the cross-run analogue of Flow pruning. *)
+   instances outside the cone already hold their fixpoint waveforms. *)
 let refreeze t ~active =
   for id = 0 to Netlist.n_insts t.nl - 1 do
     Bytes.unsafe_set t.frozen id (if active id then '\000' else '\001')
-  done;
-  t.froze <- true
+  done
 
 (* Re-apply the window freeze after [refreeze] rebuilt the byte map: a
    checker the (possibly updated) analysis still proves stays statically
@@ -1117,7 +1034,7 @@ let check_inst_compute t lane (inst : Netlist.inst) =
     let n = Array.length inst.i_inputs in
     let hazard_inputs =
       List.filter
-        (fun i -> Directive.check_hazard (head_letter (effective_directive t inst i)))
+        (fun i -> Directive.check_hazard (Directive.head (effective_directive t inst i)))
         (List.init n (fun i -> i))
     in
     List.concat_map
@@ -1125,7 +1042,7 @@ let check_inst_compute t lane (inst : Netlist.inst) =
         let gate_wf = input i in
         List.concat_map
           (fun j ->
-            if j = i || Directive.check_hazard (head_letter (effective_directive t inst j))
+            if j = i || Directive.check_hazard (Directive.head (effective_directive t inst j))
             then []
             else
               Check.check_stable_while ~inst:inst.i_name

@@ -29,26 +29,19 @@
 
 type t
 
-val create : ?sched:Sched.t -> ?flow:Flow.t -> ?window:Window.t -> Netlist.t -> t
+val create : ?sched:Sched.t -> ?window:Window.t -> Netlist.t -> t
 (** [sched] supplies a precomputed schedule (it must describe the same
     structure, e.g. the original of a {!Netlist.copy}); without it one
     is computed here.
-
-    [flow] enables stable-cone pruning (doc/FLOW.md): after the first
-    {!run} — which evaluates every instance at least once — instances
-    the analysis proved inert ({!Flow.prunable}) are frozen and skipped
-    by every later enqueue.  The analysis must describe the same
-    structure and must have been given the union of the mapped nets of
-    every case that will be run ([Flow.analyse ~case_nets]).  Without
-    [flow] nothing is ever frozen.
 
     [window] enables arrival-window pruning (doc/WINDOWS.md): checkers
     the analysis statically proves clean at every corner
     ({!Window.inst_proven}) are frozen from creation and their empty
     verdicts served without evaluation on every lane; nets whose stable
     assertions are proven ({!Window.net_proven}) are served likewise.
-    The analysis must describe the same structure and have been given
-    the same [~case_nets] union as [flow]. *)
+    The analysis must describe the same structure and must have been
+    given the union of the mapped nets of every case that will be run
+    ([Window.analyse ~case_nets]). *)
 
 val netlist : t -> Netlist.t
 
@@ -112,7 +105,10 @@ val refreeze : t -> active:(int -> bool) -> unit
 (** Replace the frozen set wholesale: instance [id] stays live iff
     [active id].  The incremental service thaws exactly the dirty cone
     of an edit and freezes everything else — instances outside the cone
-    already hold their fixpoint waveforms from the previous run. *)
+    already hold their fixpoint waveforms from the previous run.  Every
+    enqueue the frozen set rejects is counted in [c_pruned_evals].  A
+    fresh evaluator holds no fixpoint yet: do not refreeze it before its
+    first {!run}. *)
 
 val rewindow : t -> unit
 (** Re-apply the window freeze after {!refreeze} rebuilt the frozen set:
@@ -193,15 +189,10 @@ type counters = {
       (** input-waveform / register-data / verdict memo hits (generation
           match) *)
   c_cache_misses : int;  (** memo fills *)
-  c_pruned_insts : int;
-      (** instances frozen by stable-cone pruning; [0] until the first
-          run has completed, or when no {!Flow.t} was supplied *)
-  c_pruned_evals : int;  (** evaluations skipped on frozen instances *)
-  c_nets_const : int;  (** nets per {!Flow.cls}; all [0] without a flow *)
-  c_nets_stable : int;
-  c_nets_clock : int;
-  c_nets_data : int;
-  c_nets_unknown : int;
+  c_pruned_evals : int;
+      (** enqueues rejected because {!refreeze} froze the target: it lay
+          outside the dirty cone.  [0] on one-shot runs, which never
+          refreeze *)
   c_corners : int;  (** corners evaluated per traversal ([1] single-corner) *)
   c_corner_lanes_shared : int;
       (** lane outputs that converged to the reference waveform and were
@@ -232,17 +223,16 @@ type counters = {
 val counters : t -> counters
 (** Snapshot of the counters accumulated since creation (or the last
     {!reset_counters}).  The schedule-shape fields ([c_sched_levels],
-    [c_sccs], [c_max_scc_size]) and the pruning-shape fields
-    ([c_pruned_insts], [c_nets_*]) are properties of the netlist and its
-    analysis, not accumulators — {!reset_counters} leaves them
-    readable. *)
+    [c_sccs], [c_max_scc_size]) and the window proof-shape fields are
+    properties of the netlist and its analyses, not accumulators —
+    {!reset_counters} leaves them readable. *)
 
 val zero_counters : counters
 (** All-zero counters: the identity of {!merge_counters}. *)
 
 val merge_counters : counters -> counters -> counters
 (** Combine two snapshots: accumulators sum; the queue high-water mark,
-    the schedule-shape and the pruning-shape fields take the max (they
+    the schedule-shape and the proof-shape fields take the max (they
     are identical across runs of one structure).  Used both to merge
     parallel shards ({!Verifier.verify} with [~jobs]) and to carry
     cumulative totals across the requests of an incremental session. *)

@@ -15,8 +15,6 @@ type t = {
   sched : Sched.t;
   classes : cls array;
   rc : bool array;
-  prune : bool array;
-  n_prunable : int;
 }
 
 (* Domain sets are short sorted int lists (one entry per asserted clock
@@ -64,7 +62,6 @@ let combine inputs =
 let analyse ?sched:sched_opt ?(case_nets = []) nl =
   let sched = match sched_opt with Some s -> s | None -> Sched.compute nl in
   let n_nets = Netlist.n_nets nl in
-  let n_insts = Netlist.n_insts nl in
   let volatile = Array.make (max 1 n_nets) false in
   List.iter (fun id -> if id >= 0 && id < n_nets then volatile.(id) <- true) case_nets;
   (* None is bottom; [pinned] nets never take a transfer class. *)
@@ -182,15 +179,13 @@ let analyse ?sched:sched_opt ?(case_nets = []) nl =
      from the highest id visits producers before consumers; each acyclic
      component needs exactly one application, feedback components relax
      to a fixpoint under a budget and widen to Unknown past it. *)
-  let by_scc = Array.make (max 1 (Sched.n_sccs sched)) [] in
-  Netlist.iter_insts nl (fun i ->
-      let s = Sched.scc sched i.Netlist.i_id in
-      by_scc.(s) <- i :: by_scc.(s));
   for sid = Sched.n_sccs sched - 1 downto 0 do
-    match by_scc.(sid) with
+    match Sched.members sched sid with
     | [] -> ()
-    | [ i ] when Sched.cyclic_slot sched i.Netlist.i_id < 0 -> ignore (apply i)
-    | members ->
+    | [ id ] when Sched.cyclic_slot sched id < 0 -> ignore (apply (Netlist.inst nl id))
+    | ids ->
+      (* descending id order: where the budget cuts off depends on it *)
+      let members = List.rev_map (Netlist.inst nl) ids in
       let budget = 8 + (2 * List.length members) in
       let rec relax k =
         let changed =
@@ -219,31 +214,13 @@ let analyse ?sched:sched_opt ?(case_nets = []) nl =
         if id >= n_nets then Unknown
         else match work.(id) with Some c -> c | None -> Unknown)
   in
-  let prune = Array.make (max 1 n_insts) false in
-  let n_prunable = ref 0 in
-  Netlist.iter_insts nl (fun i ->
-      let p =
-        if not (Primitive.has_output i.Netlist.i_prim) then
-          (* checkers: eval_inst computes nothing for them; the real
-             checking pass (Eval.check) never consults the work list *)
-          true
-        else
-          Sched.cyclic_slot sched i.Netlist.i_id < 0
-          && Array.for_all
-               (fun (c : Netlist.conn) -> is_fixed_cls classes.(c.Netlist.c_net))
-               i.Netlist.i_inputs
-      in
-      if p then incr n_prunable;
-      prune.(i.Netlist.i_id) <- p);
-  { nl; sched; classes; rc; prune; n_prunable = !n_prunable }
+  { nl; sched; classes; rc }
 
 let netlist t = t.nl
 let sched t = t.sched
 let cls t id = t.classes.(id)
 let domains t id = domains_of t.classes.(id)
 let reaches_clock t id = t.rc.(id)
-let prunable t id = t.prune.(id)
-let n_prunable t = t.n_prunable
 
 let class_counts t =
   let c = ref 0 and s = ref 0 and ck = ref 0 and d = ref 0 and u = ref 0 in
@@ -286,7 +263,5 @@ let pp_classes ppf t =
       in
       Format.fprintf ppf "%-28s %-28s %s@," n.Netlist.n_name cls_str witness);
   let c, s, ck, d, u = class_counts t in
-  Format.fprintf ppf "@,%d CONST %d STABLE %d CLOCK %d DATA %d UNKNOWN (%d nets)@,"
-    c s ck d u (Netlist.n_nets t.nl);
-  Format.fprintf ppf "%d of %d instances prunable@,@]" t.n_prunable
-    (Netlist.n_insts t.nl)
+  Format.fprintf ppf "@,%d CONST %d STABLE %d CLOCK %d DATA %d UNKNOWN (%d nets)@,@]"
+    c s ck d u (Netlist.n_nets t.nl)

@@ -23,12 +23,11 @@
     - [Unknown] — the analysis gave up (e.g. a feedback component that
       did not stabilize within its widening budget).
 
-    Three consumers share one analysis: the lint rules C1/C4/C6/C7/K7
-    (clock-cone and clock-domain evidence), the evaluator's stable-cone
-    pruning ({!Eval.create}[ ?flow], [Verifier.verify ?prune]), and the
-    [--classes] CLI listing.  The analysis is purely structural — it
-    never calls {!Eval} — and the resulting table is immutable, so one
-    instance is shared read-only across [-j] evaluation domains. *)
+    Two consumers share one analysis: the lint rules C1/C4/C6/C7/K7
+    (clock-cone and clock-domain evidence) and the [--classes] CLI
+    listing.  Verification never runs it (doc/FLOW.md says why).  The
+    analysis is purely structural — it never calls {!Eval} — and the
+    resulting table is immutable. *)
 
 type cls =
   | Const of Tvalue.t
@@ -47,11 +46,9 @@ val analyse : ?sched:Sched.t -> ?case_nets:int list -> Netlist.t -> t
     existing condensation instead of recomputing one.
 
     [case_nets] are nets that case analysis may substitute (§2.7): they
-    and their cones are demoted from [Const]/[Stable] to [Data []], so
-    {!prunable} never freezes an instance whose inputs a later case
-    could change.  Pass the union of the mapped nets of {e all} cases of
-    the run; the class listing and the lint rules use the default
-    (empty) for a case-independent static view. *)
+    and their cones are demoted from [Const]/[Stable] to [Data []],
+    since a case could change them.  The class listing and the lint
+    rules use the default (empty) for a case-independent static view. *)
 
 val netlist : t -> Netlist.t
 val sched : t -> Sched.t
@@ -69,16 +66,6 @@ val reaches_clock : t -> int -> bool
 (** [reaches_clock t net_id] — does the backward driver cone of the net
     (the net itself included) contain a [.P]/[.C]-asserted signal?
     Exactly the question lint rule C1 asks of edge-sensitive inputs. *)
-
-val prunable : t -> int -> bool
-(** [prunable t inst_id] — may the evaluator freeze this instance after
-    its first evaluation?  True for checkers (their {!Eval} evaluation
-    computes nothing — checking happens in [Eval.check], which ignores
-    freezing) and for acyclic instances whose entire input support is
-    [Const]/[Stable] (their inputs can never change after the first
-    converged run, so re-evaluation is a no-op by construction). *)
-
-val n_prunable : t -> int
 
 val class_counts : t -> int * int * int * int * int
 (** [(const, stable, clock, data, unknown)] net counts. *)

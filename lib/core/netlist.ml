@@ -63,6 +63,9 @@ let timebase t = t.tb
 let defaults t = t.asserts
 let default_wire_delay t = t.default_wire
 
+let wire_delay t (n : net) =
+  match n.n_wire_delay with Some d -> d | None -> t.default_wire
+
 let grow arr n dummy = if n < Array.length arr then arr else
   Array.append arr (Array.make (max 16 (Array.length arr)) dummy)
 

@@ -60,6 +60,10 @@ val timebase : t -> Timebase.t
 val defaults : t -> Assertion.defaults
 val default_wire_delay : t -> Delay.t
 
+val wire_delay : t -> net -> Delay.t
+(** The interconnection delay into every consumer of the net: its own
+    override when set, the design default otherwise. *)
+
 val signal : t -> string -> int
 (** [signal t name] returns the net for a full SCALD signal name such as
     ["WRITE .S0-6 L"], creating it if needed.  The assertion, if any, is

@@ -26,6 +26,18 @@ let has_output = function
 
 let is_checker p = not (has_output p)
 
+let enabling_value = function
+  | And -> Tvalue.V1
+  | Or | Xor -> Tvalue.V0
+  | Chg -> Tvalue.Stable
+
+let gate_fold fn vs =
+  match fn with
+  | And -> List.fold_left Tvalue.land_ Tvalue.V1 vs
+  | Or -> List.fold_left Tvalue.lor_ Tvalue.V0 vs
+  | Xor -> List.fold_left Tvalue.lxor_ Tvalue.V0 vs
+  | Chg -> List.fold_left Tvalue.chg Tvalue.Stable vs
+
 let input_label p i =
   match p, i with
   | Gate _, _ -> Printf.sprintf "I%d" i

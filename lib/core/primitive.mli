@@ -53,6 +53,14 @@ val n_inputs : t -> int
 val has_output : t -> bool
 val is_checker : t -> bool
 
+val enabling_value : gate_fn -> Tvalue.t
+(** The input value that lets a gate pass its other inputs through: what
+    an [&A]/[&H] directive assumes of the control inputs (§2.6). *)
+
+val gate_fold : gate_fn -> Tvalue.t list -> Tvalue.t
+(** The gate function over its input values at one instant, before the
+    output inversion. *)
+
 val input_label : t -> int -> string
 (** Diagnostic name of input port [i], e.g. ["DATA"], ["CK"]. *)
 

@@ -4,6 +4,7 @@ type t = {
   s_slot : int array;  (* per instance: dense cyclic-component slot, -1 if acyclic *)
   s_cyclic_size : int array;  (* per slot: member count *)
   s_cyclic_scc : int array;  (* per slot: component id *)
+  s_members : int list array;  (* per component: instance ids, ascending *)
   s_n_levels : int;
   s_n_sccs : int;
   s_max_scc_size : int;
@@ -136,6 +137,7 @@ let compute nl =
     s_slot;
     s_cyclic_size;
     s_cyclic_scc;
+    s_members = members;
     s_n_levels = n_levels;
     s_n_sccs = n_sccs;
     s_max_scc_size = max_scc_size;
@@ -153,6 +155,7 @@ let flat nl =
     s_slot = Array.make (max 1 n) 0;
     s_cyclic_size = Array.make k n;
     s_cyclic_scc = Array.make k 0;
+    s_members = Array.make (max 1 k) (List.init n Fun.id);
     s_n_levels = k;
     s_n_sccs = k;
     s_max_scc_size = n;
@@ -166,14 +169,10 @@ let cyclic_size t slot = t.s_cyclic_size.(slot)
 let n_levels t = t.s_n_levels
 let n_sccs t = t.s_n_sccs
 let max_scc_size t = t.s_max_scc_size
+let members t s = t.s_members.(s)
 
 let cyclic_region t slot nl =
-  let id = t.s_cyclic_scc.(slot) in
-  let members = ref [] in
-  for v = Array.length t.s_scc - 1 downto 0 do
-    if v < Netlist.n_insts nl && t.s_scc.(v) = id then members := v :: !members
-  done;
-  let members = !members in
+  let members = t.s_members.(t.s_cyclic_scc.(slot)) in
   let shown = ref [] in
   List.iteri
     (fun i v -> if i < 6 then shown := (Netlist.inst nl v).Netlist.i_name :: !shown)

@@ -41,6 +41,11 @@ val scc : t -> int -> int
     Component ids are in reverse topological order (a component's
     successors have smaller ids), a property of Tarjan's algorithm. *)
 
+val members : t -> int -> int list
+(** [members t scc] — the instance ids of a component, in ascending
+    order.  Built once by {!compute}; the static analyses and the cone
+    fingerprints walk the condensation through it. *)
+
 val cyclic_slot : t -> int -> int
 (** [cyclic_slot t inst_id] — dense index of the instance's component
     among the {e cyclic} components (size > 1, or a single instance

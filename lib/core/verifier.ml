@@ -23,13 +23,7 @@ type obs_summary = {
   os_max_scc_size : int;
   os_cache_hits : int;
   os_cache_misses : int;
-  os_pruned_insts : int;
   os_pruned_evals : int;
-  os_nets_const : int;
-  os_nets_stable : int;
-  os_nets_clock : int;
-  os_nets_data : int;
-  os_nets_unknown : int;
   os_corners : int;
   os_corner_lanes_shared : int;
   os_corner_evals_saved : int;
@@ -92,13 +86,7 @@ let obs_of_counters (c : Eval.counters) =
     os_max_scc_size = c.Eval.c_max_scc_size;
     os_cache_hits = c.Eval.c_cache_hits;
     os_cache_misses = c.Eval.c_cache_misses;
-    os_pruned_insts = c.Eval.c_pruned_insts;
     os_pruned_evals = c.Eval.c_pruned_evals;
-    os_nets_const = c.Eval.c_nets_const;
-    os_nets_stable = c.Eval.c_nets_stable;
-    os_nets_clock = c.Eval.c_nets_clock;
-    os_nets_data = c.Eval.c_nets_data;
-    os_nets_unknown = c.Eval.c_nets_unknown;
     os_corners = c.Eval.c_corners;
     os_corner_lanes_shared = c.Eval.c_corner_lanes_shared;
     os_corner_evals_saved = c.Eval.c_corner_evals_saved;
@@ -153,9 +141,8 @@ let run_case ?probe ev nl i case =
 
 (* ---- the sequential engine (jobs = 1, the §2.7 baseline) ----------------- *)
 
-let verify_sequential ~probe ~analysis ~window ~case_list nl =
-  let schedule = Option.map fst analysis and flow = Option.map snd analysis in
-  let ev = Eval.create ?sched:schedule ?flow ?window nl in
+let verify_sequential ~probe ~sched ~window ~case_list nl =
+  let ev = Eval.create ~sched ?window nl in
   (match probe with
   | Some { pr_event = Some _ as h; _ } -> Eval.set_event_hook ev h
   | Some { pr_event = None; _ } | None -> ());
@@ -170,7 +157,7 @@ let verify_sequential ~probe ~analysis ~window ~case_list nl =
    measured case starts from exactly the state the sequential run would
    have given it — per-case event counts, violations and the merged
    counters are then identical to [jobs:1] (doc/PARALLEL.md). *)
-let verify_parallel ~probe ~analysis ~window ~case_list ~jobs nl =
+let verify_parallel ~probe ~sched ~window ~case_list ~jobs nl =
   let span : 'a. string -> (unit -> 'a) -> 'a =
    fun name f -> match probe with None -> f () | Some p -> p.pr_span name f
   in
@@ -187,21 +174,14 @@ let verify_parallel ~probe ~analysis ~window ~case_list ~jobs nl =
   let netlists =
     Array.init jobs (fun k -> if k = 0 then nl else Netlist.copy nl)
   in
-  (* The schedule and the flow analysis are purely structural and
-     identical for every copy (ids are preserved), so they are computed
-     once and shared read-only by all domains. *)
-  let flow = Option.map snd analysis in
-  let schedule =
-    match analysis with Some (s, _) -> s | None -> Sched.compute nl
-  in
   let record_events =
     match probe with Some { pr_event = Some _; _ } -> true | _ -> false
   in
   let run_shard k =
     let lo, hi = shards.(k) in
-    (* the window table, like the flow, is structural and read-only:
-       every domain queries the shared one by id *)
-    let ev = Eval.create ~sched:schedule ?flow ?window netlists.(k) in
+    (* the schedule and the window table are structural and read-only,
+       and ids are identical in every copy: every domain shares them *)
+    let ev = Eval.create ~sched ?window netlists.(k) in
     if lo > 0 then begin
       (* Warm-start priming: un-measured, un-hooked, un-counted.  The
          check passes are replayed too: they fill the input-waveform
@@ -297,8 +277,8 @@ let make_report ?lint ?(cases_merged = 0) ?obs ~jobs paired counters ev =
     r_jobs = jobs;
   }
 
-let verify ?lint ?probe ?(cases = []) ?(jobs = 1) ?(prune = true)
-    ?(window_prune = true) ?(merge_cases = false) ?analysis ?window ?corners nl =
+let verify ?lint ?probe ?(cases = []) ?(jobs = 1) ?(window_prune = true)
+    ?(merge_cases = false) ?analysis ?window ?corners nl =
   if jobs < 0 then invalid_arg "Verifier.verify: jobs must be >= 0";
   (* Install the corner table before any evaluator (or netlist copy) is
      created; every domain's evaluator then packs the same lanes. *)
@@ -312,41 +292,28 @@ let verify ?lint ?probe ?(cases = []) ?(jobs = 1) ?(prune = true)
     | Some f -> Some (span "lint" (fun () -> f nl))
   in
   let case_list = match cases with [] -> [ [] ] | cs -> cs in
-  (* One static analysis per netlist, shared read-only by every
-     evaluation domain.  The flow must know every net any case of this
-     run may substitute, so nothing in a case-mapped cone is frozen. *)
-  let case_nets =
-    lazy
-      (List.concat_map
-         (fun c -> List.map fst (Case_analysis.resolve nl c))
-         case_list)
+  (* One schedule per netlist, shared read-only by the window analysis
+     and every evaluation domain: the caller's, else the one the
+     caller's window table was built over, else computed here. *)
+  let sched =
+    match analysis, window with
+    | Some (s, _), _ -> s
+    | None, Some w -> Window.sched w
+    | None, None -> Sched.compute nl
   in
-  let analysis =
-    if not prune then None
-    else
-      match analysis with
-      | Some _ -> analysis
-      | None ->
-        let schedule = Sched.compute nl in
-        Some
-          ( schedule,
-            span "flow" (fun () ->
-                Flow.analyse ~sched:schedule ~case_nets:(Lazy.force case_nets) nl)
-          )
-  in
-  (* The arrival-window analysis (doc/WINDOWS.md) shares the flow's
-     schedule when one exists.  Its case-net union covers every case of
-     the run, so the proofs are valid for all of them. *)
+  (* The arrival-window analysis (doc/WINDOWS.md) must know every net
+     any case of this run may substitute, so its proofs are valid for
+     all of them. *)
   let window =
     if not window_prune && not merge_cases then None
     else
       match window with
       | Some _ -> window
       | None ->
-        let schedule = Option.map fst analysis in
-        Some
-          (span "window" (fun () ->
-               Window.analyse ?sched:schedule ~case_nets:(Lazy.force case_nets) nl))
+        let case_nets =
+          List.concat_map (fun c -> List.map fst (Case_analysis.resolve nl c)) case_list
+        in
+        Some (span "window" (fun () -> Window.analyse ~sched ~case_nets nl))
   in
   (* Case-equivalence merging: the representative's verdicts stand for
      its whole class, so only representatives are evaluated; the dropped
@@ -363,9 +330,8 @@ let verify ?lint ?probe ?(cases = []) ?(jobs = 1) ?(prune = true)
   let jobs = if jobs = 0 then Par.available () else jobs in
   let jobs = max 1 (min jobs (List.length case_list)) in
   let paired, counters, ev =
-    if jobs = 1 then
-      verify_sequential ~probe ~analysis ~window:eval_window ~case_list nl
-    else verify_parallel ~probe ~analysis ~window:eval_window ~case_list ~jobs nl
+    if jobs = 1 then verify_sequential ~probe ~sched ~window:eval_window ~case_list nl
+    else verify_parallel ~probe ~sched ~window:eval_window ~case_list ~jobs nl
   in
   make_report ?lint:lint_summary ~cases_merged ~jobs paired counters ev
 
@@ -425,16 +391,6 @@ let pp ppf r =
       r.r_obs.os_sched_levels r.r_obs.os_sccs r.r_obs.os_max_scc_size
       r.r_obs.os_cache_hits r.r_obs.os_cache_misses;
   let o = r.r_obs in
-  if o.os_nets_const + o.os_nets_stable + o.os_nets_clock + o.os_nets_data
-     + o.os_nets_unknown > 0
-  then begin
-    Format.fprintf ppf
-      "net classes: %d const, %d stable, %d clock, %d data, %d unknown@,"
-      o.os_nets_const o.os_nets_stable o.os_nets_clock o.os_nets_data
-      o.os_nets_unknown;
-    Format.fprintf ppf "pruned: %d instances, %d evaluations skipped@,"
-      o.os_pruned_insts o.os_pruned_evals
-  end;
   (* Static proof shape only: the line is identical across job counts
      and across cold/serve replays of the same design. *)
   if o.os_window_insts + o.os_window_nets + o.os_window_lanes_static

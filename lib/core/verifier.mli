@@ -52,16 +52,12 @@ type obs_summary = {
       (** input-waveform, register-data and verdict memo hits (see
           {!Eval}) *)
   os_cache_misses : int;  (** memo fills *)
-  os_pruned_insts : int;
-      (** instances frozen by stable-cone pruning; [0] under
-          [~prune:false] *)
-  os_pruned_evals : int;  (** evaluations skipped on frozen instances *)
-  os_nets_const : int;
-      (** nets per inferred {!Flow.cls}; all [0] under [~prune:false] *)
-  os_nets_stable : int;
-  os_nets_clock : int;
-  os_nets_data : int;
-  os_nets_unknown : int;
+  os_pruned_evals : int;
+      (** enqueues the incremental service's dirty-cone freeze rejected
+          ({!Eval.refreeze}); always [0] on one-shot runs.  On a
+          re-verify, a nonzero value means an enqueue fell outside the
+          edit's dirty cone, so the instance it targeted kept a stale
+          waveform: the cone missed something (doc/SERVICE.md) *)
   os_corners : int;  (** corners evaluated per traversal ([1] single-corner) *)
   os_corner_lanes_shared : int;
       (** lane outputs stored as the shared reference record *)
@@ -134,7 +130,6 @@ val verify :
   ?probe:probe ->
   ?cases:Case_analysis.case list ->
   ?jobs:int ->
-  ?prune:bool ->
   ?window_prune:bool ->
   ?merge_cases:bool ->
   ?analysis:Sched.t * Flow.t ->
@@ -161,24 +156,14 @@ val verify :
     hook calls are buffered per domain and replayed in case order after
     the join, so the event stream a consumer sees is the sequential one.
 
-    [prune] (default [true]) runs the static signal-class analysis
-    ({!Flow.analyse}, fed the union of the mapped nets of every case)
-    and lets the evaluator freeze instances whose entire input support
-    is provably constant or stable after their first evaluation
-    (doc/FLOW.md).  Pruning never changes the verdict — waveforms,
-    violations, per-case event counts and convergence flags are
-    bit-identical to [~prune:false]; only the work counters differ
-    (fewer evaluations and enqueues, [os_pruned_insts] /
-    [os_pruned_evals] non-zero).  CLI: [--no-prune].
-
     [window_prune] (default [true]) runs the static arrival-window
-    analysis ({!Window.analyse}, doc/WINDOWS.md) and serves the verdicts
-    of checkers it proves clean at every corner without evaluating them
-    — composing with [prune] (different freeze reasons are counted
-    separately) and with multi-corner lanes (proofs quantify over the
-    whole table).  Like [prune], it never changes the verdict: reports
-    are bit-identical to [~window_prune:false] at any [jobs]; only the
-    work counters differ ([os_window_*]).  CLI: [--no-window-prune].
+    analysis ({!Window.analyse}, fed the union of the mapped nets of
+    every case, doc/WINDOWS.md) and serves the verdicts of checkers it
+    proves clean at every corner without evaluating them — composing
+    with multi-corner lanes (proofs quantify over the whole table).  It
+    never changes the verdict: reports are bit-identical to
+    [~window_prune:false] at any [jobs]; only the work counters differ
+    ([os_window_*]).  CLI: [--no-window-prune].
 
     [merge_cases] (default [false]) partitions the case list by
     {!Window.case_signature} and evaluates one representative per
@@ -187,13 +172,16 @@ val verify :
     [os_cases_merged]; [r_cases] then holds the representatives only.
     CLI: [--merge-cases].
 
-    [analysis] supplies a precomputed schedule and flow analysis (they
-    must describe this netlist's structure and cover this run's case
-    nets); used by the incremental service, which computes them once per
-    session, and by tests that evaluate under {!Sched.flat} (the FIFO
-    reference discipline).  Ignored under [~prune:false].  [window] likewise supplies
-    a precomputed window analysis (kept current across edits with
-    {!Window.update}); ignored when both [window_prune] and
+    [analysis] supplies a precomputed schedule (it must describe this
+    netlist's structure); used by tests that evaluate under
+    {!Sched.flat} (the FIFO reference discipline).  Only the schedule is
+    read: the {!Flow.t} half is ignored, since verification runs no
+    signal-class analysis.  Without [analysis] the schedule is the one
+    [window] was built over ({!Window.sched}), else one computed here;
+    the window analysis and every evaluation domain share it.
+    [window] supplies a precomputed window analysis (it must cover this
+    run's case nets; the incremental service keeps one current across
+    edits with {!Window.update}); ignored when both [window_prune] and
     [merge_cases] are off.
 
     [corners] installs a delay-corner table on the netlist

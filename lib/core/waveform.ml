@@ -550,6 +550,19 @@ let delay_rise_fall ~rise:(rmin, rmax) ~fall:(fmin, fmax) w =
         in
         Some (of_breakpoints ~period:p bps value_of)
 
+let apply_delay d w =
+  if Delay.equal d Delay.zero then w
+  else
+    let envelope () = delay ~dmin:d.Delay.dmin ~dmax:d.Delay.dmax w in
+    match Delay.rise_fall d with
+    | None -> envelope ()
+    | Some (rise, fall) -> (
+      (* Exact per-edge delays on value-known (clock) paths; the
+         conservative envelope elsewhere (§4.2.2). *)
+      match delay_rise_fall ~rise ~fall w with
+      | Some w -> w
+      | None -> envelope ())
+
 let pulse_intervals v w =
   runs_where (Tvalue.equal v) ~period:w.period (pieces_arr w)
 

@@ -90,6 +90,12 @@ val delay_rise_fall :
     waveforms — the caller must fall back to the conservative envelope
     delay (the thesis's "use the longer of the two" rule). *)
 
+val apply_delay : Delay.t -> t -> t
+(** Propagate through an element or wire delay: {!delay} over the
+    envelope, or {!delay_rise_fall} when the delay carries a rise/fall
+    refinement and the waveform's values are known (§4.2.2).  A zero
+    delay returns the waveform itself. *)
+
 val materialize : t -> t
 (** Fold the skew window into the value list: every transition between
     values [a] and [b] nominally at [t] is replaced by a window

@@ -35,45 +35,7 @@ type t = {
   p_net : Bytes.t;           (* stable assertion statically satisfied *)
   p_contra : Bytes.t;        (* stable assertion statically contradicted *)
   mutable lane_eq : bool array;  (* per corner: window map equals corner 0's *)
-  by_scc : Netlist.inst list array;
 }
-
-(* ---- helpers shared with (duplicated from) the evaluator ---------------- *)
-
-let head_letter = function [] -> Directive.E | l :: _ -> l
-
-let wire_delay_of nl (n : Netlist.net) =
-  match n.Netlist.n_wire_delay with
-  | Some d -> d
-  | None -> Netlist.default_wire_delay nl
-
-let scaled f d = if f = 1.0 then d else Delay.scale f d
-
-(* Exactly Eval's delay application, so the reconstructed checker inputs
-   below are the very waveforms the evaluator derives. *)
-let apply_delay d wf =
-  if Delay.equal d Delay.zero then wf
-  else
-    let envelope () = Waveform.delay ~dmin:d.Delay.dmin ~dmax:d.Delay.dmax wf in
-    match Delay.rise_fall d with
-    | None -> envelope ()
-    | Some (rise, fall) -> (
-      match Waveform.delay_rise_fall ~rise ~fall wf with
-      | Some w -> w
-      | None -> envelope ())
-
-let enabling_value = function
-  | Primitive.And -> Tvalue.V1
-  | Primitive.Or -> Tvalue.V0
-  | Primitive.Xor -> Tvalue.V0
-  | Primitive.Chg -> Tvalue.Stable
-
-let gate_fold fn vs =
-  match fn with
-  | Primitive.And -> List.fold_left Tvalue.land_ Tvalue.V1 vs
-  | Primitive.Or -> List.fold_left Tvalue.lor_ Tvalue.V0 vs
-  | Primitive.Xor -> List.fold_left Tvalue.lxor_ Tvalue.V0 vs
-  | Primitive.Chg -> List.fold_left Tvalue.chg Tvalue.Stable vs
 
 (* ---- the window lattice -------------------------------------------------- *)
 
@@ -165,10 +127,10 @@ let wins_of_waveform ~period wf =
 
 let static_letter t (i : Netlist.inst) k =
   let cn = i.Netlist.i_inputs.(k) in
-  if cn.Netlist.c_directive <> [] then Some (head_letter cn.Netlist.c_directive)
+  if cn.Netlist.c_directive <> [] then Some (Directive.head cn.Netlist.c_directive)
   else
     match t.estr.(cn.Netlist.c_net) with
-    | Some s -> Some (head_letter s)
+    | Some s -> Some (Directive.head s)
     | None -> None
 
 let conn_kv t (cn : Netlist.conn) =
@@ -189,7 +151,7 @@ let in_w t c (i : Netlist.inst) k =
     match static_letter t i k with
     | Some l when Directive.zero_wire l -> base
     | (Some _ | None) as letter ->
-      let wd = scaled t.wscale.(c) (wire_delay_of t.nl n) in
+      let wd = Delay.scale t.wscale.(c) (Netlist.wire_delay t.nl n) in
       let lo = match letter with Some _ -> wd.Delay.dmin | None -> 0 in
       dilate_w ~period:t.period (lo, wd.Delay.dmax) base)
 
@@ -205,10 +167,10 @@ let elem_range t c delay zg =
   match zg with
   | Some true -> (0, 0)
   | Some false ->
-    let d = scaled t.dscale.(c) delay in
+    let d = Delay.scale t.dscale.(c) delay in
     (d.Delay.dmin, d.Delay.dmax)
   | None ->
-    let d = scaled t.dscale.(c) delay in
+    let d = Delay.scale t.dscale.(c) delay in
     (0, d.Delay.dmax)
 
 (* ---- the per-primitive window transfer ----------------------------------- *)
@@ -248,7 +210,7 @@ let transfer_wins t c (i : Netlist.inst) =
     let letters = List.init 3 (fun k -> static_letter t i k) in
     let zg = zero_gate_status letters in
     let elo, ehi = elem_range t c delay zg in
-    let se = scaled t.dscale.(c) select_extra in
+    let se = Delay.scale t.dscale.(c) select_extra in
     let a = dilate_w ~period (elo, ehi) (in_w t c i 0) in
     let b = dilate_w ~period (elo, ehi) (in_w t c i 1) in
     (* The select path carries [select_extra] unconditionally, and its
@@ -259,7 +221,7 @@ let transfer_wins t c (i : Netlist.inst) =
     in
     union_w ~period a (union_w ~period b s)
   | Primitive.Reg { delay; has_set_reset } ->
-    let d = scaled t.dscale.(c) delay in
+    let d = Delay.scale t.dscale.(c) delay in
     let er = (d.Delay.dmin, d.Delay.dmax) in
     (* The output moves only at clock edges (and on set/reset): the
        sampled data never contributes transitions of its own. *)
@@ -271,7 +233,7 @@ let transfer_wins t c (i : Netlist.inst) =
            (dilate_w ~period er (in_w t c i 3)))
     else ck
   | Primitive.Latch { delay; has_set_reset } ->
-    let d = scaled t.dscale.(c) delay in
+    let d = Delay.scale t.dscale.(c) delay in
     let er = (d.Delay.dmin, d.Delay.dmax) in
     let base =
       union_w ~period
@@ -345,7 +307,7 @@ let transfer_flags t (i : Netlist.inst) =
           List.mapi
             (fun k l ->
               if hz && not (Directive.check_hazard (Option.get l)) then
-                Some (enabling_value fn)
+                Some (Primitive.enabling_value fn)
               else conn_kv t ins.(k))
             letters
         in
@@ -362,7 +324,7 @@ let transfer_flags t (i : Netlist.inst) =
             Some z
           | _ ->
             if List.for_all Option.is_some vals then
-              Some (gate_fold fn (List.map Option.get vals))
+              Some (Primitive.gate_fold fn (List.map Option.get vals))
             else None
         in
         match folded with
@@ -436,11 +398,13 @@ let apply_inst t ~cyclic (i : Netlist.inst) =
    bottom-up relaxation, which would be unsound here (a self-sustaining
    oscillation is a concrete fixpoint above the least one). *)
 let run_scc t sid =
-  match t.by_scc.(sid) with
+  match Sched.members t.sched sid with
   | [] -> ()
-  | [ i ] when Sched.cyclic_slot t.sched i.Netlist.i_id < 0 ->
-    ignore (apply_inst t ~cyclic:false i)
-  | members ->
+  | [ id ] when Sched.cyclic_slot t.sched id < 0 ->
+    ignore (apply_inst t ~cyclic:false (Netlist.inst t.nl id))
+  | ids ->
+    (* descending id order: where the budget cuts off depends on it *)
+    let members = List.rev_map (Netlist.inst t.nl) ids in
     List.iter
       (fun (i : Netlist.inst) ->
         match i.Netlist.i_output with
@@ -474,7 +438,8 @@ let compute_constrained t =
     let changed = ref false in
     for sid = Sched.n_sccs t.sched - 1 downto 0 do
       List.iter
-        (fun (i : Netlist.inst) ->
+        (fun id ->
+          let i = Netlist.inst t.nl id in
           match i.Netlist.i_output with
           | None -> ()
           | Some o ->
@@ -483,7 +448,7 @@ let compute_constrained t =
                 t.constrained.(o) <- true;
                 changed := true
               end)
-        t.by_scc.(sid)
+        (Sched.members t.sched sid)
     done;
     if !changed then pass ()
   in
@@ -561,8 +526,10 @@ let exact_input t c (i : Netlist.inst) k =
   | None -> None
   | Some wf ->
     let wf = if cn.Netlist.c_invert then Waveform.map Tvalue.lnot wf else wf in
-    if Directive.zero_wire (head_letter cn.Netlist.c_directive) then Some wf
-    else Some (apply_delay (scaled t.wscale.(c) (wire_delay_of t.nl n)) wf)
+    if Directive.zero_wire (Directive.head cn.Netlist.c_directive) then Some wf
+    else
+      let wd = Delay.scale t.wscale.(c) (Netlist.wire_delay t.nl n) in
+      Some (Waveform.apply_delay wd wf)
 
 (* A sound over-approximation of the waveform seen through a connection:
    Change over the source windows dilated by the wire delay, Stable
@@ -585,7 +552,7 @@ let abstract_input t c (i : Netlist.inst) k =
       in
       let whi =
         if zero_w then 0
-        else (scaled t.wscale.(c) (wire_delay_of t.nl n)).Delay.dmax
+        else (Delay.scale t.wscale.(c) (Netlist.wire_delay t.nl n)).Delay.dmax
       in
       let ivals =
         List.filter_map
@@ -782,10 +749,6 @@ let analyse ?sched:sched_opt ?(case_nets = []) nl =
   let n_insts = Netlist.n_insts nl in
   let corners = Netlist.corners nl in
   let k = Array.length corners in
-  let by_scc = Array.make (max 1 (Sched.n_sccs sched)) [] in
-  Netlist.iter_insts nl (fun i ->
-      let s = Sched.scc sched i.Netlist.i_id in
-      by_scc.(s) <- i :: by_scc.(s));
   let t =
     {
       nl;
@@ -808,7 +771,6 @@ let analyse ?sched:sched_opt ?(case_nets = []) nl =
       p_net = Bytes.make (max 1 n_nets) '\000';
       p_contra = Bytes.make (max 1 n_nets) '\000';
       lane_eq = Array.make k true;
-      by_scc;
     }
   in
   List.iter
@@ -836,22 +798,18 @@ let update t ~dirty_nets =
   (* Sweep the forward cone only: a component is recomputed when one of
      its inputs (or its own output net — delay and directive edits) is
      dirty, and marks its outputs dirty when anything moved. *)
+  let touches id =
+    let i = Netlist.inst t.nl id in
+    Array.exists (fun (cn : Netlist.conn) -> dirty.(cn.Netlist.c_net)) i.Netlist.i_inputs
+    || match i.Netlist.i_output with Some o -> dirty.(o) | None -> false
+  in
   for sid = Sched.n_sccs t.sched - 1 downto 0 do
-    let members = t.by_scc.(sid) in
-    let touched =
-      List.exists
-        (fun (i : Netlist.inst) ->
-          Array.exists
-            (fun (cn : Netlist.conn) -> dirty.(cn.Netlist.c_net))
-            i.Netlist.i_inputs
-          || match i.Netlist.i_output with Some o -> dirty.(o) | None -> false)
-        members
-    in
-    if touched then begin
+    let members = Sched.members t.sched sid in
+    if List.exists touches members then begin
       let before =
         List.filter_map
-          (fun (i : Netlist.inst) ->
-            match i.Netlist.i_output with
+          (fun id ->
+            match (Netlist.inst t.nl id).Netlist.i_output with
             | Some o ->
               Some
                 ( o,
@@ -984,7 +942,7 @@ let out_lab t lab (i : Netlist.inst) =
       in
       let eff k =
         if hz && not (Directive.check_hazard (Option.get (List.nth letters k)))
-        then LK (enabling_value fn)
+        then LK (Primitive.enabling_value fn)
         else cl k
       in
       let effs = List.init n_inputs eff in
@@ -1003,7 +961,7 @@ let out_lab t lab (i : Netlist.inst) =
         if List.for_all (function LK _ -> true | _ -> false) effs then
           LK
             (inv
-               (gate_fold fn
+               (Primitive.gate_fold fn
                   (List.map (function LK v -> v | _ -> assert false) effs)))
         else
           LInfl
@@ -1075,7 +1033,8 @@ let case_signature t case =
       case;
     for sid = Sched.n_sccs t.sched - 1 downto 0 do
       List.iter
-        (fun (i : Netlist.inst) ->
+        (fun id ->
+          let i = Netlist.inst t.nl id in
           match i.Netlist.i_output with
           | None -> ()
           | Some o ->
@@ -1084,7 +1043,7 @@ let case_signature t case =
                 (fun (cn : Netlist.conn) -> lab.(cn.Netlist.c_net) <> None)
                 i.Netlist.i_inputs
             then lab.(o) <- Some (adjust_case cmap o (out_lab t lab i)))
-        t.by_scc.(sid)
+        (Sched.members t.sched sid)
     done;
     let buf = Buffer.create 64 in
     for id = 0 to n - 1 do

@@ -289,28 +289,22 @@ let local_inst_hash (i : Netlist.inst) =
     i.i_inputs;
   mix_str fnv_basis (Buffer.contents b)
 
-(* What a cone fingerprint is computed from: the condensation, its
-   components' members, and every net's and instance's local hash. *)
+(* What a cone fingerprint is computed from: the condensation (whose
+   component members it walks) and every net's and instance's local
+   hash. *)
 type hashes = {
   h_sched : Sched.t;
-  h_members : int list array;  (* instances of each component *)
   h_net : int64 array;
   h_inst : int64 array;
 }
 
 let hashes ?sched nl =
   let s = match sched with Some s -> s | None -> Sched.compute nl in
-  let n_insts = Netlist.n_insts nl in
-  let members = Array.make (max 1 (Sched.n_sccs s)) [] in
-  for id = n_insts - 1 downto 0 do
-    let c = Sched.scc s id in
-    members.(c) <- id :: members.(c)
-  done;
   {
     h_sched = s;
-    h_members = members;
     h_net = Array.init (Netlist.n_nets nl) (fun id -> local_net_hash (Netlist.net nl id));
-    h_inst = Array.init n_insts (fun id -> local_inst_hash (Netlist.inst nl id));
+    h_inst =
+      Array.init (Netlist.n_insts nl) (fun id -> local_inst_hash (Netlist.inst nl id));
   }
 
 (* Hash one component's output nets, given final fingerprints for every
@@ -328,7 +322,7 @@ let finish_component nl h fp set c =
       done;
       set o (mix_i64 !acc h.h_net.(o))
   in
-  match h.h_members.(c) with
+  match Sched.members h.h_sched c with
   | [] -> ()
   | [ inst_id ] when Sched.cyclic_slot h.h_sched inst_id < 0 ->
     finish_inst ~intra:(fun _ -> false) ~seed:0L inst_id

@@ -45,11 +45,9 @@ let load ?(cases = []) ?probe ?content nl =
   let sched = Sched.compute nl in
   let ix = Fingerprint.index ?content ~sched nl in
   let case_nets = resolved_case_nets nl cases in
-  let flow = Flow.analyse ~sched ~case_nets nl in
   let window = Window.analyse ~sched ~case_nets nl in
-  let report =
-    Verifier.verify ~cases ~jobs:1 ?probe ~analysis:(sched, flow) ~window nl
-  in
+  (* the verifier evaluates over the window table's schedule *)
+  let report = Verifier.verify ~cases ~jobs:1 ?probe ~window nl in
   let ev = report.Verifier.r_eval in
   let t =
     {
@@ -177,12 +175,13 @@ let reverify ?(carry_counters = true) t =
     t.s_window <- Window.analyse ~sched:t.s_sched ~case_nets:t.s_case_nets nl;
     window_rebuilt := true
   in
-  if not (Corner.table_equal (Eval.corners t.s_ev) (Netlist.corners nl)) then begin
+  let fresh = not (Corner.table_equal (Eval.corners t.s_ev) (Netlist.corners nl)) in
+  if fresh then begin
     (* the lane count is baked into the window table too *)
     reanalyse_window ();
-    let fresh = Eval.create ~sched:t.s_sched ~window:t.s_window nl in
-    Eval.set_event_hook fresh (Eval.event_hook t.s_ev);
-    t.s_ev <- fresh
+    let ev = Eval.create ~sched:t.s_sched ~window:t.s_window nl in
+    Eval.set_event_hook ev (Eval.event_hook t.s_ev);
+    t.s_ev <- ev
   end
   else if !new_cases <> None then begin
     (* the volatile-net set is baked into the window table *)
@@ -237,12 +236,17 @@ let reverify ?(carry_counters = true) t =
   (* 2. thaw exactly the dirty cone, freeze everything else; then
      re-apply the window freeze from the just-updated proofs — checkers
      still proven stay statically served even inside the thawed cone,
-     checkers no longer proven thaw and re-check *)
+     checkers no longer proven thaw and re-check.  A fresh evaluator
+     holds no fixpoint to keep: its first run evaluates every instance,
+     sources with no inputs (a ZERO or ONE) included, which no fanout
+     closure ever reaches. *)
   let net_dirty =
     span "cone" (fun () ->
         let inst_dirty, net_dirty = dirty_cone nl ~seed_nets ~seed_insts in
-        Eval.refreeze ev ~active:(fun id -> inst_dirty.(id));
-        Eval.rewindow ev;
+        if not fresh then begin
+          Eval.refreeze ev ~active:(fun id -> inst_dirty.(id));
+          Eval.rewindow ev
+        end;
         net_dirty)
   in
   (* 3. inject the edits into the evaluator: bump stamps, wake cones;

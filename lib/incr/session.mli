@@ -9,10 +9,11 @@
     + computes the {e dirty cone} — the forward closure, over the
       instance graph, of every edited net plus the nets mapped by any
       (old or new) case group;
-    + re-freezes the evaluator so only the dirty cone is live (the
-      PR-5 freeze path, {!Scald_core.Eval.refreeze}), and bumps
-      generation stamps only inside it, so every generation-keyed cache
-      outside the cone keeps its value;
+    + re-freezes the evaluator so only the dirty cone is live
+      ({!Scald_core.Eval.refreeze}), and bumps generation stamps only
+      inside it, so every generation-keyed cache outside the cone keeps
+      its value (a corners edit swaps in a fresh evaluator instead,
+      which evaluates every instance);
     + replays the case sweep, whose check passes re-derive only the
       verdicts whose input stamps moved (the evaluator's per-lane
       verdict memo, {!Scald_core.Eval.check});
@@ -55,7 +56,7 @@ val load :
   Netlist.t ->
   t
 (** Cold-start a session: verify the netlist sequentially, computing the
-    schedule and flow analysis once, to be shared by every later
+    schedule and window analysis once, to be shared by every later
     request.
 
     [content], when given, is the netlist's {!Fingerprint.content},
@@ -80,7 +81,9 @@ val reverify : ?carry_counters:bool -> t -> Verifier.report * stats
     block carries: the session's {e cumulative} counters — so a
     multi-run session reports totals, the metrics a service wants — or,
     when [false], this request's counters alone.  {!stats} always holds
-    the per-request numbers; {!cumulative} always holds the totals. *)
+    the per-request numbers; {!cumulative} always holds the totals.
+    A request's [os_pruned_evals] is [0] unless an enqueue fell outside
+    the dirty cone — a cone that missed part of the edit's effect. *)
 
 val stage : t -> Edit.t -> unit
 (** Stage an edit for the next {!reverify}.  Edits apply in stage

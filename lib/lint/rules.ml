@@ -109,14 +109,7 @@ let delay_dmax (prim : Primitive.t) =
   | Primitive.Min_pulse_width _ | Primitive.Const _ ->
     0
 
-let wire_dmax nl id =
-  let n = Netlist.net nl id in
-  let d =
-    match n.Netlist.n_wire_delay with
-    | Some d -> d
-    | None -> Netlist.default_wire_delay nl
-  in
-  d.Delay.dmax
+let wire_dmax nl id = (Netlist.wire_delay nl (Netlist.net nl id)).Delay.dmax
 
 (* ---- completeness rules --------------------------------------------------- *)
 

@@ -42,15 +42,10 @@ let prim_delay (p : Primitive.t) ~input_index =
   | Primitive.Min_pulse_width _ | Primitive.Const _ ->
     Delay.zero
 
-let wire_delay nl (n : Netlist.net) =
-  match n.Netlist.n_wire_delay with
-  | Some d -> d
-  | None -> Netlist.default_wire_delay nl
-
 (* Outgoing combinational edges from a net. *)
 let edges_from nl net_id =
   let n = Netlist.net nl net_id in
-  let wire = wire_delay nl n in
+  let wire = Netlist.wire_delay nl n in
   List.filter_map
     (fun inst_id ->
       let inst = Netlist.inst nl inst_id in
@@ -120,7 +115,7 @@ type full_path = {
    combined), for the probabilistic analysis. *)
 let full_edges_from nl net_id =
   let n = Netlist.net nl net_id in
-  let wire = wire_delay nl n in
+  let wire = Netlist.wire_delay nl n in
   List.filter_map
     (fun inst_id ->
       let inst = Netlist.inst nl inst_id in
@@ -262,7 +257,7 @@ module Corr = struct
       if List.mem net_id visited then 0
       else
         let n = Netlist.net nl net_id in
-        let wire = Delay.spread (wire_delay nl n) in
+        let wire = Delay.spread (Netlist.wire_delay nl n) in
         match n.Netlist.n_driver with
         | None -> (
           match n.Netlist.n_assertion with

@@ -559,7 +559,7 @@ let test_span_lanes () =
 (* ---- metrics/3: requests counter and duplicate-key rejection ---------------- *)
 
 let test_metrics_requests_and_dups () =
-  Alcotest.(check string) "schema id" "scald-metrics/5" Counters.schema_version;
+  Alcotest.(check string) "schema id" "scald-metrics/6" Counters.schema_version;
   let nl = two_buf_circuit () in
   let report = Verifier.verify nl in
   let m = Counters.of_report report in
@@ -568,7 +568,7 @@ let test_metrics_requests_and_dups () =
   Alcotest.(check bool) "requests serialized" true
     (contains (Counters.to_json m) "\"requests\"");
   Alcotest.(check bool) "schema id serialized" true
-    (contains (Counters.to_json m) "scald-metrics/5");
+    (contains (Counters.to_json m) "scald-metrics/6");
   let m = Counters.of_report ~extra:[ ("incr_requests", 7) ] report in
   Alcotest.(check int) "extra appended" 7 (Counters.counter m "incr_requests");
   Alcotest.check_raises "extra colliding with a builtin"

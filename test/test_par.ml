@@ -94,8 +94,9 @@ let slow_loop () =
   nl
 
 (* The FIFO reference discipline as a schedule: under [Sched.flat] the
-   evaluator dequeues in plain FIFO order.  The static analyses still
-   see the real structure, exactly as a default run computes them. *)
+   evaluator dequeues in plain FIFO order.  The window analysis still
+   sees the real structure, exactly as a default run computes it.  The
+   verifier reads only the schedule half of [~analysis]. *)
 let verify_flat ?(cases = []) ?(jobs = 1) ?corners nl =
   Option.iter (Netlist.set_corners nl) corners;
   let case_nets =
@@ -103,7 +104,7 @@ let verify_flat ?(cases = []) ?(jobs = 1) ?corners nl =
   in
   let sched = Sched.compute nl in
   Verifier.verify ~cases ~jobs
-    ~analysis:(Sched.flat nl, Flow.analyse ~sched ~case_nets nl)
+    ~analysis:(Sched.flat nl, Flow.analyse ~sched nl)
     ~window:(Window.analyse ~sched ~case_nets nl)
     nl
 
@@ -206,6 +207,10 @@ type recipe = {
   rc_gates : (int * int * int) list;
 }
 
+let print_recipe r =
+  Printf.sprintf "seed %d, %d inputs, %d gates" r.rc_seed r.rc_n_inputs
+    (List.length r.rc_gates)
+
 let gen_recipe =
   let open QCheck.Gen in
   let gen =
@@ -217,11 +222,7 @@ let gen_recipe =
     in
     return { rc_seed; rc_n_inputs; rc_gates = raw }
   in
-  QCheck.make
-    ~print:(fun r ->
-      Printf.sprintf "seed %d, %d inputs, %d gates" r.rc_seed r.rc_n_inputs
-        (List.length r.rc_gates))
-    gen
+  QCheck.make ~print:print_recipe gen
 
 let input_name i = Printf.sprintf "IN%d .S0-6" i
 
@@ -261,6 +262,43 @@ let recipe_cases r =
   Case_analysis.complete_exn
     (List.init (min 2 r.rc_n_inputs) input_name)
 
+(* Generated 120-chip designs, with complete case analysis over their
+   first two primary inputs. *)
+let netgen_nl seed =
+  (Netgen.to_netlist (Netgen.generate (Netgen.scaled ~seed ~chips:120 ())))
+    .Scald_sdl.Expander.e_netlist
+
+let netgen_cases nl =
+  let inputs = ref [] in
+  Netlist.iter_nets nl (fun n ->
+      if List.length !inputs < 2
+         && String.length n.Netlist.n_name >= 3
+         && String.sub n.Netlist.n_name 0 3 = "IN "
+      then inputs := n.Netlist.n_name :: !inputs);
+  Case_analysis.complete_exn (List.rev !inputs)
+
+(* A random gate network, or now and then a netgen design (registers,
+   latches, muxes, window-proven checkers), each with its case list. *)
+type design = Recipe of recipe | Netgen of int
+
+let gen_design =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(function
+      | Recipe r -> print_recipe r
+      | Netgen seed -> Printf.sprintf "netgen seed %d" seed)
+    (frequency
+       [
+         (4, map (fun r -> Recipe r) (QCheck.gen gen_recipe));
+         (1, map (fun seed -> Netgen seed) (int_range 1 1000));
+       ])
+
+let design_cases = function
+  | Recipe r -> recipe_cases r
+  | Netgen seed -> netgen_cases (netgen_nl seed)
+
+let build_design = function Recipe r -> build_recipe r | Netgen seed -> netgen_nl seed
+
 let waveforms nl ev =
   Array.to_list (Netlist.nets nl)
   |> List.map (fun (n : Netlist.net) -> Eval.value ev n.Netlist.n_id)
@@ -281,12 +319,12 @@ let properties =
               (waveforms fresh_nl fresh)
             && Eval.check warm = Eval.check fresh)
           cases);
-    prop "verify ~jobs:N equals ~jobs:1 on random netlists" gen_recipe (fun r ->
-        let cases = recipe_cases r in
-        let r1 = Verifier.verify ~cases (build_recipe r) in
+    prop "verify ~jobs:N equals ~jobs:1 on random netlists" gen_design (fun d ->
+        let cases = design_cases d in
+        let r1 = Verifier.verify ~cases (build_design d) in
         List.for_all
           (fun jobs ->
-            reports_equal r1 (Verifier.verify ~cases ~jobs (build_recipe r)))
+            reports_equal r1 (Verifier.verify ~cases ~jobs (build_design d)))
           [ 2; 4 ]);
   ]
 

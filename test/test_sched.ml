@@ -257,8 +257,8 @@ let check_pinned name build cases ~events ~evaluations ~flat_extra =
 let test_pinned_counts () =
   check_pinned "s1_subset" s1_subset (s1_subset_cases ()) ~events:28 ~evaluations:36
     ~flat_extra:0;
-  let nl () = Test_flow.netgen_nl 1 in
-  check_pinned "netgen 120 chips" nl (Test_flow.netgen_cases (nl ())) ~events:191
+  let nl () = Test_par.netgen_nl 1 in
+  check_pinned "netgen 120 chips" nl (Test_par.netgen_cases (nl ())) ~events:191
     ~evaluations:222 ~flat_extra:30
 
 (* ---- properties ----------------------------------------------------------------- *)

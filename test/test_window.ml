@@ -22,18 +22,8 @@ let net_id nl name =
   | Some id -> id
   | None -> Alcotest.failf "no net %s" name
 
-let netgen_nl seed =
-  (Netgen.to_netlist (Netgen.generate (Netgen.scaled ~seed ~chips:120 ())))
-    .Scald_sdl.Expander.e_netlist
-
-let netgen_cases nl =
-  let inputs = ref [] in
-  Netlist.iter_nets nl (fun n ->
-      if List.length !inputs < 2
-         && String.length n.Netlist.n_name >= 3
-         && String.sub n.Netlist.n_name 0 3 = "IN "
-      then inputs := n.Netlist.n_name :: !inputs);
-  Case_analysis.complete_exn (List.rev !inputs)
+let netgen_nl = Test_par.netgen_nl
+let netgen_cases = Test_par.netgen_cases
 
 (* ---- modular containment: a materialized change window inside wins ---- *)
 
@@ -371,6 +361,21 @@ let test_counters_surface () =
   Alcotest.(check bool) "pruning skips checker work" true
     (r.Verifier.r_evaluations < off.Verifier.r_evaluations)
 
+(* ---- the arrival-window listing ------------------------------------------- *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* What [scald_tv --windows] prints. *)
+let test_windows_golden name () =
+  let nl = load (read_file (Printf.sprintf "../examples/%s.sdl" name)) in
+  let actual = Format.asprintf "%a@." Window.pp_windows (Window.analyse nl) in
+  let golden = read_file (Printf.sprintf "golden/%s_windows.txt" name) in
+  Alcotest.(check string) (name ^ " window listing snapshot") golden actual
+
 let suite =
   [
     Alcotest.test_case "seed windows" `Quick test_seed_windows;
@@ -383,4 +388,9 @@ let suite =
     test_case_signature_soundness;
     test_update_matches_fresh;
     Alcotest.test_case "counters surface" `Quick test_counters_surface;
+    Alcotest.test_case "s1_subset window listing snapshot" `Quick
+      (test_windows_golden "s1_subset");
+    Alcotest.test_case "cdc window listing snapshot" `Quick (test_windows_golden "cdc");
+    Alcotest.test_case "vacuous window listing snapshot" `Quick
+      (test_windows_golden "vacuous");
   ]
