@@ -1236,7 +1236,7 @@ let telemetry_overhead () =
 
 (* ---- capacity: arena netlist at 100k/1M primitives ---------------------------------- *)
 
-(* Measures the representation itself — generate, stream-expand into the
+(* Measures the representation itself — generate, expand into the
    arena netlist, relax to a fixpoint — and gates bytes-per-primitive
    and evals/sec against the pre-arena pointer-heavy layout (measured at
    the same smoke scale with the identical flow, commit 36945d4).  The
@@ -1280,9 +1280,8 @@ let capacity () =
   Printf.printf "  %-44s %10d\n" "chips" (Netgen.n_chips design);
   Printf.printf "  %-44s %10d\n" "primitives" prims;
   Printf.printf "  %-44s %10d\n" "nets" (Netlist.n_nets nl);
-  Printf.printf "  %-44s %10.2f s%s\n" "generate" t_gen
-    (if e.Scald_sdl.Expander.e_streamed then "" else "  (NOT streamed!)");
-  Printf.printf "  %-44s %10.2f s\n" "load (streaming expansion)" t_load;
+  Printf.printf "  %-44s %10.2f s\n" "generate" t_gen;
+  Printf.printf "  %-44s %10.2f s\n" "load" t_load;
   Printf.printf "  %-44s %10.1f\n" "netlist live bytes/primitive" live_load;
   let ev = Eval.create nl in
   let (), t_eval = wall_timed (fun () -> Eval.run ev) in

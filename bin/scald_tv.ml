@@ -33,12 +33,7 @@ let run file case_file jobs corners summary xref quiet paths corr_advice prob
     match obs with None -> f () | Some o -> Scald_obs.Obs.span o name f
   in
   let src = span "read" (fun () -> read_file file) in
-  let expanded =
-    match span "parse" (fun () -> Scald_sdl.Parser.parse src) with
-    | Error e -> Error e
-    | Ok ast -> span "expand" (fun () -> Scald_sdl.Expander.expand ast)
-  in
-  match expanded with
+  match span "expand" (fun () -> Scald_sdl.Expander.load src) with
   | Error msg ->
     Format.eprintf "%s: %s@." file msg;
     1
@@ -92,6 +87,24 @@ let run file case_file jobs corners summary xref quiet paths corr_advice prob
       if lint_failed then 3 else 0
     end
     else begin
+    (* A bad cases file is a design error: every case is parsed and
+       resolved against the netlist before anything is evaluated. *)
+    let cases =
+      match case_file with
+      | None -> Ok []
+      | Some cf -> (
+        match Case_analysis.parse (read_file cf) with
+        | Error msg -> Error (cf, msg)
+        | Ok cases -> (
+          match List.iter (fun c -> ignore (Case_analysis.resolve nl c)) cases with
+          | () -> Ok cases
+          | exception Invalid_argument msg -> Error (cf, msg)))
+    in
+    match cases with
+    | Error (cf, msg) ->
+      Format.eprintf "%s: %s@." cf msg;
+      1
+    | Ok cases ->
     (* The packaged-design mode (§2.5.3): compute interconnection
        delays from placement and routing before verifying. *)
     let phys_violations = ref [] in
@@ -100,11 +113,6 @@ let run file case_file jobs corners summary xref quiet paths corr_advice prob
       Format.printf "@.%a@." Physical.pp pr;
       phys_violations := Physical.violations pr
     end;
-    let cases =
-      match case_file with
-      | None -> []
-      | Some cf -> Case_analysis.parse_exn (read_file cf)
-    in
     let report =
       Verifier.verify
         ?probe:(Option.map Scald_obs.Obs.probe obs)

@@ -1,10 +1,22 @@
 type case = (string * Tvalue.t) list
 
 let parse text =
-  let groups = String.split_on_char ';' text in
+  (* An error names the line of the assignment it is about: the first
+     non-blank character of [piece], which starts at offset [pos]. *)
+  let error pos piece msg =
+    let rec blanks i =
+      if i < String.length piece && String.contains " \t\r\n" piece.[i] then blanks (i + 1)
+      else i
+    in
+    let line = ref 1 in
+    for i = 0 to pos + blanks 0 - 1 do
+      if text.[i] = '\n' then incr line
+    done;
+    Error (Printf.sprintf "line %d: %s" !line msg)
+  in
   let parse_assignment s =
     match String.index_opt s '=' with
-    | None -> Error (Printf.sprintf "case assignment missing '=': %S" (String.trim s))
+    | None -> Error (Printf.sprintf "case assignment missing '=': %S" s)
     | Some i ->
       let name = String.trim (String.sub s 0 i) in
       let value = String.trim (String.sub s (i + 1) (String.length s - i - 1)) in
@@ -15,36 +27,37 @@ let parse text =
         | "1" -> Ok (name, Tvalue.V1)
         | v -> Error (Printf.sprintf "case value must be 0 or 1, got %S" v))
   in
-  let parse_group g =
-    let parts =
-      String.split_on_char ',' g |> List.map String.trim |> List.filter (fun s -> s <> "")
-    in
+  (* [pos] is the offset of group [g] in the text. *)
+  let parse_group pos g =
     (* A signal assigned twice within one case is a specification error:
        the evaluator would silently let the last write win. *)
-    let rec go acc = function
+    let rec go acc pos = function
       | [] -> Ok (List.rev acc)
       | p :: rest -> (
-        match parse_assignment p with
-        | Error e -> Error e
-        | Ok ((name, _) as a) ->
-          if List.mem_assoc name acc then
-            Error
-              (Printf.sprintf "duplicate assignment for signal %S within one case" name)
-          else go (a :: acc) rest)
+        let next = pos + String.length p + 1 in
+        let s = String.trim p in
+        if s = "" then go acc next rest
+        else
+          match parse_assignment s with
+          | Error e -> error pos p e
+          | Ok ((name, _) as a) ->
+            if List.mem_assoc name acc then
+              error pos p
+                (Printf.sprintf "duplicate assignment for signal %S within one case" name)
+            else go (a :: acc) next rest)
     in
-    go [] parts
+    go [] pos (String.split_on_char ',' g)
   in
-  let rec go acc = function
+  let rec go acc pos = function
     | [] -> Ok (List.rev acc)
     | g :: rest -> (
-      if String.trim g = "" then go acc rest
-      else
-        match parse_group g with
-        | Ok [] -> go acc rest
-        | Ok c -> go (c :: acc) rest
-        | Error e -> Error e)
+      let next = pos + String.length g + 1 in
+      match parse_group pos g with
+      | Ok [] -> go acc next rest
+      | Ok c -> go (c :: acc) next rest
+      | Error e -> Error e)
   in
-  go [] groups
+  go [] 0 (String.split_on_char ';' text)
 
 let parse_exn text =
   match parse text with Ok cs -> cs | Error e -> invalid_arg ("Case_analysis.parse: " ^ e)

@@ -20,7 +20,8 @@ type case = (string * Tvalue.t) list
 val parse : string -> (case list, string) result
 (** Parse a case-specification text.  A signal assigned twice within
     one case group (["A = 0, A = 1;"]) is rejected — the evaluator
-    would otherwise silently let the last write win. *)
+    would otherwise silently let the last write win.  An error message
+    starts with ["line N: "], the line of the bad assignment. *)
 
 val parse_exn : string -> case list
 

@@ -297,8 +297,7 @@ let session_fields s =
 let do_load t j =
   let* src = source_of j in
   let* cases = cases_of j in
-  let* ast = Scald_sdl.Parser.parse src in
-  let* { Scald_sdl.Expander.e_netlist = nl; _ } = Scald_sdl.Expander.expand ast in
+  let* { Scald_sdl.Expander.e_netlist = nl; _ } = Scald_sdl.Expander.load src in
   let probe =
     if t.sv_telemetry then Some (Scald_obs.Obs.probe t.sv_obs) else None
   in

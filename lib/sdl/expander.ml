@@ -12,7 +12,6 @@ type expansion = {
   e_summary : summary;
   e_pass1_s : float;
   e_pass2_s : float;
-  e_streamed : bool;
 }
 
 exception Expand_error of string
@@ -129,7 +128,7 @@ let param_base name =
   in
   String.trim (String.sub name 0 stop)
 
-(* ---- settings --------------------------------------------------------------- *)
+(* ---- pass 1: declarations ----------------------------------------------------- *)
 
 type settings = {
   mutable period_ns : float option;
@@ -154,31 +153,20 @@ let corner_table_of entries =
   | tbl -> tbl
   | exception Invalid_argument m -> fail "CORNERS: %s" m
 
-let apply_corners settings nl =
-  match settings.corners with
-  | None -> ()
-  | Some entries -> Netlist.set_corners nl (corner_table_of entries)
-
-let collect_settings design =
-  let s =
-    { period_ns = None; clock_unit_ns = None; default_wire = (0.0, 2.0);
-      wire_rule = None; corners = None; macros = Hashtbl.create 16 }
-  in
-  List.iter
-    (fun stmt ->
-      match stmt with
-      | Ast.Period p -> s.period_ns <- Some p
-      | Ast.Clock_unit u -> s.clock_unit_ns <- Some u
-      | Ast.Default_wire (a, b) -> s.default_wire <- (a, b)
-      | Ast.Wire_rule (base, per_load) -> s.wire_rule <- Some (base, per_load)
-      | Ast.Corners cs -> s.corners <- Some cs
-      | Ast.Macro m ->
-        if Hashtbl.mem s.macros m.Ast.m_name then
-          fail "line %d: macro %S defined twice" m.Ast.m_line m.Ast.m_name;
-        Hashtbl.add s.macros m.Ast.m_name m
-      | Ast.Wire_delay _ | Ast.Width_decl _ | Ast.Top_instance _ -> ())
-    design;
-  s
+(* Pass 1 reads one statement: the declarations every instance may
+   depend on, wherever they stand in the text. *)
+let declare s stmt =
+  match stmt with
+  | Ast.Period p -> s.period_ns <- Some p
+  | Ast.Clock_unit u -> s.clock_unit_ns <- Some u
+  | Ast.Default_wire (a, b) -> s.default_wire <- (a, b)
+  | Ast.Wire_rule (base, per_load) -> s.wire_rule <- Some (base, per_load)
+  | Ast.Corners cs -> s.corners <- Some cs
+  | Ast.Macro m ->
+    if Hashtbl.mem s.macros m.Ast.m_name then
+      fail "line %d: macro %S defined twice" m.Ast.m_line m.Ast.m_name;
+    Hashtbl.add s.macros m.Ast.m_name m
+  | Ast.Wire_delay _ | Ast.Width_decl _ | Ast.Top_instance _ -> ()
 
 (* ---- resolved signal references ------------------------------------------------ *)
 
@@ -315,59 +303,55 @@ let classify_head settings line head props =
     | Some m -> Macro_call m
     | None -> fail "line %d: unknown primitive or macro %S" line head)
 
-(* ---- pass 1: summary and synonym resolution ------------------------------------------ *)
+(* ---- pass 2: netlist construction ------------------------------------------------------- *)
 
-(* Union-find over signal names. *)
-module Synonyms = struct
-  type t = (string, string) Hashtbl.t
-
-  let create () : t = Hashtbl.create 64
-
-  let rec find t name =
-    match Hashtbl.find_opt t name with
-    | None -> name
-    | Some parent ->
-      let root = find t parent in
-      if root <> parent then Hashtbl.replace t name root;
-      root
-
-  let union t a b =
-    let ra = find t a and rb = find t b in
-    if ra <> rb then Hashtbl.replace t ra rb
-end
-
-type pass1 = {
-  mutable p1_macros : int;
-  mutable p1_primitives : int;
-  mutable p1_synonyms : int;
-  (* [None] in streaming mode: the distinct-signal count is read off the
-     netlist instead, and the synonym structure (whose path-qualified
-     keys dominate the walker's live allocation) reduces to the counter
-     above. *)
-  p1_signals : (string, unit) Hashtbl.t option;
-  p1_syn : Synonyms.t option;
+type counts = {
+  mutable c_macros : int;
+  mutable c_synonyms : int;
 }
+
+let conn_of_binding nl b =
+  let directive =
+    match b.b_directive with
+    | None -> []
+    | Some d -> Directive.of_string_exn d
+  in
+  let id = Netlist.signal nl b.b_name in
+  if b.b_local then Netlist.set_wire_delay nl id Delay.zero;
+  Netlist.conn ~invert:b.b_complement ~directive id
+
+let emit nl line head prim args outs =
+  let inputs = List.map (conn_of_binding nl) args in
+  let output =
+    match outs with
+    | [] -> None
+    | [ o ] ->
+      if o.b_complement then fail "line %d: complemented output is not supported" line
+      else Some (Netlist.signal nl o.b_name)
+    | _ -> fail "line %d: primitives have at most one output" line
+  in
+  ignore (Netlist.add nl ~name:(Printf.sprintf "%s.%d" head line) prim ~inputs ~output)
 
 let max_depth = 64
 
-(* Walk the hierarchy once; [emit] is called for every fully resolved
-   primitive instance.  Shared by both passes. *)
-let rec walk_instance settings frame depth stats emit (inst : Ast.instance) =
-  if depth > max_depth then
-    fail "line %d: macro expansion deeper than %d (recursive macro?)" inst.Ast.i_line
-      max_depth;
+(* Expand one instance into [nl]: a primitive is emitted at once, a
+   macro call walks its body under a frame that binds each formal to
+   its actual.  A library rejection (a bad delay pair, directive or
+   signal name) is reported at the instance's own line — for a nested
+   instance, its line in the macro body. *)
+let rec walk_instance settings nl counts frame depth (inst : Ast.instance) =
   let line = inst.Ast.i_line in
+  if depth > max_depth then
+    fail "line %d: macro expansion deeper than %d (recursive macro?)" line max_depth;
   let args = List.map (resolve_sigref frame line) inst.Ast.i_args in
   let outs = List.map (resolve_sigref frame line) inst.Ast.i_outs in
   match classify_head settings line inst.Ast.i_head inst.Ast.i_props with
-  | P prim ->
-    stats.p1_primitives <- stats.p1_primitives + 1;
-    (match stats.p1_signals with
-    | None -> ()
-    | Some tbl -> List.iter (fun b -> Hashtbl.replace tbl b.b_name ()) (args @ outs));
-    emit line inst.Ast.i_head prim args outs
+  | exception Invalid_argument msg -> fail "line %d: %s" line msg
+  | P prim -> (
+    try emit nl line inst.Ast.i_head prim args outs
+    with Invalid_argument msg -> fail "line %d: %s" line msg)
   | Macro_call m ->
-    stats.p1_macros <- stats.p1_macros + 1;
+    counts.c_macros <- counts.c_macros + 1;
     let env =
       List.filter_map
         (fun (p : Ast.prop) ->
@@ -384,16 +368,8 @@ let rec walk_instance settings frame depth stats emit (inst : Ast.instance) =
       List.map2
         (fun (formal : Ast.sigref) actual ->
           let fname = substitute_subscripts env m.Ast.m_line formal.Ast.name in
-          let base = param_base fname in
-          (* Record the synonym between the formal (path-qualified) and
-             the actual signal name. *)
-          (match stats.p1_syn with
-          | None -> ()
-          | Some syn ->
-            let qualified = frame.f_path ^ "$" ^ m.Ast.m_name ^ "$" ^ fname in
-            Synonyms.union syn qualified actual.b_name);
-          stats.p1_synonyms <- stats.p1_synonyms + 1;
-          (base, actual))
+          counts.c_synonyms <- counts.c_synonyms + 1;
+          (param_base fname, actual))
         m.Ast.m_params actuals
     in
     let frame' =
@@ -403,23 +379,22 @@ let rec walk_instance settings frame depth stats emit (inst : Ast.instance) =
         f_path = Printf.sprintf "%s$%s.%d" frame.f_path m.Ast.m_name line;
       }
     in
-    List.iter (walk_instance settings frame' (depth + 1) stats emit) m.Ast.m_body
+    List.iter (walk_instance settings nl counts frame' (depth + 1)) m.Ast.m_body
 
-(* ---- pass 2: netlist construction ------------------------------------------------------- *)
+(* ---- the two reads ------------------------------------------------------------------------ *)
 
-let conn_of_binding nl b =
-  let directive =
-    match b.b_directive with
-    | None -> []
-    | Some d -> Directive.of_string_exn d
-  in
-  let id = Netlist.signal nl b.b_name in
-  if b.b_local then Netlist.set_wire_delay nl id Delay.zero;
-  Netlist.conn ~invert:b.b_complement ~directive id
-
-let expand ?defaults design =
+(* A statement source feeds each statement of a design to a callback, in
+   textual order; it is read once per pass. *)
+let run ?defaults (source : (Ast.top_stmt -> unit) -> (unit, string) result) =
+  let ( let* ) = Result.bind in
   try
-    let settings = collect_settings design in
+    let settings =
+      { period_ns = None; clock_unit_ns = None; default_wire = (0.0, 2.0);
+        wire_rule = None; corners = None; macros = Hashtbl.create 16 }
+    in
+    let t0 = Sys.time () in
+    let* () = source (declare settings) in
+    let pass1_s = Sys.time () -. t0 in
     let period_ns =
       match settings.period_ns with
       | Some p -> p
@@ -430,65 +405,32 @@ let expand ?defaults design =
     in
     let tb = Timebase.make ~period_ns ~clock_unit_ns in
     let wmin, wmax = settings.default_wire in
-    let run_pass emit =
-      let stats =
-        {
-          p1_macros = 0;
-          p1_primitives = 0;
-          p1_synonyms = 0;
-          p1_signals = Some (Hashtbl.create 64);
-          p1_syn = Some (Synonyms.create ());
-        }
-      in
-      List.iter
-        (fun stmt ->
+    let nl = Netlist.create tb ?defaults ~default_wire_delay:(Delay.of_ns wmin wmax) in
+    let counts = { c_macros = 0; c_synonyms = 0 } in
+    let deferred = ref [] in
+    let t0 = Sys.time () in
+    let* () =
+      source (fun stmt ->
           match stmt with
-          | Ast.Top_instance i -> walk_instance settings top_frame 0 stats emit i
+          | Ast.Top_instance i -> walk_instance settings nl counts top_frame 0 i
+          | Ast.Wire_delay _ | Ast.Width_decl _ -> deferred := stmt :: !deferred
           | Ast.Period _ | Ast.Clock_unit _ | Ast.Default_wire _ | Ast.Wire_rule _
-          | Ast.Wire_delay _ | Ast.Width_decl _ | Ast.Corners _ | Ast.Macro _ ->
+          | Ast.Corners _ | Ast.Macro _ ->
             ())
-        design;
-      stats
     in
-    (* Pass 1: summary listing and synonym structure only. *)
-    let t0 = Sys.time () in
-    let stats1 = run_pass (fun _ _ _ _ _ -> ()) in
-    let pass1_s = Sys.time () -. t0 in
-    (* Pass 2: output the fully expanded design. *)
-    let nl =
-      Netlist.create tb ?defaults ~default_wire_delay:(Delay.of_ns wmin wmax)
-    in
-    let emit line head prim args outs =
-      let inputs = List.map (conn_of_binding nl) args in
-      let output =
-        match outs with
-        | [] -> None
-        | [ o ] ->
-          if o.b_complement then
-            fail "line %d: complemented output is not supported" line
-          else Some (Netlist.signal nl o.b_name)
-        | _ -> fail "line %d: primitives have at most one output" line
-      in
-      ignore
-        (Netlist.add nl ~name:(Printf.sprintf "%s.%d" head line) prim ~inputs ~output)
-    in
-    let t0 = Sys.time () in
-    let _stats2 = run_pass emit in
-    let pass2_s = Sys.time () -. t0 in
-    (* Apply wire-delay and width declarations to the built netlist. *)
+    (* Every primitive connection is a net, and nothing else is one until
+       the declarations below run; every primitive is an instance. *)
+    let n_signals = Netlist.n_nets nl in
+    (* Wire-delay and width declarations apply in textual order, after
+       every instance. *)
     List.iter
       (fun stmt ->
         match stmt with
         | Ast.Wire_delay (s, (a, b)) ->
-          let id = Netlist.signal nl s.Ast.name in
-          Netlist.set_wire_delay nl id (Delay.of_ns a b)
-        | Ast.Width_decl (s, w) ->
-          let id = Netlist.signal nl s.Ast.name in
-          Netlist.set_width nl id w
-        | Ast.Period _ | Ast.Clock_unit _ | Ast.Default_wire _ | Ast.Wire_rule _
-        | Ast.Corners _ | Ast.Macro _ | Ast.Top_instance _ ->
-          ())
-      design;
+          Netlist.set_wire_delay nl (Netlist.signal nl s.Ast.name) (Delay.of_ns a b)
+        | Ast.Width_decl (s, w) -> Netlist.set_width nl (Netlist.signal nl s.Ast.name) w
+        | _ -> ())
+      (List.rev !deferred);
     (* The refined interconnection rule fills every remaining net from
        its fanout count (explicit WIRE DELAYs, /M locals and de-skewed
        clock runs keep their settings). *)
@@ -498,183 +440,38 @@ let expand ?defaults design =
       ignore
         (Wire_rule.apply nl
            (Wire_rule.loaded ~base:(Delay.of_ns b1 b2) ~per_load:(Delay.of_ns p1 p2))));
-    apply_corners settings nl;
+    (match settings.corners with
+    | None -> ()
+    | Some entries -> Netlist.set_corners nl (corner_table_of entries));
     Netlist.trim nl;
     Ok
       {
         e_netlist = nl;
         e_pass1_s = pass1_s;
-        e_pass2_s = pass2_s;
-        e_streamed = false;
+        e_pass2_s = Sys.time () -. t0;
         e_summary =
           {
-            s_macros_expanded = stats1.p1_macros;
-            s_primitives = stats1.p1_primitives;
-            s_signals =
-              (match stats1.p1_signals with Some tbl -> Hashtbl.length tbl | None -> 0);
-            s_synonyms = stats1.p1_synonyms;
+            s_macros_expanded = counts.c_macros;
+            s_primitives = Netlist.n_insts nl;
+            s_signals = n_signals;
+            s_synonyms = counts.c_synonyms;
           };
       }
   with
   | Expand_error msg -> Error msg
   | Invalid_argument msg -> Error msg
 
+let expand ?defaults design =
+  run ?defaults (fun f ->
+      List.iter f design;
+      Ok ())
+
 let expand_exn ?defaults design =
   match expand ?defaults design with
   | Ok e -> e
   | Error msg -> invalid_arg ("Sdl expand: " ^ msg)
 
-(* ---- streaming expansion ------------------------------------------------------------------ *)
-
-(* Single pass over the statement stream: statistics and netlist output
-   are produced together, and no design AST is ever materialized, so
-   peak RSS tracks the expanded design rather than the source's token
-   sequence or macro tree.
-
-   Equivalence with the two-pass [expand] requires care on ordering:
-
-   - The netlist is created lazily at the first top-level instance; a
-     PERIOD statement must precede it.  If any timing setting (PERIOD,
-     CLOCK UNIT, DEFAULT WIRE DELAY) changes *after* that point the
-     materialized path would have used the later value, so we bail out
-     with [Error] and let {!load} fall back.
-   - Macros must be defined before use; a forward reference fails with
-     the usual "unknown primitive or macro" error, and {!load} falls
-     back to the materialized path, which accepts it.
-   - WIRE DELAY and WIDTH declarations are deferred and applied after
-     the stream in textual order — exactly where the two-pass expander
-     applies them — so net-id assignment and final delays are
-     bit-identical. *)
-let expand_stream ?defaults src =
-  try
-    let settings =
-      { period_ns = None; clock_unit_ns = None; default_wire = (0.0, 2.0);
-        wire_rule = None; corners = None; macros = Hashtbl.create 16 }
-    in
-    let stats =
-      (* No signal table or synonym structure: the distinct-signal
-         count equals the net count of the netlist being built (every
-         primitive arg/out becomes a net, and nothing else does until
-         the deferred declarations run). *)
-      { p1_macros = 0; p1_primitives = 0; p1_synonyms = 0;
-        p1_signals = None; p1_syn = None }
-    in
-    let nl_ref = ref None in
-    let snapshot = ref None in
-    let deferred = ref [] in
-    let t0 = Sys.time () in
-    let ensure_nl () =
-      match !nl_ref with
-      | Some nl -> nl
-      | None ->
-        let period_ns =
-          match settings.period_ns with
-          | Some p -> p
-          | None -> fail "design has no PERIOD statement before the first instance"
-        in
-        let clock_unit_ns =
-          match settings.clock_unit_ns with Some u -> u | None -> period_ns /. 8.
-        in
-        let tb = Timebase.make ~period_ns ~clock_unit_ns in
-        let wmin, wmax = settings.default_wire in
-        let nl =
-          Netlist.create tb ?defaults ~default_wire_delay:(Delay.of_ns wmin wmax)
-        in
-        nl_ref := Some nl;
-        snapshot := Some (settings.period_ns, settings.clock_unit_ns, settings.default_wire);
-        nl
-    in
-    let emit line head prim args outs =
-      let nl = ensure_nl () in
-      let inputs = List.map (conn_of_binding nl) args in
-      let output =
-        match outs with
-        | [] -> None
-        | [ o ] ->
-          if o.b_complement then
-            fail "line %d: complemented output is not supported" line
-          else Some (Netlist.signal nl o.b_name)
-        | _ -> fail "line %d: primitives have at most one output" line
-      in
-      ignore
-        (Netlist.add nl ~name:(Printf.sprintf "%s.%d" head line) prim ~inputs ~output)
-    in
-    let stream_result =
-      Parser.iter_stream src (fun stmt ->
-          match stmt with
-          | Ast.Period p -> settings.period_ns <- Some p
-          | Ast.Clock_unit u -> settings.clock_unit_ns <- Some u
-          | Ast.Default_wire (a, b) -> settings.default_wire <- (a, b)
-          | Ast.Wire_rule (base, per_load) -> settings.wire_rule <- Some (base, per_load)
-          (* corners never affect expansion (no snapshot guard needed):
-             the table is installed once, after the stream *)
-          | Ast.Corners cs -> settings.corners <- Some cs
-          | Ast.Macro m ->
-            if Hashtbl.mem settings.macros m.Ast.m_name then
-              fail "line %d: macro %S defined twice" m.Ast.m_line m.Ast.m_name;
-            Hashtbl.add settings.macros m.Ast.m_name m
-          | Ast.Wire_delay _ | Ast.Width_decl _ -> deferred := stmt :: !deferred
-          | Ast.Top_instance i -> walk_instance settings top_frame 0 stats emit i)
-    in
-    match stream_result with
-    | Error e -> Error e
-    | Ok () -> (
-      match !snapshot with
-      | Some (p, cu, dw)
-        when p <> settings.period_ns || cu <> settings.clock_unit_ns
-             || dw <> settings.default_wire ->
-        (* A late setting would have applied retroactively under the
-           two-pass expander; defer to it. *)
-        Error "timing settings changed after the first instance"
-      | _ ->
-        let nl = ensure_nl () in
-        let n_signals = Netlist.n_nets nl in
-        List.iter
-          (fun stmt ->
-            match stmt with
-            | Ast.Wire_delay (s, (a, b)) ->
-              let id = Netlist.signal nl s.Ast.name in
-              Netlist.set_wire_delay nl id (Delay.of_ns a b)
-            | Ast.Width_decl (s, w) ->
-              let id = Netlist.signal nl s.Ast.name in
-              Netlist.set_width nl id w
-            | _ -> ())
-          (List.rev !deferred);
-        (match settings.wire_rule with
-        | None -> ()
-        | Some ((b1, b2), (p1, p2)) ->
-          ignore
-            (Wire_rule.apply nl
-               (Wire_rule.loaded ~base:(Delay.of_ns b1 b2) ~per_load:(Delay.of_ns p1 p2))));
-        apply_corners settings nl;
-        Netlist.trim nl;
-        Ok
-          {
-            e_netlist = nl;
-            e_pass1_s = 0.;
-            e_pass2_s = Sys.time () -. t0;
-            e_streamed = true;
-            e_summary =
-              {
-                s_macros_expanded = stats.p1_macros;
-                s_primitives = stats.p1_primitives;
-                s_signals = n_signals;
-                s_synonyms = stats.p1_synonyms;
-              };
-          })
-  with
-  | Expand_error msg -> Error msg
-  | Invalid_argument msg -> Error msg
-
-let load ?defaults src =
-  match expand_stream ?defaults src with
-  | Ok e -> Ok e
-  | Error _ ->
-    (* The streaming pass is strictly stricter (macros before use,
-       PERIOD before the first instance, no late setting changes), so
-       on any error re-run the permissive materialized path: behaviour
-       and error messages match the pre-streaming expander exactly. *)
-    (match Parser.parse src with Error e -> Error e | Ok d -> expand ?defaults d)
+let load ?defaults src = run ?defaults (Parser.iter_stream src)
 
 let pp_summary ppf s =
   Format.fprintf ppf

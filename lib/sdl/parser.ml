@@ -11,9 +11,10 @@ let make_state src =
   let t1 = match t0.Lexer.tok with Lexer.Eof -> t0 | _ -> Lexer.next cu in
   { cu; t0; t1 }
 
-let fail st fmt =
-  let line = st.t0.Lexer.line in
+let fail_at line fmt =
   Format.kasprintf (fun msg -> raise (Parse_error (Printf.sprintf "line %d: %s" line msg))) fmt
+
+let fail st fmt = fail_at st.t0.Lexer.line fmt
 
 let peek st = st.t0.Lexer.tok
 
@@ -68,15 +69,33 @@ let parse_number st =
     | _ -> fail st "expected a single number, found %S" w)
   | t -> fail st "expected a number, found %a" Lexer.pp_token t
 
+(* A delay range: a single number stands for min = max.  Rejected here,
+   where the statement's line is known, unless 0 <= min <= max. *)
 let parse_pair st =
-  match peek st with
-  | Lexer.Word w ->
-    advance st;
-    (match parse_floats st w with
-    | [ a; b ] -> (a, b)
-    | [ a ] -> (a, a)
-    | _ -> fail st "expected min/max pair, found %S" w)
-  | t -> fail st "expected min/max pair, found %a" Lexer.pp_token t
+  let line = line st in
+  let a, b =
+    match peek st with
+    | Lexer.Word w ->
+      advance st;
+      (match parse_floats st w with
+      | [ a; b ] -> (a, b)
+      | [ a ] -> (a, a)
+      | _ -> fail st "expected min/max pair, found %S" w)
+    | t -> fail st "expected min/max pair, found %a" Lexer.pp_token t
+  in
+  match Scald_core.Delay.of_ns a b with
+  | _ -> (a, b)
+  | exception Invalid_argument msg -> fail_at line "%s" msg
+
+(* Every integer up to 2^53 is exact as a float. *)
+let max_width = 1 lsl 53
+
+let parse_width st =
+  let line = line st in
+  let text = match peek st with Lexer.Word w -> w | _ -> "" in
+  let n = parse_number st in
+  if Float.is_integer n && n >= 1. && n <= float_of_int max_width then int_of_float n
+  else fail_at line "WIDTH must be a whole number from 1 to 2^53, found %s" text
 
 (* ---- signal references ------------------------------------------------------ *)
 
@@ -329,9 +348,9 @@ let parse_top st =
     advance st;
     let s = parse_paren_sigref st in
     expect st Lexer.Equals "'='";
-    let n = parse_number st in
+    let n = parse_width st in
     expect st Lexer.Semi "';'";
-    Ast.Width_decl (s, int_of_float n)
+    Ast.Width_decl (s, n)
   | _ -> Ast.Top_instance (parse_instance st)
 
 let iter_stream src f =

@@ -9,14 +9,20 @@
     for those). *)
 
 val parse : string -> (Ast.design, string) result
-(** Parse a whole source text. *)
+(** Parse a whole source text.  Errors are ["line N: ..."].  Besides
+    the grammar, the parser checks what a statement alone decides: a
+    [DEFAULT WIRE DELAY], [WIRE DELAY] or [WIRE RULE] pair needs
+    [0 <= min <= max], and a [WIDTH] is a whole number from 1 to
+    2{^53}. *)
 
 val iter_stream : string -> (Ast.top_stmt -> unit) -> (unit, string) result
 (** Parse statement-at-a-time, invoking the callback on each top-level
     statement as soon as it is complete.  Nothing but the source string
-    and the statement in flight is retained — the backbone of streaming
-    macro expansion ({!Expander.expand_stream}).  A lex or parse error
-    stops the iteration; statements already delivered stay delivered. *)
+    and the statement in flight is retained — {!Expander.load} reads
+    both passes of macro expansion this way.  A lex or parse error
+    stops the iteration with the error {!parse} reports; statements
+    already delivered stay delivered, and an exception the callback
+    raises passes through. *)
 
 val parse_exn : string -> Ast.design
 (** @raise Invalid_argument with the parse error. *)

@@ -30,7 +30,21 @@ let test_parse_errors () =
   in
   fails "A = 2;";
   fails "A;";
-  fails "= 0;"
+  fails "= 0;";
+  (* the message names the line of the bad assignment *)
+  let fails_at line s =
+    let prefix = Printf.sprintf "line %d: " line in
+    match Case_analysis.parse s with
+    | Error e ->
+      if not (String.starts_with ~prefix e) then
+        Alcotest.failf "%S: expected a %S prefix, got %S" s prefix e
+    | Ok _ -> Alcotest.failf "expected %S to fail" s
+  in
+  fails_at 1 "FOO = 7;";
+  fails_at 3 "A = 0;\nA = 1;\nB = 2;\n";
+  fails_at 2 "A = 0,\n  B;\n";
+  fails_at 4 "A = 0;\n\n\n   = 1;";
+  fails_at 2 "A = 0;\nB = 1, B = 0;"
 
 let test_parse_duplicate_assignment () =
   (* "A = 0, A = 1" within one group: last write would silently win in

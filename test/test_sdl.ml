@@ -225,7 +225,40 @@ let test_expand_errors () =
   fails "2 OR (DELAY=1/1) (A, B) -> Q;" (* no PERIOD *);
   fails "PERIOD 50.0;\nFROB (A) -> B;" (* unknown head *);
   fails "PERIOD 50.0;\n2 OR (A, B) -> Q;" (* missing DELAY *);
-  fails "PERIOD 50.0;\nMACRO M;\nPARAMETER I /P, Q /P;\nBODY\nBUF (DELAY=1/1) (I /P) -> Q /P;\nEND;\nM (A) -> B -> C;"
+  fails "PERIOD 50.0;\nMACRO M;\nPARAMETER I /P, Q /P;\nBODY\nBUF (DELAY=1/1) (I /P) -> Q /P;\nEND;\nM (A) -> B -> C;";
+  (* each of these names the line of the statement at fault, through
+     both entry points where the design parses *)
+  let check line src how = function
+    | Ok _ -> Alcotest.failf "%s: expected %S to fail" how src
+    | Error e ->
+      let prefix = Printf.sprintf "line %d: " line in
+      if not (String.starts_with ~prefix e) then
+        Alcotest.failf "%s: %S: expected a %S prefix, got %S" how src prefix e
+  in
+  let fails_at line src =
+    check line src "load" (Expander.load src);
+    check line src "parse + expand" (Result.bind (Parser.parse src) Expander.expand)
+  in
+  let buf_macro delay =
+    Printf.sprintf "MACRO M;\nPARAMETER I /P, Q /P;\nBODY\nBUF (DELAY=%s) (I /P) -> Q /P;\nEND;\n"
+      delay
+  in
+  fails_at 2 "PERIOD 50.0;\n2 OR (DELAY=5/1) (A, B) -> Q;";
+  fails_at 5 ("PERIOD 50.0;\n" ^ buf_macro "5/1" ^ "M (A) -> B;");
+  fails_at 2 "PERIOD 50.0;\nBUF (DELAY=1/2) (A &QQ) -> Q;";
+  fails_at 3 "PERIOD 50.0;\nBUF (DELAY=1/2) (A) -> Q;\nWIRE DELAY (Q) = 3/1;";
+  fails_at 2 "PERIOD 50.0;\nDEFAULT WIRE DELAY 3/1;\nBUF (DELAY=1/2) (A) -> Q;";
+  fails_at 2 "PERIOD 50.0;\nWIRE RULE 0/1 PER LOAD 3/1;\nBUF (DELAY=1/2) (A) -> Q;";
+  List.iter
+    (fun w ->
+      fails_at 3 (Printf.sprintf "PERIOD 50.0;\nBUF (DELAY=1/2) (A) -> Q;\nWIDTH (Q) = %s;" w))
+    [ "-3"; "0"; "2.7"; "99999999999999999999" ];
+  (* two errors: the one earlier in the text is reported — a duplicate
+     MACRO at line 7 before a parse error at line 13, which a parse of
+     the whole text meets first *)
+  let two = "PERIOD 50.0;\n" ^ buf_macro "1/1" ^ buf_macro "1/1" ^ "M (A) -> B;\n2 AND (A, B Q;\n" in
+  check 7 two "load" (Expander.load two);
+  check 13 two "parse" (Parser.parse two)
 
 let test_expand_zero_one () =
   let e = expand_ok "PERIOD 50.0;\nZERO () -> GND;\nONE () -> VCC;" in
@@ -309,44 +342,84 @@ let test_s1_subset_clean () =
   Alcotest.(check int) "no corr advice" 0
     (List.length (Path_analysis.Corr.advise e.Expander.e_netlist))
 
-(* ---- streaming expansion ----------------------------------------------------------- *)
+(* ---- one expander, two entry points ------------------------------------------------- *)
 
-let test_stream_matches_materialized () =
-  (* the single-pass streaming expander must produce a netlist (and hence
-     a verification report) bit-identical to the two-pass materialized
-     expander on every design both accept *)
-  let check_src name src =
-    let streamed =
-      match Expander.expand_stream src with
-      | Ok e -> e
-      | Error e -> Alcotest.failf "%s: stream: %s" name e
-    in
-    let materialized =
-      match Parser.parse src with
-      | Error e -> Alcotest.failf "%s: parse: %s" name e
-      | Ok d -> (
-        match Expander.expand d with
-        | Ok e -> e
-        | Error e -> Alcotest.failf "%s: expand: %s" name e)
-    in
-    Alcotest.(check bool) (name ^ ": streamed flag") true
-      streamed.Expander.e_streamed;
-    Alcotest.(check bool) (name ^ ": materialized flag") false
-      materialized.Expander.e_streamed;
-    let s = streamed.Expander.e_summary and m = materialized.Expander.e_summary in
-    Alcotest.(check int) (name ^ ": macros expanded")
-      m.Expander.s_macros_expanded s.Expander.s_macros_expanded;
-    Alcotest.(check int) (name ^ ": primitives") m.Expander.s_primitives s.Expander.s_primitives;
-    Alcotest.(check int) (name ^ ": signals") m.Expander.s_signals s.Expander.s_signals;
-    let snl = streamed.Expander.e_netlist and mnl = materialized.Expander.e_netlist in
-    Alcotest.(check int) (name ^ ": n_insts") (Netlist.n_insts mnl) (Netlist.n_insts snl);
-    Alcotest.(check int) (name ^ ": n_nets") (Netlist.n_nets mnl) (Netlist.n_nets snl);
-    let render nl = Format.asprintf "%a" Verifier.pp (Verifier.verify nl) in
-    Alcotest.(check string) (name ^ ": identical report") (render mnl) (render snl)
+(* A macro used before its MACRO statement, and a PERIOD (and default
+   wire delay) after the first instance: Pass 1 reads every declaration
+   before Pass 2 expands anything. *)
+let forward_macro_src =
+  "PERIOD 50.0;\n\
+   CLOCK UNIT 6.25;\n\
+   PIPE (D IN .S0-6, CK .P2-3) -> Q OUT;\n\
+   WIRE DELAY (Q OUT) = 0.0/3.0;\n\
+   MACRO PIPE;\n\
+   PARAMETER I /P, CK /P, Q /P;\n\
+   BODY\n\
+   BUF (DELAY=1.0/2.0) (I /P) -> T /M;\n\
+   REG (DELAY=1.5/4.5) (T /M, CK /P) -> Q /P;\n\
+   SETUP HOLD CHK (SETUP=2.5, HOLD=1.5) (T /M, CK /P);\n\
+   END;\n"
+
+let late_period_src =
+  "CLOCK UNIT 6.25;\n\
+   2 AND (DELAY=1.0/3.0) (A .S0-6, B .S0-6) -> G;\n\
+   REG (DELAY=1.5/4.5) (G, CK .P2-3) -> Q;\n\
+   SETUP HOLD CHK (SETUP=2.5, HOLD=1.5) (G, CK .P2-3);\n\
+   WIDTH (G) = 8;\n\
+   PERIOD 50.0;\n\
+   DEFAULT WIRE DELAY 0.0/1.0;\n"
+
+(* Netlist digests ({!Scald_incr.Fingerprint.digest}: structure and every
+   parameter) and summary lines captured from the expander as it stood
+   before Pass 1 became a declaration read; the last two designs took
+   that expander's fallback from streaming to the AST walk. *)
+let pinned =
+  [
+    ( "examples/cdc.sdl", "f96ded4fd7a1e853f8d2f61bd9ece5f2",
+      "macro expansions: 0  primitives: 11  signals: 10  synonyms resolved: 0" );
+    ( "examples/register_file.sdl", "98fde400c02520c083a04a081c419410",
+      "macro expansions: 2  primitives: 10  signals: 12  synonyms resolved: 8" );
+    ( "examples/s1_subset.sdl", "ecd511808e2d267d59cc7d1ca7b0487e",
+      "macro expansions: 24  primitives: 37  signals: 37  synonyms resolved: 73" );
+    ( "examples/underconstrained.sdl", "39016ffa52a7710959d5a9340d6a8e7b",
+      "macro expansions: 0  primitives: 8  signals: 13  synonyms resolved: 0" );
+    ( "examples/vacuous.sdl", "fa08033f1b382ca0aa5d0dabebae2b58",
+      "macro expansions: 0  primitives: 5  signals: 10  synonyms resolved: 0" );
+    ( "netgen 400 chips", "64369f89d6ac635b39795e039e521786",
+      "macro expansions: 375  primitives: 502  signals: 409  synonyms resolved: 1147" );
+    ( "forward macro", "be80148c7fbefb8283a412a34f0eae4b",
+      "macro expansions: 1  primitives: 3  signals: 4  synonyms resolved: 3" );
+    ( "late period", "c1896a5321aaff56c394443b16150857",
+      "macro expansions: 0  primitives: 3  signals: 5  synonyms resolved: 0" );
+  ]
+
+let test_load_matches_expand () =
+  (* the source entry point (no AST) and the parsed-design entry point
+     build the pinned netlist and summary on every design *)
+  let source = function
+    | "netgen 400 chips" -> Netgen.to_sdl (Netgen.generate (Netgen.scaled ~chips:400 ()))
+    | "forward macro" -> forward_macro_src
+    | "late period" -> late_period_src
+    | path -> read_file ("../" ^ path)
   in
-  check_src "register_file" (read_file "../examples/register_file.sdl");
-  check_src "s1_subset" (read_file "../examples/s1_subset.sdl");
-  check_src "netgen" (Netgen.to_sdl (Netgen.generate (Netgen.scaled ~chips:400 ())))
+  List.iter
+    (fun (name, digest, summary) ->
+      let src = source name in
+      let check how = function
+        | Error e -> Alcotest.failf "%s: %s: %s" name how e
+        | Ok e ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: %s digest" name how)
+            digest
+            (Scald_incr.Fingerprint.digest e.Expander.e_netlist);
+          Alcotest.(check string)
+            (Printf.sprintf "%s: %s summary" name how)
+            summary
+            (Format.asprintf "%a" Expander.pp_summary e.Expander.e_summary)
+      in
+      check "load" (Expander.load src);
+      check "expand" (Result.bind (Parser.parse src) Expander.expand))
+    pinned
 
 (* ---- xref ------------------------------------------------------------------------- *)
 
@@ -389,6 +462,6 @@ let suite =
     Alcotest.test_case "register_file.sdl matches API" `Quick test_register_file_sdl_matches_api;
     Alcotest.test_case "wire rule statement" `Quick test_wire_rule_statement;
     Alcotest.test_case "s1_subset.sdl clean" `Quick test_s1_subset_clean;
-    Alcotest.test_case "stream matches materialized" `Quick test_stream_matches_materialized;
+    Alcotest.test_case "load matches expand" `Quick test_load_matches_expand;
     Alcotest.test_case "xref" `Quick test_xref;
   ]
