@@ -1005,7 +1005,7 @@ let incr_reverify () =
     ev_incr t_incr;
   Printf.printf "  %-44s %12d of %d (%d reused)\n" "nets dirtied"
     st.Session.st_dirtied_nets (Netlist.n_nets nl) st.Session.st_reused_nets;
-  Printf.printf "  %-44s %12d\n" "memoized verdicts reused"
+  Printf.printf "  %-44s %12d\n" "verdicts the check pass kept"
     st.Session.st_warm_hits;
   Printf.printf "  %-44s %11.1fx\n" "evaluation reduction" ev_x;
   Printf.printf "  %-44s %11.1fx\n" "wall-clock reduction" wall_x;

@@ -53,17 +53,24 @@ let scan_number cur =
 
 let ( let* ) = Result.bind
 
+(* A time in nanoseconds, bounded like every user-given time. *)
+let scan_ns cur =
+  let* f = scan_number cur in
+  match Timebase.ps_of_ns f with
+  | _ -> Ok f
+  | exception Invalid_argument m -> Error m
+
 let scan_skew cur =
   skip_spaces cur;
   match peek cur with
   | Some '(' ->
     advance cur;
-    let* minus = scan_number cur in
+    let* minus = scan_ns cur in
     skip_spaces cur;
     (match peek cur with
     | Some ',' ->
       advance cur;
-      let* plus = scan_number cur in
+      let* plus = scan_ns cur in
       skip_spaces cur;
       (match peek cur with
       | Some ')' ->
@@ -85,7 +92,7 @@ let scan_range cur =
     Ok (Between (start, stop))
   | Some '+' ->
     advance cur;
-    let* width = scan_number cur in
+    let* width = scan_ns cur in
     Ok (For_ns (start, width))
   | Some _ | None -> Ok (Unit_at start)
 

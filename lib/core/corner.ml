@@ -6,6 +6,14 @@ let typ = { name = "typ"; delay_scale = 1.0; wire_scale = 1.0 }
 
 let default : table = [| typ |]
 
+let max_scale = 1000.
+
+let check_scale name what f =
+  if not (f > 0.0 && f <= max_scale) then
+    invalid_arg
+      (Printf.sprintf "Corner.make: corner %s needs a %s scale in (0, %g], got %g" name
+         what max_scale f)
+
 let make ?(wire_scale = nan) ~name delay_scale =
   if name = "" then invalid_arg "Corner.make: empty name";
   String.iter
@@ -14,11 +22,9 @@ let make ?(wire_scale = nan) ~name delay_scale =
       | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' -> ()
       | _ -> invalid_arg (Printf.sprintf "Corner.make: bad character in name %S" name))
     name;
-  if not (delay_scale > 0.0) then
-    invalid_arg (Printf.sprintf "Corner.make: corner %s needs a positive delay scale" name);
+  check_scale name "delay" delay_scale;
   let wire_scale = if Float.is_nan wire_scale then delay_scale else wire_scale in
-  if not (wire_scale > 0.0) then
-    invalid_arg (Printf.sprintf "Corner.make: corner %s needs a positive wire scale" name);
+  check_scale name "wire" wire_scale;
   { name; delay_scale; wire_scale }
 
 let is_reference c = c.delay_scale = 1.0 && c.wire_scale = 1.0
@@ -45,7 +51,7 @@ let scale_wire c d = Delay.scale c.wire_scale d
 (* the presets a bare name on the CLI expands to *)
 let presets = [ ("slow", 1.25); ("typ", 1.0); ("fast", 0.8) ]
 
-let of_spec spec =
+let parse_spec spec =
   let corner_of_part part =
     match String.index_opt part '=' with
     | None -> (
@@ -78,6 +84,12 @@ let of_spec spec =
   let tbl = Array.of_list (List.map corner_of_part parts) in
   validate_table tbl;
   tbl
+
+(* Every rejection quotes the whole spec, so a CLI or service user sees
+   which text was at fault. *)
+let of_spec spec =
+  try parse_spec spec
+  with Invalid_argument m -> invalid_arg (Printf.sprintf "%s (corner spec %S)" m spec)
 
 let to_string c =
   if is_reference c && c.name = "typ" then c.name

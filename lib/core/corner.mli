@@ -27,10 +27,16 @@ val typ : t
 val default : table
 (** [[| typ |]] — the single-corner table every netlist starts with. *)
 
+val max_scale : float
+(** The largest scale factor a corner accepts: [1000].  With times
+    bounded by {!Timebase.max_ns}, a scaled delay stays below [1e15] ps,
+    so {!Delay.scale} cannot overflow. *)
+
 val make : ?wire_scale:float -> name:string -> float -> t
 (** [make ~name delay_scale] — [wire_scale] defaults to [delay_scale].
     @raise Invalid_argument on an empty or non-alphanumeric name or a
-    non-positive factor. *)
+    factor that is not in [(0, max_scale]] (NaN and infinity
+    included). *)
 
 val is_reference : t -> bool
 (** Both factors are exactly [1.0]. *)
@@ -53,7 +59,8 @@ val of_spec : string -> table
     [name[=dscale[/wscale]]] entries, e.g. ["slow,typ,fast"] or
     ["typ,hot=1.4/1.2"].  Bare names must be one of the presets
     [slow=1.25], [typ=1.0], [fast=0.8].
-    @raise Invalid_argument on a malformed list. *)
+    @raise Invalid_argument on a malformed list; the message quotes
+    [spec]. *)
 
 val to_string : t -> string
 (** Canonical [name=dscale/wscale] form ([of_spec]-compatible); used by

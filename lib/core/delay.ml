@@ -40,7 +40,8 @@ let add a b =
   { dmin = a.dmin + b.dmin; dmax = a.dmax + b.dmax; rise_fall }
 
 let scale f d =
-  if f <= 0.0 then invalid_arg "Delay.scale: factor must be positive";
+  if not (f > 0.0 && Float.is_finite f) then
+    invalid_arg "Delay.scale: factor must be positive and finite";
   if f = 1.0 then d
   else
     (* round the minimum down and the maximum up so the scaled range

@@ -27,7 +27,9 @@ val make : Timebase.ps -> Timebase.ps -> t
 (** Symmetric delay.  @raise Invalid_argument unless [0 <= dmin <= dmax]. *)
 
 val of_ns : float -> float -> t
-(** [of_ns min max] in nanoseconds. *)
+(** [of_ns min max] in nanoseconds.
+    @raise Invalid_argument on a bound {!Timebase.ps_of_ns} rejects, or
+    unless [0 <= min <= max]. *)
 
 val make_rise_fall :
   rise:Timebase.ps * Timebase.ps -> fall:Timebase.ps * Timebase.ps -> t
@@ -51,8 +53,10 @@ val scale : float -> t -> t
     and the maxima up so the scaled range covers every delay the factor
     could physically produce; the rise/fall refinement is scaled
     edge-wise.  [scale 1.0 d] is physically [d] (the very same value),
-    so the unscaled reference corner costs nothing.
-    @raise Invalid_argument unless [f > 0]. *)
+    so the unscaled reference corner costs nothing.  Corner factors are
+    bounded by {!Corner.max_scale}, so a scaled delay stays far inside
+    the integer range.
+    @raise Invalid_argument unless [f] is positive and finite. *)
 
 val spread : t -> Timebase.ps
 (** [dmax - dmin]: the skew contributed by this delay. *)

@@ -30,6 +30,32 @@ let kind_name = function
   | 10 -> "MIN PULSE WIDTH"
   | _ -> "CONST"
 
+(* A dirty log: the ids logged since one lane's last check pass, in
+   logging order, with one mark byte per id so that each id is logged
+   once and logging never allocates.  A net's mark says what moved:
+   [own] its verdict's class alone, [stamp] its generation stamp, which
+   also dirties every instance in its fanout.  Instances use [own]. *)
+type log = { ids : int array; mutable n : int; mark : Bytes.t }
+
+let own = '\001'
+let stamp = '\002'
+
+(* The first pass of an evaluator re-derives every verdict: its logs
+   start with every id in them. *)
+let log_full n m = { ids = Array.init n Fun.id; n; mark = Bytes.make n m }
+
+let log_add lg id m =
+  let old = Bytes.unsafe_get lg.mark id in
+  if old < m then begin
+    if old = '\000' then begin
+      lg.ids.(lg.n) <- id;
+      lg.n <- lg.n + 1
+    end;
+    Bytes.unsafe_set lg.mark id m
+  end
+
+module Ids = Set.Make (Int)
+
 (* Per-corner evaluation state (doc/CORNERS.md), one record per corner:
    lane 0 is the reference.  Every lane carries the same memo structure,
    keyed on the nets' [n_gen] stamps: any lane changing a net bumps the
@@ -56,17 +82,18 @@ type lane = {
   (* Register data-materialization memo, same generation key. *)
   l_mat_gen : int array;
   l_mat_wf : Waveform.t array;
-  (* Checker-verdict memo: an instance's verdicts are a pure function of
-     its input waveforms, so they are re-derived only when some input
-     net's stamp moved — the per-case check sweep of a multi-case run,
-     and a session's re-verify, recompute just the dirty cone.  The key
-     is the sum of the input stamps at memo time: stamps only grow, so
-     the sum moves iff some stamp moved.  [touch_inst] resets it when
-     the instance's own parameters change. *)
-  l_chk_key : int array;  (* per-inst input-stamp sum, -1 invalid *)
-  l_chk : Check.t list array;  (* per-inst memoized verdicts *)
-  l_chk_net_gen : int array;
+  (* Check-pass state.  An instance's verdicts are a pure function of
+     its input waveforms and its own parameters, a net's of its value
+     and its assertion, so a check pass re-derives only what the dirty
+     logs name (§2.7): the nets whose stamp moved, the instances in
+     their fanout and the ids [touch_inst] or a class change named.
+     The list is built from the ids whose verdicts are non-empty. *)
+  l_chk : Check.t list array;  (* per-inst verdicts *)
   l_chk_net : Check.t list array;  (* per-net assertion verdicts *)
+  mutable l_bad_insts : Ids.t;  (* ids whose [l_chk] is non-empty *)
+  mutable l_bad_nets : Ids.t;  (* ids whose [l_chk_net] is non-empty *)
+  l_dirty_nets : log;
+  l_dirty_insts : log;
 }
 
 type t = {
@@ -86,7 +113,15 @@ type t = {
   mutable evals_saved : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
-  mutable check_hits : int;  (* verdicts served from the memo *)
+  mutable check_hits : int;  (* verdicts a check pass kept *)
+  (* Check-pass class of every id: [cls_none] reports nothing, [cls_live]
+     is derived by the check pass, [cls_proven] is served by a window
+     proof; [n_live] and [n_proven] count the last two, which is all
+     the per-pass counters need. *)
+  inst_cls : Bytes.t;
+  net_cls : Bytes.t;
+  mutable n_live : int;
+  mutable n_proven : int;
   (* Window pruning (doc/WINDOWS.md): checkers the arrival-window
      analysis proved at every corner are frozen from creation — their
      verdicts are served statically by the check functions below.
@@ -109,6 +144,66 @@ type t = {
   mutable converged : bool;
   mutable initialized : bool;
 }
+
+(* ---- check-pass classes ---------------------------------------------------- *)
+
+let cls_none = '\000'
+let cls_live = '\001'
+let cls_proven = '\002'
+
+(* A window proof wins over the kind: a proven id is served, whatever
+   it is. *)
+let inst_class t id =
+  match t.window with
+  | Some w when Window.inst_proven w id -> cls_proven
+  | _ -> (
+    match (Netlist.inst t.nl id).i_prim with
+    | Primitive.Gate _ | Primitive.Setup_hold_check _
+    | Primitive.Setup_rise_hold_fall_check _ | Primitive.Min_pulse_width _ ->
+      cls_live
+    | Primitive.Buf _ | Primitive.Mux2 _ | Primitive.Reg _ | Primitive.Latch _
+    | Primitive.Const _ ->
+      cls_none)
+
+let net_class t id =
+  match t.window with
+  | Some w when Window.net_proven w id -> cls_proven
+  | _ -> (
+    let n = Netlist.net t.nl id in
+    match n.n_assertion, n.n_driver with
+    | Some _, Some _ -> cls_live
+    | (None | Some _), _ -> cls_none)
+
+let count_class t c d =
+  if c = cls_live then t.n_live <- t.n_live + d
+  else if c = cls_proven then t.n_proven <- t.n_proven + d
+
+(* Give an id its current class.  A changed class re-counts the id and
+   logs it on every lane, so the next pass re-derives or clears its
+   verdicts. *)
+let reclass t cls log id c =
+  let old = Bytes.unsafe_get cls id in
+  if old <> c then begin
+    count_class t old (-1);
+    count_class t c 1;
+    Bytes.unsafe_set cls id c;
+    for l = 0 to Array.length t.lanes - 1 do
+      log_add (log t.lanes.(l)) id own
+    done
+  end
+
+let reclass_inst t id =
+  reclass t t.inst_cls (fun ln -> ln.l_dirty_insts) id (inst_class t id)
+
+let reclass_net t id = reclass t t.net_cls (fun ln -> ln.l_dirty_nets) id (net_class t id)
+
+let reclass_all t =
+  for id = 0 to Netlist.n_insts t.nl - 1 do
+    reclass_inst t id
+  done;
+  for id = 0 to Netlist.n_nets t.nl - 1 do
+    reclass_net t id
+  done
 
 let create ?sched ?window nl =
   let n_insts = Netlist.n_insts nl in
@@ -136,59 +231,69 @@ let create ?sched ?window nl =
           l_net_wf = Array.make n_nets dummy_wf;
           l_mat_gen = Array.make (max 1 n_insts) (-1);
           l_mat_wf = Array.make (max 1 n_insts) dummy_wf;
-          l_chk_key = Array.make (max 1 n_insts) (-1);
           l_chk = Array.make (max 1 n_insts) [];
-          l_chk_net_gen = Array.make n_nets (-1);
           l_chk_net = Array.make n_nets [];
+          l_bad_insts = Ids.empty;
+          l_bad_nets = Ids.empty;
+          l_dirty_nets = log_full (Netlist.n_nets nl) stamp;
+          l_dirty_insts = log_full n_insts own;
         })
       corners
   in
-  {
-    nl;
-    sched;
-    buckets = Array.init (max 1 (Sched.n_levels sched)) (fun _ -> Queue.create ());
-    cur_level = 0;
-    queue_len = 0;
-    scc_evals = Array.make (Sched.n_cyclic sched) 0;
-    diverged_slot = -1;
-    in_queue = Bytes.make (max 1 n_insts) '\000';
-    case = Array.make n_nets None;
-    conn_base;
-    corners;
-    lanes;
-    lanes_shared = 0;
-    evals_saved = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    check_hits = 0;
-    window;
-    frozen =
-      (let b = Bytes.make (max 1 n_insts) '\000' in
-       (match window with
-       | Some w ->
-         (* Statically proven checkers never need evaluating: their
-            verdict is served by [check_inst], and evaluating a checker
-            computes nothing (no output net).  Frozen before the first
-            run. *)
-         for id = 0 to n_insts - 1 do
-           if Window.inst_proven w id then Bytes.unsafe_set b id '\002'
-         done
-       | None -> ());
-       b);
-    pruned_evals = 0;
-    window_evals = 0;
-    window_checks = 0;
-    requests = 0;
-    events = 0;
-    evals = 0;
-    queued = 0;
-    coalesced = 0;
-    queue_hwm = 0;
-    evals_by_kind = Array.make n_kinds 0;
-    on_event = None;
-    converged = true;
-    initialized = false;
-  }
+  let t =
+    {
+      nl;
+      sched;
+      buckets = Array.init (max 1 (Sched.n_levels sched)) (fun _ -> Queue.create ());
+      cur_level = 0;
+      queue_len = 0;
+      scc_evals = Array.make (Sched.n_cyclic sched) 0;
+      diverged_slot = -1;
+      in_queue = Bytes.make (max 1 n_insts) '\000';
+      case = Array.make n_nets None;
+      conn_base;
+      corners;
+      lanes;
+      lanes_shared = 0;
+      evals_saved = 0;
+      cache_hits = 0;
+      cache_misses = 0;
+      check_hits = 0;
+      inst_cls = Bytes.make (max 1 n_insts) cls_none;
+      net_cls = Bytes.make n_nets cls_none;
+      n_live = 0;
+      n_proven = 0;
+      window;
+      frozen =
+        (let b = Bytes.make (max 1 n_insts) '\000' in
+         (match window with
+         | Some w ->
+           (* Statically proven checkers never need evaluating: their
+              verdict is served by the check pass, and evaluating a checker
+              computes nothing (no output net).  Frozen before the first
+              run. *)
+           for id = 0 to n_insts - 1 do
+             if Window.inst_proven w id then Bytes.unsafe_set b id '\002'
+           done
+         | None -> ());
+         b);
+      pruned_evals = 0;
+      window_evals = 0;
+      window_checks = 0;
+      requests = 0;
+      events = 0;
+      evals = 0;
+      queued = 0;
+      coalesced = 0;
+      queue_hwm = 0;
+      evals_by_kind = Array.make n_kinds 0;
+      on_event = None;
+      converged = true;
+      initialized = false;
+    }
+  in
+  reclass_all t;
+  t
 
 let netlist t = t.nl
 let corners t = t.corners
@@ -371,12 +476,21 @@ let initial_value t (n : Netlist.net) =
   in
   apply_case t n.n_id base
 
+(* Every stamp move goes through [bump], which logs the net on every
+   lane for the check pass: its own verdict and its fanout's may have
+   moved. *)
+let bump t (n : Netlist.net) =
+  n.n_gen <- n.n_gen + 1;
+  for c = 0 to Array.length t.lanes - 1 do
+    log_add t.lanes.(c).l_dirty_nets n.n_id stamp
+  done
+
 (* Every assignment to a net's evaluation state goes through [assign] so
    the generation stamp can never fall behind the value. *)
-let assign (n : Netlist.net) wf eval_str =
+let assign t (n : Netlist.net) wf eval_str =
   n.n_value <- wf;
   n.n_eval_str <- eval_str;
-  n.n_gen <- n.n_gen + 1
+  bump t n
 
 let enqueue t inst_id =
   let fz = Bytes.unsafe_get t.frozen inst_id in
@@ -793,7 +907,7 @@ let eval_inst t inst_id =
       in
       (* Lane 0 assigns first so the lanes below canonicalize against
          the *new* reference waveform. *)
-      if changed then assign n wf eval_str;
+      if changed then assign t n wf eval_str;
       let lane_changed = ref false in
       for c = 1 to Array.length t.lanes - 1 do
         let ln = t.lanes.(c) in
@@ -827,7 +941,7 @@ let eval_inst t inst_id =
         (* A lane-only change must still invalidate the generation-keyed
            caches and wake the fanout; lane 0's stamp was already bumped
            by [assign]. *)
-        if not changed then n.n_gen <- n.n_gen + 1;
+        if not changed then bump t n;
         t.events <- t.events + 1;
         (match t.on_event with
         | None -> ()
@@ -915,7 +1029,7 @@ let run ?(case = []) t =
     t.initialized <- true;
     List.iter (fun (id, v) -> t.case.(id) <- Some v) case;
     Netlist.iter_nets t.nl (fun n ->
-        assign n (initial_value t n) [];
+        assign t n (initial_value t n) [];
         reset_lanes t n);
     Netlist.iter_insts t.nl (fun i -> enqueue t i.i_id)
   end
@@ -931,7 +1045,7 @@ let run ?(case = []) t =
           let n = Netlist.net t.nl id in
           (match n.n_driver with
           | None ->
-            assign n (initial_value t n) n.n_eval_str;
+            assign t n (initial_value t n) n.n_eval_str;
             reset_lanes t n
           | Some d -> enqueue t d);
           enqueue_fanout t id
@@ -950,23 +1064,24 @@ let value ?(lane = 0) t id = raw_value t lane (Netlist.net t.nl id)
    fanout.  The waveform itself is untouched — only its interpretation
    changed. *)
 let touch_net t net_id =
-  let n = Netlist.net t.nl net_id in
-  n.n_gen <- n.n_gen + 1;
+  bump t (Netlist.net t.nl net_id);
   enqueue_fanout t net_id
 
 (* An assertion edit changes the net's source waveform: undriven nets
    are re-initialized in place (mirroring the §2.7 case-change path in
    [run]); driven nets re-evaluate their driver so the new assertion is
-   checked against a fresh value. *)
+   checked against a fresh value.  Adding or removing the assertion may
+   change whether the net reports at all. *)
 let reassert_net t net_id =
   let n = Netlist.net t.nl net_id in
   (match n.n_driver with
   | None ->
-    assign n (initial_value t n) n.n_eval_str;
+    assign t n (initial_value t n) n.n_eval_str;
     reset_lanes t n
   | Some d ->
-    n.n_gen <- n.n_gen + 1;
+    bump t n;
     enqueue t d);
+  reclass_net t net_id;
   enqueue_fanout t net_id
 
 (* Replace the frozen set wholesale: [active id] instances stay live,
@@ -982,9 +1097,10 @@ let refreeze t ~active =
    checker the (possibly updated) analysis still proves stays statically
    served even inside the thawed cone — its verdict cannot move.  The
    incremental service calls this right after [refreeze], once
-   [Window.update] has absorbed the edit. *)
+   [Window.update] has absorbed the edit.  Every id whose proof flipped
+   is logged for the next check pass. *)
 let rewindow t =
-  match t.window with
+  (match t.window with
   | None -> ()
   | Some w ->
     for id = 0 to Netlist.n_insts t.nl - 1 do
@@ -992,18 +1108,24 @@ let rewindow t =
       else if Bytes.unsafe_get t.frozen id = '\002' then
         (* no longer proven: thaw so the next run evaluates it *)
         Bytes.unsafe_set t.frozen id '\000'
-    done
+    done);
+  reclass_all t
 
 (* A [Cases] edit changes the volatile-net set, which is fixed when the
    window table is built: the service swaps in a re-analysed table here
    and the next [rewindow] re-derives the frozen set from it. *)
-let set_window t w = t.window <- w
+let set_window t w =
+  t.window <- w;
+  reclass_all t
 
-(* An instance-parameter edit (element delay, checker margins) moves no
-   input stamp, so it drops the instance's memoized verdicts on every
+(* An instance-parameter edit (element delay, checker margins, a new
+   primitive) moves no input stamp, so it logs the instance on every
    lane explicitly and re-evaluates it. *)
 let touch_inst t inst_id =
-  Array.iter (fun ln -> ln.l_chk_key.(inst_id) <- -1) t.lanes;
+  for l = 0 to Array.length t.lanes - 1 do
+    log_add t.lanes.(l).l_dirty_insts inst_id own
+  done;
+  reclass_inst t inst_id;
   enqueue t inst_id
 
 (* ---- checking ------------------------------------------------------------ *)
@@ -1055,70 +1177,51 @@ let check_inst_compute t lane (inst : Netlist.inst) =
   | Primitive.Const _ ->
     []
 
-let memo_hit t =
-  t.cache_hits <- t.cache_hits + 1;
-  t.check_hits <- t.check_hits + 1
+(* Move an id in or out of a lane's non-empty set when its verdicts
+   change between empty and non-empty. *)
+let refile set id was now =
+  match was, now with
+  | [], [] | _ :: _, _ :: _ -> set
+  | [], _ :: _ -> Ids.add id set
+  | _ :: _, [] -> Ids.remove id set
 
-(* Verdicts are served from the generation-keyed memo whenever no input
-   net's stamp moved since the last derivation.  The memo is
-   deterministic under case sharding for the same reason the input
-   caches are: warm-start priming replays the preceding case's checks,
-   leaving every stamp exactly where the sequential run's did. *)
-let check_inst t lane (inst : Netlist.inst) =
-  match t.window, inst.i_prim with
-  | Some w, _ when Window.inst_proven w inst.i_id ->
-    (* statically proven clean at every corner: serve the verdict the
-       dynamic check would compute (verdict equality argued in
-       doc/WINDOWS.md, pinned by the QCheck soundness property) *)
-    t.window_checks <- t.window_checks + 1;
-    []
-  | _, (Primitive.Buf _ | Primitive.Mux2 _ | Primitive.Reg _ | Primitive.Latch _
-       | Primitive.Const _) ->
-    []
-  | _, (Primitive.Gate _ | Primitive.Setup_hold_check _
-       | Primitive.Setup_rise_hold_fall_check _ | Primitive.Min_pulse_width _) ->
-    let ln = t.lanes.(lane) in
-    let key =
-      Array.fold_left
-        (fun acc (c : Netlist.conn) -> acc + (Netlist.net t.nl c.c_net).n_gen)
-        0 inst.i_inputs
-    in
-    if ln.l_chk_key.(inst.i_id) = key then begin
-      memo_hit t;
-      ln.l_chk.(inst.i_id)
-    end
-    else begin
+(* Re-derive one id's verdicts on a lane: computed when live, empty when
+   it reports nothing or a window proof serves it (proven clean at every
+   corner, so empty is what the dynamic check would compute: argued in
+   doc/WINDOWS.md, pinned by the QCheck soundness property).  Returns
+   whether it was live, i.e. whether the pass paid for it. *)
+let rederive_inst t lane id =
+  let ln = t.lanes.(lane) in
+  let live = Bytes.unsafe_get t.inst_cls id = cls_live in
+  let r =
+    if live then begin
       t.cache_misses <- t.cache_misses + 1;
-      let r = check_inst_compute t lane inst in
-      ln.l_chk_key.(inst.i_id) <- key;
-      ln.l_chk.(inst.i_id) <- r;
-      r
+      check_inst_compute t lane (Netlist.inst t.nl id)
     end
+    else []
+  in
+  ln.l_bad_insts <- refile ln.l_bad_insts id ln.l_chk.(id) r;
+  ln.l_chk.(id) <- r;
+  live
 
-(* A driven net's stable-assertion verdict, memoized on its own stamp. *)
-let check_net t lane net_id =
-  let n = Netlist.net t.nl net_id in
-  match t.window, n.n_assertion, n.n_driver with
-  | Some w, _, _ when Window.net_proven w net_id ->
-    t.window_checks <- t.window_checks + 1;
-    []
-  | _, Some a, Some _ ->
-    let ln = t.lanes.(lane) in
-    if ln.l_chk_net_gen.(net_id) = n.n_gen then begin
-      memo_hit t;
-      ln.l_chk_net.(net_id)
-    end
-    else begin
+let rederive_net t lane id =
+  let ln = t.lanes.(lane) in
+  let live = Bytes.unsafe_get t.net_cls id = cls_live in
+  let r =
+    if live then begin
       t.cache_misses <- t.cache_misses + 1;
-      let r =
+      let n = Netlist.net t.nl id in
+      match n.n_assertion with
+      | Some a ->
         Check.check_stable_assertion ~signal:n.n_name ~tb:(Netlist.timebase t.nl) a
           (raw_value t lane n)
-      in
-      ln.l_chk_net_gen.(net_id) <- n.n_gen;
-      ln.l_chk_net.(net_id) <- r;
-      r
+      | None -> []
     end
-  | _, (None | Some _), _ -> []
+    else []
+  in
+  ln.l_bad_nets <- refile ln.l_bad_nets id ln.l_chk_net.(id) r;
+  ln.l_chk_net.(id) <- r;
+  live
 
 let divergence t =
   if t.converged then []
@@ -1142,8 +1245,37 @@ let divergence t =
       };
     ]
 
+(* Closed, so passing it to [Netlist.fold_fanout] allocates nothing. *)
+let log_fanout lg i =
+  log_add lg i own;
+  lg
+
+(* One lane's check pass: drain the net log (each net's own verdict,
+   and its fanout into the instance log when its stamp moved), then the
+   instance log.  Every live id the pass did not re-derive kept its
+   verdict: one hit each; every proven id is one window check. *)
 let check ?(lane = 0) t =
-  let acc = ref [] in
-  Netlist.iter_insts t.nl (fun inst -> acc := check_inst t lane inst :: !acc);
-  Netlist.iter_nets t.nl (fun n -> acc := check_net t lane n.n_id :: !acc);
-  divergence t @ List.concat (List.rev !acc)
+  let ln = t.lanes.(lane) in
+  let paid = ref 0 in
+  let nets = ln.l_dirty_nets and insts = ln.l_dirty_insts in
+  for k = 0 to nets.n - 1 do
+    let id = nets.ids.(k) in
+    let m = Bytes.unsafe_get nets.mark id in
+    Bytes.unsafe_set nets.mark id '\000';
+    if rederive_net t lane id then incr paid;
+    if m = stamp then ignore (Netlist.fold_fanout (Netlist.net t.nl id) insts log_fanout)
+  done;
+  nets.n <- 0;
+  for k = 0 to insts.n - 1 do
+    let id = insts.ids.(k) in
+    Bytes.unsafe_set insts.mark id '\000';
+    if rederive_inst t lane id then incr paid
+  done;
+  insts.n <- 0;
+  let hits = t.n_live - !paid in
+  t.cache_hits <- t.cache_hits + hits;
+  t.check_hits <- t.check_hits + hits;
+  t.window_checks <- t.window_checks + t.n_proven;
+  let rev = Ids.fold (fun id acc -> ln.l_chk.(id) :: acc) ln.l_bad_insts [] in
+  let rev = Ids.fold (fun id acc -> ln.l_chk_net.(id) :: acc) ln.l_bad_nets rev in
+  divergence t @ List.concat (List.rev rev)

@@ -22,10 +22,12 @@
     reference discipline the tests compare against.
 
     Every delay corner is a {e lane} with the same derivation and memo
-    state (doc/CORNERS.md): input waveforms, register data and checker
-    verdicts are memoized per lane, keyed on per-net generation stamps.
-    Lane 0 — the reference corner — keeps its waveforms in the netlist
-    ([Netlist.net.n_value]), where the reporting modules read them. *)
+    state (doc/CORNERS.md): input waveforms and register data are
+    memoized per lane, keyed on per-net generation stamps, and every
+    lane keeps its own checker verdicts, re-derived only where a stamp
+    moved.  Lane 0 — the reference corner — keeps its waveforms in the
+    netlist ([Netlist.net.n_value]), where the reporting modules read
+    them. *)
 
 type t
 
@@ -67,15 +69,25 @@ val check : ?lane:int -> t -> Check.t list
 
     The list is per-instance verdicts in id order, then per-net
     assertion verdicts in id order, with the divergence report in
-    front.  Each instance's verdicts are memoized per lane on its input
-    nets' generation stamps, each net's on its own stamp: a verdict is
-    a pure function of those waveforms, so the memo never changes the
-    list, and a re-check after an incremental run re-derives only the
-    dirty cone. *)
+    front.  The pass is incremental (doc/SCHEDULER.md, "Checking what
+    moved"): every generation-stamp move and every {!touch_inst} logs
+    its id on every lane, and a lane's pass re-derives only the
+    verdicts of its logged nets, of its logged instances and of the
+    instances in those nets' fanout — a verdict is a pure function of
+    those waveforms and parameters, so the list is what a walk over
+    every id would give.  It is built from the lane's ids with
+    non-empty verdicts.  An evaluator's first pass on each lane has
+    every id logged.
+
+    Counters, per pass: every window-proven id is one
+    [c_window_checks]; every other checker, gate or driven asserted net
+    is one [c_cache_misses] when re-derived and one verdict hit
+    ({!check_hits}, [c_cache_hits]) when kept. *)
 
 val check_hits : t -> int
-(** Verdicts the check passes served from the memo since creation (or
-    the last {!reset_counters}); they are also counted in
+(** Verdicts the check passes kept since creation (or the last
+    {!reset_counters}): per pass, the live checkers, gates and driven
+    asserted nets it did not re-derive.  They are also counted in
     [c_cache_hits]. *)
 
 val value : ?lane:int -> t -> int -> Waveform.t
@@ -87,7 +99,8 @@ val value : ?lane:int -> t -> int -> Waveform.t
 
     Used by [lib/incr] (doc/SERVICE.md) to replay a netlist edit on a
     persistent evaluator.  They all leave waveforms outside the touched
-    cone untouched, so generation-keyed caches keep their value. *)
+    cone untouched, so generation-keyed caches keep their value, and
+    each logs what it touched for the next {!check}. *)
 
 val touch_net : t -> int -> unit
 (** Bump the net's generation stamp and wake its fanout.  Called after
@@ -99,7 +112,8 @@ val reassert_net : t -> int -> unit
 (** Recompute a net after its assertion changed: an undriven net is
     re-initialized from the new assertion in place (the §2.7 case-change
     path), a driven net has its driver re-enqueued; either way the
-    fanout is woken. *)
+    fanout is woken.  A driven net that gained or lost its assertion
+    starts or stops reporting in the next {!check}. *)
 
 val refreeze : t -> active:(int -> bool) -> unit
 (** Replace the frozen set wholesale: instance [id] stays live iff
@@ -114,21 +128,24 @@ val rewindow : t -> unit
 (** Re-apply the window freeze after {!refreeze} rebuilt the frozen set:
     checkers the (possibly {!Window.update}d) analysis still proves stay
     statically served even inside the thawed cone, and checkers no
-    longer proven are thawed so the next run re-checks them.  A no-op
-    without a [window]. *)
+    longer proven are thawed so the next run re-checks them.  Every
+    instance or net whose proof flipped is logged for the next
+    {!check}. *)
 
 val set_window : t -> Window.t option -> unit
 (** Swap the window analysis the evaluator serves static verdicts from.
     Used on a case-group edit, where the volatile-net set baked into the
     table changes and {!Window.update} cannot absorb it; follow with
     {!rewindow} (after {!refreeze}) so the frozen set matches the new
-    proofs. *)
+    proofs.  The ids whose proof flipped are logged for the next
+    {!check}. *)
 
 val touch_inst : t -> int -> unit
 (** Put one instance on the work list for the next {!run} (a no-op if
-    frozen or already queued) and drop its memoized verdicts on every
-    lane.  Used after an edit of the instance's own parameters — element
-    delay, checker margins — which changes its output or verdict without
+    frozen or already queued) and log it on every lane, so the next
+    {!check} re-derives its verdicts.  Used after an edit of the
+    instance's own parameters — element delay, checker margins, a
+    replaced primitive — which changes its output or verdict without
     any input net changing. *)
 
 val input_waveform : t -> int -> Netlist.inst -> int -> Waveform.t
@@ -186,9 +203,9 @@ type counters = {
   c_sccs : int;  (** strongly connected components in the schedule *)
   c_max_scc_size : int;  (** largest component ([1] when acyclic) *)
   c_cache_hits : int;
-      (** input-waveform / register-data / verdict memo hits (generation
-          match) *)
-  c_cache_misses : int;  (** memo fills *)
+      (** input-waveform / register-data memo hits (generation match),
+          plus the verdicts each check pass kept *)
+  c_cache_misses : int;  (** memo fills, plus verdicts re-derived *)
   c_pruned_evals : int;
       (** enqueues rejected because {!refreeze} froze the target: it lay
           outside the dirty cone.  [0] on one-shot runs, which never
@@ -213,8 +230,8 @@ type counters = {
   c_window_evals : int;
       (** evaluations skipped on window-frozen checkers *)
   c_window_checks : int;
-      (** checker/assertion verdicts served statically instead of
-          computed *)
+      (** verdicts served statically instead of computed: every
+          window-proven id, once per check pass *)
   c_evals_by_kind : (string * int) list;
       (** evaluations per primitive mnemonic, e.g. [("REG", 42)];
           alphabetical, zero-count kinds omitted *)

@@ -2,7 +2,13 @@ type ps = int
 
 type t = { period : ps; clock_unit : ps }
 
-let ps_of_ns ns = int_of_float (Float.round (ns *. 1000.))
+let max_ns = 1e9
+
+let ps_of_ns ns =
+  if Float.is_finite ns && Float.abs ns <= max_ns then int_of_float (Float.round (ns *. 1000.))
+  else
+    invalid_arg
+      (Printf.sprintf "time %g ns is out of range (at most %g ns either way)" ns max_ns)
 
 let ns_of_ps ps = float_of_int ps /. 1000.
 

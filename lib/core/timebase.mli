@@ -34,8 +34,18 @@ val clock_unit : t -> ps
 val units_per_period : t -> float
 (** Number of clock units in one period (need not be integral). *)
 
+val max_ns : float
+(** The largest time magnitude accepted in nanoseconds: [1e9] (one
+    second).  Its picosecond value, [1e12], leaves a factor of a million
+    of headroom below the integer range, so scaled delays
+    ({!Corner.max_scale}) and sums along a path cannot wrap. *)
+
 val ps_of_ns : float -> ps
-(** Convert nanoseconds to picoseconds, rounding to the nearest ps. *)
+(** Convert nanoseconds to picoseconds, rounding to the nearest ps.  This
+    is the one conversion of user-given times: the SDL parser, delay
+    constructors, assertions and service edits all go through it.
+    @raise Invalid_argument on a non-finite value or one whose magnitude
+    exceeds {!max_ns}. *)
 
 val ns_of_ps : ps -> float
 (** Convert picoseconds back to nanoseconds. *)

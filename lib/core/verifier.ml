@@ -185,7 +185,7 @@ let verify_parallel ~probe ~sched ~window ~case_list ~jobs nl =
     if lo > 0 then begin
       (* Warm-start priming: un-measured, un-hooked, un-counted.  The
          check passes are replayed too: they fill the input-waveform
-         caches and the verdict memos of every lane exactly as the
+         caches and drain the dirty logs of every lane exactly as the
          sequential run's preceding case did, so the cache hit/miss
          counters of every measured case stay identical to jobs:1. *)
       Eval.run ~case:resolved.(lo - 1) ev;

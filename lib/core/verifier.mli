@@ -49,9 +49,9 @@ type obs_summary = {
   os_sccs : int;  (** strongly connected components in the schedule *)
   os_max_scc_size : int;  (** largest component; [1] when acyclic *)
   os_cache_hits : int;
-      (** input-waveform, register-data and verdict memo hits (see
-          {!Eval}) *)
-  os_cache_misses : int;  (** memo fills *)
+      (** input-waveform and register-data memo hits, plus the verdicts
+          each check pass kept (see {!Eval.check}) *)
+  os_cache_misses : int;  (** memo fills, plus verdicts re-derived *)
   os_pruned_evals : int;
       (** enqueues the incremental service's dirty-cone freeze rejected
           ({!Eval.refreeze}); always [0] on one-shot runs.  On a

@@ -76,9 +76,9 @@ let load ?(cases = []) ?probe ?content nl =
         };
     }
   in
-  (* The cold run's last check pass left the evaluator's verdict memos
-     holding the final state, so the first re-verify reuses every
-     verdict outside its dirty cone. *)
+  (* The cold run's last check pass left every lane's verdicts current
+     and its dirty logs empty, so the first re-verify re-derives only
+     the verdicts of its dirty cone. *)
   Eval.count_request ev;
   t.s_cum <- Eval.counters ev;
   t
@@ -250,8 +250,8 @@ let reverify ?(carry_counters = true) t =
         net_dirty)
   in
   (* 3. inject the edits into the evaluator: bump stamps, wake cones;
-     an instance-parameter edit moves no stamp, so [touch_inst] drops
-     the instance's memoized verdicts on every lane *)
+     an instance-parameter edit moves no stamp, so [touch_inst] logs
+     the instance for the next check pass on every lane *)
   List.iter (Eval.touch_net ev) touched_nets;
   List.iter (Eval.reassert_net ev) reinit_nets;
   List.iter (Eval.touch_inst ev) touched_insts;

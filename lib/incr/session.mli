@@ -15,8 +15,8 @@
       its value (a corners edit swaps in a fresh evaluator instead,
       which evaluates every instance);
     + replays the case sweep, whose check passes re-derive only the
-      verdicts whose input stamps moved (the evaluator's per-lane
-      verdict memo, {!Scald_core.Eval.check});
+      verdicts whose input stamps moved (the evaluator's per-lane dirty
+      logs, {!Scald_core.Eval.check});
     + merges cached and fresh violations into a report with the exact
       shape, content and order of a cold {!Scald_core.Verifier.verify}
       of the edited design.

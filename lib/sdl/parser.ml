@@ -87,6 +87,16 @@ let parse_pair st =
   | _ -> (a, b)
   | exception Invalid_argument msg -> fail_at line "%s" msg
 
+(* A PERIOD or CLOCK UNIT: a time the timebase can hold, of at least
+   one picosecond — rejected here, where the statement's line is known. *)
+let parse_period st what =
+  let line = line st in
+  let f = parse_number st in
+  match Scald_core.Timebase.ps_of_ns f with
+  | ps when ps > 0 -> f
+  | _ -> fail_at line "%s must be at least 1 ps, found %g ns" what f
+  | exception Invalid_argument msg -> fail_at line "%s: %s" what msg
+
 (* Every integer up to 2^53 is exact as a float. *)
 let max_width = 1 lsl 53
 
@@ -269,7 +279,7 @@ let parse_top st =
   | Lexer.Word w when keyword_is w "MACRO" -> Ast.Macro (parse_macro st)
   | Lexer.Word w when keyword_is w "PERIOD" ->
     advance st;
-    let f = parse_number st in
+    let f = parse_period st "PERIOD" in
     expect st Lexer.Semi "';'";
     Ast.Period f
   | Lexer.Word w
@@ -277,7 +287,7 @@ let parse_top st =
          && match peek2 st with Lexer.Word u -> keyword_is u "UNIT" | _ -> false ->
     advance st;
     advance st;
-    let f = parse_number st in
+    let f = parse_period st "CLOCK UNIT" in
     expect st Lexer.Semi "';'";
     Ast.Clock_unit f
   | Lexer.Word w
@@ -320,6 +330,7 @@ let parse_top st =
     let rec entries acc =
       match peek st with
       | Lexer.Word name ->
+        let line = line st in
         advance st;
         let scales =
           match peek st with
@@ -332,6 +343,15 @@ let parse_top st =
             | t -> fail st "expected corner scales, found %a" Lexer.pp_token t)
           | _ -> []
         in
+        (* the factors' bounds are checked here, where the line is known *)
+        (match
+           match scales with
+           | [ d ] -> Some (Scald_core.Corner.make ~name d)
+           | [ d; w ] -> Some (Scald_core.Corner.make ~name d ~wire_scale:w)
+           | _ -> None
+         with
+        | _ -> ()
+        | exception Invalid_argument msg -> fail_at line "%s" msg);
         let e = (name, scales) in
         (match peek st with
         | Lexer.Comma ->

@@ -437,6 +437,63 @@ let test_incremental_case () =
   Eval.run ev;
   Alcotest.check tv "cleared: stable again" Tvalue.Stable (value_at ev q 0)
 
+(* ---- the service hooks and the check pass ------------------------------------------------------ *)
+
+(* A check pass re-derives only what moved since the last one, so every
+   hook must log what its edit can change: after each edit, a warm
+   evaluator's verdicts must equal a fresh evaluator's on a netlist
+   given the same edits. *)
+let test_hooks_keep_check_exact () =
+  let build () =
+    let nl = make_nl () in
+    let a = Netlist.signal nl "A .S0-4" and b = Netlist.signal nl "B .S0-4" in
+    let d = Netlist.signal nl "D" in
+    let ck = Netlist.signal nl "CK .P2-3" in
+    ignore
+      (Netlist.add nl (gate Primitive.And 2 ~delay:(Delay.of_ns 1.0 2.0) ())
+         ~inputs:[ Netlist.conn a; Netlist.conn b ]
+         ~output:(Some d));
+    let chk =
+      Netlist.add nl ~name:"CHK"
+        (Primitive.Setup_hold_check { setup = ps 2.5; hold = ps 1.5 })
+        ~inputs:[ Netlist.conn d; Netlist.conn ck ]
+        ~output:None
+    in
+    (nl, d, chk.Netlist.i_id)
+  in
+  let stable = Result.get_ok (Assertion.parse "S0-1") in
+  let margins setup = Primitive.Setup_hold_check { setup = ps setup; hold = ps 1.5 } in
+  let edits =
+    [
+      ( "assertion added to a driven net",
+        (fun nl d _ -> Netlist.set_assertion nl d (Some stable)),
+        fun ev d _ -> Eval.reassert_net ev d );
+      ( "checker margins widened",
+        (fun nl _ chk -> Netlist.replace_prim nl chk (margins 40.)),
+        fun ev _ chk -> Eval.touch_inst ev chk );
+      ( "assertion removed",
+        (fun nl d _ -> Netlist.set_assertion nl d None),
+        fun ev d _ -> Eval.reassert_net ev d );
+    ]
+  in
+  let nl, d, chk = build () in
+  let ev = run nl in
+  ignore (Eval.check ev);
+  List.fold_left
+    (fun applied (name, edit, hook) ->
+      edit nl d chk;
+      hook ev d chk;
+      Eval.run ev;
+      let applied = edit :: applied in
+      let fresh_nl, fd, fchk = build () in
+      List.iter (fun e -> e fresh_nl fd fchk) (List.rev applied);
+      let fresh = Eval.check (run fresh_nl) in
+      Alcotest.(check bool) (name ^ ": verdicts reported") true (fresh <> []);
+      Alcotest.(check bool) (name ^ ": warm check equals fresh") true (Eval.check ev = fresh);
+      applied)
+    [] edits
+  |> ignore
+
 let suite =
   [
     Alcotest.test_case "and clock with high" `Quick test_and_clock_with_high;
@@ -462,4 +519,5 @@ let suite =
     Alcotest.test_case "latch open data changing" `Quick test_latch_open_data_changing;
     Alcotest.test_case "combinational loop flagged" `Quick test_combinational_loop_flagged;
     Alcotest.test_case "incremental case" `Quick test_incremental_case;
+    Alcotest.test_case "hooks keep the check pass exact" `Quick test_hooks_keep_check_exact;
   ]

@@ -277,7 +277,19 @@ let test_edit_of_json () =
   Alcotest.(check bool) "unknown kind rejected" true
     (Result.is_error (decode {| {"edit":"rename","signal":"A"} |}));
   Alcotest.(check bool) "missing field rejected" true
-    (Result.is_error (decode {| {"edit":"wire_delay"} |}))
+    (Result.is_error (decode {| {"edit":"wire_delay"} |}));
+  (* out-of-range numbers are rejected, never wrapped *)
+  Alcotest.(check bool) "delay beyond the time bound rejected" true
+    (Result.is_error
+       (decode {| {"edit":"wire_delay","signal":"A","min_ns":0,"max_ns":1e16} |}));
+  Alcotest.(check bool) "assertion width beyond the time bound rejected" true
+    (Result.is_error
+       (decode {| {"edit":"assertion","signal":"A","assertion":"S2+99999999999999999"} |}));
+  match decode {| {"edit":"corners","spec":"typ,x=1e308"} |} with
+  | Error m ->
+    Alcotest.(check bool) ("corner error quotes the spec: " ^ m) true
+      (String.ends_with ~suffix:{|(corner spec "typ,x=1e308")|} m)
+  | Ok _ -> Alcotest.fail "corners x=1e308 accepted"
 
 (* ---- Session ----------------------------------------------------------------- *)
 
@@ -311,8 +323,8 @@ let test_session_reverify_equals_cold () =
   Alcotest.(check int) "nothing pending afterwards" 0 (Session.pending s);
   Alcotest.(check bool) "clock's cone was reused" true (st.Session.st_reused_nets > 0);
   (* both reporting instances sit in the edits' cone — U0 was edited
-     itself, U3 reads DATA — so no memoized verdict could be served;
-     the non-reporting BUF and REG never count *)
+     itself, U3 reads DATA — so every verdict is re-derived and none
+     kept; the non-reporting BUF and REG never count *)
   Alcotest.(check int) "no verdict outside the cone to reuse" 0
     st.Session.st_warm_hits;
   Alcotest.(check bool) "the dirty cone was re-verified" true
@@ -338,7 +350,20 @@ let test_session_assertion_and_revert () =
   Alcotest.(check bool) "revert restores the original verdicts" true
     (verdicts_equal report' (Session.report (Session.load (build_circuit ()))));
   Alcotest.(check string) "and the original listing" original (Session.listing s);
-  Alcotest.(check string) "and the original digest" (Session.id s) (Session.digest s)
+  Alcotest.(check string) "and the original digest" (Session.id s) (Session.digest s);
+  (* a stable assertion given to, then taken from, a driven net: the
+     net starts and stops reporting without its waveform moving *)
+  let stable = Edit.Assertion { signal = "DATA"; assertion = Some (assertion "S0-1") } in
+  Session.stage s stable;
+  let report, _ = Session.reverify s in
+  let cold = edited_cold [ stable ] in
+  Alcotest.(check bool) "the new assertion is violated" true
+    (Verifier.violations_of_kind Check.Stable_assertion_violation cold <> []);
+  Alcotest.(check bool) "added assertion equals cold" true (verdicts_equal report cold);
+  Session.stage s (Edit.Assertion { signal = "DATA"; assertion = None });
+  ignore (Session.reverify s);
+  Alcotest.(check string) "removing it restores the original listing" original
+    (Session.listing s)
 
 let test_session_noop_reverify () =
   let s = Session.load (build_circuit ()) in
@@ -407,9 +432,9 @@ let test_session_corners_edit () =
     Alcotest.failf "expected a single corner entry, got %d" (List.length cs));
   Alcotest.(check string) "and the original digest" base_digest (Session.digest s)
 
-(* A checker-margin edit moves no input stamp: the session must drop the
-   checker's memoized verdict on every corner lane, not just the
-   reference's, or the slow corner keeps reporting the old margin. *)
+(* A checker-margin edit moves no input stamp: the session must have the
+   checker re-derived on every corner lane, not just the reference's,
+   or the slow corner keeps reporting the old margin. *)
 let test_session_margin_edit_all_corners () =
   let build () =
     let nl = build_circuit ~u3_setup:2.0 () in

@@ -162,6 +162,14 @@ let reports_equal (a : Verifier.report) (b : Verifier.report) =
   && List.length a.Verifier.r_cases = List.length b.Verifier.r_cases
   && List.for_all2 case_results_equal a.Verifier.r_cases b.Verifier.r_cases
 
+(* Every enqueue request either ran an evaluation or coalesced into one
+   already pending, once the work list has drained; a diverged run drops
+   what is left, so the law holds on converged reports only. *)
+let counters_add_up (r : Verifier.report) =
+  (not r.Verifier.r_converged)
+  || r.Verifier.r_obs.Verifier.os_queued
+     = r.Verifier.r_evaluations + r.Verifier.r_obs.Verifier.os_coalesced
+
 let test_jobs_equal_on_diverging_circuit () =
   let r1 = Verifier.verify ~cases:slow_loop_cases (slow_loop ()) in
   List.iter
@@ -277,6 +285,57 @@ let netgen_cases nl =
       then inputs := n.Netlist.n_name :: !inputs);
   Case_analysis.complete_exn (List.rev !inputs)
 
+(* Random netgen design + random corner table + scheduler/sharding
+   choice, with the same complete case analysis over two primary
+   inputs. *)
+type corner_recipe = {
+  co_seed : int;
+  co_chips : int;
+  co_broken : int;
+  co_spec : string;
+  co_flat : bool;
+  co_jobs : int;
+}
+
+let print_corner_recipe c =
+  Printf.sprintf "seed %d, %d chips, %d broken, corners %s, %s, -j %d" c.co_seed
+    c.co_chips c.co_broken c.co_spec
+    (if c.co_flat then "flat" else "level")
+    c.co_jobs
+
+let gen_corner_recipe =
+  let open QCheck.Gen in
+  let gen =
+    let* co_seed = int_range 1 500 in
+    let* co_chips = int_range 5 40 in
+    let* co_broken = int_range 0 2 in
+    let* k = int_range 1 3 in
+    let scale = map (fun s -> float_of_int s /. 100.) (int_range 50 200) in
+    let* ref_scales = pair scale scale in
+    let* lane_scales = list_repeat k (pair scale scale) in
+    let spec =
+      (ref_scales :: lane_scales)
+      |> List.mapi (fun i (d, w) -> Printf.sprintf "c%d=%.2f/%.2f" i d w)
+      |> String.concat ","
+    in
+    let* co_flat = bool in
+    let* co_jobs = oneofl [ 1; 3 ] in
+    return { co_seed; co_chips; co_broken; co_spec = spec; co_flat; co_jobs }
+  in
+  QCheck.make ~print:print_corner_recipe gen
+
+(* The recipe's design with its corner table not yet installed, and its
+   cases. *)
+let corner_design c =
+  let nl =
+    (Netgen.to_netlist
+       (Netgen.generate
+          (Netgen.scaled ~seed:c.co_seed ~broken_registers:c.co_broken
+             ~chips:c.co_chips ())))
+      .Scald_sdl.Expander.e_netlist
+  in
+  (nl, netgen_cases nl)
+
 (* A random gate network, or now and then a netgen design (registers,
    latches, muxes, window-proven checkers), each with its case list. *)
 type design = Recipe of recipe | Netgen of int
@@ -299,33 +358,79 @@ let design_cases = function
 
 let build_design = function Recipe r -> build_recipe r | Netgen seed -> netgen_nl seed
 
-let waveforms nl ev =
+let waveforms ?lane nl ev =
   Array.to_list (Netlist.nets nl)
-  |> List.map (fun (n : Netlist.net) -> Eval.value ev n.Netlist.n_id)
+  |> List.map (fun (n : Netlist.net) -> Eval.value ?lane ev n.Netlist.n_id)
+
+(* Inputs of the warm-start oracle: a random gate network, or a netgen
+   design at a random corner table, each evaluated with or without a
+   window table. *)
+type warm_design = Gates of recipe | Corners of corner_recipe
+
+let gen_warm =
+  let open QCheck.Gen in
+  let design =
+    frequency
+      [
+        (3, map (fun r -> Gates r) (QCheck.gen gen_recipe));
+        (1, map (fun c -> Corners c) (QCheck.gen gen_corner_recipe));
+      ]
+  in
+  QCheck.make
+    ~print:(fun (d, windowed) ->
+      (match d with
+      | Gates r -> print_recipe r
+      | Corners c -> print_corner_recipe c)
+      ^ if windowed then ", window table" else "")
+    (pair design bool)
+
+(* A fresh netlist of the input's design, its cases, and an evaluator
+   created the way the input asks. *)
+let warm_evaluator (d, windowed) =
+  let nl, cases, flat =
+    match d with
+    | Gates r -> (build_recipe r, recipe_cases r, false)
+    | Corners c ->
+      let nl, cases = corner_design c in
+      Netlist.set_corners nl (Corner.of_spec c.co_spec);
+      (nl, cases, c.co_flat)
+  in
+  let sched = Sched.compute nl in
+  let window =
+    if not windowed then None
+    else
+      let case_nets =
+        List.concat_map (fun c -> List.map fst (Case_analysis.resolve nl c)) cases
+      in
+      Some (Window.analyse ~sched ~case_nets nl)
+  in
+  (nl, cases, Eval.create ~sched:(if flat then Sched.flat nl else sched) ?window nl)
 
 let properties =
   [
-    prop "warm-start equals a fresh evaluation of every case" gen_recipe (fun r ->
-        let cases = recipe_cases r in
-        let warm_nl = build_recipe r in
-        let warm = Eval.create warm_nl in
+    prop "warm-start equals a fresh evaluation of every case" gen_warm (fun input ->
+        let warm_nl, cases, warm = warm_evaluator input in
         List.for_all
           (fun case ->
             Eval.run ~case:(Case_analysis.resolve warm_nl case) warm;
-            let fresh_nl = build_recipe r in
-            let fresh = Eval.create fresh_nl in
+            let fresh_nl, _, fresh = warm_evaluator input in
             Eval.run ~case:(Case_analysis.resolve fresh_nl case) fresh;
-            List.for_all2 Waveform.equal (waveforms warm_nl warm)
-              (waveforms fresh_nl fresh)
-            && Eval.check warm = Eval.check fresh)
+            List.for_all
+              (fun lane ->
+                List.for_all2 Waveform.equal (waveforms ~lane warm_nl warm)
+                  (waveforms ~lane fresh_nl fresh)
+                && Eval.check ~lane warm = Eval.check ~lane fresh)
+              (List.init (Eval.n_corners warm) Fun.id))
           cases);
     prop "verify ~jobs:N equals ~jobs:1 on random netlists" gen_design (fun d ->
         let cases = design_cases d in
         let r1 = Verifier.verify ~cases (build_design d) in
-        List.for_all
-          (fun jobs ->
-            reports_equal r1 (Verifier.verify ~cases ~jobs (build_design d)))
-          [ 2; 4 ]);
+        counters_add_up r1
+        && List.for_all
+             (fun jobs ->
+               let rn = Verifier.verify ~cases ~jobs (build_design d) in
+               reports_equal r1 rn && counters_add_up rn)
+             [ 2; 4 ]);
   ]
 
 let suite =

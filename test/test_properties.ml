@@ -103,63 +103,11 @@ let waveforms nl ev =
 
 (* ---- multi-corner packing (doc/CORNERS.md) ----------------------------------- *)
 
-(* Random netgen design + random corner table + scheduler/sharding
-   choice: the reference lane of a packed k-corner run must reproduce a
-   dedicated single-corner run of corner 0 exactly — violations, per-case
-   results, convergence and the final reference waveforms. *)
-type corner_recipe = {
-  co_seed : int;
-  co_chips : int;
-  co_broken : int;
-  co_spec : string;
-  co_flat : bool;
-  co_jobs : int;
-}
-
-let gen_corner_recipe =
-  let open QCheck.Gen in
-  let gen =
-    let* co_seed = int_range 1 500 in
-    let* co_chips = int_range 5 40 in
-    let* co_broken = int_range 0 2 in
-    let* k = int_range 1 3 in
-    let scale = map (fun s -> float_of_int s /. 100.) (int_range 50 200) in
-    let* ref_scales = pair scale scale in
-    let* lane_scales = list_repeat k (pair scale scale) in
-    let spec =
-      (ref_scales :: lane_scales)
-      |> List.mapi (fun i (d, w) -> Printf.sprintf "c%d=%.2f/%.2f" i d w)
-      |> String.concat ","
-    in
-    let* co_flat = bool in
-    let* co_jobs = oneofl [ 1; 3 ] in
-    return { co_seed; co_chips; co_broken; co_spec = spec; co_flat; co_jobs }
-  in
-  QCheck.make
-    ~print:(fun c ->
-      Printf.sprintf "seed %d, %d chips, %d broken, corners %s, %s, -j %d"
-        c.co_seed c.co_chips c.co_broken c.co_spec
-        (if c.co_flat then "flat" else "level")
-        c.co_jobs)
-    gen
-
-let corner_lane0_matches_scalar c =
-  let d =
-    Netgen.generate
-      (Netgen.scaled ~seed:c.co_seed ~broken_registers:c.co_broken
-         ~chips:c.co_chips ())
-  in
-  let nl = (Netgen.to_netlist d).Scald_sdl.Expander.e_netlist in
-  let cases =
-    let found = ref [] in
-    Netlist.iter_nets nl (fun n ->
-        if
-          List.length !found < 2
-          && String.length n.Netlist.n_name >= 3
-          && String.sub n.Netlist.n_name 0 3 = "IN "
-        then found := n.Netlist.n_name :: !found);
-    Case_analysis.complete_exn (List.rev !found)
-  in
+(* The reference lane of a packed k-corner run must reproduce a
+   dedicated single-corner run of corner 0 exactly — violations,
+   per-case results, convergence and the final reference waveforms. *)
+let corner_lane0_matches_scalar (c : Test_par.corner_recipe) =
+  let nl, cases = Test_par.corner_design c in
   let verify ~corners =
     if c.co_flat then Test_par.verify_flat ~cases ~jobs:c.co_jobs ~corners nl
     else Verifier.verify ~cases ~jobs:c.co_jobs ~corners nl
@@ -254,7 +202,7 @@ let properties =
         let render vs = List.map (Format.asprintf "%a" Check.pp) vs in
         render (Eval.check ev) = render (Eval.check ev));
     prop ~count:20 "packed lane 0 equals a scalar single-corner run"
-      gen_corner_recipe corner_lane0_matches_scalar;
+      Test_par.gen_corner_recipe corner_lane0_matches_scalar;
     prop ~count:1000 "per-edge delay stays within the envelope" gen_zero_skew_waveform
       (fun w ->
         (* wherever the envelope-delayed waveform claims stability, the

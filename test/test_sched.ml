@@ -240,12 +240,21 @@ let s1_subset_cases () =
   Case_analysis.parse_exn
     (In_channel.with_open_bin "../examples/s1_subset.cases" In_channel.input_all)
 
-let check_pinned name build cases ~events ~evaluations ~flat_extra =
-  let rl = Verifier.verify ~cases (build ()) in
-  let rf = Test_par.verify_flat ~cases (build ()) in
+let check_pinned ?corners name build cases ~events ~evaluations ~cache_hits
+    ~cache_misses ~window_checks ~flat_extra =
+  let rl = Verifier.verify ~cases ?corners (build ()) in
+  let rf = Test_par.verify_flat ~cases ?corners (build ()) in
+  let o = rl.Verifier.r_obs in
   Alcotest.(check int) (name ^ ": level events") events rl.Verifier.r_events;
   Alcotest.(check int) (name ^ ": level evaluations") evaluations
     rl.Verifier.r_evaluations;
+  Alcotest.(check int) (name ^ ": cache hits") cache_hits o.Verifier.os_cache_hits;
+  Alcotest.(check int) (name ^ ": cache misses") cache_misses
+    o.Verifier.os_cache_misses;
+  Alcotest.(check int) (name ^ ": window checks") window_checks
+    o.Verifier.os_window_checks;
+  Alcotest.(check bool) (name ^ ": queued = evaluations + coalesced") true
+    (Test_par.counters_add_up rl);
   Alcotest.(check bool) (name ^ ": flat verdicts equal level") true
     (verdicts_equal rf rl);
   Alcotest.(check bool)
@@ -256,10 +265,14 @@ let check_pinned name build cases ~events ~evaluations ~flat_extra =
 
 let test_pinned_counts () =
   check_pinned "s1_subset" s1_subset (s1_subset_cases ()) ~events:28 ~evaluations:36
-    ~flat_extra:0;
+    ~cache_hits:24 ~cache_misses:87 ~window_checks:12 ~flat_extra:0;
   let nl () = Test_par.netgen_nl 1 in
   check_pinned "netgen 120 chips" nl (Test_par.netgen_cases (nl ())) ~events:191
-    ~evaluations:222 ~flat_extra:30
+    ~evaluations:222 ~cache_hits:196 ~cache_misses:513 ~window_checks:136 ~flat_extra:30;
+  check_pinned "netgen 120 chips, 3 corners"
+    ~corners:(Corner.of_spec "typ,slow,fast")
+    nl (Test_par.netgen_cases (nl ())) ~events:191 ~evaluations:225 ~cache_hits:613
+    ~cache_misses:1544 ~window_checks:396 ~flat_extra:30
 
 (* ---- properties ----------------------------------------------------------------- *)
 

@@ -253,6 +253,18 @@ let test_expand_errors () =
     (fun w ->
       fails_at 3 (Printf.sprintf "PERIOD 50.0;\nBUF (DELAY=1/2) (A) -> Q;\nWIDTH (Q) = %s;" w))
     [ "-3"; "0"; "2.7"; "99999999999999999999" ];
+  (* times beyond Timebase.max_ns and corner factors beyond
+     Corner.max_scale are rejected at their line instead of wrapping *)
+  let and_chk period setup =
+    Printf.sprintf
+      "PERIOD %s;\n2 AND (DELAY=1/2) (A .S0-6, B .S0-6) -> D;\n\
+       SETUP HOLD CHK (SETUP=%s, HOLD=1.5) (D, CK .P2-3);"
+      period setup
+  in
+  fails_at 3 (and_chk "50.0" "1e16");
+  fails_at 1 (and_chk "1e30" "1");
+  fails_at 2 "PERIOD 50.0;\nCORNERS typ, x=1e308;\nBUF (DELAY=1/2) (A) -> Q;";
+  fails_at 2 "PERIOD 50.0;\nWIRE DELAY (A) = 0/1e16;\nBUF (DELAY=1/2) (A) -> Q;";
   (* two errors: the one earlier in the text is reported — a duplicate
      MACRO at line 7 before a parse error at line 13, which a parse of
      the whole text meets first *)

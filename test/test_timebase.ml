@@ -17,7 +17,18 @@ let test_conversions () =
   Alcotest.(check int) "ns to ps" 6250 (Timebase.ps_of_ns 6.25);
   Alcotest.(check int) "rounding up" 1001 (Timebase.ps_of_ns 1.0005);
   Alcotest.(check int) "negative" (-1500) (Timebase.ps_of_ns (-1.5));
-  Alcotest.(check (float 1e-9)) "ps to ns" 6.25 (Timebase.ns_of_ps 6250)
+  Alcotest.(check (float 1e-9)) "ps to ns" 6.25 (Timebase.ns_of_ps 6250);
+  List.iter
+    (fun ns ->
+      Alcotest.(check (float 0.)) (Printf.sprintf "%g ns round-trips" ns) ns
+        (Timebase.ns_of_ps (Timebase.ps_of_ns ns)))
+    [ Timebase.max_ns; -.Timebase.max_ns ];
+  List.iter
+    (fun ns ->
+      match Timebase.ps_of_ns ns with
+      | ps -> Alcotest.failf "%g ns accepted as %d ps" ns ps
+      | exception Invalid_argument _ -> ())
+    [ Float.succ Timebase.max_ns; 1e16; infinity; nan ]
 
 let test_units () =
   let tb = Timebase.make ~period_ns:50.0 ~clock_unit_ns:6.25 in
