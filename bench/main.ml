@@ -21,7 +21,7 @@ let timed f =
 
 (* With --metrics-dir DIR, experiments that verify a design also write
    their evaluator counters (plus any hand-timed phases) to
-   DIR/BENCH_<id>.json in the scald-metrics/6 shape, so runs can be
+   DIR/BENCH_<id>.json in the scald-metrics/7 shape, so runs can be
    compared column-by-column across commits. *)
 let metrics_dir : string option ref = ref None
 
@@ -823,8 +823,8 @@ let par_speedup () =
     equal
   end
 
-(* Cross-configuration comparisons (window pruning on/off, packed/dedicated
-   corners, incremental/cold) are verdict-based: the violations and
+(* Cross-configuration comparisons (packed/dedicated corners,
+   incremental/cold) are verdict-based: the violations and
    their order, every per-case verdict and the convergence flags must
    agree, while counters legitimately differ. *)
 let verdicts_equal (a : Verifier.report) (b : Verifier.report) =
@@ -839,92 +839,11 @@ let verdicts_equal (a : Verifier.report) (b : Verifier.report) =
   && List.length a.Verifier.r_cases = List.length b.Verifier.r_cases
   && List.for_all2 case_equal a.Verifier.r_cases b.Verifier.r_cases
 
-(* ---- window pruning ----------------------------------------------------------------------------------- *)
-
-(* Window pruning (doc/WINDOWS.md) proves checkers clean from static
-   arrival windows and serves their verdicts without evaluating them,
-   from before the first run.  The gate is
-   on checker-kind evaluations (the work the proofs replace): at least
-   20% fewer with window pruning on, for free (identical verdicts, and
-   still bit-identical across job counts). *)
-let window_prune_bench () =
-  section "WINDOW PRUNING: static checker proofs vs dynamic checking, 8000-chip design";
-  let d = Netgen.generate (Netgen.scaled ~chips:8000 ()) in
-  let e = Netgen.to_netlist d in
-  let nl = e.Scald_sdl.Expander.e_netlist in
-  let inputs =
-    let found = ref [] in
-    Netlist.iter_nets nl (fun n ->
-        if List.length !found < 8
-           && String.length n.Netlist.n_name >= 3
-           && String.sub n.Netlist.n_name 0 3 = "IN "
-        then found := n.Netlist.n_name :: !found);
-    List.rev !found
-  in
-  let cases = Case_analysis.complete_exn inputs in
-  let n_checkers =
-    let c = ref 0 in
-    Netlist.iter_insts nl (fun i ->
-        if Primitive.is_checker i.Netlist.i_prim then incr c);
-    !c
-  in
-  Printf.printf "  workload: %d chips, %d primitives (%d checkers), %d cases over %s\n"
-    (Netgen.n_chips d) (Netlist.n_insts nl) n_checkers (List.length cases)
-    (String.concat ", " inputs);
-  let checker_evals (r : Verifier.report) =
-    List.fold_left
-      (fun acc (k, n) ->
-        if
-          List.mem k
-            [ "SETUP HOLD CHK"; "SETUP RISE HOLD FALL CHK"; "MIN PULSE WIDTH" ]
-        then acc + n
-        else acc)
-      0 r.Verifier.r_obs.Verifier.os_evals_by_kind
-  in
-  let r_off, t_off =
-    wall_timed (fun () -> Verifier.verify ~cases ~jobs:1 ~window_prune:false nl)
-  in
-  let r_on, t_on = wall_timed (fun () -> Verifier.verify ~cases ~jobs:1 nl) in
-  let ck_off = checker_evals r_off in
-  let ck_on = checker_evals r_on in
-  let reduction =
-    100. *. (1. -. (float_of_int ck_on /. float_of_int (max 1 ck_off)))
-  in
-  let o = r_on.Verifier.r_obs in
-  Printf.printf "  %-44s %12d %10.4f s\n" "checker evaluations, window pruning off"
-    ck_off t_off;
-  Printf.printf "  %-44s %12d %10.4f s\n" "checker evaluations, window pruning on"
-    ck_on t_on;
-  Printf.printf "  %-44s %11.1f %%\n" "checker-evaluation reduction" reduction;
-  Printf.printf "  %-44s %12d of %d\n" "checkers statically proven clean"
-    o.Verifier.os_window_insts n_checkers;
-  Printf.printf "  %-44s %12d\n" "evaluations skipped on window-frozen checkers"
-    o.Verifier.os_window_evals;
-  Printf.printf "  %-44s %12d\n" "verdicts served statically"
-    o.Verifier.os_window_checks;
-  let agree = verdicts_equal r_off r_on in
-  Printf.printf "  verdicts identical with window pruning on vs off: %s\n"
-    (if agree then "PASS" else "FAIL");
-  let det = reports_equal r_on (Verifier.verify ~cases ~jobs:4 nl) in
-  Printf.printf "  pruned report bit-identical at -j 4: %s\n"
-    (if det then "PASS" else "FAIL");
-  emit_bench_metrics "window-prune"
-    ~phases:[ ("verify_nowindow", t_off); ("verify_window", t_on) ]
-    ~extra:
-      [ ("win_checker_evals_off", ck_off);
-        ("win_checker_evals_on", ck_on);
-        ("win_reduction_pct", int_of_float reduction) ]
-    r_on;
-  let budget = 20.0 in
-  Printf.printf "\n  checker-evaluation-reduction budget >= %.0f%%: %s\n" budget
-    (if reduction >= budget then "PASS" else "FAIL");
-  agree && det && reduction >= budget
-
 (* ---- incremental re-verify ---------------------------------------------------------------------------- *)
 
 (* The incremental service (doc/SERVICE.md) answers a 1-net delay edit
-   by re-verifying only the edit's forward cone with everything outside
-   frozen.  On the S-1-scale generated design the cone of a typical
+   by re-evaluating and re-checking only what the edit's forward cone
+   moves.  On the S-1-scale generated design the cone of a typical
    internal net is a few dozen nets out of thousands, so the re-verify
    must be at least 10x cheaper than the cold run in BOTH evaluations
    and wall-clock — while producing the identical error listing. *)
@@ -1465,7 +1384,6 @@ let experiments =
     ("obs-overhead", gated obs_overhead);
     ("par-speedup", gated par_speedup);
     ("corner-speedup", gated corner_speedup);
-    ("window-prune", gated window_prune_bench);
     ("incr-reverify", gated incr_reverify);
     ("telemetry-overhead", gated telemetry_overhead);
     ("capacity", gated capacity);

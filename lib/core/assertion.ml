@@ -135,8 +135,12 @@ let parse spec =
 
 (* ---- rendering --------------------------------------------------------- *)
 
+(* Integers print in full: an [int_of_float] beyond the int range would
+   print a different number. *)
 let float_to_string f =
-  if Float.is_integer f then string_of_int (int_of_float f) else Printf.sprintf "%g" f
+  if Float.is_integer f then
+    if Float.abs f < 1e15 then string_of_int (int_of_float f) else Printf.sprintf "%.0f" f
+  else Printf.sprintf "%g" f
 
 let range_to_string = function
   | Unit_at a -> float_to_string a
@@ -178,6 +182,17 @@ let range_interval tb = function
     (s, s + Timebase.ps_of_ns w)
 
 let intervals tb a = List.map (range_interval tb) a.ranges
+
+let rec check_ranges tb = function
+  | [] -> ()
+  | r :: rest ->
+    ignore (range_interval tb r);
+    check_ranges tb rest
+
+let check tb a =
+  match check_ranges tb a.ranges with
+  | () -> Ok ()
+  | exception Invalid_argument m -> Error (Printf.sprintf "assertion .%s: %s" (to_string a) m)
 
 let to_waveform defaults tb a =
   let period = Timebase.period tb in

@@ -59,7 +59,16 @@ val s1_defaults : defaults
 
 val intervals : Timebase.t -> t -> (Timebase.ps * Timebase.ps) list
 (** The asserted ranges as absolute [(start, stop)] picosecond pairs
-    (half-open, not yet wrapped). *)
+    (half-open, not yet wrapped).
+    @raise Invalid_argument when a time in clock units lies beyond
+    {!Timebase.max_ns} under this timebase (see {!check}). *)
+
+val check : Timebase.t -> t -> (unit, string) result
+(** Whether every time of the assertion lies within {!Timebase.max_ns}
+    under this timebase.  A clock-unit count is only bounded once the
+    clock unit is known, so {!parse} accepts any; {!Netlist.signal},
+    {!Netlist.set_assertion} and the service's edit check call this.
+    The error quotes the assertion. *)
 
 val to_waveform : defaults -> Timebase.t -> t -> Waveform.t
 (** The waveform asserted for a signal over one clock period: clocks are

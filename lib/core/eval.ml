@@ -114,25 +114,12 @@ type t = {
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable check_hits : int;  (* verdicts a check pass kept *)
-  (* Check-pass class of every id: [cls_none] reports nothing, [cls_live]
-     is derived by the check pass, [cls_proven] is served by a window
-     proof; [n_live] and [n_proven] count the last two, which is all
-     the per-pass counters need. *)
-  inst_cls : Bytes.t;
-  net_cls : Bytes.t;
+  (* Whether each id reports at all: a live id's verdicts are derived
+     by the check pass, every other id's are empty.  [n_live] counts the
+     live ids, which is all the per-pass counters need. *)
+  inst_live : Bytes.t;
+  net_live : Bytes.t;
   mutable n_live : int;
-  mutable n_proven : int;
-  (* Window pruning (doc/WINDOWS.md): checkers the arrival-window
-     analysis proved at every corner are frozen from creation — their
-     verdicts are served statically by the check functions below.
-     [frozen] is three-valued: '\000' live, '\001' frozen by
-     [refreeze] (outside an edit's dirty cone), '\002' window-frozen,
-     so the two skips count separately. *)
-  mutable window : Window.t option;
-  frozen : Bytes.t;  (* '\000' live / '\001' refreeze / '\002' window *)
-  mutable pruned_evals : int;
-  mutable window_evals : int;
-  mutable window_checks : int;
   mutable requests : int;
   mutable events : int;
   mutable evals : int;
@@ -145,67 +132,40 @@ type t = {
   mutable initialized : bool;
 }
 
-(* ---- check-pass classes ---------------------------------------------------- *)
+(* ---- live ids --------------------------------------------------------------- *)
 
-let cls_none = '\000'
-let cls_live = '\001'
-let cls_proven = '\002'
+(* An instance reports by its kind (checkers, and gates for their &A/&H
+   hazard checks), a net when it is driven and asserted. *)
+let inst_reports t id =
+  match (Netlist.inst t.nl id).i_prim with
+  | Primitive.Gate _ | Primitive.Setup_hold_check _
+  | Primitive.Setup_rise_hold_fall_check _ | Primitive.Min_pulse_width _ ->
+    true
+  | Primitive.Buf _ | Primitive.Mux2 _ | Primitive.Reg _ | Primitive.Latch _
+  | Primitive.Const _ ->
+    false
 
-(* A window proof wins over the kind: a proven id is served, whatever
-   it is. *)
-let inst_class t id =
-  match t.window with
-  | Some w when Window.inst_proven w id -> cls_proven
-  | _ -> (
-    match (Netlist.inst t.nl id).i_prim with
-    | Primitive.Gate _ | Primitive.Setup_hold_check _
-    | Primitive.Setup_rise_hold_fall_check _ | Primitive.Min_pulse_width _ ->
-      cls_live
-    | Primitive.Buf _ | Primitive.Mux2 _ | Primitive.Reg _ | Primitive.Latch _
-    | Primitive.Const _ ->
-      cls_none)
+let net_reports t id =
+  let n = Netlist.net t.nl id in
+  n.n_assertion <> None && n.n_driver <> None
 
-let net_class t id =
-  match t.window with
-  | Some w when Window.net_proven w id -> cls_proven
-  | _ -> (
-    let n = Netlist.net t.nl id in
-    match n.n_assertion, n.n_driver with
-    | Some _, Some _ -> cls_live
-    | (None | Some _), _ -> cls_none)
-
-let count_class t c d =
-  if c = cls_live then t.n_live <- t.n_live + d
-  else if c = cls_proven then t.n_proven <- t.n_proven + d
-
-(* Give an id its current class.  A changed class re-counts the id and
-   logs it on every lane, so the next pass re-derives or clears its
-   verdicts. *)
-let reclass t cls log id c =
-  let old = Bytes.unsafe_get cls id in
-  if old <> c then begin
-    count_class t old (-1);
-    count_class t c 1;
-    Bytes.unsafe_set cls id c;
+(* Record whether an id reports.  A change re-counts the id and logs it
+   on every lane, so the next pass re-derives or clears its verdicts. *)
+let relive t live log id now =
+  if (Bytes.unsafe_get live id <> '\000') <> now then begin
+    t.n_live <- (t.n_live + if now then 1 else -1);
+    Bytes.unsafe_set live id (if now then '\001' else '\000');
     for l = 0 to Array.length t.lanes - 1 do
       log_add (log t.lanes.(l)) id own
     done
   end
 
-let reclass_inst t id =
-  reclass t t.inst_cls (fun ln -> ln.l_dirty_insts) id (inst_class t id)
+let relive_inst t id =
+  relive t t.inst_live (fun ln -> ln.l_dirty_insts) id (inst_reports t id)
 
-let reclass_net t id = reclass t t.net_cls (fun ln -> ln.l_dirty_nets) id (net_class t id)
+let relive_net t id = relive t t.net_live (fun ln -> ln.l_dirty_nets) id (net_reports t id)
 
-let reclass_all t =
-  for id = 0 to Netlist.n_insts t.nl - 1 do
-    reclass_inst t id
-  done;
-  for id = 0 to Netlist.n_nets t.nl - 1 do
-    reclass_net t id
-  done
-
-let create ?sched ?window nl =
+let create ?sched nl =
   let n_insts = Netlist.n_insts nl in
   let conn_base = Array.make (max 1 n_insts) 0 in
   let n_conns = ref 0 in
@@ -259,27 +219,9 @@ let create ?sched ?window nl =
       cache_hits = 0;
       cache_misses = 0;
       check_hits = 0;
-      inst_cls = Bytes.make (max 1 n_insts) cls_none;
-      net_cls = Bytes.make n_nets cls_none;
+      inst_live = Bytes.make (max 1 n_insts) '\000';
+      net_live = Bytes.make n_nets '\000';
       n_live = 0;
-      n_proven = 0;
-      window;
-      frozen =
-        (let b = Bytes.make (max 1 n_insts) '\000' in
-         (match window with
-         | Some w ->
-           (* Statically proven checkers never need evaluating: their
-              verdict is served by the check pass, and evaluating a checker
-              computes nothing (no output net).  Frozen before the first
-              run. *)
-           for id = 0 to n_insts - 1 do
-             if Window.inst_proven w id then Bytes.unsafe_set b id '\002'
-           done
-         | None -> ());
-         b);
-      pruned_evals = 0;
-      window_evals = 0;
-      window_checks = 0;
       requests = 0;
       events = 0;
       evals = 0;
@@ -292,10 +234,16 @@ let create ?sched ?window nl =
       initialized = false;
     }
   in
-  reclass_all t;
+  for id = 0 to n_insts - 1 do
+    relive_inst t id
+  done;
+  for id = 0 to Netlist.n_nets nl - 1 do
+    relive_net t id
+  done;
   t
 
 let netlist t = t.nl
+let sched t = t.sched
 let corners t = t.corners
 let n_corners t = Array.length t.corners
 
@@ -316,9 +264,6 @@ let reset_counters t =
   t.cache_hits <- 0;
   t.cache_misses <- 0;
   t.check_hits <- 0;
-  t.pruned_evals <- 0;
-  t.window_evals <- 0;
-  t.window_checks <- 0;
   t.lanes_shared <- 0;
   t.evals_saved <- 0;
   Array.fill t.evals_by_kind 0 n_kinds 0
@@ -335,16 +280,9 @@ type counters = {
   c_max_scc_size : int;
   c_cache_hits : int;
   c_cache_misses : int;
-  c_pruned_evals : int;
   c_corners : int;
   c_corner_lanes_shared : int;
   c_corner_evals_saved : int;
-  c_window_insts : int;
-  c_window_nets : int;
-  c_window_unbounded : int;
-  c_window_lanes_static : int;
-  c_window_evals : int;
-  c_window_checks : int;
   c_evals_by_kind : (string * int) list;
 }
 
@@ -366,20 +304,9 @@ let counters t =
     c_max_scc_size = Sched.max_scc_size t.sched;
     c_cache_hits = t.cache_hits;
     c_cache_misses = t.cache_misses;
-    c_pruned_evals = t.pruned_evals;
     c_corners = Array.length t.corners;
     c_corner_lanes_shared = t.lanes_shared;
     c_corner_evals_saved = t.evals_saved;
-    c_window_insts =
-      (match t.window with Some w -> Window.n_insts_proven w | None -> 0);
-    c_window_nets =
-      (match t.window with Some w -> Window.n_nets_proven w | None -> 0);
-    c_window_unbounded =
-      (match t.window with Some w -> snd (Window.counts w) | None -> 0);
-    c_window_lanes_static =
-      (match t.window with Some w -> Window.n_lanes_static w | None -> 0);
-    c_window_evals = t.window_evals;
-    c_window_checks = t.window_checks;
     c_evals_by_kind =
       List.sort (fun (a, _) (b, _) -> String.compare a b) !by_kind;
   }
@@ -397,16 +324,9 @@ let zero_counters =
     c_max_scc_size = 0;
     c_cache_hits = 0;
     c_cache_misses = 0;
-    c_pruned_evals = 0;
     c_corners = 0;
     c_corner_lanes_shared = 0;
     c_corner_evals_saved = 0;
-    c_window_insts = 0;
-    c_window_nets = 0;
-    c_window_unbounded = 0;
-    c_window_lanes_static = 0;
-    c_window_evals = 0;
-    c_window_checks = 0;
     c_evals_by_kind = [];
   }
 
@@ -440,17 +360,9 @@ let merge_counters a b =
     c_max_scc_size = max a.c_max_scc_size b.c_max_scc_size;
     c_cache_hits = a.c_cache_hits + b.c_cache_hits;
     c_cache_misses = a.c_cache_misses + b.c_cache_misses;
-    c_pruned_evals = a.c_pruned_evals + b.c_pruned_evals;
     c_corners = max a.c_corners b.c_corners;
     c_corner_lanes_shared = a.c_corner_lanes_shared + b.c_corner_lanes_shared;
     c_corner_evals_saved = a.c_corner_evals_saved + b.c_corner_evals_saved;
-    (* the proof-shape fields are properties of the analysis: max *)
-    c_window_insts = max a.c_window_insts b.c_window_insts;
-    c_window_nets = max a.c_window_nets b.c_window_nets;
-    c_window_unbounded = max a.c_window_unbounded b.c_window_unbounded;
-    c_window_lanes_static = max a.c_window_lanes_static b.c_window_lanes_static;
-    c_window_evals = a.c_window_evals + b.c_window_evals;
-    c_window_checks = a.c_window_checks + b.c_window_checks;
     c_evals_by_kind = merge_by_kind a.c_evals_by_kind b.c_evals_by_kind;
   }
 
@@ -492,14 +404,11 @@ let assign t (n : Netlist.net) wf eval_str =
   n.n_eval_str <- eval_str;
   bump t n
 
+(* A checker has no output net: evaluating one computes nothing, and the
+   check pass reaches it through the dirty log's fanout, so it never
+   enters the work list. *)
 let enqueue t inst_id =
-  let fz = Bytes.unsafe_get t.frozen inst_id in
-  if fz <> '\000' then
-    (* a frozen instance is never on the work list, so every skipped
-       request is exactly one avoided evaluation *)
-    if fz = '\002' then t.window_evals <- t.window_evals + 1
-    else t.pruned_evals <- t.pruned_evals + 1
-  else begin
+  if (Netlist.inst t.nl inst_id).i_output <> None then begin
     t.queued <- t.queued + 1;
     if Bytes.unsafe_get t.in_queue inst_id <> '\000' then t.coalesced <- t.coalesced + 1
     else begin
@@ -1081,42 +990,8 @@ let reassert_net t net_id =
   | Some d ->
     bump t n;
     enqueue t d);
-  reclass_net t net_id;
+  relive_net t net_id;
   enqueue_fanout t net_id
-
-(* Replace the frozen set wholesale: [active id] instances stay live,
-   everything else is skipped at enqueue time.  The incremental service
-   thaws exactly the dirty cone of an edit and freezes the rest —
-   instances outside the cone already hold their fixpoint waveforms. *)
-let refreeze t ~active =
-  for id = 0 to Netlist.n_insts t.nl - 1 do
-    Bytes.unsafe_set t.frozen id (if active id then '\000' else '\001')
-  done
-
-(* Re-apply the window freeze after [refreeze] rebuilt the byte map: a
-   checker the (possibly updated) analysis still proves stays statically
-   served even inside the thawed cone — its verdict cannot move.  The
-   incremental service calls this right after [refreeze], once
-   [Window.update] has absorbed the edit.  Every id whose proof flipped
-   is logged for the next check pass. *)
-let rewindow t =
-  (match t.window with
-  | None -> ()
-  | Some w ->
-    for id = 0 to Netlist.n_insts t.nl - 1 do
-      if Window.inst_proven w id then Bytes.unsafe_set t.frozen id '\002'
-      else if Bytes.unsafe_get t.frozen id = '\002' then
-        (* no longer proven: thaw so the next run evaluates it *)
-        Bytes.unsafe_set t.frozen id '\000'
-    done);
-  reclass_all t
-
-(* A [Cases] edit changes the volatile-net set, which is fixed when the
-   window table is built: the service swaps in a re-analysed table here
-   and the next [rewindow] re-derives the frozen set from it. *)
-let set_window t w =
-  t.window <- w;
-  reclass_all t
 
 (* An instance-parameter edit (element delay, checker margins, a new
    primitive) moves no input stamp, so it logs the instance on every
@@ -1125,7 +1000,7 @@ let touch_inst t inst_id =
   for l = 0 to Array.length t.lanes - 1 do
     log_add t.lanes.(l).l_dirty_insts inst_id own
   done;
-  reclass_inst t inst_id;
+  relive_inst t inst_id;
   enqueue t inst_id
 
 (* ---- checking ------------------------------------------------------------ *)
@@ -1185,14 +1060,12 @@ let refile set id was now =
   | [], _ :: _ -> Ids.add id set
   | _ :: _, [] -> Ids.remove id set
 
-(* Re-derive one id's verdicts on a lane: computed when live, empty when
-   it reports nothing or a window proof serves it (proven clean at every
-   corner, so empty is what the dynamic check would compute: argued in
-   doc/WINDOWS.md, pinned by the QCheck soundness property).  Returns
-   whether it was live, i.e. whether the pass paid for it. *)
+(* Re-derive one id's verdicts on a lane: computed when live, empty
+   when it reports nothing.  Returns whether it was live, i.e. whether
+   the pass paid for it. *)
 let rederive_inst t lane id =
   let ln = t.lanes.(lane) in
-  let live = Bytes.unsafe_get t.inst_cls id = cls_live in
+  let live = Bytes.unsafe_get t.inst_live id <> '\000' in
   let r =
     if live then begin
       t.cache_misses <- t.cache_misses + 1;
@@ -1206,7 +1079,7 @@ let rederive_inst t lane id =
 
 let rederive_net t lane id =
   let ln = t.lanes.(lane) in
-  let live = Bytes.unsafe_get t.net_cls id = cls_live in
+  let live = Bytes.unsafe_get t.net_live id <> '\000' in
   let r =
     if live then begin
       t.cache_misses <- t.cache_misses + 1;
@@ -1253,7 +1126,7 @@ let log_fanout lg i =
 (* One lane's check pass: drain the net log (each net's own verdict,
    and its fanout into the instance log when its stamp moved), then the
    instance log.  Every live id the pass did not re-derive kept its
-   verdict: one hit each; every proven id is one window check. *)
+   verdict: one hit each. *)
 let check ?(lane = 0) t =
   let ln = t.lanes.(lane) in
   let paid = ref 0 in
@@ -1275,7 +1148,6 @@ let check ?(lane = 0) t =
   let hits = t.n_live - !paid in
   t.cache_hits <- t.cache_hits + hits;
   t.check_hits <- t.check_hits + hits;
-  t.window_checks <- t.window_checks + t.n_proven;
   let rev = Ids.fold (fun id acc -> ln.l_chk.(id) :: acc) ln.l_bad_insts [] in
   let rev = Ids.fold (fun id acc -> ln.l_chk_net.(id) :: acc) ln.l_bad_nets rev in
   divergence t @ List.concat (List.rev rev)

@@ -5,7 +5,9 @@
     undriven unasserted signals are taken to be always stable, everything
     else starts [Unknown]; then all primitives are evaluated and any
     whose output changed put their fanout back on the work list, until a
-    fixpoint is reached.
+    fixpoint is reached.  A checker has no output net and never enters
+    the work list: {!check} derives its verdicts from the settled
+    waveforms.
 
     Case analysis is incremental: changing the case re-initializes only
     the mapped signals and re-evaluates only the affected cone, so
@@ -31,21 +33,15 @@
 
 type t
 
-val create : ?sched:Sched.t -> ?window:Window.t -> Netlist.t -> t
+val create : ?sched:Sched.t -> Netlist.t -> t
 (** [sched] supplies a precomputed schedule (it must describe the same
     structure, e.g. the original of a {!Netlist.copy}); without it one
-    is computed here.
-
-    [window] enables arrival-window pruning (doc/WINDOWS.md): checkers
-    the analysis statically proves clean at every corner
-    ({!Window.inst_proven}) are frozen from creation and their empty
-    verdicts served without evaluation on every lane; nets whose stable
-    assertions are proven ({!Window.net_proven}) are served likewise.
-    The analysis must describe the same structure and must have been
-    given the union of the mapped nets of every case that will be run
-    ([Window.analyse ~case_nets]). *)
+    is computed here. *)
 
 val netlist : t -> Netlist.t
+
+val sched : t -> Sched.t
+(** The schedule the evaluator orders its work list by. *)
 
 val corners : t -> Corner.table
 (** The corner table captured from the netlist at {!create} time.
@@ -79,9 +75,8 @@ val check : ?lane:int -> t -> Check.t list
     non-empty verdicts.  An evaluator's first pass on each lane has
     every id logged.
 
-    Counters, per pass: every window-proven id is one
-    [c_window_checks]; every other checker, gate or driven asserted net
-    is one [c_cache_misses] when re-derived and one verdict hit
+    Counters, per pass: every checker, gate or driven asserted net is
+    one [c_cache_misses] when re-derived and one verdict hit
     ({!check_hits}, [c_cache_hits]) when kept. *)
 
 val check_hits : t -> int
@@ -115,35 +110,10 @@ val reassert_net : t -> int -> unit
     fanout is woken.  A driven net that gained or lost its assertion
     starts or stops reporting in the next {!check}. *)
 
-val refreeze : t -> active:(int -> bool) -> unit
-(** Replace the frozen set wholesale: instance [id] stays live iff
-    [active id].  The incremental service thaws exactly the dirty cone
-    of an edit and freezes everything else — instances outside the cone
-    already hold their fixpoint waveforms from the previous run.  Every
-    enqueue the frozen set rejects is counted in [c_pruned_evals].  A
-    fresh evaluator holds no fixpoint yet: do not refreeze it before its
-    first {!run}. *)
-
-val rewindow : t -> unit
-(** Re-apply the window freeze after {!refreeze} rebuilt the frozen set:
-    checkers the (possibly {!Window.update}d) analysis still proves stay
-    statically served even inside the thawed cone, and checkers no
-    longer proven are thawed so the next run re-checks them.  Every
-    instance or net whose proof flipped is logged for the next
-    {!check}. *)
-
-val set_window : t -> Window.t option -> unit
-(** Swap the window analysis the evaluator serves static verdicts from.
-    Used on a case-group edit, where the volatile-net set baked into the
-    table changes and {!Window.update} cannot absorb it; follow with
-    {!rewindow} (after {!refreeze}) so the frozen set matches the new
-    proofs.  The ids whose proof flipped are logged for the next
-    {!check}. *)
-
 val touch_inst : t -> int -> unit
-(** Put one instance on the work list for the next {!run} (a no-op if
-    frozen or already queued) and log it on every lane, so the next
-    {!check} re-derives its verdicts.  Used after an edit of the
+(** Put one instance on the work list for the next {!run} (a no-op for
+    a checker, or if already queued) and log it on every lane, so the
+    next {!check} re-derives its verdicts.  Used after an edit of the
     instance's own parameters — element delay, checker margins, a
     replaced primitive — which changes its output or verdict without
     any input net changing. *)
@@ -193,7 +163,9 @@ type counters = {
           one-shot runs *)
   c_events : int;  (** output-change events processed *)
   c_evaluations : int;  (** primitive evaluations performed *)
-  c_queued : int;  (** enqueue requests (fanout activations) *)
+  c_queued : int;
+      (** enqueue requests (fanout activations) of instances with an
+          output net; a checker is never enqueued *)
   c_coalesced : int;
       (** enqueue requests absorbed because the instance was already on
           the work list — the saving of the call-list discipline *)
@@ -206,10 +178,6 @@ type counters = {
       (** input-waveform / register-data memo hits (generation match),
           plus the verdicts each check pass kept *)
   c_cache_misses : int;  (** memo fills, plus verdicts re-derived *)
-  c_pruned_evals : int;
-      (** enqueues rejected because {!refreeze} froze the target: it lay
-          outside the dirty cone.  [0] on one-shot runs, which never
-          refreeze *)
   c_corners : int;  (** corners evaluated per traversal ([1] single-corner) *)
   c_corner_lanes_shared : int;
       (** lane outputs that converged to the reference waveform and were
@@ -217,21 +185,6 @@ type counters = {
   c_corner_evals_saved : int;
       (** lane evaluations skipped outright because every input was
           constant and pointer-shared with the reference lane *)
-  c_window_insts : int;
-      (** checkers statically proven clean by the window analysis and
-          frozen from creation; [0] without a window table *)
-  c_window_nets : int;
-      (** driven nets whose stable assertion is statically proven *)
-  c_window_unbounded : int;
-      (** nets with [Top] windows at the reference corner *)
-  c_window_lanes_static : int;
-      (** extra corner lanes whose window map is identical to the
-          reference's — provably shareable before any evaluation *)
-  c_window_evals : int;
-      (** evaluations skipped on window-frozen checkers *)
-  c_window_checks : int;
-      (** verdicts served statically instead of computed: every
-          window-proven id, once per check pass *)
   c_evals_by_kind : (string * int) list;
       (** evaluations per primitive mnemonic, e.g. [("REG", 42)];
           alphabetical, zero-count kinds omitted *)
@@ -240,17 +193,16 @@ type counters = {
 val counters : t -> counters
 (** Snapshot of the counters accumulated since creation (or the last
     {!reset_counters}).  The schedule-shape fields ([c_sched_levels],
-    [c_sccs], [c_max_scc_size]) and the window proof-shape fields are
-    properties of the netlist and its analyses, not accumulators —
-    {!reset_counters} leaves them readable. *)
+    [c_sccs], [c_max_scc_size]) are properties of the netlist, not
+    accumulators — {!reset_counters} leaves them readable. *)
 
 val zero_counters : counters
 (** All-zero counters: the identity of {!merge_counters}. *)
 
 val merge_counters : counters -> counters -> counters
-(** Combine two snapshots: accumulators sum; the queue high-water mark,
-    the schedule-shape and the proof-shape fields take the max (they
-    are identical across runs of one structure).  Used both to merge
+(** Combine two snapshots: accumulators sum; the queue high-water mark
+    and the schedule-shape fields take the max (they are identical
+    across runs of one structure).  Used both to merge
     parallel shards ({!Verifier.verify} with [~jobs]) and to carry
     cumulative totals across the requests of an incremental session. *)
 

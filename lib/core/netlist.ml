@@ -156,6 +156,12 @@ let add_net t ~name ~width ~assertion =
   Hashtbl.replace t.by_name name id;
   id
 
+(* An assertion's times are bounded once, when a net takes it on. *)
+let check_assertion t name a =
+  match Assertion.check t.tb a with
+  | Ok () -> ()
+  | Error m -> invalid_arg (Printf.sprintf "signal %s: %s" name m)
+
 let signal_parsed t (sn : Signal_name.t) =
   let key = Signal_name.key sn in
   match Hashtbl.find_opt t.by_name key with
@@ -163,14 +169,18 @@ let signal_parsed t (sn : Signal_name.t) =
     let n = t.nets.(id) in
     (match n.n_assertion, sn.assertion with
     | _, None -> ()
-    | None, Some a -> n.n_assertion <- Some a
+    | None, Some a ->
+      check_assertion t sn.base a;
+      n.n_assertion <- Some a
     | Some a, Some b ->
       if not (Assertion.equal a b) then
         invalid_arg
           (Printf.sprintf "Netlist.signal: inconsistent assertions on %s: .%s vs .%s" key
              (Assertion.to_string a) (Assertion.to_string b)));
     id
-  | None -> add_net t ~name:key ~width:(Signal_name.width sn) ~assertion:sn.assertion
+  | None ->
+    (match sn.assertion with Some a -> check_assertion t sn.base a | None -> ());
+    add_net t ~name:key ~width:(Signal_name.width sn) ~assertion:sn.assertion
 
 let signal t name =
   let sn = Signal_name.parse_exn name in
@@ -269,7 +279,9 @@ let find_inst t name =
 (* ---- post-construction edits (lib/incr, doc/SERVICE.md) ------------------ *)
 
 let set_wire_delay_opt t id d = t.nets.(id).n_wire_delay <- d
-let set_assertion t id a = t.nets.(id).n_assertion <- a
+let set_assertion t id a =
+  (match a with Some a -> check_assertion t t.nets.(id).n_name a | None -> ());
+  t.nets.(id).n_assertion <- a
 
 let corners t = t.corners
 

@@ -70,10 +70,12 @@ val signal : t -> string -> int
     recorded on the net; the net is keyed by the base name, so all
     spellings of one signal share one net.
 
-    @raise Invalid_argument if the name is malformed, or if it carries an
-    assertion inconsistent with one previously recorded for the same
-    signal — the SCALD system guarantees assertion consistency by
-    construction (§2.5.1), so we enforce it here. *)
+    @raise Invalid_argument if the name is malformed, if its assertion
+    has a time beyond {!Timebase.max_ns} under the netlist's timebase
+    ({!Assertion.check}), or if it carries an assertion inconsistent
+    with one previously recorded for the same signal — the SCALD system
+    guarantees assertion consistency by construction (§2.5.1), so we
+    enforce it here. *)
 
 val signal_conn : t -> ?directive:Directive.t -> string -> conn
 (** Like {!signal} but returns a connection, honouring a leading ["-"]
@@ -156,7 +158,10 @@ val set_wire_delay_opt : t -> int -> Delay.t option -> unit
     interconnection-delay override. *)
 
 val set_assertion : t -> int -> Assertion.t option -> unit
-(** Set, replace or remove a net's timing assertion. *)
+(** Set, replace or remove a net's timing assertion.
+    @raise Invalid_argument, leaving the net unchanged, when the
+    assertion has a time beyond {!Timebase.max_ns} under the netlist's
+    timebase ({!Assertion.check}). *)
 
 val corners : t -> Corner.table
 (** The delay corners a verification of this netlist evaluates; corner 0

@@ -26,7 +26,13 @@ let clock_unit tb = tb.clock_unit
 
 let units_per_period tb = float_of_int tb.period /. float_of_int tb.clock_unit
 
-let ps_of_units tb u = int_of_float (Float.round (u *. float_of_int tb.clock_unit))
+let ps_of_units tb u =
+  let ps = u *. float_of_int tb.clock_unit in
+  if Float.is_finite ps && Float.abs ps <= max_ns *. 1000. then int_of_float (Float.round ps)
+  else
+    invalid_arg
+      (Printf.sprintf "time %.17g clock units of %g ns is out of range (at most %g ns either way)"
+         u (ns_of_ps tb.clock_unit) max_ns)
 
 let units_of_ps tb ps = float_of_int ps /. float_of_int tb.clock_unit
 

@@ -51,7 +51,10 @@ val ns_of_ps : ps -> float
 (** Convert picoseconds back to nanoseconds. *)
 
 val ps_of_units : t -> float -> ps
-(** Convert designer clock units to picoseconds. *)
+(** Convert designer clock units to picoseconds, rounding to the nearest
+    ps.
+    @raise Invalid_argument on a non-finite value or one whose magnitude
+    in nanoseconds exceeds {!max_ns}. *)
 
 val units_of_ps : t -> ps -> float
 (** Convert picoseconds to designer clock units. *)

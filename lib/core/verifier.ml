@@ -28,9 +28,6 @@ type obs_summary = {
   os_corner_lanes_shared : int;
   os_corner_evals_saved : int;
   os_window_insts : int;
-  os_window_nets : int;
-  os_window_unbounded : int;
-  os_window_lanes_static : int;
   os_window_evals : int;
   os_window_checks : int;
   os_cases_merged : int;
@@ -86,16 +83,13 @@ let obs_of_counters (c : Eval.counters) =
     os_max_scc_size = c.Eval.c_max_scc_size;
     os_cache_hits = c.Eval.c_cache_hits;
     os_cache_misses = c.Eval.c_cache_misses;
-    os_pruned_evals = c.Eval.c_pruned_evals;
+    os_pruned_evals = 0;
     os_corners = c.Eval.c_corners;
     os_corner_lanes_shared = c.Eval.c_corner_lanes_shared;
     os_corner_evals_saved = c.Eval.c_corner_evals_saved;
-    os_window_insts = c.Eval.c_window_insts;
-    os_window_nets = c.Eval.c_window_nets;
-    os_window_unbounded = c.Eval.c_window_unbounded;
-    os_window_lanes_static = c.Eval.c_window_lanes_static;
-    os_window_evals = c.Eval.c_window_evals;
-    os_window_checks = c.Eval.c_window_checks;
+    os_window_insts = 0;
+    os_window_evals = 0;
+    os_window_checks = 0;
     os_cases_merged = 0;  (* overridden by [make_report] when merging is on *)
     os_evals_by_kind = c.Eval.c_evals_by_kind;
   }
@@ -141,8 +135,8 @@ let run_case ?probe ev nl i case =
 
 (* ---- the sequential engine (jobs = 1, the §2.7 baseline) ----------------- *)
 
-let verify_sequential ~probe ~sched ~window ~case_list nl =
-  let ev = Eval.create ~sched ?window nl in
+let verify_sequential ~probe ~sched ~case_list nl =
+  let ev = Eval.create ~sched nl in
   (match probe with
   | Some { pr_event = Some _ as h; _ } -> Eval.set_event_hook ev h
   | Some { pr_event = None; _ } | None -> ());
@@ -157,7 +151,7 @@ let verify_sequential ~probe ~sched ~window ~case_list nl =
    measured case starts from exactly the state the sequential run would
    have given it — per-case event counts, violations and the merged
    counters are then identical to [jobs:1] (doc/PARALLEL.md). *)
-let verify_parallel ~probe ~sched ~window ~case_list ~jobs nl =
+let verify_parallel ~probe ~sched ~case_list ~jobs nl =
   let span : 'a. string -> (unit -> 'a) -> 'a =
    fun name f -> match probe with None -> f () | Some p -> p.pr_span name f
   in
@@ -179,9 +173,9 @@ let verify_parallel ~probe ~sched ~window ~case_list ~jobs nl =
   in
   let run_shard k =
     let lo, hi = shards.(k) in
-    (* the schedule and the window table are structural and read-only,
-       and ids are identical in every copy: every domain shares them *)
-    let ev = Eval.create ~sched ?window netlists.(k) in
+    (* the schedule is structural and read-only, and ids are identical
+       in every copy: every domain shares it *)
+    let ev = Eval.create ~sched netlists.(k) in
     if lo > 0 then begin
       (* Warm-start priming: un-measured, un-hooked, un-counted.  The
          check passes are replayed too: they fill the input-waveform
@@ -277,8 +271,8 @@ let make_report ?lint ?(cases_merged = 0) ?obs ~jobs paired counters ev =
     r_jobs = jobs;
   }
 
-let verify ?lint ?probe ?(cases = []) ?(jobs = 1) ?(window_prune = true)
-    ?(merge_cases = false) ?analysis ?window ?corners nl =
+let verify ?lint ?probe ?(cases = []) ?(jobs = 1) ?(merge_cases = false) ?analysis
+    ?window ?corners nl =
   if jobs < 0 then invalid_arg "Verifier.verify: jobs must be >= 0";
   (* Install the corner table before any evaluator (or netlist copy) is
      created; every domain's evaluator then packs the same lanes. *)
@@ -293,45 +287,34 @@ let verify ?lint ?probe ?(cases = []) ?(jobs = 1) ?(window_prune = true)
   in
   let case_list = match cases with [] -> [ [] ] | cs -> cs in
   (* One schedule per netlist, shared read-only by the window analysis
-     and every evaluation domain: the caller's, else the one the
-     caller's window table was built over, else computed here. *)
-  let sched =
-    match analysis, window with
-    | Some (s, _), _ -> s
-    | None, Some w -> Window.sched w
-    | None, None -> Sched.compute nl
-  in
-  (* The arrival-window analysis (doc/WINDOWS.md) must know every net
-     any case of this run may substitute, so its proofs are valid for
-     all of them. *)
-  let window =
-    if not window_prune && not merge_cases then None
-    else
-      match window with
-      | Some _ -> window
-      | None ->
-        let case_nets =
-          List.concat_map (fun c -> List.map fst (Case_analysis.resolve nl c)) case_list
-        in
-        Some (span "window" (fun () -> Window.analyse ~sched ~case_nets nl))
-  in
+     and every evaluation domain. *)
+  let sched = match analysis with Some (s, _) -> s | None -> Sched.compute nl in
   (* Case-equivalence merging: the representative's verdicts stand for
      its whole class, so only representatives are evaluated; the dropped
-     count is reported in [r_obs.os_cases_merged]. *)
+     count is reported in [r_obs.os_cases_merged].  The arrival-window
+     analysis (doc/WINDOWS.md) must know every net any case may
+     substitute, so its signatures are valid for all of them. *)
   let case_list, cases_merged =
-    match window with
-    | Some w when merge_cases ->
+    if not merge_cases then (case_list, 0)
+    else
+      let w =
+        match window with
+        | Some w -> w
+        | None ->
+          let case_nets =
+            List.concat_map (fun c -> List.map fst (Case_analysis.resolve nl c)) case_list
+          in
+          span "window" (fun () -> Window.analyse ~sched ~case_nets nl)
+      in
       Case_analysis.partition
         ~signature:(fun c -> Window.case_signature w (Case_analysis.resolve nl c))
         case_list
-    | Some _ | None -> (case_list, 0)
   in
-  let eval_window = if window_prune then window else None in
   let jobs = if jobs = 0 then Par.available () else jobs in
   let jobs = max 1 (min jobs (List.length case_list)) in
   let paired, counters, ev =
-    if jobs = 1 then verify_sequential ~probe ~sched ~window:eval_window ~case_list nl
-    else verify_parallel ~probe ~sched ~window:eval_window ~case_list ~jobs nl
+    if jobs = 1 then verify_sequential ~probe ~sched ~case_list nl
+    else verify_parallel ~probe ~sched ~case_list ~jobs nl
   in
   make_report ?lint:lint_summary ~cases_merged ~jobs paired counters ev
 
@@ -390,17 +373,8 @@ let pp ppf r =
       "sched levels: %d   sccs: %d   largest scc: %d   cache hits: %d   misses: %d@,"
       r.r_obs.os_sched_levels r.r_obs.os_sccs r.r_obs.os_max_scc_size
       r.r_obs.os_cache_hits r.r_obs.os_cache_misses;
-  let o = r.r_obs in
-  (* Static proof shape only: the line is identical across job counts
-     and across cold/serve replays of the same design. *)
-  if o.os_window_insts + o.os_window_nets + o.os_window_lanes_static
-     + o.os_cases_merged > 0
-  then
-    Format.fprintf ppf
-      "windows: %d checkers proven, %d nets proven, %d lanes static, %d cases \
-       merged@,"
-      o.os_window_insts o.os_window_nets o.os_window_lanes_static
-      o.os_cases_merged;
+  if r.r_obs.os_cases_merged > 0 then
+    Format.fprintf ppf "windows: %d cases merged@," r.r_obs.os_cases_merged;
   (* The corner section appears only on a multi-corner run, so a
      single-corner report stays byte-identical to the historical one. *)
   (match r.r_corners with

@@ -53,29 +53,17 @@ type obs_summary = {
           each check pass kept (see {!Eval.check}) *)
   os_cache_misses : int;  (** memo fills, plus verdicts re-derived *)
   os_pruned_evals : int;
-      (** enqueues the incremental service's dirty-cone freeze rejected
-          ({!Eval.refreeze}); always [0] on one-shot runs.  On a
-          re-verify, a nonzero value means an enqueue fell outside the
-          edit's dirty cone, so the instance it targeted kept a stale
-          waveform: the cone missed something (doc/SERVICE.md) *)
+      (** always [0]: nothing prunes evaluations.  Kept, with
+          [os_window_insts], [os_window_evals] and [os_window_checks],
+          only because the benchmark's ledger ([ledger/main.ml]) still
+          reads it *)
   os_corners : int;  (** corners evaluated per traversal ([1] single-corner) *)
   os_corner_lanes_shared : int;
       (** lane outputs stored as the shared reference record *)
   os_corner_evals_saved : int;  (** lane evaluations skipped outright *)
-  os_window_insts : int;
-      (** checkers statically proven clean by the arrival-window
-          analysis (doc/WINDOWS.md); [0] under [~window_prune:false] *)
-  os_window_nets : int;
-      (** driven nets whose stable assertion is statically proven *)
-  os_window_unbounded : int;
-      (** nets with unbounded ([Top]) windows at the reference corner *)
-  os_window_lanes_static : int;
-      (** extra corner lanes statically proven identical to the
-          reference's window map *)
-  os_window_evals : int;
-      (** evaluations skipped on window-frozen checkers *)
-  os_window_checks : int;
-      (** checker/assertion verdicts served statically *)
+  os_window_insts : int;  (** always [0]; kept for the ledger *)
+  os_window_evals : int;  (** always [0]; kept for the ledger *)
+  os_window_checks : int;  (** always [0]; kept for the ledger *)
   os_cases_merged : int;
       (** cases dropped as window-equivalent to an evaluated
           representative; [0] unless [~merge_cases:true] *)
@@ -130,7 +118,6 @@ val verify :
   ?probe:probe ->
   ?cases:Case_analysis.case list ->
   ?jobs:int ->
-  ?window_prune:bool ->
   ?merge_cases:bool ->
   ?analysis:Sched.t * Flow.t ->
   ?window:Window.t ->
@@ -156,33 +143,26 @@ val verify :
     hook calls are buffered per domain and replayed in case order after
     the join, so the event stream a consumer sees is the sequential one.
 
-    [window_prune] (default [true]) runs the static arrival-window
+    [merge_cases] (default [false]) runs the static arrival-window
     analysis ({!Window.analyse}, fed the union of the mapped nets of
-    every case, doc/WINDOWS.md) and serves the verdicts of checkers it
-    proves clean at every corner without evaluating them — composing
-    with multi-corner lanes (proofs quantify over the whole table).  It
-    never changes the verdict: reports are bit-identical to
-    [~window_prune:false] at any [jobs]; only the work counters differ
-    ([os_window_*]).  CLI: [--no-window-prune].
-
-    [merge_cases] (default [false]) partitions the case list by
+    every case, doc/WINDOWS.md), partitions the case list by
     {!Window.case_signature} and evaluates one representative per
     equivalence class — two cases with equal signatures provably produce
     identical waveforms on every net.  The dropped count is reported in
     [os_cases_merged]; [r_cases] then holds the representatives only.
-    CLI: [--merge-cases].
+    CLI: [--merge-cases].  Without it no window analysis runs: the
+    evaluator is never given one.
 
     [analysis] supplies a precomputed schedule (it must describe this
     netlist's structure); used by tests that evaluate under
     {!Sched.flat} (the FIFO reference discipline).  Only the schedule is
     read: the {!Flow.t} half is ignored, since verification runs no
-    signal-class analysis.  Without [analysis] the schedule is the one
-    [window] was built over ({!Window.sched}), else one computed here;
-    the window analysis and every evaluation domain share it.
+    signal-class analysis.  Without [analysis] the schedule is computed
+    here; the window analysis and every evaluation domain share it.
     [window] supplies a precomputed window analysis (it must cover this
-    run's case nets; the incremental service keeps one current across
-    edits with {!Window.update}); ignored when both [window_prune] and
-    [merge_cases] are off.
+    run's case nets), read only by [merge_cases].  The [Flow.t] half
+    and [window] stay only because the benchmark's ledger
+    ([ledger/main.ml]) still passes them.
 
     [corners] installs a delay-corner table on the netlist
     ({!Netlist.set_corners}) before evaluation, overriding any SDL

@@ -426,9 +426,8 @@ let run_scc t sid =
     in
     relax 0
 
-(* The constrained flag is a plain forward boolean closure; it is
-   recomputed globally (reset + topo passes to fixpoint) so that edits
-   which *remove* assertions lower it correctly. *)
+(* The constrained flag is a plain forward boolean closure: seeded from
+   the assertions, then topological passes to a fixpoint. *)
 let compute_constrained t =
   Netlist.iter_nets t.nl (fun n ->
       let id = n.Netlist.n_id in
@@ -697,32 +696,16 @@ let contra_net t (n : Netlist.net) =
     go 0
   | _ -> false
 
-let prove_all t ~only =
+let prove_all t =
   Netlist.iter_insts t.nl (fun i ->
       if Primitive.is_checker i.Netlist.i_prim then begin
-        let doit =
-          match only with
-          | None -> true
-          | Some dirty ->
-            Array.exists
-              (fun (cn : Netlist.conn) -> dirty.(cn.Netlist.c_net))
-              i.Netlist.i_inputs
-        in
-        if doit then begin
-          let p, g = prove_inst t i in
-          Bytes.set t.p_inst i.Netlist.i_id (if p then '\001' else '\000');
-          Bytes.set t.p_guar i.Netlist.i_id (if g then '\001' else '\000')
-        end
+        let p, g = prove_inst t i in
+        Bytes.set t.p_inst i.Netlist.i_id (if p then '\001' else '\000');
+        Bytes.set t.p_guar i.Netlist.i_id (if g then '\001' else '\000')
       end);
   Netlist.iter_nets t.nl (fun n ->
-      let doit =
-        match only with None -> true | Some dirty -> dirty.(n.Netlist.n_id)
-      in
-      if doit then begin
-        Bytes.set t.p_net n.Netlist.n_id (if prove_net t n then '\001' else '\000');
-        Bytes.set t.p_contra n.Netlist.n_id
-          (if contra_net t n then '\001' else '\000')
-      end)
+      Bytes.set t.p_net n.Netlist.n_id (if prove_net t n then '\001' else '\000');
+      Bytes.set t.p_contra n.Netlist.n_id (if contra_net t n then '\001' else '\000'))
 
 let compute_lanes t =
   let n = Netlist.n_nets t.nl in
@@ -781,63 +764,13 @@ let analyse ?sched:sched_opt ?(case_nets = []) nl =
     run_scc t sid
   done;
   compute_constrained t;
-  prove_all t ~only:None;
-  compute_lanes t;
-  t
-
-let update t ~dirty_nets =
-  let n_nets = Netlist.n_nets t.nl in
-  let dirty = Array.make (max 1 n_nets) false in
-  List.iter
-    (fun id ->
-      if id >= 0 && id < n_nets then begin
-        dirty.(id) <- true;
-        seed_net t (Netlist.net t.nl id)
-      end)
-    dirty_nets;
-  (* Sweep the forward cone only: a component is recomputed when one of
-     its inputs (or its own output net — delay and directive edits) is
-     dirty, and marks its outputs dirty when anything moved. *)
-  let touches id =
-    let i = Netlist.inst t.nl id in
-    Array.exists (fun (cn : Netlist.conn) -> dirty.(cn.Netlist.c_net)) i.Netlist.i_inputs
-    || match i.Netlist.i_output with Some o -> dirty.(o) | None -> false
-  in
-  for sid = Sched.n_sccs t.sched - 1 downto 0 do
-    let members = Sched.members t.sched sid in
-    if List.exists touches members then begin
-      let before =
-        List.filter_map
-          (fun id ->
-            match (Netlist.inst t.nl id).Netlist.i_output with
-            | Some o ->
-              Some
-                ( o,
-                  Array.init t.k (fun c -> t.cwins.(c).(o)),
-                  (t.unk.(o), t.kv.(o), t.estr.(o)) )
-            | None -> None)
-          members
-      in
-      run_scc t sid;
-      List.iter
-        (fun (o, ws, fl) ->
-          if
-            fl <> (t.unk.(o), t.kv.(o), t.estr.(o))
-            || Array.exists (fun c -> ws.(c) <> t.cwins.(c).(o)) (Array.init t.k Fun.id)
-          then dirty.(o) <- true)
-        before
-    end
-  done;
-  compute_constrained t;
-  prove_all t ~only:(Some dirty);
+  prove_all t;
   compute_lanes t;
   t
 
 (* ---- accessors ------------------------------------------------------------ *)
 
 let netlist t = t.nl
-let sched t = t.sched
-let n_corners t = t.k
 let wins t ?(corner = 0) id = t.cwins.(corner).(id)
 let constrained t id = t.constrained.(id)
 let may_unknown t id = t.unk.(id)

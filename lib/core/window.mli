@@ -19,13 +19,13 @@
     [Unknown] is non-stable but not a transition, so proofs never rely
     on windows alone there.
 
-    Three consumers share one analysis: the W-series lint rules
-    (vacuity, guaranteed violations, unconstrained cones), the
-    evaluator's window pruning ({!Eval.create}[ ?window],
-    [Verifier.verify ?window_prune] — statically proven checkers are
-    frozen before the first run and their verdicts served without
-    evaluation), and the case-equivalence partitioner
-    ([Case_analysis.partition] via {!case_signature}). *)
+    Two consumers share one analysis: the W-series lint rules
+    (vacuity, guaranteed violations, unconstrained cones) with the
+    [--windows] listing, and the case-equivalence partitioner
+    ([Verifier.verify ~merge_cases], [Case_analysis.partition] via
+    {!case_signature}).  The evaluator is never given a window table:
+    verification evaluates every case and derives every verdict
+    dynamically. *)
 
 type span = { s_lo : Timebase.ps; s_hi : Timebase.ps }
 (** One arrival window: the signal may transition at any instant of
@@ -52,9 +52,6 @@ val analyse : ?sched:Sched.t -> ?case_nets:int list -> Netlist.t -> t
     {e precise} clock or data waveform are withheld on their cones. *)
 
 val netlist : t -> Netlist.t
-val sched : t -> Sched.t
-
-val n_corners : t -> int
 
 val wins : t -> ?corner:int -> int -> wins
 (** [wins t ~corner net_id] — the window set of a net at a corner
@@ -94,7 +91,7 @@ val net_proven : t -> int -> bool
 (** [net_proven t net_id] — the driven net carries a [.S] assertion that
     is statically satisfied at every corner: no arrival window overlaps
     an asserted-stable interval.  The stable-assertion check can never
-    fire (lint rule W1), so its verdict is served statically. *)
+    fire (lint rule W1). *)
 
 val net_contradicted : t -> int -> bool
 (** The driven net's [.S] assertion is statically {e contradicted}: the
@@ -119,14 +116,6 @@ val lane_static_equal : t -> int -> bool
     run time). *)
 
 val n_lanes_static : t -> int
-
-val update : t -> dirty_nets:int list -> t
-(** Recompute the windows, flags and proofs of the forward cone of the
-    given nets only, in place (returned for convenience) — the
-    incremental service's path: a delay, assertion or directive edit
-    dirties a small cone, and everything outside it is provably
-    unchanged.  A corner-table change invalidates every lane; callers
-    re-run {!analyse} for that. *)
 
 val case_signature : t -> (int * Tvalue.t) list -> string
 (** A canonical signature of the case's effect on its substituted cone:

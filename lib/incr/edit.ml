@@ -75,8 +75,10 @@ let check nl e =
     | None -> Error (Printf.sprintf "unknown instance %s" name)
   in
   match e with
-  | Wire_delay { signal; _ } | Assertion { signal; _ } ->
+  | Wire_delay { signal; _ } | Assertion { signal; assertion = None } ->
     Result.map (fun _ -> ()) (net signal)
+  | Assertion { signal; assertion = Some a } ->
+    Result.bind (net signal) (fun _ -> Assertion.check (Netlist.timebase nl) a)
   | Element_delay { inst = name; _ } -> (
     match inst name with
     | Error _ as e -> e

@@ -46,8 +46,10 @@ type applied = {
 
 val check : Netlist.t -> t -> (unit, string) result
 (** Validate an edit against a netlist without mutating anything —
-    names resolve, the primitive accepts the edit — so a [delta] request
-    can be rejected atomically before anything is staged. *)
+    names resolve, the primitive accepts the edit, an assertion's times
+    lie within {!Scald_core.Timebase.max_ns} ({!Scald_core.Assertion.check})
+    — so a [delta] request can be rejected atomically before anything is
+    staged. *)
 
 val apply : Netlist.t -> t -> applied
 (** Mutate the netlist and report the seeds of the dirty cone.

@@ -16,11 +16,6 @@ type t = {
   (* the content digest, skeleton and cone fingerprints of the netlist
      as currently edited, refreshed by [reverify] for what it touched *)
   s_ix : Fingerprint.index;
-  s_sched : Sched.t;
-  (* mutable: kept current across edits with [Window.update]; rebuilt
-     wholesale on a [Cases] or [Corners] edit, which change the
-     volatile-net set resp. the lane count baked into the table *)
-  mutable s_window : Window.t;
   (* mutable: a [Corners] edit changes the lane count, which is fixed at
      [Eval.create] time, so [reverify] swaps in a fresh evaluator *)
   mutable s_ev : Eval.t;
@@ -42,24 +37,19 @@ let resolved_case_nets nl cases =
     (List.concat_map (fun c -> List.map fst (Case_analysis.resolve nl c)) cases)
 
 let load ?(cases = []) ?probe ?content nl =
-  let sched = Sched.compute nl in
-  let ix = Fingerprint.index ?content ~sched nl in
-  let case_nets = resolved_case_nets nl cases in
-  let window = Window.analyse ~sched ~case_nets nl in
-  (* the verifier evaluates over the window table's schedule *)
-  let report = Verifier.verify ~cases ~jobs:1 ?probe ~window nl in
+  let report = Verifier.verify ~cases ~jobs:1 ?probe nl in
   let ev = report.Verifier.r_eval in
+  (* the index condenses over the cold run's schedule *)
+  let ix = Fingerprint.index ?content ~sched:(Eval.sched ev) nl in
   let t =
     {
       s_nl = nl;
       s_id = Fingerprint.content_digest (Fingerprint.index_content ix);
       s_ix = ix;
-      s_sched = sched;
-      s_window = window;
       s_ev = ev;
       s_probe = probe;
       s_cases = cases;
-      s_case_nets = case_nets;
+      s_case_nets = resolved_case_nets nl cases;
       s_pending = [];
       s_report = report;
       s_cum = Eval.zero_counters;
@@ -106,7 +96,9 @@ let listing t = listing_string t.s_report
    seed net reaches one of its inputs (transitively).  This is the
    output cone of the edit over the same structure [Sched] condensed —
    feedback components are handled naturally, since their members reach
-   each other through their output nets. *)
+   each other through their output nets.  Its nets are what
+   [st_dirtied_nets] counts; the evaluator's own work list and dirty
+   logs decide what is re-evaluated and re-checked. *)
 let dirty_cone nl ~seed_nets ~seed_insts =
   let n_insts = Netlist.n_insts nl and n_nets = Netlist.n_nets nl in
   let inst_dirty = Array.make (max 1 n_insts) false in
@@ -134,7 +126,7 @@ let dirty_cone nl ~seed_nets ~seed_insts =
         Netlist.iter_fanout (Netlist.net nl o) add
       end
   done;
-  (inst_dirty, net_dirty)
+  net_dirty
 
 let reverify ?(carry_counters = true) t =
   let nl = t.s_nl in
@@ -170,23 +162,10 @@ let reverify ?(carry_counters = true) t =
      [Eval.create] time: swap in a fresh evaluator (cold — its first run
      below re-initializes every net, and its memos start empty).  The
      cumulative counters keep accumulating across the swap. *)
-  let window_rebuilt = ref false in
-  let reanalyse_window () =
-    t.s_window <- Window.analyse ~sched:t.s_sched ~case_nets:t.s_case_nets nl;
-    window_rebuilt := true
-  in
-  let fresh = not (Corner.table_equal (Eval.corners t.s_ev) (Netlist.corners nl)) in
-  if fresh then begin
-    (* the lane count is baked into the window table too *)
-    reanalyse_window ();
-    let ev = Eval.create ~sched:t.s_sched ~window:t.s_window nl in
+  if not (Corner.table_equal (Eval.corners t.s_ev) (Netlist.corners nl)) then begin
+    let ev = Eval.create ~sched:(Eval.sched t.s_ev) nl in
     Eval.set_event_hook ev (Eval.event_hook t.s_ev);
     t.s_ev <- ev
-  end
-  else if !new_cases <> None then begin
-    (* the volatile-net set is baked into the window table *)
-    reanalyse_window ();
-    Eval.set_window t.s_ev (Some t.s_window)
   end;
   let ev = t.s_ev in
   Eval.reset_counters ev;
@@ -195,16 +174,16 @@ let reverify ?(carry_counters = true) t =
   let reinit_nets = List.sort_uniq compare !reinit_nets in
   let touched_insts = List.sort_uniq compare !touched_insts in
   (* The case sweep below replays every case group, so the cones of all
-     case-mapped nets — old and new — must stay live alongside the
-     cones of the edits. *)
+     case-mapped nets — old and new — are dirty alongside the cones of
+     the edits. *)
   let seed_nets =
     List.sort_uniq compare
       (touched_nets @ reinit_nets @ old_case_nets @ t.s_case_nets)
   in
   (* A re-asserted or case-mapped net that is driven is recomputed by
      re-running its driver ([Eval.reassert_net], the §2.7 path in
-     [Eval.run]) — the driver must therefore be live even though it sits
-     upstream of the seed, not in its fanout. *)
+     [Eval.run]) — the driver is therefore in the cone even though it
+     sits upstream of the seed, not in its fanout. *)
   let seed_insts =
     List.sort_uniq compare
       (touched_insts
@@ -212,43 +191,8 @@ let reverify ?(carry_counters = true) t =
           (fun nid -> (Netlist.net nl nid).n_driver)
           (reinit_nets @ old_case_nets @ t.s_case_nets))
   in
-  (* Absorb parameter edits into the window table (a [Cases]/[Corners]
-     edit already rebuilt it above).  An edited instance contributes its
-     own nets: the output so a delay edit re-dilates the cone, the
-     inputs so [Window.update] re-proves the instance itself (a checker
-     whose margins changed has no output net to dirty). *)
-  if not !window_rebuilt then begin
-    let inst_nets =
-      List.concat_map
-        (fun id ->
-          let i = Netlist.inst nl id in
-          let ins =
-            Array.to_list
-              (Array.map (fun (c : Netlist.conn) -> c.Netlist.c_net) i.i_inputs)
-          in
-          match i.i_output with Some o -> o :: ins | None -> ins)
-        touched_insts
-    in
-    match touched_nets @ reinit_nets @ inst_nets with
-    | [] -> ()
-    | ds -> ignore (Window.update t.s_window ~dirty_nets:(List.sort_uniq compare ds))
-  end;
-  (* 2. thaw exactly the dirty cone, freeze everything else; then
-     re-apply the window freeze from the just-updated proofs — checkers
-     still proven stay statically served even inside the thawed cone,
-     checkers no longer proven thaw and re-check.  A fresh evaluator
-     holds no fixpoint to keep: its first run evaluates every instance,
-     sources with no inputs (a ZERO or ONE) included, which no fanout
-     closure ever reaches. *)
-  let net_dirty =
-    span "cone" (fun () ->
-        let inst_dirty, net_dirty = dirty_cone nl ~seed_nets ~seed_insts in
-        if not fresh then begin
-          Eval.refreeze ev ~active:(fun id -> inst_dirty.(id));
-          Eval.rewindow ev
-        end;
-        net_dirty)
-  in
+  (* 2. count the nets the request may move *)
+  let net_dirty = span "cone" (fun () -> dirty_cone nl ~seed_nets ~seed_insts) in
   (* 3. inject the edits into the evaluator: bump stamps, wake cones;
      an instance-parameter edit moves no stamp, so [touch_inst] logs
      the instance for the next check pass on every lane *)

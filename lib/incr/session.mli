@@ -6,14 +6,13 @@
     with {!stage} and replayed by {!reverify}, which:
 
     + applies the staged edits to the netlist;
-    + computes the {e dirty cone} — the forward closure, over the
+    + counts the {e dirty cone} — the forward closure, over the
       instance graph, of every edited net plus the nets mapped by any
-      (old or new) case group;
-    + re-freezes the evaluator so only the dirty cone is live
-      ({!Scald_core.Eval.refreeze}), and bumps generation stamps only
-      inside it, so every generation-keyed cache outside the cone keeps
-      its value (a corners edit swaps in a fresh evaluator instead,
-      which evaluates every instance);
+      (old or new) case group ({!stats});
+    + bumps the generation stamps of the edited nets and wakes their
+      fanout, so every generation-keyed cache outside the edit's cone
+      keeps its value (a corners edit swaps in a fresh evaluator
+      instead, which evaluates every instance);
     + replays the case sweep, whose check passes re-derive only the
       verdicts whose input stamps moved (the evaluator's per-lane dirty
       logs, {!Scald_core.Eval.check});
@@ -56,8 +55,7 @@ val load :
   Netlist.t ->
   t
 (** Cold-start a session: verify the netlist sequentially, computing the
-    schedule and window analysis once, to be shared by every later
-    request.
+    schedule once, to be shared by every later request.
 
     [content], when given, is the netlist's {!Fingerprint.content},
     already built by the caller (the {!Store} builds it for its
@@ -81,9 +79,7 @@ val reverify : ?carry_counters:bool -> t -> Verifier.report * stats
     block carries: the session's {e cumulative} counters — so a
     multi-run session reports totals, the metrics a service wants — or,
     when [false], this request's counters alone.  {!stats} always holds
-    the per-request numbers; {!cumulative} always holds the totals.
-    A request's [os_pruned_evals] is [0] unless an enqueue fell outside
-    the dirty cone — a cone that missed part of the edit's effect. *)
+    the per-request numbers; {!cumulative} always holds the totals. *)
 
 val stage : t -> Edit.t -> unit
 (** Stage an edit for the next {!reverify}.  Edits apply in stage

@@ -624,8 +624,8 @@ let check_w2 nl =
       then
         acc :=
           finding "W2" R.Info (R.Inst i.Netlist.i_name)
-            "checker statically proven satisfied at every corner — evaluation is skipped (window pruning)"
-            "no action needed; --no-window-prune re-checks it dynamically"
+            "checker statically proven satisfied at every corner — it can never report a violation"
+            "no action needed; if the check was meant to bind, its margins or input assertions are looser than intended"
           :: !acc);
   List.rev !acc
 

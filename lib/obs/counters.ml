@@ -7,7 +7,7 @@ type metrics = {
   m_phases : (string * float) list;
 }
 
-let schema_version = "scald-metrics/6"
+let schema_version = "scald-metrics/7"
 
 (* A duplicate key — a caller's [extra] colliding with a built-in, or
    with itself — would serialize as two identical JSON fields: valid
@@ -35,7 +35,6 @@ let of_report ?(phases = []) ?(extra = []) (r : Verifier.report) =
         ("max_scc_size", r.Verifier.r_obs.Verifier.os_max_scc_size);
         ("cache_hits", r.Verifier.r_obs.Verifier.os_cache_hits);
         ("cache_misses", r.Verifier.r_obs.Verifier.os_cache_misses);
-        ("pruned_evals", r.Verifier.r_obs.Verifier.os_pruned_evals);
         ("cases", List.length r.Verifier.r_cases);
         ( "cases_diverged",
           List.length
@@ -46,12 +45,6 @@ let of_report ?(phases = []) ?(extra = []) (r : Verifier.report) =
         ("corners", r.Verifier.r_obs.Verifier.os_corners);
         ("corner_lanes_shared", r.Verifier.r_obs.Verifier.os_corner_lanes_shared);
         ("corner_evals_saved", r.Verifier.r_obs.Verifier.os_corner_evals_saved);
-        ("window_insts", r.Verifier.r_obs.Verifier.os_window_insts);
-        ("window_nets", r.Verifier.r_obs.Verifier.os_window_nets);
-        ("window_unbounded", r.Verifier.r_obs.Verifier.os_window_unbounded);
-        ("window_lanes_static", r.Verifier.r_obs.Verifier.os_window_lanes_static);
-        ("window_evals", r.Verifier.r_obs.Verifier.os_window_evals);
-        ("window_checks", r.Verifier.r_obs.Verifier.os_window_checks);
         ("cases_merged", r.Verifier.r_obs.Verifier.os_cases_merged);
         ("violations", List.length r.Verifier.r_violations);
         ("unasserted", List.length r.Verifier.r_unasserted);

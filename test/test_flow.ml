@@ -134,8 +134,8 @@ let test_classes_golden name () =
   let golden = read_file (Printf.sprintf "golden/%s_classes.txt" name) in
   Alcotest.(check string) (name ^ " class listing snapshot") golden actual
 
-(* Verification reads no signal classes: a probed run records the
-   window analysis and no flow analysis. *)
+(* Verification reads no signal classes, and no arrival windows unless
+   it merges cases: a probed run records neither analysis. *)
 let test_verify_runs_no_flow () =
   let nl = example "s1_subset" in
   let cases = Case_analysis.parse_exn (read_file "../examples/s1_subset.cases") in
@@ -150,32 +150,32 @@ let test_verify_runs_no_flow () =
     }
   in
   ignore (Verifier.verify ~probe ~cases nl);
-  Alcotest.(check bool) "window span" true (List.mem "window" !spans);
+  Alcotest.(check bool) "no window span" false (List.mem "window" !spans);
   Alcotest.(check bool) "no flow span" false (List.mem "flow" !spans)
 
-(* ---- pruning soundness --------------------------------------------------------- *)
+(* ---- handed-in analyses ------------------------------------------------------- *)
 
-(* The pruning that remains is the window proof ([~window_prune],
-   doc/WINDOWS.md).  With it on, and with a schedule and signal classes
-   handed in through [~analysis] (as ledger/main.ml's traced run does),
-   the verdicts equal those of a run that prunes nothing, at -j 1 and
-   at -j 4. *)
+(* With a schedule, signal classes and a window table handed in through
+   [~analysis] and [~window] (as ledger/main.ml's traced run does), the
+   verdicts equal those of a plain run, at -j 1 and at -j 4. *)
 let properties =
   [
-    prop "pruning preserves verdicts across jobs"
+    prop "handed-in analyses preserve verdicts across jobs"
       QCheck.(int_range 1 1000)
       (fun seed ->
         let nl = Test_par.netgen_nl seed in
         let cases = Test_par.netgen_cases nl in
-        let off = Verifier.verify ~cases ~window_prune:false nl in
+        let plain = Verifier.verify ~cases nl in
         let case_nets =
           List.concat_map (fun c -> List.map fst (Case_analysis.resolve nl c)) cases
         in
         let sched = Sched.compute nl in
         let analysis = (sched, Flow.analyse ~sched ~case_nets nl) in
+        let window = Window.analyse ~sched ~case_nets nl in
         List.for_all
           (fun jobs ->
-            Test_window.verdicts_equal off (Verifier.verify ~cases ~jobs ~analysis nl))
+            Test_window.verdicts_equal plain
+              (Verifier.verify ~cases ~jobs ~analysis ~window nl))
           [ 1; 4 ]);
   ]
 

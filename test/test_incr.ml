@@ -249,6 +249,22 @@ let test_edit_check () =
   bad (Edit.Element_delay { inst = "U9"; delay = Delay.zero }) "unknown instance";
   bad (Edit.Element_delay { inst = "U3"; delay = Delay.zero }) "delay on a checker";
   bad (Edit.Directive { inst = "U1"; input = 5; directive = [] }) "input out of range";
+  (* an assertion time beyond Timebase.max_ns under the design's 6.25 ns
+     clock unit is rejected, quoting the assertion; the bound passes *)
+  let asserting spec =
+    Edit.Assertion { signal = "IN0 .S0-6"; assertion = Some (assertion spec) }
+  in
+  List.iter
+    (fun spec ->
+      match Edit.check nl (asserting spec) with
+      | Ok () -> Alcotest.failf "accepted .%s" spec
+      | Error m ->
+        Alcotest.(check bool) ("error quotes ." ^ spec) true
+          (Test_obs.contains m ("." ^ spec)))
+    [ "S1-9999999999"; "S1-160000001" ];
+  bad (asserting "S1-99999999999999999999") "assertion time beyond the int range";
+  Alcotest.(check bool) "assertion at the bound accepted" true
+    (Edit.check nl (asserting "S1-160000000") = Ok ());
   Alcotest.(check bool) "nothing was mutated" true
     (Fingerprint.digest nl = Fingerprint.digest (build_circuit ()))
 
@@ -479,7 +495,7 @@ let test_session_margin_edit_all_corners () =
 
 (* IN .S0-4 -> BUF -> D ; SETUP HOLD CHK (D, CK .P2-3).  At the default
    delays the checker is statically proven clean by the arrival-window
-   analysis (doc/WINDOWS.md) and window-frozen from load. *)
+   analysis (doc/WINDOWS.md). *)
 let build_window_circuit ?(d_wire = None) () =
   let nl =
     Netlist.create
@@ -502,16 +518,14 @@ let build_window_circuit ?(d_wire = None) () =
        ~output:None);
   nl
 
-let test_session_window_prune_tracks_edits () =
+let test_session_proven_checker_tracks_edits () =
   let s = Session.load (build_window_circuit ()) in
   let r0 = Session.report s in
-  Alcotest.(check int) "checker statically proven at load" 1
-    r0.Verifier.r_obs.Verifier.os_window_insts;
   Alcotest.(check int) "no violations while proven" 0
     (List.length r0.Verifier.r_violations);
-  (* a wire-delay edit inside the pruned cone withdraws the proof: the
-     checker thaws, re-checks dynamically, and reports exactly what a
-     cold run on the edited netlist reports *)
+  (* a wire-delay edit inside the checker's cone withdraws the proof:
+     the checker reports exactly what a cold run on the edited netlist
+     reports *)
   let slow = Delay.of_ns 0.0 12.0 in
   Session.stage s (Edit.Wire_delay { signal = "D"; delay = Some slow });
   let report, _ = Session.reverify s in
@@ -520,7 +534,7 @@ let test_session_window_prune_tracks_edits () =
   in
   Alcotest.(check bool) "the edit surfaces real violations" true
     (cold.Verifier.r_violations <> []);
-  Alcotest.(check bool) "un-frozen checker equals the cold run" true
+  Alcotest.(check bool) "edited checker equals the cold run" true
     (verdicts_equal report cold);
   (* reverting the delay restores the proof and the clean verdict *)
   Session.stage s (Edit.Wire_delay { signal = "D"; delay = None });
@@ -960,8 +974,8 @@ let build_recipe r =
        ~inputs:[ Netlist.conn last; Netlist.conn ck ]
        ~output:None);
   (* A ZERO source has no inputs, so no edit's fanout closure reaches
-     it; the clock gate's &A hazard check, which window proofs never
-     serve, sees its value through the enable. *)
+     it; the clock gate's &A hazard check sees its value through the
+     enable. *)
   let gnd = Netlist.signal nl "GND" in
   ignore
     (Netlist.add nl ~name:"UGND" (Primitive.Const Tvalue.V0) ~inputs:[] ~output:(Some gnd));
@@ -1036,10 +1050,7 @@ let bit_identity_property =
           let incr_listing = Session.listing s in
           let nl = Session.netlist s in
           let after = Fingerprint.cones nl in
-          (* a rejected enqueue targeted an instance outside the
-             dirty cone, which then kept a stale waveform *)
-          report.Verifier.r_obs.Verifier.os_pruned_evals = 0
-          && Session.digest s = Fingerprint.digest nl
+          Session.digest s = Fingerprint.digest nl
           && (step <> None || Session.digest s = Session.id s)
           && Session.fingerprints s = after
           && st.Session.st_fp_changed = Fingerprint.diff_count before after
@@ -1074,8 +1085,8 @@ let suite =
       test_session_corners_edit;
     Alcotest.test_case "session margin edit reaches every corner" `Quick
       test_session_margin_edit_all_corners;
-    Alcotest.test_case "session window pruning tracks edits" `Quick
-      test_session_window_prune_tracks_edits;
+    Alcotest.test_case "session proven checker tracks edits" `Quick
+      test_session_proven_checker_tracks_edits;
     Alcotest.test_case "session counters carry" `Quick test_session_counters_carry;
     Alcotest.test_case "session index through a feedback loop" `Quick
       test_session_index_feedback;

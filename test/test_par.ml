@@ -94,19 +94,11 @@ let slow_loop () =
   nl
 
 (* The FIFO reference discipline as a schedule: under [Sched.flat] the
-   evaluator dequeues in plain FIFO order.  The window analysis still
-   sees the real structure, exactly as a default run computes it.  The
-   verifier reads only the schedule half of [~analysis]. *)
+   evaluator dequeues in plain FIFO order.  The verifier reads only the
+   schedule half of [~analysis]. *)
 let verify_flat ?(cases = []) ?(jobs = 1) ?corners nl =
   Option.iter (Netlist.set_corners nl) corners;
-  let case_nets =
-    List.concat_map (fun c -> List.map fst (Case_analysis.resolve nl c)) cases
-  in
-  let sched = Sched.compute nl in
-  Verifier.verify ~cases ~jobs
-    ~analysis:(Sched.flat nl, Flow.analyse ~sched nl)
-    ~window:(Window.analyse ~sched ~case_nets nl)
-    nl
+  Verifier.verify ~cases ~jobs ~analysis:(Sched.flat nl, Flow.analyse nl) nl
 
 let slow_loop_cases = Case_analysis.parse_exn "CTL .S0-9 = 1;\nCTL .S0-9 = 0;\n"
 
@@ -337,7 +329,7 @@ let corner_design c =
   (nl, netgen_cases nl)
 
 (* A random gate network, or now and then a netgen design (registers,
-   latches, muxes, window-proven checkers), each with its case list. *)
+   latches, muxes, checkers), each with its case list. *)
 type design = Recipe of recipe | Netgen of int
 
 let gen_design =
@@ -363,30 +355,22 @@ let waveforms ?lane nl ev =
   |> List.map (fun (n : Netlist.net) -> Eval.value ?lane ev n.Netlist.n_id)
 
 (* Inputs of the warm-start oracle: a random gate network, or a netgen
-   design at a random corner table, each evaluated with or without a
-   window table. *)
+   design at a random corner table. *)
 type warm_design = Gates of recipe | Corners of corner_recipe
 
 let gen_warm =
   let open QCheck.Gen in
-  let design =
-    frequency
-      [
-        (3, map (fun r -> Gates r) (QCheck.gen gen_recipe));
-        (1, map (fun c -> Corners c) (QCheck.gen gen_corner_recipe));
-      ]
-  in
   QCheck.make
-    ~print:(fun (d, windowed) ->
-      (match d with
-      | Gates r -> print_recipe r
-      | Corners c -> print_corner_recipe c)
-      ^ if windowed then ", window table" else "")
-    (pair design bool)
+    ~print:(function Gates r -> print_recipe r | Corners c -> print_corner_recipe c)
+    (frequency
+       [
+         (3, map (fun r -> Gates r) (QCheck.gen gen_recipe));
+         (1, map (fun c -> Corners c) (QCheck.gen gen_corner_recipe));
+       ])
 
 (* A fresh netlist of the input's design, its cases, and an evaluator
    created the way the input asks. *)
-let warm_evaluator (d, windowed) =
+let warm_evaluator d =
   let nl, cases, flat =
     match d with
     | Gates r -> (build_recipe r, recipe_cases r, false)
@@ -395,16 +379,7 @@ let warm_evaluator (d, windowed) =
       Netlist.set_corners nl (Corner.of_spec c.co_spec);
       (nl, cases, c.co_flat)
   in
-  let sched = Sched.compute nl in
-  let window =
-    if not windowed then None
-    else
-      let case_nets =
-        List.concat_map (fun c -> List.map fst (Case_analysis.resolve nl c)) cases
-      in
-      Some (Window.analyse ~sched ~case_nets nl)
-  in
-  (nl, cases, Eval.create ~sched:(if flat then Sched.flat nl else sched) ?window nl)
+  (nl, cases, Eval.create ?sched:(if flat then Some (Sched.flat nl) else None) nl)
 
 let properties =
   [

@@ -265,6 +265,23 @@ let test_expand_errors () =
   fails_at 1 (and_chk "1e30" "1");
   fails_at 2 "PERIOD 50.0;\nCORNERS typ, x=1e308;\nBUF (DELAY=1/2) (A) -> Q;";
   fails_at 2 "PERIOD 50.0;\nWIRE DELAY (A) = 0/1e16;\nBUF (DELAY=1/2) (A) -> Q;";
+  (* so are assertion times in clock units, once the clock unit is
+     known: 1.6e8 units of 6.25 ns is the bound itself *)
+  let asserted range =
+    Printf.sprintf
+      "PERIOD 50.0;\nCLOCK UNIT 6.25;\nDEFAULT WIRE DELAY 0.0/2.0;\n\
+       1 CHG (DELAY=1.0/2.0) (IN A .S1-%s) -> D;\n\
+       SETUP HOLD CHK (SETUP=2.5, HOLD=1.5) (D, CK .P2-3);"
+      range
+  in
+  List.iter
+    (fun range -> fails_at 4 (asserted range))
+    [ "99999999999999999999"; "9999999999"; "160000001" ];
+  (match Expander.load (asserted "160000000") with
+  | Error e -> Alcotest.failf "the bound itself rejected: %s" e
+  | Ok e ->
+    Alcotest.(check bool) "the bound round-trips through the net name" true
+      (Netlist.find e.Expander.e_netlist "IN A .S1-160000000" <> None));
   (* two errors: the one earlier in the text is reported — a duplicate
      MACRO at line 7 before a parse error at line 13, which a parse of
      the whole text meets first *)

@@ -1,9 +1,8 @@
 (* Static arrival-window analysis (doc/WINDOWS.md): window values on
-   hand designs, the QCheck soundness property (every transition the
+   hand designs, the QCheck soundness properties (every transition the
    evaluator materializes lies inside the statically computed window,
-   at every corner), verdict equality of window pruning across sched ×
-   jobs × corners, case-equivalence merging, incremental update vs
-   fresh analysis, and the counter surface. *)
+   at every corner, and no proven checker or assertion ever reports),
+   and case-equivalence merging. *)
 
 open Scald_core
 
@@ -16,6 +15,12 @@ let load src =
   | Error msg -> Alcotest.failf "expander: %s" msg
 
 let preamble = "PERIOD 50.0;\nCLOCK UNIT 6.25;\nDEFAULT WIRE DELAY 0.0/2.0;\n"
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
 
 let net_id nl name =
   match Netlist.find nl name with
@@ -185,8 +190,83 @@ let test_soundness_hand_designs () =
        SETUP HOLD CHK (SETUP=2.5, HOLD=1.5) (Q, CK .P2-3);\n";
     ]
 
-(* ---- verdict equality of window pruning -------------------------------- *)
+(* ---- proofs against the dynamic check ---------------------------------- *)
 
+(* What lint rules W1 and W2 claim: a checker the analysis proves
+   ([Window.inst_proven]) and a driven net whose stable assertion it
+   proves ([Window.net_proven]) report nothing in any case, on any
+   corner lane, of a plain evaluation.  The first verdict that
+   contradicts a proof, if any.  A verdict names its checker by
+   instance name, which macro expansion repeats, together with the
+   checker's data and clock nets, whose names are unique. *)
+let proof_broken nl cases =
+  let case_nets =
+    List.concat_map (fun c -> List.map fst (Case_analysis.resolve nl c)) cases
+  in
+  let w = Window.analyse ~case_nets nl in
+  let net_name (c : Netlist.conn) = (Netlist.net nl c.Netlist.c_net).Netlist.n_name in
+  let proven_insts = Hashtbl.create 64 and proven_nets = Hashtbl.create 64 in
+  Netlist.iter_insts nl (fun i ->
+      if Window.inst_proven w i.Netlist.i_id then
+        let ins = i.Netlist.i_inputs in
+        let clock = if Array.length ins > 1 then Some (net_name ins.(1)) else None in
+        Hashtbl.replace proven_insts (i.Netlist.i_name, net_name ins.(0), clock) ());
+  Netlist.iter_nets nl (fun n ->
+      if Window.net_proven w n.Netlist.n_id then
+        Hashtbl.replace proven_nets n.Netlist.n_name ());
+  let proven (v : Check.t) =
+    if v.Check.v_kind = Check.Stable_assertion_violation then
+      Hashtbl.mem proven_nets v.Check.v_signal
+    else Hashtbl.mem proven_insts (v.Check.v_inst, v.Check.v_signal, v.Check.v_clock)
+  in
+  let ev = Eval.create nl in
+  List.find_map
+    (fun case ->
+      Eval.run ~case:(Case_analysis.resolve nl case) ev;
+      List.find_map
+        (fun lane ->
+          Option.map
+            (fun v -> Format.asprintf "lane %d: %a" lane Check.pp v)
+            (List.find_opt proven (Eval.check ~lane ev)))
+        (List.init (Eval.n_corners ev) Fun.id))
+    ([] :: cases)
+
+(* Netgen designs with two planted slow paths each, so every design has
+   checkers that do report. *)
+let test_proofs_hold_random =
+  prop ~count:6 "window proofs hold in every case and lane"
+    QCheck.(pair (int_bound 1000) (int_bound 1))
+    (fun (seed, ci) ->
+      let nl =
+        (Netgen.to_netlist
+           (Netgen.generate (Netgen.scaled ~seed ~broken_registers:2 ~chips:120 ())))
+          .Scald_sdl.Expander.e_netlist
+      in
+      Netlist.set_corners nl corner_tables.(ci);
+      match proof_broken nl (netgen_cases nl) with
+      | None -> true
+      | Some v ->
+        QCheck.Test.fail_reportf "seed %d corner-set %d: proven clean, yet %s" seed ci v)
+
+(* The examples add what netgen designs lack: driven asserted nets, one
+   of them contradicted (W5), and the s1 subset's case analysis. *)
+let test_proofs_hold_examples () =
+  List.iter
+    (fun (name, cases) ->
+      let nl = load (read_file ("../examples/" ^ name ^ ".sdl")) in
+      let cases = Option.fold ~none:[] ~some:(fun f -> Case_analysis.parse_exn (read_file f)) cases in
+      match proof_broken nl cases with
+      | None -> ()
+      | Some v -> Alcotest.failf "%s: proven clean, yet %s" name v)
+    [
+      ("s1_subset", Some "../examples/s1_subset.cases");
+      ("cdc", None);
+      ("vacuous", None);
+      ("register_file", None);
+      ("underconstrained", None);
+    ]
+
+(* Verdict equality of two reports, used across the test suite. *)
 let verdicts_equal (a : Verifier.report) (b : Verifier.report) =
   let case_equal (x : Verifier.case_result) (y : Verifier.case_result) =
     x.Verifier.cr_case = y.Verifier.cr_case
@@ -206,24 +286,6 @@ let verdicts_equal (a : Verifier.report) (b : Verifier.report) =
   && List.for_all2 case_equal a.Verifier.r_cases b.Verifier.r_cases
   && List.length a.Verifier.r_corners = List.length b.Verifier.r_corners
   && List.for_all2 corner_equal a.Verifier.r_corners b.Verifier.r_corners
-
-let test_prune_verdict_equality =
-  prop ~count:6 "window pruning preserves verdicts (jobs × corners)"
-    QCheck.(triple (int_bound 1000) (int_bound 1) (oneofl [ 1; 4 ]))
-    (fun (seed, ci, jobs) ->
-      let make () =
-        let nl = netgen_nl seed in
-        Netlist.set_corners nl corner_tables.(ci);
-        nl
-      in
-      let nl = make () in
-      let cases = netgen_cases nl in
-      let on = Verifier.verify ~cases ~jobs nl in
-      let off = Verifier.verify ~cases ~jobs ~window_prune:false (make ()) in
-      if not (verdicts_equal on off) then
-        QCheck.Test.fail_reportf "verdicts differ: seed %d jobs %d" seed jobs;
-      (* and something was actually proven on this workload *)
-      on.Verifier.r_obs.Verifier.os_window_insts >= 0)
 
 (* ---- case-equivalence merging ------------------------------------------ *)
 
@@ -295,79 +357,7 @@ let test_case_signature_soundness =
         sigs;
       true)
 
-(* ---- incremental update vs fresh analysis ------------------------------ *)
-
-let windows_agree nl a b =
-  let ok = ref true in
-  Netlist.iter_nets nl (fun n ->
-      let id = n.Netlist.n_id in
-      for c = 0 to Window.n_corners a - 1 do
-        if Window.wins a ~corner:c id <> Window.wins b ~corner:c id then
-          ok := false
-      done;
-      if
-        Window.constrained a id <> Window.constrained b id
-        || Window.may_unknown a id <> Window.may_unknown b id
-        || Window.net_proven a id <> Window.net_proven b id
-        || Window.net_contradicted a id <> Window.net_contradicted b id
-      then ok := false);
-  Netlist.iter_insts nl (fun i ->
-      if
-        Window.inst_proven a i.Netlist.i_id <> Window.inst_proven b i.Netlist.i_id
-        || Window.inst_guaranteed a i.Netlist.i_id
-           <> Window.inst_guaranteed b i.Netlist.i_id
-      then ok := false);
-  !ok
-
-let test_update_matches_fresh =
-  prop ~count:6 "Window.update equals a fresh analysis"
-    QCheck.(pair (int_bound 1000) (int_bound 1000))
-    (fun (seed, pick) ->
-      let nl = netgen_nl seed in
-      let w = Window.analyse nl in
-      (* edit one driven net's wire delay, then update its cone *)
-      let driven = ref [] in
-      Netlist.iter_nets nl (fun n ->
-          if n.Netlist.n_driver <> None then driven := n.Netlist.n_id :: !driven);
-      match !driven with
-      | [] -> true
-      | ids ->
-        let id = List.nth ids (pick mod List.length ids) in
-        Netlist.set_wire_delay_opt nl id (Some (Delay.of_ns 0.5 7.5));
-        let w = Window.update w ~dirty_nets:[ id ] in
-        let fresh = Window.analyse nl in
-        if not (windows_agree nl w fresh) then
-          QCheck.Test.fail_reportf "update diverged from fresh on seed %d" seed;
-        true)
-
-(* ---- counters surface --------------------------------------------------- *)
-
-let test_counters_surface () =
-  let nl = netgen_nl 1 in
-  let cases = netgen_cases nl in
-  let r = Verifier.verify ~cases nl in
-  let o = r.Verifier.r_obs in
-  Alcotest.(check bool) "checkers proven statically" true
-    (o.Verifier.os_window_insts > 0);
-  Alcotest.(check bool) "frozen checkers skipped evaluations" true
-    (o.Verifier.os_window_evals > 0);
-  Alcotest.(check bool) "verdicts served statically" true
-    (o.Verifier.os_window_checks > 0);
-  let off = Verifier.verify ~cases ~window_prune:false (netgen_nl 1) in
-  Alcotest.(check int) "window_prune:false proves nothing" 0
-    (off.Verifier.r_obs.Verifier.os_window_insts
-    + off.Verifier.r_obs.Verifier.os_window_evals
-    + off.Verifier.r_obs.Verifier.os_window_checks);
-  Alcotest.(check bool) "pruning skips checker work" true
-    (r.Verifier.r_evaluations < off.Verifier.r_evaluations)
-
 (* ---- the arrival-window listing ------------------------------------------- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
 
 (* What [scald_tv --windows] prints. *)
 let test_windows_golden name () =
@@ -383,11 +373,11 @@ let suite =
     Alcotest.test_case "feedback top" `Quick test_feedback_top;
     test_soundness_random;
     Alcotest.test_case "soundness hand designs" `Quick test_soundness_hand_designs;
-    test_prune_verdict_equality;
+    test_proofs_hold_random;
+    Alcotest.test_case "window proofs hold on the examples" `Quick
+      test_proofs_hold_examples;
     Alcotest.test_case "merge cases" `Quick test_merge_cases;
     test_case_signature_soundness;
-    test_update_matches_fresh;
-    Alcotest.test_case "counters surface" `Quick test_counters_surface;
     Alcotest.test_case "s1_subset window listing snapshot" `Quick
       (test_windows_golden "s1_subset");
     Alcotest.test_case "cdc window listing snapshot" `Quick (test_windows_golden "cdc");
