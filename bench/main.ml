@@ -21,7 +21,7 @@ let timed f =
 
 (* With --metrics-dir DIR, experiments that verify a design also write
    their evaluator counters (plus any hand-timed phases) to
-   DIR/BENCH_<id>.json in the scald-metrics/7 shape, so runs can be
+   DIR/BENCH_<id>.json in the scald-metrics/8 shape, so runs can be
    compared column-by-column across commits. *)
 let metrics_dir : string option ref = ref None
 

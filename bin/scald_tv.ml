@@ -16,7 +16,7 @@ let read_file path =
 
 let run file case_file jobs corners summary xref quiet paths corr_advice prob
     slack diagram vcd_out phys lint lint_only lint_fatal lint_json profile_out
-    metrics_out explain trace_buffer classes merge_cases windows =
+    metrics_out explain trace_buffer classes windows =
   (* The observability layer is built only when asked for; with every
      obs flag off the verifier sees no probe and the evaluator's event
      hook stays None (the zero-overhead contract of doc/OBSERVABILITY.md). *)
@@ -115,7 +115,7 @@ let run file case_file jobs corners summary xref quiet paths corr_advice prob
     let report =
       Verifier.verify
         ?probe:(Option.map Scald_obs.Obs.probe obs)
-        ?corners ~cases ~jobs:(max 0 jobs) ~merge_cases nl
+        ?corners ~cases ~jobs:(max 0 jobs) nl
     in
     if summary then Format.printf "@.%a@." Report.pp_summary report.Verifier.r_eval;
     if diagram then
@@ -342,15 +342,6 @@ let classes =
   in
   Arg.(value & flag & info [ "classes" ] ~doc)
 
-let merge_cases =
-  let doc =
-    "Partition the case list by window signature and evaluate one \
-     representative per equivalence class — two cases with equal signatures \
-     provably produce identical waveforms on every net (doc/WINDOWS.md).  \
-     The per-case listing then holds the representatives only."
-  in
-  Arg.(value & flag & info [ "merge-cases" ] ~doc)
-
 let windows =
   let doc =
     "Print the arrival-window listing — every net's conservative transition \
@@ -365,7 +356,7 @@ let verify_term =
     const run $ file $ case_file $ jobs $ corners $ summary $ xref $ quiet $ paths
     $ corr_advice $ prob $ slack $ diagram $ vcd_out $ phys $ lint $ lint_only
     $ lint_fatal $ lint_json $ profile_out $ metrics_out $ explain $ trace_buffer
-    $ classes $ merge_cases $ windows)
+    $ classes $ windows)
 
 let verify_cmd =
   let doc = "verify one design and print the error listing (the default command)" in
@@ -373,7 +364,7 @@ let verify_cmd =
 
 let serve_metrics =
   let doc =
-    "On shutdown, write the final run metrics (scald-metrics/7, with the \
+    "On shutdown, write the final run metrics (scald-metrics/8, with the \
      $(b,incr_*)/$(b,svc_*)/$(b,mem_*) service counters) as JSON to $(docv)."
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)

@@ -121,25 +121,3 @@ let pp ppf case =
     ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
     (fun ppf (name, v) -> Format.fprintf ppf "%s = %a" name Tvalue.pp v)
     ppf case
-
-(* Keep the first case of every signature class, in input order — the
-   representative's verdicts stand for the whole class (the signature
-   function certifies identical waveforms, see Window.case_signature). *)
-let partition ~signature cases =
-  let seen = Hashtbl.create 16 in
-  let merged = ref 0 in
-  let kept =
-    List.filter
-      (fun c ->
-        let s = signature c in
-        if Hashtbl.mem seen s then begin
-          incr merged;
-          false
-        end
-        else begin
-          Hashtbl.add seen s ();
-          true
-        end)
-      cases
-  in
-  (kept, !merged)

@@ -1,6 +1,5 @@
 type t = {
   s_level : int array;  (* per instance: level of its component *)
-  s_scc : int array;  (* per instance: component id *)
   s_slot : int array;  (* per instance: dense cyclic-component slot, -1 if acyclic *)
   s_cyclic_size : int array;  (* per slot: member count *)
   s_cyclic_scc : int array;  (* per slot: component id *)
@@ -133,7 +132,6 @@ let compute nl =
   let s_slot = Array.init (max 1 n) (fun v -> if v < n then slot_of_scc.(scc_of.(v)) else -1) in
   {
     s_level;
-    s_scc = scc_of;
     s_slot;
     s_cyclic_size;
     s_cyclic_scc;
@@ -151,7 +149,6 @@ let flat nl =
   let k = min 1 n in
   {
     s_level = Array.make (max 1 n) 0;
-    s_scc = Array.make (max 1 n) 0;
     s_slot = Array.make (max 1 n) 0;
     s_cyclic_size = Array.make k n;
     s_cyclic_scc = Array.make k 0;
@@ -162,7 +159,6 @@ let flat nl =
   }
 
 let level t i = t.s_level.(i)
-let scc t i = t.s_scc.(i)
 let cyclic_slot t i = t.s_slot.(i)
 let n_cyclic t = Array.length t.s_cyclic_size
 let cyclic_size t slot = t.s_cyclic_size.(slot)

@@ -36,15 +36,12 @@ val level : t -> int -> int
 (** [level t inst_id] — topological level of the instance's component,
     [0 .. n_levels - 1]. *)
 
-val scc : t -> int -> int
-(** [scc t inst_id] — the instance's component id, [0 .. n_sccs - 1].
-    Component ids are in reverse topological order (a component's
-    successors have smaller ids), a property of Tarjan's algorithm. *)
-
 val members : t -> int -> int list
 (** [members t scc] — the instance ids of a component, in ascending
-    order.  Built once by {!compute}; the static analyses and the cone
-    fingerprints walk the condensation through it. *)
+    order.  Component ids run [0 .. n_sccs - 1] in reverse topological
+    order (a component's successors have smaller ids), a property of
+    Tarjan's algorithm.  Built once by {!compute}; the static analyses
+    walk the condensation through it. *)
 
 val cyclic_slot : t -> int -> int
 (** [cyclic_slot t inst_id] — dense index of the instance's component

@@ -30,7 +30,6 @@ type obs_summary = {
   os_window_insts : int;
   os_window_evals : int;
   os_window_checks : int;
-  os_cases_merged : int;
   os_evals_by_kind : (string * int) list;
 }
 
@@ -90,7 +89,6 @@ let obs_of_counters (c : Eval.counters) =
     os_window_insts = 0;
     os_window_evals = 0;
     os_window_checks = 0;
-    os_cases_merged = 0;  (* overridden by [make_report] when merging is on *)
     os_evals_by_kind = c.Eval.c_evals_by_kind;
   }
 
@@ -234,7 +232,7 @@ let verify_parallel ~probe ~sched ~case_list ~jobs nl =
   let _, _, last_ev = shard_results.(jobs - 1) in
   (results, counters, last_ev)
 
-let make_report ?lint ?(cases_merged = 0) ?obs ~jobs paired counters ev =
+let make_report ?lint ?obs ~jobs paired counters ev =
   let results = List.map fst paired in
   let r_violations =
     dedup_violations (List.concat_map (fun r -> r.cr_violations) results)
@@ -266,13 +264,12 @@ let make_report ?lint ?(cases_merged = 0) ?obs ~jobs paired counters ev =
         (fun (n : Netlist.net) -> n.n_name)
         (Netlist.undriven_unasserted (Eval.netlist ev));
     r_lint = lint;
-    r_obs = { (obs_of_counters obs) with os_cases_merged = cases_merged };
+    r_obs = obs_of_counters obs;
     r_eval = ev;
     r_jobs = jobs;
   }
 
-let verify ?lint ?probe ?(cases = []) ?(jobs = 1) ?(merge_cases = false) ?analysis
-    ?window ?corners nl =
+let verify ?lint ?probe ?(cases = []) ?(jobs = 1) ?analysis ?window:_ ?corners nl =
   if jobs < 0 then invalid_arg "Verifier.verify: jobs must be >= 0";
   (* Install the corner table before any evaluator (or netlist copy) is
      created; every domain's evaluator then packs the same lanes. *)
@@ -286,37 +283,16 @@ let verify ?lint ?probe ?(cases = []) ?(jobs = 1) ?(merge_cases = false) ?analys
     | Some f -> Some (span "lint" (fun () -> f nl))
   in
   let case_list = match cases with [] -> [ [] ] | cs -> cs in
-  (* One schedule per netlist, shared read-only by the window analysis
-     and every evaluation domain. *)
+  (* One schedule per netlist, shared read-only by every evaluation
+     domain. *)
   let sched = match analysis with Some (s, _) -> s | None -> Sched.compute nl in
-  (* Case-equivalence merging: the representative's verdicts stand for
-     its whole class, so only representatives are evaluated; the dropped
-     count is reported in [r_obs.os_cases_merged].  The arrival-window
-     analysis (doc/WINDOWS.md) must know every net any case may
-     substitute, so its signatures are valid for all of them. *)
-  let case_list, cases_merged =
-    if not merge_cases then (case_list, 0)
-    else
-      let w =
-        match window with
-        | Some w -> w
-        | None ->
-          let case_nets =
-            List.concat_map (fun c -> List.map fst (Case_analysis.resolve nl c)) case_list
-          in
-          span "window" (fun () -> Window.analyse ~sched ~case_nets nl)
-      in
-      Case_analysis.partition
-        ~signature:(fun c -> Window.case_signature w (Case_analysis.resolve nl c))
-        case_list
-  in
   let jobs = if jobs = 0 then Par.available () else jobs in
   let jobs = max 1 (min jobs (List.length case_list)) in
   let paired, counters, ev =
     if jobs = 1 then verify_sequential ~probe ~sched ~case_list nl
     else verify_parallel ~probe ~sched ~case_list ~jobs nl
   in
-  make_report ?lint:lint_summary ~cases_merged ~jobs paired counters ev
+  make_report ?lint:lint_summary ~jobs paired counters ev
 
 let clean r =
   List.for_all (fun c -> c.co_violations = []) r.r_corners
@@ -373,8 +349,6 @@ let pp ppf r =
       "sched levels: %d   sccs: %d   largest scc: %d   cache hits: %d   misses: %d@,"
       r.r_obs.os_sched_levels r.r_obs.os_sccs r.r_obs.os_max_scc_size
       r.r_obs.os_cache_hits r.r_obs.os_cache_misses;
-  if r.r_obs.os_cases_merged > 0 then
-    Format.fprintf ppf "windows: %d cases merged@," r.r_obs.os_cases_merged;
   (* The corner section appears only on a multi-corner run, so a
      single-corner report stays byte-identical to the historical one. *)
   (match r.r_corners with

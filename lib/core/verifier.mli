@@ -64,9 +64,6 @@ type obs_summary = {
   os_window_insts : int;  (** always [0]; kept for the ledger *)
   os_window_evals : int;  (** always [0]; kept for the ledger *)
   os_window_checks : int;  (** always [0]; kept for the ledger *)
-  os_cases_merged : int;
-      (** cases dropped as window-equivalent to an evaluated
-          representative; [0] unless [~merge_cases:true] *)
   os_evals_by_kind : (string * int) list;
       (** primitive evaluations per kind mnemonic, alphabetical *)
 }
@@ -118,7 +115,6 @@ val verify :
   ?probe:probe ->
   ?cases:Case_analysis.case list ->
   ?jobs:int ->
-  ?merge_cases:bool ->
   ?analysis:Sched.t * Flow.t ->
   ?window:Window.t ->
   ?corners:Corner.table ->
@@ -143,25 +139,14 @@ val verify :
     hook calls are buffered per domain and replayed in case order after
     the join, so the event stream a consumer sees is the sequential one.
 
-    [merge_cases] (default [false]) runs the static arrival-window
-    analysis ({!Window.analyse}, fed the union of the mapped nets of
-    every case, doc/WINDOWS.md), partitions the case list by
-    {!Window.case_signature} and evaluates one representative per
-    equivalence class — two cases with equal signatures provably produce
-    identical waveforms on every net.  The dropped count is reported in
-    [os_cases_merged]; [r_cases] then holds the representatives only.
-    CLI: [--merge-cases].  Without it no window analysis runs: the
-    evaluator is never given one.
-
     [analysis] supplies a precomputed schedule (it must describe this
     netlist's structure); used by tests that evaluate under
     {!Sched.flat} (the FIFO reference discipline).  Only the schedule is
     read: the {!Flow.t} half is ignored, since verification runs no
     signal-class analysis.  Without [analysis] the schedule is computed
-    here; the window analysis and every evaluation domain share it.
-    [window] supplies a precomputed window analysis (it must cover this
-    run's case nets), read only by [merge_cases].  The [Flow.t] half
-    and [window] stay only because the benchmark's ledger
+    here; every evaluation domain shares it.  [window] is ignored:
+    verification runs no arrival-window analysis (doc/WINDOWS.md).  The
+    [Flow.t] half and [window] stay only because the benchmark's ledger
     ([ledger/main.ml]) still passes them.
 
     [corners] installs a delay-corner table on the netlist
@@ -190,7 +175,6 @@ val run_case :
 
 val make_report :
   ?lint:lint_summary ->
-  ?cases_merged:int ->
   ?obs:Eval.counters ->
   jobs:int ->
   (case_result * Check.t list list) list ->

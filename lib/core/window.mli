@@ -19,13 +19,10 @@
     [Unknown] is non-stable but not a transition, so proofs never rely
     on windows alone there.
 
-    Two consumers share one analysis: the W-series lint rules
-    (vacuity, guaranteed violations, unconstrained cones) with the
-    [--windows] listing, and the case-equivalence partitioner
-    ([Verifier.verify ~merge_cases], [Case_analysis.partition] via
-    {!case_signature}).  The evaluator is never given a window table:
-    verification evaluates every case and derives every verdict
-    dynamically. *)
+    One consumer reads the analysis: the W-series lint rules (vacuity,
+    guaranteed violations, unconstrained cones), with the [--windows]
+    listing that shows their witnesses.  Verification never runs it:
+    every case is evaluated and every verdict derived dynamically. *)
 
 type span = { s_lo : Timebase.ps; s_hi : Timebase.ps }
 (** One arrival window: the signal may transition at any instant of
@@ -51,8 +48,6 @@ val analyse : ?sched:Sched.t -> ?case_nets:int list -> Netlist.t -> t
     demoted from exact-waveform status, so checker proofs that need the
     {e precise} clock or data waveform are withheld on their cones. *)
 
-val netlist : t -> Netlist.t
-
 val wins : t -> ?corner:int -> int -> wins
 (** [wins t ~corner net_id] — the window set of a net at a corner
     (default: the reference corner 0). *)
@@ -70,9 +65,6 @@ val may_unknown : t -> int -> bool
 
 val unbounded : t -> int -> bool
 (** [Top] at some corner. *)
-
-val volatile : t -> int -> bool
-(** The net was listed in [case_nets]. *)
 
 val inst_proven : t -> int -> bool
 (** [inst_proven t inst_id] — the checker instance is statically proven
@@ -101,29 +93,10 @@ val net_contradicted : t -> int -> bool
     witness (provably disjoint from {!net_proven}). *)
 
 val n_insts_proven : t -> int
-val n_guaranteed : t -> int
-val n_nets_proven : t -> int
-
-val counts : t -> int * int
-(** [(bounded, unbounded)] net counts at the reference corner. *)
+(** Checker instances {!inst_proven} holds for. *)
 
 val n_unconstrained : t -> int
-
-val lane_static_equal : t -> int -> bool
-(** [lane_static_equal t c] — corner [c]'s window map is identical to
-    the reference corner's, so the lane is provably shareable before any
-    evaluation (the dynamic lane-sharing of doc/CORNERS.md discovered at
-    run time). *)
-
-val n_lanes_static : t -> int
-
-val case_signature : t -> (int * Tvalue.t) list -> string
-(** A canonical signature of the case's effect on its substituted cone:
-    constant-folded values where the substitution is statically masked
-    (an AND seeing a 0, a mux with a constant select) and the reaching
-    substitutions elsewhere.  Two cases with equal signatures provably
-    produce identical waveforms on every net, hence identical verdicts —
-    [Case_analysis.partition] merges them. *)
+(** Nets {!constrained} is false for. *)
 
 val pp_windows : Format.formatter -> t -> unit
 (** The [--windows] listing: one line per net, in net-id order, with its

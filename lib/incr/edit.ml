@@ -170,7 +170,7 @@ let req_str j key =
 let req_int j key =
   match Option.bind (Json.member key j) Json.int with
   | Some i -> Ok i
-  | None -> Error (Printf.sprintf "edit: missing integer field %S" key)
+  | None -> Error (Printf.sprintf "edit: %S must be an integer of magnitude at most 2^53" key)
 
 let delay_of_json j =
   match Json.member "delay" j with

@@ -207,7 +207,7 @@ let content_skeleton c = c.c_skeleton
 
 (* Re-serialize the given nets and instances and the trailer; the
    digest is dropped only when some chunk actually changed. *)
-let refresh_content c nl ~nets ~insts =
+let refresh c nl ~nets ~insts =
   let b = Buffer.create 256 in
   let put k s =
     if not (String.equal c.c_chunks.(k) s) then begin
@@ -223,235 +223,3 @@ let refresh_content c nl ~nets ~insts =
 
 let digest nl = content_digest (content nl)
 let skeleton nl = content_skeleton (content nl)
-
-(* ---- per-net cone fingerprints ------------------------------------------- *)
-
-(* FNV-1a over 64 bits: cheap, order-sensitive, good enough dispersion
-   for "did this cone change" reporting (collisions only ever cost a
-   missed reuse opportunity in diagnostics, never a wrong verdict — the
-   dirty-cone computation itself is structural, not hash-based).  The
-   mixers are loops over a local accumulator, which the compiler keeps
-   unboxed: only the result is allocated. *)
-
-let fnv_basis = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let[@inline] mix_byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
-
-let mix_int h i =
-  let h = ref h and v = ref i in
-  for _ = 1 to 8 do
-    h := mix_byte !h !v;
-    v := !v asr 8
-  done;
-  !h
-
-let mix_i64 h (x : int64) =
-  let h = ref h and v = ref x in
-  for _ = 1 to 8 do
-    h := mix_byte !h (Int64.to_int (Int64.logand !v 0xffL));
-    v := Int64.shift_right_logical !v 8
-  done;
-  !h
-
-let mix_str h s =
-  let h = ref (mix_int h (String.length s)) in
-  for k = 0 to String.length s - 1 do
-    h := mix_byte !h (Char.code (String.unsafe_get s k))
-  done;
-  !h
-
-let local_net_hash (n : Netlist.net) =
-  let h = mix_str fnv_basis n.n_name in
-  let h = mix_int h n.n_width in
-  let h =
-    match n.n_assertion with
-    | None -> mix_int h 0
-    | Some a -> mix_str (mix_int h 1) (Assertion.to_string a)
-  in
-  match n.n_wire_delay with
-  | None -> mix_int h 0
-  | Some d -> (
-    let h = mix_int (mix_int (mix_int h 1) d.dmin) d.dmax in
-    match d.rise_fall with
-    | None -> mix_int h 0
-    | Some ((rmin, rmax), (fmin, fmax)) ->
-      mix_int (mix_int (mix_int (mix_int (mix_int h 1) rmin) rmax) fmin) fmax)
-
-let local_inst_hash (i : Netlist.inst) =
-  let b = Buffer.create 64 in
-  add_str b i.i_name;
-  add_prim ~params:true b i.i_prim;
-  Array.iter
-    (fun (c : Netlist.conn) ->
-      add_bool b c.c_invert;
-      add_directive b c.c_directive)
-    i.i_inputs;
-  mix_str fnv_basis (Buffer.contents b)
-
-(* What a cone fingerprint is computed from: the condensation (whose
-   component members it walks) and every net's and instance's local
-   hash. *)
-type hashes = {
-  h_sched : Sched.t;
-  h_net : int64 array;
-  h_inst : int64 array;
-}
-
-let hashes ?sched nl =
-  let s = match sched with Some s -> s | None -> Sched.compute nl in
-  {
-    h_sched = s;
-    h_net = Array.init (Netlist.n_nets nl) (fun id -> local_net_hash (Netlist.net nl id));
-    h_inst =
-      Array.init (Netlist.n_insts nl) (fun id -> local_inst_hash (Netlist.inst nl id));
-  }
-
-(* Hash one component's output nets, given final fingerprints for every
-   input from outside it; [set net fp] records each result. *)
-let finish_component nl h fp set c =
-  let finish_inst ~intra ~seed inst_id =
-    let i = Netlist.inst nl inst_id in
-    match i.i_output with
-    | None -> ()
-    | Some o ->
-      let acc = ref h.h_inst.(inst_id) in
-      for k = 0 to Array.length i.i_inputs - 1 do
-        let net = i.i_inputs.(k).c_net in
-        acc := mix_i64 !acc (if intra net then mix_i64 seed h.h_net.(net) else fp.(net))
-      done;
-      set o (mix_i64 !acc h.h_net.(o))
-  in
-  match Sched.members h.h_sched c with
-  | [] -> ()
-  | [ inst_id ] when Sched.cyclic_slot h.h_sched inst_id < 0 ->
-    finish_inst ~intra:(fun _ -> false) ~seed:0L inst_id
-  | insts ->
-    (* Feedback component: break the recursion with a two-pass scheme.
-       First a component seed from the sorted member-local hashes, then
-       every member's cone hash treats intra-component inputs as
-       "the component" rather than recursing. *)
-    let intra = Hashtbl.create 8 in
-    List.iter
-      (fun id ->
-        match (Netlist.inst nl id).i_output with
-        | Some o -> Hashtbl.replace intra o ()
-        | None -> ())
-      insts;
-    let seed = List.fold_left (fun acc id -> mix_i64 acc h.h_inst.(id)) fnv_basis insts in
-    List.iter (finish_inst ~intra:(Hashtbl.mem intra) ~seed) insts
-
-(* SCC ids are assigned in reverse topological order, so descending ids
-   visit producers before consumers. *)
-let all_cones nl h =
-  let fp = Array.make (max 1 (Netlist.n_nets nl)) 0L in
-  (* source fingerprints: undriven nets depend only on themselves *)
-  Netlist.iter_nets nl (fun n -> if n.n_driver = None then fp.(n.n_id) <- h.h_net.(n.n_id));
-  let set o v = fp.(o) <- v in
-  for c = Sched.n_sccs h.h_sched - 1 downto 0 do
-    finish_component nl h fp set c
-  done;
-  fp
-
-let cones ?sched nl = all_cones nl (hashes ?sched nl)
-
-let diff_count a b =
-  let n = min (Array.length a) (Array.length b) in
-  let d = ref (abs (Array.length a - Array.length b)) in
-  for i = 0 to n - 1 do
-    if not (Int64.equal a.(i) b.(i)) then incr d
-  done;
-  !d
-
-(* ---- the maintained index ------------------------------------------------ *)
-
-type index = {
-  ix_content : content;
-  ix_hashes : hashes;
-  ix_fp : int64 array;
-  (* visit marks of the refresh closure, valid when equal to [ix_stamp] *)
-  ix_net_mark : int array;
-  ix_comp_mark : int array;
-  mutable ix_stamp : int;
-}
-
-let index ?content:c ~sched nl =
-  let c = match c with Some c -> c | None -> content nl in
-  let h = hashes ~sched nl in
-  {
-    ix_content = c;
-    ix_hashes = h;
-    ix_fp = all_cones nl h;
-    ix_net_mark = Array.make (max 1 (Netlist.n_nets nl)) 0;
-    ix_comp_mark = Array.make (max 1 (Sched.n_sccs sched)) 0;
-    ix_stamp = 0;
-  }
-
-let index_content ix = ix.ix_content
-let index_cones ix = Array.copy ix.ix_fp
-
-(* A fingerprint is a function of local hashes and structure only, so
-   the fingerprints that can move are those in the forward closure of
-   the nets and instances whose local hash moved.  That closure is
-   forward-closed, hence component-closed: a component is either wholly
-   inside or wholly outside, and its inputs from outside it are final
-   when it is re-hashed in descending order. *)
-let refresh ix nl ~nets ~insts =
-  refresh_content ix.ix_content nl ~nets ~insts;
-  let h = ix.ix_hashes and fp = ix.ix_fp in
-  ix.ix_stamp <- ix.ix_stamp + 1;
-  let stamp = ix.ix_stamp in
-  let closure = ref [] and q = Queue.create () in
-  let seed o =
-    if ix.ix_net_mark.(o) <> stamp then begin
-      ix.ix_net_mark.(o) <- stamp;
-      closure := o :: !closure;
-      Queue.add o q
-    end
-  in
-  List.iter
-    (fun id ->
-      let v = local_net_hash (Netlist.net nl id) in
-      if not (Int64.equal v h.h_net.(id)) then begin
-        h.h_net.(id) <- v;
-        seed id
-      end)
-    nets;
-  List.iter
-    (fun id ->
-      let i = Netlist.inst nl id in
-      let v = local_inst_hash i in
-      if not (Int64.equal v h.h_inst.(id)) then begin
-        h.h_inst.(id) <- v;
-        match i.i_output with Some o -> seed o | None -> ()
-      end)
-    insts;
-  let reach inst_id = match (Netlist.inst nl inst_id).i_output with Some o -> seed o | None -> () in
-  while not (Queue.is_empty q) do
-    Netlist.iter_fanout (Netlist.net nl (Queue.take q)) reach
-  done;
-  let changed = ref 0 in
-  let set o v =
-    if not (Int64.equal fp.(o) v) then begin
-      fp.(o) <- v;
-      incr changed
-    end
-  in
-  let comps =
-    List.fold_left
-      (fun acc o ->
-        match (Netlist.net nl o).n_driver with
-        | None ->
-          set o h.h_net.(o);
-          acc
-        | Some d ->
-          let c = Sched.scc h.h_sched d in
-          if ix.ix_comp_mark.(c) = stamp then acc
-          else begin
-            ix.ix_comp_mark.(c) <- stamp;
-            c :: acc
-          end)
-      [] !closure
-  in
-  List.iter (finish_component nl h fp set) (List.sort (fun a b -> compare b a) comps);
-  !changed

@@ -261,8 +261,12 @@ let member key = function
 let str = function Str s -> Some s | _ -> None
 let num = function Num f -> Some f | _ -> None
 
+(* 2^53: beyond it a float no longer holds every integer, and beyond
+   2^62 [int_of_float] wraps.  Every accepted number round-trips. *)
+let max_exact_int = 9007199254740992.
+
 let int = function
-  | Num f when Float.is_integer f -> Some (int_of_float f)
+  | Num f when Float.is_integer f && Float.abs f <= max_exact_int -> Some (int_of_float f)
   | _ -> None
 
 let bool = function Bool b -> Some b | _ -> None

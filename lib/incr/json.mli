@@ -30,7 +30,8 @@ val str : t -> string option
 val num : t -> float option
 
 val int : t -> int option
-(** Integral {!Num} only. *)
+(** Integral {!Num} of magnitude at most 2{^53} only: the integers a
+    float holds exactly, so every accepted number round-trips. *)
 
 val bool : t -> bool option
 val list : t -> t list option

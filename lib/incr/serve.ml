@@ -252,10 +252,22 @@ let prom_families t =
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
-let opt_str j key = Option.bind (Json.member key j) Json.str
+(* An optional request field: [None] when absent, its value when of the
+   right type; any other type is an error naming the field, never a
+   silent fall-back to the default. *)
+let opt_field conv ty j key =
+  match Json.member key j with
+  | None -> Ok None
+  | Some v -> (
+    match conv v with
+    | Some x -> Ok (Some x)
+    | None -> Error (Printf.sprintf "%S must be %s" key ty))
+
+let opt_str = opt_field Json.str "a string"
 
 let target_session t j =
-  match opt_str j "session" with
+  let* handle = opt_str j "session" in
+  match handle with
   | Some handle -> (
     match Store.find t.sv_store handle with
     | Some s -> Ok s
@@ -266,18 +278,21 @@ let target_session t j =
     | None -> Error "no session loaded")
 
 let cases_of j =
-  match Json.member "cases" j, opt_str j "cases_file" with
-  | Some (Json.Str text), None -> Case_analysis.parse text
+  let* text = opt_str j "cases" in
+  let* path = opt_str j "cases_file" in
+  match text, path with
+  | Some text, None -> Case_analysis.parse text
   | None, Some path -> (
     match read_file path with
     | text -> Case_analysis.parse text
     | exception Sys_error m -> Error m)
   | None, None -> Ok []
-  | Some _, None -> Error "\"cases\" must be a string of case-file text"
   | Some _, Some _ -> Error "give either \"cases\" or \"cases_file\", not both"
 
 let source_of j =
-  match opt_str j "source", opt_str j "file" with
+  let* src = opt_str j "source" in
+  let* path = opt_str j "file" in
+  match src, path with
   | Some src, None -> Ok src
   | None, Some path -> (
     match read_file path with
@@ -355,11 +370,8 @@ let report_fields (r : Verifier.report) =
 
 let do_verify t j =
   let* s = target_session t j in
-  let carry =
-    match Option.bind (Json.member "carry_counters" j) Json.bool with
-    | Some b -> b
-    | None -> true
-  in
+  let* carry = opt_field Json.bool "a boolean" j "carry_counters" in
+  let* listing = opt_str j "listing" in
   let report, st, fresh =
     if Session.pending s = 0 then
       (* nothing staged: the session's report already answers this
@@ -376,7 +388,9 @@ let do_verify t j =
         },
         false )
     else
-      let report, st = Session.reverify ~carry_counters:carry s in
+      let report, st =
+        Session.reverify ~carry_counters:(Option.value carry ~default:true) s
+      in
       (report, st, true)
   in
   t.sv_reused_nets <- t.sv_reused_nets + st.Session.st_reused_nets;
@@ -384,7 +398,7 @@ let do_verify t j =
   t.sv_warm_hits <- t.sv_warm_hits + st.Session.st_warm_hits;
   t.sv_last_report <- Some report;
   let* listed =
-    match opt_str j "listing" with
+    match listing with
     | None -> Ok []
     | Some path -> (
       match
@@ -506,7 +520,7 @@ let write_metrics t path =
 let handle t req =
   t.sv_requests <- t.sv_requests + 1;
   let reqno = t.sv_requests in
-  let op = match opt_str req "op" with Some o -> o | None -> "" in
+  let op = Option.value (Option.bind (Json.member "op" req) Json.str) ~default:"" in
   let t_start = if t.sv_telemetry then Scald_obs.Obs.now_us t.sv_obs else 0.0 in
   (* one lane per request: every span recorded while it runs — the
      req:* wrapper plus the nested Session/Eval phases — lands on the

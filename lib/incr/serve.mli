@@ -65,7 +65,7 @@ val handle_line : t -> string -> string * bool
 
 val extra_counters : t -> (string * int) list
 (** The [incr_*], [svc_*] and [mem_*] counters this service
-    contributes to the metrics JSON ([scald-metrics/7],
+    contributes to the metrics JSON ([scald-metrics/8],
     doc/metrics.schema.json).  The [svc_<kind>_*] latency figures
     appear only for request kinds that saw traffic. *)
 

@@ -13,9 +13,10 @@ type stats = {
 type t = {
   s_nl : Netlist.t;
   s_id : string;
-  (* the content digest, skeleton and cone fingerprints of the netlist
-     as currently edited, refreshed by [reverify] for what it touched *)
-  s_ix : Fingerprint.index;
+  (* the canonical dump of the netlist as currently edited, behind its
+     content digest and skeleton; refreshed by [reverify] for what it
+     touched *)
+  s_content : Fingerprint.content;
   (* mutable: a [Corners] edit changes the lane count, which is fixed at
      [Eval.create] time, so [reverify] swaps in a fresh evaluator *)
   mutable s_ev : Eval.t;
@@ -39,13 +40,12 @@ let resolved_case_nets nl cases =
 let load ?(cases = []) ?probe ?content nl =
   let report = Verifier.verify ~cases ~jobs:1 ?probe nl in
   let ev = report.Verifier.r_eval in
-  (* the index condenses over the cold run's schedule *)
-  let ix = Fingerprint.index ?content ~sched:(Eval.sched ev) nl in
+  let content = match content with Some c -> c | None -> Fingerprint.content nl in
   let t =
     {
       s_nl = nl;
-      s_id = Fingerprint.content_digest (Fingerprint.index_content ix);
-      s_ix = ix;
+      s_id = Fingerprint.content_digest content;
+      s_content = content;
       s_ev = ev;
       s_probe = probe;
       s_cases = cases;
@@ -60,7 +60,7 @@ let load ?(cases = []) ?probe ?content nl =
           st_reused_nets = 0;
           st_dirtied_nets = Netlist.n_nets nl;
           st_warm_hits = 0;
-          st_fp_changed = Netlist.n_nets nl;
+          st_fp_changed = 0;
           st_events = report.Verifier.r_events;
           st_evaluations = report.Verifier.r_evaluations;
         };
@@ -75,14 +75,13 @@ let load ?(cases = []) ?probe ?content nl =
 
 let id t = t.s_id
 
-let digest t = Fingerprint.content_digest (Fingerprint.index_content t.s_ix)
-let skeleton t = Fingerprint.content_skeleton (Fingerprint.index_content t.s_ix)
+let digest t = Fingerprint.content_digest t.s_content
+let skeleton t = Fingerprint.content_skeleton t.s_content
 let netlist t = t.s_nl
 let report t = t.s_report
 let cases t = t.s_cases
 let stats t = t.s_last
 let cumulative t = t.s_cum
-let fingerprints t = Fingerprint.index_cones t.s_ix
 let stage t e = t.s_pending <- e :: t.s_pending
 let pending t = List.length t.s_pending
 
@@ -212,14 +211,12 @@ let reverify ?(carry_counters = true) t =
       paired c ev
   in
   t.s_report <- report;
-  (* 6. refresh the index for the edited nets and instances alone — the
-     case cones in [net_dirty] move waveforms, never fingerprints, and a
-     corners edit, which touches every net, moves no net's local hash;
-     the content digest itself is re-hashed on demand, off this path *)
-  let fp_changed =
-    span "fingerprint" (fun () ->
-        Fingerprint.refresh t.s_ix nl ~nets:(touched_nets @ reinit_nets) ~insts:touched_insts)
-  in
+  (* 6. re-serialize the edited nets and instances alone — the case
+     cones in [net_dirty] move waveforms, never parameters; the content
+     digest itself is re-hashed on demand, off this path *)
+  span "fingerprint" (fun () ->
+      Fingerprint.refresh t.s_content nl ~nets:(touched_nets @ reinit_nets)
+        ~insts:touched_insts);
   let dirtied = Array.fold_left (fun a d -> if d then a + 1 else a) 0 net_dirty in
   let st =
     {
@@ -227,7 +224,7 @@ let reverify ?(carry_counters = true) t =
       st_reused_nets = Netlist.n_nets nl - dirtied;
       st_dirtied_nets = dirtied;
       st_warm_hits = Eval.check_hits ev;
-      st_fp_changed = fp_changed;
+      st_fp_changed = 0;
       st_events = c.Eval.c_events;
       st_evaluations = c.Eval.c_evaluations;
     }

@@ -41,9 +41,9 @@ type stats = {
       (** verdicts the check passes served from the evaluator's memo
           ({!Scald_core.Eval.check_hits}), over every case and corner *)
   st_fp_changed : int;
-      (** nets whose {!Fingerprint.cones} fingerprint changed — the
-          content-addressed view of the parameter edits' cone; case
-          swaps move no fingerprint *)
+      (** always [0]: the session keeps no per-net fingerprints.  Kept
+          only because the benchmark's ledger ([ledger/main.ml]) still
+          reads it *)
   st_events : int;  (** events processed by this request *)
   st_evaluations : int;  (** evaluations performed by this request *)
 }
@@ -59,7 +59,7 @@ val load :
 
     [content], when given, is the netlist's {!Fingerprint.content},
     already built by the caller (the {!Store} builds it for its
-    lookups); the session's {!Fingerprint.index} takes it over, so the
+    lookups); the session takes it over and keeps it current, so the
     design is serialized once.
 
     [probe] is kept for the session's lifetime: the cold verify runs
@@ -114,10 +114,6 @@ val stats : t -> stats
 
 val cumulative : t -> Eval.counters
 (** Counters accumulated over every request of this session. *)
-
-val fingerprints : t -> int64 array
-(** Current per-net cone fingerprints, equal to {!Fingerprint.cones}
-    of {!netlist}; a fresh copy. *)
 
 val listing : t -> string
 (** The violation listing exactly as [scald_tv -q] prints it for the

@@ -35,7 +35,7 @@ let same_cases a b = a = b
 let load t ?(cases = []) ?probe nl =
   t.loads <- t.loads + 1;
   (* one canonical walk serves both lookups and, on a cold load, the
-     new session's index *)
+     new session's content *)
   let content = Fingerprint.content nl in
   let digest = Fingerprint.content_digest content in
   let by_digest =

@@ -7,7 +7,7 @@ type metrics = {
   m_phases : (string * float) list;
 }
 
-let schema_version = "scald-metrics/7"
+let schema_version = "scald-metrics/8"
 
 (* A duplicate key — a caller's [extra] colliding with a built-in, or
    with itself — would serialize as two identical JSON fields: valid
@@ -45,7 +45,6 @@ let of_report ?(phases = []) ?(extra = []) (r : Verifier.report) =
         ("corners", r.Verifier.r_obs.Verifier.os_corners);
         ("corner_lanes_shared", r.Verifier.r_obs.Verifier.os_corner_lanes_shared);
         ("corner_evals_saved", r.Verifier.r_obs.Verifier.os_corner_evals_saved);
-        ("cases_merged", r.Verifier.r_obs.Verifier.os_cases_merged);
         ("violations", List.length r.Verifier.r_violations);
         ("unasserted", List.length r.Verifier.r_unasserted);
       ]

@@ -19,7 +19,7 @@ type metrics = {
 
 val schema_version : string
 (** The schema identifier written into every metrics document (the
-    [doc/metrics.schema.json] enum), e.g. ["scald-metrics/7"].  Exposed
+    [doc/metrics.schema.json] enum), e.g. ["scald-metrics/8"].  Exposed
     so service clients can negotiate against it ([scald_tv --metrics]
     prints it; the serve hello banner carries it). *)
 

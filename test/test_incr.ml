@@ -1,5 +1,5 @@
 (* The incremental verification service (doc/SERVICE.md): the JSON
-   codec, the content-addressed fingerprints, the edit vocabulary, the
+   codec, the content digests, the edit vocabulary, the
    session delta engine — whose re-verify must be bit-identical in
    verdicts to a cold run of the edited design — the session store's
    warm/adopt/cold decisions, and the serve protocol loop. *)
@@ -85,7 +85,20 @@ let test_json_edge_cases () =
         (Printf.sprintf "truncated %S rejected" src)
         true
         (Result.is_error (Json.parse src)))
-    [ "{\"a\":"; "[1,"; "\"ab"; "{\"a\""; "tru"; "nul"; "1e"; "-"; "[\"x\", "; "{" ]
+    [ "{\"a\":"; "[1,"; "\"ab"; "{\"a\""; "tru"; "nul"; "1e"; "-"; "[\"x\", "; "{" ];
+  (* only the integers a float holds exactly decode as ints: nothing
+     wraps, so every accepted number round-trips *)
+  List.iter
+    (fun (src, expect) ->
+      Alcotest.(check (option int)) ("int " ^ src) expect
+        (Option.bind (Result.to_option (Json.parse src)) Json.int))
+    [
+      ("1e19", None);
+      ("4611686018427387904", None);
+      ("-9223372036854775808", None);
+      ("9007199254740992", Some 9007199254740992);
+      ("-9007199254740992", Some (-9007199254740992));
+    ]
 
 let gen_json =
   let open QCheck.Gen in
@@ -202,25 +215,6 @@ let test_fingerprint_digest () =
     (Fingerprint.digest a <> Fingerprint.digest c);
   Alcotest.(check string) "but not the skeleton" (Fingerprint.skeleton a)
     (Fingerprint.skeleton c)
-
-let test_fingerprint_cones () =
-  let a = build_circuit () in
-  let b = build_circuit ~data_wire:(Some (Delay.of_ns 0.5 9.0)) () in
-  let fa = Fingerprint.cones a and fb = Fingerprint.cones b in
-  let net name nl = Option.get (Netlist.find nl name) in
-  Alcotest.(check int) "one fingerprint per net" (Netlist.n_nets a) (Array.length fa);
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) (s ^ " upstream of the edit: cone unchanged") true
-        (fa.(net s a) = fb.(net s b)))
-    [ "IN0 .S0-6"; "IN1 .S0-6"; "CK .P2-3"; "G0" ];
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) (s ^ " at/below the edit: cone changed") true
-        (fa.(net s a) <> fb.(net s b)))
-    [ "DATA"; "Q" ];
-  Alcotest.(check int) "diff_count sees exactly the changed cones" 2
-    (Fingerprint.diff_count fa fb)
 
 (* ---- Edit ------------------------------------------------------------------- *)
 
@@ -563,10 +557,10 @@ let test_session_counters_carry () =
     ((Session.cumulative s).Eval.c_evaluations
     = cum1 + st2.Session.st_evaluations)
 
-(* The maintained index follows edits through a feedback component —
-   s1_subset's loop, whose members share one component seed — and a
-   revert brings back the loaded design's digest and fingerprints. *)
-let test_session_index_feedback () =
+(* The maintained content follows edits through a feedback component —
+   s1_subset's loop — and a revert brings back the loaded design's
+   digest. *)
+let test_session_digest_feedback () =
   let load () =
     let src = In_channel.with_open_bin "../examples/s1_subset.sdl" In_channel.input_all in
     match Result.bind (Scald_sdl.Parser.parse src) Scald_sdl.Expander.expand with
@@ -586,40 +580,22 @@ let test_session_index_feedback () =
            = Ok ())
          loop)
   in
-  let loaded = Session.fingerprints s in
-  Alcotest.(check bool) "loaded fingerprints equal a full recompute" true
-    (loaded = Fingerprint.cones nl);
   let step edits =
-    let before = Session.fingerprints s in
     List.iter (Session.stage s) edits;
-    let _, st = Session.reverify s in
-    let full = Fingerprint.cones nl in
+    ignore (Session.reverify s);
     Alcotest.(check string) "digest equals a full recompute" (Fingerprint.digest nl)
-      (Session.digest s);
-    Alcotest.(check bool) "fingerprints equal a full recompute" true
-      (Session.fingerprints s = full);
-    Alcotest.(check int) "fp_changed counts the moved fingerprints"
-      (Fingerprint.diff_count before full) st.Session.st_fp_changed;
-    full
+      (Session.digest s)
   in
   let out = Netlist.net nl (Option.get member.i_output) in
-  let edited =
-    step
-      [
-        Edit.Element_delay { inst = member.i_name; delay = Delay.of_ns 1.0 7.0 };
-        Edit.Wire_delay { signal = out.n_name; delay = Some (Delay.of_ns 0.5 4.0) };
-      ]
-  in
-  Alcotest.(check bool) "every loop member's output moved" true
-    (List.for_all
-       (fun id ->
-         match (Netlist.inst nl id).i_output with
-         | Some o -> edited.(o) <> loaded.(o)
-         | None -> true)
-       loop);
-  let reverted = step (Edit.diff nl (load ())) in
-  Alcotest.(check bool) "the revert restores every fingerprint" true (reverted = loaded);
-  Alcotest.(check string) "and the loaded digest" (Session.id s) (Session.digest s)
+  step
+    [
+      Edit.Element_delay { inst = member.i_name; delay = Delay.of_ns 1.0 7.0 };
+      Edit.Wire_delay { signal = out.n_name; delay = Some (Delay.of_ns 0.5 4.0) };
+    ];
+  Alcotest.(check bool) "the edit moved the digest" true (Session.digest s <> Session.id s);
+  step (Edit.diff nl (load ()));
+  Alcotest.(check string) "the revert restores the loaded digest" (Session.id s)
+    (Session.digest s)
 
 (* ---- Store -------------------------------------------------------------------- *)
 
@@ -665,6 +641,12 @@ let inline_source =
    1 CHG (DELAY=1.0/3.0) (A .S0-6) -> B;\n\
    REG (DELAY=1.5/4.5) (B, CK .P2-3) -> Q;\n\
    SETUP HOLD CHK (SETUP=8.0, HOLD=1.0) (B, CK .P2-3);\n"
+
+(* The CI "Serve proven-checker smoke" design. *)
+let proven_checker_source =
+  "PERIOD 50.0;\nCLOCK UNIT 6.25;\nDEFAULT WIRE DELAY 0.0/2.0;\n\
+   2 AND (DELAY=1.0/2.0) (IN A .S0-4, IN B .S0-4) -> D;\n\
+   SETUP HOLD CHK (SETUP=2.5, HOLD=1.5) (D, CK .P2-3);\n"
 
 let serve_req t line =
   let resp, cont = Serve.handle_line t line in
@@ -720,6 +702,61 @@ let test_serve_protocol () =
   let stats, _ = serve_req t {| {"op":"stats"} |} in
   Alcotest.(check (option int)) "one session" (Some 1) (jint "sessions" stats);
   Alcotest.(check (option int)) "requests counted" (Some 9) (jint "requests" stats);
+  (* Malformed requests against two live sessions: an out-of-range
+     input index, and optional fields of the wrong type.  Each must fail
+     and name its field, stage nothing and leave both sessions as they
+     were. *)
+  let load2, _ =
+    serve_req t
+      (Json.to_string
+         (Json.Obj [ ("op", Json.Str "load"); ("source", Json.Str proven_checker_source) ]))
+  in
+  Alcotest.(check (option string)) "second session loaded" (Some "cold") (jstr "mode" load2);
+  let snapshot () =
+    List.map
+      (fun s ->
+        (Session.id s, Session.digest s, Session.pending s, (Session.stats s).Session.st_requests))
+      (Store.sessions (Serve.store t))
+  in
+  let rejected ~field line =
+    let before = snapshot () in
+    let r, _ = serve_req t line in
+    Alcotest.(check (option bool)) (line ^ " rejected") (Some false) (jbool "ok" r);
+    Alcotest.(check bool) (line ^ " names " ^ field) true
+      (Test_obs.contains (Option.value ~default:"" (jstr "error" r)) field);
+    Alcotest.(check bool) (line ^ " changes no session") true (before = snapshot ())
+  in
+  rejected ~field:"input"
+    {| {"op":"delta","edits":[{"edit":"directive","inst":"2 AND.4","input":1e19,"directive":"Z"}]} |};
+  rejected ~field:"input"
+    {| {"op":"delta","edits":[{"edit":"directive","inst":"2 AND.4","input":18446744073709551616,"directive":"Z"}]} |};
+  rejected ~field:"session"
+    {| {"op":"delta","session":7,"edits":[{"edit":"wire_delay","signal":"D","min_ns":0,"max_ns":12}]} |};
+  let staged, _ =
+    serve_req t {| {"op":"delta","edits":[{"edit":"wire_delay","signal":"D","min_ns":0,"max_ns":12}]} |}
+  in
+  Alcotest.(check (option int)) "a well-formed edit stages" (Some 1) (jint "staged" staged);
+  rejected ~field:"session" {| {"op":"verify","session":7} |};
+  rejected ~field:"listing" {| {"op":"verify","listing":3} |};
+  rejected ~field:"carry_counters" {| {"op":"verify","carry_counters":"no"} |};
+  rejected ~field:"cases_file"
+    (Json.to_string
+       (Json.Obj
+          [
+            ("op", Json.Str "load");
+            ("file", Json.Str "../examples/s1_subset.sdl");
+            ("cases_file", Json.Num 5.);
+          ]));
+  rejected ~field:"file"
+    (Json.to_string
+       (Json.Obj [ ("op", Json.Str "load"); ("source", Json.Str inline_source); ("file", Json.Num 5.) ]));
+  rejected ~field:"source"
+    (Json.to_string
+       (Json.Obj
+          [ ("op", Json.Str "load"); ("file", Json.Str "../examples/s1_subset.sdl"); ("source", Json.Bool true) ]));
+  let v2, _ = serve_req t {| {"op":"verify"} |} in
+  Alcotest.(check (option bool)) "the staged edit survives to a good verify" (Some true)
+    (jbool "fresh" v2);
   let bye, cont = serve_req t {| {"op":"shutdown"} |} in
   Alcotest.(check (option bool)) "shutdown ok" (Some true) (jbool "ok" bye);
   Alcotest.(check bool) "loop ends" false cont
@@ -883,9 +920,8 @@ let test_serve_lanes_and_slow () =
    staged on a live session and re-verified, the session must give the
    same verdicts — on every corner — and listing as a cold verify of an
    identically edited fresh build, with sequential and parallel case
-   evaluation; its maintained digest and cone fingerprints must equal a
-   from-scratch recompute; and no enqueue may fall outside the edit's
-   dirty cone. *)
+   evaluation; its maintained digest must equal a from-scratch
+   recompute; and no enqueue may fall outside the edit's dirty cone. *)
 
 type recipe = {
   rc_n_inputs : int;
@@ -1037,7 +1073,6 @@ let bit_identity_property =
       let history = ref [] and cases = ref cases0 in
       List.for_all
         (fun step ->
-          let before = Fingerprint.cones (Session.netlist s) in
           let edits =
             match step with
             | Some e -> [ e ]
@@ -1046,14 +1081,10 @@ let bit_identity_property =
           List.iter (Session.stage s) edits;
           List.iter (function Edit.Cases cs -> cases := cs | _ -> ()) edits;
           history := !history @ edits;
-          let report, st = Session.reverify ~carry_counters:false s in
+          let report, _ = Session.reverify ~carry_counters:false s in
           let incr_listing = Session.listing s in
-          let nl = Session.netlist s in
-          let after = Fingerprint.cones nl in
-          Session.digest s = Fingerprint.digest nl
+          Session.digest s = Fingerprint.digest (Session.netlist s)
           && (step <> None || Session.digest s = Session.id s)
-          && Session.fingerprints s = after
-          && st.Session.st_fp_changed = Fingerprint.diff_count before after
           && List.for_all
                (fun jobs ->
                  let nl = build_recipe r in
@@ -1071,7 +1102,6 @@ let suite =
     Alcotest.test_case "json edge cases" `Quick test_json_edge_cases;
     json_roundtrip_property;
     Alcotest.test_case "fingerprint digest/skeleton" `Quick test_fingerprint_digest;
-    Alcotest.test_case "fingerprint cones localize edits" `Quick test_fingerprint_cones;
     Alcotest.test_case "edit apply and diff" `Quick test_edit_apply_and_diff;
     Alcotest.test_case "edit check rejects without mutating" `Quick test_edit_check;
     Alcotest.test_case "edit of_json" `Quick test_edit_of_json;
@@ -1088,8 +1118,8 @@ let suite =
     Alcotest.test_case "session proven checker tracks edits" `Quick
       test_session_proven_checker_tracks_edits;
     Alcotest.test_case "session counters carry" `Quick test_session_counters_carry;
-    Alcotest.test_case "session index through a feedback loop" `Quick
-      test_session_index_feedback;
+    Alcotest.test_case "session digest through a feedback loop" `Quick
+      test_session_digest_feedback;
     Alcotest.test_case "store warm/adopt/cold" `Quick test_store_warm_adopt_cold;
     Alcotest.test_case "serve protocol" `Quick test_serve_protocol;
     Alcotest.test_case "serve listing equals CLI" `Quick test_serve_matches_cli_listing;

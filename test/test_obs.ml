@@ -559,7 +559,7 @@ let test_span_lanes () =
 (* ---- metrics/3: requests counter and duplicate-key rejection ---------------- *)
 
 let test_metrics_requests_and_dups () =
-  Alcotest.(check string) "schema id" "scald-metrics/7" Counters.schema_version;
+  Alcotest.(check string) "schema id" "scald-metrics/8" Counters.schema_version;
   let nl = two_buf_circuit () in
   let report = Verifier.verify nl in
   let m = Counters.of_report report in
@@ -568,7 +568,7 @@ let test_metrics_requests_and_dups () =
   Alcotest.(check bool) "requests serialized" true
     (contains (Counters.to_json m) "\"requests\"");
   Alcotest.(check bool) "schema id serialized" true
-    (contains (Counters.to_json m) "scald-metrics/7");
+    (contains (Counters.to_json m) "scald-metrics/8");
   let m = Counters.of_report ~extra:[ ("incr_requests", 7) ] report in
   Alcotest.(check int) "extra appended" 7 (Counters.counter m "incr_requests");
   Alcotest.check_raises "extra colliding with a builtin"
@@ -585,6 +585,55 @@ let read_file path =
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
   s
+
+(* ---- the metrics schema declares what the writers emit ----------------------- *)
+
+(* Every run writes the [Counters.of_report] keys, so they are exactly
+   the schema's [required]; the serve extras (every request kind with
+   traffic) and the capacity bench's [cap_*] keys are the only other
+   properties.  A key a writer drops must leave the schema too. *)
+let test_metrics_schema_pins_writers () =
+  let module Json = Scald_incr.Json in
+  let schema =
+    match Json.parse (read_file "../doc/metrics.schema.json") with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
+  in
+  let field key =
+    match Json.member key schema with Some v -> v | None -> Alcotest.failf "no %s" key
+  in
+  let required = List.filter_map Json.str (Option.get (Json.list (field "required"))) in
+  let properties =
+    match field "properties" with Json.Obj kvs -> List.map fst kvs | _ -> Alcotest.fail "properties"
+  in
+  let m = Counters.of_report (Verifier.verify (two_buf_circuit ())) in
+  let every_run =
+    ("schema" :: List.map fst m.Counters.m_counters)
+    @ List.map fst m.Counters.m_flags
+    @ [ "evals_by_kind"; "phases_s" ]
+  in
+  let svc = Scald_incr.Serve.create () in
+  List.iter
+    (fun line ->
+      let resp, _ = Scald_incr.Serve.handle_line svc line in
+      Alcotest.(check bool) (line ^ " served") true (contains resp "\"ok\":true"))
+    [
+      {|{"op":"load","source":"PERIOD 50.0;\nCLOCK UNIT 6.25;\n1 CHG (DELAY=1.0/3.0) (A .S0-6) -> B;\nSETUP HOLD CHK (SETUP=8.0, HOLD=1.0) (B, CK .P2-3);"}|};
+      {|{"op":"delta","edits":[{"edit":"wire_delay","signal":"B","min_ns":0,"max_ns":9}]}|};
+      {|{"op":"verify"}|};
+      {|{"op":"stats"}|};
+      {|{"op":"health"}|};
+    ];
+  let serve = List.map fst (Scald_incr.Serve.extra_counters svc) in
+  Alcotest.(check bool) "every request kind has latency figures" true
+    (List.mem "svc_health_requests" serve && List.mem "svc_load_max_us" serve);
+  let sorted l = List.sort_uniq compare l in
+  Alcotest.(check (list string)) "required = the keys every run writes" (sorted every_run)
+    (sorted required);
+  let is_cap k = String.length k > 4 && String.sub k 0 4 = "cap_" in
+  Alcotest.(check (list string)) "properties = the keys some writer emits, plus cap_*"
+    (sorted (every_run @ serve))
+    (sorted (List.filter (fun k -> not (is_cap k)) properties))
 
 let test_underconstrained_explain () =
   match Scald_sdl.Expander.load (read_file "../examples/underconstrained.sdl") with
@@ -623,5 +672,7 @@ let suite =
     Alcotest.test_case "span-lanes" `Quick test_span_lanes;
     Alcotest.test_case "metrics-requests-and-dups" `Quick
       test_metrics_requests_and_dups;
+    Alcotest.test_case "metrics-schema-pins-writers" `Quick
+      test_metrics_schema_pins_writers;
     Alcotest.test_case "underconstrained-explain" `Quick test_underconstrained_explain;
   ]

@@ -1,8 +1,8 @@
 (* Static arrival-window analysis (doc/WINDOWS.md): window values on
    hand designs, the QCheck soundness properties (every transition the
    evaluator materializes lies inside the statically computed window,
-   at every corner, and no proven checker or assertion ever reports),
-   and case-equivalence merging. *)
+   at every corner, and no proven checker or assertion ever reports)
+   and the [--windows] listing. *)
 
 open Scald_core
 
@@ -287,76 +287,6 @@ let verdicts_equal (a : Verifier.report) (b : Verifier.report) =
   && List.length a.Verifier.r_corners = List.length b.Verifier.r_corners
   && List.for_all2 corner_equal a.Verifier.r_corners b.Verifier.r_corners
 
-(* ---- case-equivalence merging ------------------------------------------ *)
-
-let test_merge_cases () =
-  let nl = netgen_nl 3 in
-  let cases = netgen_cases nl in
-  let full = Verifier.verify ~cases nl in
-  let merged = Verifier.verify ~cases ~merge_cases:true (netgen_nl 3) in
-  (* every representative's verdict list matches the full run's for the
-     same case, and the union of violations is unchanged *)
-  Alcotest.(check int) "merged + kept = total"
-    (List.length cases)
-    (List.length merged.Verifier.r_cases
-    + merged.Verifier.r_obs.Verifier.os_cases_merged);
-  List.iter
-    (fun (mc : Verifier.case_result) ->
-      match
-        List.find_opt
-          (fun (fc : Verifier.case_result) ->
-            fc.Verifier.cr_case = mc.Verifier.cr_case)
-          full.Verifier.r_cases
-      with
-      | None -> Alcotest.fail "representative not in the full run"
-      | Some fc ->
-        Alcotest.(check bool) "representative verdicts match" true
-          (fc.Verifier.cr_violations = mc.Verifier.cr_violations))
-    merged.Verifier.r_cases;
-  Alcotest.(check bool) "violation union unchanged" true
-    (full.Verifier.r_violations = merged.Verifier.r_violations)
-
-let test_case_signature_soundness =
-  (* two cases with equal signatures produce identical waveforms *)
-  prop ~count:6 "equal signatures imply equal waveforms"
-    QCheck.(int_bound 1000)
-    (fun seed ->
-      let nl = netgen_nl seed in
-      let cases = netgen_cases nl in
-      let case_nets =
-        List.concat_map
-          (fun c -> List.map fst (Case_analysis.resolve nl c))
-          cases
-      in
-      let w = Window.analyse ~case_nets nl in
-      let sigs =
-        List.map (fun c -> Window.case_signature w (Case_analysis.resolve nl c)) cases
-      in
-      let fixpoints =
-        List.map
-          (fun c ->
-            let ev = Eval.create (Netlist.copy nl) in
-            Eval.run ~case:(Case_analysis.resolve nl c) ev;
-            List.init (Netlist.n_nets nl) (fun id -> Eval.value ev id))
-          cases
-      in
-      List.iteri
-        (fun i si ->
-          List.iteri
-            (fun j sj ->
-              if i < j && si = sj then
-                List.iteri
-                  (fun id (wi, wj) ->
-                    if not (Waveform.equal wi wj) then
-                      QCheck.Test.fail_reportf
-                        "seed %d: cases %d/%d share a signature but differ on \
-                         net %d"
-                        seed i j id)
-                  (List.combine (List.nth fixpoints i) (List.nth fixpoints j)))
-            sigs)
-        sigs;
-      true)
-
 (* ---- the arrival-window listing ------------------------------------------- *)
 
 (* What [scald_tv --windows] prints. *)
@@ -376,8 +306,6 @@ let suite =
     test_proofs_hold_random;
     Alcotest.test_case "window proofs hold on the examples" `Quick
       test_proofs_hold_examples;
-    Alcotest.test_case "merge cases" `Quick test_merge_cases;
-    test_case_signature_soundness;
     Alcotest.test_case "s1_subset window listing snapshot" `Quick
       (test_windows_golden "s1_subset");
     Alcotest.test_case "cdc window listing snapshot" `Quick (test_windows_golden "cdc");
