@@ -127,18 +127,17 @@ let table_3_3 () =
   let e = Netgen.to_netlist design in
   let nl = e.Scald_sdl.Expander.e_netlist in
   (* Evaluate first: value-record counts come from real waveforms. *)
-  let report = Verifier.verify nl in
-  ignore report;
-  let st = Stats.storage_of nl in
+  let ev = (Verifier.verify nl).Verifier.r_eval in
+  let st = Stats.storage_of ev in
   Format.printf "%a@." Stats.pp_storage st;
   Printf.printf "\n  %-40s %10s %12s\n" "" "paper" "measured";
   Printf.printf "  %-40s %10s %12.1f%%\n" "circuit description share" "37.8%"
     (100. *. float_of_int st.Stats.circuit_description /. float_of_int (Stats.total st));
   Printf.printf "  %-40s %10d %12d\n" "signal value lists" 33152 (Stats.n_value_lists nl);
   Printf.printf "  %-40s %10.2f %12.2f\n" "value records per list" 2.97
-    (Stats.value_records_per_signal nl);
+    (Stats.value_records_per_signal ev);
   Printf.printf "  %-40s %10d %12.1f\n" "bytes per signal value" 56
-    (Stats.bytes_per_signal_value nl);
+    (Stats.bytes_per_signal_value ev);
   Printf.printf "  %-40s %10d %12.1f\n" "bytes per primitive (circuit desc)" 260
     (Stats.bytes_per_primitive st ~n_primitives:(Netlist.n_insts nl))
 
@@ -1271,6 +1270,7 @@ let bechamel_tests () =
   let small = Netgen.generate (Netgen.scaled ~chips:500 ()) in
   let small_sdl = Netgen.to_sdl small in
   let small_nl = (Netgen.to_netlist small).Scald_sdl.Expander.e_netlist in
+  let small_ev = Eval.create small_nl in
   let shape = build_cone ~seed:42 ~n_inputs:8 ~n_gates:32 in
   let cone_c, cone_nets = cone_logic_sim shape ~n_inputs:8 in
   let cone_inputs = List.init 8 (fun i -> cone_nets.(i)) in
@@ -1292,7 +1292,7 @@ let bechamel_tests () =
     Test.make ~name:"table-3-2/primitive-census"
       (Staged.stage (fun () -> Stats.primitive_census small_nl));
     Test.make ~name:"table-3-3/storage-accounting"
-      (Staged.stage (fun () -> Stats.storage_of small_nl));
+      (Staged.stage (fun () -> Stats.storage_of small_ev));
     Test.make ~name:"fig-3-10/verify-register-file"
       (Staged.stage (fun () -> Verifier.verify rf.Circuits.rf_netlist));
     Test.make ~name:"fig-3-11/error-listing"

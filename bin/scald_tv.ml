@@ -115,7 +115,7 @@ let run file case_file jobs corners summary xref quiet paths corr_advice prob
     let report =
       Verifier.verify
         ?probe:(Option.map Scald_obs.Obs.probe obs)
-        ?corners ~cases ~jobs:(max 0 jobs) nl
+        ?corners ~cases ~jobs nl
     in
     if summary then Format.printf "@.%a@." Report.pp_summary report.Verifier.r_eval;
     if diagram then
@@ -172,7 +172,8 @@ let run file case_file jobs corners summary xref quiet paths corr_advice prob
     | Some o ->
       if explain then
         Format.printf "@.%s@."
-          (Scald_obs.Obs.explain_all o nl report.Verifier.r_violations);
+          (Scald_obs.Obs.explain_all o report.Verifier.r_eval
+             report.Verifier.r_violations);
       (match metrics_out with
       | None -> ()
       | Some path ->
@@ -193,6 +194,20 @@ let run file case_file jobs corners summary xref quiet paths corr_advice prob
     end
 
 open Cmdliner
+
+(* A number outside its option's range is a usage error (exit 124)
+   quoting the value, as a bad --corners spec is — never clamped, and
+   never left to raise from the library. *)
+let checked conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let non_negative = checked Arg.int ~expected:"an integer >= 0" (fun n -> n >= 0)
 
 let file =
   let doc = "Design source in the textual SCALD HDL." in
@@ -225,11 +240,11 @@ let corners =
 let jobs =
   let doc =
     "Evaluate the cases on $(docv) parallel domains (0 = one per available \
-     core).  Any value produces the identical report; above 1 the case list \
-     is sharded over private evaluator copies, each warm-started from its \
-     shard's predecessor case."
+     core; negative values are rejected).  Any value produces the identical \
+     report; above 1 the case list is sharded over private evaluators of the \
+     one netlist, each warm-started from its shard's predecessor case."
   in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt non_negative 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let summary =
   let doc = "Print the signal-value timing summary (Figure 3-10 style)." in
@@ -274,9 +289,14 @@ let phys =
 
 let prob =
   let doc =
-    "Also run the probability-based path analysis with the given component      correlation coefficient (0 = independent, 1 = same production run)."
+    "Also run the probability-based path analysis with the given component \
+     correlation coefficient, a finite number in [0, 1] (0 = independent, 1 = \
+     same production run)."
   in
-  Arg.(value & opt (some float) None & info [ "prob" ] ~docv:"RHO" ~doc)
+  let rho =
+    checked Arg.float ~expected:"a finite number in [0, 1]" (fun r -> r >= 0. && r <= 1.)
+  in
+  Arg.(value & opt (some rho) None & info [ "prob" ] ~docv:"RHO" ~doc)
 
 let lint =
   let doc =
@@ -328,10 +348,10 @@ let explain =
 
 let trace_buffer =
   let doc =
-    "Capacity of the causal event ring buffer used by $(b,--explain); 0 \
-     disables event tracing."
+    "Capacity of the causal event ring buffer used by $(b,--explain), an \
+     integer >= 0; 0 disables event tracing."
   in
-  Arg.(value & opt int 4096 & info [ "trace-buffer" ] ~docv:"N" ~doc)
+  Arg.(value & opt non_negative 4096 & info [ "trace-buffer" ] ~docv:"N" ~doc)
 
 let classes =
   let doc =

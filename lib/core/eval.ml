@@ -58,18 +58,17 @@ module Ids = Set.Make (Int)
 
 (* Per-corner evaluation state (doc/CORNERS.md), one record per corner:
    lane 0 is the reference.  Every lane carries the same memo structure,
-   keyed on the nets' [n_gen] stamps: any lane changing a net bumps the
-   stamp, so every lane's caches miss together. *)
+   keyed on the evaluator's per-net [gen] stamps: any lane changing a
+   net bumps the stamp, so every lane's caches miss together. *)
 type lane = {
   l_dscale : float;  (* element-delay scale factor of this corner *)
   l_wscale : float;  (* interconnection-delay scale factor *)
   l_value : Waveform.t array;
-      (* per-net lane waveform, sharing the lane-0 record whenever equal;
-         empty on lane 0, whose waveforms live in [Netlist.net.n_value]
-         where the reporting modules read them *)
+      (* per-net waveform; on lanes 1..k-1 the lane-0 record itself
+         whenever equal *)
   (* Generation-stamped input cache: [conn_base.(i) + k] is the flat
      index of input [k] of instance [i]; the cached waveform is valid
-     while the driving net's [n_gen] still equals [l_cache_gen]. *)
+     while the driving net's [gen] still equals [l_cache_gen]. *)
   l_cache_gen : int array;
   l_cache_wf : Waveform.t array;
   (* Per-net memo backing the per-conn cache: for the common
@@ -97,8 +96,14 @@ type lane = {
 }
 
 type t = {
-  nl : Netlist.t;
+  nl : Netlist.t;  (* read, never written *)
   sched : Sched.t;
+  gen : int array;
+      (* per-net generation stamp, bumped on every assignment to the
+         net's value or evaluation string on any lane; keys the memos *)
+  eval_str : Directive.t array;
+      (* per-net evaluation string carried by the value, consumed one
+         letter per level of gating (§2.8) *)
   buckets : int Queue.t array;  (* work list: one FIFO bucket per level *)
   mutable cur_level : int;  (* bucket sweep cursor *)
   mutable queue_len : int;  (* items queued across all buckets *)
@@ -179,12 +184,12 @@ let create ?sched nl =
   let corners = Netlist.corners nl in
   let n_nets = max 1 (Netlist.n_nets nl) in
   let lanes =
-    Array.mapi
-      (fun i (c : Corner.t) ->
+    Array.map
+      (fun (c : Corner.t) ->
         {
           l_dscale = c.delay_scale;
           l_wscale = c.wire_scale;
-          l_value = (if i = 0 then [||] else Array.make n_nets dummy_wf);
+          l_value = Array.make n_nets dummy_wf;
           l_cache_gen = Array.make (max 1 !n_conns) (-1);
           l_cache_wf = Array.make (max 1 !n_conns) dummy_wf;
           l_net_gen = Array.make n_nets (-1);
@@ -204,6 +209,8 @@ let create ?sched nl =
     {
       nl;
       sched;
+      gen = Array.make n_nets 0;
+      eval_str = Array.make n_nets [];
       buckets = Array.init (max 1 (Sched.n_levels sched)) (fun _ -> Queue.create ());
       cur_level = 0;
       queue_len = 0;
@@ -391,18 +398,19 @@ let initial_value t (n : Netlist.net) =
 (* Every stamp move goes through [bump], which logs the net on every
    lane for the check pass: its own verdict and its fanout's may have
    moved. *)
-let bump t (n : Netlist.net) =
-  n.n_gen <- n.n_gen + 1;
+let bump t id =
+  t.gen.(id) <- t.gen.(id) + 1;
   for c = 0 to Array.length t.lanes - 1 do
-    log_add t.lanes.(c).l_dirty_nets n.n_id stamp
+    log_add t.lanes.(c).l_dirty_nets id stamp
   done
 
-(* Every assignment to a net's evaluation state goes through [assign] so
-   the generation stamp can never fall behind the value. *)
-let assign t (n : Netlist.net) wf eval_str =
-  n.n_value <- wf;
-  n.n_eval_str <- eval_str;
-  bump t n
+(* Every assignment to a net's lane-0 value and evaluation string goes
+   through [assign] so the generation stamp can never fall behind
+   them. *)
+let assign t id wf eval_str =
+  t.lanes.(0).l_value.(id) <- wf;
+  t.eval_str.(id) <- eval_str;
+  bump t id
 
 (* A checker has no output net: evaluating one computes nothing, and the
    check pass reaches it through the dirty log's fanout, so it never
@@ -441,14 +449,9 @@ let clear_work t =
    signal value (§2.8). *)
 let effective_directive t (inst : Netlist.inst) i =
   let c = inst.i_inputs.(i) in
-  if c.c_directive <> [] then c.c_directive
-  else (Netlist.net t.nl c.c_net).n_eval_str
+  if c.c_directive <> [] then c.c_directive else t.eval_str.(c.c_net)
 
 (* ---- input processing --------------------------------------------------- *)
-
-(* A net's raw (underived) waveform on a lane. *)
-let raw_value t lane (n : Netlist.net) =
-  if lane = 0 then n.n_value else t.lanes.(lane).l_value.(n.n_id)
 
 (* A lane k > 0 shares lane 0's derived input (and its memo record) when
    its raw waveform is the lane-0 record itself and either the wire
@@ -456,12 +459,12 @@ let raw_value t lane (n : Netlist.net) =
    the only thing a delay can add to a constant, and skew is
    unobservable on one segment (materialization drops it, the pointwise
    maps ignore it). *)
-let shares_lane0 t lane (n : Netlist.net) =
+let shares_lane0 t lane id =
   lane > 0
   &&
-  let ln = t.lanes.(lane) in
-  ln.l_value.(n.n_id) == n.n_value
-  && (ln.l_wscale = t.lanes.(0).l_wscale || Waveform.n_segments n.n_value = 1)
+  let ln = t.lanes.(lane) and l0 = t.lanes.(0) in
+  let v0 = l0.l_value.(id) in
+  ln.l_value.(id) == v0 && (ln.l_wscale = l0.l_wscale || Waveform.n_segments v0 = 1)
 
 (* The input waveform is a pure function of the driving net's evaluation
    state (value + evaluation string) and of static structure, so it is
@@ -470,27 +473,29 @@ let shares_lane0 t lane (n : Netlist.net) =
    the cache instead of re-applying inversion and wire delay. *)
 let rec input_waveform t lane (inst : Netlist.inst) i =
   let c = inst.i_inputs.(i) in
-  let n = Netlist.net t.nl c.c_net in
-  if shares_lane0 t lane n then input_waveform t 0 inst i
+  let id = c.c_net in
+  if shares_lane0 t lane id then input_waveform t 0 inst i
   else begin
     let ln = t.lanes.(lane) in
     let idx = t.conn_base.(inst.i_id) + i in
-    if ln.l_cache_gen.(idx) = n.n_gen then begin
+    let gen = t.gen.(id) in
+    if ln.l_cache_gen.(idx) = gen then begin
       t.cache_hits <- t.cache_hits + 1;
       ln.l_cache_wf.(idx)
     end
     else begin
       t.cache_misses <- t.cache_misses + 1;
-      let raw = raw_value t lane n in
+      let raw = ln.l_value.(id) in
+      let n = Netlist.net t.nl id in
       let wf =
         if (not c.c_invert) && c.c_directive = [] then begin
           (* Untransformed connection: the result is a function of the
              net alone, so all such conns share one record per
              generation (the per-conn stamps and hit/miss accounting
              are unchanged — only the allocation is shared). *)
-          if ln.l_net_gen.(c.c_net) = n.n_gen then ln.l_net_wf.(c.c_net)
+          if ln.l_net_gen.(id) = gen then ln.l_net_wf.(id)
           else begin
-            let letter = Directive.head n.n_eval_str in
+            let letter = Directive.head t.eval_str.(id) in
             let wf =
               if Directive.zero_wire letter then raw
               else
@@ -498,8 +503,8 @@ let rec input_waveform t lane (inst : Netlist.inst) i =
                   (Delay.scale ln.l_wscale (Netlist.wire_delay t.nl n))
                   raw
             in
-            ln.l_net_gen.(c.c_net) <- n.n_gen;
-            ln.l_net_wf.(c.c_net) <- wf;
+            ln.l_net_gen.(id) <- gen;
+            ln.l_net_wf.(id) <- wf;
             wf
           end
         end
@@ -511,7 +516,7 @@ let rec input_waveform t lane (inst : Netlist.inst) i =
             Waveform.apply_delay (Delay.scale ln.l_wscale (Netlist.wire_delay t.nl n)) wf
         end
       in
-      ln.l_cache_gen.(idx) <- n.n_gen;
+      ln.l_cache_gen.(idx) <- gen;
       ln.l_cache_wf.(idx) <- wf;
       wf
     end
@@ -606,19 +611,20 @@ let reg_output ~period ~delay ~data_m ~clock =
    while its data is unchanged, and materialization (folding the skew
    windows into the segment list) is the expensive half. *)
 let rec materialized_data t lane (inst : Netlist.inst) =
-  let n = Netlist.net t.nl inst.i_inputs.(0).c_net in
-  if shares_lane0 t lane n then materialized_data t 0 inst
+  let data = inst.i_inputs.(0).c_net in
+  if shares_lane0 t lane data then materialized_data t 0 inst
   else begin
     let ln = t.lanes.(lane) in
     let id = inst.i_id in
-    if ln.l_mat_gen.(id) = n.n_gen then begin
+    let gen = t.gen.(data) in
+    if ln.l_mat_gen.(id) = gen then begin
       t.cache_hits <- t.cache_hits + 1;
       ln.l_mat_wf.(id)
     end
     else begin
       t.cache_misses <- t.cache_misses + 1;
       let m = Waveform.materialize (input_waveform t lane inst 0) in
-      ln.l_mat_gen.(id) <- n.n_gen;
+      ln.l_mat_gen.(id) <- gen;
       ln.l_mat_wf.(id) <- m;
       m
     end
@@ -788,12 +794,13 @@ let same_modulo_const_skew a b =
    are invisible on constants, so the lane's output equals the lane-0
    output exactly. *)
 let lane_eval_skippable t (ln : lane) (inst : Netlist.inst) =
+  let v0 = t.lanes.(0).l_value in
   let n = Array.length inst.i_inputs in
   let rec go i =
     i >= n
-    || (let c = inst.i_inputs.(i) in
-        let nv = (Netlist.net t.nl c.c_net).n_value in
-        ln.l_value.(c.c_net) == nv && Waveform.n_segments nv = 1 && go (i + 1))
+    || (let id = inst.i_inputs.(i).c_net in
+        let nv = v0.(id) in
+        ln.l_value.(id) == nv && Waveform.n_segments nv = 1 && go (i + 1))
   in
   go 0
 
@@ -808,15 +815,16 @@ let eval_inst t inst_id =
     match inst.i_output with
     | None -> ()
     | Some out_id ->
-      let n = Netlist.net t.nl out_id in
+      let v0 = t.lanes.(0).l_value in
       let wf = apply_case t out_id wf in
       let eval_str = output_eval_str t inst in
       let changed =
-        not (Waveform.equal wf n.n_value) || eval_str <> n.n_eval_str
+        not (Waveform.equal wf v0.(out_id)) || eval_str <> t.eval_str.(out_id)
       in
       (* Lane 0 assigns first so the lanes below canonicalize against
          the *new* reference waveform. *)
-      if changed then assign t n wf eval_str;
+      if changed then assign t out_id wf eval_str;
+      let ref_wf = v0.(out_id) in
       let lane_changed = ref false in
       for c = 1 to Array.length t.lanes - 1 do
         let ln = t.lanes.(c) in
@@ -824,7 +832,7 @@ let eval_inst t inst_id =
         let next =
           if lane_eval_skippable t ln inst then begin
             t.evals_saved <- t.evals_saved + 1;
-            n.n_value
+            ref_wf
           end
           else begin
             let o =
@@ -833,9 +841,9 @@ let eval_inst t inst_id =
             (* Converge storage: a lane output equal to the reference
                (or to its own previous value) keeps the existing record,
                so pointer inequality below is exact change detection. *)
-            if same_modulo_const_skew o n.n_value then begin
-              if o != n.n_value then t.lanes_shared <- t.lanes_shared + 1;
-              n.n_value
+            if same_modulo_const_skew o ref_wf then begin
+              if o != ref_wf then t.lanes_shared <- t.lanes_shared + 1;
+              ref_wf
             end
             else if same_modulo_const_skew o prev then prev
             else o
@@ -850,7 +858,7 @@ let eval_inst t inst_id =
         (* A lane-only change must still invalidate the generation-keyed
            caches and wake the fanout; lane 0's stamp was already bumped
            by [assign]. *)
-        if not changed then bump t n;
+        if not changed then bump t out_id;
         t.events <- t.events + 1;
         (match t.on_event with
         | None -> ()
@@ -928,9 +936,10 @@ let fixpoint t =
 (* (Re-)source a net's lane values from the freshly assigned lane-0
    waveform: initial values are corner-independent (assertions and case
    mappings carry no delay), so every lane starts on the shared record. *)
-let reset_lanes t (n : Netlist.net) =
+let reset_lanes t id =
+  let v = t.lanes.(0).l_value.(id) in
   for c = 1 to Array.length t.lanes - 1 do
-    t.lanes.(c).l_value.(n.n_id) <- n.n_value
+    t.lanes.(c).l_value.(id) <- v
   done
 
 let run ?(case = []) t =
@@ -938,8 +947,8 @@ let run ?(case = []) t =
     t.initialized <- true;
     List.iter (fun (id, v) -> t.case.(id) <- Some v) case;
     Netlist.iter_nets t.nl (fun n ->
-        assign t n (initial_value t n) [];
-        reset_lanes t n);
+        assign t n.n_id (initial_value t n) [];
+        reset_lanes t n.n_id);
     Netlist.iter_insts t.nl (fun i -> enqueue t i.i_id)
   end
   else begin
@@ -954,8 +963,8 @@ let run ?(case = []) t =
           let n = Netlist.net t.nl id in
           (match n.n_driver with
           | None ->
-            assign t n (initial_value t n) n.n_eval_str;
-            reset_lanes t n
+            assign t id (initial_value t n) t.eval_str.(id);
+            reset_lanes t id
           | Some d -> enqueue t d);
           enqueue_fanout t id
         end)
@@ -963,7 +972,7 @@ let run ?(case = []) t =
   end;
   fixpoint t
 
-let value ?(lane = 0) t id = raw_value t lane (Netlist.net t.nl id)
+let value ?(lane = 0) t id = t.lanes.(lane).l_value.(id)
 
 (* ---- incremental-service hooks (lib/incr, doc/SERVICE.md) ---------------- *)
 
@@ -973,7 +982,7 @@ let value ?(lane = 0) t id = raw_value t lane (Netlist.net t.nl id)
    fanout.  The waveform itself is untouched — only its interpretation
    changed. *)
 let touch_net t net_id =
-  bump t (Netlist.net t.nl net_id);
+  bump t net_id;
   enqueue_fanout t net_id
 
 (* An assertion edit changes the net's source waveform: undriven nets
@@ -985,10 +994,10 @@ let reassert_net t net_id =
   let n = Netlist.net t.nl net_id in
   (match n.n_driver with
   | None ->
-    assign t n (initial_value t n) n.n_eval_str;
-    reset_lanes t n
+    assign t net_id (initial_value t n) t.eval_str.(net_id);
+    reset_lanes t net_id
   | Some d ->
-    bump t n;
+    bump t net_id;
     enqueue t d);
   relive_net t net_id;
   enqueue_fanout t net_id
@@ -1087,7 +1096,7 @@ let rederive_net t lane id =
       match n.n_assertion with
       | Some a ->
         Check.check_stable_assertion ~signal:n.n_name ~tb:(Netlist.timebase t.nl) a
-          (raw_value t lane n)
+          ln.l_value.(id)
       | None -> []
     end
     else []

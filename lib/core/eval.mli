@@ -23,20 +23,23 @@
     component — turns this into the plain FIFO relaxation, the
     reference discipline the tests compare against.
 
-    Every delay corner is a {e lane} with the same derivation and memo
-    state (doc/CORNERS.md): input waveforms and register data are
-    memoized per lane, keyed on per-net generation stamps, and every
-    lane keeps its own checker verdicts, re-derived only where a stamp
-    moved.  Lane 0 — the reference corner — keeps its waveforms in the
-    netlist ([Netlist.net.n_value]), where the reporting modules read
-    them. *)
+    Every delay corner is a {e lane} with the same storage, derivation
+    and memo state (doc/CORNERS.md): each lane keeps its own per-net
+    waveforms, input waveforms and register data are memoized per lane,
+    keyed on per-net generation stamps, and every lane keeps its own
+    checker verdicts, re-derived only where a stamp moved.  The stamps
+    and the evaluation strings (§2.8) live in the evaluator too: an
+    evaluator only reads its netlist, so several may evaluate one
+    netlist at once, and every listing reads an evaluator's waveforms
+    through {!value}. *)
 
 type t
 
 val create : ?sched:Sched.t -> Netlist.t -> t
-(** [sched] supplies a precomputed schedule (it must describe the same
-    structure, e.g. the original of a {!Netlist.copy}); without it one
-    is computed here. *)
+(** A fresh evaluator: every net holds the one all-Unknown waveform on
+    every lane until the first {!run}.  [sched] supplies a precomputed
+    schedule (it must describe this netlist's structure; the shards of a
+    parallel run share one); without it one is computed here. *)
 
 val netlist : t -> Netlist.t
 

@@ -17,9 +17,6 @@ type net = {
   mutable n_driver : int option;
   mutable n_fanout : int array;
   mutable n_fanout_n : int;
-  mutable n_value : Waveform.t;
-  mutable n_eval_str : Directive.t;
-  mutable n_gen : int;
 }
 
 type t = {
@@ -34,10 +31,6 @@ type t = {
   mutable corners : Corner.table;
       (* the delay corners a verification of this netlist evaluates;
          corner 0 is the reference (doc/CORNERS.md) *)
-  unknown : Waveform.t;
-      (* the one all-Unknown waveform every net starts from; waveforms
-         are immutable, so sharing it across nets is safe and saves a
-         per-net allocation at scale *)
   prim_cache : (Primitive.t, Primitive.t) Hashtbl.t;
       (* structural interning of primitives: large designs instantiate a
          handful of distinct (kind, delay) characterizations millions of
@@ -55,7 +48,6 @@ let create ?(defaults = Assertion.s1_defaults) ?(default_wire_delay = Delay.of_n
     n_insts = 0;
     by_name = Hashtbl.create 64;
     corners = Corner.default;
-    unknown = Waveform.const ~period:(Timebase.period tb) Tvalue.Unknown;
     prim_cache = Hashtbl.create 64;
   }
 
@@ -118,7 +110,7 @@ let push_fanout n id =
     n.n_fanout_n <- n.n_fanout_n + 1
   end
 
-let dummy_net t =
+let dummy_net =
   {
     n_id = -1;
     n_name = "";
@@ -128,13 +120,10 @@ let dummy_net t =
     n_driver = None;
     n_fanout = [||];
     n_fanout_n = 0;
-    n_value = t.unknown;
-    n_eval_str = [];
-    n_gen = 0;
   }
 
 let add_net t ~name ~width ~assertion =
-  t.nets <- grow t.nets t.n_nets (dummy_net t);
+  t.nets <- grow t.nets t.n_nets dummy_net;
   let id = t.n_nets in
   let n =
     {
@@ -146,9 +135,6 @@ let add_net t ~name ~width ~assertion =
       n_driver = None;
       n_fanout = [||];
       n_fanout_n = 0;
-      n_value = t.unknown;
-      n_eval_str = [];
-      n_gen = 0;
     }
   in
   t.nets.(id) <- n;
@@ -251,18 +237,6 @@ let trim t =
     if Array.length n.n_fanout > n.n_fanout_n then
       n.n_fanout <- Array.sub n.n_fanout 0 n.n_fanout_n
   done
-
-(* Net records carry the mutable evaluation state (n_value, n_eval_str),
-   so a copy gets fresh records; instance records, waveforms and the
-   packed fanout buffers are immutable after construction and safely
-   shared across domains (copies must not be taken while the netlist is
-   still being extended with [add]). *)
-let copy t =
-  {
-    t with
-    nets = Array.map (fun n -> { n with n_id = n.n_id }) t.nets;
-    by_name = Hashtbl.copy t.by_name;
-  }
 
 let net t id = t.nets.(id)
 let inst t id = t.insts.(id)

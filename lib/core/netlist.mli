@@ -3,9 +3,11 @@
     A netlist is a set of {e nets} (signals, possibly vectors — one net
     stands for an arbitrarily wide data path) and {e instances} of the
     built-in primitives connected to them.  Nets carry the designer
-    assertions parsed from their signal names, optional per-signal
-    interconnection-delay overrides (§2.5.3), and — during evaluation —
-    their current waveform and remaining evaluation string (§2.8). *)
+    assertions parsed from their signal names and optional per-signal
+    interconnection-delay overrides (§2.5.3).  A netlist holds no
+    evaluation state: each evaluator ({!Eval}) keeps its own waveforms
+    and evaluation strings, so evaluation never writes to a netlist and
+    any number of evaluators can read one at once. *)
 
 type conn = {
   c_net : int;
@@ -35,14 +37,6 @@ type net = {
           {!fanout_count}, {!iter_fanout}, {!fold_fanout} or {!fanout}
           rather than indexing the raw buffer *)
   mutable n_fanout_n : int;
-  mutable n_value : Waveform.t;
-  mutable n_eval_str : Directive.t;
-      (** evaluation string carried by the signal value, consumed one
-          letter per level of gating (§2.8) *)
-  mutable n_gen : int;
-      (** generation stamp, bumped by the evaluator on every assignment
-          to [n_value]/[n_eval_str]; keys the per-connection input
-          waveform cache (see {!Eval} and [doc/SCHEDULER.md]) *)
 }
 
 type t
@@ -101,13 +95,6 @@ val trim : t -> unit
     buffers) to their exact sizes, releasing the doubling slack.  Called
     once after bulk construction; further {!add}s regrow as needed. *)
 
-val copy : t -> t
-(** A structural copy with fresh net records, for evaluating the same
-    circuit on several domains at once: net ids, instance ids and names
-    are identical to the original, but the per-net evaluation state
-    ([n_value], [n_eval_str]) is private to the copy.  Instance records
-    and waveform values are immutable and shared. *)
-
 val net : t -> int -> net
 val inst : t -> int -> inst
 val find : t -> string -> int option
@@ -146,12 +133,8 @@ val find_inst : t -> string -> int option
     Used by the incremental service ([lib/incr], doc/SERVICE.md) to
     replay a designer's edit on an already-built netlist.  The structure
     — which nets exist, which instances read and drive them — never
-    changes; only parameters do.  Note that {!copy} shares the instance
-    array and the connection arrays with the original, so instance-level
-    edits ({!set_element_delay}, {!replace_prim},
-    {!set_input_directive}) are visible through existing copies; the
-    incremental service is strictly sequential, so no copy is ever live
-    while it edits. *)
+    changes; only parameters do.  No edit may run while an evaluation
+    reads the netlist; the incremental service is strictly sequential. *)
 
 val set_wire_delay_opt : t -> int -> Delay.t option -> unit
 (** Set or clear ([None] restores the default rule) a net's
@@ -170,7 +153,7 @@ val corners : t -> Corner.table
 
 val set_corners : t -> Corner.table -> unit
 (** Install a corner table (SDL [CORNERS] directive, CLI [--corners], or
-    an incremental [corners] edit).  {!copy} carries the table.
+    an incremental [corners] edit).
     @raise Invalid_argument on an empty table or duplicate names. *)
 
 val set_element_delay : t -> int -> Delay.t -> unit

@@ -1,5 +1,5 @@
-let pp_net_line ppf (n : Netlist.net) =
-  Format.fprintf ppf "%-28s %a" n.n_name Waveform.pp n.n_value
+let pp_net_line ev ppf (n : Netlist.net) =
+  Format.fprintf ppf "%-28s %a" n.n_name Waveform.pp (Eval.value ev n.n_id)
 
 let pp_summary ppf ev =
   let nl = Eval.netlist ev in
@@ -10,14 +10,14 @@ let pp_summary ppf ev =
     List.sort (fun (a : Netlist.net) b -> String.compare a.n_name b.n_name) !all
   in
   Format.fprintf ppf "@[<v>TIMING VERIFIER SIGNAL VALUE SUMMARY@,";
-  List.iter (fun n -> Format.fprintf ppf "%a@," pp_net_line n) sorted;
+  List.iter (fun n -> Format.fprintf ppf "%a@," (pp_net_line ev) n) sorted;
   Format.fprintf ppf "@]"
 
 let pp_signal ppf ev name =
   let nl = Eval.netlist ev in
   match Netlist.find nl name with
   | None -> Format.fprintf ppf "%-28s (unknown signal)" name
-  | Some id -> pp_net_line ppf (Netlist.net nl id)
+  | Some id -> pp_net_line ev ppf (Netlist.net nl id)
 
 let pp_violations ppf vs =
   Format.fprintf ppf "@[<v>SETUP, HOLD AND MINIMUM PULSE WIDTH ERRORS@,";

@@ -5,8 +5,9 @@
     checker on its data and clock inputs. *)
 
 val pp_summary : Format.formatter -> Eval.t -> unit
-(** Figure 3-10: one line per net, sorted by name, with the waveform
-    rendered as [VALUE time] pairs (times in ns). *)
+(** Figure 3-10: one line per net, sorted by name, with the evaluator's
+    reference-corner waveform rendered as [VALUE time] pairs (times in
+    ns). *)
 
 val pp_signal : Format.formatter -> Eval.t -> string -> unit
 (** The summary line of one signal, by base name. *)

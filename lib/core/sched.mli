@@ -15,8 +15,8 @@
 
     A schedule only reads the netlist structure (drivers and fanout),
     which is immutable after construction, so one schedule can be shared
-    read-only across domains — including with the {!Netlist.copy}s used
-    by parallel case evaluation, whose ids are identical. *)
+    read-only across domains — as by the evaluators of a parallel case
+    evaluation, which all run on one netlist. *)
 
 type t
 

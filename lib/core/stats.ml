@@ -30,7 +30,8 @@ let value_base_fields = 5
 
 let value_record_fields = 3
 
-let storage_of nl =
+let storage_of ev =
+  let nl = Eval.netlist ev in
   let circuit = ref 0 in
   let values = ref 0 in
   let names = ref 0 in
@@ -47,7 +48,7 @@ let storage_of nl =
          33 152 value lists for the 6 357-chip example).  Segment and
          fanout counts are O(1) on the packed representation; each is
          read once per net. *)
-      let n_records = Waveform.n_segments n.n_value in
+      let n_records = Waveform.n_segments (Eval.value ev n.n_id) in
       let n_fan = Netlist.fanout_count n in
       values :=
         !values
@@ -77,21 +78,21 @@ let n_value_lists nl =
   Netlist.iter_nets nl (fun n -> sum := !sum + n.n_width);
   !sum
 
-let value_records_per_signal nl =
+let value_records_per_signal ev =
   let count = ref 0 and nets = ref 0 in
-  Netlist.iter_nets nl (fun n ->
+  Netlist.iter_nets (Eval.netlist ev) (fun n ->
       incr nets;
-      count := !count + Waveform.n_segments n.n_value);
+      count := !count + Waveform.n_segments (Eval.value ev n.n_id));
   if !nets = 0 then 0. else float_of_int !count /. float_of_int !nets
 
-let bytes_per_signal_value nl =
+let bytes_per_signal_value ev =
   let bytes = ref 0 and nets = ref 0 in
-  Netlist.iter_nets nl (fun n ->
+  Netlist.iter_nets (Eval.netlist ev) (fun n ->
       incr nets;
       bytes :=
         !bytes
         + (value_base_fields * field)
-        + (Waveform.n_segments n.n_value * value_record_fields * field));
+        + (Waveform.n_segments (Eval.value ev n.n_id) * value_record_fields * field));
   if !nets = 0 then 0. else float_of_int !bytes /. float_of_int !nets
 
 let bytes_per_primitive s ~n_primitives =

@@ -18,20 +18,21 @@ type storage = {
 
 val total : storage -> int
 
-val storage_of : Netlist.t -> storage
-(** Account for the data structures of a netlist in its current
-    (evaluated) state — value-record counts are taken from the actual
-    waveforms. *)
+val storage_of : Eval.t -> storage
+(** Account for the data structures of the evaluator's netlist in its
+    current state — value-record counts are taken from the evaluator's
+    reference-corner waveforms.  For an unevaluated design pass
+    [Eval.create nl]: every net then holds one all-Unknown record. *)
 
 val n_value_lists : Netlist.t -> int
 (** Total signal value lists stored: one per bit of every signal vector
     (thesis: 33 152). *)
 
-val value_records_per_signal : Netlist.t -> float
+val value_records_per_signal : Eval.t -> float
 (** Mean number of value records per signal value list (the thesis
     measured 2.97 for the 6357-chip example). *)
 
-val bytes_per_signal_value : Netlist.t -> float
+val bytes_per_signal_value : Eval.t -> float
 (** Mean bytes used to store one signal's value (thesis: 56). *)
 
 val bytes_per_primitive : storage -> n_primitives:int -> float

@@ -59,6 +59,7 @@ let pp ?(columns = 64) ?signals ppf ev =
   Format.fprintf ppf "@[<v>%-28s %s@," "" (ruler ~columns period);
   List.iter
     (fun (n : Netlist.net) ->
-      Format.fprintf ppf "%-28s %s@," n.Netlist.n_name (row ~columns n.Netlist.n_value))
+      Format.fprintf ppf "%-28s %s@," n.Netlist.n_name
+        (row ~columns (Eval.value ev n.Netlist.n_id)))
     nets;
   Format.fprintf ppf "@]"

@@ -35,7 +35,7 @@ let export ev buf =
     Hashtbl.replace events t ((id, c) :: prev)
   in
   Netlist.iter_nets nl (fun n ->
-      let m = Waveform.materialize n.Netlist.n_value in
+      let m = Waveform.materialize (Eval.value ev n.Netlist.n_id) in
       let id = ident n.Netlist.n_id in
       let rec go at = function
         | [] -> ()

@@ -143,8 +143,9 @@ let verify_sequential ~probe ~sched ~case_list nl =
 
 (* ---- the domain-parallel engine (jobs > 1) -------------------------------- *)
 
-(* Cases are sharded into contiguous blocks, one private evaluator (on a
-   private netlist copy) per domain.  A shard that does not start at
+(* Cases are sharded into contiguous blocks, one private evaluator per
+   domain, all on the one netlist: evaluation only reads it, and each
+   evaluator keeps its own waveforms.  A shard that does not start at
    case 1 first evaluates its predecessor case un-measured, so every
    measured case starts from exactly the state the sequential run would
    have given it — per-case event counts, violations and the merged
@@ -156,24 +157,18 @@ let verify_parallel ~probe ~sched ~case_list ~jobs nl =
   let case_arr = Array.of_list case_list in
   let n = Array.length case_arr in
   (* Resolve in the parent: name errors surface before any domain is
-     spawned, and net ids are identical in every copy. *)
+     spawned. *)
   let resolved = Array.map (Case_analysis.resolve nl) case_arr in
   let shards = Par.shards ~jobs n in
   let jobs = Array.length shards in
-  (* Copies are taken before any evaluation so no domain ever reads net
-     state another is writing; shard 0 keeps the caller's netlist, so
-     [r_eval] observes it exactly as in the sequential run. *)
-  let netlists =
-    Array.init jobs (fun k -> if k = 0 then nl else Netlist.copy nl)
-  in
   let record_events =
     match probe with Some { pr_event = Some _; _ } -> true | _ -> false
   in
   let run_shard k =
     let lo, hi = shards.(k) in
-    (* the schedule is structural and read-only, and ids are identical
-       in every copy: every domain shares it *)
-    let ev = Eval.create ~sched netlists.(k) in
+    (* the schedule is structural and read-only: every domain shares
+       it *)
+    let ev = Eval.create ~sched nl in
     if lo > 0 then begin
       (* Warm-start priming: un-measured, un-hooked, un-counted.  The
          check passes are replayed too: they fill the input-waveform
@@ -193,7 +188,7 @@ let verify_parallel ~probe ~sched ~case_list ~jobs nl =
       List.init (hi - lo) (fun j ->
           let i = lo + j in
           buf := [];
-          let r = run_case ev netlists.(k) i case_arr.(i) in
+          let r = run_case ev nl i case_arr.(i) in
           (r, List.rev !buf))
     in
     (results, Eval.counters ev, ev)
@@ -271,8 +266,8 @@ let make_report ?lint ?obs ~jobs paired counters ev =
 
 let verify ?lint ?probe ?(cases = []) ?(jobs = 1) ?analysis ?window:_ ?corners nl =
   if jobs < 0 then invalid_arg "Verifier.verify: jobs must be >= 0";
-  (* Install the corner table before any evaluator (or netlist copy) is
-     created; every domain's evaluator then packs the same lanes. *)
+  (* Install the corner table before any evaluator is created; every
+     domain's evaluator then packs the same lanes. *)
   (match corners with None -> () | Some tbl -> Netlist.set_corners nl tbl);
   let span : 'a. string -> (unit -> 'a) -> 'a =
    fun name f -> match probe with None -> f () | Some p -> p.pr_span name f

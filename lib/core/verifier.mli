@@ -6,12 +6,13 @@
     are collected (§2.7, §2.9).
 
     With [?jobs] above 1 the case list is sharded over OCaml 5 domains,
-    each owning a private evaluator on a private {!Netlist.copy}; a
-    shard first replays its predecessor case un-measured so every
-    measured case starts from the state the sequential run would have
-    given it.  The report is identical to [jobs:1] for any job count —
-    violations and their order, per-case event counts, convergence
-    flags, merged counters (see [doc/PARALLEL.md]). *)
+    each owning a private evaluator on the one netlist, which evaluation
+    only reads; a shard first replays its predecessor case un-measured
+    so every measured case starts from the state the sequential run
+    would have given it.  The report is identical to [jobs:1] for any
+    job count — violations and their order, per-case event counts,
+    convergence flags, merged counters and the final waveforms (see
+    [doc/PARALLEL.md]). *)
 
 type case_result = {
   cr_case : Case_analysis.case;  (** empty for the base case *)
@@ -106,7 +107,11 @@ type report = {
   r_lint : lint_summary option;
       (** present when {!verify} was given a [?lint] hook *)
   r_obs : obs_summary;  (** evaluator counters (always present) *)
-  r_eval : Eval.t;  (** final evaluator state, for summary listings *)
+  r_eval : Eval.t;
+      (** the evaluator that ran the last case: its waveforms, on every
+          lane, are the ones the listings, VCD and causal traces of this
+          report read; a later {!verify} of the same netlist leaves them
+          unchanged *)
   r_jobs : int;  (** effective parallelism the run actually used *)
 }
 

@@ -125,7 +125,7 @@ let refresh_resources ?(full = false) t =
       | None -> ()
       | Some s ->
         let nl = Session.netlist s in
-        let st = Stats.storage_of nl in
+        let st = Stats.storage_of (Session.report s).Verifier.r_eval in
         t.sv_bpp <-
           Stats.bytes_per_primitive st ~n_primitives:(max 1 (Netlist.n_insts nl))
     end

@@ -14,13 +14,6 @@ type t = { findings : finding list; nets_audited : int; insts_audited : int }
 
 let severity_name = function Error -> "error" | Warning -> "warning" | Info -> "info"
 
-let severity_of_name s =
-  match String.lowercase_ascii s with
-  | "error" -> Some Error
-  | "warning" -> Some Warning
-  | "info" -> Some Info
-  | _ -> None
-
 let locus_name = function Net n -> n | Inst i -> i | Design -> "(design)"
 
 let locus_kind = function Net _ -> "net" | Inst _ -> "inst" | Design -> "design"
@@ -90,126 +83,6 @@ let finding_to_json f =
     (locus_kind f.f_locus)
     (json_escape (locus_name f.f_locus))
     (json_escape f.f_message) (json_escape f.f_hint)
-
-(* A minimal parser for the flat string-valued JSON objects produced
-   above — enough for tooling round-trips without a JSON dependency. *)
-let parse_flat_object line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let error msg = Stdlib.Error (Printf.sprintf "%s at offset %d" msg !pos) in
-  let skip_ws () =
-    while !pos < n && (match line.[!pos] with ' ' | '\t' | '\r' | '\n' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let parse_string () =
-    if !pos >= n || line.[!pos] <> '"' then error "expected '\"'"
-    else begin
-      incr pos;
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then error "unterminated string"
-        else
-          match line.[!pos] with
-          | '"' ->
-            incr pos;
-            Stdlib.Ok (Buffer.contents buf)
-          | '\\' ->
-            if !pos + 1 >= n then error "dangling escape"
-            else begin
-              (match line.[!pos + 1] with
-              | '"' -> Buffer.add_char buf '"'
-              | '\\' -> Buffer.add_char buf '\\'
-              | '/' -> Buffer.add_char buf '/'
-              | 'n' -> Buffer.add_char buf '\n'
-              | 't' -> Buffer.add_char buf '\t'
-              | 'r' -> Buffer.add_char buf '\r'
-              | 'u' ->
-                (* decode \uXXXX, ASCII range only *)
-                if !pos + 5 < n then begin
-                  let code = int_of_string ("0x" ^ String.sub line (!pos + 2) 4) in
-                  if code < 128 then Buffer.add_char buf (Char.chr code)
-                  else Buffer.add_char buf '?';
-                  pos := !pos + 4
-                end
-              | c -> Buffer.add_char buf c);
-              pos := !pos + 2;
-              go ()
-            end
-          | c ->
-            Buffer.add_char buf c;
-            incr pos;
-            go ()
-      in
-      go ()
-    end
-  in
-  skip_ws ();
-  if !pos >= n || line.[!pos] <> '{' then error "expected '{'"
-  else begin
-    incr pos;
-    let rec members acc =
-      skip_ws ();
-      if !pos < n && line.[!pos] = '}' then begin
-        incr pos;
-        Stdlib.Ok (List.rev acc)
-      end
-      else
-        match parse_string () with
-        | Stdlib.Error e -> Stdlib.Error e
-        | Stdlib.Ok key -> (
-          skip_ws ();
-          if !pos >= n || line.[!pos] <> ':' then error "expected ':'"
-          else begin
-            incr pos;
-            skip_ws ();
-            match parse_string () with
-            | Stdlib.Error e -> Stdlib.Error e
-            | Stdlib.Ok value -> (
-              skip_ws ();
-              if !pos < n && line.[!pos] = ',' then begin
-                incr pos;
-                members ((key, value) :: acc)
-              end
-              else if !pos < n && line.[!pos] = '}' then begin
-                incr pos;
-                Stdlib.Ok (List.rev ((key, value) :: acc))
-              end
-              else error "expected ',' or '}'")
-          end)
-    in
-    members []
-  end
-
-let finding_of_json line =
-  match parse_flat_object line with
-  | Stdlib.Error e -> Stdlib.Error e
-  | Stdlib.Ok fields ->
-    let get k =
-      match List.assoc_opt k fields with
-      | Some v -> Stdlib.Ok v
-      | None -> Stdlib.Error (Printf.sprintf "missing field %S" k)
-    in
-    let ( let* ) = Result.bind in
-    let* rule = get "rule" in
-    let* sev = get "severity" in
-    let* kind = get "locus_kind" in
-    let* locus = get "locus" in
-    let* message = get "message" in
-    let* hint = get "hint" in
-    let* f_severity =
-      match severity_of_name sev with
-      | Some s -> Stdlib.Ok s
-      | None -> Stdlib.Error (Printf.sprintf "unknown severity %S" sev)
-    in
-    let* f_locus =
-      match kind with
-      | "net" -> Stdlib.Ok (Net locus)
-      | "inst" -> Stdlib.Ok (Inst locus)
-      | "design" -> Stdlib.Ok Design
-      | k -> Stdlib.Error (Printf.sprintf "unknown locus kind %S" k)
-    in
-    Stdlib.Ok { f_rule = rule; f_severity; f_locus; f_message = message; f_hint = hint }
 
 let pp_jsonl ppf t =
   List.iter (fun f -> Format.fprintf ppf "%s@." (finding_to_json f)) t.findings

@@ -30,8 +30,6 @@ type t = {
 val severity_name : severity -> string
 (** ["error"], ["warning"], ["info"]. *)
 
-val severity_of_name : string -> severity option
-
 val locus_name : locus -> string
 (** The net or instance name; ["(design)"] for {!Design}. *)
 
@@ -61,10 +59,6 @@ val pp : Format.formatter -> t -> unit
 val finding_to_json : finding -> string
 (** One finding as a single-line JSON object with keys [rule],
     [severity], [locus_kind], [locus], [message], [hint]. *)
-
-val finding_of_json : string -> (finding, string) result
-(** Parse a line produced by {!finding_to_json} (round-trip for
-    tooling; accepts any flat JSON object with string values). *)
 
 val pp_jsonl : Format.formatter -> t -> unit
 (** Every finding as one JSON line (JSONL). *)

@@ -51,12 +51,13 @@ type step = {
   st_at_ns : float option;
 }
 
-let step_of t nl (e : event) =
-  ignore t;
+let step_of ev (e : event) =
+  let nl = Eval.netlist ev in
   let inst = Netlist.inst nl e.e_inst in
   let net = Netlist.net nl e.e_net in
+  let value = Eval.value ev e.e_net in
   let at_ns =
-    match Waveform.change_windows net.Netlist.n_value with
+    match Waveform.change_windows value with
     | { Waveform.w_start; _ } :: _ -> Some (Timebase.ns_of_ps w_start)
     | [] -> None
   in
@@ -65,20 +66,20 @@ let step_of t nl (e : event) =
     st_inst = inst.Netlist.i_name;
     st_prim = Primitive.mnemonic inst.Netlist.i_prim;
     st_net = net.Netlist.n_name;
-    st_value = Format.asprintf "%a" Waveform.pp net.Netlist.n_value;
+    st_value = Format.asprintf "%a" Waveform.pp value;
     st_at_ns = at_ns;
   }
 
-let chain ?(depth = 8) t nl ~net_id ~before =
+let chain ?(depth = 8) t ev ~net_id ~before =
   let rec walk net_id before acc left =
     if left = 0 then acc
     else
       match find_last t ~net_id ~before with
       | None -> acc
       | Some e ->
-        let acc = step_of t nl e :: acc in
+        let acc = step_of ev e :: acc in
         (* follow the most recent input event of the driving instance *)
-        let inst = Netlist.inst nl e.e_inst in
+        let inst = Netlist.inst (Eval.netlist ev) e.e_inst in
         let best = ref None in
         Array.iter
           (fun (c : Netlist.conn) ->
@@ -95,12 +96,12 @@ let chain ?(depth = 8) t nl ~net_id ~before =
   in
   walk net_id before [] (max 1 depth)
 
-let explain_signal ?depth ?(before = max_int) t nl name =
-  match Netlist.find nl name with
+let explain_signal ?depth ?(before = max_int) t ev name =
+  match Netlist.find (Eval.netlist ev) name with
   | None -> []
-  | Some id -> chain ?depth t nl ~net_id:id ~before
+  | Some id -> chain ?depth t ev ~net_id:id ~before
 
-let explain ?depth t nl (v : Check.t) = explain_signal ?depth t nl v.Check.v_signal
+let explain ?depth t ev (v : Check.t) = explain_signal ?depth t ev v.Check.v_signal
 
 let pp_chain ppf steps =
   List.iter
@@ -115,11 +116,11 @@ let pp_chain ppf steps =
   | [] -> ()
   | final :: _ -> Format.fprintf ppf "      value %s: %s@," final.st_net final.st_value
 
-let pp_signal_chain t nl ppf label name =
-  match Netlist.find nl name with
+let pp_signal_chain t ev ppf label name =
+  match Netlist.find (Eval.netlist ev) name with
   | None -> Format.fprintf ppf "  %s %s: (unknown signal)@," label name
   | Some id -> (
-    match chain t nl ~net_id:id ~before:max_int with
+    match chain t ev ~net_id:id ~before:max_int with
     | [] ->
       Format.fprintf ppf
         "  %s %s: no recorded events — value from an assertion, the initial \
@@ -129,10 +130,10 @@ let pp_signal_chain t nl ppf label name =
       Format.fprintf ppf "  %s %s (root cause first):@," label name;
       pp_chain ppf steps)
 
-let pp_explanation t nl ppf (v : Check.t) =
+let pp_explanation t ev ppf (v : Check.t) =
   Format.fprintf ppf "@[<v>EXPLAIN %a@," Check.pp v;
-  pp_signal_chain t nl ppf "signal" v.Check.v_signal;
+  pp_signal_chain t ev ppf "signal" v.Check.v_signal;
   (match v.Check.v_clock with
-  | Some c when c <> v.Check.v_signal -> pp_signal_chain t nl ppf "clock" c
+  | Some c when c <> v.Check.v_signal -> pp_signal_chain t ev ppf "clock" c
   | Some _ | None -> ());
   Format.fprintf ppf "@]"

@@ -50,19 +50,22 @@ type step = {
 }
 
 val explain :
-  ?depth:int -> t -> Scald_core.Netlist.t -> Scald_core.Check.t -> step list
+  ?depth:int -> t -> Scald_core.Eval.t -> Scald_core.Check.t -> step list
 (** Causal chain for the violation's signal, root cause first, at most
-    [depth] (default 8) steps.  Empty when the signal has no recorded
+    [depth] (default 8) steps.  Names come from the evaluator's netlist
+    and each step's [st_value] from the evaluator's reference-corner
+    waveform, so pass the evaluator whose events the ring recorded
+    (a report's [r_eval]).  Empty when the signal has no recorded
     events — e.g. its value came from an assertion, or the buffer was
     too small to retain them. *)
 
 val explain_signal :
-  ?depth:int -> ?before:int -> t -> Scald_core.Netlist.t -> string -> step list
+  ?depth:int -> ?before:int -> t -> Scald_core.Eval.t -> string -> step list
 (** Chain for an arbitrary signal name; [before] bounds the sequence
     numbers considered (exclusive). *)
 
 val pp_explanation :
-  t -> Scald_core.Netlist.t -> Format.formatter -> Scald_core.Check.t -> unit
+  t -> Scald_core.Eval.t -> Format.formatter -> Scald_core.Check.t -> unit
 (** Render the violation line followed by the causal chains of its
     signal and (when named) its clock, with a graceful note for signals
     without recorded events. *)

@@ -57,7 +57,7 @@ let write_profile ?process_name ?lanes ?report t path =
 let write_metrics ?extra t ~report path =
   Counters.write_file (metrics ?extra t ~report) path
 
-let explain_all t nl violations =
+let explain_all t ev violations =
   (* With tracing off, explain against an empty ring: every block then
      degrades to the no-recorded-events note rather than vanishing. *)
   let ring =
@@ -70,7 +70,7 @@ let explain_all t nl violations =
     (Causal.recorded ring);
   if violations = [] then Format.fprintf ppf "(no violations to explain)@,";
   List.iter
-    (fun v -> Format.fprintf ppf "%a@," (Causal.pp_explanation ring nl) v)
+    (fun v -> Format.fprintf ppf "%a@," (Causal.pp_explanation ring ev) v)
     violations;
   Format.fprintf ppf "@]";
   Format.pp_print_flush ppf ();

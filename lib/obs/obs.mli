@@ -9,7 +9,8 @@
       let report = Verifier.verify ~probe:(Obs.probe obs) nl in
       Obs.write_profile obs "profile.json";
       Obs.write_metrics obs ~report "metrics.json";
-      print_string (Obs.explain_all obs nl report.Verifier.r_violations)
+      print_string
+        (Obs.explain_all obs report.Verifier.r_eval report.Verifier.r_violations)
     ]}
 
     Everything here costs nothing unless a handle is created and its
@@ -21,7 +22,8 @@ type t
 val create : ?clock:(unit -> float) -> ?trace_buffer:int -> unit -> t
 (** [trace_buffer] is the causal ring capacity; [0] (the default)
     disables event tracing entirely — the probe then carries no event
-    hook.  [clock] is passed to the profiler (tests inject a fake). *)
+    hook.  [clock] is passed to the profiler (tests inject a fake).
+    @raise Invalid_argument when [trace_buffer < 0]. *)
 
 val profiler : t -> Span.t
 val ring : t -> Causal.t option
@@ -73,7 +75,9 @@ val write_metrics :
   unit
 
 val explain_all :
-  t -> Scald_core.Netlist.t -> Scald_core.Check.t list -> string
-(** Causal explanation listing, one block per violation.  Violations
-    are explained even when tracing was off — each block then carries
-    the no-recorded-events note. *)
+  t -> Scald_core.Eval.t -> Scald_core.Check.t list -> string
+(** Causal explanation listing, one block per violation, naming signals
+    and printing values from the given evaluator — the report's [r_eval],
+    whose run the ring recorded ({!Causal.explain}).  Violations are
+    explained even when tracing was off — each block then carries the
+    no-recorded-events note. *)

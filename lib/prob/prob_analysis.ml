@@ -50,7 +50,7 @@ let path_of_full correlation (fp : Path_analysis.full_path) =
   }
 
 let analyze ?sources ?sinks ?(correlation = 0.) nl =
-  if correlation < 0. || correlation > 1. then
+  if not (correlation >= 0. && correlation <= 1.) then
     invalid_arg "Prob_analysis.analyze: correlation must be in [0, 1]";
   let full = Path_analysis.enumerate ?sources ?sinks nl in
   { r_paths = List.map (path_of_full correlation) full; r_correlation = correlation }

@@ -63,7 +63,9 @@ val analyze :
   report
 (** Distributional delay of every combinational path (via
     {!Path_analysis.enumerate}).  [correlation] applies between every
-    pair of successive component delays along a path. *)
+    pair of successive component delays along a path.
+    @raise Invalid_argument unless [correlation] is in [[0, 1]] (NaN
+    included). *)
 
 val worst_quantile : report -> z:float -> (path * float) option
 (** The path with the largest [z]-quantile delay, and that delay (ps). *)

@@ -1,8 +1,8 @@
 (* Signal-class dataflow analysis (doc/FLOW.md): class inference on
-   small designs, the case-net demotion, Netlist.copy preserving the
-   inferred classes, the [--classes] listing snapshots, the fact that
-   verification itself never runs the analysis, and pruning soundness
-   with the classes handed to the verifier. *)
+   small designs, the case-net demotion, the [--classes] listing
+   snapshots, the fact that verification itself never runs the
+   analysis, and pruning soundness with the classes handed to the
+   verifier. *)
 
 open Scald_core
 
@@ -104,15 +104,6 @@ let test_case_net_demotion () =
   Alcotest.(check bool) "its cone demoted" true
     (Flow.cls f' (net_id nl "X") = Flow.Data [])
 
-let test_copy_preserves_classes () =
-  let nl = Test_par.netgen_nl 1 in
-  let f = Flow.analyse nl in
-  let f2 = Flow.analyse (Netlist.copy nl) in
-  Netlist.iter_nets nl (fun n ->
-      let id = n.Netlist.n_id in
-      if Flow.cls f id <> Flow.cls f2 id then
-        Alcotest.failf "class of %s differs on the copy" n.Netlist.n_name)
-
 let test_every_net_classified () =
   let nl = Test_par.netgen_nl 1 in
   let c, s, ck, d, u = Flow.class_counts (Flow.analyse nl) in
@@ -185,8 +176,6 @@ let suite =
     Alcotest.test_case "data and stable classes" `Quick test_data_and_stable_classes;
     Alcotest.test_case "cycles are never stable" `Quick test_cyclic_not_stable;
     Alcotest.test_case "case-net demotion" `Quick test_case_net_demotion;
-    Alcotest.test_case "Netlist.copy preserves classes" `Quick
-      test_copy_preserves_classes;
     Alcotest.test_case "every net classified" `Quick test_every_net_classified;
     Alcotest.test_case "s1_subset class listing snapshot" `Quick
       (test_classes_golden "s1_subset");

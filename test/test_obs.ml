@@ -284,7 +284,7 @@ let test_causal_chain () =
   Eval.run ev;
   Alcotest.(check int) "ring saw every event" (Eval.events ev)
     (Causal.recorded ring);
-  let steps = Causal.explain_signal ring nl "Q" in
+  let steps = Causal.explain_signal ring ev "Q" in
   Alcotest.(check bool) "chain found" true (List.length steps >= 2);
   let last = List.nth steps (List.length steps - 1) in
   Alcotest.(check string) "chain ends at Q" "Q" last.Causal.st_net;
@@ -304,9 +304,10 @@ let test_explain_violation () =
     (report.Verifier.r_violations <> []);
   let v = List.hd report.Verifier.r_violations in
   let ring = match Obs.ring obs with Some r -> r | None -> assert false in
-  let steps = Causal.explain ring nl v in
+  let ev = report.Verifier.r_eval in
+  let steps = Causal.explain ring ev v in
   Alcotest.(check bool) "violation explained" true (steps <> []);
-  let listing = Obs.explain_all obs nl report.Verifier.r_violations in
+  let listing = Obs.explain_all obs ev report.Verifier.r_violations in
   Alcotest.(check int) "one block per violation"
     (List.length report.Verifier.r_violations)
     (count_substring listing "EXPLAIN ");
@@ -319,7 +320,7 @@ let test_explain_without_tracing () =
   Alcotest.(check bool) "no ring allocated" true (Obs.ring obs = None);
   Alcotest.(check bool) "evaluator hook stayed off" true
     (Eval.event_hook report.Verifier.r_eval = None);
-  let listing = Obs.explain_all obs nl report.Verifier.r_violations in
+  let listing = Obs.explain_all obs report.Verifier.r_eval report.Verifier.r_violations in
   Alcotest.(check int) "blocks still printed"
     (List.length report.Verifier.r_violations)
     (count_substring listing "EXPLAIN ");
@@ -643,7 +644,7 @@ let test_underconstrained_explain () =
     let report = Verifier.verify ~probe:(Obs.probe obs) nl in
     Alcotest.(check bool) "violations exist" true
       (report.Verifier.r_violations <> []);
-    let listing = Obs.explain_all obs nl report.Verifier.r_violations in
+    let listing = Obs.explain_all obs report.Verifier.r_eval report.Verifier.r_violations in
     Alcotest.(check int) "a causal block for every violation"
       (List.length report.Verifier.r_violations)
       (count_substring listing "EXPLAIN ")

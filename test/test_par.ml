@@ -42,9 +42,9 @@ let test_run () =
     (fun () -> ignore (Par.run ~jobs:3 (fun k ->
          if k = 2 then failwith "shard 2" else k)))
 
-(* ---- Netlist.copy ------------------------------------------------------------ *)
+(* ---- evaluators share one netlist ----------------------------------------------- *)
 
-let test_copy_independent () =
+let test_evaluators_independent () =
   let tb = Timebase.make ~period_ns:50.0 ~clock_unit_ns:5.0 in
   let nl = Netlist.create tb ~default_wire_delay:Delay.zero in
   let i = Netlist.signal nl "IN .S0-8" in
@@ -52,16 +52,14 @@ let test_copy_independent () =
   ignore
     (Netlist.add nl (Primitive.Buf { invert = true; delay = Delay.of_ns 1.0 2.0 })
        ~inputs:[ Netlist.conn i ] ~output:(Some q));
-  let before = (Netlist.net nl q).Netlist.n_value in
-  let nl2 = Netlist.copy nl in
-  Alcotest.(check int) "same net count" (Netlist.n_nets nl) (Netlist.n_nets nl2);
-  Alcotest.(check (option int)) "same lookup" (Netlist.find nl "Q") (Netlist.find nl2 "Q");
-  let ev2 = Eval.create nl2 in
-  Eval.run ev2;
-  Alcotest.(check bool) "evaluating the copy leaves the original untouched" true
-    (Waveform.equal before (Netlist.net nl q).Netlist.n_value);
-  Alcotest.(check bool) "the copy itself was evaluated" false
-    (Waveform.equal before (Netlist.net nl2 q).Netlist.n_value)
+  let idle = Eval.create nl in
+  let before = Eval.value idle q in
+  let ev = Eval.create nl in
+  Eval.run ev;
+  Alcotest.(check bool) "evaluating one leaves the other untouched" true
+    (Waveform.equal before (Eval.value idle q));
+  Alcotest.(check bool) "the evaluator that ran was evaluated" false
+    (Waveform.equal before (Eval.value ev q))
 
 (* ---- a circuit that diverges under one case only ------------------------------- *)
 
@@ -381,6 +379,94 @@ let warm_evaluator d =
   in
   (nl, cases, Eval.create ?sched:(if flat then Some (Sched.flat nl) else None) nl)
 
+(* ---- a report's waveforms belong to it ------------------------------------------ *)
+
+(* The CI smoke step's design: netgen seed 4, 300 chips, two broken
+   registers, and its 16 cases over the first four scalar primary
+   inputs asserted stable ("IN k .S..." with the smallest k). *)
+let ci_design () =
+  let nl =
+    (Netgen.to_netlist
+       (Netgen.generate (Netgen.scaled ~seed:4 ~broken_registers:2 ~chips:300 ())))
+      .Scald_sdl.Expander.e_netlist
+  in
+  let inputs = ref [] in
+  Netlist.iter_nets nl (fun n ->
+      match String.split_on_char ' ' n.Netlist.n_name with
+      | [ "IN"; k; a ] when String.starts_with ~prefix:".S" a -> (
+        match int_of_string_opt k with
+        | Some k -> inputs := (k, n.Netlist.n_name) :: !inputs
+        | None -> ())
+      | _ -> ());
+  let first4 =
+    List.filteri (fun i _ -> i < 4) (List.sort compare !inputs) |> List.map snd
+  in
+  let cases =
+    List.init 16 (fun k ->
+        List.mapi
+          (fun b name -> (name, if (k lsr b) land 1 = 1 then Tvalue.V1 else Tvalue.V0))
+          first4)
+  in
+  (nl, cases)
+
+(* The causal traces print each signal's final value: at every job count
+   it is the value the last case left, not whatever another shard's
+   evaluation left behind. *)
+let test_explain_same_at_every_jobs () =
+  let nl, cases = ci_design () in
+  Alcotest.(check int) "sixteen cases over four inputs" 16 (List.length cases);
+  List.iter
+    (fun spec ->
+      let explain jobs =
+        let obs = Scald_obs.Obs.create ~trace_buffer:4096 () in
+        let r =
+          Verifier.verify ~probe:(Scald_obs.Obs.probe obs) ~cases ~jobs
+            ~corners:(Corner.of_spec spec) nl
+        in
+        Alcotest.(check bool) (spec ^ ": violations to explain") true
+          (r.Verifier.r_violations <> []);
+        Scald_obs.Obs.explain_all obs r.Verifier.r_eval r.Verifier.r_violations
+      in
+      let j1 = explain 1 in
+      Alcotest.(check string) (spec ^ ": -j 3 explains as -j 1") j1 (explain 3))
+    [ "typ"; "typ,slow,fast" ]
+
+let load_s1_subset () =
+  let src = In_channel.with_open_bin "../examples/s1_subset.sdl" In_channel.input_all in
+  match Scald_sdl.Expander.load src with
+  | Ok e -> e.Scald_sdl.Expander.e_netlist
+  | Error m -> Alcotest.fail m
+
+(* A second verification of the same netlist leaves the first report's
+   listing and waveforms, on every lane, as they were. *)
+let test_report_owns_waveforms () =
+  let nl = load_s1_subset () in
+  let corners = Corner.of_spec "typ,slow" in
+  let verify v =
+    Verifier.verify ~corners
+      ~cases:(Case_analysis.parse_exn (Printf.sprintf "BYPASS .S0-8 = %d;\n" v))
+      nl
+  in
+  let snapshot (r : Verifier.report) =
+    let ev = r.Verifier.r_eval in
+    ( Format.asprintf "%a" Report.pp_summary ev,
+      List.init (Eval.n_corners ev) (fun lane -> waveforms ~lane nl ev) )
+  in
+  let first = verify 0 in
+  let summary, lanes = snapshot first in
+  Alcotest.(check int) "two lanes" 2 (List.length lanes);
+  let second = verify 1 in
+  Alcotest.(check bool) "the second case moves some waveform" true
+    (fst (snapshot second) <> summary);
+  let summary', lanes' = snapshot first in
+  Alcotest.(check string) "first summary unchanged" summary summary';
+  List.iteri
+    (fun lane (a, b) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "first report's lane %d unchanged" lane)
+        true (List.for_all2 Waveform.equal a b))
+    (List.combine lanes lanes')
+
 let properties =
   [
     prop "warm-start equals a fresh evaluation of every case" gen_warm (fun input ->
@@ -412,7 +498,8 @@ let suite =
   [
     Alcotest.test_case "shards" `Quick test_shards;
     Alcotest.test_case "run" `Quick test_run;
-    Alcotest.test_case "netlist copy is independent" `Quick test_copy_independent;
+    Alcotest.test_case "evaluators on one netlist are independent" `Quick
+      test_evaluators_independent;
     Alcotest.test_case "divergence not masked" `Quick test_divergence_not_masked;
     Alcotest.test_case "divergence shown in pp" `Quick test_divergence_shown_in_pp;
     Alcotest.test_case "jobs equal on diverging circuit" `Quick
@@ -420,5 +507,9 @@ let suite =
     Alcotest.test_case "jobs clamped and validated" `Quick test_jobs_clamped_and_validated;
     Alcotest.test_case "event stream replayed in case order" `Quick
       test_event_stream_replayed_in_case_order;
+    Alcotest.test_case "explain is the same at every jobs" `Quick
+      test_explain_same_at_every_jobs;
+    Alcotest.test_case "a report's waveforms belong to it" `Quick
+      test_report_owns_waveforms;
   ]
   @ properties

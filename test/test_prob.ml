@@ -82,6 +82,13 @@ let test_correlation_bounds () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "correlation > 1 should be rejected"
 
+(* NaN fails every comparison, so a range check written as two
+   rejections would let it through. *)
+let test_correlation_nan () =
+  match Prob_analysis.analyze ~correlation:Float.nan (make_nl ()) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a NaN correlation should be rejected"
+
 (* ---- CORR advisor ----------------------------------------------------------- *)
 
 let test_advisor_flags_feedback () =
@@ -132,6 +139,7 @@ let suite =
     Alcotest.test_case "fully correlated equals minmax" `Quick
       test_fully_correlated_equals_minmax;
     Alcotest.test_case "correlation bounds" `Quick test_correlation_bounds;
+    Alcotest.test_case "correlation NaN rejected" `Quick test_correlation_nan;
     Alcotest.test_case "advisor flags feedback" `Quick test_advisor_flags_feedback;
     Alcotest.test_case "advisor satisfied with CORR" `Quick test_advisor_satisfied_with_corr;
     Alcotest.test_case "advisor recommendation suffices" `Quick

@@ -115,7 +115,6 @@ let corner_lane0_matches_scalar (c : Test_par.corner_recipe) =
   let corners = Corner.of_spec c.co_spec in
   let render vs = List.map (Format.asprintf "%a" Check.pp) vs in
   let snapshot (r : Verifier.report) =
-    (* captured before the next verify mutates the shared netlist *)
     ( render r.Verifier.r_violations,
       List.map
         (fun (cr : Verifier.case_result) ->

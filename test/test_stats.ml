@@ -1,14 +1,14 @@
 open Scald_core
 module Circuits = Scald_cells.Circuits
 
+(* The evaluator of a verified register-file example: the storage
+   accounting reads its waveforms, the census its netlist. *)
 let evaluated_register_file () =
   let c = Circuits.register_file_example () in
-  let report = Verifier.verify c.Circuits.rf_netlist in
-  ignore report;
-  c.Circuits.rf_netlist
+  (Verifier.verify c.Circuits.rf_netlist).Verifier.r_eval
 
 let test_census () =
-  let nl = evaluated_register_file () in
+  let nl = Eval.netlist (evaluated_register_file ()) in
   let census = Stats.primitive_census nl in
   let count name =
     match List.find_opt (fun (n, _, _) -> n = name) census with
@@ -23,15 +23,16 @@ let test_census () =
   Alcotest.(check int) "total" (Netlist.n_insts nl) (Stats.total_primitives census)
 
 let test_unvectored () =
-  let nl = evaluated_register_file () in
+  let nl = Eval.netlist (evaluated_register_file ()) in
   (* without vector symmetry the 32-bit paths would need one primitive
      per bit *)
   Alcotest.(check bool) "unvectored larger" true
     (Stats.unvectored_count nl > Netlist.n_insts nl)
 
 let test_storage_consistency () =
-  let nl = evaluated_register_file () in
-  let s = Stats.storage_of nl in
+  let ev = evaluated_register_file () in
+  let nl = Eval.netlist ev in
+  let s = Stats.storage_of ev in
   Alcotest.(check bool) "total positive" true (Stats.total s > 0);
   Alcotest.(check int) "total is the sum" (Stats.total s)
     (s.Stats.circuit_description + s.Stats.signal_values + s.Stats.signal_names
@@ -42,32 +43,32 @@ let test_storage_consistency () =
         (Netlist.nets nl))
 
 let test_value_records () =
-  let nl = evaluated_register_file () in
-  let mean = Stats.value_records_per_signal nl in
+  let ev = evaluated_register_file () in
+  let mean = Stats.value_records_per_signal ev in
   Alcotest.(check bool)
     (Printf.sprintf "mean records %.2f reasonable" mean)
     true (mean >= 1. && mean <= 10.);
-  let bytes = Stats.bytes_per_signal_value nl in
+  let bytes = Stats.bytes_per_signal_value ev in
   (* 5-field base + 3 fields per record, 4 bytes per field *)
   Alcotest.(check (float 0.01)) "bytes formula" ((5. +. (3. *. mean)) *. 4.) bytes
 
-(* [storage_of] must also work before any evaluation: every net still
-   holds its initial one-segment Unknown waveform, so the accounting
-   sees exactly one value record per signal value list. *)
+(* [storage_of] must also work before any evaluation: a fresh
+   evaluator holds the one-segment Unknown waveform on every net, so the
+   accounting sees exactly one value record per signal value list. *)
 let test_storage_unevaluated () =
   let c = Circuits.register_file_example () in
   let nl = c.Circuits.rf_netlist in
-  let s = Stats.storage_of nl in
+  let fresh = Eval.create nl in
+  let s = Stats.storage_of fresh in
   Alcotest.(check bool) "total positive" true (Stats.total s > 0);
   Alcotest.(check bool) "signal values accounted" true (s.Stats.signal_values > 0);
   Alcotest.(check (float 0.0001)) "one record per unevaluated signal" 1.0
-    (Stats.value_records_per_signal nl);
+    (Stats.value_records_per_signal fresh);
   Alcotest.(check (float 0.01)) "bytes formula holds unevaluated"
     ((5. +. 3.) *. 4.)
-    (Stats.bytes_per_signal_value nl);
+    (Stats.bytes_per_signal_value fresh);
   (* evaluation only grows the waveform storage *)
-  ignore (Verifier.verify nl);
-  let s' = Stats.storage_of nl in
+  let s' = Stats.storage_of (Verifier.verify nl).Verifier.r_eval in
   Alcotest.(check bool) "evaluation grows signal values" true
     (s'.Stats.signal_values >= s.Stats.signal_values);
   Alcotest.(check int) "static sections unchanged" s.Stats.circuit_description
@@ -91,7 +92,7 @@ let test_storage_s1_pinned () =
     | Error e -> Alcotest.fail e
   in
   let nl = e.Scald_sdl.Expander.e_netlist in
-  let s = Stats.storage_of nl in
+  let s = Stats.storage_of (Eval.create nl) in
   Alcotest.(check int) "circuit description" 8996 s.Stats.circuit_description;
   Alcotest.(check int) "signal values" 11360 s.Stats.signal_values;
   Alcotest.(check int) "signal names" 2128 s.Stats.signal_names;
@@ -100,8 +101,7 @@ let test_storage_s1_pinned () =
   Alcotest.(check int) "miscellaneous" 259 s.Stats.miscellaneous;
   Alcotest.(check int) "total" 26213 (Stats.total s);
   Alcotest.(check int) "value lists" 355 (Stats.n_value_lists nl);
-  ignore (Verifier.verify nl);
-  let s' = Stats.storage_of nl in
+  let s' = Stats.storage_of (Verifier.verify nl).Verifier.r_eval in
   Alcotest.(check int) "signal values after verify" 20540 s'.Stats.signal_values;
   Alcotest.(check int) "miscellaneous after verify" 351 s'.Stats.miscellaneous;
   Alcotest.(check int) "total after verify" 35485 (Stats.total s')
