@@ -56,6 +56,13 @@ val check_setup_hold :
     data input must be stable from [setup] before the earliest rise
     until [hold] after the latest rise. *)
 
+val pair_falling :
+  Timebase.ps -> Waveform.window -> Waveform.window list -> Waveform.window option
+(** [pair_falling period r fallings] is the falling window a SETUP RISE
+    HOLD FALL check pairs with the rising window [r]: the first whose
+    start follows [r]'s start, modulo [period].  [None] when [fallings]
+    is empty. *)
+
 val check_setup_rise_hold_fall :
   inst:string ->
   signal:string ->

@@ -101,6 +101,8 @@ type t = {
   gen : int array;
       (* per-net generation stamp, bumped on every assignment to the
          net's value or evaluation string on any lane; keys the memos *)
+  moved : Bytes.t;  (* per net: its stamp moved since the last reset *)
+  mutable n_moved : int;  (* nets marked in [moved] *)
   eval_str : Directive.t array;
       (* per-net evaluation string carried by the value, consumed one
          letter per level of gating (§2.8) *)
@@ -210,6 +212,8 @@ let create ?sched nl =
       nl;
       sched;
       gen = Array.make n_nets 0;
+      moved = Bytes.make n_nets '\000';
+      n_moved = 0;
       eval_str = Array.make n_nets [];
       buckets = Array.init (max 1 (Sched.n_levels sched)) (fun _ -> Queue.create ());
       cur_level = 0;
@@ -258,6 +262,7 @@ let events t = t.events
 let evaluations t = t.evals
 let converged t = t.converged
 let check_hits t = t.check_hits
+let nets_moved t = t.n_moved
 
 let count_request t = t.requests <- t.requests + 1
 
@@ -273,7 +278,9 @@ let reset_counters t =
   t.check_hits <- 0;
   t.lanes_shared <- 0;
   t.evals_saved <- 0;
-  Array.fill t.evals_by_kind 0 n_kinds 0
+  Array.fill t.evals_by_kind 0 n_kinds 0;
+  Bytes.fill t.moved 0 (Bytes.length t.moved) '\000';
+  t.n_moved <- 0
 
 type counters = {
   c_requests : int;
@@ -395,11 +402,15 @@ let initial_value t (n : Netlist.net) =
   in
   apply_case t n.n_id base
 
-(* Every stamp move goes through [bump], which logs the net on every
-   lane for the check pass: its own verdict and its fanout's may have
-   moved. *)
+(* Every stamp move goes through [bump], which marks the net as moved
+   and logs it on every lane for the check pass: its own verdict and its
+   fanout's may have moved. *)
 let bump t id =
   t.gen.(id) <- t.gen.(id) + 1;
+  if Bytes.unsafe_get t.moved id = '\000' then begin
+    Bytes.unsafe_set t.moved id '\001';
+    t.n_moved <- t.n_moved + 1
+  end;
   for c = 0 to Array.length t.lanes - 1 do
     log_add t.lanes.(c).l_dirty_nets id stamp
   done

@@ -142,6 +142,13 @@ val converged : t -> bool
     tracking convergence across a case list must sample it after each
     case (see {!Verifier.case_result.cr_converged}). *)
 
+val nets_moved : t -> int
+(** Distinct nets whose generation stamp moved since creation (or the
+    last {!reset_counters}): every net an evaluation, an initialization,
+    a case re-initialization or a {!touch_net}/{!reassert_net} gave a
+    new value, evaluation string or stamp, on any lane.  A session
+    reports it as [st_dirtied_nets] (doc/SERVICE.md). *)
+
 val reset_counters : t -> unit
 
 val count_request : t -> unit

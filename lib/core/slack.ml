@@ -42,31 +42,50 @@ let margin_after data t =
 let window_slack ~required ~margin ~window_ok =
   if window_ok then margin - required else -required
 
+(* One row of a data checker against its clock, at cycle time [at]. *)
+let clock_row ~inst ~signal ~clock ~p kind required slack at =
+  {
+    e_inst = inst;
+    e_signal = signal;
+    e_clock = Some clock;
+    e_kind = kind;
+    e_required = required;
+    e_slack = slack;
+    e_at = wrap p at;
+  }
+
 let setup_hold_entries ~inst ~signal ~clock ~setup ~hold ~data ~ck =
-  let p = Waveform.period ck in
+  let row = clock_row ~inst ~signal ~clock ~p:(Waveform.period ck) in
   Waveform.rising_windows ck
   |> List.concat_map (fun { Waveform.w_start = ws; w_stop = we } ->
          let window_ok = Waveform.stable_over data ~start:ws ~width:(we - ws) in
-         let setup_entry =
-           {
-             e_inst = inst;
-             e_signal = signal;
-             e_clock = Some clock;
-             e_kind = Setup;
-             e_required = setup;
-             e_slack = window_slack ~required:setup ~margin:(margin_before data ws) ~window_ok;
-             e_at = wrap p ws;
-           }
-         in
-         let hold_entry =
-           {
-             setup_entry with
-             e_kind = Hold;
-             e_required = hold;
-             e_slack = window_slack ~required:hold ~margin:(margin_after data we) ~window_ok;
-           }
-         in
-         [ setup_entry; hold_entry ])
+         [
+           row Setup setup
+             (window_slack ~required:setup ~margin:(margin_before data ws) ~window_ok)
+             ws;
+           row Hold hold
+             (window_slack ~required:hold ~margin:(margin_after data we) ~window_ok)
+             ws;
+         ])
+
+(* SETUP RISE HOLD FALL, measured the way {!Check.check_setup_rise_hold_fall}
+   checks it: set-up before the rising edge, hold after the falling edge
+   it pairs with, which is that row's AT.  A rising window with no
+   falling one to pair is not checked, so it has no rows. *)
+let rise_fall_entries ~inst ~signal ~clock ~setup ~hold ~data ~ck =
+  let p = Waveform.period ck in
+  let row = clock_row ~inst ~signal ~clock ~p in
+  let falling = Waveform.falling_windows ck in
+  Waveform.rising_windows ck
+  |> List.concat_map (fun r ->
+         match Check.pair_falling p r falling with
+         | None -> []
+         | Some f ->
+           let rise = r.Waveform.w_start and fall = f.Waveform.w_stop in
+           [
+             row Setup setup (margin_before data rise - setup) rise;
+             row Hold hold (margin_after data fall - hold) fall;
+           ])
 
 let pulse_entries ~inst ~signal ~required ~kind ~value wf =
   if required <= 0 then []
@@ -91,11 +110,15 @@ let entries_of_inst ev lane (inst : Netlist.inst) =
   let nl = Eval.netlist ev in
   let net_name i = (Netlist.net nl inst.Netlist.i_inputs.(i).Netlist.c_net).Netlist.n_name in
   match inst.Netlist.i_prim with
-  | Primitive.Setup_hold_check { setup; hold }
-  | Primitive.Setup_rise_hold_fall_check { setup; hold } ->
+  | Primitive.Setup_hold_check { setup; hold } ->
     let data = Eval.input_waveform ev lane inst 0
     and ck = Eval.input_waveform ev lane inst 1 in
     setup_hold_entries ~inst:inst.Netlist.i_name ~signal:(net_name 0) ~clock:(net_name 1)
+      ~setup ~hold ~data ~ck
+  | Primitive.Setup_rise_hold_fall_check { setup; hold } ->
+    let data = Eval.input_waveform ev lane inst 0
+    and ck = Eval.input_waveform ev lane inst 1 in
+    rise_fall_entries ~inst:inst.Netlist.i_name ~signal:(net_name 0) ~clock:(net_name 1)
       ~setup ~hold ~data ~ck
   | Primitive.Min_pulse_width { high; low } ->
     let wf = Eval.input_waveform ev lane inst 0 in

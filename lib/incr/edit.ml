@@ -55,9 +55,9 @@ let apply nl = function
   | Cases cases -> { no_effect with a_cases = Some cases }
   | Corners tbl ->
     Netlist.set_corners nl tbl;
-    (* every scaled delay in the design changes: the whole netlist is
-       the dirty cone (the session also rebuilds its evaluator — the
-       lane count is fixed at Eval.create time) *)
+    (* every scaled delay in the design changes: every net is touched
+       (the session also rebuilds its evaluator — the lane count is
+       fixed at Eval.create time) *)
     { no_effect with a_touched_nets = List.init (Netlist.n_nets nl) Fun.id }
 
 (* Validate an edit against a netlist without mutating anything, so a

@@ -5,8 +5,8 @@
     assertions, directives, the case group — never its structure.  An
     edit both mutates the netlist (via the {!Scald_core.Netlist}
     post-construction setters) and reports which nets and instances the
-    evaluator must wake, from which {!Session.reverify} computes the
-    dirty output cone. *)
+    evaluator must wake; {!Session.reverify} wakes them, and the
+    evaluator's work list carries the change as far as it goes. *)
 
 open Scald_core
 
@@ -52,7 +52,9 @@ val check : Netlist.t -> t -> (unit, string) result
     staged. *)
 
 val apply : Netlist.t -> t -> applied
-(** Mutate the netlist and report the seeds of the dirty cone.
+(** Mutate the netlist and report what the edit touched: the nets
+    whose stamps the session bumps, the nets it re-asserts, the
+    instances it re-evaluates and a new case group.
     @raise Invalid_argument on an unknown signal/instance name or an
     ill-typed edit (e.g. an element delay on a checker). *)
 

@@ -20,7 +20,6 @@ type t = {
   mutable sv_warm_hits : int;
   mutable sv_last_report : Verifier.report option;
   sv_kind_hist : (string, Scald_obs.Hist.t) Hashtbl.t;  (* request wall µs *)
-  sv_phase_hist : (string, Scald_obs.Hist.t) Hashtbl.t;  (* span µs by name *)
   mutable sv_spans_seen : int;  (* profiler spans consumed so far *)
   mutable sv_lanes : (int * string) list;  (* trace lanes, newest first *)
   mutable sv_mem : Scald_obs.Mem.snapshot;
@@ -45,7 +44,6 @@ let create ?obs ?(telemetry = true) ?(slow_ms = infinity) ?log ?prom () =
     sv_warm_hits = 0;
     sv_last_report = None;
     sv_kind_hist = Hashtbl.create 8;
-    sv_phase_hist = Hashtbl.create 16;
     sv_spans_seen = Scald_obs.Span.n_completed (Scald_obs.Obs.profiler sv_obs);
     sv_lanes = [];
     sv_mem = Scald_obs.Mem.zero;
@@ -92,23 +90,12 @@ let hist_for tbl name =
     Hashtbl.add tbl name h;
     h
 
-(* Fold the spans the last request produced into the per-phase
-   histograms.  O(spans this request), not O(all spans ever): the
-   profiler's completed list is newest-first, so [recent] takes just
-   the fresh suffix. *)
+(* How many spans the last request produced: a request that produced
+   any gets its own named trace lane. *)
 let consume_spans t =
-  let prof = Scald_obs.Obs.profiler t.sv_obs in
-  let n = Scald_obs.Span.n_completed prof in
+  let n = Scald_obs.Span.n_completed (Scald_obs.Obs.profiler t.sv_obs) in
   let fresh = n - t.sv_spans_seen in
-  if fresh > 0 then begin
-    List.iter
-      (fun (s : Scald_obs.Span.span) ->
-        Scald_obs.Hist.add
-          (hist_for t.sv_phase_hist s.Scald_obs.Span.s_name)
-          s.Scald_obs.Span.s_dur_us)
-      (Scald_obs.Span.recent prof fresh);
-    t.sv_spans_seen <- n
-  end;
+  t.sv_spans_seen <- n;
   fresh
 
 (* Memory + bytes-per-primitive sampling.  [full] reads /proc and
@@ -313,6 +300,9 @@ let do_load t j =
   let* src = source_of j in
   let* cases = cases_of j in
   let* { Scald_sdl.Expander.e_netlist = nl; _ } = Scald_sdl.Expander.load src in
+  (* a case group naming a signal the design lacks fails the load on
+     every path — cold, warm or adopted — before the store sees it *)
+  let* () = Edit.check nl (Edit.Cases cases) in
   let probe =
     if t.sv_telemetry then Some (Scald_obs.Obs.probe t.sv_obs) else None
   in
@@ -517,10 +507,16 @@ let write_metrics t path =
     Scald_obs.Obs.write_metrics ~extra:(extra_counters t) t.sv_obs ~report path;
     true
 
+let request_op req = Option.value (Option.bind (Json.member "op" req) Json.str) ~default:""
+
+(* How a response or log line names a request's op: "?" when it has
+   none. *)
+let op_label op = if op = "" then "?" else op
+
 let handle t req =
   t.sv_requests <- t.sv_requests + 1;
   let reqno = t.sv_requests in
-  let op = Option.value (Option.bind (Json.member "op" req) Json.str) ~default:"" in
+  let op = request_op req in
   let t_start = if t.sv_telemetry then Scald_obs.Obs.now_us t.sv_obs else 0.0 in
   (* one lane per request: every span recorded while it runs — the
      req:* wrapper plus the nested Session/Eval phases — lands on the
@@ -561,16 +557,14 @@ let handle t req =
       (* between the full sampling points only the prom exporter reads
          the snapshot, so only it pays the per-request GC sample *)
       if t.sv_prom <> None then refresh_resources t);
-    log_request t ~reqno
-      ~op:(if op = "" then "?" else op)
-      ~ok:succeeded ~dur_us ~slow;
+    log_request t ~reqno ~op:(op_label op) ~ok:succeeded ~dur_us ~slow;
     match t.sv_prom with
     | Some path -> Scald_obs.Prom.write_file path (prom_families t)
     | None -> ()
   end;
   match result with
   | Ok resp -> (resp, op <> "shutdown")
-  | Error msg -> (error ~op:(if op = "" then "?" else op) msg, true)
+  | Error msg -> (error ~op:(op_label op) msg, true)
 
 let handle_line t line =
   match Json.parse line with
@@ -581,12 +575,9 @@ let handle_line t line =
   | Ok req -> (
     match handle t req with
     | resp, cont -> (Json.to_string resp, cont)
-    | exception Invalid_argument msg | exception Failure msg ->
+    | exception (Invalid_argument msg | Failure msg | Sys_error msg) ->
       t.sv_errors <- t.sv_errors + 1;
-      (Json.to_string (error msg), true)
-    | exception Sys_error msg ->
-      t.sv_errors <- t.sv_errors + 1;
-      (Json.to_string (error msg), true))
+      (Json.to_string (error ~op:(op_label (request_op req)) msg), true))
 
 let write_trace t path =
   Scald_obs.Obs.write_profile ~process_name:"scald_tv serve" ~lanes:(lanes t)

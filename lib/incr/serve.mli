@@ -5,8 +5,9 @@
     [load], [delta], [verify], [stats], [health], [shutdown].  The
     service prints a [hello] banner (version, protocol, metrics
     schema) before reading the first request, and answers every
-    malformed request with [{"ok": false, "error": ...}] without
-    dying.
+    malformed request with [{"op": ..., "ok": false, "error": ...}],
+    naming the request's op (["?"] when it has none; no [op] at all
+    for a line that is not JSON), without dying.
 
     The loop is strictly sequential: a request runs to completion
     before the next line is read, which is what lets sessions mutate
@@ -18,11 +19,10 @@
     observability handle's clock into a per-kind {!Scald_obs.Hist}
     (so [stats]/[health] report deterministic p50/p90/p99 — inject a
     fake clock and the quantiles are reproducible), every span the
-    request produces is folded into per-phase histograms and stamped
-    with the request's trace lane (one Chrome-trace track per
-    request), and memory / bytes-per-primitive snapshots are taken at
-    request boundaries — the expensive parts (procfs, O(design) size
-    walk) only at [load]/[stats]/[health].  Optional sinks: a JSONL
+    request produces is stamped with the request's trace lane (one
+    Chrome-trace track per request), and memory / bytes-per-primitive
+    snapshots are taken at request boundaries — the expensive parts
+    (procfs, O(design) size walk) only at [load]/[stats]/[health].  Optional sinks: a JSONL
     request log with a slow-request threshold, and a Prometheus
     text-format file atomically rewritten after each request
     (doc/OBSERVABILITY.md, "Service telemetry"). *)

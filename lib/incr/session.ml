@@ -25,17 +25,12 @@ type t = {
      attribute each phase to its request *)
   s_probe : Verifier.probe option;
   mutable s_cases : Case_analysis.case list;
-  mutable s_case_nets : int list;
   mutable s_pending : Edit.t list;  (* reversed: newest first *)
   mutable s_report : Verifier.report;
   mutable s_cum : Eval.counters;
   mutable s_requests : int;
   mutable s_last : stats;
 }
-
-let resolved_case_nets nl cases =
-  List.sort_uniq compare
-    (List.concat_map (fun c -> List.map fst (Case_analysis.resolve nl c)) cases)
 
 let load ?(cases = []) ?probe ?content nl =
   let report = Verifier.verify ~cases ~jobs:1 ?probe nl in
@@ -49,7 +44,6 @@ let load ?(cases = []) ?probe ?content nl =
       s_ev = ev;
       s_probe = probe;
       s_cases = cases;
-      s_case_nets = resolved_case_nets nl cases;
       s_pending = [];
       s_report = report;
       s_cum = Eval.zero_counters;
@@ -68,7 +62,7 @@ let load ?(cases = []) ?probe ?content nl =
   in
   (* The cold run's last check pass left every lane's verdicts current
      and its dirty logs empty, so the first re-verify re-derives only
-     the verdicts of its dirty cone. *)
+     the verdicts its edits moved. *)
   Eval.count_request ev;
   t.s_cum <- Eval.counters ev;
   t
@@ -91,57 +85,16 @@ let listing_string (r : Verifier.report) =
 
 let listing t = listing_string t.s_report
 
-(* Forward closure over the instance graph: an instance is dirty when a
-   seed net reaches one of its inputs (transitively).  This is the
-   output cone of the edit over the same structure [Sched] condensed —
-   feedback components are handled naturally, since their members reach
-   each other through their output nets.  Its nets are what
-   [st_dirtied_nets] counts; the evaluator's own work list and dirty
-   logs decide what is re-evaluated and re-checked. *)
-let dirty_cone nl ~seed_nets ~seed_insts =
-  let n_insts = Netlist.n_insts nl and n_nets = Netlist.n_nets nl in
-  let inst_dirty = Array.make (max 1 n_insts) false in
-  let net_dirty = Array.make (max 1 n_nets) false in
-  let q = Queue.create () in
-  let add id =
-    if not inst_dirty.(id) then begin
-      inst_dirty.(id) <- true;
-      Queue.add id q
-    end
-  in
-  List.iter
-    (fun nid ->
-      net_dirty.(nid) <- true;
-      Netlist.iter_fanout (Netlist.net nl nid) add)
-    seed_nets;
-  List.iter add seed_insts;
-  while not (Queue.is_empty q) do
-    let id = Queue.take q in
-    match (Netlist.inst nl id).i_output with
-    | None -> ()
-    | Some o ->
-      if not net_dirty.(o) then begin
-        net_dirty.(o) <- true;
-        Netlist.iter_fanout (Netlist.net nl o) add
-      end
-  done;
-  net_dirty
-
 let reverify ?(carry_counters = true) t =
   let nl = t.s_nl in
-  (* [span] stays let-bound polymorphic, like the wrapper in
-     [Verifier.verify]: it wraps unit-, pair- and list-returning
-     phases below. *)
-  let span : 'a. string -> (unit -> 'a) -> 'a =
-   fun name f ->
+  let span name f =
     match t.s_probe with None -> f () | Some p -> p.Verifier.pr_span name f
   in
   t.s_requests <- t.s_requests + 1;
   let edits = List.rev t.s_pending in
   t.s_pending <- [];
-  (* 1. apply the staged edits, collecting cone seeds *)
+  (* 1. apply the staged edits *)
   let touched_nets = ref [] and reinit_nets = ref [] and touched_insts = ref [] in
-  let new_cases = ref None in
   span "apply" (fun () ->
       List.iter
         (fun e ->
@@ -149,14 +102,8 @@ let reverify ?(carry_counters = true) t =
           touched_nets := a.Edit.a_touched_nets @ !touched_nets;
           reinit_nets := a.Edit.a_reinit_nets @ !reinit_nets;
           touched_insts := a.Edit.a_touched_insts @ !touched_insts;
-          match a.Edit.a_cases with Some cs -> new_cases := Some cs | None -> ())
+          match a.Edit.a_cases with Some cs -> t.s_cases <- cs | None -> ())
         edits);
-  let old_case_nets = t.s_case_nets in
-  (match !new_cases with
-  | Some cs ->
-    t.s_cases <- cs;
-    t.s_case_nets <- resolved_case_nets nl cs
-  | None -> ());
   (* A corners edit changed the lane count, which is fixed at
      [Eval.create] time: swap in a fresh evaluator (cold — its first run
      below re-initializes every net, and its memos start empty).  The
@@ -172,37 +119,17 @@ let reverify ?(carry_counters = true) t =
   let touched_nets = List.sort_uniq compare !touched_nets in
   let reinit_nets = List.sort_uniq compare !reinit_nets in
   let touched_insts = List.sort_uniq compare !touched_insts in
-  (* The case sweep below replays every case group, so the cones of all
-     case-mapped nets — old and new — are dirty alongside the cones of
-     the edits. *)
-  let seed_nets =
-    List.sort_uniq compare
-      (touched_nets @ reinit_nets @ old_case_nets @ t.s_case_nets)
-  in
-  (* A re-asserted or case-mapped net that is driven is recomputed by
-     re-running its driver ([Eval.reassert_net], the §2.7 path in
-     [Eval.run]) — the driver is therefore in the cone even though it
-     sits upstream of the seed, not in its fanout. *)
-  let seed_insts =
-    List.sort_uniq compare
-      (touched_insts
-      @ List.filter_map
-          (fun nid -> (Netlist.net nl nid).n_driver)
-          (reinit_nets @ old_case_nets @ t.s_case_nets))
-  in
-  (* 2. count the nets the request may move *)
-  let net_dirty = span "cone" (fun () -> dirty_cone nl ~seed_nets ~seed_insts) in
-  (* 3. inject the edits into the evaluator: bump stamps, wake cones;
+  (* 2. inject the edits into the evaluator: bump stamps, wake cones;
      an instance-parameter edit moves no stamp, so [touch_inst] logs
      the instance for the next check pass on every lane *)
   List.iter (Eval.touch_net ev) touched_nets;
   List.iter (Eval.reassert_net ev) reinit_nets;
   List.iter (Eval.touch_inst ev) touched_insts;
-  (* 4. replay the case sweep; the check passes re-derive only the
+  (* 3. replay the case sweep; the check passes re-derive only the
      verdicts whose input stamps moved *)
   let case_list = match t.s_cases with [] -> [ [] ] | cs -> cs in
   let paired = List.mapi (Verifier.run_case ?probe:t.s_probe ev nl) case_list in
-  (* 5. merge counters and build the report in Verifier.verify's shape *)
+  (* 4. merge counters and build the report in Verifier.verify's shape *)
   let c = Eval.counters ev in
   t.s_cum <- Eval.merge_counters t.s_cum c;
   let report =
@@ -211,13 +138,13 @@ let reverify ?(carry_counters = true) t =
       paired c ev
   in
   t.s_report <- report;
-  (* 6. re-serialize the edited nets and instances alone — the case
-     cones in [net_dirty] move waveforms, never parameters; the content
-     digest itself is re-hashed on demand, off this path *)
+  (* 5. re-serialize the edited nets and instances alone — the case
+     sweep moves waveforms, never parameters; the content digest itself
+     is re-hashed on demand, off this path *)
   span "fingerprint" (fun () ->
       Fingerprint.refresh t.s_content nl ~nets:(touched_nets @ reinit_nets)
         ~insts:touched_insts);
-  let dirtied = Array.fold_left (fun a d -> if d then a + 1 else a) 0 net_dirty in
+  let dirtied = Eval.nets_moved ev in
   let st =
     {
       st_requests = t.s_requests;

@@ -6,9 +6,6 @@
     with {!stage} and replayed by {!reverify}, which:
 
     + applies the staged edits to the netlist;
-    + counts the {e dirty cone} — the forward closure, over the
-      instance graph, of every edited net plus the nets mapped by any
-      (old or new) case group ({!stats});
     + bumps the generation stamps of the edited nets and wakes their
       fanout, so every generation-keyed cache outside the edit's cone
       keeps its value (a corners edit swaps in a fresh evaluator
@@ -18,7 +15,10 @@
       logs, {!Scald_core.Eval.check});
     + merges cached and fresh violations into a report with the exact
       shape, content and order of a cold {!Scald_core.Verifier.verify}
-      of the edited design.
+      of the edited design;
+    + reports, in {!stats}, how many nets the request moved: the
+      evaluator counts them as it works ({!Scald_core.Eval.nets_moved}),
+      so no second walk of the design is made.
 
     The bit-identity guarantee covers verdicts — the violation list and
     its order, per-case convergence, the unasserted cross-reference, the
@@ -35,8 +35,14 @@ type t
 
 type stats = {
   st_requests : int;  (** verify requests served so far, this one included *)
-  st_reused_nets : int;  (** nets outside the dirty cone (waveform reused) *)
-  st_dirtied_nets : int;  (** nets inside the dirty cone *)
+  st_reused_nets : int;
+      (** nets the request left alone: [n_nets - st_dirtied_nets] *)
+  st_dirtied_nets : int;
+      (** distinct nets whose generation stamp the request moved
+          ({!Scald_core.Eval.nets_moved}): edited and re-asserted nets,
+          case re-initializations and every net an evaluation changed,
+          on any corner.  All of them on a cold load or a corners
+          edit *)
   st_warm_hits : int;
       (** verdicts the check passes served from the evaluator's memo
           ({!Scald_core.Eval.check_hits}), over every case and corner *)
@@ -64,16 +70,17 @@ val load :
 
     [probe] is kept for the session's lifetime: the cold verify runs
     under it, and every later {!reverify} wraps its phases ([apply],
-    [cone], [evaluate:caseN], [check:caseN], [fingerprint]) in
+    [evaluate:caseN], [check:caseN], [fingerprint]) in
     [pr_span] (plus [check:caseN:corners] on a multi-corner design)
     — so a serve daemon that sets a trace lane per request
     (see {!Scald_obs.Span.set_lane}) gets correctly attributed
     per-request spans instead of one interleaved stream. *)
 
 val reverify : ?carry_counters:bool -> t -> Verifier.report * stats
-(** Apply the staged edits and re-verify the dirty cone.  With no edits
-    staged, re-verifies the case-mapped cones only (cheap, and a useful
-    self-check).
+(** Apply the staged edits and re-verify what they moved: the
+    evaluator's work list re-evaluates only the instances an edit or a
+    case change woke.  With no edits staged, replays the case sweep only
+    (cheap, and a useful self-check).
 
     [carry_counters] (default [true]) selects what the report's [r_obs]
     block carries: the session's {e cumulative} counters — so a

@@ -1,7 +1,8 @@
 open Scald_core
 
 let audit ?(rules = Rules.all) nl =
-  let findings = List.concat_map (fun (r : Rules.rule) -> r.Rules.check nl) rules in
+  let input = Rules.input nl in
+  let findings = List.concat_map (fun (r : Rules.rule) -> r.Rules.check input) rules in
   {
     Lint_report.findings = List.stable_sort Lint_report.compare_finding findings;
     nets_audited = Netlist.n_nets nl;

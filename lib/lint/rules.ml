@@ -1,12 +1,16 @@
 open Scald_core
 module R = Lint_report
 
+type input = { nl : Netlist.t; flow : Flow.t Lazy.t; window : Window.t Lazy.t }
+
+let input nl = { nl; flow = lazy (Flow.analyse nl); window = lazy (Window.analyse nl) }
+
 type rule = {
   id : string;
   title : string;
   section : string;
   severity : R.severity;
-  check : Netlist.t -> R.finding list;
+  check : input -> R.finding list;
 }
 
 let finding rule severity locus message hint =
@@ -42,20 +46,6 @@ let is_data_checker = function
 let is_gating = function
   | Primitive.Gate _ | Primitive.Buf _ | Primitive.Mux2 _ -> true
   | _ -> false
-
-(* The signal-class analysis (Flow) answers every cone question the
-   rules ask — clock reachability (C1), derived clocks (C4, K7), clock
-   domains (C6, C7).  One analysis per netlist, memoized on physical
-   equality: the driver runs each rule over the same netlist value. *)
-let flow_cache : (Netlist.t * Flow.t) option ref = ref None
-
-let flow_for nl =
-  match !flow_cache with
-  | Some (nl', f) when nl' == nl -> f
-  | _ ->
-    let f = Flow.analyse nl in
-    flow_cache := Some (nl, f);
-    f
 
 let domain_names nl ds = String.concat ", " (List.map (net_name nl) ds)
 
@@ -116,8 +106,7 @@ let wire_dmax nl id = (Netlist.wire_delay nl (Netlist.net nl id)).Delay.dmax
 (* C1: every edge-sensitive input traces back to a clock assertion.
    [Flow.reaches_clock] is the shared cone analysis' answer to exactly
    the question the old private DFS asked. *)
-let check_c1 nl =
-  let flow = flow_for nl in
+let check_c1 nl flow =
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
       match edge_input i with
@@ -173,8 +162,7 @@ let check_c3 nl =
    non-hazard directive counts as a designer waiver and is only noted.
    Keyed on the inferred class, not the assertion, so a clock derived
    through buffers or prior gating is still recognized as a clock. *)
-let check_c4 nl =
-  let flow = flow_for nl in
+let check_c4 nl flow =
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
       match i.Netlist.i_prim with
@@ -236,8 +224,7 @@ let check_c5 nl =
    constraint relating the two — the classic unconstrained CDC.  Empty
    data domains (changing primary inputs) are the ordinary synchronous
    case and say nothing about crossing. *)
-let check_c6 nl =
-  let flow = flow_for nl in
+let check_c6 nl flow =
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
       match i.Netlist.i_prim with
@@ -266,8 +253,7 @@ let check_c6 nl =
    by unrelated clocks; their combination has no single-cycle meaning.
    Inputs sharing any domain (a parity tree, an ALU) are fine, as are
    clock-class inputs — gating is C4/K7's business, not convergence. *)
-let check_c7 nl =
-  let flow = flow_for nl in
+let check_c7 nl flow =
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
       if is_gating i.Netlist.i_prim then begin
@@ -532,8 +518,7 @@ let check_k6 nl =
    whether a runt pulse escapes depends only on the delay race.  The
    inferred domain is the evidence: Flow tagged the data input with the
    same domain root the clock-class input carries. *)
-let check_k7 nl =
-  let flow = flow_for nl in
+let check_k7 nl flow =
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
       if is_gating i.Netlist.i_prim then begin
@@ -580,24 +565,11 @@ let check_k7 nl =
 
 (* ---- W rules: static arrival-window analysis (doc/WINDOWS.md) ------------- *)
 
-(* One window analysis per netlist, memoized like [flow_for]: the driver
-   runs each W rule over the same netlist value. *)
-let window_cache : (Netlist.t * Window.t) option ref = ref None
-
-let window_for nl =
-  match !window_cache with
-  | Some (nl', w) when nl' == nl -> w
-  | _ ->
-    let w = Window.analyse nl in
-    window_cache := Some (nl, w);
-    w
-
 (* W1: a stable assertion the computed windows already satisfy — the
    check can never fire, so the constraint documents nothing the
    structure does not prove.  Informational: harmless, but worth knowing
    when auditing what the assertion set actually pins down. *)
-let check_w1 nl =
-  let w = window_for nl in
+let check_w1 nl w =
   let acc = ref [] in
   Netlist.iter_nets nl (fun n ->
       if Window.net_proven w n.Netlist.n_id then
@@ -612,8 +584,7 @@ let check_w1 nl =
    provably always-satisfied.  Gated on every input cone actually being
    constrained by an assertion, so a proof resting only on the §2.5
    stable assumption (which W4 questions) does not also fire here. *)
-let check_w2 nl =
-  let w = window_for nl in
+let check_w2 nl w =
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
       if
@@ -633,8 +604,7 @@ let check_w2 nl =
    check fails at every corner.  The violation is guaranteed before any
    evaluation; reported as an error so a lint-only pass already catches
    it. *)
-let check_w3 nl =
-  let w = window_for nl in
+let check_w3 nl w =
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
       if Window.inst_guaranteed w i.Netlist.i_id then
@@ -649,8 +619,7 @@ let check_w3 nl =
    anywhere in its cone (only the §2.5 stable assumption), or an
    unbounded (feedback-widened) window.  Either way the checker's
    verdict hangs on defaults rather than stated constraints. *)
-let check_w4 nl =
-  let w = window_for nl in
+let check_w4 nl w =
   let seen = Array.make (max 1 (Netlist.n_nets nl)) false in
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
@@ -681,8 +650,7 @@ let check_w4 nl =
 (* W5: a declared stable interval the computed windows contradict — every
    possible transition of the net lands inside an asserted-stable span,
    so whenever the signal moves at all, the assertion is violated. *)
-let check_w5 nl =
-  let w = window_for nl in
+let check_w5 nl w =
   let acc = ref [] in
   Netlist.iter_nets nl (fun n ->
       if Window.net_contradicted w n.Netlist.n_id then
@@ -695,46 +663,53 @@ let check_w5 nl =
 
 (* ---- catalogue ------------------------------------------------------------- *)
 
+(* The signal-class analysis (Flow) answers every cone question the
+   rules ask — clock reachability (C1), derived clocks (C4, K7), clock
+   domains (C6, C7); the window analysis every W rule's. *)
+let on_netlist f a = f a.nl
+let with_flow f a = f a.nl (Lazy.force a.flow)
+let with_window f a = f a.nl (Lazy.force a.window)
+
 let all =
   [
     { id = "C1"; title = "edge-sensitive inputs trace to a clock assertion";
-      section = "2.5, Figure 2-3"; severity = R.Error; check = check_c1 };
+      section = "2.5, Figure 2-3"; severity = R.Error; check = with_flow check_c1 };
     { id = "C2"; title = "primary inputs carry assertions"; section = "2.5";
-      severity = R.Error; check = check_c2 };
+      severity = R.Error; check = on_netlist check_c2 };
     { id = "C3"; title = "register and latch data inputs are checked";
-      section = "Figures 2-1 to 2-3"; severity = R.Warning; check = check_c3 };
+      section = "Figures 2-1 to 2-3"; severity = R.Warning; check = on_netlist check_c3 };
     { id = "C4"; title = "gated clocks carry &A/&H directives"; section = "2.6";
-      severity = R.Warning; check = check_c4 };
+      severity = R.Warning; check = with_flow check_c4 };
     { id = "C5"; title = "clock skew stated where design rules default it";
-      section = "2.5, 3.3"; severity = R.Info; check = check_c5 };
+      section = "2.5, 3.3"; severity = R.Info; check = on_netlist check_c5 };
     { id = "C6"; title = "register data and clock agree on the clock domain";
-      section = "2.1, 2.5"; severity = R.Warning; check = check_c6 };
+      section = "2.1, 2.5"; severity = R.Warning; check = with_flow check_c6 };
     { id = "C7"; title = "no convergence of disjoint clock domains";
-      section = "2.7"; severity = R.Warning; check = check_c7 };
+      section = "2.7"; severity = R.Warning; check = with_flow check_c7 };
     { id = "K1"; title = "delay ranges sane and within the period";
-      section = "1.4.1.1"; severity = R.Error; check = check_k1 };
+      section = "1.4.1.1"; severity = R.Error; check = on_netlist check_k1 };
     { id = "K2"; title = "checker constraints feasible within the period";
-      section = "2.9"; severity = R.Error; check = check_k2 };
+      section = "2.9"; severity = R.Error; check = on_netlist check_k2 };
     { id = "K3"; title = "directive length matches the gating depth";
-      section = "2.8"; severity = R.Warning; check = check_k3 };
+      section = "2.8"; severity = R.Warning; check = on_netlist check_k3 };
     { id = "K4"; title = "no combinational cycles"; section = "2.4";
-      severity = R.Error; check = check_k4 };
+      severity = R.Error; check = on_netlist check_k4 };
     { id = "K5"; title = "assertion spellings and polarities consistent";
-      section = "2.5.1"; severity = R.Error; check = check_k5 };
+      section = "2.5.1"; severity = R.Error; check = on_netlist check_k5 };
     { id = "K6"; title = "no dead logic"; section = "2.5";
-      severity = R.Warning; check = check_k6 };
+      severity = R.Warning; check = on_netlist check_k6 };
     { id = "K7"; title = "clocks not gated by data of their own domain";
-      section = "2.6"; severity = R.Warning; check = check_k7 };
+      section = "2.6"; severity = R.Warning; check = with_flow check_k7 };
     { id = "W1"; title = "no vacuous stable assertions";
-      section = "doc/WINDOWS.md"; severity = R.Info; check = check_w1 };
+      section = "doc/WINDOWS.md"; severity = R.Info; check = with_window check_w1 };
     { id = "W2"; title = "checkers not provably always-satisfied";
-      section = "doc/WINDOWS.md"; severity = R.Info; check = check_w2 };
+      section = "doc/WINDOWS.md"; severity = R.Info; check = with_window check_w2 };
     { id = "W3"; title = "no statically guaranteed violations";
-      section = "doc/WINDOWS.md"; severity = R.Error; check = check_w3 };
+      section = "doc/WINDOWS.md"; severity = R.Error; check = with_window check_w3 };
     { id = "W4"; title = "checker input windows bounded and constrained";
-      section = "doc/WINDOWS.md"; severity = R.Warning; check = check_w4 };
+      section = "doc/WINDOWS.md"; severity = R.Warning; check = with_window check_w4 };
     { id = "W5"; title = "stable assertions consistent with arrival windows";
-      section = "doc/WINDOWS.md"; severity = R.Warning; check = check_w5 };
+      section = "doc/WINDOWS.md"; severity = R.Warning; check = with_window check_w5 };
   ]
 
 let find id =

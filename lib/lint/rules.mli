@@ -42,12 +42,21 @@
     - [K6] no dead logic: every driven net feeds a primitive or a
       checker. *)
 
+type input
+(** What one audit hands every rule: the netlist, plus its signal-class
+    ({!Scald_core.Flow}) and arrival-window ({!Scald_core.Window})
+    analyses, each built the first time a rule asks for it.  Nothing is
+    kept between audits: auditing a netlist again, after editing it in
+    place, takes a fresh {!input}. *)
+
+val input : Scald_core.Netlist.t -> input
+
 type rule = {
   id : string;  (** ["C1"]..""["K6"] *)
   title : string;
   section : string;  (** thesis cross-reference, e.g. ["2.5.1"] *)
   severity : Lint_report.severity;  (** severity of the primary finding *)
-  check : Scald_core.Netlist.t -> Lint_report.finding list;
+  check : input -> Lint_report.finding list;
 }
 
 val all : rule list

@@ -1,8 +1,8 @@
 (** Mergeable log-bucketed histogram with deterministic quantiles.
 
-    The service telemetry layer aggregates per-request latencies and
-    per-phase span durations into these (doc/OBSERVABILITY.md,
-    "Service telemetry").  Buckets are geometric with ratio [2^(1/4)]
+    The service telemetry layer aggregates per-request latencies into
+    these, one per request kind (doc/OBSERVABILITY.md, "Service
+    telemetry").  Buckets are geometric with ratio [2^(1/4)]
     — four per octave, ~9% relative error — over a fixed 169-slot
     array, so [add] allocates nothing and a quantile estimate depends
     only on the multiset of values observed, never on insertion order:

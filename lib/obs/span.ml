@@ -53,16 +53,6 @@ let mark t name =
 let spans t = List.rev t.completed
 let n_completed t = t.n_completed
 
-(* The newest [k] completed spans, newest first.  O(k): lets a serve
-   loop consume exactly the spans one request produced without
-   re-reversing the whole (ever-growing) history per request. *)
-let recent t k =
-  let rec take acc n = function
-    | s :: rest when n > 0 -> take (s :: acc) (n - 1) rest
-    | _ -> List.rev acc
-  in
-  take [] k t.completed
-
 let total_us t name =
   List.fold_left
     (fun acc s -> if s.s_name = name then acc +. s.s_dur_us else acc)

@@ -51,17 +51,11 @@ val mark : t -> string -> unit
 (** Record an instantaneous (zero-duration) span. *)
 
 val spans : t -> span list
-(** All completed spans, in order of completion time.  O(total) — a
-    long-lived service consuming spans per request should use
-    {!n_completed} + {!recent} instead. *)
+(** All completed spans, in order of completion time.  O(total). *)
 
 val n_completed : t -> int
 (** Completed-span count, O(1).  Sample before and after a request;
     the difference is how many spans the request produced. *)
-
-val recent : t -> int -> span list
-(** [recent t k] is the newest [k] completed spans, newest first, in
-    O(k) — the per-request consumption primitive. *)
 
 val total_us : t -> string -> float
 (** Summed duration of every completed span with the given name. *)

@@ -384,6 +384,23 @@ let test_session_noop_reverify () =
   Alcotest.(check int) "no evaluation ran" 0 st.Session.st_evaluations;
   Alcotest.(check bool) "every verdict reused" true (st.Session.st_warm_hits > 0)
 
+(* A wire-delay edit that gives a driven net the delay it already has
+   moves that net's stamp and nothing else: its fanout re-derives the
+   same waveforms, so no event fires and only the one net is dirtied. *)
+let test_session_counts_moved_nets () =
+  let nl = build_circuit () in
+  let g0 = Option.get (Netlist.find nl "G0") in
+  let same = Netlist.wire_delay nl (Netlist.net nl g0) in
+  let s = Session.load nl in
+  let before = Session.listing s in
+  Session.stage s (Edit.Wire_delay { signal = "G0"; delay = Some same });
+  let _, st = Session.reverify s in
+  Alcotest.(check string) "verdicts unchanged" before (Session.listing s);
+  Alcotest.(check int) "only the edited net moved" 1 st.Session.st_dirtied_nets;
+  Alcotest.(check int) "no event" 0 st.Session.st_events;
+  Alcotest.(check int) "every other net reused" (Netlist.n_nets nl - 1)
+    st.Session.st_reused_nets
+
 let test_session_cases_swap () =
   let cases0 = Case_analysis.complete_exn [ "IN0 .S0-6" ] in
   let cases1 = Case_analysis.complete_exn [ "IN0 .S0-6"; "IN1 .S0-6" ] in
@@ -757,6 +774,35 @@ let test_serve_protocol () =
   let v2, _ = serve_req t {| {"op":"verify"} |} in
   Alcotest.(check (option bool)) "the staged edit survives to a good verify" (Some true)
     (jbool "fresh" v2);
+  (* A load whose case group names a signal the design lacks fails as a
+     load, on a design that is live with other cases: no session is
+     adopted onto it or changed. *)
+  let s1, _ =
+    serve_req t
+      {| {"op":"load","file":"../examples/s1_subset.sdl","cases_file":"../examples/s1_subset.cases"} |}
+  in
+  Alcotest.(check (option string)) "s1_subset loaded" (Some "cold") (jstr "mode" s1);
+  let live () =
+    List.map
+      (fun s ->
+        ( (Session.id s, Session.digest s, Session.pending s, List.length (Session.cases s)),
+          Session.report s ))
+      (Store.sessions (Serve.store t))
+  in
+  let before = live () in
+  let bad_cases, _ =
+    serve_req t
+      {| {"op":"load","file":"../examples/s1_subset.sdl","cases":"NO SUCH SIGNAL = 0;"} |}
+  in
+  Alcotest.(check (option bool)) "unknown case signal rejected" (Some false)
+    (jbool "ok" bad_cases);
+  Alcotest.(check (option string)) "answered as a load" (Some "load") (jstr "op" bad_cases);
+  Alcotest.(check bool) "the error names the signal" true
+    (Test_obs.contains (Option.value ~default:"" (jstr "error" bad_cases)) "NO SUCH SIGNAL");
+  let after = live () in
+  Alcotest.(check bool) "no session changed" true
+    (List.length before = List.length after
+    && List.for_all2 (fun (k, r) (k', r') -> k = k' && r == r') before after);
   let bye, cont = serve_req t {| {"op":"shutdown"} |} in
   Alcotest.(check (option bool)) "shutdown ok" (Some true) (jbool "ok" bye);
   Alcotest.(check bool) "loop ends" false cont
@@ -921,7 +967,10 @@ let test_serve_lanes_and_slow () =
    same verdicts — on every corner — and listing as a cold verify of an
    identically edited fresh build, with sequential and parallel case
    evaluation; its maintained digest must equal a from-scratch
-   recompute; and no enqueue may fall outside the edit's dirty cone. *)
+   recompute; and its [st_dirtied_nets] must lie between the nets whose
+   lane-0 waveform changed across the request and the forward closure
+   ([cone_oracle]) of the edit's seeds and of every old and new case
+   net, with [st_reused_nets] the rest of the design. *)
 
 type recipe = {
   rc_n_inputs : int;
@@ -1057,6 +1106,56 @@ let recipe_edit r (kind, a, b) =
 
 let recipe_cases () = Case_analysis.complete_exn [ input_name 0 ]
 
+(* The nets a request may move: the forward closure, over the instance
+   graph, of [from_nets] and of the outputs of [from_insts].  A
+   re-asserted or case-mapped net that is driven is recomputed by its
+   driver, so the driver belongs in [from_insts]. *)
+let cone_oracle nl ~from_nets ~from_insts =
+  let inst_seen = Array.make (max 1 (Netlist.n_insts nl)) false in
+  let net_seen = Array.make (max 1 (Netlist.n_nets nl)) false in
+  let q = Queue.create () in
+  let add id =
+    if not inst_seen.(id) then begin
+      inst_seen.(id) <- true;
+      Queue.add id q
+    end
+  in
+  List.iter
+    (fun nid ->
+      net_seen.(nid) <- true;
+      Netlist.iter_fanout (Netlist.net nl nid) add)
+    from_nets;
+  List.iter add from_insts;
+  while not (Queue.is_empty q) do
+    match (Netlist.inst nl (Queue.take q)).i_output with
+    | None -> ()
+    | Some o ->
+      if not net_seen.(o) then begin
+        net_seen.(o) <- true;
+        Netlist.iter_fanout (Netlist.net nl o) add
+      end
+  done;
+  Array.fold_left (fun n seen -> if seen then n + 1 else n) 0 net_seen
+
+(* [cone_oracle]'s bound for one request: [edits] applied to a copy of
+   the design as it stands before them. *)
+let request_cone r ~history ~old_cases ~new_cases edits =
+  let nl = build_recipe r in
+  List.iter (fun e -> ignore (Edit.apply nl e)) history;
+  let applied = List.map (Edit.apply nl) edits in
+  let case_nets cases =
+    List.concat_map (fun c -> List.map fst (Case_analysis.resolve nl c)) cases
+  in
+  let reinit =
+    List.concat_map (fun a -> a.Edit.a_reinit_nets) applied
+    @ case_nets old_cases @ case_nets new_cases
+  in
+  cone_oracle nl
+    ~from_nets:(List.concat_map (fun a -> a.Edit.a_touched_nets) applied @ reinit)
+    ~from_insts:
+      (List.concat_map (fun a -> a.Edit.a_touched_insts) applied
+      @ List.filter_map (fun id -> (Netlist.net nl id).n_driver) reinit)
+
 let bit_identity_property =
   prop ~count:40 "incremental re-verify is bit-identical to a cold run" gen_recipe
     (fun r ->
@@ -1078,12 +1177,29 @@ let bit_identity_property =
             | Some e -> [ e ]
             | None -> Edit.diff (Session.netlist s) (build_recipe r) @ [ Edit.Cases cases0 ]
           in
+          let old_cases = !cases in
           List.iter (Session.stage s) edits;
           List.iter (function Edit.Cases cs -> cases := cs | _ -> ()) edits;
+          let cone =
+            request_cone r ~history:!history ~old_cases ~new_cases:!cases edits
+          in
           history := !history @ edits;
-          let report, _ = Session.reverify ~carry_counters:false s in
+          let n_nets = Netlist.n_nets (Session.netlist s) in
+          let lane0 (rep : Verifier.report) =
+            Array.init n_nets (fun id -> Eval.value rep.Verifier.r_eval id)
+          in
+          let before = lane0 (Session.report s) in
+          let report, st = Session.reverify ~carry_counters:false s in
+          let after = lane0 report in
+          let changed = ref 0 in
+          Array.iteri
+            (fun id wf -> if not (Waveform.equal wf after.(id)) then incr changed)
+            before;
           let incr_listing = Session.listing s in
-          Session.digest s = Fingerprint.digest (Session.netlist s)
+          st.Session.st_dirtied_nets <= cone
+          && st.Session.st_dirtied_nets >= !changed
+          && st.Session.st_reused_nets + st.Session.st_dirtied_nets = n_nets
+          && Session.digest s = Fingerprint.digest (Session.netlist s)
           && (step <> None || Session.digest s = Session.id s)
           && List.for_all
                (fun jobs ->
@@ -1110,6 +1226,8 @@ let suite =
     Alcotest.test_case "session assertion edit and revert" `Quick
       test_session_assertion_and_revert;
     Alcotest.test_case "session no-op re-verify" `Quick test_session_noop_reverify;
+    Alcotest.test_case "session counts the nets it moved" `Quick
+      test_session_counts_moved_nets;
     Alcotest.test_case "session case-group swap" `Quick test_session_cases_swap;
     Alcotest.test_case "session corners edit and revert" `Quick
       test_session_corners_edit;

@@ -355,6 +355,28 @@ let test_dedup () =
   Alcotest.(check int) "mixed" 3
     (List.length (Verifier.dedup_violations [ a; b; a; c; c ]))
 
+(* An audit reads the netlist as it is now: editing it in place and
+   auditing again gives what a fresh netlist with the same edit gives,
+   not the first audit's analyses. *)
+let test_reaudit_after_edit () =
+  let src =
+    preamble
+    ^ "2 AND (DELAY=1.0/2.0) (IN A .S0-4, IN B .S0-4) -> D;\n\
+       SETUP HOLD CHK (SETUP=2.5, HOLD=1.5) (D, CK .P2-3);\n"
+  in
+  let rules r = List.sort_uniq compare (List.map (fun f -> f.LR.f_rule) r.LR.findings) in
+  let slow nl =
+    let d = Option.get (Netlist.find nl "D") in
+    Netlist.set_wire_delay nl d (Delay.of_ns 0.0 12.0);
+    nl
+  in
+  let nl = load src in
+  Alcotest.(check (list string)) "first audit" [ "C5"; "W2" ] (rules (Lint.audit nl));
+  let edited = rules (Lint.audit (slow nl)) in
+  Alcotest.(check (list string)) "fresh netlist with the edit" [ "C5" ]
+    (rules (Lint.audit (slow (load src))));
+  Alcotest.(check (list string)) "re-audit after the edit" [ "C5" ] edited
+
 let suite =
   [
     Alcotest.test_case "C1 clock reaches edge inputs" `Quick test_c1;
@@ -390,4 +412,5 @@ let suite =
     Alcotest.test_case "JSON escaping" `Quick test_json_escaping;
     Alcotest.test_case "Verifier ?lint hook" `Quick test_verifier_hook;
     Alcotest.test_case "dedup keeps distinct violations" `Quick test_dedup;
+    Alcotest.test_case "re-audit after an in-place edit" `Quick test_reaudit_after_edit;
   ]

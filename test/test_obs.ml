@@ -540,16 +540,14 @@ let test_span_lanes () =
       Span.with_span prof "inner" (fun () -> tick 0.001));
   Span.set_lane prof 0;
   Alcotest.(check int) "three spans complete" 3 (Span.n_completed prof);
-  (match Span.recent prof 2 with
-  | [ newest; older ] ->
-    Alcotest.(check string) "newest last-completed" "outer" newest.Span.s_name;
-    Alcotest.(check string) "then inner" "inner" older.Span.s_name;
-    Alcotest.(check int) "request spans stamped" 3 newest.Span.s_lane;
-    Alcotest.(check int) "nested span inherits lane" 3 older.Span.s_lane
-  | l -> Alcotest.failf "expected 2 recent spans, got %d" (List.length l));
   (match Span.spans prof with
-  | boot :: _ -> Alcotest.(check int) "pre-request span on lane 0" 0 boot.Span.s_lane
-  | [] -> Alcotest.fail "no spans");
+  | [ boot; inner; outer ] ->
+    Alcotest.(check string) "last-completed span last" "outer" outer.Span.s_name;
+    Alcotest.(check string) "inner completes before it" "inner" inner.Span.s_name;
+    Alcotest.(check int) "request spans stamped" 3 outer.Span.s_lane;
+    Alcotest.(check int) "nested span inherits lane" 3 inner.Span.s_lane;
+    Alcotest.(check int) "pre-request span on lane 0" 0 boot.Span.s_lane
+  | l -> Alcotest.failf "expected 3 spans, got %d" (List.length l));
   let json = Trace_export.to_json ~lanes:[ (3, "r3:verify") ] prof in
   Alcotest.(check bool) "valid json" true (json_ok json);
   Alcotest.(check bool) "lane becomes tid" true (contains json "\"tid\": 3");

@@ -68,6 +68,86 @@ let test_slack_min_pulse () =
     Alcotest.(check int) "slack 2.25" 2_250 e.Slack.e_slack
   | l -> Alcotest.failf "expected one entry, got %d" (List.length l)
 
+(* The slack rows measure what the checkers check.  Per case: a SETUP
+   RISE HOLD FALL checker's HOLD rows sit at the falling edges its
+   check pairs with its rising ones, and every set-up, hold or
+   minimum-width verdict has a negative row with the same instance,
+   kind and AT. *)
+let example_netlist name =
+  let src = In_channel.with_open_bin ("../examples/" ^ name) In_channel.input_all in
+  match Scald_sdl.Expander.load src with
+  | Ok e -> e.Scald_sdl.Expander.e_netlist
+  | Error m -> Alcotest.fail m
+
+let slack_kind = function
+  | Check.Setup_violation -> Some Slack.Setup
+  | Check.Hold_violation -> Some Slack.Hold
+  | Check.Min_high_width -> Some Slack.Min_high
+  | Check.Min_low_width -> Some Slack.Min_low
+  | _ -> None
+
+(* Returns how many SETUP RISE HOLD FALL checkers were measured. *)
+let check_slack_follows_checks name nl cases =
+  let ev = Eval.create nl in
+  let rise_fall = ref 0 in
+  List.iteri
+    (fun k case ->
+      let what s = Printf.sprintf "%s case %d: %s" name k s in
+      Eval.run ~case:(Case_analysis.resolve nl case) ev;
+      let rows = Slack.compute ev in
+      Netlist.iter_insts nl (fun inst ->
+          match inst.Netlist.i_prim with
+          | Primitive.Setup_rise_hold_fall_check _ ->
+            incr rise_fall;
+            let ck = Eval.input_waveform ev 0 inst 1 in
+            let falls =
+              List.filter_map
+                (fun r ->
+                  Option.map
+                    (fun f -> Timebase.wrap (Netlist.timebase nl) f.Waveform.w_stop)
+                    (Check.pair_falling (Waveform.period ck) r (Waveform.falling_windows ck)))
+                (Waveform.rising_windows ck)
+            in
+            let holds =
+              List.filter_map
+                (fun e ->
+                  if e.Slack.e_inst = inst.Netlist.i_name && e.Slack.e_kind = Slack.Hold
+                  then Some e.Slack.e_at
+                  else None)
+                rows
+            in
+            Alcotest.(check (list int))
+              (what (inst.Netlist.i_name ^ " HOLD rows at the falling edges"))
+              (List.sort compare falls) (List.sort compare holds)
+          | _ -> ());
+      List.iter
+        (fun (v : Check.t) ->
+          match slack_kind v.Check.v_kind, v.Check.v_at with
+          | Some kind, Some at ->
+            Alcotest.(check bool)
+              (what (Format.asprintf "negative row for %a" Check.pp v))
+              true
+              (List.exists
+                 (fun e ->
+                   e.Slack.e_inst = v.Check.v_inst && e.Slack.e_kind = kind
+                   && e.Slack.e_at = at && e.Slack.e_slack < 0)
+                 rows)
+          | _ -> ())
+        (Eval.check ev))
+    (match cases with [] -> [ [] ] | cs -> cs);
+  !rise_fall
+
+let test_slack_follows_checks () =
+  Alcotest.(check bool) "register_file has a rise/hold-fall checker" true
+    (check_slack_follows_checks "register_file" (example_netlist "register_file.sdl") []
+    > 0);
+  let cases =
+    Case_analysis.parse_exn
+      (In_channel.with_open_bin "../examples/s1_subset.cases" In_channel.input_all)
+  in
+  Alcotest.(check bool) "s1_subset has a rise/hold-fall checker" true
+    (check_slack_follows_checks "s1_subset" (example_netlist "s1_subset.sdl") cases > 0)
+
 (* ---- timing diagram ------------------------------------------------------------- *)
 
 let test_diagram_row () =
@@ -138,6 +218,7 @@ let suite =
     Alcotest.test_case "slack matches fig 3-11" `Quick test_slack_values_match_fig_3_11;
     Alcotest.test_case "slack on clean design" `Quick test_slack_on_clean_design;
     Alcotest.test_case "slack min pulse" `Quick test_slack_min_pulse;
+    Alcotest.test_case "slack rows follow the checks" `Quick test_slack_follows_checks;
     Alcotest.test_case "diagram row" `Quick test_diagram_row;
     Alcotest.test_case "diagram skew marks" `Quick test_diagram_skew_marks;
     Alcotest.test_case "diagram full" `Quick test_diagram_full;
