@@ -239,9 +239,9 @@ let check_stable_assertion ~signal ~tb assertion wf =
   | Assertion.Stable ->
     Assertion.intervals tb assertion
     |> List.filter_map (fun (s, e) ->
-           let width = e - s in
-           if width <= 0 then None
-           else if Waveform.stable_over wf ~start:s ~width then None
+           let at, width = Timebase.modular_range ~period:(Timebase.period tb) (s, e) in
+           if width = 0 then None
+           else if Waveform.stable_over wf ~start:at ~width then None
            else
              Some
                {
@@ -251,7 +251,7 @@ let check_stable_assertion ~signal ~tb assertion wf =
                  v_clock = None;
                  v_required = width;
                  v_actual = None;
-                 v_at = Some (wrap (Timebase.period tb) s);
+                 v_at = Some at;
                  v_detail =
                    Printf.sprintf "signal asserted stable from %.1f to %.1f ns"
                      (Timebase.ns_of_ps s) (Timebase.ns_of_ps e);

@@ -113,6 +113,7 @@ type t = {
   mutable diverged_slot : int;  (* cyclic slot that blew its budget, -1 none *)
   in_queue : Bytes.t;  (* packed booleans, one byte per instance *)
   case : Tvalue.t option array;
+  mutable case_ids : int array;  (* ascending ids [case] maps *)
   conn_base : int array;
   corners : Corner.table;
   lanes : lane array;  (* one per corner, lane 0 the reference *)
@@ -222,6 +223,7 @@ let create ?sched nl =
       diverged_slot = -1;
       in_queue = Bytes.make (max 1 n_insts) '\000';
       case = Array.make n_nets None;
+      case_ids = [||];
       conn_base;
       corners;
       lanes;
@@ -953,10 +955,21 @@ let reset_lanes t id =
     t.lanes.(c).l_value.(id) <- v
   done
 
+(* A case list as (id, value) pairs in ascending id order, a repeated id
+   keeping its last value. *)
+let case_entries case =
+  let rec last_of_each = function
+    | (a, _) :: ((b, _) :: _ as rest) when a = b -> last_of_each rest
+    | e :: rest -> e :: last_of_each rest
+    | [] -> []
+  in
+  Array.of_list (last_of_each (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) case))
+
 let run ?(case = []) t =
+  let next = case_entries case in
   if not t.initialized then begin
     t.initialized <- true;
-    List.iter (fun (id, v) -> t.case.(id) <- Some v) case;
+    Array.iter (fun (id, v) -> t.case.(id) <- Some v) next;
     Netlist.iter_nets t.nl (fun n ->
         assign t n.n_id (initial_value t n) [];
         reset_lanes t n.n_id);
@@ -964,23 +977,30 @@ let run ?(case = []) t =
   end
   else begin
     (* Incremental case change: touch only the nets whose mapping
-       changed (§2.7). *)
-    let wanted = Array.make (Array.length t.case) None in
-    List.iter (fun (id, v) -> wanted.(id) <- Some v) case;
-    Array.iteri
-      (fun id w ->
-        if w <> t.case.(id) then begin
-          t.case.(id) <- w;
-          let n = Netlist.net t.nl id in
-          (match n.n_driver with
-          | None ->
-            assign t id (initial_value t n) t.eval_str.(id);
-            reset_lanes t id
-          | Some d -> enqueue t d);
-          enqueue_fanout t id
-        end)
-      wanted
+       changed (§2.7).  Only the ids the old or the new case maps can
+       change, visited in ascending order. *)
+    let old = t.case_ids in
+    let i = ref 0 and j = ref 0 in
+    while !i < Array.length old || !j < Array.length next do
+      let a = if !i < Array.length old then old.(!i) else max_int in
+      let b = if !j < Array.length next then fst next.(!j) else max_int in
+      let id = Int.min a b in
+      let w = if b = id then Some (snd next.(!j)) else None in
+      if a = id then incr i;
+      if b = id then incr j;
+      if not (Option.equal Tvalue.equal w t.case.(id)) then begin
+        t.case.(id) <- w;
+        let n = Netlist.net t.nl id in
+        (match n.n_driver with
+        | None ->
+          assign t id (initial_value t n) t.eval_str.(id);
+          reset_lanes t id
+        | Some d -> enqueue t d);
+        enqueue_fanout t id
+      end
+    done
   end;
+  t.case_ids <- Array.map fst next;
   fixpoint t
 
 let value ?(lane = 0) t id = t.lanes.(lane).l_value.(id)

@@ -36,8 +36,14 @@ let ps_of_units tb u =
 
 let units_of_ps tb ps = float_of_int ps /. float_of_int tb.clock_unit
 
-let wrap tb x =
-  let r = x mod tb.period in
-  if r < 0 then r + tb.period else r
+let wrap_period period x =
+  let r = x mod period in
+  if r < 0 then r + period else r
+
+let wrap tb x = wrap_period tb.period x
+
+let modular_range ~period (start, stop) =
+  let d = stop - start in
+  (wrap_period period start, if d >= period then period else wrap_period period d)
 
 let pp_ns ppf ps = Format.fprintf ppf "%.1f" (ns_of_ps ps)

@@ -63,5 +63,14 @@ val wrap : t -> ps -> ps
 (** [wrap tb x] reduces an instant modulo the period, yielding a value in
     [\[0, period)]. Assertions are taken modulo the cycle time (§3.2). *)
 
+val modular_range : period:ps -> ps * ps -> ps * ps
+(** [modular_range ~period (start, stop)] is the modular interval
+    [(start mod period, width)] that a range from [start] to [stop]
+    denotes: the width is the period when [stop - start >= period], and
+    [(stop - start) mod period] otherwise, so a stop before its start
+    wraps however far back it lies.  A width of 0 is empty.  Assertion
+    ranges, their checks and {!Waveform.of_intervals} all read ranges
+    through it. *)
+
 val pp_ns : Format.formatter -> ps -> unit
 (** Print a time as nanoseconds with one fractional digit, e.g. ["25.5"]. *)

@@ -121,16 +121,6 @@ let piece_at w i =
 
 let pieces_arr w = Array.init w.n_segs (piece_at w)
 
-let of_pieces ~period ~early ~late pieces =
-  let segs =
-    List.filter_map
-      (fun p ->
-        let width = p.p_stop - p.p_start in
-        if width <= 0 then None else Some (p.p_val, width))
-      pieces
-  in
-  of_segs ~period ~early ~late segs
-
 (* Index of the segment covering instant [t] in [0, period): the largest
    [i] with [start i <= t]. *)
 let seg_index w t =
@@ -142,8 +132,6 @@ let seg_index w t =
   !lo
 
 let value_at w t = seg_val w (seg_index w (wrap w.period t))
-
-let starts_list w = List.init w.n_segs (seg_start w)
 
 (* ---- modular intervals ----------------------------------------------- *)
 
@@ -158,135 +146,167 @@ let iv_intersect p (s1, w1) (s2, w2) =
   else if w1 >= p || w2 >= p then true
   else wrap p (s2 - s1) < w1 || wrap p (s1 - s2) < w2
 
-(* ---- sweep construction ---------------------------------------------- *)
+(* ---- single-pass kernels --------------------------------------------- *)
 
-(* Build a waveform by sampling a value function on the elementary
-   regions delimited by a list of breakpoints. *)
-let of_breakpoints ~period bps value_of =
-  let bps = List.map (wrap period) bps in
-  let bps = List.sort_uniq Int.compare (0 :: bps) in
-  let rec regions = function
-    | [] -> []
-    | [ last ] -> [ (last, period) ]
-    | a :: (b :: _ as rest) -> (a, b) :: regions rest
-  in
-  let pieces =
-    List.map (fun (a, b) -> { p_start = a; p_stop = b; p_val = value_of a }) (regions bps)
-  in
-  of_pieces ~period ~early:0 ~late:0 pieces
+(* Each kernel writes its result once, region by region in start order,
+   into an array sized for the most regions it can produce; a region
+   whose value equals the previous one extends it and writes nothing. *)
+type out = { buf : int array; mutable len : int }
 
-let of_intervals ~period ~inside ~outside ivals =
-  (* (start, stop): stop < start wraps; stop = start is empty. *)
-  let norm (s, e) =
-    let width =
-      let d = e - s in
-      if d = 0 then 0 else if d < 0 then d + period else min d period
-    in
-    (wrap period s, width)
-  in
-  let ivals = List.filter (fun (_, w) -> w > 0) (List.map norm ivals) in
-  if ivals = [] then const ~period outside
+let out_create cap = { buf = Array.make cap 0; len = 0 }
+
+let emit o start c =
+  if o.len = 0 || o.buf.(o.len - 1) land 7 <> c then begin
+    o.buf.(o.len) <- (start lsl 3) lor c;
+    o.len <- o.len + 1
+  end
+
+let finish o ~period ~early ~late =
+  let segs = if o.len = Array.length o.buf then o.buf else Array.sub o.buf 0 o.len in
+  { period; n_segs = o.len; segs; early; late }
+
+(* The value of the windows covering an instant, kept as per-code counts:
+   [merge_uncertain] is a flat-lattice join (equal values give that
+   value, any Unknown gives Unknown, otherwise Change), so the counts
+   determine it.  [base] when no window covers the instant. *)
+let joined cover base =
+  if cover.(6) > 0 then 6
   else
-    let bps = List.concat_map (fun (s, w) -> [ s; s + w ]) ivals in
-    of_breakpoints ~period bps (fun x ->
-        if List.exists (fun iv -> iv_covers period iv x) ivals then inside else outside)
+    let c = ref (-1) in
+    for k = 0 to 5 do
+      if cover.(k) > 0 then c := if !c < 0 then k else 5
+    done;
+    if !c < 0 then base else !c
+
+(* Paint windows over the first [nb] segments of [base] in one sweep.
+   [opens] and [closes] hold each window's start and end instant modulo
+   the period, packed with its value code like a segment and sorted by
+   instant; every width is positive and less than the period.  [cover]
+   starts at the windows that wrap (end <= start): an instant is covered
+   by the windows opened at or before it, less those closed at or before
+   it, plus the wrapping ones.  The regions are delimited by the merged
+   instants of the three sequences. *)
+let sweep ~period ~base ~nb ~opens ~closes ~cover =
+  let no = Array.length opens and nc = Array.length closes in
+  let o = out_create (nb + no + nc) in
+  let ib = ref 0 and io = ref 0 and ic = ref 0 and x = ref 0 in
+  while !x < period do
+    let t = !x in
+    while !ib < nb && base.(!ib) asr 3 = t do incr ib done;
+    while !io < no && opens.(!io) asr 3 = t do
+      let c = opens.(!io) land 7 in
+      cover.(c) <- cover.(c) + 1;
+      incr io
+    done;
+    while !ic < nc && closes.(!ic) asr 3 = t do
+      let c = closes.(!ic) land 7 in
+      cover.(c) <- cover.(c) - 1;
+      incr ic
+    done;
+    emit o t (joined cover (base.(!ib - 1) land 7));
+    let next = if !ib < nb then base.(!ib) asr 3 else period in
+    let next = if !io < no then Int.min next (opens.(!io) asr 3) else next in
+    x := if !ic < nc then Int.min next (closes.(!ic) asr 3) else next
+  done;
+  finish o ~period ~early:0 ~late:0
+
+(* The intervals are windows of [inside] over a constant base. *)
+let of_intervals ~period ~inside ~outside ivals =
+  let ivals =
+    List.filter_map
+      (fun r ->
+        let ((_, width) as iv) = Timebase.modular_range ~period r in
+        if width > 0 then Some iv else None)
+      ivals
+  in
+  if List.exists (fun (_, width) -> width >= period) ivals then const ~period inside
+  else
+    let c = code inside and k = List.length ivals in
+    let opens = Array.make k 0 and closes = Array.make k 0 and cover = Array.make 7 0 in
+    List.iteri
+      (fun i (s, width) ->
+        let e = (s + width) mod period in
+        if e <= s then cover.(c) <- cover.(c) + 1;
+        opens.(i) <- (s lsl 3) lor c;
+        closes.(i) <- (e lsl 3) lor c)
+      ivals;
+    Array.sort Int.compare opens;
+    Array.sort Int.compare closes;
+    sweep ~period ~base:[| code outside |] ~nb:1 ~opens ~closes ~cover
 
 (* ---- rotation and delay ---------------------------------------------- *)
 
+(* Segment [j] covers instant [period - d], which moves to 0: copy the
+   segments cyclically from [j], each start moved by [d], and end with
+   [j]'s head when [period - d] splits it.  Only the old seam between the
+   last and the first segment can merge.  A constant comes back as a
+   fresh record too: lanes compare records with [==]. *)
 let rotate w d =
-  let d = wrap w.period d in
+  let p = w.period and n = w.n_segs in
+  let d = wrap p d in
   if d = 0 then w
+  else if n = 1 then { w with segs = w.segs }
   else
-    let shifted =
-      Array.to_list (pieces_arr w)
-      |> List.concat_map (fun p ->
-             let s = p.p_start + d and e = p.p_stop + d in
-             if e <= w.period then [ { p with p_start = s; p_stop = e } ]
-             else if s >= w.period then
-               [ { p with p_start = s - w.period; p_stop = e - w.period } ]
-             else
-               [ { p with p_start = s; p_stop = w.period };
-                 { p with p_start = 0; p_stop = e - w.period } ])
-    in
-    let sorted = List.sort (fun a b -> Int.compare a.p_start b.p_start) shifted in
-    of_pieces ~period:w.period ~early:w.early ~late:w.late sorted
+    let j = seg_index w (p - d) in
+    let split = seg_start w j < p - d in
+    let seam = w.segs.(n - 1) land 7 = w.segs.(0) land 7 in
+    let o = out_create (n + Bool.to_int split - Bool.to_int seam) in
+    emit o 0 (w.segs.(j) land 7);
+    for r = 1 to n - 1 do
+      let i = if j + r < n then j + r else j + r - n in
+      emit o (wrap p (seg_start w i + d)) (w.segs.(i) land 7)
+    done;
+    if split then emit o (seg_start w j + d) (w.segs.(j) land 7);
+    finish o ~period:p ~early:w.early ~late:w.late
 
 let delay ~dmin ~dmax w =
   if dmin < 0 || dmax < dmin then invalid_arg "Waveform.delay: need 0 <= dmin <= dmax";
   let w = rotate w dmin in
   { w with late = w.late + (dmax - dmin) }
 
-(* ---- transitions ------------------------------------------------------ *)
-
-(* Circular transition list: (time, before, after).  The last segment is
-   the array tail — O(1) instead of the old [List.nth] walk. *)
-let transitions w =
-  let n = w.n_segs in
-  if n <= 1 then []
-  else
-    let rec inner i acc =
-      if i < 1 then acc
-      else inner (i - 1) ((seg_start w i, seg_val w (i - 1), seg_val w i) :: acc)
-    in
-    let inner = inner (n - 1) [] in
-    let last_v = seg_val w (n - 1) and first_v = seg_val w 0 in
-    if Tvalue.equal last_v first_v then inner else (0, last_v, first_v) :: inner
-
 (* ---- materialization --------------------------------------------------- *)
 
+(* Transition [k] enters segment [first + k]; instant 0 carries one only
+   when the last value differs from the first.  Its window opens at
+   [t + early] and closes at [t + late]: the transition instants ascend,
+   so each sequence is sorted once rotated past the entries that wrap,
+   and the sweep merges them with the segment starts.  A window as wide
+   as the cycle covers every instant. *)
 let materialize w =
   if w.early = 0 && w.late = 0 then w
+  else if w.n_segs = 1 then { w with early = 0; late = 0 }
   else
-    let trans = transitions w in
-    if trans = [] then { w with early = 0; late = 0 }
-    else
-      let p = w.period in
-      let win_width = w.late - w.early in
-      if win_width >= p then
-        (* Uncertainty covers the whole cycle: every instant may be in
-           some transition window. *)
-        let v =
-          List.fold_left
-            (fun acc (_, before, after) ->
-              Tvalue.merge_uncertain acc (Tvalue.worst_edge ~before ~after))
-            (let _, before, after = List.hd trans in
-             Tvalue.worst_edge ~before ~after)
-            (List.tl trans)
-        in
-        const ~period:p v
-      else
-        let windows =
-          List.map
-            (fun (t, before, after) ->
-              ((wrap p (t + w.early), win_width), Tvalue.worst_edge ~before ~after))
-            trans
-        in
-        let bps =
-          List.concat_map (fun ((s, width), _) -> [ s; s + width ]) windows
-          @ starts_list w
-        in
-        let value_of x =
-          let covering =
-            List.filter_map
-              (fun (iv, v) -> if iv_covers p iv x then Some v else None)
-              windows
-          in
-          match covering with
-          | [] -> value_at w x
-          | v :: rest -> List.fold_left Tvalue.merge_uncertain v rest
-        in
-        of_breakpoints ~period:p bps value_of
+    let p = w.period and n = w.n_segs in
+    let whole = w.late - w.early >= p in
+    let first = if w.segs.(n - 1) land 7 = w.segs.(0) land 7 then 1 else 0 in
+    let m = n - first in
+    let ko = ref 0 and kc = ref 0 in
+    while !ko < m && seg_start w (first + !ko) + w.early < 0 do incr ko done;
+    while !kc < m && seg_start w (first + !kc) + w.late < p do incr kc done;
+    let nw = if whole then 0 else m in
+    let opens = Array.make nw 0 and closes = Array.make nw 0 and cover = Array.make 7 0 in
+    for k = 0 to m - 1 do
+      let i = first + k in
+      let e =
+        code (Tvalue.worst_edge ~before:(seg_val w ((i + n - 1) mod n)) ~after:(seg_val w i))
+      in
+      let s = wrap p (seg_start w i + w.early) and c = wrap p (seg_start w i + w.late) in
+      if whole || c <= s then cover.(e) <- cover.(e) + 1;
+      if not whole then begin
+        opens.((k - !ko + m) mod m) <- (s lsl 3) lor e;
+        closes.((k - !kc + m) mod m) <- (c lsl 3) lor e
+      end
+    done;
+    sweep ~period:p ~base:w.segs ~nb:n ~opens ~closes ~cover
 
 (* ---- pointwise maps ---------------------------------------------------- *)
 
 let map f w =
-  let segs =
-    let rec go i acc =
-      if i < 0 then acc else go (i - 1) ((f (seg_val w i), seg_width w i) :: acc)
-    in
-    go (w.n_segs - 1) []
-  in
-  of_segs ~period:w.period ~early:w.early ~late:w.late segs
+  let o = out_create w.n_segs in
+  for i = 0 to w.n_segs - 1 do
+    emit o (seg_start w i) (code (f (seg_val w i)))
+  done;
+  finish o ~period:w.period ~early:w.early ~late:w.late
 
 let is_const w = w.n_segs = 1
 
@@ -312,9 +332,25 @@ let mapn f ws =
     let g x = f (List.map (fun w -> if w == v then x else seg_val w 0) ws) in
     map g v
   | _ ->
-    let ms = List.map materialize ws in
-    let bps = List.concat_map starts_list ms in
-    of_breakpoints ~period:p bps (fun x -> f (List.map (fun m -> value_at m x) ms))
+    (* A k-way merge of the materialized inputs: one cursor each, and [f]
+       once per region between consecutive segment starts. *)
+    let ms = Array.map materialize (Array.of_list ws) in
+    let k = Array.length ms in
+    let cur = Array.make k 0 in
+    let o = out_create (Array.fold_left (fun acc m -> acc + m.n_segs) 0 ms) in
+    let rec values i acc = if i < 0 then acc else values (i - 1) (seg_val ms.(i) cur.(i) :: acc) in
+    let x = ref 0 in
+    while !x < p do
+      let t = !x and next = ref p in
+      for i = 0 to k - 1 do
+        let m = ms.(i) in
+        if cur.(i) + 1 < m.n_segs && m.segs.(cur.(i) + 1) asr 3 = t then cur.(i) <- cur.(i) + 1;
+        if cur.(i) + 1 < m.n_segs then next := Int.min !next (m.segs.(cur.(i) + 1) asr 3)
+      done;
+      emit o t (code (f (values (k - 1) [])));
+      x := !next
+    done;
+    finish o ~period:p ~early:0 ~late:0
 
 let map2 f a b =
   mapn (function [ x; y ] -> f x y | _ -> assert false) [ a; b ]
@@ -475,20 +511,23 @@ let delay_rise_fall ~rise:(rmin, rmax) ~fall:(fmin, fmax) w =
     let rising = rising_windows m and falling = falling_windows m in
     if rising = [] && falling = [] then Some m
     else
-      (* Each transition window moves by its own edge delay; between
-         windows the level is the post-value of the nearest preceding
-         window.  Overlapping windows merge to Change. *)
-      let windows =
-        List.map
-          (fun { w_start; w_stop } ->
-            (wrap p (w_start + rmin), w_stop - w_start + (rmax - rmin), Tvalue.Rise,
-             Tvalue.V1))
-          rising
-        @ List.map
-            (fun { w_start; w_stop } ->
-              (wrap p (w_start + fmin), w_stop - w_start + (fmax - fmin), Tvalue.Fall,
-               Tvalue.V0))
-            falling
+      (* Each transition window moves by its own edge delay, and after a
+         window the level is its post-value.  In source order, edge [i]'s
+         delayed window is [lo i, hi i). *)
+      let edges =
+        List.map (fun w -> (w, rmin, rmax, Tvalue.Rise, Tvalue.V1)) rising
+        @ List.map (fun w -> (w, fmin, fmax, Tvalue.Fall, Tvalue.V0)) falling
+        |> List.sort (fun (a, _, _, _, _) (b, _, _, _, _) -> Int.compare a.w_start b.w_start)
+        |> Array.of_list
+      in
+      let k = Array.length edges in
+      let lo i =
+        let { w_start; _ }, dmin, _, _, _ = edges.(i mod k) in
+        w_start + dmin + if i >= k then p else 0
+      in
+      let hi i =
+        let { w_stop; _ }, _, dmax, _, _ = edges.(i) in
+        w_stop + dmax
       in
       (* The delayed windows must preserve the source's transition
          ordering: for every source-consecutive pair of edges
@@ -497,58 +536,19 @@ let delay_rise_fall ~rise:(rmin, rmax) ~fall:(fmin, fmax) w =
          completing after the next cycle's fast rise violates this, and
          the exact reconstruction below would be wrong — fall back to
          the conservative envelope instead. *)
-      let ordered =
-        let tagged =
-          List.map (fun w -> (w, rmin, rmax)) rising
-          @ List.map (fun w -> (w, fmin, fmax)) falling
-        in
-        let in_source_order =
-          Array.of_list
-            (List.sort
-               (fun ({ w_start = a; _ }, _, _) ({ w_start = b; _ }, _, _) ->
-                 Int.compare a b)
-               tagged)
-        in
-        let k = Array.length in_source_order in
-        let pairs_ok = ref true in
-        for i = 0 to k - 2 do
-          let { w_stop = e1; _ }, _, dmax1 = in_source_order.(i) in
-          let { w_start = s2; _ }, dmin2, _ = in_source_order.(i + 1) in
-          if e1 + dmax1 > s2 + dmin2 then pairs_ok := false
-        done;
-        if k <= 1 then true
-        else
-          let { w_start = s0; _ }, dmin0, _ = in_source_order.(0) in
-          let { w_stop = el; _ }, _, dmaxl = in_source_order.(k - 1) in
-          !pairs_ok && el + dmaxl <= s0 + p + dmin0
-      in
-      if not ordered then None
+      let rec ordered i = i >= k || (hi i <= lo (i + 1) && ordered (i + 1)) in
+      if not (k = 1 || ordered 0) then None
       else
-        let bps = List.concat_map (fun (s, width, _, _) -> [ s; s + width ]) windows in
-        let value_of x =
-          let covering =
-            List.filter_map
-              (fun (s, width, v, _) -> if iv_covers p (s, width) x then Some v else None)
-              windows
-          in
-          match covering with
-          | v :: rest -> List.fold_left Tvalue.merge_uncertain v rest
-          | [] ->
-            (* level after the nearest window ending before x; sound
-               because the windows are disjoint and in source order *)
-            let best =
-              List.fold_left
-                (fun acc (s, width, _, post) ->
-                  let stop = wrap p (s + width) in
-                  let d = wrap p (x - stop) in
-                  match acc with
-                  | Some (bd, _) when bd <= d -> acc
-                  | _ -> Some (d, post))
-                None windows
-            in
-            (match best with Some (_, post) -> post | None -> Tvalue.V0)
-        in
-        Some (of_breakpoints ~period:p bps value_of)
+        (* The windows and the levels between them are one cyclic step
+           list from the first window's start: write it once, then
+           rotate it into place. *)
+        let o = out_create (2 * k) in
+        for i = 0 to k - 1 do
+          let _, _, _, v, post = edges.(i) in
+          if hi i > lo i then emit o (lo i - lo 0) (code v);
+          if lo (i + 1) > hi i then emit o (hi i - lo 0) (code post)
+        done;
+        Some (rotate (finish o ~period:p ~early:0 ~late:0) (lo 0))
 
 let apply_delay d w =
   if Delay.equal d Delay.zero then w

@@ -51,10 +51,10 @@ val of_intervals :
   (Timebase.ps * Timebase.ps) list ->
   t
 (** [of_intervals ~period ~inside ~outside ivals] paints each modular
-    interval [(start, stop)] (half-open; taken modulo the period; a
-    [stop < start] interval wraps, [stop = start] is empty) with [inside]
-    over a base of [outside].  Intervals spanning the full period or more
-    cover everything. *)
+    interval [(start, stop)] (half-open, read through
+    {!Timebase.modular_range}: a stop before its start wraps however far
+    back it lies, and a span of the full period or more covers
+    everything) with [inside] over a base of [outside]. *)
 
 val with_skew : early:Timebase.ps -> late:Timebase.ps -> t -> t
 (** Replace the skew window.  @raise Invalid_argument unless

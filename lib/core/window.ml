@@ -671,8 +671,9 @@ let contra_net t (n : Netlist.net) =
   | Some a, Some _ when a.Assertion.kind = Assertion.Stable && not t.unk.(id) ->
     let ivs =
       Assertion.intervals (Netlist.timebase t.nl) a
-      |> List.filter_map (fun (s, e) ->
-             if e - s <= 0 then None else Some (wrapp t.period s, e - s))
+      |> List.filter_map (fun r ->
+             let ((_, width) as iv) = Timebase.modular_range ~period:t.period r in
+             if width = 0 then None else Some iv)
     in
     ivs <> []
     &&

@@ -223,6 +223,31 @@ let test_stable_assertion () =
   Alcotest.(check (list kind)) "violates assertion" [ Check.Stable_assertion_violation ]
     (kinds (Check.check_stable_assertion ~signal:"X" ~tb a bad))
 
+(* A range is taken modulo the cycle: on an 8-unit cycle [.S7-1] (and
+   [.S15-1], whose stop lies more than a cycle back) is [.S7-9], stable
+   from 43.75 ns through the wrap to 6.25 ns.  A buffer delaying an
+   input stable 0-37.5 ns by 1-2 ns changes until 2 ns into the next
+   cycle, so each form is violated once: 12.5 ns required at 43.75 ns. *)
+let test_stable_assertion_wraps () =
+  let verdicts spec =
+    let src =
+      Printf.sprintf
+        "PERIOD 50.0;\nCLOCK UNIT 6.25;\nDEFAULT WIRE DELAY 0.0/0.0;\n\
+         BUF (DELAY=1.0/2.0) (IN0 .S0-6) -> X .%s;\n"
+        spec
+    in
+    match Scald_sdl.Expander.load src with
+    | Error m -> Alcotest.fail m
+    | Ok e ->
+      (Verifier.verify e.Scald_sdl.Expander.e_netlist).Verifier.r_violations
+      |> List.map (fun (v : Check.t) -> (v.Check.v_kind, v.v_required, v.v_at))
+  in
+  let expected = [ (Check.Stable_assertion_violation, ps 12.5, Some (ps 43.75)) ] in
+  List.iter
+    (fun spec ->
+      Alcotest.(check bool) (spec ^ " violated once, as .S7-9") true (verdicts spec = expected))
+    [ "S7-9"; "S7-1"; "S15-1" ]
+
 let test_clock_assertion_not_checked () =
   let tb = Timebase.make ~period_ns:50.0 ~clock_unit_ns:6.25 in
   let a = match Assertion.parse "P2-3" with Ok a -> a | Error e -> Alcotest.fail e in
@@ -250,4 +275,5 @@ let suite =
     Alcotest.test_case "hazard" `Quick test_hazard;
     Alcotest.test_case "stable assertion" `Quick test_stable_assertion;
     Alcotest.test_case "clock assertion not checked" `Quick test_clock_assertion_not_checked;
+    Alcotest.test_case "stable assertion across the wrap" `Quick test_stable_assertion_wraps;
   ]

@@ -189,7 +189,11 @@ let test_w4 () =
 let test_w5 () =
   (* every possible transition of X falls inside its asserted-stable span *)
   check_fires "W5" "1 CHG (DELAY=1.0/2.0) (D .S0-4) -> X .S0-8;\n";
-  check_passes "W5" "1 CHG (DELAY=1.0/2.0) (EN .S0-8) -> X .S0-8;\n"
+  check_passes "W5" "1 CHG (DELAY=1.0/2.0) (EN .S0-8) -> X .S0-8;\n";
+  (* X moves within [26, 52) ns; an asserted span from 25 ns through the
+     wrap holds it, whether the range is written unwrapped or wrapped *)
+  check_fires "W5" "1 CHG (DELAY=1.0/2.0) (D .S0-4) -> X .S4-11;\n";
+  check_fires "W5" "1 CHG (DELAY=1.0/2.0) (D .S0-4) -> X .S4-3;\n"
 
 (* ---- catalogue ------------------------------------------------------------- *)
 

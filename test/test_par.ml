@@ -266,14 +266,16 @@ let netgen_nl seed =
   (Netgen.to_netlist (Netgen.generate (Netgen.scaled ~seed ~chips:120 ())))
     .Scald_sdl.Expander.e_netlist
 
-let netgen_cases nl =
+let netgen_inputs ~count nl =
   let inputs = ref [] in
   Netlist.iter_nets nl (fun n ->
-      if List.length !inputs < 2
+      if List.length !inputs < count
          && String.length n.Netlist.n_name >= 3
          && String.sub n.Netlist.n_name 0 3 = "IN "
       then inputs := n.Netlist.n_name :: !inputs);
-  Case_analysis.complete_exn (List.rev !inputs)
+  List.rev !inputs
+
+let netgen_cases nl = Case_analysis.complete_exn (netgen_inputs ~count:2 nl)
 
 (* Random netgen design + random corner table + scheduler/sharding
    choice, with the same complete case analysis over two primary
@@ -356,26 +358,66 @@ let waveforms ?lane nl ev =
    design at a random corner table. *)
 type warm_design = Gates of recipe | Corners of corner_recipe
 
+(* Its case list: the design's complete case analysis, or cases that
+   each map their own subset of the design's first four inputs (as
+   (input, bit) pairs), one of them none, so that nets leave and
+   re-enter the mapping between cases. *)
+type warm_cases = Complete | Subsets of (int * int) list list
+
+let print_warm (d, cases) =
+  let design = match d with Gates r -> print_recipe r | Corners c -> print_corner_recipe c in
+  match cases with
+  | Complete -> design ^ ", complete cases"
+  | Subsets cs ->
+    design ^ ", cases "
+    ^ String.concat "; "
+        (List.map
+           (fun c -> String.concat "," (List.map (fun (i, b) -> Printf.sprintf "%d=%d" i b) c))
+           cs)
+
 let gen_warm =
   let open QCheck.Gen in
-  QCheck.make
-    ~print:(function Gates r -> print_recipe r | Corners c -> print_corner_recipe c)
-    (frequency
-       [
-         (3, map (fun r -> Gates r) (QCheck.gen gen_recipe));
-         (1, map (fun c -> Corners c) (QCheck.gen gen_corner_recipe));
-       ])
+  let gen_case =
+    let* picks = list_repeat 4 (int_range 0 2) in
+    return (List.concat (List.mapi (fun i b -> if b = 2 then [] else [ (i, b) ]) picks))
+  in
+  let gen_subsets =
+    let* cases = list_size (int_range 1 5) gen_case in
+    let* at = int_range 0 (List.length cases) in
+    return
+      (Subsets
+         (List.filteri (fun i _ -> i < at) cases @ ([] :: List.filteri (fun i _ -> i >= at) cases)))
+  in
+  QCheck.make ~print:print_warm
+    (pair
+       (frequency
+          [
+            (3, map (fun r -> Gates r) (QCheck.gen gen_recipe));
+            (1, map (fun c -> Corners c) (QCheck.gen gen_corner_recipe));
+          ])
+       (frequency [ (1, return Complete); (1, gen_subsets) ]))
 
 (* A fresh netlist of the input's design, its cases, and an evaluator
    created the way the input asks. *)
-let warm_evaluator d =
-  let nl, cases, flat =
+let warm_evaluator (d, mode) =
+  let nl, complete, inputs, flat =
     match d with
-    | Gates r -> (build_recipe r, recipe_cases r, false)
+    | Gates r ->
+      (build_recipe r, recipe_cases r, List.init (min 4 r.rc_n_inputs) input_name, false)
     | Corners c ->
       let nl, cases = corner_design c in
       Netlist.set_corners nl (Corner.of_spec c.co_spec);
-      (nl, cases, c.co_flat)
+      (nl, cases, netgen_inputs ~count:4 nl, c.co_flat)
+  in
+  let cases =
+    match mode with
+    | Complete -> complete
+    | Subsets cs ->
+      List.map
+        (List.filter_map (fun (i, b) ->
+             List.nth_opt inputs i
+             |> Option.map (fun name -> (name, if b = 1 then Tvalue.V1 else Tvalue.V0))))
+        cs
   in
   (nl, cases, Eval.create ?sched:(if flat then Some (Sched.flat nl) else None) nl)
 

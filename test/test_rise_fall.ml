@@ -54,6 +54,18 @@ let test_uncertain_edges_become_windows () =
     Alcotest.check tv "fall window" Tvalue.Fall (Waveform.value_at d (ps 22.))
   | None -> Alcotest.fail "should be value-known"
 
+let test_rise_ends_as_fall_lands () =
+  (* The delayed rise may finish as late as 20 ns, the instant the
+     undelayed fall lands: from there on the level is the fall's. *)
+  let w = pulse ~from_ns:10. ~to_ns:20. in
+  match Waveform.delay_rise_fall ~rise:(0, ps 10.) ~fall:(0, 0) w with
+  | Some d ->
+    Alcotest.(check (list (pair tv int)))
+      "rise window, then low"
+      [ (Tvalue.V0, ps 10.); (Tvalue.Rise, ps 10.); (Tvalue.V0, ps 30.) ]
+      (Waveform.segments d)
+  | None -> Alcotest.fail "clock waveform should be value-known"
+
 let test_value_unknown_falls_back () =
   let w =
     Waveform.of_intervals ~period ~inside:Tvalue.Stable ~outside:Tvalue.Change
@@ -183,6 +195,7 @@ let suite =
     Alcotest.test_case "pulse stretches" `Quick test_pulse_stretches;
     Alcotest.test_case "uncertain edges become windows" `Quick
       test_uncertain_edges_become_windows;
+    Alcotest.test_case "rise ends as the fall lands" `Quick test_rise_ends_as_fall_lands;
     Alcotest.test_case "value-unknown falls back" `Quick test_value_unknown_falls_back;
     Alcotest.test_case "inverter chain restores width" `Quick
       test_inverter_chain_restores_width;

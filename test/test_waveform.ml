@@ -49,6 +49,18 @@ let test_of_intervals_wrap () =
   Alcotest.check tv "head" Tvalue.Stable (Waveform.value_at w (ps 5.));
   Alcotest.check tv "middle" Tvalue.Change (Waveform.value_at w (ps 25.))
 
+let test_of_intervals_wrap_far () =
+  (* A stop more than a cycle before its start still wraps: 93.75 ns to
+     6.25 ns is [43.75, 50) and [0, 6.25). *)
+  let w =
+    Waveform.of_intervals ~period ~inside:Tvalue.Stable ~outside:Tvalue.Change
+      [ (ps 93.75, ps 6.25) ]
+  in
+  Alcotest.(check (list (pair tv int)))
+    "painted across the wrap"
+    [ (Tvalue.Stable, ps 6.25); (Tvalue.Change, ps 37.5); (Tvalue.Stable, ps 6.25) ]
+    (segs w)
+
 (* ---- rotation and delay -------------------------------------------------- *)
 
 let pulse ~from_ns ~to_ns =
@@ -252,25 +264,33 @@ let test_pulse_intervals_after_fold () =
 
 (* ---- properties ------------------------------------------------------------------- *)
 
+(* Up to 8 segments, with cuts that favour 1-ps segments next to 0 and
+   to the period, now and then a constant; skew on either side, now and
+   then wider than the cycle (materialization's whole-cycle branch). *)
 let gen_waveform =
   let open QCheck.Gen in
   let gen_value = oneofl Tvalue.all in
-  let gen_segs =
-    sized_size (int_range 1 6) (fun n ->
-        let* cuts = list_repeat n (int_range 1 (period - 1)) in
-        let cuts = List.sort_uniq Int.compare cuts in
-        let bounds = (0 :: cuts) @ [ period ] in
-        let rec widths = function
-          | a :: (b :: _ as rest) -> (b - a) :: widths rest
-          | [ _ ] | [] -> []
-        in
-        let* values = list_repeat (List.length (widths bounds)) gen_value in
-        return (List.combine values (widths bounds)))
+  let gen_cut =
+    frequency
+      [ (6, int_range 1 (period - 1)); (1, int_range 1 3); (1, int_range (period - 3) (period - 1)) ]
   in
+  let gen_segs =
+    let* n = frequency [ (1, return 0); (8, int_range 1 7) ] in
+    let* cuts = list_repeat n gen_cut in
+    let cuts = List.sort_uniq Int.compare cuts in
+    let bounds = (0 :: cuts) @ [ period ] in
+    let rec widths = function
+      | a :: (b :: _ as rest) -> (b - a) :: widths rest
+      | [ _ ] | [] -> []
+    in
+    let* values = list_repeat (List.length (widths bounds)) gen_value in
+    return (List.combine values (widths bounds))
+  in
+  let gen_side = frequency [ (2, return 0); (5, int_range 0 3000); (2, int_range 0 (period + 10_000)) ] in
   let gen =
     let* segs = gen_segs in
-    let* early = int_range 0 3000 in
-    let* late = int_range 0 3000 in
+    let* early = gen_side in
+    let* late = gen_side in
     return (Waveform.with_skew ~early:(-early) ~late (Waveform.create ~period segs))
   in
   QCheck.make ~print:(Format.asprintf "%a" Waveform.pp) gen
@@ -304,29 +324,21 @@ let properties =
     prop "materialize preserves sum" gen_waveform (fun w ->
         sum_widths (Waveform.materialize w) = period);
     prop "materialize keeps stable interiors" gen_waveform (fun w ->
-        (* Far from any transition, the materialized value equals the
-           nominal value. *)
+        (* A segment's midpoint lies outside every transition window when
+           the window of the transition entering it ends by the midpoint
+           and that of the transition leaving it starts after it: there
+           the materialized value is the nominal one. *)
         let m = Waveform.materialize w in
-        let mid_points =
-          let rec go at = function
-            | (_, width) :: rest -> (at + (width / 2)) :: go (at + width) rest
-            | [] -> []
-          in
-          go 0 (Waveform.segments w)
+        let early, late = Waveform.skew w in
+        let rec go at = function
+          | [] -> true
+          | (v, width) :: rest ->
+            (if 2 * late <= width && 2 * -early < width then
+               Tvalue.equal v (Waveform.value_at m (at + (width / 2)))
+             else true)
+            && go (at + width) rest
         in
-        List.for_all
-          (fun t ->
-            let early, late = Waveform.skew w in
-            let v = Waveform.value_at w t in
-            (* Only claim equality when the segment is wide enough that
-               the midpoint is outside every window. *)
-            let seg_width =
-              List.fold_left (fun acc (_, wd) -> max acc wd) 0 (Waveform.segments w)
-            in
-            if seg_width / 2 > late - early then
-              Tvalue.equal v (Waveform.value_at m t) || true
-            else true)
-          mid_points);
+        go 0 (Waveform.segments w));
     prop "map2 or commutative" QCheck.(pair gen_waveform gen_waveform) (fun (a, b) ->
         Waveform.equal (Waveform.map2 Tvalue.lor_ a b) (Waveform.map2 Tvalue.lor_ b a));
     prop "delay then delay = combined delay (values)" gen_waveform (fun w ->
@@ -338,6 +350,101 @@ let properties =
         List.for_all
           (fun (s, width) -> not (Waveform.stable_over w ~start:s ~width))
           unstable);
+  ]
+
+(* ---- the kernels against their list references (Waveform_oracle) ---------------- *)
+
+module O = Waveform_oracle
+
+let gen_shift = QCheck.Gen.int_range (-3 * period) (3 * period)
+
+let gen_map_fn =
+  QCheck.Gen.oneofl
+    [
+      ("lnot", Tvalue.lnot);
+      ("chg1", Tvalue.chg1);
+      ("case 0", fun v -> if Tvalue.equal v Tvalue.Stable then Tvalue.V0 else v);
+      ("case 1", fun v -> if Tvalue.equal v Tvalue.Stable then Tvalue.V1 else v);
+    ]
+
+(* The four gate folds over 1–5 inputs, the multiplexer over 3 and the
+   latch over 2; now and then the first input twice, as one record. *)
+let gen_combination =
+  let open QCheck.Gen in
+  let folds =
+    List.map
+      (fun (name, fn) -> (name, Primitive.gate_fold fn, int_range 1 5))
+      [ ("AND", Primitive.And); ("OR", Primitive.Or); ("XOR", Primitive.Xor); ("CHG", Primitive.Chg) ]
+  in
+  let mux = function [ a; b; s ] -> O.mux_value a b s | _ -> assert false in
+  let latch = function [ d; e ] -> O.latch_value d e | _ -> assert false in
+  let* name, f, arity =
+    oneofl (folds @ [ ("MUX2", mux, return 3); ("LATCH", latch, return 2) ])
+  in
+  let* n = arity in
+  let* ws = list_repeat n (QCheck.gen gen_waveform) in
+  let* twice = frequency [ (4, return false); (1, return true) ] in
+  return (name, f, match ws with a :: _ :: rest when twice -> a :: a :: rest | _ -> ws)
+
+let print_combination (name, _, ws) =
+  String.concat "\n" (name :: List.map (Format.asprintf "%a" Waveform.pp) ws)
+
+(* Ranges whose stop lies before, at, just past or a cycle or more away
+   from the start, over starts anywhere in [-2, 3) cycles. *)
+let gen_ranges =
+  let open QCheck.Gen in
+  let gen_delta =
+    oneof
+      [
+        int_range (-period) period;
+        oneofl [ 0; 1; -1; period; -period; period - 1; period + 1; 1 - period; 2 * period ];
+        int_range (-2 * period) (2 * period);
+      ]
+  in
+  let gen_range =
+    let* s = int_range (-2 * period) (3 * period) in
+    let* d = gen_delta in
+    return (s, s + d)
+  in
+  let* k = int_range 0 4 in
+  let* ranges = list_repeat k gen_range in
+  let* inside = oneofl Tvalue.all in
+  let* outside = oneofl Tvalue.all in
+  return (ranges, inside, outside)
+
+let print_ranges (ranges, inside, outside) =
+  Format.asprintf "%a over %a: %s" Tvalue.pp inside Tvalue.pp outside
+    (String.concat " " (List.map (fun (s, e) -> Printf.sprintf "(%d,%d)" s e) ranges))
+
+let oracle name gen f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:2000 ~name gen f)
+
+let oracle_properties =
+  [
+    oracle "materialize equals its reference" gen_waveform (fun w ->
+        Waveform.equal (Waveform.materialize w) (O.materialize w));
+    oracle "rotate equals its reference"
+      QCheck.(pair gen_waveform (make ~print:string_of_int gen_shift))
+      (fun (w, d) -> Waveform.equal (Waveform.rotate w d) (O.rotate w d));
+    oracle "map equals its reference"
+      QCheck.(pair gen_waveform (make ~print:fst gen_map_fn))
+      (fun (w, (_, f)) -> Waveform.equal (Waveform.map f w) (O.map f w));
+    oracle "mapn equals its reference"
+      (QCheck.make ~print:print_combination gen_combination)
+      (fun (_, f, ws) -> Waveform.equal (Waveform.mapn f ws) (O.mapn f ws));
+    oracle "of_intervals equals its reference"
+      (QCheck.make ~print:print_ranges gen_ranges)
+      (fun (ranges, inside, outside) ->
+        Waveform.equal
+          (Waveform.of_intervals ~period ~inside ~outside ranges)
+          (O.of_intervals ~period ~inside ~outside ranges));
+    (* The lane-sharing code compares records with [==]: a kernel hands
+       back its input only where the reference does. *)
+    oracle "kernels return their input only where they must"
+      QCheck.(pair gen_waveform (make ~print:string_of_int gen_shift))
+      (fun (w, d) ->
+        (Waveform.rotate w d == w) = (d mod period = 0)
+        && (Waveform.materialize w == w) = (Waveform.skew w = (0, 0))
+        && Waveform.map Fun.id w != w);
   ]
 
 let test_many_segments () =
@@ -372,6 +479,7 @@ let suite =
     Alcotest.test_case "create bad sum" `Quick test_create_bad_sum;
     Alcotest.test_case "of_intervals" `Quick test_of_intervals;
     Alcotest.test_case "of_intervals wrap" `Quick test_of_intervals_wrap;
+    Alcotest.test_case "of_intervals wrap from a cycle away" `Quick test_of_intervals_wrap_far;
     Alcotest.test_case "rotate" `Quick test_rotate;
     Alcotest.test_case "rotate wraps" `Quick test_rotate_wraps;
     Alcotest.test_case "delay" `Quick test_delay;
@@ -395,4 +503,4 @@ let suite =
       test_pulse_intervals_ignore_skew;
     Alcotest.test_case "pulse width after folding" `Quick test_pulse_intervals_after_fold;
   ]
-  @ properties
+  @ properties @ oracle_properties
