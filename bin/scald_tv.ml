@@ -37,6 +37,9 @@ let run file case_file jobs corners summary xref quiet paths corr_advice prob
     Format.eprintf "%s: %s@." file msg;
     1
   | Ok { Scald_sdl.Expander.e_netlist = nl; e_summary; _ } ->
+    (* --corners replaces the SDL's CORNERS table before anything reads
+       it: lint's W rules and --windows as much as the verifier. *)
+    Option.iter (Netlist.set_corners nl) corners;
     if classes then begin
       (* Static listing only: classify and exit without evaluating, so
          the dump also works on designs that would not converge. *)
@@ -113,9 +116,7 @@ let run file case_file jobs corners summary xref quiet paths corr_advice prob
       phys_violations := Physical.violations pr
     end;
     let report =
-      Verifier.verify
-        ?probe:(Option.map Scald_obs.Obs.probe obs)
-        ?corners ~cases ~jobs nl
+      Verifier.verify ?probe:(Option.map Scald_obs.Obs.probe obs) ~cases ~jobs nl
     in
     if summary then Format.printf "@.%a@." Report.pp_summary report.Verifier.r_eval;
     if diagram then

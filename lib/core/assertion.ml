@@ -160,6 +160,9 @@ let to_string a =
 
 let equal a b = to_string a = to_string b
 
+let is_clock a =
+  match a.kind with Precision_clock | Nonprecision_clock -> true | Stable -> false
+
 let pp ppf a = Format.pp_print_string ppf (to_string a)
 
 (* ---- waveform construction --------------------------------------------- *)

@@ -48,6 +48,9 @@ val to_string : t -> string
 
 val equal : t -> t -> bool
 
+val is_clock : t -> bool
+(** A precision or non-precision clock assertion ([.P], [.C]). *)
+
 type defaults = {
   precision_skew : Timebase.ps * Timebase.ps;     (** (early <= 0, late >= 0) *)
   nonprecision_skew : Timebase.ps * Timebase.ps;

@@ -46,24 +46,21 @@ let pp ppf v =
   (match v.v_at with None -> () | Some t -> Format.fprintf ppf "  AT %a NS" Timebase.pp_ns t);
   if v.v_detail <> "" then Format.fprintf ppf "  [%s]" v.v_detail
 
-let wrap p x =
-  let r = x mod p in
-  if r < 0 then r + p else r
-
 (* Margin between the start of the stable interval containing [t] and
    [t] itself; [None] when the signal is not even stable at [t]. *)
 let setup_margin data t =
   match Waveform.stable_interval_around data t with
   | None -> None
   | Some (s, width) ->
-    if width >= Waveform.period data then Some max_int else Some (wrap (Waveform.period data) (t - s))
+    if width >= Waveform.period data then Some max_int
+    else Some (Timebase.wrap_period (Waveform.period data) (t - s))
 
 let hold_margin data t =
   match Waveform.stable_interval_around data t with
   | None -> None
   | Some (s, width) ->
     if width >= Waveform.period data then Some max_int
-    else Some (wrap (Waveform.period data) (s + width - t))
+    else Some (Timebase.wrap_period (Waveform.period data) (s + width - t))
 
 let clamp_margin required = function
   | None -> None
@@ -106,7 +103,7 @@ let check_setup_hold ~inst ~signal ~clock ~setup ~hold ~data ~ck =
             v_clock = Some clock;
             v_required = required;
             v_actual = actual;
-            v_at = Some (wrap (Waveform.period ck) ws);
+            v_at = Some (Timebase.wrap_period (Waveform.period ck) ws);
             v_detail = "";
           }
         in
@@ -127,7 +124,7 @@ let pair_falling period rising fallings =
   match fallings with
   | [] -> None
   | _ ->
-    let dist f = wrap period (f.Waveform.w_start - rising.Waveform.w_start) in
+    let dist f = Timebase.wrap_period period (f.Waveform.w_start - rising.Waveform.w_start) in
     let best =
       List.fold_left
         (fun acc f ->
@@ -149,7 +146,7 @@ let check_setup_rise_hold_fall ~inst ~signal ~clock ~setup ~hold ~data ~ck =
         match pair_falling period r falling with
         | None -> []
         | Some f ->
-          let high = wrap period (f.Waveform.w_stop - r.Waveform.w_start) in
+          let high = Timebase.wrap_period period (f.Waveform.w_stop - r.Waveform.w_start) in
           let mk kind required actual at =
             {
               v_kind = kind;
@@ -158,7 +155,7 @@ let check_setup_rise_hold_fall ~inst ~signal ~clock ~setup ~hold ~data ~ck =
               v_clock = Some clock;
               v_required = required;
               v_actual = actual;
-              v_at = Some (wrap period at);
+              v_at = Some (Timebase.wrap_period period at);
               v_detail = "";
             }
           in
@@ -197,7 +194,7 @@ let check_min_pulse_width ~inst ~signal ~high ~low wf =
       v_clock = None;
       v_required = required;
       v_actual = Some actual;
-      v_at = Some (wrap period at);
+      v_at = Some (Timebase.wrap_period period at);
       v_detail = "";
     }
   in

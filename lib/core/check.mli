@@ -56,6 +56,15 @@ val check_setup_hold :
     data input must be stable from [setup] before the earliest rise
     until [hold] after the latest rise. *)
 
+val setup_margin : Waveform.t -> Timebase.ps -> Timebase.ps option
+(** How long [data] has already been stable when instant [t] arrives:
+    [None] when it is not stable at [t], [Some max_int] when it is
+    stable the whole cycle. *)
+
+val hold_margin : Waveform.t -> Timebase.ps -> Timebase.ps option
+(** How long [data] stays stable after instant [t], with the same
+    conventions as {!setup_margin}. *)
+
 val pair_falling :
   Timebase.ps -> Waveform.window -> Waveform.window list -> Waveform.window option
 (** [pair_falling period r fallings] is the falling window a SETUP RISE

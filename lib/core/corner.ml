@@ -46,8 +46,6 @@ let validate_table (tbl : table) =
 
 let scale_delay c d = Delay.scale c.delay_scale d
 
-let scale_wire c d = Delay.scale c.wire_scale d
-
 (* the presets a bare name on the CLI expands to *)
 let presets = [ ("slow", 1.25); ("typ", 1.0); ("fast", 0.8) ]
 

@@ -51,9 +51,6 @@ val validate_table : table -> unit
 val scale_delay : t -> Delay.t -> Delay.t
 (** Element-delay scaling; physically the identity for a [1.0] factor. *)
 
-val scale_wire : t -> Delay.t -> Delay.t
-(** Interconnection-delay scaling. *)
-
 val of_spec : string -> table
 (** Parse a CLI / SDL corner list: comma-separated
     [name[=dscale[/wscale]]] entries, e.g. ["slow,typ,fast"] or

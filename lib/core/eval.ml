@@ -775,8 +775,8 @@ let eval_output t lane (inst : Netlist.inst) =
    the first non-empty input directive (§2.8).  Only levels of gating
    propagate it. *)
 let output_eval_str t (inst : Netlist.inst) =
-  match inst.i_prim with
-  | Primitive.Gate _ | Primitive.Buf _ | Primitive.Mux2 _ ->
+  if not (Primitive.is_gating inst.i_prim) then []
+  else
     let n = Array.length inst.i_inputs in
     let rec find i =
       if i >= n then []
@@ -784,10 +784,6 @@ let output_eval_str t (inst : Netlist.inst) =
         match effective_directive t inst i with [] -> find (i + 1) | _ :: rest -> rest
     in
     find 0
-  | Primitive.Reg _ | Primitive.Latch _ | Primitive.Setup_hold_check _
-  | Primitive.Setup_rise_hold_fall_check _ | Primitive.Min_pulse_width _
-  | Primitive.Const _ ->
-    []
 
 (* Equality up to skew on a constant: [Waveform.equal] compares the
    early/late skew window, but on a single-segment waveform skew is

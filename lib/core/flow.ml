@@ -36,11 +36,6 @@ let domains_of = function
 
 let is_fixed_cls = function Const _ | Stable -> true | _ -> false
 
-let is_clock_kind (a : Assertion.t) =
-  match a.Assertion.kind with
-  | Assertion.Precision_clock | Assertion.Nonprecision_clock -> true
-  | Assertion.Stable -> false
-
 (* Worst-case combination for gates and multiplexers: a changing input
    makes the output data; clocks survive only pure gating (all other
    inputs provably stable), in which case the domains union through. *)
@@ -78,7 +73,7 @@ let analyse ?sched:sched_opt ?(case_nets = []) nl =
   Netlist.iter_nets nl (fun n ->
       let id = n.Netlist.n_id in
       match n.Netlist.n_assertion with
-      | Some a when is_clock_kind a ->
+      | Some a when Assertion.is_clock a ->
         (* An asserted clock is a domain root even when it is also
            driven: the assertion, not the driver, defines its edges. *)
         work.(id) <- Some (Clock { domains = [ id ]; gated = false });

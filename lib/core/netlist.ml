@@ -88,10 +88,6 @@ let fanout n = List.init n.n_fanout_n (fun i -> n.n_fanout.(n.n_fanout_n - 1 - i
 
 let fanout_array n = Array.init n.n_fanout_n (fun i -> n.n_fanout.(n.n_fanout_n - 1 - i))
 
-let fanout_mem n id =
-  let rec go i = i < n.n_fanout_n && (n.n_fanout.(i) = id || go (i + 1)) in
-  go 0
-
 let push_fanout n id =
   (* Instance ids only grow and one instance's connections are recorded
      together, so any duplicate of [id] (one instance reading a net on
@@ -277,19 +273,11 @@ let replace_prim t id prim =
 
 let set_element_delay t id d =
   let i = t.insts.(id) in
-  let prim =
-    match i.i_prim with
-    | Primitive.Gate g -> Primitive.Gate { g with delay = d }
-    | Primitive.Buf b -> Primitive.Buf { b with delay = d }
-    | Primitive.Mux2 m -> Primitive.Mux2 { m with delay = d }
-    | Primitive.Reg r -> Primitive.Reg { r with delay = d }
-    | Primitive.Latch l -> Primitive.Latch { l with delay = d }
-    | Primitive.Setup_hold_check _ | Primitive.Setup_rise_hold_fall_check _
-    | Primitive.Min_pulse_width _ | Primitive.Const _ ->
-      invalid_arg
-        (Printf.sprintf "Netlist.set_element_delay: %s has no element delay" i.i_name)
-  in
-  t.insts.(id) <- { i with i_prim = prim }
+  match Primitive.with_element_delay i.i_prim d with
+  | Some prim -> t.insts.(id) <- { i with i_prim = prim }
+  | None ->
+    invalid_arg
+      (Printf.sprintf "Netlist.set_element_delay: %s has no element delay" i.i_name)
 
 let set_input_directive t ~inst:id ~input d =
   let i = t.insts.(id) in

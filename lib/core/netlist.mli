@@ -122,9 +122,6 @@ val fanout : net -> int list
 val fanout_array : net -> int array
 (** The fanout as a fresh array, same order as {!fanout}. *)
 
-val fanout_mem : net -> int -> bool
-(** Whether the given instance id reads the net (linear scan). *)
-
 val find_inst : t -> string -> int option
 (** Look up an instance by name (linear scan; first registered wins). *)
 

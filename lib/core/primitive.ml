@@ -26,6 +26,29 @@ let has_output = function
 
 let is_checker p = not (has_output p)
 
+let is_gating = function
+  | Gate _ | Buf _ | Mux2 _ -> true
+  | Reg _ | Latch _ | Setup_hold_check _ | Setup_rise_hold_fall_check _
+  | Min_pulse_width _ | Const _ ->
+    false
+
+let element_delay = function
+  | Gate { delay; _ } | Buf { delay; _ } | Mux2 { delay; _ } | Reg { delay; _ }
+  | Latch { delay; _ } ->
+    Some delay
+  | Setup_hold_check _ | Setup_rise_hold_fall_check _ | Min_pulse_width _ | Const _ ->
+    None
+
+let with_element_delay p delay =
+  match p with
+  | Gate g -> Some (Gate { g with delay })
+  | Buf b -> Some (Buf { b with delay })
+  | Mux2 m -> Some (Mux2 { m with delay })
+  | Reg r -> Some (Reg { r with delay })
+  | Latch l -> Some (Latch { l with delay })
+  | Setup_hold_check _ | Setup_rise_hold_fall_check _ | Min_pulse_width _ | Const _ ->
+    None
+
 let enabling_value = function
   | And -> Tvalue.V1
   | Or | Xor -> Tvalue.V0

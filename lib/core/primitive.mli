@@ -53,6 +53,20 @@ val n_inputs : t -> int
 val has_output : t -> bool
 val is_checker : t -> bool
 
+val is_gating : t -> bool
+(** Gates, buffers and multiplexers: the levels of gating, which
+    consume one evaluation-directive letter each and pass the rest on
+    (§2.8), and the combinational edges of the delay graph. *)
+
+val element_delay : t -> Delay.t option
+(** The delay through the element: a gate's, a buffer's, a
+    multiplexer's data path, a register's or a latch's.  [None] for
+    checkers and constants, which have none. *)
+
+val with_element_delay : t -> Delay.t -> t option
+(** The primitive with its element delay replaced; [None] when it has
+    none (see {!element_delay}). *)
+
 val enabling_value : gate_fn -> Tvalue.t
 (** The input value that lets a gate pass its other inputs through: what
     an [&A]/[&H] directive assumes of the control inputs (§2.6). *)

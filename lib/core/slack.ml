@@ -16,26 +16,11 @@ let kind_name = function
   | Min_high -> "MIN HIGH WIDTH"
   | Min_low -> "MIN LOW WIDTH"
 
-let wrap p x =
-  let r = x mod p in
-  if r < 0 then r + p else r
-
-(* Margin of stability before an instant: how long the signal has
-   already been stable when [t] arrives.  Bottoms out at 0 when the
-   signal is not stable at [t]. *)
-let margin_before data t =
-  match Waveform.stable_interval_around data t with
-  | None -> 0
-  | Some (s, width) ->
-    if width >= Waveform.period data then Waveform.period data
-    else wrap (Waveform.period data) (t - s)
-
-let margin_after data t =
-  match Waveform.stable_interval_around data t with
-  | None -> 0
-  | Some (s, width) ->
-    if width >= Waveform.period data then Waveform.period data
-    else wrap (Waveform.period data) (s + width - t)
+(* Check's margins of stability before and after an instant, as slack
+   terms: 0 when the signal is not stable at [t], at most one period. *)
+let as_slack data = Option.fold ~none:0 ~some:(min (Waveform.period data))
+let margin_before data t = as_slack data (Check.setup_margin data t)
+let margin_after data t = as_slack data (Check.hold_margin data t)
 
 (* The data must be stable through the whole edge window as well; when
    it is not, the constraint is missed outright. *)
@@ -51,7 +36,7 @@ let clock_row ~inst ~signal ~clock ~p kind required slack at =
     e_kind = kind;
     e_required = required;
     e_slack = slack;
-    e_at = wrap p at;
+    e_at = Timebase.wrap_period p at;
   }
 
 let setup_hold_entries ~inst ~signal ~clock ~setup ~hold ~data ~ck =
@@ -103,7 +88,7 @@ let pulse_entries ~inst ~signal ~required ~kind ~value wf =
                  e_kind = kind;
                  e_required = required;
                  e_slack = width - required;
-                 e_at = wrap p s;
+                 e_at = Timebase.wrap_period p s;
                })
 
 let entries_of_inst ev lane (inst : Netlist.inst) =

@@ -63,6 +63,9 @@ val wrap : t -> ps -> ps
 (** [wrap tb x] reduces an instant modulo the period, yielding a value in
     [\[0, period)]. Assertions are taken modulo the cycle time (§3.2). *)
 
+val wrap_period : ps -> ps -> ps
+(** [wrap_period period x] is {!wrap} given the period itself. *)
+
 val modular_range : period:ps -> ps * ps -> ps * ps
 (** [modular_range ~period (start, stop)] is the modular interval
     [(start mod period, width)] that a range from [start] to [stop]

@@ -39,10 +39,6 @@ type t = {
 
 (* ---- the window lattice -------------------------------------------------- *)
 
-let wrapp period x =
-  let r = x mod period in
-  if r < 0 then r + period else r
-
 (* Spans are kept sorted, disjoint and non-wrapping; past this count the
    smallest gaps are merged, trading precision for a bounded value. *)
 let max_spans = 16
@@ -57,7 +53,7 @@ let norm_spans ~period raw =
           let w = hi - lo in
           if w < 0 then []
           else
-            let lo = wrapp period lo in
+            let lo = Timebase.wrap_period period lo in
             let hi = lo + w in
             if hi <= period then [ (lo, hi) ] else [ (lo, period); (0, hi - period) ])
         raw
@@ -250,8 +246,8 @@ let transfer_wins t c (i : Netlist.inst) =
 (* ---- flag transfers (corner-independent) ---------------------------------- *)
 
 let estr_out t (i : Netlist.inst) =
-  match i.Netlist.i_prim with
-  | Primitive.Gate _ | Primitive.Buf _ | Primitive.Mux2 _ ->
+  if not (Primitive.is_gating i.Netlist.i_prim) then Some []
+  else
     let n = Array.length i.Netlist.i_inputs in
     let rec find k =
       if k >= n then Some []
@@ -267,7 +263,6 @@ let estr_out t (i : Netlist.inst) =
         | Some (_ :: rest) -> Some rest
     in
     find 0
-  | _ -> Some []
 
 (* A register or latch with a set/reset pair can manufacture Unknown
    (both asserted at once, §2.4.3) unless one side is statically tied to
@@ -689,7 +684,7 @@ let contra_net t (n : Netlist.net) =
               List.exists
                 (fun (ist, iw) ->
                   iw >= t.period
-                  || wrapp t.period (sp.s_lo - ist) + (sp.s_hi - sp.s_lo) <= iw)
+                  || Timebase.wrap_period t.period (sp.s_lo - ist) + (sp.s_hi - sp.s_lo) <= iw)
                 ivs)
             pos)
     in

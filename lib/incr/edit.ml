@@ -82,14 +82,10 @@ let check nl e =
   | Element_delay { inst = name; _ } -> (
     match inst name with
     | Error _ as e -> e
-    | Ok id -> (
-      match (Netlist.inst nl id).i_prim with
-      | Primitive.Gate _ | Primitive.Buf _ | Primitive.Mux2 _ | Primitive.Reg _
-      | Primitive.Latch _ ->
-        Ok ()
-      | Primitive.Setup_hold_check _ | Primitive.Setup_rise_hold_fall_check _
-      | Primitive.Min_pulse_width _ | Primitive.Const _ ->
-        Error (Printf.sprintf "%s has no element delay" name)))
+    | Ok id ->
+      if Primitive.element_delay (Netlist.inst nl id).i_prim = None then
+        Error (Printf.sprintf "%s has no element delay" name)
+      else Ok ())
   | Directive { inst = name; input; _ } -> (
     match inst name with
     | Error _ as e -> e

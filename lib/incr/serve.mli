@@ -52,10 +52,10 @@ val lanes : t -> (int * string) list
     ["r<N>:<op>"] — pass to {!Scald_obs.Obs.write_profile} as
     [?lanes] to name the per-request tracks. *)
 
-val hello : unit -> Json.t
+val hello : unit -> Scald_core.Json.t
 (** The banner object printed before the first request. *)
 
-val handle : t -> Json.t -> Json.t * bool
+val handle : t -> Scald_core.Json.t -> Scald_core.Json.t * bool
 (** Dispatch one decoded request.  Returns the response and whether the
     loop should continue ([false] only after a successful [shutdown]). *)
 

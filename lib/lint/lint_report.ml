@@ -59,30 +59,18 @@ let pp ppf t =
 
 (* ---- JSON lines ---------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let finding_to_json f =
-  Printf.sprintf
-    "{\"rule\":\"%s\",\"severity\":\"%s\",\"locus_kind\":\"%s\",\"locus\":\"%s\",\"message\":\"%s\",\"hint\":\"%s\"}"
-    (json_escape f.f_rule)
-    (severity_name f.f_severity)
-    (locus_kind f.f_locus)
-    (json_escape (locus_name f.f_locus))
-    (json_escape f.f_message) (json_escape f.f_hint)
+  let open Scald_core.Json in
+  to_string
+    (Obj
+       [
+         ("rule", Str f.f_rule);
+         ("severity", Str (severity_name f.f_severity));
+         ("locus_kind", Str (locus_kind f.f_locus));
+         ("locus", Str (locus_name f.f_locus));
+         ("message", Str f.f_message);
+         ("hint", Str f.f_hint);
+       ])
 
 let pp_jsonl ppf t =
   List.iter (fun f -> Format.fprintf ppf "%s@." (finding_to_json f)) t.findings

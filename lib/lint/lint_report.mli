@@ -58,7 +58,8 @@ val pp : Format.formatter -> t -> unit
 
 val finding_to_json : finding -> string
 (** One finding as a single-line JSON object with keys [rule],
-    [severity], [locus_kind], [locus], [message], [hint]. *)
+    [severity], [locus_kind], [locus], [message], [hint], printed by
+    {!Scald_core.Json.to_string}. *)
 
 val pp_jsonl : Format.formatter -> t -> unit
 (** Every finding as one JSON line (JSONL). *)

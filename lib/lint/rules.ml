@@ -21,11 +21,6 @@ let ns = Timebase.ns_of_ps
 
 (* ---- shared structural helpers ------------------------------------------- *)
 
-let is_clock_assertion (a : Assertion.t) =
-  match a.Assertion.kind with
-  | Assertion.Precision_clock | Assertion.Nonprecision_clock -> true
-  | Assertion.Stable -> false
-
 let net_name nl id = (Netlist.net nl id).Netlist.n_name
 
 (* The edge-sensitive clock/enable input of an instance, if it has one,
@@ -39,12 +34,6 @@ let edge_input (i : Netlist.inst) =
 
 let is_data_checker = function
   | Primitive.Setup_hold_check _ | Primitive.Setup_rise_hold_fall_check _ -> true
-  | _ -> false
-
-(* Gates, buffers and muxes are "levels of gating": they consume one
-   evaluation-directive letter each and propagate the rest (2.8). *)
-let is_gating = function
-  | Primitive.Gate _ | Primitive.Buf _ | Primitive.Mux2 _ -> true
   | _ -> false
 
 let domain_names nl ds = String.concat ", " (List.map (net_name nl) ds)
@@ -67,7 +56,7 @@ let gating_depth nl =
         | Some o ->
           List.fold_left
             (fun acc j ->
-              if is_gating (Netlist.inst nl j).Netlist.i_prim then
+              if Primitive.is_gating (Netlist.inst nl j).Netlist.i_prim then
                 max acc (1 + depth j)
               else acc)
             0
@@ -86,18 +75,6 @@ let base_name name =
   match Signal_name.parse name with
   | Ok sn -> sn.Signal_name.base
   | Error _ -> name
-
-let delay_dmax (prim : Primitive.t) =
-  match prim with
-  | Primitive.Gate { delay; _ }
-  | Primitive.Buf { delay; _ }
-  | Primitive.Mux2 { delay; _ }
-  | Primitive.Reg { delay; _ }
-  | Primitive.Latch { delay; _ } ->
-    delay.Delay.dmax
-  | Primitive.Setup_hold_check _ | Primitive.Setup_rise_hold_fall_check _
-  | Primitive.Min_pulse_width _ | Primitive.Const _ ->
-    0
 
 let wire_dmax nl id = (Netlist.wire_delay nl (Netlist.net nl id)).Delay.dmax
 
@@ -201,7 +178,7 @@ let check_c5 nl =
   let acc = ref [] in
   Netlist.iter_nets nl (fun n ->
       match n.Netlist.n_assertion with
-      | Some a when is_clock_assertion a && a.Assertion.skew_ns = None ->
+      | Some a when Assertion.is_clock a && a.Assertion.skew_ns = None ->
         let minus, plus =
           match a.Assertion.kind with
           | Assertion.Precision_clock -> defaults.Assertion.precision_skew
@@ -256,7 +233,7 @@ let check_c6 nl flow =
 let check_c7 nl flow =
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
-      if is_gating i.Netlist.i_prim then begin
+      if Primitive.is_gating i.Netlist.i_prim then begin
         let data_inputs =
           Array.to_list i.Netlist.i_inputs
           |> List.filter_map (fun (c : Netlist.conn) ->
@@ -353,9 +330,11 @@ let check_k2 nl =
           let data = i.Netlist.i_inputs.(0).Netlist.c_net in
           match (Netlist.net nl data).Netlist.n_driver with
           | Some d ->
-            let path =
-              delay_dmax (Netlist.inst nl d).Netlist.i_prim + wire_dmax nl data
+            let element =
+              Option.value ~default:Delay.zero
+                (Primitive.element_delay (Netlist.inst nl d).Netlist.i_prim)
             in
+            let path = element.Delay.dmax + wire_dmax nl data in
             if path + setup > period then
               acc :=
                 finding "K2" R.Warning locus
@@ -389,7 +368,7 @@ let check_k3 nl =
           let len = List.length c.Netlist.c_directive in
           if len > 0 then begin
             let usable =
-              if is_gating i.Netlist.i_prim then 1 + depth i.Netlist.i_id else 1
+              if Primitive.is_gating i.Netlist.i_prim then 1 + depth i.Netlist.i_id else 1
             in
             if len > usable then
               acc :=
@@ -420,7 +399,7 @@ let check_k4 nl =
     | Some o ->
       List.iter
         (fun j ->
-          if is_gating (Netlist.inst nl j).Netlist.i_prim then begin
+          if Primitive.is_gating (Netlist.inst nl j).Netlist.i_prim then begin
             if color.(j) = 0 then dfs (j :: path) j
             else if color.(j) = 1 then begin
               (* back edge: the cycle is the path segment back to j *)
@@ -444,7 +423,7 @@ let check_k4 nl =
     color.(i) <- 2
   in
   Netlist.iter_insts nl (fun i ->
-      if color.(i.Netlist.i_id) = 0 && is_gating i.Netlist.i_prim then
+      if color.(i.Netlist.i_id) = 0 && Primitive.is_gating i.Netlist.i_prim then
         dfs [ i.Netlist.i_id ] i.Netlist.i_id);
   List.rev !acc
 
@@ -480,7 +459,7 @@ let check_k5 nl =
       | None -> ()
       | Some (c, label) -> (
         match (Netlist.net nl c.Netlist.c_net).Netlist.n_assertion with
-        | Some a when not (is_clock_assertion a) ->
+        | Some a when not (Assertion.is_clock a) ->
           acc :=
             finding "K5" R.Error (R.Inst i.Netlist.i_name)
               (Printf.sprintf
@@ -521,7 +500,7 @@ let check_k6 nl =
 let check_k7 nl flow =
   let acc = ref [] in
   Netlist.iter_insts nl (fun i ->
-      if is_gating i.Netlist.i_prim then begin
+      if Primitive.is_gating i.Netlist.i_prim then begin
         let inputs = Array.to_list i.Netlist.i_inputs in
         let clocks =
           List.filter_map

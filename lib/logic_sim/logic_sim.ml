@@ -31,7 +31,6 @@ type circuit = {
   mutable n_gates : int;
   mutable fanout : int list array;  (* net -> gate ids *)
   mutable driven : bool array;
-  by_name : (string, int) Hashtbl.t;
 }
 
 let create () =
@@ -42,7 +41,6 @@ let create () =
     n_gates = 0;
     fanout = [||];
     driven = [||];
-    by_name = Hashtbl.create 64;
   }
 
 let grow arr n dummy =
@@ -58,7 +56,6 @@ let add_net c name =
   c.fanout.(id) <- [];
   c.driven.(id) <- false;
   c.n_nets <- c.n_nets + 1;
-  Hashtbl.replace c.by_name name id;
   id
 
 let arity = function
@@ -104,7 +101,6 @@ let add_latch c ?name ~dmin ~dmax ~data ~enable ~output () =
 
 let n_gates c = c.n_gates
 let n_nets c = c.n_nets
-let find_net c name = Hashtbl.find_opt c.by_name name
 
 (* ---- three-valued gate functions -------------------------------------------- *)
 

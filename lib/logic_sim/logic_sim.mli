@@ -48,7 +48,6 @@ val add_gate :
 
 val n_gates : circuit -> int
 val n_nets : circuit -> int
-val find_net : circuit -> string -> int option
 
 (** {1 Simulation} *)
 

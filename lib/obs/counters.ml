@@ -61,56 +61,16 @@ let of_report ?(phases = []) ?(extra = []) (r : Verifier.report) =
 let counter m name =
   match List.assoc_opt name m.m_counters with Some v -> v | None -> 0
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-(* %.6f keeps sub-microsecond resolution and never prints the
-   exponent notation JSON forbids in some consumers. *)
-let json_float x = Printf.sprintf "%.6f" x
-
 let to_json m =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"schema\": %s" (json_string schema_version));
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf (Printf.sprintf ",\n  %s: %d" (json_string k) v))
-    m.m_counters;
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf ",\n  %s: %b" (json_string k) v))
-    m.m_flags;
-  let obj key pairs render =
-    Buffer.add_string buf (Printf.sprintf ",\n  %s: {" (json_string key));
-    List.iteri
-      (fun i (k, v) ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s%s: %s"
-             (if i = 0 then "" else ", ")
-             (json_string k) (render v)))
-      pairs;
-    Buffer.add_string buf "}"
-  in
-  obj "evals_by_kind" m.m_kinds string_of_int;
-  obj "phases_s" m.m_phases json_float;
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
+  let ints = List.map (fun (k, v) -> (k, Json.of_int v)) in
+  Json.to_lines
+    (Json.Obj
+       ((("schema", Json.Str schema_version) :: ints m.m_counters)
+       @ List.map (fun (k, b) -> (k, Json.Bool b)) m.m_flags
+       @ [
+           ("evals_by_kind", Json.Obj (ints m.m_kinds));
+           ("phases_s", Json.Obj (List.map (fun (k, s) -> (k, Json.Num s)) m.m_phases));
+         ]))
 
 let write_file m path =
   let oc = open_out_bin path in

@@ -4,8 +4,8 @@
     (plus optional per-phase wall times from a {!Span} profiler) into
     one flat record, written as a single JSON object — the
     [metrics.json] consumed by dashboards and the bench harness.  The
-    writer is hand-rolled (the repo takes no JSON dependency); the
-    emitted shape is pinned by [doc/metrics.schema.json]. *)
+    object is printed by {!Scald_core.Json.to_lines}; its shape is
+    pinned by [doc/metrics.schema.json]. *)
 
 type metrics = {
   m_counters : (string * int) list;
@@ -42,10 +42,8 @@ val counter : metrics -> string -> int
 (** Value of a flat counter, 0 when absent. *)
 
 val to_json : metrics -> string
-(** One flat JSON object, terminated by a newline. *)
+(** One JSON object, one member per line ({!Scald_core.Json.to_lines}):
+    ["schema"], the counters, the flags, then the ["evals_by_kind"] and
+    ["phases_s"] objects. *)
 
 val write_file : metrics -> string -> unit
-
-val json_string : string -> string
-(** JSON string literal (quoted, escaped) — shared with
-    {!Trace_export}. *)

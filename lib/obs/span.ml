@@ -43,8 +43,6 @@ let with_span t name f =
   in
   Fun.protect ~finally:finish f
 
-let probe_span = with_span
-
 let mark t name =
   let ts = now_us t in
   record t

@@ -43,10 +43,6 @@ val with_span : t -> string -> (unit -> 'a) -> 'a
 (** [with_span t name f] runs [f] inside a span.  The span is recorded
     even when [f] raises; spans nest to any depth. *)
 
-val probe_span : t -> string -> (unit -> 'a) -> 'a
-(** Same as {!with_span}; a separate name so it can be used directly as
-    the polymorphic [pr_span] field of {!Scald_core.Verifier.probe}. *)
-
 val mark : t -> string -> unit
 (** Record an instantaneous (zero-duration) span. *)
 

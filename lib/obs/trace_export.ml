@@ -1,49 +1,41 @@
-let esc = Counters.json_string
+open Scald_core
 
-let us x = Printf.sprintf "%.1f" x
+(* Every event carries name/ph/ts/dur/pid first, in that order; the
+   whole trace is one process. *)
+let event name ph ~ts ~dur rest =
+  Json.Obj
+    (("name", Json.Str name) :: ("ph", Json.Str ph) :: ("ts", Json.Num ts)
+    :: ("dur", Json.Num dur) :: ("pid", Json.of_int 1) :: rest)
 
 (* Complete ("X") events on one thread nest by containment; the span's
    lane is the tid, so each serve request renders on its own track
    (lane 0 is the process-lifetime track for one-shot runs). *)
-let span_event ~pid (s : Span.span) =
-  Printf.sprintf
-    "{\"name\": %s, \"ph\": \"X\", \"ts\": %s, \"dur\": %s, \"pid\": %d, \"tid\": %d, \
-     \"cat\": \"phase\"}"
-    (esc s.Span.s_name) (us s.Span.s_ts_us) (us s.Span.s_dur_us) pid s.Span.s_lane
+let span_event (s : Span.span) =
+  event s.Span.s_name "X" ~ts:s.Span.s_ts_us ~dur:s.Span.s_dur_us
+    [ ("tid", Json.of_int s.Span.s_lane); ("cat", Json.Str "phase") ]
 
-let counter_event ~pid ~ts (name, value) =
-  Printf.sprintf
-    "{\"name\": %s, \"ph\": \"C\", \"ts\": %s, \"dur\": 0, \"pid\": %d, \"args\": \
-     {%s: %d}}"
-    (esc name) (us ts) pid (esc name) value
+let counter_event ~ts (name, value) =
+  event name "C" ~ts ~dur:0. [ ("args", Json.Obj [ (name, Json.of_int value) ]) ]
 
-let meta_event ~pid name =
-  Printf.sprintf
-    "{\"name\": \"process_name\", \"ph\": \"M\", \"ts\": 0, \"dur\": 0, \"pid\": %d, \
-     \"args\": {\"name\": %s}}"
-    pid (esc name)
+let name_args name = ("args", Json.Obj [ ("name", Json.Str name) ])
 
-let thread_name_event ~pid (tid, name) =
-  Printf.sprintf
-    "{\"name\": \"thread_name\", \"ph\": \"M\", \"ts\": 0, \"dur\": 0, \"pid\": %d, \
-     \"tid\": %d, \"args\": {\"name\": %s}}"
-    pid tid (esc name)
+let meta_event name = event "process_name" "M" ~ts:0. ~dur:0. [ name_args name ]
+
+let thread_name_event (tid, name) =
+  event "thread_name" "M" ~ts:0. ~dur:0. [ ("tid", Json.of_int tid); name_args name ]
 
 let to_json ?(process_name = "scald_tv") ?(lanes = []) ?(counters = []) prof =
-  let pid = 1 in
   let spans = Span.spans prof in
   let t_end =
     List.fold_left
       (fun acc (s : Span.span) -> Float.max acc (s.Span.s_ts_us +. s.Span.s_dur_us))
       0. spans
   in
-  let events =
-    meta_event ~pid process_name
-    :: List.map (thread_name_event ~pid) lanes
-    @ List.map (span_event ~pid) spans
-    @ List.map (counter_event ~pid ~ts:t_end) counters
-  in
-  "[\n  " ^ String.concat ",\n  " events ^ "\n]\n"
+  Json.to_lines
+    (Json.List
+       ((meta_event process_name :: List.map thread_name_event lanes)
+       @ List.map span_event spans
+       @ List.map (counter_event ~ts:t_end) counters))
 
 let write_file ?process_name ?lanes ?counters prof path =
   let oc = open_out_bin path in

@@ -11,7 +11,10 @@
     Each span's [tid] is its {!Span.span.s_lane}, so a serve daemon
     that assigns one lane per request gets one track per request; the
     [?lanes] argument names those tracks with phase-["M"]
-    [thread_name] metadata events. *)
+    [thread_name] metadata events.
+
+    The array is printed by {!Scald_core.Json.to_lines}, one event per
+    line. *)
 
 val to_json :
   ?process_name:string ->

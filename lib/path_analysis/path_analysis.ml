@@ -24,23 +24,11 @@ type edge = {
   e_max : Timebase.ps;
 }
 
-let is_combinational (p : Primitive.t) =
-  match p with
-  | Primitive.Gate _ | Primitive.Buf _ | Primitive.Mux2 _ -> true
-  | Primitive.Reg _ | Primitive.Latch _ | Primitive.Setup_hold_check _
-  | Primitive.Setup_rise_hold_fall_check _ | Primitive.Min_pulse_width _
-  | Primitive.Const _ ->
-    false
-
+(* The select input of a multiplexer sees its extra delay (Figure 3-6). *)
 let prim_delay (p : Primitive.t) ~input_index =
   match p with
-  | Primitive.Gate { delay; _ } | Primitive.Buf { delay; _ } -> delay
-  | Primitive.Mux2 { delay; select_extra } ->
-    if input_index = 2 then Delay.add delay select_extra else delay
-  | Primitive.Reg { delay; _ } | Primitive.Latch { delay; _ } -> delay
-  | Primitive.Setup_hold_check _ | Primitive.Setup_rise_hold_fall_check _
-  | Primitive.Min_pulse_width _ | Primitive.Const _ ->
-    Delay.zero
+  | Primitive.Mux2 { delay; select_extra } when input_index = 2 -> Delay.add delay select_extra
+  | p -> Option.value ~default:Delay.zero (Primitive.element_delay p)
 
 (* Outgoing combinational edges from a net. *)
 let edges_from nl net_id =
@@ -49,7 +37,7 @@ let edges_from nl net_id =
   List.filter_map
     (fun inst_id ->
       let inst = Netlist.inst nl inst_id in
-      if not (is_combinational inst.Netlist.i_prim) then None
+      if not (Primitive.is_gating inst.Netlist.i_prim) then None
       else
         match inst.Netlist.i_output with
         | None -> None
@@ -119,7 +107,7 @@ let full_edges_from nl net_id =
   List.filter_map
     (fun inst_id ->
       let inst = Netlist.inst nl inst_id in
-      if not (is_combinational inst.Netlist.i_prim) then None
+      if not (Primitive.is_gating inst.Netlist.i_prim) then None
       else
         match inst.Netlist.i_output with
         | None -> None

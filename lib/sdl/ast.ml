@@ -38,38 +38,3 @@ type top_stmt =
   | Top_instance of instance
 
 type design = top_stmt list
-
-let pp_sigref ppf s =
-  if s.complement then Format.pp_print_string ppf "- ";
-  Format.pp_print_string ppf s.name;
-  (match s.scope with
-  | Param -> Format.pp_print_string ppf " /P"
-  | Local -> Format.pp_print_string ppf " /M"
-  | Global -> ());
-  match s.directive with
-  | Some d -> Format.fprintf ppf " &%s" d
-  | None -> ()
-
-let pp_instance ppf i =
-  Format.fprintf ppf "%s" i.i_head;
-  if i.i_props <> [] then begin
-    Format.fprintf ppf " (";
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-      (fun ppf p ->
-        Format.fprintf ppf "%s=%s" p.p_name
-          (String.concat "/" (List.map (Printf.sprintf "%g") p.p_values)))
-      ppf i.i_props;
-    Format.fprintf ppf ")"
-  end;
-  Format.fprintf ppf " (";
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-    pp_sigref ppf i.i_args;
-  Format.fprintf ppf ")";
-  if i.i_outs <> [] then begin
-    Format.fprintf ppf " -> ";
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-      pp_sigref ppf i.i_outs
-  end

@@ -75,6 +75,3 @@ type top_stmt =
   | Top_instance of instance
 
 type design = top_stmt list
-
-val pp_sigref : Format.formatter -> sigref -> unit
-val pp_instance : Format.formatter -> instance -> unit

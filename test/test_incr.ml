@@ -6,6 +6,7 @@
 
 open Scald_core
 open Scald_incr
+module Json = Scald_core.Json
 
 let prop ?(count = 50) name gen f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen f)
@@ -57,6 +58,20 @@ let test_json_int_printing () =
     (Json.to_string (Json.Obj [ ("n", Json.Num 7.0) ]));
   Alcotest.(check string) "fractional floats keep their fraction" "{\"n\":7.25}"
     (Json.to_string (Json.Obj [ ("n", Json.Num 7.25) ]))
+
+let test_json_lines () =
+  Alcotest.(check string) "one member per line, each compact"
+    "{\n  \"a\":1,\n  \"b\":{\"c\":[0.5,\"x\"]}\n}\n"
+    (Json.to_lines
+       (Json.Obj
+          [
+            ("a", Json.of_int 1);
+            ("b", Json.Obj [ ("c", Json.List [ Json.Num 0.5; Json.Str "x" ]) ]);
+          ]));
+  Alcotest.(check string) "one element per line" "[\n  1,\n  {}\n]\n"
+    (Json.to_lines (Json.List [ Json.of_int 1; Json.Obj [] ]));
+  Alcotest.(check string) "empty" "[]\n" (Json.to_lines (Json.List []));
+  Alcotest.(check string) "scalar" "\"s\"\n" (Json.to_lines (Json.Str "s"))
 
 let test_json_edge_cases () =
   (match Json.parse {| "a\"b\\c\/d" |} with
@@ -135,7 +150,7 @@ let gen_json =
 
 let json_roundtrip_property =
   prop ~count:200 "printed JSON parses back to the same value" gen_json (fun j ->
-      Json.parse (Json.to_string j) = Ok j)
+      Json.parse (Json.to_string j) = Ok j && Json.parse (Json.to_lines j) = Ok j)
 
 (* ---- a small deterministic circuit ----------------------------------------- *)
 
@@ -1215,6 +1230,7 @@ let suite =
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json parse" `Quick test_json_parse;
     Alcotest.test_case "json int printing" `Quick test_json_int_printing;
+    Alcotest.test_case "json line layout" `Quick test_json_lines;
     Alcotest.test_case "json edge cases" `Quick test_json_edge_cases;
     json_roundtrip_property;
     Alcotest.test_case "fingerprint digest/skeleton" `Quick test_fingerprint_digest;

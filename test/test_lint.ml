@@ -271,7 +271,7 @@ let test_vacuous_golden () =
 
 (* ---- JSON lines ------------------------------------------------------------- *)
 
-module Json = Scald_incr.Json
+module Json = Scald_core.Json
 
 let json = Alcotest.testable (fun ppf j -> Format.pp_print_string ppf (Json.to_string j)) ( = )
 

@@ -21,9 +21,10 @@ let count_substring hay needle =
 
 (* ---- a minimal JSON syntax checker --------------------------------------
 
-   The exporters hand-roll their JSON, so validity is worth an actual
-   parse rather than substring checks.  Accepts the RFC 8259 grammar
-   (sans \u surrogate pairing) and nothing trailing. *)
+   An oracle independent of the codec the exporters print through, so
+   validity is worth an actual parse rather than substring checks.
+   Accepts the RFC 8259 grammar (sans \u surrogate pairing) and
+   nothing trailing. *)
 
 let json_ok s =
   let n = String.length s in
@@ -395,6 +396,15 @@ let test_metrics_json () =
       "\"phases_s\"";
     ]
 
+(* The decoded trace: its events and one member of an event. *)
+let trace_events json =
+  match Json.parse json with
+  | Ok (Json.List evs) -> evs
+  | Ok _ -> Alcotest.fail "trace is not an array"
+  | Error e -> Alcotest.fail e
+
+let has_event evs key v = List.exists (fun e -> Json.member key e = Some v) evs
+
 let test_trace_json () =
   let clock, tick = fake_clock () in
   let prof = Span.create ~clock () in
@@ -404,18 +414,28 @@ let test_trace_json () =
   let json = Trace_export.to_json ~counters:[ ("events", 42) ] prof in
   Alcotest.(check bool) "valid json" true (json_ok json);
   Alcotest.(check bool) "array shape" true (String.length json > 0 && json.[0] = '[');
+  let evs = trace_events json in
   List.iter
-    (fun key -> Alcotest.(check bool) (key ^ " present") true (contains json key))
-    [ "\"ph\": \"X\""; "\"ph\": \"C\""; "\"ts\":"; "\"dur\":"; "\"name\":" ];
+    (fun e ->
+      List.iter
+        (fun key ->
+          Alcotest.(check bool) (key ^ " present") true (Json.member key e <> None))
+        [ "name"; "ph"; "ts"; "dur" ])
+    evs;
+  Alcotest.(check bool) "complete span" true (has_event evs "ph" (Json.Str "X"));
+  Alcotest.(check bool) "counter sample" true (has_event evs "ph" (Json.Str "C"));
   Alcotest.(check bool) "escapes names" true (contains json "expand \\\"quoted\\\"");
-  Alcotest.(check bool) "counter value" true (contains json "{\"events\": 42}")
+  Alcotest.(check bool) "name decodes" true
+    (has_event evs "name" (Json.Str "expand \"quoted\""));
+  Alcotest.(check bool) "counter value" true
+    (has_event evs "args" (Json.Obj [ ("events", Json.of_int 42) ]))
 
 let test_json_string_escaping () =
-  Alcotest.(check string) "plain" "\"abc\"" (Counters.json_string "abc");
-  Alcotest.(check string) "specials" "\"a\\\"b\\\\c\\nd\""
-    (Counters.json_string "a\"b\\c\nd");
-  Alcotest.(check string) "control" "\"\\u0001\"" (Counters.json_string "\x01");
-  Alcotest.(check bool) "result parses" true (json_ok (Counters.json_string "a\"b\\c\nd\x01"))
+  let quote s = Json.to_string (Json.Str s) in
+  Alcotest.(check string) "plain" "\"abc\"" (quote "abc");
+  Alcotest.(check string) "specials" "\"a\\\"b\\\\c\\nd\"" (quote "a\"b\\c\nd");
+  Alcotest.(check string) "control" "\"\\u0001\"" (quote "\x01");
+  Alcotest.(check bool) "result parses" true (json_ok (quote "a\"b\\c\nd\x01"))
 
 (* ---- latency histograms ---------------------------------------------------- *)
 
@@ -550,10 +570,12 @@ let test_span_lanes () =
   | l -> Alcotest.failf "expected 3 spans, got %d" (List.length l));
   let json = Trace_export.to_json ~lanes:[ (3, "r3:verify") ] prof in
   Alcotest.(check bool) "valid json" true (json_ok json);
-  Alcotest.(check bool) "lane becomes tid" true (contains json "\"tid\": 3");
+  let evs = trace_events json in
+  Alcotest.(check bool) "lane becomes tid" true (has_event evs "tid" (Json.of_int 3));
   Alcotest.(check bool) "thread_name metadata" true
-    (contains json "\"thread_name\"");
-  Alcotest.(check bool) "lane named" true (contains json "\"r3:verify\"")
+    (has_event evs "name" (Json.Str "thread_name"));
+  Alcotest.(check bool) "lane named" true
+    (has_event evs "args" (Json.Obj [ ("name", Json.Str "r3:verify") ]))
 
 (* ---- metrics/3: requests counter and duplicate-key rejection ---------------- *)
 
@@ -592,7 +614,6 @@ let read_file path =
    traffic) and the capacity bench's [cap_*] keys are the only other
    properties.  A key a writer drops must leave the schema too. *)
 let test_metrics_schema_pins_writers () =
-  let module Json = Scald_incr.Json in
   let schema =
     match Json.parse (read_file "../doc/metrics.schema.json") with
     | Ok j -> j

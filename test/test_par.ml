@@ -152,13 +152,22 @@ let reports_equal (a : Verifier.report) (b : Verifier.report) =
   && List.length a.Verifier.r_cases = List.length b.Verifier.r_cases
   && List.for_all2 case_results_equal a.Verifier.r_cases b.Verifier.r_cases
 
-(* Every enqueue request either ran an evaluation or coalesced into one
+(* The counters add up, merged across shards as much as on one job.
+   Every enqueue request either ran an evaluation or coalesced into one
    already pending, once the work list has drained; a diverged run drops
-   what is left, so the law holds on converged reports only. *)
+   what is left, so that law holds on converged reports only.  The
+   per-kind and per-case counts sum to the run's totals, and an event is
+   an evaluation that moved its output. *)
 let counters_add_up (r : Verifier.report) =
-  (not r.Verifier.r_converged)
-  || r.Verifier.r_obs.Verifier.os_queued
-     = r.Verifier.r_evaluations + r.Verifier.r_obs.Verifier.os_coalesced
+  let o = r.Verifier.r_obs in
+  let sum_cases f = List.fold_left (fun acc c -> acc + f c) 0 r.Verifier.r_cases in
+  ((not r.Verifier.r_converged)
+  || o.Verifier.os_queued = r.Verifier.r_evaluations + o.Verifier.os_coalesced)
+  && List.fold_left (fun acc (_, n) -> acc + n) 0 o.Verifier.os_evals_by_kind
+     = r.Verifier.r_evaluations
+  && sum_cases (fun c -> c.Verifier.cr_events) = r.Verifier.r_events
+  && sum_cases (fun c -> c.Verifier.cr_evaluations) = r.Verifier.r_evaluations
+  && r.Verifier.r_events <= r.Verifier.r_evaluations
 
 let test_jobs_equal_on_diverging_circuit () =
   let r1 = Verifier.verify ~cases:slow_loop_cases (slow_loop ()) in

@@ -123,10 +123,12 @@ let corner_lane0_matches_scalar (c : Test_par.corner_recipe) =
       r.Verifier.r_converged,
       waveforms nl r.Verifier.r_eval )
   in
-  let packed = snapshot (verify ~corners) in
+  let packed_report = verify ~corners in
+  let packed = snapshot packed_report in
   let scalar = snapshot (verify ~corners:(Array.sub corners 0 1)) in
   let pv, pc, pok, pw = packed and sv, sc, sok, sw = scalar in
-  pv = sv && pc = sc && pok = sok && List.for_all2 Waveform.equal pw sw
+  Test_par.counters_add_up packed_report
+  && pv = sv && pc = sc && pok = sok && List.for_all2 Waveform.equal pw sw
 
 (* ---- the properties ------------------------------------------------------------ *)
 

@@ -32,10 +32,6 @@ let netgen_cases = Test_par.netgen_cases
 
 (* ---- modular containment: a materialized change window inside wins ---- *)
 
-let wrapp p x =
-  let r = x mod p in
-  if r < 0 then r + p else r
-
 let covered ~period wins (a, b) =
   match wins with
   | Window.Top -> true
@@ -46,7 +42,7 @@ let covered ~period wins (a, b) =
       (* only a single full span covers everything *)
       List.exists (fun s -> s.Window.s_lo = 0 && s.Window.s_hi = period) spans
     else begin
-      let lo = wrapp period a in
+      let lo = Timebase.wrap_period period a in
       let hi = lo + w in
       let pieces =
         if hi <= period then [ (lo, hi) ] else [ (lo, period); (0, hi - period) ]
