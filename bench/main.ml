@@ -72,7 +72,7 @@ let table_3_1 () =
   row "verifying circuit" "6.75" t_verify;
   row "generating timing summary listing" "0.22" t_summary;
   let prims = Netlist.n_insts nl in
-  let events = report.Verifier.r_events in
+  let events = Eval.counter report.Verifier.r_counters "events" in
   Printf.printf "\n  %-40s %10s %12s\n" "" "paper" "measured";
   Printf.printf "  %-40s %10d %12d\n" "primitives" 8282 prims;
   Printf.printf "  %-40s %10d %12d\n" "events processed" 20052 events;
@@ -399,7 +399,8 @@ let compare_logicsim () =
       let report, tv_t = timed (fun () -> Verifier.verify nl) in
       Printf.printf "  %6d %10d %12d %10.4f s %10d %10.4f s %9.1fx\n" n
         ex.Logic_sim.vectors_simulated ex.Logic_sim.total_events sim_t
-        report.Verifier.r_events tv_t
+        (Eval.counter report.Verifier.r_counters "events")
+        tv_t
         (sim_t /. max 1e-9 tv_t))
     [ 4; 6; 8; 10; 12; 14 ]
 
@@ -757,12 +758,10 @@ let reports_equal (a : Verifier.report) (b : Verifier.report) =
     && x.Verifier.cr_evaluations = y.Verifier.cr_evaluations
     && x.Verifier.cr_converged = y.Verifier.cr_converged
   in
-  a.Verifier.r_events = b.Verifier.r_events
-  && a.Verifier.r_evaluations = b.Verifier.r_evaluations
+  a.Verifier.r_counters = b.Verifier.r_counters
   && a.Verifier.r_violations = b.Verifier.r_violations
   && a.Verifier.r_converged = b.Verifier.r_converged
   && a.Verifier.r_unasserted = b.Verifier.r_unasserted
-  && a.Verifier.r_obs = b.Verifier.r_obs
   && List.length a.Verifier.r_cases = List.length b.Verifier.r_cases
   && List.for_all2 case_equal a.Verifier.r_cases b.Verifier.r_cases
 
@@ -914,7 +913,7 @@ let incr_reverify () =
   let s = Session.load nl in
   Session.stage s edit;
   let (r_incr, st), t_incr = wall_timed (fun () -> Session.reverify s) in
-  let ev_cold = r_cold.Verifier.r_evaluations in
+  let ev_cold = Eval.counter r_cold.Verifier.r_counters "evaluations" in
   let ev_incr = st.Session.st_evaluations in
   let ev_x = float_of_int ev_cold /. float_of_int (max 1 ev_incr) in
   let wall_x = t_cold /. (t_incr +. epsilon_float) in
@@ -1050,7 +1049,7 @@ let corner_speedup () =
   in
   Printf.printf "  packed report bit-identical at -j 4: %s\n"
     (if det then "PASS" else "FAIL");
-  let o = r_packed.Verifier.r_obs in
+  let n = Eval.counter r_packed.Verifier.r_counters in
   Printf.printf "  %-44s %10.4f s\n" "single corner (typ), best of 3" t_single;
   Printf.printf "  %-44s %10.4f s\n" "4 sequential single-corner runs" t_seq4;
   Printf.printf "  %-44s %10.4f s\n" "packed 4-corner run" t_packed;
@@ -1059,9 +1058,9 @@ let corner_speedup () =
   Printf.printf "  %-44s %9.2fx\n" "cost vs one corner"
     (t_packed /. Float.max 1e-9 t_single);
   Printf.printf "  %-44s %12d\n" "lane outputs shared with the reference"
-    o.Verifier.os_corner_lanes_shared;
+    (n "corner_lanes_shared");
   Printf.printf "  %-44s %12d\n" "lane evaluations skipped"
-    o.Verifier.os_corner_evals_saved;
+    (n "corner_evals_saved");
   emit_bench_metrics "corner-speedup"
     ~phases:
       [ ("verify_single", t_single); ("verify_seq4", t_seq4);

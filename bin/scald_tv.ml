@@ -23,7 +23,7 @@ let run file case_file jobs corners summary xref quiet paths corr_advice prob
   let obs =
     if profile_out <> None || metrics_out <> None || explain then
       Some
-        (Scald_obs.Obs.create
+        (Scald_obs.Obs.create ~keep_spans:(profile_out <> None)
            ~trace_buffer:(if explain then max 1 trace_buffer else trace_buffer)
            ())
     else None
@@ -167,7 +167,8 @@ let run file case_file jobs corners summary xref quiet paths corr_advice prob
     if not quiet then
       Format.printf "@.cases: %d  events: %d  evaluations: %d@."
         (List.length report.Verifier.r_cases)
-        report.Verifier.r_events report.Verifier.r_evaluations;
+        (Eval.counter report.Verifier.r_counters "events")
+        (Eval.counter report.Verifier.r_counters "evaluations");
     (match obs with
     | None -> ()
     | Some o ->

@@ -125,7 +125,7 @@ let () =
   Format.printf "%a@.@." Report.pp_summary report.Verifier.r_eval;
   Format.printf "%a@." Report.pp_violations report.Verifier.r_violations;
   Format.printf "@.%d primitives, %d events over %d cases@." (Netlist.n_insts nl)
-    report.Verifier.r_events
+    (Eval.counter report.Verifier.r_counters "events")
     (List.length report.Verifier.r_cases);
   (* what does the CORR advisor think? all feedback is already protected *)
   let advice = Path_analysis.Corr.advise nl in

@@ -50,7 +50,8 @@ let verify_and_show label build =
   build nl;
   let report = Verifier.verify nl in
   Format.printf "%-22s %d primitives, %d events, %d violation(s)@." label
-    (Netlist.n_insts nl) report.Verifier.r_events
+    (Netlist.n_insts nl)
+    (Eval.counter report.Verifier.r_counters "events")
     (List.length report.Verifier.r_violations);
   List.iter (fun v -> Format.printf "    %a@." Check.pp v) report.Verifier.r_violations;
   report

@@ -19,8 +19,9 @@ let () =
     (fun v -> Format.printf "@.%a@." (fun ppf -> Report.pp_violation_with_values ppf ev) v)
     report.Verifier.r_violations;
   Format.printf "@.%a@." Report.pp_cross_reference nl;
-  Format.printf "@.events processed: %d   evaluations: %d@." report.Verifier.r_events
-    report.Verifier.r_evaluations;
+  Format.printf "@.events processed: %d   evaluations: %d@."
+    (Eval.counter report.Verifier.r_counters "events")
+    (Eval.counter report.Verifier.r_counters "evaluations");
   if Verifier.clean report then print_endline "RESULT: no timing errors"
   else
     Format.printf "RESULT: %d timing error(s) found@."

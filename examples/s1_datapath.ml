@@ -16,7 +16,8 @@ let () =
   let ev = report.Verifier.r_eval in
   Format.printf "%a@.@." Report.pp_summary ev;
   Format.printf "%a@." Report.pp_violations report.Verifier.r_violations;
-  Format.printf "@.events processed: %d@." report.Verifier.r_events;
+  Format.printf "@.events processed: %d@."
+    (Eval.counter report.Verifier.r_counters "events");
   if Verifier.clean report then
     print_endline "RESULT: the arithmetic section meets all timing constraints"
   else

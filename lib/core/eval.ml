@@ -30,6 +30,61 @@ let kind_name = function
   | 10 -> "MIN PULSE WIDTH"
   | _ -> "CONST"
 
+(* ---- the counter table ------------------------------------------------------ *)
+
+type merge = Sum | Max
+type row = { key : string; merge : merge; doc : string }
+
+(* Every evaluator counter is one row, declared once here: the metrics
+   key it prints under, how two snapshots merge and its doc.  [row]
+   hands back the counter's slot in the evaluator's [count] array, which
+   the hot path bumps with a plain integer increment.  The per-kind
+   evaluation counts follow the rows, one slot per kind tag. *)
+module Row = struct
+  let rows = ref []
+
+  let row key merge doc =
+    rows := { key; merge; doc } :: !rows;
+    List.length !rows - 1
+
+  let requests = row "requests" Sum
+      "service-level requests served (count_request); 0 for one-shot runs"
+
+  let events = row "events" Sum "output-change events processed (§3.3.2)"
+  let evaluations = row "evaluations" Sum "primitive evaluations performed"
+
+  let queued = row "events_queued" Sum
+      "enqueue requests (fanout activations) of instances with an output net; a \
+       checker is never enqueued"
+
+  let coalesced = row "events_coalesced" Sum
+      "enqueue requests absorbed because the instance was already on the work list"
+
+  let queue_hwm = row "queue_hwm" Max "work-list high-water mark"
+  let sched_levels = row "sched_levels" Max "topological levels in the schedule"
+  let sccs = row "sccs" Max "strongly connected components in the schedule"
+  let max_scc_size = row "max_scc_size" Max "largest component (1 when acyclic)"
+
+  let cache_hits = row "cache_hits" Sum
+      "input-waveform and register-data memo hits, plus the verdicts each check \
+       pass kept"
+
+  let cache_misses = row "cache_misses" Sum "memo fills, plus the verdicts re-derived"
+  let corners = row "corners" Max "corners evaluated per traversal (1 single-corner)"
+
+  let lanes_shared = row "corner_lanes_shared" Sum
+      "lane outputs that converged to the reference waveform and share its record"
+
+  let evals_saved = row "corner_evals_saved" Sum
+      "lane evaluations skipped because every input was constant and shared with \
+       the reference lane"
+end
+
+let rows = Array.of_list (List.rev !Row.rows)
+let table = Array.to_list rows
+let kind_base = Array.length rows
+let n_slots = kind_base + n_kinds
+
 (* A dirty log: the ids logged since one lane's last check pass, in
    logging order, with one mark byte per id so that each id is logged
    once and logging never allocates.  A net's mark says what moved:
@@ -117,10 +172,6 @@ type t = {
   conn_base : int array;
   corners : Corner.table;
   lanes : lane array;  (* one per corner, lane 0 the reference *)
-  mutable lanes_shared : int;
-  mutable evals_saved : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
   mutable check_hits : int;  (* verdicts a check pass kept *)
   (* Whether each id reports at all: a live id's verdicts are derived
      by the check pass, every other id's are empty.  [n_live] counts the
@@ -128,13 +179,7 @@ type t = {
   inst_live : Bytes.t;
   net_live : Bytes.t;
   mutable n_live : int;
-  mutable requests : int;
-  mutable events : int;
-  mutable evals : int;
-  mutable queued : int;
-  mutable coalesced : int;
-  mutable queue_hwm : int;
-  evals_by_kind : int array;
+  count : int array;  (* one slot per counter-table row, then per kind *)
   mutable on_event : (inst_id:int -> net_id:int -> unit) option;
   mutable converged : bool;
   mutable initialized : bool;
@@ -227,21 +272,11 @@ let create ?sched nl =
       conn_base;
       corners;
       lanes;
-      lanes_shared = 0;
-      evals_saved = 0;
-      cache_hits = 0;
-      cache_misses = 0;
       check_hits = 0;
       inst_live = Bytes.make (max 1 n_insts) '\000';
       net_live = Bytes.make n_nets '\000';
       n_live = 0;
-      requests = 0;
-      events = 0;
-      evals = 0;
-      queued = 0;
-      coalesced = 0;
-      queue_hwm = 0;
-      evals_by_kind = Array.make n_kinds 0;
+      count = Array.make n_slots 0;
       on_event = None;
       converged = true;
       initialized = false;
@@ -260,127 +295,62 @@ let sched t = t.sched
 let corners t = t.corners
 let n_corners t = Array.length t.corners
 
-let events t = t.events
-let evaluations t = t.evals
+(* A plain integer increment of one counter slot: the hot path's only
+   bookkeeping.  Slots come from [Row] or [kind_base], so they are in
+   range. *)
+let[@inline] add t slot n =
+  Array.unsafe_set t.count slot (Array.unsafe_get t.count slot + n)
+
+let events t = t.count.(Row.events)
+let evaluations t = t.count.(Row.evaluations)
 let converged t = t.converged
 let check_hits t = t.check_hits
 let nets_moved t = t.n_moved
 
-let count_request t = t.requests <- t.requests + 1
+let count_request t = add t Row.requests 1
 
 let reset_counters t =
-  t.requests <- 0;
-  t.events <- 0;
-  t.evals <- 0;
-  t.queued <- 0;
-  t.coalesced <- 0;
-  t.queue_hwm <- 0;
-  t.cache_hits <- 0;
-  t.cache_misses <- 0;
+  Array.fill t.count 0 n_slots 0;
   t.check_hits <- 0;
-  t.lanes_shared <- 0;
-  t.evals_saved <- 0;
-  Array.fill t.evals_by_kind 0 n_kinds 0;
   Bytes.fill t.moved 0 (Bytes.length t.moved) '\000';
   t.n_moved <- 0
 
-type counters = {
-  c_requests : int;
-  c_events : int;
-  c_evaluations : int;
-  c_queued : int;
-  c_coalesced : int;
-  c_queue_hwm : int;
-  c_sched_levels : int;
-  c_sccs : int;
-  c_max_scc_size : int;
-  c_cache_hits : int;
-  c_cache_misses : int;
-  c_corners : int;
-  c_corner_lanes_shared : int;
-  c_corner_evals_saved : int;
-  c_evals_by_kind : (string * int) list;
-}
+type counters = int array
 
+(* The schedule shape and the lane count describe the evaluator, not
+   its work: the snapshot reads them off the schedule and the corner
+   table, so a reset leaves them readable. *)
 let counters t =
-  let by_kind = ref [] in
-  for tag = n_kinds - 1 downto 0 do
-    if t.evals_by_kind.(tag) > 0 then
-      by_kind := (kind_name tag, t.evals_by_kind.(tag)) :: !by_kind
-  done;
-  {
-    c_requests = t.requests;
-    c_events = t.events;
-    c_evaluations = t.evals;
-    c_queued = t.queued;
-    c_coalesced = t.coalesced;
-    c_queue_hwm = t.queue_hwm;
-    c_sched_levels = Sched.n_levels t.sched;
-    c_sccs = Sched.n_sccs t.sched;
-    c_max_scc_size = Sched.max_scc_size t.sched;
-    c_cache_hits = t.cache_hits;
-    c_cache_misses = t.cache_misses;
-    c_corners = Array.length t.corners;
-    c_corner_lanes_shared = t.lanes_shared;
-    c_corner_evals_saved = t.evals_saved;
-    c_evals_by_kind =
-      List.sort (fun (a, _) (b, _) -> String.compare a b) !by_kind;
-  }
+  let c = Array.copy t.count in
+  c.(Row.sched_levels) <- Sched.n_levels t.sched;
+  c.(Row.sccs) <- Sched.n_sccs t.sched;
+  c.(Row.max_scc_size) <- Sched.max_scc_size t.sched;
+  c.(Row.corners) <- Array.length t.corners;
+  c
 
-let zero_counters =
-  {
-    c_requests = 0;
-    c_events = 0;
-    c_evaluations = 0;
-    c_queued = 0;
-    c_coalesced = 0;
-    c_queue_hwm = 0;
-    c_sched_levels = 0;
-    c_sccs = 0;
-    c_max_scc_size = 0;
-    c_cache_hits = 0;
-    c_cache_misses = 0;
-    c_corners = 0;
-    c_corner_lanes_shared = 0;
-    c_corner_evals_saved = 0;
-    c_evals_by_kind = [];
-  }
+let zero_counters = Array.make n_slots 0
 
-(* Sum two per-kind evaluation-count alists, keeping the alphabetical
-   order [counters] guarantees. *)
-let merge_by_kind a b =
-  let rec go a b =
-    match a, b with
-    | [], rest | rest, [] -> rest
-    | (ka, va) :: ra, (kb, vb) :: rb ->
-      let c = String.compare ka kb in
-      if c = 0 then (ka, va + vb) :: go ra rb
-      else if c < 0 then (ka, va) :: go ra b
-      else (kb, vb) :: go a rb
-  in
-  go a b
-
-(* Accumulators sum; the high-water mark and the schedule shape
-   (identical across runs of one structure, or incomparable across
-   structures) take the max. *)
 let merge_counters a b =
-  {
-    c_requests = a.c_requests + b.c_requests;
-    c_events = a.c_events + b.c_events;
-    c_evaluations = a.c_evaluations + b.c_evaluations;
-    c_queued = a.c_queued + b.c_queued;
-    c_coalesced = a.c_coalesced + b.c_coalesced;
-    c_queue_hwm = max a.c_queue_hwm b.c_queue_hwm;
-    c_sched_levels = max a.c_sched_levels b.c_sched_levels;
-    c_sccs = max a.c_sccs b.c_sccs;
-    c_max_scc_size = max a.c_max_scc_size b.c_max_scc_size;
-    c_cache_hits = a.c_cache_hits + b.c_cache_hits;
-    c_cache_misses = a.c_cache_misses + b.c_cache_misses;
-    c_corners = max a.c_corners b.c_corners;
-    c_corner_lanes_shared = a.c_corner_lanes_shared + b.c_corner_lanes_shared;
-    c_corner_evals_saved = a.c_corner_evals_saved + b.c_corner_evals_saved;
-    c_evals_by_kind = merge_by_kind a.c_evals_by_kind b.c_evals_by_kind;
-  }
+  Array.mapi
+    (fun i x ->
+      if i < kind_base && rows.(i).merge = Max then max x b.(i) else x + b.(i))
+    a
+
+let slot_of key =
+  let rec find i =
+    if i = kind_base then invalid_arg (Printf.sprintf "Eval.counter: no counter %S" key)
+    else if rows.(i).key = key then i
+    else find (i + 1)
+  in
+  find 0
+
+let counter c key = c.(slot_of key)
+let counter_list c = List.mapi (fun i r -> (r.key, c.(i))) table
+
+let evals_by_kind c =
+  List.init n_kinds (fun k -> (kind_name k, c.(kind_base + k)))
+  |> List.filter (fun (_, n) -> n > 0)
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let set_event_hook t h = t.on_event <- h
 let event_hook t = t.on_event
@@ -430,15 +400,16 @@ let assign t id wf eval_str =
    enters the work list. *)
 let enqueue t inst_id =
   if (Netlist.inst t.nl inst_id).i_output <> None then begin
-    t.queued <- t.queued + 1;
-    if Bytes.unsafe_get t.in_queue inst_id <> '\000' then t.coalesced <- t.coalesced + 1
+    add t Row.queued 1;
+    if Bytes.unsafe_get t.in_queue inst_id <> '\000' then add t Row.coalesced 1
     else begin
       Bytes.unsafe_set t.in_queue inst_id '\001';
       let l = Sched.level t.sched inst_id in
       Queue.add inst_id t.buckets.(l);
       if l < t.cur_level then t.cur_level <- l;
       t.queue_len <- t.queue_len + 1;
-      if t.queue_len > t.queue_hwm then t.queue_hwm <- t.queue_len
+      if t.queue_len > t.count.(Row.queue_hwm) then
+        t.count.(Row.queue_hwm) <- t.queue_len
     end
   end
 
@@ -493,11 +464,11 @@ let rec input_waveform t lane (inst : Netlist.inst) i =
     let idx = t.conn_base.(inst.i_id) + i in
     let gen = t.gen.(id) in
     if ln.l_cache_gen.(idx) = gen then begin
-      t.cache_hits <- t.cache_hits + 1;
+      add t Row.cache_hits 1;
       ln.l_cache_wf.(idx)
     end
     else begin
-      t.cache_misses <- t.cache_misses + 1;
+      add t Row.cache_misses 1;
       let raw = ln.l_value.(id) in
       let n = Netlist.net t.nl id in
       let wf =
@@ -631,11 +602,11 @@ let rec materialized_data t lane (inst : Netlist.inst) =
     let id = inst.i_id in
     let gen = t.gen.(data) in
     if ln.l_mat_gen.(id) = gen then begin
-      t.cache_hits <- t.cache_hits + 1;
+      add t Row.cache_hits 1;
       ln.l_mat_wf.(id)
     end
     else begin
-      t.cache_misses <- t.cache_misses + 1;
+      add t Row.cache_misses 1;
       let m = Waveform.materialize (input_waveform t lane inst 0) in
       ln.l_mat_gen.(id) <- gen;
       ln.l_mat_wf.(id) <- m;
@@ -815,9 +786,8 @@ let lane_eval_skippable t (ln : lane) (inst : Netlist.inst) =
 
 let eval_inst t inst_id =
   let inst = Netlist.inst t.nl inst_id in
-  t.evals <- t.evals + 1;
-  t.evals_by_kind.(kind_tag inst.i_prim) <-
-    t.evals_by_kind.(kind_tag inst.i_prim) + 1;
+  add t Row.evaluations 1;
+  add t (kind_base + kind_tag inst.i_prim) 1;
   match eval_output t 0 inst with
   | None -> ()
   | Some wf -> (
@@ -840,7 +810,7 @@ let eval_inst t inst_id =
         let prev = ln.l_value.(out_id) in
         let next =
           if lane_eval_skippable t ln inst then begin
-            t.evals_saved <- t.evals_saved + 1;
+            add t Row.evals_saved 1;
             ref_wf
           end
           else begin
@@ -851,7 +821,7 @@ let eval_inst t inst_id =
                (or to its own previous value) keeps the existing record,
                so pointer inequality below is exact change detection. *)
             if same_modulo_const_skew o ref_wf then begin
-              if o != ref_wf then t.lanes_shared <- t.lanes_shared + 1;
+              if o != ref_wf then add t Row.lanes_shared 1;
               ref_wf
             end
             else if same_modulo_const_skew o prev then prev
@@ -868,7 +838,7 @@ let eval_inst t inst_id =
            caches and wake the fanout; lane 0's stamp was already bumped
            by [assign]. *)
         if not changed then bump t out_id;
-        t.events <- t.events + 1;
+        add t Row.events 1;
         (match t.on_event with
         | None -> ()
         | Some f -> f ~inst_id ~net_id:out_id);
@@ -902,7 +872,7 @@ let fixpoint t =
      position in the case list, so convergence of a case is independent
      of evaluation order. *)
   let bound = max 10_000 (Netlist.n_insts t.nl * 200) in
-  let start = t.evals in
+  let start = evaluations t in
   let s = t.sched in
   t.cur_level <- 0;
   Array.fill t.scc_evals 0 (Array.length t.scc_evals) 0;
@@ -911,7 +881,7 @@ let fixpoint t =
      per-component budget below catches it first and names the region;
      the global bound remains as a backstop. *)
   let rec loop () =
-    if t.evals - start > bound then t.converged <- false
+    if evaluations t - start > bound then t.converged <- false
     else
       match dequeue_level t with
       | None -> ()
@@ -1104,7 +1074,7 @@ let rederive_inst t lane id =
   let live = Bytes.unsafe_get t.inst_live id <> '\000' in
   let r =
     if live then begin
-      t.cache_misses <- t.cache_misses + 1;
+      add t Row.cache_misses 1;
       check_inst_compute t lane (Netlist.inst t.nl id)
     end
     else []
@@ -1118,7 +1088,7 @@ let rederive_net t lane id =
   let live = Bytes.unsafe_get t.net_live id <> '\000' in
   let r =
     if live then begin
-      t.cache_misses <- t.cache_misses + 1;
+      add t Row.cache_misses 1;
       let n = Netlist.net t.nl id in
       match n.n_assertion with
       | Some a ->
@@ -1182,7 +1152,7 @@ let check ?(lane = 0) t =
   done;
   insts.n <- 0;
   let hits = t.n_live - !paid in
-  t.cache_hits <- t.cache_hits + hits;
+  add t Row.cache_hits hits;
   t.check_hits <- t.check_hits + hits;
   let rev = Ids.fold (fun id acc -> ln.l_chk.(id) :: acc) ln.l_bad_insts [] in
   let rev = Ids.fold (fun id acc -> ln.l_chk_net.(id) :: acc) ln.l_bad_nets rev in

@@ -79,19 +79,19 @@ val check : ?lane:int -> t -> Check.t list
     every id logged.
 
     Counters, per pass: every checker, gate or driven asserted net is
-    one [c_cache_misses] when re-derived and one verdict hit
-    ({!check_hits}, [c_cache_hits]) when kept. *)
+    one ["cache_misses"] when re-derived and one verdict hit
+    ({!check_hits}, ["cache_hits"]) when kept. *)
 
 val check_hits : t -> int
 (** Verdicts the check passes kept since creation (or the last
     {!reset_counters}): per pass, the live checkers, gates and driven
     asserted nets it did not re-derive.  They are also counted in
-    [c_cache_hits]. *)
+    ["cache_hits"]. *)
 
 val value : ?lane:int -> t -> int -> Waveform.t
 (** Current waveform of a net on corner [lane] (default [0], the
     reference).  Lanes whose waveform equals the reference return the
-    very same record (see [c_corner_lanes_shared]). *)
+    very same record (see ["corner_lanes_shared"]). *)
 
 (** {2 Incremental-service hooks}
 
@@ -130,11 +130,13 @@ val input_waveform : t -> int -> Netlist.inst -> int -> Waveform.t
     net's generation stamp. *)
 
 val events : t -> int
-(** Number of events processed so far: an event is an output being given
-    a new value, causing its consumers to be re-evaluated (§3.3.2). *)
+(** The live ["events"] counter: events processed since creation (or
+    the last {!reset_counters}); an event is an output being given a
+    new value, causing its consumers to be re-evaluated (§3.3.2). *)
 
 val evaluations : t -> int
-(** Number of primitive evaluations performed so far. *)
+(** The live ["evaluations"] counter: primitive evaluations performed
+    since creation (or the last {!reset_counters}). *)
 
 val converged : t -> bool
 (** Whether the {e most recent} {!run} reached a fixpoint within the
@@ -149,14 +151,11 @@ val nets_moved : t -> int
     new value, evaluation string or stamp, on any lane.  A session
     reports it as [st_dirtied_nets] (doc/SERVICE.md). *)
 
-val reset_counters : t -> unit
-
 val count_request : t -> unit
-(** Bump the request counter: one service-level request (a cold load or
-    an incremental re-verify) is about to run on this evaluator.  The
-    counter travels through {!counters} like every accumulator —
-    cleared by {!reset_counters}, summed by {!merge_counters} — so a
-    session's cumulative snapshot reports how many requests it has
+(** Bump the ["requests"] counter: one service-level request (a cold
+    load or an incremental re-verify) is about to run on this
+    evaluator.  It travels through {!counters} like every accumulator,
+    so a session's cumulative snapshot reports how many requests it has
     served.  One-shot CLI runs never call it and report [0]. *)
 
 (** {2 Instrumentation}
@@ -165,56 +164,66 @@ val count_request : t -> unit
     thesis reports its runtime shape in exactly these terms, §3.3.2) and
     offers one optional per-event hook.  With the hook unset the hot
     event path pays only plain integer increments — no allocation, no
-    indirect call. *)
+    lookup by name, no indirect call.
 
-type counters = {
-  c_requests : int;
-      (** service-level requests served ({!count_request}); [0] for
-          one-shot runs *)
-  c_events : int;  (** output-change events processed *)
-  c_evaluations : int;  (** primitive evaluations performed *)
-  c_queued : int;
-      (** enqueue requests (fanout activations) of instances with an
-          output net; a checker is never enqueued *)
-  c_coalesced : int;
-      (** enqueue requests absorbed because the instance was already on
-          the work list — the saving of the call-list discipline *)
-  c_queue_hwm : int;  (** work-list high-water mark *)
-  c_sched_levels : int;
-      (** topological levels in the schedule *)
-  c_sccs : int;  (** strongly connected components in the schedule *)
-  c_max_scc_size : int;  (** largest component ([1] when acyclic) *)
-  c_cache_hits : int;
-      (** input-waveform / register-data memo hits (generation match),
-          plus the verdicts each check pass kept *)
-  c_cache_misses : int;  (** memo fills, plus verdicts re-derived *)
-  c_corners : int;  (** corners evaluated per traversal ([1] single-corner) *)
-  c_corner_lanes_shared : int;
-      (** lane outputs that converged to the reference waveform and were
-          stored as the shared record instead of their own *)
-  c_corner_evals_saved : int;
-      (** lane evaluations skipped outright because every input was
-          constant and pointer-shared with the reference lane *)
-  c_evals_by_kind : (string * int) list;
-      (** evaluations per primitive mnemonic, e.g. [("REG", 42)];
-          alphabetical, zero-count kinds omitted *)
+    Every counter is one row of {!table}, declared once in [eval.ml]:
+    the key it is printed under in the metrics file
+    ([doc/metrics.schema.json]), how two snapshots merge, and its doc.
+    Reset, snapshot, zero and merge walk the table; {!Scald_obs.Counters}
+    prints every row.  Beside the rows a snapshot holds the evaluations
+    per primitive kind ({!evals_by_kind}). *)
+
+type merge =
+  | Sum  (** an accumulator: snapshots add up *)
+  | Max
+      (** the work-list high-water mark and the schedule shape
+          (["sched_levels"], ["sccs"], ["max_scc_size"], ["corners"]):
+          snapshots take the larger value, since the shape is identical
+          across runs of one structure *)
+
+type row = {
+  key : string;  (** the metrics key, e.g. ["events_coalesced"] *)
+  merge : merge;
+  doc : string;  (** one line *)
 }
+
+val table : row list
+(** Every evaluator counter, in metrics order. *)
+
+type counters
+(** A snapshot: one value per {!table} row, plus the evaluations per
+    primitive kind. *)
 
 val counters : t -> counters
 (** Snapshot of the counters accumulated since creation (or the last
-    {!reset_counters}).  The schedule-shape fields ([c_sched_levels],
-    [c_sccs], [c_max_scc_size]) are properties of the netlist, not
-    accumulators — {!reset_counters} leaves them readable. *)
+    {!reset_counters}).  The schedule-shape rows and ["corners"] are
+    read off the evaluator's schedule and corner table, so a reset
+    leaves them readable. *)
+
+val reset_counters : t -> unit
+(** Zero every accumulator, the high-water mark, the per-kind counts,
+    {!check_hits} and {!nets_moved}. *)
 
 val zero_counters : counters
 (** All-zero counters: the identity of {!merge_counters}. *)
 
 val merge_counters : counters -> counters -> counters
-(** Combine two snapshots: accumulators sum; the queue high-water mark
-    and the schedule-shape fields take the max (they are identical
-    across runs of one structure).  Used both to merge
-    parallel shards ({!Verifier.verify} with [~jobs]) and to carry
-    cumulative totals across the requests of an incremental session. *)
+(** Combine two snapshots row by row, as each row's {!merge} says; the
+    per-kind counts sum.  Used both to merge parallel shards
+    ({!Verifier.verify} with [~jobs]) and to carry cumulative totals
+    across the requests of an incremental session. *)
+
+val counter : counters -> string -> int
+(** [counter c key] — the value of the row printed under [key].
+    @raise Invalid_argument when no row has that key. *)
+
+val counter_list : counters -> (string * int) list
+(** Every row's key and value, in {!table} order. *)
+
+val evals_by_kind : counters -> (string * int) list
+(** Evaluations per primitive mnemonic, e.g. [("REG", 42)];
+    alphabetical, zero-count kinds omitted.  They sum to
+    ["evaluations"]. *)
 
 val set_event_hook : t -> (inst_id:int -> net_id:int -> unit) option -> unit
 (** Install (or clear) a hook called once per event, {e after} the

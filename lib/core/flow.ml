@@ -12,7 +12,6 @@ type cls =
 
 type t = {
   nl : Netlist.t;
-  sched : Sched.t;
   classes : cls array;
   rc : bool array;
 }
@@ -209,10 +208,8 @@ let analyse ?sched:sched_opt ?(case_nets = []) nl =
         if id >= n_nets then Unknown
         else match work.(id) with Some c -> c | None -> Unknown)
   in
-  { nl; sched; classes; rc }
+  { nl; classes; rc }
 
-let netlist t = t.nl
-let sched t = t.sched
 let cls t id = t.classes.(id)
 let domains t id = domains_of t.classes.(id)
 let reaches_clock t id = t.rc.(id)

@@ -50,11 +50,6 @@ val analyse : ?sched:Sched.t -> ?case_nets:int list -> Netlist.t -> t
     since a case could change them.  The class listing and the lint
     rules use the default (empty) for a case-independent static view. *)
 
-val netlist : t -> Netlist.t
-val sched : t -> Sched.t
-(** The condensation the analysis ran over (computed here unless one was
-    passed in), exposed so the caller can share it onward. *)
-
 val cls : t -> int -> cls
 (** [cls t net_id] — the inferred class of a net. *)
 

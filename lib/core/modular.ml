@@ -89,7 +89,7 @@ let pp ppf r =
     (fun (name, report) ->
       Format.fprintf ppf "  section %-20s %d violation(s), %d events@," name
         (List.length report.Verifier.r_violations)
-        report.Verifier.r_events)
+        (Eval.counter report.Verifier.r_counters "events"))
     r.m_sections;
   List.iter (fun i -> Format.fprintf ppf "  %a@," pp_issue i) r.m_issues;
   Format.fprintf ppf "  whole design free of timing errors: %b@]" r.m_clean

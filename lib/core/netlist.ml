@@ -287,7 +287,6 @@ let set_input_directive t ~inst:id ~input d =
   let c = i.i_inputs.(input) in
   i.i_inputs.(input) <- { c with c_directive = d }
 let nets t = Array.sub t.nets 0 t.n_nets
-let insts t = Array.sub t.insts 0 t.n_insts
 let n_nets t = t.n_nets
 let n_insts t = t.n_insts
 

@@ -173,8 +173,6 @@ val nets : t -> net array
 (** A {e fresh copy} of the net array, O(n) per call — fine for one-shot
     listings, wrong inside loops; iterate with {!iter_nets} instead. *)
 
-(** A {e fresh copy} of the instance array; same caveat as {!nets}. *)
-val insts : t -> inst array
 val n_nets : t -> int
 val n_insts : t -> int
 

@@ -6,13 +6,6 @@ type case_result = {
   cr_converged : bool;
 }
 
-type lint_summary = {
-  ls_errors : int;
-  ls_warnings : int;
-  ls_infos : int;
-  ls_listing : string;
-}
-
 type obs_summary = {
   os_requests : int;
   os_queued : int;
@@ -51,7 +44,7 @@ type report = {
   r_corners : corner_result list;
   r_converged : bool;
   r_unasserted : string list;
-  r_lint : lint_summary option;
+  r_counters : Eval.counters;
   r_obs : obs_summary;
   r_eval : Eval.t;
   r_jobs : int;
@@ -71,25 +64,26 @@ let dedup_violations vs =
       end)
     vs
 
-let obs_of_counters (c : Eval.counters) =
+let obs_of_counters c =
+  let n = Eval.counter c in
   {
-    os_requests = c.Eval.c_requests;
-    os_queued = c.Eval.c_queued;
-    os_coalesced = c.Eval.c_coalesced;
-    os_queue_hwm = c.Eval.c_queue_hwm;
-    os_sched_levels = c.Eval.c_sched_levels;
-    os_sccs = c.Eval.c_sccs;
-    os_max_scc_size = c.Eval.c_max_scc_size;
-    os_cache_hits = c.Eval.c_cache_hits;
-    os_cache_misses = c.Eval.c_cache_misses;
+    os_requests = n "requests";
+    os_queued = n "events_queued";
+    os_coalesced = n "events_coalesced";
+    os_queue_hwm = n "queue_hwm";
+    os_sched_levels = n "sched_levels";
+    os_sccs = n "sccs";
+    os_max_scc_size = n "max_scc_size";
+    os_cache_hits = n "cache_hits";
+    os_cache_misses = n "cache_misses";
     os_pruned_evals = 0;
-    os_corners = c.Eval.c_corners;
-    os_corner_lanes_shared = c.Eval.c_corner_lanes_shared;
-    os_corner_evals_saved = c.Eval.c_corner_evals_saved;
+    os_corners = n "corners";
+    os_corner_lanes_shared = n "corner_lanes_shared";
+    os_corner_evals_saved = n "corner_evals_saved";
     os_window_insts = 0;
     os_window_evals = 0;
     os_window_checks = 0;
-    os_evals_by_kind = c.Eval.c_evals_by_kind;
+    os_evals_by_kind = Eval.evals_by_kind c;
   }
 
 (* Per-lane checker verdicts for corners 1..k-1 of the current fixpoint;
@@ -227,7 +221,7 @@ let verify_parallel ~probe ~sched ~case_list ~jobs nl =
   let _, _, last_ev = shard_results.(jobs - 1) in
   (results, counters, last_ev)
 
-let make_report ?lint ?obs ~jobs paired counters ev =
+let make_report ~jobs paired counters ev =
   let results = List.map fst paired in
   let r_violations =
     dedup_violations (List.concat_map (fun r -> r.cr_violations) results)
@@ -246,11 +240,10 @@ let make_report ?lint ?obs ~jobs paired counters ev =
         in
         { co_corner = corner_tbl.(c); co_violations = viols })
   in
-  let obs = Option.value obs ~default:counters in
   {
     r_cases = results;
-    r_events = counters.Eval.c_events;
-    r_evaluations = counters.Eval.c_evaluations;
+    r_events = Eval.counter counters "events";
+    r_evaluations = Eval.counter counters "evaluations";
     r_violations;
     r_corners;
     r_converged = List.for_all (fun r -> r.cr_converged) results;
@@ -258,25 +251,17 @@ let make_report ?lint ?obs ~jobs paired counters ev =
       List.map
         (fun (n : Netlist.net) -> n.n_name)
         (Netlist.undriven_unasserted (Eval.netlist ev));
-    r_lint = lint;
-    r_obs = obs_of_counters obs;
+    r_counters = counters;
+    r_obs = obs_of_counters counters;
     r_eval = ev;
     r_jobs = jobs;
   }
 
-let verify ?lint ?probe ?(cases = []) ?(jobs = 1) ?analysis ?window:_ ?corners nl =
+let verify ?probe ?(cases = []) ?(jobs = 1) ?analysis ?window:_ ?corners nl =
   if jobs < 0 then invalid_arg "Verifier.verify: jobs must be >= 0";
   (* Install the corner table before any evaluator is created; every
      domain's evaluator then packs the same lanes. *)
   (match corners with None -> () | Some tbl -> Netlist.set_corners nl tbl);
-  let span : 'a. string -> (unit -> 'a) -> 'a =
-   fun name f -> match probe with None -> f () | Some p -> p.pr_span name f
-  in
-  let lint_summary =
-    match lint with
-    | None -> None
-    | Some f -> Some (span "lint" (fun () -> f nl))
-  in
   let case_list = match cases with [] -> [ [] ] | cs -> cs in
   (* One schedule per netlist, shared read-only by every evaluation
      domain. *)
@@ -287,7 +272,7 @@ let verify ?lint ?probe ?(cases = []) ?(jobs = 1) ?analysis ?window:_ ?corners n
     if jobs = 1 then verify_sequential ~probe ~sched ~case_list nl
     else verify_parallel ~probe ~sched ~case_list ~jobs nl
   in
-  make_report ?lint:lint_summary ~jobs paired counters ev
+  make_report ~jobs paired counters ev
 
 let clean r =
   List.for_all (fun c -> c.co_violations = []) r.r_corners
@@ -326,9 +311,10 @@ let violations_of_kind kind r =
   List.filter (fun (v : Check.t) -> v.v_kind = kind) r.r_violations
 
 let pp ppf r =
+  let n = Eval.counter r.r_counters in
   Format.fprintf ppf "@[<v>TIMING VERIFICATION REPORT@,";
   Format.fprintf ppf "cases evaluated: %d   events: %d   evaluations: %d%s@,"
-    (List.length r.r_cases) r.r_events r.r_evaluations
+    (List.length r.r_cases) (n "events") (n "evaluations")
     (if r.r_converged then "" else "   (DID NOT CONVERGE)");
   List.iteri
     (fun i c ->
@@ -338,19 +324,19 @@ let pp ppf r =
         (if c.cr_converged then "" else "   (DID NOT CONVERGE)"))
     r.r_cases;
   Format.fprintf ppf "queued: %d   coalesced: %d   queue high-water mark: %d@,"
-    r.r_obs.os_queued r.r_obs.os_coalesced r.r_obs.os_queue_hwm;
-  if r.r_obs.os_sched_levels > 0 then
+    (n "events_queued") (n "events_coalesced") (n "queue_hwm");
+  if n "sched_levels" > 0 then
     Format.fprintf ppf
       "sched levels: %d   sccs: %d   largest scc: %d   cache hits: %d   misses: %d@,"
-      r.r_obs.os_sched_levels r.r_obs.os_sccs r.r_obs.os_max_scc_size
-      r.r_obs.os_cache_hits r.r_obs.os_cache_misses;
+      (n "sched_levels") (n "sccs") (n "max_scc_size") (n "cache_hits")
+      (n "cache_misses");
   (* The corner section appears only on a multi-corner run, so a
      single-corner report stays byte-identical to the historical one. *)
   (match r.r_corners with
   | [] | [ _ ] -> ()
   | cs ->
     Format.fprintf ppf "corners: %d   lane outputs shared: %d   lane evals saved: %d@,"
-      r.r_obs.os_corners r.r_obs.os_corner_lanes_shared r.r_obs.os_corner_evals_saved;
+      (n "corners") (n "corner_lanes_shared") (n "corner_evals_saved");
     List.iter
       (fun c ->
         Format.fprintf ppf "corner %a: %d violations@," Corner.pp c.co_corner
@@ -361,12 +347,6 @@ let pp ppf r =
       Format.fprintf ppf "worst corner: %s (%d violations)@," w.co_corner.Corner.name
         (List.length w.co_violations)
     | None -> ()));
-  (match r.r_lint with
-  | None -> ()
-  | Some l ->
-    Format.fprintf ppf "lint: %d errors, %d warnings, %d infos@," l.ls_errors
-      l.ls_warnings l.ls_infos;
-    Format.fprintf ppf "%s@," l.ls_listing);
   Format.fprintf ppf "%a@," Report.pp_violations r.r_violations;
   Report.pp_cross_reference ppf (Eval.netlist r.r_eval);
   Format.fprintf ppf "@]"

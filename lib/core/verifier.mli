@@ -25,18 +25,6 @@ type case_result = {
           mask an earlier divergence *)
 }
 
-type lint_summary = {
-  ls_errors : int;
-  ls_warnings : int;
-  ls_infos : int;
-  ls_listing : string;  (** the rendered lint listing *)
-}
-(** Result of a static design-rule audit run before evaluation.  The
-    audit itself lives in the [scald_lint] library (which depends on
-    this one); {!verify} takes it as a hook so a caller can fold lint
-    into the verification report without a dependency cycle —
-    [Verifier.verify ~lint:Scald_lint.Lint.summary nl]. *)
-
 type obs_summary = {
   os_requests : int;
       (** service-level requests ({!Eval.count_request}); [0] for
@@ -68,8 +56,10 @@ type obs_summary = {
   os_evals_by_kind : (string * int) list;
       (** primitive evaluations per kind mnemonic, alphabetical *)
 }
-(** Always-on evaluator counters (see {!Eval.counters}), carried in the
-    report so callers need not hold on to [r_eval] to read them. *)
+(** The benchmark's ledger's view of a report's counter snapshot
+    ({!obs_of_counters} of [r_counters]).  Kept, field by field, only
+    because the ledger ([ledger/main.ml]) reads it; everything else
+    reads [r_counters] through {!Eval.counter}. *)
 
 type corner_result = {
   co_corner : Corner.t;
@@ -81,21 +71,23 @@ type corner_result = {
 
 type probe = {
   pr_span : 'a. string -> (unit -> 'a) -> 'a;
-      (** wraps each internal phase — ["lint"], ["evaluate:caseN"],
+      (** wraps each internal phase — ["evaluate:caseN"],
           ["check:caseN"] — so an external profiler can time them *)
   pr_event : (inst_id:int -> net_id:int -> unit) option;
       (** when present, installed as the evaluator's per-event hook
           (see {!Eval.set_event_hook}) *)
 }
-(** Instrumentation hook record.  Like the [?lint] hook, this keeps the
-    dependency direction clean: the observability library ([scald_obs])
-    depends on this one and passes a probe in —
-    [Verifier.verify ~probe:(Scald_obs.Obs.probe o) nl]. *)
+(** Instrumentation hook record.  It keeps the dependency direction
+    clean: the observability library ([scald_obs]) depends on this one
+    and passes a probe in — [Verifier.verify ~probe:(Scald_obs.Obs.probe o) nl]. *)
 
 type report = {
   r_cases : case_result list;
-  r_events : int;  (** total events over all cases *)
-  r_evaluations : int;
+  r_events : int;
+      (** the snapshot's ["events"]: with [r_evaluations] and [r_obs], a
+          view of [r_counters] kept only because the benchmark's ledger
+          ([ledger/main.ml]) reads it *)
+  r_evaluations : int;  (** the snapshot's ["evaluations"]; kept for the ledger *)
   r_violations : Check.t list;
       (** deduplicated union over all cases (the reference corner's) *)
   r_corners : corner_result list;
@@ -104,9 +96,14 @@ type report = {
   r_converged : bool;  (** conjunction of [cr_converged] over all cases *)
   r_unasserted : string list;
       (** cross-reference of undriven, unasserted signals *)
-  r_lint : lint_summary option;
-      (** present when {!verify} was given a [?lint] hook *)
-  r_obs : obs_summary;  (** evaluator counters (always present) *)
+  r_counters : Eval.counters;
+      (** the report's one counter snapshot: the sweep's for {!verify}
+          (its shards merged), the session's for a re-verify
+          ({!make_report}).  The metrics file prints it, so its laws
+          hold in every file: ["events_queued"] = ["evaluations"] +
+          ["events_coalesced"] when every case converged, and
+          {!Eval.evals_by_kind} sums to ["evaluations"] *)
+  r_obs : obs_summary;  (** {!obs_of_counters} [r_counters]; kept for the ledger *)
   r_eval : Eval.t;
       (** the evaluator that ran the last case: its waveforms, on every
           lane, are the ones the listings, VCD and causal traces of this
@@ -116,7 +113,6 @@ type report = {
 }
 
 val verify :
-  ?lint:(Netlist.t -> lint_summary) ->
   ?probe:probe ->
   ?cases:Case_analysis.case list ->
   ?jobs:int ->
@@ -127,18 +123,17 @@ val verify :
   report
 (** Verify all timing constraints.  With no [cases] (or an empty list) a
     single symbolic cycle is evaluated; otherwise one incremental cycle
-    per case.  When [lint] is given it is run over the netlist {e
-    before} any evaluation and its summary carried in [r_lint].  When
-    [probe] is given its span hook brackets every internal phase and its
-    event hook (if any) sees every evaluator event.
+    per case.  When [probe] is given its span hook brackets every
+    internal phase and its event hook (if any) sees every evaluator
+    event.
 
     [jobs] (default 1) is the number of domains to shard the cases
     over; [0] means {!Par.available}.  It is clamped to the case count,
     so small runs never over-spawn.  [jobs:1] is exactly the historical
     sequential path.  With [jobs > 1] the evaluation schedule is
     computed once on the calling domain and shared read-only by every
-    worker, and the lint hook and case resolution
-    still run on the calling domain; workers never call [pr_span] (the
+    worker, and case resolution still runs on the calling domain;
+    workers never call [pr_span] (the
     parallel section is bracketed by single ["evaluate:parallel(jN)"]
     and ["merge:events"] spans from the calling domain), and per-event
     hook calls are buffered per domain and replayed in case order after
@@ -179,17 +174,17 @@ val run_case :
     sweep {!verify} runs. *)
 
 val make_report :
-  ?lint:lint_summary ->
-  ?obs:Eval.counters ->
   jobs:int ->
   (case_result * Check.t list list) list ->
   Eval.counters ->
   Eval.t ->
   report
 (** Assemble a report from the {!run_case} results of a sweep, the
-    sweep's counters and the final evaluator.  [obs] (default: the
-    sweep's counters) is what [r_obs] reports — the incremental service
-    passes its cumulative totals. *)
+    counter snapshot it reports and the final evaluator.  [r_counters]
+    is that snapshot, and [r_events], [r_evaluations] and [r_obs] are
+    read from it: {!verify} passes the sweep's, the incremental service
+    its cumulative totals or this request's alone
+    ({!Scald_incr.Session.reverify}'s [carry_counters]). *)
 
 val clean : report -> bool
 (** No violations in any case on any corner. *)
@@ -204,9 +199,7 @@ val dedup_violations : Check.t list -> Check.t list
     measured margin, detail — are distinct findings and all survive. *)
 
 val obs_of_counters : Eval.counters -> obs_summary
-(** Project evaluator counters into the report's observability summary.
-    Exposed so the incremental service ([lib/incr]) can build reports
-    with the same shape as {!verify}'s. *)
+(** The ledger's view of a snapshot: [r_obs]. *)
 
 val pp_corner_listing : Format.formatter -> report -> unit
 (** The multi-corner tail of the error listing: the per-corner tally and
@@ -217,5 +210,5 @@ val violations_of_kind : Check.kind -> report -> Check.t list
 
 val pp : Format.formatter -> report -> unit
 (** Human-readable verification report: per-case violation counts, the
-    evaluator counter line, the lint summary when present, the error
-    listing, and the cross-reference. *)
+    evaluator counter lines (read from [r_counters]), the error listing,
+    and the cross-reference. *)

@@ -20,14 +20,14 @@ type t = {
   mutable sv_warm_hits : int;
   mutable sv_last_report : Verifier.report option;
   sv_kind_hist : (string, Scald_obs.Hist.t) Hashtbl.t;  (* request wall µs *)
-  mutable sv_spans_seen : int;  (* profiler spans consumed so far *)
-  mutable sv_lanes : (int * string) list;  (* trace lanes, newest first *)
   mutable sv_mem : Scald_obs.Mem.snapshot;
   mutable sv_bpp : float;  (* bytes per primitive, last sampled *)
 }
 
 let create ?obs ?(telemetry = true) ?(slow_ms = infinity) ?log ?prom () =
-  let sv_obs = match obs with Some o -> o | None -> Scald_obs.Obs.create () in
+  let sv_obs =
+    match obs with Some o -> o | None -> Scald_obs.Obs.create ~keep_spans:false ()
+  in
   {
     sv_store = Store.create ();
     sv_obs;
@@ -44,14 +44,22 @@ let create ?obs ?(telemetry = true) ?(slow_ms = infinity) ?log ?prom () =
     sv_warm_hits = 0;
     sv_last_report = None;
     sv_kind_hist = Hashtbl.create 8;
-    sv_spans_seen = Scald_obs.Span.n_completed (Scald_obs.Obs.profiler sv_obs);
-    sv_lanes = [];
     sv_mem = Scald_obs.Mem.zero;
     sv_bpp = 0.0;
   }
 
 let store t = t.sv_store
-let lanes t = List.rev t.sv_lanes
+
+(* Each request that ran under telemetry completed exactly one req:<op>
+   span, on its own lane: the trace names that lane after it. *)
+let lanes t =
+  let open Scald_obs.Span in
+  List.filter_map
+    (fun s ->
+      match String.split_on_char ':' s.s_name with
+      | [ "req"; op ] -> Some (s.s_lane, Printf.sprintf "r%d:%s" s.s_lane op)
+      | _ -> None)
+    (spans (Scald_obs.Obs.profiler t.sv_obs))
 
 let hello () =
   Json.Obj
@@ -90,14 +98,6 @@ let hist_for tbl name =
     Hashtbl.add tbl name h;
     h
 
-(* How many spans the last request produced: a request that produced
-   any gets its own named trace lane. *)
-let consume_spans t =
-  let n = Scald_obs.Span.n_completed (Scald_obs.Obs.profiler t.sv_obs) in
-  let fresh = n - t.sv_spans_seen in
-  t.sv_spans_seen <- n;
-  fresh
-
 (* Memory + bytes-per-primitive sampling.  [full] reads /proc and
    walks the netlist sizes ([Stats.storage_of] is O(design)), so it
    runs only at load/stats/health boundaries; every other request
@@ -127,9 +127,10 @@ let cumulative_counters t =
     Eval.zero_counters
     (Store.sessions t.sv_store)
 
-let cache_hit_rate (c : Eval.counters) =
-  let total = c.Eval.c_cache_hits + c.Eval.c_cache_misses in
-  if total = 0 then 0.0 else float_of_int c.Eval.c_cache_hits /. float_of_int total
+let cache_hit_rate c =
+  let hits = Eval.counter c "cache_hits" in
+  let total = hits + Eval.counter c "cache_misses" in
+  if total = 0 then 0.0 else float_of_int hits /. float_of_int total
 
 (* kind -> {count, p50_us, p90_us, p99_us, max_us}, kinds with traffic
    only, in the fixed [kinds] order. *)
@@ -216,10 +217,10 @@ let prom_families t =
          kind_hists);
     Prom.family ~name:"scald_cache_hits_total"
       ~help:"Waveform/register cache hits over all sessions" ~typ:`Counter
-      [ Prom.sample (f cum.Eval.c_cache_hits) ];
+      [ Prom.sample (f (Eval.counter cum "cache_hits")) ];
     Prom.family ~name:"scald_cache_misses_total"
       ~help:"Waveform/register cache fills over all sessions" ~typ:`Counter
-      [ Prom.sample (f cum.Eval.c_cache_misses) ];
+      [ Prom.sample (f (Eval.counter cum "cache_misses")) ];
     Prom.family ~name:"scald_sessions" ~help:"Live sessions in the store"
       ~typ:`Gauge
       [ Prom.sample (f (Store.n_sessions t.sv_store)) ];
@@ -423,10 +424,10 @@ let do_stats t =
          ("reused_nets", Json.of_int t.sv_reused_nets);
          ("dirtied_nets", Json.of_int t.sv_dirtied_nets);
          ("warm_hits", Json.of_int t.sv_warm_hits);
-         ("events", Json.of_int cum.Eval.c_events);
-         ("evaluations", Json.of_int cum.Eval.c_evaluations);
-         ("cache_hits", Json.of_int cum.Eval.c_cache_hits);
-         ("cache_misses", Json.of_int cum.Eval.c_cache_misses);
+         ("events", Json.of_int (Eval.counter cum "events"));
+         ("evaluations", Json.of_int (Eval.counter cum "evaluations"));
+         ("cache_hits", Json.of_int (Eval.counter cum "cache_hits"));
+         ("cache_misses", Json.of_int (Eval.counter cum "cache_misses"));
          ("cache_hit_rate", Json.Num (cache_hit_rate cum));
          ("latency_us", latency_json t);
          ("peak_rss_kb", Json.of_int t.sv_mem.Scald_obs.Mem.mem_peak_rss_kb);
@@ -522,12 +523,15 @@ let handle t req =
      req:* wrapper plus the nested Session/Eval phases — lands on the
      request's own trace track *)
   if t.sv_telemetry then Scald_obs.Obs.set_lane t.sv_obs reqno;
+  let in_span f =
+    if t.sv_telemetry then Scald_obs.Obs.span t.sv_obs ("req:" ^ op) f else f ()
+  in
   let result =
     match op with
     | "" -> Error "request needs an \"op\" field"
-    | "load" -> Scald_obs.Obs.span t.sv_obs "req:load" (fun () -> do_load t req)
-    | "delta" -> Scald_obs.Obs.span t.sv_obs "req:delta" (fun () -> do_delta t req)
-    | "verify" -> Scald_obs.Obs.span t.sv_obs "req:verify" (fun () -> do_verify t req)
+    | "load" -> in_span (fun () -> do_load t req)
+    | "delta" -> in_span (fun () -> do_delta t req)
+    | "verify" -> in_span (fun () -> do_verify t req)
     | "stats" ->
       (* the response carries the memory snapshot: refresh first *)
       refresh_resources ~full:true t;
@@ -542,9 +546,6 @@ let handle t req =
   if not succeeded then t.sv_errors <- t.sv_errors + 1;
   if t.sv_telemetry then begin
     Scald_obs.Obs.set_lane t.sv_obs 0;
-    let fresh = consume_spans t in
-    if fresh > 0 then
-      t.sv_lanes <- (reqno, Printf.sprintf "r%d:%s" reqno op) :: t.sv_lanes;
     let dur_us = Scald_obs.Obs.now_us t.sv_obs -. t_start in
     if List.mem op kinds then
       Scald_obs.Hist.add (hist_for t.sv_kind_hist op) dur_us;
@@ -585,7 +586,9 @@ let write_trace t path =
 
 let run ?metrics ?slow_ms ?log ?prom ?trace ?telemetry ic oc =
   let log_oc = Option.map open_out log in
-  let t = create ?telemetry ?slow_ms ?log:log_oc ?prom () in
+  (* the span list is kept only for the trace file *)
+  let obs = Scald_obs.Obs.create ~keep_spans:(trace <> None) () in
+  let t = create ~obs ?telemetry ?slow_ms ?log:log_oc ?prom () in
   output_string oc (Json.to_string (hello ()));
   output_char oc '\n';
   flush oc;

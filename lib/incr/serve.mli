@@ -25,7 +25,10 @@
     (procfs, O(design) size walk) only at [load]/[stats]/[health].  Optional sinks: a JSONL
     request log with a slow-request threshold, and a Prometheus
     text-format file atomically rewritten after each request
-    (doc/OBSERVABILITY.md, "Service telemetry"). *)
+    (doc/OBSERVABILITY.md, "Service telemetry").  The spans themselves
+    are kept only when a trace file will be written; otherwise only
+    their per-name totals (the metrics file's [phases_s]) are.  With
+    telemetry off no span is recorded at all. *)
 
 type t
 (** Service state: the session {!Store.t}, request counters and the
@@ -39,18 +42,22 @@ val create :
   ?prom:string ->
   unit ->
   t
-(** [telemetry] (default [true]) gates all per-request measurement;
-    [slow_ms] (default [infinity]) marks requests over the threshold
-    slow in the log and counters; [log] receives one JSONL line per
-    request; [prom] names a Prometheus text file rewritten after each
-    request. *)
+(** [obs] (default: a handle that keeps no span list, for a service
+    that writes no trace) receives every span; [telemetry] (default
+    [true]) gates all per-request measurement, the [req:<op>] spans
+    included; [slow_ms] (default [infinity]) marks requests over the
+    threshold slow in the log and counters; [log] receives one JSONL
+    line per request; [prom] names a Prometheus text file rewritten
+    after each request. *)
 
 val store : t -> Store.t
 
 val lanes : t -> (int * string) list
-(** The trace lanes assigned so far, oldest first: request number to
-    ["r<N>:<op>"] — pass to {!Scald_obs.Obs.write_profile} as
-    [?lanes] to name the per-request tracks. *)
+(** The trace lanes, oldest first: request number to ["r<N>:<op>"], one
+    per request that completed a [req:<op>] span — pass to
+    {!Scald_obs.Obs.write_profile} as [?lanes] to name the per-request
+    tracks.  Derived from the kept spans, so [[]] when [obs] keeps
+    none. *)
 
 val hello : unit -> Scald_core.Json.t
 (** The banner object printed before the first request. *)
@@ -71,8 +78,10 @@ val extra_counters : t -> (string * int) list
 
 val write_metrics : t -> string -> bool
 (** Write the metrics JSON for the last verified report, with the
-    service counters appended.  Returns [false] (and writes nothing)
-    when no report exists yet. *)
+    service counters appended.  The report's one counter snapshot is
+    its session's totals (a [verify] with ["carry_counters":false]:
+    that request's alone), so the evaluator's laws hold in the file.
+    Returns [false] (and writes nothing) when no report exists yet. *)
 
 val write_trace : t -> string -> unit
 (** Write the Chrome trace of everything profiled so far, one named
@@ -90,7 +99,8 @@ val run :
   int
 (** The serve main loop: banner, then read-dispatch-respond until
     [shutdown] or end of input.  [metrics] names a file to write final
-    run metrics to on exit; [trace] a Chrome trace written on exit;
+    run metrics to on exit; [trace] a Chrome trace written on exit (the
+    only reason the spans are kept);
     [log]/[prom]/[slow_ms]/[telemetry] as in {!create} ([log] is
     opened and closed by the loop).  Returns the process exit code
     (0). *)

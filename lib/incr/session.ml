@@ -55,8 +55,8 @@ let load ?(cases = []) ?probe ?content nl =
           st_dirtied_nets = Netlist.n_nets nl;
           st_warm_hits = 0;
           st_fp_changed = 0;
-          st_events = report.Verifier.r_events;
-          st_evaluations = report.Verifier.r_evaluations;
+          st_events = Eval.events ev;
+          st_evaluations = Eval.evaluations ev;
         };
     }
   in
@@ -129,13 +129,12 @@ let reverify ?(carry_counters = true) t =
      verdicts whose input stamps moved *)
   let case_list = match t.s_cases with [] -> [ [] ] | cs -> cs in
   let paired = List.mapi (Verifier.run_case ?probe:t.s_probe ev nl) case_list in
-  (* 4. merge counters and build the report in Verifier.verify's shape *)
+  (* 4. merge counters and build the report in Verifier.verify's shape,
+     carrying the one snapshot it reports *)
   let c = Eval.counters ev in
   t.s_cum <- Eval.merge_counters t.s_cum c;
   let report =
-    Verifier.make_report ~jobs:1
-      ~obs:(if carry_counters then t.s_cum else c)
-      paired c ev
+    Verifier.make_report ~jobs:1 paired (if carry_counters then t.s_cum else c) ev
   in
   t.s_report <- report;
   (* 5. re-serialize the edited nets and instances alone — the case
@@ -152,8 +151,8 @@ let reverify ?(carry_counters = true) t =
       st_dirtied_nets = dirtied;
       st_warm_hits = Eval.check_hits ev;
       st_fp_changed = 0;
-      st_events = c.Eval.c_events;
-      st_evaluations = c.Eval.c_evaluations;
+      st_events = Eval.events ev;
+      st_evaluations = Eval.evaluations ev;
     }
   in
   t.s_last <- st;

@@ -22,8 +22,8 @@
 
     The bit-identity guarantee covers verdicts — the violation list and
     its order, per-case convergence, the unasserted cross-reference, the
-    rendered listing — not the work counters ([r_events],
-    [r_evaluations], [r_obs]), whose whole point is to be smaller.  It
+    rendered listing — not the work counters ([r_counters] and its
+    views), whose whole point is to be smaller.  It
     assumes convergent evaluation: a design that hits the evaluation
     bound has order-dependent waveforms by nature, and the
     [No_convergence] verdict is reproduced but the accompanying
@@ -82,11 +82,13 @@ val reverify : ?carry_counters:bool -> t -> Verifier.report * stats
     case change woke.  With no edits staged, replays the case sweep only
     (cheap, and a useful self-check).
 
-    [carry_counters] (default [true]) selects what the report's [r_obs]
-    block carries: the session's {e cumulative} counters — so a
-    multi-run session reports totals, the metrics a service wants — or,
-    when [false], this request's counters alone.  {!stats} always holds
-    the per-request numbers; {!cumulative} always holds the totals. *)
+    [carry_counters] (default [true]) selects the one counter snapshot
+    the report carries ([r_counters], and so [r_events],
+    [r_evaluations] and [r_obs]): the session's {e cumulative} counters
+    — so a multi-run session reports totals, the metrics a service
+    wants — or, when [false], this request's counters alone.  {!stats}
+    always holds the per-request numbers; {!cumulative} always holds
+    the totals. *)
 
 val stage : t -> Edit.t -> unit
 (** Stage an edit for the next {!reverify}.  Edits apply in stage
@@ -120,7 +122,8 @@ val stats : t -> stats
 (** Stats of the most recent request. *)
 
 val cumulative : t -> Eval.counters
-(** Counters accumulated over every request of this session. *)
+(** Counters accumulated over every request of this session, the cold
+    load's included. *)
 
 val listing : t -> string
 (** The violation listing exactly as [scald_tv -q] prints it for the

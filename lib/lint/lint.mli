@@ -15,9 +15,3 @@ val audit : ?rules:Rules.rule list -> Scald_core.Netlist.t -> Lint_report.t
     a netlist.  Purely structural: the netlist is not evaluated and not
     modified.  Findings come back sorted by rule id then locus name
     (see {!Lint_report.compare_finding}). *)
-
-val summary : Scald_core.Netlist.t -> Scald_core.Verifier.lint_summary
-(** Adapter for {!Scald_core.Verifier.verify}'s [?lint] argument:
-    [Verifier.verify ~lint:Lint.summary nl] runs the audit before the
-    evaluation and carries the totals and rendered listing in the
-    report. *)

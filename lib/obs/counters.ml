@@ -22,39 +22,24 @@ let check_no_dup_keys pairs =
     pairs
 
 let of_report ?(phases = []) ?(extra = []) (r : Verifier.report) =
+  let cases = r.Verifier.r_cases in
   let counters =
-      [
-        ("requests", r.Verifier.r_obs.Verifier.os_requests);
-        ("events", r.Verifier.r_events);
-        ("evaluations", r.Verifier.r_evaluations);
-        ("events_queued", r.Verifier.r_obs.Verifier.os_queued);
-        ("events_coalesced", r.Verifier.r_obs.Verifier.os_coalesced);
-        ("queue_hwm", r.Verifier.r_obs.Verifier.os_queue_hwm);
-        ("sched_levels", r.Verifier.r_obs.Verifier.os_sched_levels);
-        ("sccs", r.Verifier.r_obs.Verifier.os_sccs);
-        ("max_scc_size", r.Verifier.r_obs.Verifier.os_max_scc_size);
-        ("cache_hits", r.Verifier.r_obs.Verifier.os_cache_hits);
-        ("cache_misses", r.Verifier.r_obs.Verifier.os_cache_misses);
-        ("cases", List.length r.Verifier.r_cases);
+    Eval.counter_list r.Verifier.r_counters
+    @ [
+        ("cases", List.length cases);
         ( "cases_diverged",
-          List.length
-            (List.filter
-               (fun (c : Verifier.case_result) -> not c.Verifier.cr_converged)
-               r.Verifier.r_cases) );
+          List.length (List.filter (fun c -> not c.Verifier.cr_converged) cases) );
         ("jobs", r.Verifier.r_jobs);
-        ("corners", r.Verifier.r_obs.Verifier.os_corners);
-        ("corner_lanes_shared", r.Verifier.r_obs.Verifier.os_corner_lanes_shared);
-        ("corner_evals_saved", r.Verifier.r_obs.Verifier.os_corner_evals_saved);
         ("violations", List.length r.Verifier.r_violations);
         ("unasserted", List.length r.Verifier.r_unasserted);
       ]
-      @ extra
+    @ extra
   in
   check_no_dup_keys counters;
   {
     m_counters = counters;
     m_flags = [ ("converged", r.Verifier.r_converged) ];
-    m_kinds = r.Verifier.r_obs.Verifier.os_evals_by_kind;
+    m_kinds = Eval.evals_by_kind r.Verifier.r_counters;
     m_phases = phases;
   }
 

@@ -1,17 +1,19 @@
 (** Flat run metrics and their JSON rendering.
 
-    Collects the evaluator counters carried in a verification report
-    (plus optional per-phase wall times from a {!Span} profiler) into
-    one flat record, written as a single JSON object — the
-    [metrics.json] consumed by dashboards and the bench harness.  The
-    object is printed by {!Scald_core.Json.to_lines}; its shape is
-    pinned by [doc/metrics.schema.json]. *)
+    Collects the report's one counter snapshot — every row of the
+    evaluator's counter table ({!Scald_core.Eval.table}) and the
+    per-kind evaluations — and the report's own tallies (plus optional
+    per-phase wall times from a {!Span} profiler) into one flat record,
+    written as a single JSON object — the [metrics.json] consumed by
+    dashboards and the bench harness.  The object is printed by
+    {!Scald_core.Json.to_lines}; its shape is pinned by
+    [doc/metrics.schema.json]. *)
 
 type metrics = {
   m_counters : (string * int) list;
-      (** flat integer counters: ["events"], ["evaluations"],
-          ["events_queued"], ["events_coalesced"], ["queue_hwm"],
-          ["cases"], ["violations"], ["unasserted"] *)
+      (** flat integer counters: the counter table's rows in table
+          order, then ["cases"], ["cases_diverged"], ["jobs"],
+          ["violations"], ["unasserted"] and any [extra] *)
   m_flags : (string * bool) list;  (** ["converged"] *)
   m_kinds : (string * int) list;  (** evaluations per primitive kind *)
   m_phases : (string * float) list;  (** per-phase wall seconds *)
@@ -28,9 +30,10 @@ val of_report :
   ?extra:(string * int) list ->
   Scald_core.Verifier.report ->
   metrics
-(** Extract every counter from a report; [phases] adds per-phase wall
-    times (name, seconds) — pass [Obs.phase_seconds] or hand-timed
-    figures.  [extra] appends additional flat integer counters (the
+(** Extract every counter from a report: each evaluator key from its
+    snapshot ([r_counters]), so the evaluator's laws hold in the
+    result; [phases] adds per-phase wall times (name, seconds) — pass
+    [Obs.phase_seconds] or hand-timed figures.  [extra] appends additional flat integer counters (the
     incremental service's [incr_*]/[svc_*]/[mem_*] families — see
     [doc/metrics.schema.json] for the allowed names).
 

@@ -5,10 +5,10 @@ type t = {
   o_ring : Causal.t option;
 }
 
-let create ?clock ?(trace_buffer = 0) () =
+let create ?clock ?keep_spans ?(trace_buffer = 0) () =
   if trace_buffer < 0 then invalid_arg "Obs.create: trace_buffer must be >= 0";
   {
-    o_prof = Span.create ?clock ();
+    o_prof = Span.create ?clock ?keep:keep_spans ();
     o_ring = (if trace_buffer = 0 then None else Some (Causal.create ~capacity:trace_buffer));
   }
 
@@ -25,21 +25,7 @@ let probe t =
     pr_event = Option.map (fun r -> Causal.hook r) t.o_ring;
   }
 
-let phase_seconds t =
-  let seen = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun (s : Span.span) ->
-      let name = s.Span.s_name in
-      match Hashtbl.find_opt seen name with
-      | Some cell -> cell := !cell +. s.Span.s_dur_us
-      | None ->
-        Hashtbl.add seen name (ref s.Span.s_dur_us);
-        order := name :: !order)
-    (Span.spans t.o_prof);
-  List.rev_map
-    (fun name -> (name, !(Hashtbl.find seen name) /. 1e6))
-    !order
+let phase_seconds t = List.map (fun (name, us) -> (name, us /. 1e6)) (Span.totals t.o_prof)
 
 let metrics ?extra t ~report =
   Counters.of_report ~phases:(phase_seconds t) ?extra report

@@ -19,10 +19,14 @@
 
 type t
 
-val create : ?clock:(unit -> float) -> ?trace_buffer:int -> unit -> t
+val create :
+  ?clock:(unit -> float) -> ?keep_spans:bool -> ?trace_buffer:int -> unit -> t
 (** [trace_buffer] is the causal ring capacity; [0] (the default)
     disables event tracing entirely — the probe then carries no event
     hook.  [clock] is passed to the profiler (tests inject a fake).
+    [keep_spans] (default [true]) is the profiler's [keep]
+    ({!Span.create}): pass [false] when no trace file will be written —
+    the phase totals are kept either way.
     @raise Invalid_argument when [trace_buffer < 0]. *)
 
 val profiler : t -> Span.t
@@ -45,7 +49,8 @@ val probe : t -> Scald_core.Verifier.probe
     profiler, events (when [trace_buffer > 0]) feed the ring. *)
 
 val phase_seconds : t -> (string * float) list
-(** Summed wall seconds per distinct span name, in first-seen order. *)
+(** Summed wall seconds per distinct span name, in first-seen order
+    ({!Span.totals}); kept whether or not the spans are. *)
 
 val metrics :
   ?extra:(string * int) list ->
@@ -63,9 +68,10 @@ val write_profile :
   t ->
   string ->
   unit
-(** Write the Chrome trace; when [report] is given its counters are
-    appended as counter-track samples, and [lanes] names the per-lane
-    tracks (see {!Trace_export.to_json}). *)
+(** Write the Chrome trace of the kept spans (none unless the handle
+    was created with [keep_spans]); when [report] is given its counters
+    are appended as counter-track samples, and [lanes] names the
+    per-lane tracks (see {!Trace_export.to_json}). *)
 
 val write_metrics :
   ?extra:(string * int) list ->

@@ -6,6 +6,12 @@
     microseconds, which is exactly what the Chrome [trace_event] format
     wants (see {!Trace_export}).
 
+    Every completed span adds its duration to its name's total
+    ({!totals}), which is all the metrics file needs.  The spans
+    themselves are kept, for a trace file, only when the profiler is
+    created with [keep] — a long-lived service that writes no trace
+    keeps no per-request history.
+
     The clock is injectable so tests can drive a deterministic one; the
     default is {!Unix.gettimeofday}. *)
 
@@ -22,9 +28,11 @@ type span = {
 
 type t
 
-val create : ?clock:(unit -> float) -> unit -> t
+val create : ?clock:(unit -> float) -> ?keep:bool -> unit -> t
 (** A fresh profiler.  [clock] returns seconds; it need only be
-    monotone non-decreasing. *)
+    monotone non-decreasing.  [keep] (default [true]) keeps every
+    completed span for {!spans}; without it only the per-name totals
+    are. *)
 
 val now_us : t -> float
 (** Current clock reading, µs since profiler creation.  Exposed so the
@@ -43,18 +51,13 @@ val with_span : t -> string -> (unit -> 'a) -> 'a
 (** [with_span t name f] runs [f] inside a span.  The span is recorded
     even when [f] raises; spans nest to any depth. *)
 
-val mark : t -> string -> unit
-(** Record an instantaneous (zero-duration) span. *)
-
 val spans : t -> span list
-(** All completed spans, in order of completion time.  O(total). *)
+(** All completed spans, in order of completion time; [[]] unless the
+    profiler keeps them.  O(total). *)
 
-val n_completed : t -> int
-(** Completed-span count, O(1).  Sample before and after a request;
-    the difference is how many spans the request produced. *)
+val totals : t -> (string * float) list
+(** Summed µs per distinct span name, in order of each name's first
+    completion; kept or not. *)
 
 val total_us : t -> string -> float
 (** Summed duration of every completed span with the given name. *)
-
-val pp : Format.formatter -> t -> unit
-(** Indented text rendering, one line per span. *)

@@ -573,9 +573,15 @@ let test_session_counters_carry () =
   let s = Session.load (build_circuit ()) in
   Session.stage s (Edit.Wire_delay { signal = "DATA"; delay = Some (Delay.of_ns 0.5 9.0) });
   let r1, st1 = Session.reverify s in
-  Alcotest.(check bool) "carried r_obs equals the cumulative counters" true
+  (* one snapshot per report: the carried one is the cumulative one,
+     and every view of the report reads it *)
+  Alcotest.(check bool) "carried snapshot equals the cumulative counters" true
+    (r1.Verifier.r_counters = Session.cumulative s);
+  Alcotest.(check bool) "r_obs is the snapshot's view" true
     (r1.Verifier.r_obs = Verifier.obs_of_counters (Session.cumulative s));
-  let cum1 = (Session.cumulative s).Eval.c_evaluations in
+  let cum1 = Eval.counter (Session.cumulative s) "evaluations" in
+  Alcotest.(check int) "r_evaluations reads the carried snapshot" cum1
+    r1.Verifier.r_evaluations;
   Alcotest.(check bool) "cumulative includes the cold run" true
     (cum1 > st1.Session.st_evaluations);
   Session.stage s (Edit.Wire_delay { signal = "DATA"; delay = None });
@@ -583,10 +589,10 @@ let test_session_counters_carry () =
   Alcotest.(check bool) "carry_counters:false reports this request alone" true
     (r2.Verifier.r_obs.Verifier.os_queued
     < (Verifier.obs_of_counters (Session.cumulative s)).Verifier.os_queued);
-  Alcotest.(check int) "r_events is always per-request" st2.Session.st_events
+  Alcotest.(check int) "uncarried r_events is this request's" st2.Session.st_events
     r2.Verifier.r_events;
   Alcotest.(check bool) "cumulative keeps growing regardless" true
-    ((Session.cumulative s).Eval.c_evaluations
+    (Eval.counter (Session.cumulative s) "evaluations"
     = cum1 + st2.Session.st_evaluations)
 
 (* The maintained content follows edits through a feedback component —
@@ -972,6 +978,66 @@ let test_serve_lanes_and_slow () =
   | Some (Json.Obj []) -> ()
   | _ -> Alcotest.fail "telemetry off: latency_us must be empty"
 
+(* A service that writes no trace keeps no per-request history: after
+   many edit/verify cycles its profiler holds no span and names no
+   lane, yet its metrics file's phases_s are the per-name sums of the
+   spans a traced twin on the same clock kept — the twin whose lanes
+   and spans a trace file shows. *)
+let test_serve_keeps_no_spans_without_trace () =
+  let cycles = 20 in
+  let script =
+    List.hd telemetry_script
+    :: List.concat
+         (List.init cycles (fun i ->
+              [
+                (if i mod 2 = 0 then
+                   {| {"op":"delta","edits":[{"edit":"wire_delay","signal":"B","min_ns":0,"max_ns":9}]} |}
+                 else {| {"op":"delta","edits":[{"edit":"wire_delay","signal":"B","delay":null}]} |});
+                {| {"op":"verify"} |};
+              ]))
+  in
+  let serve keep_spans =
+    let obs = Scald_obs.Obs.create ~clock:(ticking_clock 1e-4) ~keep_spans () in
+    let t = Serve.create ~obs () in
+    List.iter (fun line -> ignore (serve_req t line)) script;
+    (t, Scald_obs.Obs.profiler obs)
+  in
+  let plain, plain_prof = serve false and traced, traced_prof = serve true in
+  Alcotest.(check int) "no span kept" 0 (List.length (Scald_obs.Span.spans plain_prof));
+  Alcotest.(check (list (pair int string))) "no lane named" [] (Serve.lanes plain);
+  Alcotest.(check (list (pair int string))) "default service keeps no lane" []
+    (let t = Serve.create () in
+     List.iter (fun line -> ignore (serve_req t line)) script;
+     Serve.lanes t);
+  let spans = Scald_obs.Span.spans traced_prof in
+  Alcotest.(check bool) "the traced twin keeps the spans" true (spans <> []);
+  Alcotest.(check (list (pair int string))) "one lane per request, from its req span"
+    (List.mapi
+       (fun i line ->
+         let op = Option.get (jstr "op" (Result.get_ok (Json.parse line))) in
+         (i + 1, Printf.sprintf "r%d:%s" (i + 1) op))
+       script)
+    (Serve.lanes traced);
+  let phases t =
+    let path = Filename.temp_file "serve_metrics" ".json" in
+    Alcotest.(check bool) "metrics written" true (Serve.write_metrics t path);
+    let m = Result.get_ok (Json.parse (In_channel.with_open_bin path In_channel.input_all)) in
+    Sys.remove path;
+    match Json.member "phases_s" m with
+    | Some (Json.Obj kvs) -> List.map (fun (k, v) -> (k, Option.get (Json.num v))) kvs
+    | _ -> Alcotest.fail "no phases_s"
+  in
+  let name (s : Scald_obs.Span.span) = s.Scald_obs.Span.s_name in
+  let sum_s k =
+    List.fold_left (fun acc s -> if name s = k then acc +. s.s_dur_us else acc) 0. spans
+    /. 1e6
+  in
+  Alcotest.(check (list (pair string (float 1e-9)))) "phases_s = per-name span sums"
+    (List.map (fun k -> (k, sum_s k)) (List.sort_uniq compare (List.map name spans)))
+    (List.sort compare (phases plain));
+  Alcotest.(check (list (pair string (float 1e-9)))) "traced or not, the same phases_s"
+    (phases traced) (phases plain)
+
 (* ---- the bit-identity property ------------------------------------------------ *)
 
 (* Random acyclic gate networks (always convergent) feeding the
@@ -1262,5 +1328,7 @@ let suite =
       test_serve_deterministic_quantiles;
     Alcotest.test_case "serve lanes and slow requests" `Quick
       test_serve_lanes_and_slow;
+    Alcotest.test_case "serve keeps no spans without a trace" `Quick
+      test_serve_keeps_no_spans_without_trace;
     bit_identity_property;
   ]

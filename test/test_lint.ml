@@ -1,6 +1,6 @@
 (* Constraint-lint tests: every rule both firing and passing on minimal
-   designs, the JSON lines, the Verifier ?lint hook, the dedup fix,
-   and a golden snapshot of the s1_subset lint listing. *)
+   designs, the JSON lines, the dedup fix, and a golden snapshot of the
+   s1_subset lint listing. *)
 
 open Scald_core
 module Lint = Scald_lint.Lint
@@ -311,24 +311,6 @@ let test_json_escaping () =
       f_message = "line1\nline2\ttab";
       f_hint = "ctrl\001char" }
 
-(* ---- the Verifier hook ------------------------------------------------------ *)
-
-let test_verifier_hook () =
-  let nl = load (read_file "../examples/s1_subset.sdl") in
-  let report = Verifier.verify ~lint:Lint.summary nl in
-  match report.Verifier.r_lint with
-  | None -> Alcotest.fail "r_lint = None despite ?lint hook"
-  | Some l ->
-    let r = Lint.audit nl in
-    Alcotest.(check int) "errors" (LR.count LR.Error r) l.Verifier.ls_errors;
-    Alcotest.(check int) "warnings" (LR.count LR.Warning r) l.Verifier.ls_warnings;
-    Alcotest.(check int) "infos" (LR.count LR.Info r) l.Verifier.ls_infos;
-    Alcotest.(check bool) "listing rendered" true
-      (String.length l.Verifier.ls_listing > 0);
-    (* without the hook the field stays empty *)
-    let plain = Verifier.verify nl in
-    Alcotest.(check bool) "no hook, no lint" true (plain.Verifier.r_lint = None)
-
 (* ---- dedup regression -------------------------------------------------------- *)
 
 let violation ?(detail = "") ?(actual = None) () =
@@ -414,7 +396,6 @@ let suite =
     Alcotest.test_case "vacuous lint listing snapshot" `Quick test_vacuous_golden;
     Alcotest.test_case "JSON round-trip on real findings" `Quick test_json_roundtrip;
     Alcotest.test_case "JSON escaping" `Quick test_json_escaping;
-    Alcotest.test_case "Verifier ?lint hook" `Quick test_verifier_hook;
     Alcotest.test_case "dedup keeps distinct violations" `Quick test_dedup;
     Alcotest.test_case "re-audit after an in-place edit" `Quick test_reaudit_after_edit;
   ]

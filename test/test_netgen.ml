@@ -57,7 +57,7 @@ let test_chip_count_near_target () =
     [ 200; 1000; 3000 ]
 
 (* Randomized determinism sweep across the schedule matrix: within one
-   schedule the full report — violations, r_obs counters, case results,
+   schedule the full report — violations, evaluator counters, case results,
    everything pp prints — must be bit-identical no matter the domain
    count; between the level and the flat (FIFO) schedule the evaluator
    counters may legitimately differ, but violations and the convergence

@@ -231,23 +231,29 @@ let test_counters () =
   let ev = Eval.create nl in
   Eval.run ev;
   let c = Eval.counters ev in
-  Alcotest.(check int) "events match accessor" (Eval.events ev) c.Eval.c_events;
-  Alcotest.(check int) "evals match accessor" (Eval.evaluations ev)
-    c.Eval.c_evaluations;
-  Alcotest.(check bool) "queued >= events" true (c.Eval.c_queued >= c.Eval.c_events);
-  Alcotest.(check bool) "hwm positive" true (c.Eval.c_queue_hwm >= 1);
-  Alcotest.(check bool) "coalesced non-negative" true (c.Eval.c_coalesced >= 0);
-  Alcotest.(check int) "per-kind sums to total" c.Eval.c_evaluations
-    (List.fold_left (fun acc (_, n) -> acc + n) 0 c.Eval.c_evals_by_kind);
+  let n = Eval.counter c in
+  Alcotest.(check int) "events match accessor" (Eval.events ev) (n "events");
+  Alcotest.(check int) "evals match accessor" (Eval.evaluations ev) (n "evaluations");
+  Alcotest.(check bool) "queued >= events" true (n "events_queued" >= n "events");
+  Alcotest.(check bool) "hwm positive" true (n "queue_hwm" >= 1);
+  Alcotest.(check bool) "coalesced non-negative" true (n "events_coalesced" >= 0);
+  Alcotest.(check int) "per-kind sums to total" (n "evaluations")
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 (Eval.evals_by_kind c));
   Alcotest.(check bool) "BUF kind counted" true
-    (match List.assoc_opt "BUF" c.Eval.c_evals_by_kind with
+    (match List.assoc_opt "BUF" (Eval.evals_by_kind c) with
     | Some n -> n >= 2
     | None -> false);
+  Alcotest.check_raises "unknown key"
+    (Invalid_argument "Eval.counter: no counter \"no_such_counter\"") (fun () ->
+      ignore (n "no_such_counter"));
   Eval.reset_counters ev;
   let c = Eval.counters ev in
-  Alcotest.(check int) "reset events" 0 c.Eval.c_events;
-  Alcotest.(check int) "reset hwm" 0 c.Eval.c_queue_hwm;
-  Alcotest.(check (list (pair string int))) "reset kinds" [] c.Eval.c_evals_by_kind
+  let n = Eval.counter c in
+  Alcotest.(check int) "reset events" 0 (n "events");
+  Alcotest.(check int) "reset hwm" 0 (n "queue_hwm");
+  Alcotest.(check bool) "reset keeps the schedule shape" true (n "sched_levels" > 0);
+  Alcotest.(check int) "reset keeps the lane count" 1 (n "corners");
+  Alcotest.(check (list (pair string int))) "reset kinds" [] (Eval.evals_by_kind c)
 
 let test_event_hook () =
   let nl = two_buf_circuit () in
@@ -334,20 +340,15 @@ let test_probe_spans_and_r_obs () =
   let nl = two_buf_circuit () in
   let clock, _ = fake_clock () in
   let obs = Obs.create ~clock ~trace_buffer:16 () in
-  let report =
-    Verifier.verify ~probe:(Obs.probe obs)
-      ~lint:(fun _ ->
-        { Verifier.ls_errors = 0; ls_warnings = 0; ls_infos = 0; ls_listing = "" })
-      nl
-  in
+  let report = Verifier.verify ~probe:(Obs.probe obs) nl in
   let names = List.map (fun s -> s.Span.s_name) (Span.spans (Obs.profiler obs)) in
   List.iter
     (fun expected ->
       Alcotest.(check bool) (expected ^ " span present") true
         (List.mem expected names))
-    [ "lint"; "evaluate:case1"; "check:case1" ];
+    [ "evaluate:case1"; "check:case1" ];
   Alcotest.(check int) "r_obs queued matches counters"
-    (Eval.counters report.Verifier.r_eval).Eval.c_queued
+    (Eval.counter (Eval.counters report.Verifier.r_eval) "events_queued")
     report.Verifier.r_obs.Verifier.os_queued;
   Alcotest.(check bool) "r_obs hwm positive" true
     (report.Verifier.r_obs.Verifier.os_queue_hwm >= 1);
@@ -559,7 +560,7 @@ let test_span_lanes () =
       tick 0.001;
       Span.with_span prof "inner" (fun () -> tick 0.001));
   Span.set_lane prof 0;
-  Alcotest.(check int) "three spans complete" 3 (Span.n_completed prof);
+  Alcotest.(check int) "three spans complete" 3 (List.length (Span.spans prof));
   (match Span.spans prof with
   | [ boot; inner; outer ] ->
     Alcotest.(check string) "last-completed span last" "outer" outer.Span.s_name;
@@ -655,6 +656,92 @@ let test_metrics_schema_pins_writers () =
     (sorted (every_run @ serve))
     (sorted (List.filter (fun k -> not (is_cap k)) properties))
 
+(* ---- every metrics file's counters add up ----------------------------------- *)
+
+(* A report carries one counter snapshot, so the evaluator's two laws
+   hold in every metrics file: on a converged run every enqueue request
+   was either evaluated or absorbed, and the per-kind evaluations add
+   up to the total. *)
+let check_laws label path =
+  let m =
+    match Json.parse (read_file path) with Ok m -> m | Error e -> Alcotest.fail e
+  in
+  Sys.remove path;
+  let int k =
+    match Option.bind (Json.member k m) Json.int with
+    | Some v -> v
+    | None -> Alcotest.failf "%s: no %s" label k
+  in
+  Alcotest.(check (option bool)) (label ^ ": converged") (Some true)
+    (Option.bind (Json.member "converged" m) Json.bool);
+  Alcotest.(check int) (label ^ ": events_queued = evaluations + events_coalesced")
+    (int "events_queued")
+    (int "evaluations" + int "events_coalesced");
+  let by_kind =
+    match Json.member "evals_by_kind" m with
+    | Some (Json.Obj kvs) -> List.filter_map (fun (_, v) -> Json.int v) kvs
+    | _ -> Alcotest.failf "%s: no evals_by_kind" label
+  in
+  Alcotest.(check int) (label ^ ": evals_by_kind sums to evaluations") (int "evaluations")
+    (List.fold_left ( + ) 0 by_kind)
+
+let s1_subset () =
+  match Scald_sdl.Expander.load (read_file "../examples/s1_subset.sdl") with
+  | Ok e -> e.Scald_sdl.Expander.e_netlist
+  | Error e -> Alcotest.fail e
+
+let test_metrics_add_up () =
+  let cases = Case_analysis.parse_exn (read_file "../examples/s1_subset.cases") in
+  List.iter
+    (fun (label, jobs, corners) ->
+      let obs = Obs.create () in
+      let report =
+        Verifier.verify ~probe:(Obs.probe obs) ~cases ~jobs
+          ?corners:(Option.map Corner.of_spec corners) (s1_subset ())
+      in
+      let path = Filename.temp_file "metrics" ".json" in
+      Obs.write_metrics obs ~report path;
+      check_laws label path)
+    [ ("-j 1", 1, None); ("-j 3", 3, None); ("corners", 1, Some "typ,slow,fast") ];
+  let svc = Scald_incr.Serve.create () in
+  List.iter
+    (fun line ->
+      let resp, _ = Scald_incr.Serve.handle_line svc line in
+      Alcotest.(check bool) (line ^ " served") true (contains resp "\"ok\":true"))
+    [
+      {|{"op":"load","file":"../examples/s1_subset.sdl","cases_file":"../examples/s1_subset.cases"}|};
+      {|{"op":"delta","edits":[{"edit":"wire_delay","signal":"PC NEXT<0:15>","min_ns":0.5,"max_ns":48.0}]}|};
+      {|{"op":"verify"}|};
+      {|{"op":"delta","edits":[{"edit":"wire_delay","signal":"PC NEXT<0:15>","delay":null}]}|};
+      {|{"op":"verify"}|};
+    ];
+  let path = Filename.temp_file "serve_metrics" ".json" in
+  Alcotest.(check bool) "serve metrics written" true
+    (Scald_incr.Serve.write_metrics svc path);
+  check_laws "serve" path
+
+(* The counter table is the one declaration: its keys, in order, are
+   the schema's required members but the report's own and the framing
+   ones, and OBSERVABILITY.md documents each. *)
+let test_counter_table_pinned () =
+  let required =
+    match Json.parse (read_file "../doc/metrics.schema.json") with
+    | Ok j -> List.filter_map Json.str (Option.get (Option.bind (Json.member "required" j) Json.list))
+    | Error e -> Alcotest.fail e
+  in
+  let not_evaluator =
+    [ "schema"; "cases"; "cases_diverged"; "jobs"; "violations"; "unasserted";
+      "converged"; "evals_by_kind"; "phases_s" ]
+  in
+  let keys = List.map (fun (r : Eval.row) -> r.Eval.key) Eval.table in
+  Alcotest.(check (list string)) "table keys = the schema's evaluator keys"
+    (List.filter (fun k -> not (List.mem k not_evaluator)) required)
+    keys;
+  let doc = read_file "../doc/OBSERVABILITY.md" in
+  List.iter
+    (fun k -> Alcotest.(check bool) (k ^ " documented") true (contains doc ("`" ^ k ^ "`")))
+    ("evals_by_kind" :: keys)
+
 let test_underconstrained_explain () =
   match Scald_sdl.Expander.load (read_file "../examples/underconstrained.sdl") with
   | Error e -> Alcotest.failf "expander: %s" e
@@ -695,4 +782,6 @@ let suite =
     Alcotest.test_case "metrics-schema-pins-writers" `Quick
       test_metrics_schema_pins_writers;
     Alcotest.test_case "underconstrained-explain" `Quick test_underconstrained_explain;
+    Alcotest.test_case "metrics-add-up" `Quick test_metrics_add_up;
+    Alcotest.test_case "counter-table-pinned" `Quick test_counter_table_pinned;
   ]

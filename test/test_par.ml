@@ -143,12 +143,10 @@ let case_results_equal (a : Verifier.case_result) (b : Verifier.case_result) =
   && a.Verifier.cr_converged = b.Verifier.cr_converged
 
 let reports_equal (a : Verifier.report) (b : Verifier.report) =
-  a.Verifier.r_events = b.Verifier.r_events
-  && a.Verifier.r_evaluations = b.Verifier.r_evaluations
+  a.Verifier.r_counters = b.Verifier.r_counters
   && a.Verifier.r_violations = b.Verifier.r_violations
   && a.Verifier.r_converged = b.Verifier.r_converged
   && a.Verifier.r_unasserted = b.Verifier.r_unasserted
-  && a.Verifier.r_obs = b.Verifier.r_obs
   && List.length a.Verifier.r_cases = List.length b.Verifier.r_cases
   && List.for_all2 case_results_equal a.Verifier.r_cases b.Verifier.r_cases
 
@@ -159,15 +157,16 @@ let reports_equal (a : Verifier.report) (b : Verifier.report) =
    per-kind and per-case counts sum to the run's totals, and an event is
    an evaluation that moved its output. *)
 let counters_add_up (r : Verifier.report) =
-  let o = r.Verifier.r_obs in
+  let c = r.Verifier.r_counters in
+  let n = Eval.counter c in
   let sum_cases f = List.fold_left (fun acc c -> acc + f c) 0 r.Verifier.r_cases in
   ((not r.Verifier.r_converged)
-  || o.Verifier.os_queued = r.Verifier.r_evaluations + o.Verifier.os_coalesced)
-  && List.fold_left (fun acc (_, n) -> acc + n) 0 o.Verifier.os_evals_by_kind
-     = r.Verifier.r_evaluations
-  && sum_cases (fun c -> c.Verifier.cr_events) = r.Verifier.r_events
-  && sum_cases (fun c -> c.Verifier.cr_evaluations) = r.Verifier.r_evaluations
-  && r.Verifier.r_events <= r.Verifier.r_evaluations
+  || n "events_queued" = n "evaluations" + n "events_coalesced")
+  && List.fold_left (fun acc (_, k) -> acc + k) 0 (Eval.evals_by_kind c)
+     = n "evaluations"
+  && sum_cases (fun c -> c.Verifier.cr_events) = n "events"
+  && sum_cases (fun c -> c.Verifier.cr_evaluations) = n "evaluations"
+  && n "events" <= n "evaluations"
 
 let test_jobs_equal_on_diverging_circuit () =
   let r1 = Verifier.verify ~cases:slow_loop_cases (slow_loop ()) in
