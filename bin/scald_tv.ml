@@ -422,13 +422,17 @@ let serve_trace =
 let serve_no_telemetry =
   let doc =
     "Disable per-request telemetry (latency histograms, trace lanes, memory \
-     snapshots).  $(b,stats)/$(b,health) then report zeros for those fields."
+     snapshots).  $(b,stats)/$(b,health) then report zeros for those fields; \
+     $(b,--trace), $(b,--log), $(b,--slow-ms) and $(b,--prom) need it."
   in
   Arg.(value & flag & info [ "no-telemetry" ] ~doc)
 
 let serve_run metrics slow_ms log prom trace no_telemetry =
-  Scald_incr.Serve.run ?metrics ?slow_ms ?log ?prom ?trace
-    ~telemetry:(not no_telemetry) stdin stdout
+  let telemetry = not no_telemetry in
+  match Scald_incr.Serve.telemetry_conflict ~telemetry ?slow_ms ?log ?prom ?trace () with
+  | Some msg -> `Error (true, msg)
+  | None ->
+    `Ok (Scald_incr.Serve.run ?metrics ?slow_ms ?log ?prom ?trace ~telemetry stdin stdout)
 
 let serve_cmd =
   let doc = "run the persistent incremental verification service" in
@@ -453,8 +457,9 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc ~man)
     Term.(
-      const serve_run $ serve_metrics $ serve_slow_ms $ serve_log $ serve_prom
-      $ serve_trace $ serve_no_telemetry)
+      ret
+        (const serve_run $ serve_metrics $ serve_slow_ms $ serve_log $ serve_prom
+        $ serve_trace $ serve_no_telemetry))
 
 let cmd =
   let doc = "verify the timing constraints of a synchronous digital design" in

@@ -220,13 +220,14 @@ let escape buf s =
     s;
   Buffer.add_char buf '"'
 
+let number f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else Printf.sprintf "%.12g" f
+
 let rec emit buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Num f ->
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Buffer.add_string buf (Printf.sprintf "%.0f" f)
-    else Buffer.add_string buf (Printf.sprintf "%.12g" f)
+  | Num f -> Buffer.add_string buf (number f)
   | Str s -> escape buf s
   | List vs ->
     Buffer.add_char buf '[';

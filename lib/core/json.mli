@@ -25,6 +25,9 @@ val parse : string -> (t, string) result
 val to_string : t -> string
 (** Compact single-line rendering, no spaces: one JSONL line. *)
 
+val number : float -> string
+(** How {!to_string} spells a [Num]: integers below 10{^15} whole, the rest [%.12g]. *)
+
 val to_lines : t -> string
 (** A top-level object or array with one member or element per line,
     each line compact and indented two spaces, ending in a newline:

@@ -1,8 +1,7 @@
 open Scald_core
-
-(* The request kinds with their own latency histogram, in the fixed
-   order every exposition (stats/health/prom/metrics) lists them. *)
-let kinds = [ "load"; "delta"; "verify"; "stats"; "health" ]
+module Hist = Scald_obs.Hist
+module Mem = Scald_obs.Mem
+module Prom = Scald_obs.Prom
 
 type t = {
   sv_store : Store.t;
@@ -15,16 +14,31 @@ type t = {
   mutable sv_requests : int;
   mutable sv_errors : int;
   mutable sv_slow : int;
+  mutable sv_loads : int;
+  mutable sv_warm_loads : int;
+  mutable sv_adopted_loads : int;
   mutable sv_reused_nets : int;
   mutable sv_dirtied_nets : int;
   mutable sv_warm_hits : int;
   mutable sv_last_report : Verifier.report option;
-  sv_kind_hist : (string, Scald_obs.Hist.t) Hashtbl.t;  (* request wall µs *)
-  mutable sv_mem : Scald_obs.Mem.snapshot;
+  sv_kinds : (string * Hist.t) array;
+      (* the request kinds with a latency histogram (request wall µs),
+         in the order every exposition lists them *)
+  mutable sv_mem : Mem.snapshot;
   mutable sv_bpp : float;  (* bytes per primitive, last sampled *)
 }
 
-let create ?obs ?(telemetry = true) ?(slow_ms = infinity) ?log ?prom () =
+(* Each of these flags reads the per-request timing that telemetry off
+   skips: without it the flag would print nothing, silently. *)
+let telemetry_conflict ~telemetry ?slow_ms ?log ?prom ?trace () =
+  [ ("--slow-ms", slow_ms <> None); ("--log", log <> None); ("--prom", prom <> None);
+    ("--trace", trace <> None) ]
+  |> List.find_opt (fun (_, given) -> given && not telemetry)
+  |> Option.map (fun (flag, _) ->
+         flag ^ " needs the per-request timing that --no-telemetry turns off")
+
+let create ?obs ?(telemetry = true) ?slow_ms ?log ?prom () =
+  Option.iter invalid_arg (telemetry_conflict ~telemetry ?slow_ms ?log ?prom ());
   let sv_obs =
     match obs with Some o -> o | None -> Scald_obs.Obs.create ~keep_spans:false ()
   in
@@ -32,19 +46,24 @@ let create ?obs ?(telemetry = true) ?(slow_ms = infinity) ?log ?prom () =
     sv_store = Store.create ();
     sv_obs;
     sv_telemetry = telemetry;
-    sv_slow_ms = slow_ms;
+    sv_slow_ms = Option.value slow_ms ~default:infinity;
     sv_log = log;
     sv_prom = prom;
     sv_t0_us = Scald_obs.Obs.now_us sv_obs;
     sv_requests = 0;
     sv_errors = 0;
     sv_slow = 0;
+    sv_loads = 0;
+    sv_warm_loads = 0;
+    sv_adopted_loads = 0;
     sv_reused_nets = 0;
     sv_dirtied_nets = 0;
     sv_warm_hits = 0;
     sv_last_report = None;
-    sv_kind_hist = Hashtbl.create 8;
-    sv_mem = Scald_obs.Mem.zero;
+    sv_kinds =
+      Array.map (fun k -> (k, Hist.create ()))
+        [| "load"; "delta"; "verify"; "stats"; "health" |];
+    sv_mem = Mem.zero;
     sv_bpp = 0.0;
   }
 
@@ -88,16 +107,6 @@ let read_file path =
 
 (* ---- telemetry ------------------------------------------------------------ *)
 
-let uptime_us t = Scald_obs.Obs.now_us t.sv_obs -. t.sv_t0_us
-
-let hist_for tbl name =
-  match Hashtbl.find_opt tbl name with
-  | Some h -> h
-  | None ->
-    let h = Scald_obs.Hist.create () in
-    Hashtbl.add tbl name h;
-    h
-
 (* Memory + bytes-per-primitive sampling.  [full] reads /proc and
    walks the netlist sizes ([Stats.storage_of] is O(design)), so it
    runs only at load/stats/health boundaries; every other request
@@ -107,7 +116,7 @@ let hist_for tbl name =
 let refresh_resources ?(full = false) t =
   if t.sv_telemetry then
     if full then begin
-      t.sv_mem <- Scald_obs.Mem.sample ();
+      t.sv_mem <- Mem.sample ();
       match Store.latest t.sv_store with
       | None -> ()
       | Some s ->
@@ -116,42 +125,173 @@ let refresh_resources ?(full = false) t =
         t.sv_bpp <-
           Stats.bytes_per_primitive st ~n_primitives:(max 1 (Netlist.n_insts nl))
     end
-    else
-      t.sv_mem <-
-        Scald_obs.Mem.sample
-          ~peak_rss_kb:t.sv_mem.Scald_obs.Mem.mem_peak_rss_kb ()
+    else t.sv_mem <- Mem.sample ~peak_rss_kb:t.sv_mem.Mem.mem_peak_rss_kb ()
 
-let cumulative_counters t =
+(* ---- the counter table ---------------------------------------------------- *)
+
+type exposition = Stats | Health | Metrics | Prom
+
+(* A row's group sets its names: the metrics key is the group prefix
+   plus the member, the Prometheus name [scald_] plus [mem_] for the
+   memory group, and health nests the memory group under "mem". *)
+type group = Incr | Svc | Memory | Plain
+
+type row = {
+  group : group;
+  name : string;  (* the stats/health member *)
+  typ : [ `Counter | `Gauge ];
+  shows : exposition list;
+  read : t -> Eval.counters -> float;  (* given [cumulative t], once per walk *)
+  doc : string;  (* one line, also the Prometheus HELP *)
+}
+
+let row group name typ shows read doc = { group; name; typ; shows; read; doc }
+let n = float_of_int
+
+let cumulative t =
   List.fold_left
     (fun acc s -> Eval.merge_counters acc (Session.cumulative s))
-    Eval.zero_counters
-    (Store.sessions t.sv_store)
+    Eval.zero_counters (Store.sessions t.sv_store)
 
-let cache_hit_rate c =
+(* An evaluator counter summed over the live sessions: its key and doc
+   are its [Eval.table] row's. *)
+let eval_row key shows =
+  let r = List.find (fun (r : Eval.row) -> r.Eval.key = key) Eval.table in
+  row Plain key `Counter shows
+    (fun _ c -> n (Eval.counter c key))
+    (r.Eval.doc ^ ", summed over the live sessions")
+
+let cache_hit_rate _ c =
   let hits = Eval.counter c "cache_hits" in
   let total = hits + Eval.counter c "cache_misses" in
-  if total = 0 then 0.0 else float_of_int hits /. float_of_int total
+  if total = 0 then 0.0 else n hits /. n total
 
-(* kind -> {count, p50_us, p90_us, p99_us, max_us}, kinds with traffic
-   only, in the fixed [kinds] order. *)
-let latency_json t =
-  Json.Obj
-    (List.filter_map
-       (fun k ->
-         match Hashtbl.find_opt t.sv_kind_hist k with
-         | Some h when Scald_obs.Hist.count h > 0 ->
-           Some
-             ( k,
-               Json.Obj
-                 [
-                   ("count", Json.of_int (Scald_obs.Hist.count h));
-                   ("p50_us", Json.Num (Scald_obs.Hist.quantile h 0.5));
-                   ("p90_us", Json.Num (Scald_obs.Hist.quantile h 0.9));
-                   ("p99_us", Json.Num (Scald_obs.Hist.quantile h 0.99));
-                   ("max_us", Json.Num (Scald_obs.Hist.max_value h));
-                 ] )
-         | _ -> None)
-       kinds)
+(* Every service counter, declared once, in the order each exposition
+   prints its rows; the per-kind latency block follows them. *)
+let table =
+  let all = [ Stats; Health; Metrics; Prom ] in
+  let mem name typ shows f doc = row Memory name typ shows (fun t _ -> f t.sv_mem) doc in
+  [
+    row Incr "sessions" `Gauge all (fun t _ -> n (Store.n_sessions t.sv_store))
+      "live sessions in the store";
+    row Incr "loads" `Counter [ Stats; Metrics ] (fun t _ -> n t.sv_loads)
+      "successful loads, every mode";
+    row Incr "warm_loads" `Counter [ Stats; Metrics ] (fun t _ -> n t.sv_warm_loads)
+      "loads answered warm: a live session already held the design";
+    row Incr "adopted_loads" `Counter [ Stats; Metrics ] (fun t _ -> n t.sv_adopted_loads)
+      "loads that adopted a structurally identical session";
+    row Incr "requests" `Counter [ Stats; Health; Metrics ] (fun t _ -> n t.sv_requests)
+      "request lines handled, the one being answered included";
+    row Svc "errors" `Counter [ Stats; Health; Prom ] (fun t _ -> n t.sv_errors)
+      "requests answered with an error";
+    row Svc "slow_requests" `Counter all (fun t _ -> n t.sv_slow)
+      "requests over the --slow-ms threshold";
+    row Svc "uptime_us" `Gauge [ Stats; Health; Prom ]
+      (fun t _ -> Float.trunc (Scald_obs.Obs.now_us t.sv_obs -. t.sv_t0_us))
+      "whole microseconds since the service started";
+    row Incr "reused_nets" `Counter [ Stats; Metrics ] (fun t _ -> n t.sv_reused_nets)
+      "nets a verify left unmoved, summed over verify requests";
+    row Incr "dirtied_nets" `Counter [ Stats; Metrics ] (fun t _ -> n t.sv_dirtied_nets)
+      "nets whose stamp a verify moved, summed over verify requests";
+    row Incr "warm_hits" `Counter [ Stats; Metrics ] (fun t _ -> n t.sv_warm_hits)
+      "verdicts the check passes kept, summed over verify requests";
+    eval_row "events" [ Stats ];
+    eval_row "evaluations" [ Stats ];
+    eval_row "cache_hits" [ Stats; Prom ];
+    eval_row "cache_misses" [ Stats; Prom ];
+    row Plain "cache_hit_rate" `Gauge [ Stats; Health ] cache_hit_rate
+      "cache_hits over cache_hits + cache_misses, 0 when nothing was cached";
+    mem "minor_words" `Counter [ Health; Metrics ] (fun m -> m.mem_minor_words)
+      "words allocated in the minor heap";
+    mem "promoted_words" `Counter [ Health; Metrics ] (fun m -> m.mem_promoted_words)
+      "words promoted to the major heap, as of the last collection";
+    mem "major_words" `Counter [ Health; Metrics ] (fun m -> m.mem_major_words)
+      "words allocated in the major heap, as of the last collection";
+    mem "heap_words" `Gauge [ Health; Metrics; Prom ] (fun m -> n m.mem_heap_words)
+      "major heap size in words, as of the last collection";
+    mem "compactions" `Counter [ Health; Metrics ] (fun m -> n m.mem_compactions)
+      "heap compactions so far";
+    mem "peak_rss_kb" `Gauge all (fun m -> n m.mem_peak_rss_kb)
+      "peak resident set size in kB (VmHWM), 0 without procfs";
+    row Plain "bytes_per_primitive" `Gauge all (fun t _ -> t.sv_bpp)
+      "circuit-description bytes per primitive of the latest design";
+  ]
+
+(* The per-kind latency block: a count, then each quantile's member
+   under "latency_us" (also its svc_<kind>_ metrics suffix) and its
+   Prometheus label. *)
+let quantiles =
+  [
+    ("p50_us", "0.5", fun h -> Hist.quantile h 0.5);
+    ("p90_us", "0.9", fun h -> Hist.quantile h 0.9);
+    ("p99_us", "0.99", fun h -> Hist.quantile h 0.99);
+    ("max_us", "1", Hist.max_value);
+  ]
+
+let shown e = List.filter (fun r -> List.mem e r.shows) table
+
+(* The kinds that saw traffic, in [sv_kinds] order. *)
+let busy t = List.filter (fun (_, h) -> Hist.count h > 0) (Array.to_list t.sv_kinds)
+
+(* The stats or health members: the rows it shows, health's memory
+   rows nested under "mem", then the latency block. *)
+let members e t =
+  let c = cumulative t in
+  let member r = (r.name, Json.Num (r.read t c)) in
+  let nested, flat = List.partition (fun r -> e = Health && r.group = Memory) (shown e) in
+  let summary h =
+    Json.Obj
+      (("count", Json.of_int (Hist.count h))
+      :: List.map (fun (m, _, f) -> (m, Json.Num (f h))) quantiles)
+  in
+  List.map member flat
+  @ (if nested = [] then [] else [ ("mem", Json.Obj (List.map member nested)) ])
+  @ [ ("latency_us", Json.Obj (List.map (fun (k, h) -> (k, summary h)) (busy t))) ]
+
+let metrics_key r =
+  (match r.group with Incr -> "incr_" | Svc -> "svc_" | Memory -> "mem_" | Plain -> "")
+  ^ r.name
+
+let extra_counters t =
+  let c = cumulative t in
+  List.map (fun r -> (metrics_key r, int_of_float (r.read t c))) (shown Metrics)
+  @ List.concat_map
+      (fun (k, h) ->
+        (Printf.sprintf "svc_%s_requests" k, Hist.count h)
+        :: List.map
+             (fun (m, _, f) -> (Printf.sprintf "svc_%s_%s" k m, int_of_float (f h)))
+             quantiles)
+      (busy t)
+
+let prom_name r =
+  let suffix = if r.typ = `Counter then "_total" else "" in
+  "scald_" ^ (if r.group = Memory then "mem_" else "") ^ r.name ^ suffix
+
+(* named once: the exporter walks them after every request *)
+let prom_rows = List.map (fun r -> (prom_name r, r)) (shown Prom)
+
+let prom_families t =
+  let c = cumulative t in
+  List.map
+    (fun (name, r) ->
+      Prom.family ~name ~help:r.doc ~typ:r.typ [ Prom.sample (r.read t c) ])
+    prom_rows
+  @ [
+      Prom.family ~name:"scald_requests_total" ~help:"requests served, by operation"
+        ~typ:`Counter
+        (List.map
+           (fun (k, h) -> Prom.sample ~labels:[ ("op", k) ] (n (Hist.count h)))
+           (busy t));
+      Prom.family ~name:"scald_request_duration_us"
+        ~help:"request wall-clock quantile estimates in microseconds, by operation"
+        ~typ:`Gauge
+        (List.concat_map
+           (fun (k, h) ->
+             List.map
+               (fun (_, q, f) -> Prom.sample ~labels:[ ("op", k); ("quantile", q) ] (f h))
+               quantiles)
+           (busy t));
+    ]
 
 let log_request t ~reqno ~op ~ok ~dur_us ~slow =
   match t.sv_log with
@@ -170,71 +310,6 @@ let log_request t ~reqno ~op ~ok ~dur_us ~slow =
             ]));
     output_char oc '\n';
     flush oc
-
-let prom_families t =
-  let open Scald_obs in
-  let kind_hists =
-    List.filter_map
-      (fun k ->
-        match Hashtbl.find_opt t.sv_kind_hist k with
-        | Some h when Hist.count h > 0 -> Some (k, h)
-        | _ -> None)
-      kinds
-  in
-  let cum = cumulative_counters t in
-  let f = float_of_int in
-  [
-    Prom.family ~name:"scald_uptime_us"
-      ~help:"Microseconds since the service started" ~typ:`Gauge
-      [ Prom.sample (uptime_us t) ];
-    Prom.family ~name:"scald_requests_total" ~help:"Requests served by operation"
-      ~typ:`Counter
-      (List.map
-         (fun (k, h) -> Prom.sample ~labels:[ ("op", k) ] (f (Hist.count h)))
-         kind_hists);
-    Prom.family ~name:"scald_errors_total" ~help:"Requests answered with an error"
-      ~typ:`Counter
-      [ Prom.sample (f t.sv_errors) ];
-    Prom.family ~name:"scald_slow_requests_total"
-      ~help:"Requests over the --slow-ms threshold" ~typ:`Counter
-      [ Prom.sample (f t.sv_slow) ];
-    Prom.family ~name:"scald_request_duration_us"
-      ~help:"Request wall-clock quantile estimates by operation" ~typ:`Gauge
-      (List.concat_map
-         (fun (k, h) ->
-           [
-             Prom.sample
-               ~labels:[ ("op", k); ("quantile", "0.5") ]
-               (Hist.quantile h 0.5);
-             Prom.sample
-               ~labels:[ ("op", k); ("quantile", "0.9") ]
-               (Hist.quantile h 0.9);
-             Prom.sample
-               ~labels:[ ("op", k); ("quantile", "0.99") ]
-               (Hist.quantile h 0.99);
-             Prom.sample ~labels:[ ("op", k); ("quantile", "1") ] (Hist.max_value h);
-           ])
-         kind_hists);
-    Prom.family ~name:"scald_cache_hits_total"
-      ~help:"Waveform/register cache hits over all sessions" ~typ:`Counter
-      [ Prom.sample (f (Eval.counter cum "cache_hits")) ];
-    Prom.family ~name:"scald_cache_misses_total"
-      ~help:"Waveform/register cache fills over all sessions" ~typ:`Counter
-      [ Prom.sample (f (Eval.counter cum "cache_misses")) ];
-    Prom.family ~name:"scald_sessions" ~help:"Live sessions in the store"
-      ~typ:`Gauge
-      [ Prom.sample (f (Store.n_sessions t.sv_store)) ];
-    Prom.family ~name:"scald_mem_peak_rss_kb"
-      ~help:"Peak resident set size in kB (VmHWM)" ~typ:`Gauge
-      [ Prom.sample (f t.sv_mem.Mem.mem_peak_rss_kb) ];
-    Prom.family ~name:"scald_mem_heap_words" ~help:"Major heap size in words"
-      ~typ:`Gauge
-      [ Prom.sample (f t.sv_mem.Mem.mem_heap_words) ];
-    Prom.family ~name:"scald_bytes_per_primitive"
-      ~help:"Circuit-description bytes per primitive of the latest design"
-      ~typ:`Gauge
-      [ Prom.sample t.sv_bpp ];
-  ]
 
 (* ---- request decoding ----------------------------------------------------- *)
 
@@ -307,13 +382,15 @@ let do_load t j =
   let probe =
     if t.sv_telemetry then Some (Scald_obs.Obs.probe t.sv_obs) else None
   in
-  let outcome = Store.load t.sv_store ~cases ?probe nl in
   let s, mode_str, staged =
-    match outcome with
+    match Store.load t.sv_store ~cases ?probe nl with
     | Store.Cold s -> (s, "cold", 0)
     | Store.Warm s -> (s, "warm", 0)
     | Store.Adopted (s, n) -> (s, "adopted", n)
   in
+  t.sv_loads <- t.sv_loads + 1;
+  if mode_str = "warm" then t.sv_warm_loads <- t.sv_warm_loads + 1;
+  if mode_str = "adopted" then t.sv_adopted_loads <- t.sv_adopted_loads + 1;
   Ok
     (ok "load"
        (session_fields s
@@ -408,95 +485,6 @@ let do_verify t j =
        @ [ ("fresh", Json.Bool fresh) ]
        @ listed))
 
-let do_stats t =
-  let cum = cumulative_counters t in
-  Ok
-    (ok "stats"
-       [
-         ("sessions", Json.of_int (Store.n_sessions t.sv_store));
-         ("loads", Json.of_int (Store.loads t.sv_store));
-         ("warm_loads", Json.of_int (Store.warm_loads t.sv_store));
-         ("adopted_loads", Json.of_int (Store.adopted_loads t.sv_store));
-         ("requests", Json.of_int t.sv_requests);
-         ("errors", Json.of_int t.sv_errors);
-         ("slow_requests", Json.of_int t.sv_slow);
-         ("uptime_us", Json.of_int (int_of_float (uptime_us t)));
-         ("reused_nets", Json.of_int t.sv_reused_nets);
-         ("dirtied_nets", Json.of_int t.sv_dirtied_nets);
-         ("warm_hits", Json.of_int t.sv_warm_hits);
-         ("events", Json.of_int (Eval.counter cum "events"));
-         ("evaluations", Json.of_int (Eval.counter cum "evaluations"));
-         ("cache_hits", Json.of_int (Eval.counter cum "cache_hits"));
-         ("cache_misses", Json.of_int (Eval.counter cum "cache_misses"));
-         ("cache_hit_rate", Json.Num (cache_hit_rate cum));
-         ("latency_us", latency_json t);
-         ("peak_rss_kb", Json.of_int t.sv_mem.Scald_obs.Mem.mem_peak_rss_kb);
-         ("bytes_per_primitive", Json.Num t.sv_bpp);
-       ])
-
-let do_health t =
-  let cum = cumulative_counters t in
-  let m = t.sv_mem in
-  Ok
-    (ok "health"
-       [
-         ("uptime_us", Json.of_int (int_of_float (uptime_us t)));
-         ("requests", Json.of_int t.sv_requests);
-         ("errors", Json.of_int t.sv_errors);
-         ("slow_requests", Json.of_int t.sv_slow);
-         ("sessions", Json.of_int (Store.n_sessions t.sv_store));
-         ("latency_us", latency_json t);
-         ("cache_hit_rate", Json.Num (cache_hit_rate cum));
-         ( "mem",
-           Json.Obj
-             [
-               ("minor_words", Json.Num m.Scald_obs.Mem.mem_minor_words);
-               ("promoted_words", Json.Num m.Scald_obs.Mem.mem_promoted_words);
-               ("major_words", Json.Num m.Scald_obs.Mem.mem_major_words);
-               ("heap_words", Json.of_int m.Scald_obs.Mem.mem_heap_words);
-               ("compactions", Json.of_int m.Scald_obs.Mem.mem_compactions);
-               ("peak_rss_kb", Json.of_int m.Scald_obs.Mem.mem_peak_rss_kb);
-             ] );
-         ("bytes_per_primitive", Json.Num t.sv_bpp);
-       ])
-
-let extra_counters t =
-  let open Scald_obs in
-  let svc =
-    List.concat_map
-      (fun k ->
-        match Hashtbl.find_opt t.sv_kind_hist k with
-        | Some h when Hist.count h > 0 ->
-          [
-            (Printf.sprintf "svc_%s_requests" k, Hist.count h);
-            (Printf.sprintf "svc_%s_p50_us" k, int_of_float (Hist.quantile h 0.5));
-            (Printf.sprintf "svc_%s_p90_us" k, int_of_float (Hist.quantile h 0.9));
-            (Printf.sprintf "svc_%s_p99_us" k, int_of_float (Hist.quantile h 0.99));
-            (Printf.sprintf "svc_%s_max_us" k, int_of_float (Hist.max_value h));
-          ]
-        | _ -> [])
-      kinds
-  in
-  [
-    ("incr_requests", t.sv_requests);
-    ("incr_sessions", Store.n_sessions t.sv_store);
-    ("incr_loads", Store.loads t.sv_store);
-    ("incr_warm_loads", Store.warm_loads t.sv_store);
-    ("incr_adopted_loads", Store.adopted_loads t.sv_store);
-    ("incr_reused_nets", t.sv_reused_nets);
-    ("incr_dirtied_nets", t.sv_dirtied_nets);
-    ("incr_warm_hits", t.sv_warm_hits);
-    ("svc_slow_requests", t.sv_slow);
-    ("mem_minor_words", int_of_float t.sv_mem.Mem.mem_minor_words);
-    ("mem_promoted_words", int_of_float t.sv_mem.Mem.mem_promoted_words);
-    ("mem_major_words", int_of_float t.sv_mem.Mem.mem_major_words);
-    ("mem_heap_words", t.sv_mem.Mem.mem_heap_words);
-    ("mem_compactions", t.sv_mem.Mem.mem_compactions);
-    ("mem_peak_rss_kb", t.sv_mem.Mem.mem_peak_rss_kb);
-    ("bytes_per_primitive", int_of_float t.sv_bpp);
-  ]
-  @ svc
-
 let write_metrics t path =
   match
     match t.sv_last_report with
@@ -535,10 +523,10 @@ let handle t req =
     | "stats" ->
       (* the response carries the memory snapshot: refresh first *)
       refresh_resources ~full:true t;
-      do_stats t
+      Ok (ok "stats" (members Stats t))
     | "health" ->
       refresh_resources ~full:true t;
-      do_health t
+      Ok (ok "health" (members Health t))
     | "shutdown" -> Ok (ok "shutdown" [])
     | o -> Error (Printf.sprintf "unknown op %S" o)
   in
@@ -547,8 +535,7 @@ let handle t req =
   if t.sv_telemetry then begin
     Scald_obs.Obs.set_lane t.sv_obs 0;
     let dur_us = Scald_obs.Obs.now_us t.sv_obs -. t_start in
-    if List.mem op kinds then
-      Scald_obs.Hist.add (hist_for t.sv_kind_hist op) dur_us;
+    Array.iter (fun (k, h) -> if String.equal k op then Hist.add h dur_us) t.sv_kinds;
     let slow = dur_us /. 1000.0 > t.sv_slow_ms in
     if slow then t.sv_slow <- t.sv_slow + 1;
     (match op with
@@ -560,7 +547,7 @@ let handle t req =
       if t.sv_prom <> None then refresh_resources t);
     log_request t ~reqno ~op:(op_label op) ~ok:succeeded ~dur_us ~slow;
     match t.sv_prom with
-    | Some path -> Scald_obs.Prom.write_file path (prom_families t)
+    | Some path -> Prom.write_file path (prom_families t)
     | None -> ()
   end;
   match result with
@@ -584,11 +571,13 @@ let write_trace t path =
   Scald_obs.Obs.write_profile ~process_name:"scald_tv serve" ~lanes:(lanes t)
     ?report:t.sv_last_report t.sv_obs path
 
-let run ?metrics ?slow_ms ?log ?prom ?trace ?telemetry ic oc =
+let run ?metrics ?slow_ms ?log ?prom ?trace ?(telemetry = true) ic oc =
+  (* before the log file is created *)
+  Option.iter invalid_arg (telemetry_conflict ~telemetry ?slow_ms ?log ?prom ?trace ());
   let log_oc = Option.map open_out log in
   (* the span list is kept only for the trace file *)
   let obs = Scald_obs.Obs.create ~keep_spans:(trace <> None) () in
-  let t = create ~obs ?telemetry ?slow_ms ?log:log_oc ?prom () in
+  let t = create ~obs ~telemetry ?slow_ms ?log:log_oc ?prom () in
   output_string oc (Json.to_string (hello ()));
   output_char oc '\n';
   flush oc;

@@ -28,7 +28,11 @@
     (doc/OBSERVABILITY.md, "Service telemetry").  The spans themselves
     are kept only when a trace file will be written; otherwise only
     their per-name totals (the metrics file's [phases_s]) are.  With
-    telemetry off no span is recorded at all. *)
+    telemetry off no span is recorded at all.
+
+    Every service counter is one row of a table in [serve.ml], which
+    [stats], [health], the metrics file and the Prometheus file walk
+    (doc/SERVICE.md, "Service counters"). *)
 
 type t
 (** Service state: the session {!Store.t}, request counters and the
@@ -45,10 +49,25 @@ val create :
 (** [obs] (default: a handle that keeps no span list, for a service
     that writes no trace) receives every span; [telemetry] (default
     [true]) gates all per-request measurement, the [req:<op>] spans
-    included; [slow_ms] (default [infinity]) marks requests over the
+    included; [slow_ms] (default: never) marks requests over the
     threshold slow in the log and counters; [log] receives one JSONL
     line per request; [prom] names a Prometheus text file rewritten
-    after each request. *)
+    after each request.
+    @raise Invalid_argument with {!telemetry_conflict}'s message. *)
+
+val telemetry_conflict :
+  telemetry:bool ->
+  ?slow_ms:float ->
+  ?log:'log ->
+  ?prom:string ->
+  ?trace:string ->
+  unit ->
+  string option
+(** The usage error naming the first of [slow_ms], [log], [prom] and
+    [trace] given while [telemetry] is [false], [None] otherwise: each
+    of them reads the per-request timing that telemetry off skips, so
+    it would print nothing.  {!create} and {!run} raise it; the CLI
+    reports it before calling {!run}. *)
 
 val store : t -> Store.t
 
@@ -62,19 +81,18 @@ val lanes : t -> (int * string) list
 val hello : unit -> Scald_core.Json.t
 (** The banner object printed before the first request. *)
 
-val handle : t -> Scald_core.Json.t -> Scald_core.Json.t * bool
-(** Dispatch one decoded request.  Returns the response and whether the
-    loop should continue ([false] only after a successful [shutdown]). *)
-
 val handle_line : t -> string -> string * bool
-(** {!handle} plus JSON decoding and encoding and a catch-all that turns
-    stray exceptions into error responses. *)
+(** Decode, dispatch and answer one request line: the encoded response
+    and whether the loop should continue ([false] only after a
+    successful [shutdown]).  A stray exception becomes an error
+    response. *)
 
 val extra_counters : t -> (string * int) list
 (** The [incr_*], [svc_*] and [mem_*] counters this service
     contributes to the metrics JSON ([scald-metrics/8],
-    doc/metrics.schema.json).  The [svc_<kind>_*] latency figures
-    appear only for request kinds that saw traffic. *)
+    doc/metrics.schema.json), truncated to integers.  The
+    [svc_<kind>_*] latency figures appear only for request kinds that
+    saw traffic. *)
 
 val write_metrics : t -> string -> bool
 (** Write the metrics JSON for the last verified report, with the
@@ -82,10 +100,6 @@ val write_metrics : t -> string -> bool
     its session's totals (a [verify] with ["carry_counters":false]:
     that request's alone), so the evaluator's laws hold in the file.
     Returns [false] (and writes nothing) when no report exists yet. *)
-
-val write_trace : t -> string -> unit
-(** Write the Chrome trace of everything profiled so far, one named
-    track per request (see {!lanes}). *)
 
 val run :
   ?metrics:string ->
@@ -103,4 +117,6 @@ val run :
     only reason the spans are kept);
     [log]/[prom]/[slow_ms]/[telemetry] as in {!create} ([log] is
     opened and closed by the loop).  Returns the process exit code
-    (0). *)
+    (0).
+    @raise Invalid_argument with {!telemetry_conflict}'s message,
+    [trace] included, before it reads input or creates a file. *)

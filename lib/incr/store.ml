@@ -3,20 +3,11 @@ type outcome =
   | Warm of Session.t
   | Adopted of Session.t * int
 
-type t = {
-  mutable sessions : Session.t list;  (* newest first *)
-  mutable loads : int;
-  mutable warm_loads : int;
-  mutable adopted_loads : int;
-}
+type t = { mutable sessions : Session.t list (* newest first *) }
 
-let create () = { sessions = []; loads = 0; warm_loads = 0; adopted_loads = 0 }
-
+let create () = { sessions = [] }
 let sessions t = t.sessions
 let n_sessions t = List.length t.sessions
-let loads t = t.loads
-let warm_loads t = t.warm_loads
-let adopted_loads t = t.adopted_loads
 
 let find t handle =
   List.find_opt
@@ -33,7 +24,6 @@ let promote t s =
 let same_cases a b = a = b
 
 let load t ?(cases = []) ?probe nl =
-  t.loads <- t.loads + 1;
   (* one canonical walk serves both lookups and, on a cold load, the
      new session's content *)
   let content = Fingerprint.content nl in
@@ -45,12 +35,10 @@ let load t ?(cases = []) ?probe nl =
   in
   match by_digest with
   | Some s when same_cases (Session.cases s) cases && Session.pending s = 0 ->
-    t.warm_loads <- t.warm_loads + 1;
     promote t s;
     Warm s
   | Some s when Session.pending s = 0 ->
     (* same parameters, different case group: adopt by swapping cases *)
-    t.adopted_loads <- t.adopted_loads + 1;
     Session.stage s (Edit.Cases cases);
     promote t s;
     Adopted (s, 1)
@@ -77,7 +65,6 @@ let load t ?(cases = []) ?probe nl =
           List.length edits + 1
         end
       in
-      t.adopted_loads <- t.adopted_loads + 1;
       promote t s;
       Adopted (s, n)
     | None ->

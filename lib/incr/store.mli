@@ -35,7 +35,9 @@ val load :
     discarded — the session keeps its own and replays the diff.
     [probe] is installed on a {!Cold} load only (see
     {!Session.load}) — reused sessions keep the probe they were
-    created with. *)
+    created with.  The store counts nothing: a caller that tallies
+    loads counts the outcomes (the service's [loads], [warm_loads] and
+    [adopted_loads]). *)
 
 val find : t -> string -> Session.t option
 (** Look up by session handle ({!Session.id}) or current content digest
@@ -47,10 +49,3 @@ val latest : t -> Session.t option
 
 val sessions : t -> Session.t list
 val n_sessions : t -> int
-val loads : t -> int
-
-val warm_loads : t -> int
-(** Loads answered {!Warm}. *)
-
-val adopted_loads : t -> int
-(** Loads answered {!Adopted}. *)

@@ -1,7 +1,8 @@
 (* Resource accounting: GC counters plus peak RSS.
 
-   The GC side is a cheap [Gc.quick_stat] (no heap walk); the RSS side
-   parses VmHWM out of /proc/self/status, which costs a file open per
+   The GC side is cheap (no heap walk): [Gc.minor_words] is exact, and
+   OCaml 5's [Gc.quick_stat] gives the rest as of the last collection.
+   The RSS side parses VmHWM out of /proc/self/status, a file open per
    sample — callers on a hot path pass [~peak_rss_kb] to carry the
    last reading forward instead (the serve loop reads /proc only at
    load/stats/health boundaries to stay inside the telemetry-overhead
@@ -42,7 +43,7 @@ let peak_rss_kb () =
 let sample ?peak_rss_kb:rss () =
   let s = Gc.quick_stat () in
   {
-    mem_minor_words = s.Gc.minor_words;
+    mem_minor_words = Gc.minor_words ();
     mem_promoted_words = s.Gc.promoted_words;
     mem_major_words = s.Gc.major_words;
     mem_heap_words = s.Gc.heap_words;

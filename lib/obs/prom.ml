@@ -2,7 +2,9 @@
    and atomically: serialize to a temp file in the target directory,
    then rename over the destination so a scraper never reads a torn
    file.  No client-library dependency — the format is three line
-   shapes. *)
+   shapes.  A sample value is spelled as the JSON codec spells a
+   number, so every file the service writes prints one reading one
+   way. *)
 
 type sample = { s_labels : (string * string) list; s_value : float }
 
@@ -32,10 +34,6 @@ let escape_label_value s =
     s;
   Buffer.contents buf
 
-let value_string v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%g" v
-
 let add_family buf f =
   Printf.bprintf buf "# HELP %s %s\n" f.f_name f.f_help;
   Printf.bprintf buf "# TYPE %s %s\n" f.f_name
@@ -53,7 +51,7 @@ let add_family buf f =
               Printf.bprintf buf "%s=\"%s\"" k (escape_label_value v))
             labels;
           Buffer.add_char buf '}');
-      Printf.bprintf buf " %s\n" (value_string s.s_value))
+      Printf.bprintf buf " %s\n" (Scald_core.Json.number s.s_value))
     f.f_samples
 
 let to_text families =

@@ -11,7 +11,8 @@ type family
 
 val sample : ?labels:(string * string) list -> float -> sample
 (** One sample line.  Label values are escaped on output; label names
-    must already be valid ([[a-zA-Z_][a-zA-Z0-9_]*]). *)
+    must already be valid ([[a-zA-Z_][a-zA-Z0-9_]*]).  The value prints
+    as the JSON codec spells a number ({!Scald_core.Json.number}). *)
 
 val family :
   name:string ->

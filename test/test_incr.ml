@@ -639,15 +639,23 @@ let test_session_digest_feedback () =
 
 let test_store_warm_adopt_cold () =
   let st = Store.create () in
+  (* the store counts nothing: tally the outcomes it returns *)
+  let outcomes = ref [] in
+  let load nl =
+    let o = Store.load st nl in
+    outcomes := o :: !outcomes;
+    o
+  in
+  let tally p = List.length (List.filter p !outcomes) in
   let s0 =
-    match Store.load st (build_circuit ()) with
+    match load (build_circuit ()) with
     | Store.Cold s -> s
     | _ -> Alcotest.fail "first load must be cold"
   in
-  (match Store.load st (build_circuit ()) with
+  (match load (build_circuit ()) with
   | Store.Warm s -> Alcotest.(check string) "warm hit on the same design" (Session.id s0) (Session.id s)
   | _ -> Alcotest.fail "identical design must load warm");
-  (match Store.load st (build_circuit ~u0_max:3.5 ()) with
+  (match load (build_circuit ~u0_max:3.5 ()) with
   | Store.Adopted (s, staged) ->
     Alcotest.(check string) "adopted the structural twin" (Session.id s0) (Session.id s);
     Alcotest.(check int) "the parameter diff was staged" 1 staged;
@@ -655,19 +663,20 @@ let test_store_warm_adopt_cold () =
     Alcotest.(check bool) "adopted re-verify equals cold" true
       (verdicts_equal report (edited_cold [ Edit.Element_delay { inst = "U0"; delay = Delay.of_ns 1.0 3.5 } ]));
     (* the session now IS the tweaked design: re-submitting it is warm *)
-    (match Store.load st (build_circuit ~u0_max:3.5 ()) with
+    (match load (build_circuit ~u0_max:3.5 ()) with
     | Store.Warm _ -> ()
     | _ -> Alcotest.fail "edited-into design must load warm")
   | _ -> Alcotest.fail "structural twin must be adopted");
-  (match Store.load st (Netlist.create (Timebase.make ~period_ns:50.0 ~clock_unit_ns:6.25) ~default_wire_delay:Delay.zero) with
+  (match load (Netlist.create (Timebase.make ~period_ns:50.0 ~clock_unit_ns:6.25) ~default_wire_delay:Delay.zero) with
   | Store.Cold _ -> ()
   | _ -> Alcotest.fail "a different structure must load cold");
   Alcotest.(check string) "the cold session's skeleton is the design's"
     (Fingerprint.skeleton (build_circuit ())) (Session.skeleton s0);
   Alcotest.(check int) "two sessions live" 2 (Store.n_sessions st);
-  Alcotest.(check int) "five loads" 5 (Store.loads st);
-  Alcotest.(check int) "two warm" 2 (Store.warm_loads st);
-  Alcotest.(check int) "one adopted" 1 (Store.adopted_loads st);
+  Alcotest.(check int) "five loads" 5 (tally (fun _ -> true));
+  Alcotest.(check int) "two warm" 2 (tally (function Store.Warm _ -> true | _ -> false));
+  Alcotest.(check int) "one adopted" 1
+    (tally (function Store.Adopted _ -> true | _ -> false));
   Alcotest.(check bool) "find by handle" true
     (Store.find st (Session.id s0) <> None);
   Alcotest.(check bool) "find by unknown handle" true (Store.find st "xyz" = None)
@@ -967,7 +976,21 @@ let test_serve_lanes_and_slow () =
   (* with a 0ms threshold and a strictly ticking clock, every finished
      request is slow (the latest stats request is not yet counted) *)
   Alcotest.(check (option int)) "all requests slow" (Some 5) (jint "slow_requests" stats);
-  let no_telem = Serve.create ~telemetry:false ~slow_ms:0.0 () in
+  (* each flag that reads the request timing telemetry off skips is
+     refused, [run]'s --trace before it reads input or writes a file *)
+  List.iter
+    (fun (flag, start) ->
+      Alcotest.check_raises ("telemetry off refuses " ^ flag)
+        (Invalid_argument (flag ^ " needs the per-request timing that --no-telemetry turns off"))
+        start)
+    [
+      ("--slow-ms", fun () -> ignore (Serve.create ~telemetry:false ~slow_ms:0.0 ()));
+      ("--log", fun () -> ignore (Serve.create ~telemetry:false ~log:stderr ()));
+      ("--prom", fun () -> ignore (Serve.create ~telemetry:false ~prom:"unwritten.prom" ()));
+      ( "--trace",
+        fun () -> ignore (Serve.run ~telemetry:false ~trace:"unwritten.json" stdin stdout) );
+    ];
+  let no_telem = Serve.create ~telemetry:false () in
   List.iter (fun line -> ignore (serve_req no_telem line)) telemetry_script;
   Alcotest.(check (list (pair int string))) "telemetry off: no lanes" []
     (Serve.lanes no_telem);
@@ -1037,6 +1060,118 @@ let test_serve_keeps_no_spans_without_trace () =
     (List.sort compare (phases plain));
   Alcotest.(check (list (pair string (float 1e-9)))) "traced or not, the same phases_s"
     (phases traced) (phases plain)
+
+(* The service's counters add up: over a random script of loads (cold,
+   warm, adopted and one that fails), wire-delay deltas (one naming an
+   unknown signal), verifies with and without carried counters, stats,
+   health, a non-JSON line and an unknown op, a closing [stats] counts
+   exactly what the responses before it show, and the metrics file
+   agrees with it on every [incr_*] key and keeps the evaluator's laws. *)
+let serve_counter_lines =
+  let load ?cases src =
+    Json.to_string
+      (Json.Obj
+         (("op", Json.Str "load")
+         :: ("source", Json.Str src)
+         :: Option.to_list (Option.map (fun c -> ("cases", Json.Str c)) cases)))
+  in
+  let retuned =
+    (* the inline design with one delay changed: adopted *)
+    "PERIOD 50.0;\nCLOCK UNIT 6.25;\nDEFAULT WIRE DELAY 0.0/1.0;\n\
+     1 CHG (DELAY=1.0/3.5) (A .S0-6) -> B;\n\
+     REG (DELAY=1.5/4.5) (B, CK .P2-3) -> Q;\n\
+     SETUP HOLD CHK (SETUP=8.0, HOLD=1.0) (B, CK .P2-3);\n"
+  in
+  (* weighted so that most scripts load, stage and verify *)
+  [
+    (3, load inline_source);
+    (3, load retuned);
+    (3, load proven_checker_source);
+    (1, load ~cases:"NO SUCH SIGNAL = 0;" inline_source);
+    (4, {|{"op":"delta","edits":[{"edit":"wire_delay","signal":"CK","min_ns":0,"max_ns":3}]}|});
+    (2, {|{"op":"delta","edits":[{"edit":"wire_delay","signal":"B","min_ns":0,"max_ns":9}]}|});
+    (1, {|{"op":"delta","edits":[{"edit":"wire_delay","signal":"NOPE","min_ns":0,"max_ns":1}]}|});
+    (4, {|{"op":"verify"}|});
+    (2, {|{"op":"verify","carry_counters":false}|});
+    (1, {|{"op":"stats"}|});
+    (1, {|{"op":"health"}|});
+    (1, "not json");
+    (1, {|{"op":"frobnicate"}|});
+  ]
+
+let serve_counters_property =
+  let gen = QCheck.Gen.(list_size (int_range 1 14) (frequencyl serve_counter_lines)) in
+  prop ~count:25 "serve counters add up"
+    (QCheck.make ~print:QCheck.Print.(list Fun.id) gen)
+    (fun script ->
+      let t = Serve.create ~obs:(Scald_obs.Obs.create ~clock:(ticking_clock 1e-4) ()) () in
+      let resps = List.map (fun line -> fst (serve_req t line)) script in
+      let stats, _ = serve_req t {|{"op":"stats"}|} in
+      let count p = List.length (List.filter p resps) in
+      let ok_op op r = jbool "ok" r = Some true && jstr "op" r = Some op in
+      let sum key =
+        List.fold_left
+          (fun acc r -> if ok_op "verify" r then acc + Option.get (jint key r) else acc)
+          0 resps
+      in
+      let expect key v = Alcotest.(check (option int)) key (Some v) (jint key stats) in
+      expect "requests" (List.length script + 1);
+      expect "errors" (count (fun r -> jbool "ok" r = Some false));
+      expect "loads" (count (ok_op "load"));
+      expect "warm_loads" (count (fun r -> ok_op "load" r && jstr "mode" r = Some "warm"));
+      expect "adopted_loads"
+        (count (fun r -> ok_op "load" r && jstr "mode" r = Some "adopted"));
+      List.iter (fun key -> expect key (sum key)) [ "reused_nets"; "dirtied_nets"; "warm_hits" ];
+      let latency = Option.get (Json.member "latency_us" stats) in
+      List.iter
+        (fun op ->
+          let lines =
+            List.length
+              (List.filter
+                 (fun line ->
+                   match Json.parse line with
+                   | Ok j -> jstr "op" j = Some op
+                   | Error _ -> false)
+                 script)
+          in
+          Alcotest.(check (option int)) ("latency count of " ^ op)
+            (if lines = 0 then None else Some lines)
+            (Option.bind (Json.member op latency) (jint "count")))
+        [ "load"; "delta"; "verify"; "stats"; "health" ];
+      let path = Filename.temp_file "serve_counters" ".json" in
+      (if Serve.write_metrics t path then begin
+         let m =
+           Result.get_ok (Json.parse (In_channel.with_open_bin path In_channel.input_all))
+         in
+         Sys.remove path;
+         let key k = Option.get (jint k m) in
+         (match m with
+         | Json.Obj kvs ->
+           List.iter
+             (fun (k, v) ->
+               if String.starts_with ~prefix:"incr_" k then
+                 Alcotest.(check (option int)) k
+                   (jint (String.sub k 5 (String.length k - 5)) stats)
+                   (Json.int v))
+             kvs
+         | _ -> Alcotest.fail "metrics is not an object");
+         Alcotest.(check int) "events_queued = evaluations + events_coalesced"
+           (key "events_queued")
+           (key "evaluations" + key "events_coalesced");
+         let by_kind =
+           match Json.member "evals_by_kind" m with
+           | Some (Json.Obj kvs) -> List.filter_map (fun (_, v) -> Json.int v) kvs
+           | _ -> Alcotest.fail "no evals_by_kind"
+         in
+         Alcotest.(check int) "evals_by_kind sums to evaluations" (key "evaluations")
+           (List.fold_left ( + ) 0 by_kind)
+       end
+       else begin
+         Sys.remove path;
+         Alcotest.(check (option int)) "no metrics without a session" (Some 0)
+           (jint "sessions" stats)
+       end);
+      true)
 
 (* ---- the bit-identity property ------------------------------------------------ *)
 
@@ -1330,5 +1465,6 @@ let suite =
       test_serve_lanes_and_slow;
     Alcotest.test_case "serve keeps no spans without a trace" `Quick
       test_serve_keeps_no_spans_without_trace;
+    serve_counters_property;
     bit_identity_property;
   ]

@@ -5,10 +5,14 @@
 open Scald_core
 open Scald_obs
 
-let contains hay needle =
+let index_of hay needle =
   let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
+  let rec go i =
+    if i + nn > nh then None else if String.sub hay i nn = needle then Some i else go (i + 1)
+  in
+  go 0
+
+let contains hay needle = index_of hay needle <> None
 
 let count_substring hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -546,7 +550,26 @@ let test_mem_sample () =
   Alcotest.(check bool) "rss non-negative" true (s.Mem.mem_peak_rss_kb >= 0);
   let carried = Mem.sample ~peak_rss_kb:4321 () in
   Alcotest.(check int) "rss carried forward" 4321 carried.Mem.mem_peak_rss_kb;
-  Alcotest.(check int) "zero placeholder" 0 Mem.zero.Mem.mem_heap_words
+  Alcotest.(check int) "zero placeholder" 0 Mem.zero.Mem.mem_heap_words;
+  (* the minor-word count is current, not as of the last collection:
+     5,000 list cells are 15,000 words, too few to fill the minor heap *)
+  Gc.minor ();
+  let before = Mem.sample () in
+  ignore (Sys.opaque_identity (List.init 5000 Fun.id));
+  let after = Mem.sample () in
+  Alcotest.(check bool) "minor words current" true
+    (after.Mem.mem_minor_words -. before.Mem.mem_minor_words >= 15000.0)
+
+(* A sample prints as the JSON codec prints the number, so it reads
+   back as the value it holds. *)
+let test_prom_samples_exact () =
+  let text =
+    Prom.to_text
+      [ Prom.family ~name:"x" ~help:"h" ~typ:`Gauge [ Prom.sample 123456789.5; Prom.sample 42.0 ] ]
+  in
+  Alcotest.(check (list string)) "samples read back exactly"
+    [ "x 123456789.5"; "x 42" ]
+    (List.filter (fun l -> l <> "" && l.[0] <> '#') (String.split_on_char '\n' text))
 
 (* ---- trace lanes ----------------------------------------------------------- *)
 
@@ -742,6 +765,98 @@ let test_counter_table_pinned () =
     (fun k -> Alcotest.(check bool) (k ^ " documented") true (contains doc ("`" ^ k ^ "`")))
     ("evals_by_kind" :: keys)
 
+(* The service's counter table is the one declaration of its counters:
+   the serve schema's stats and health shapes require exactly the
+   members those responses print (health's "mem" object exactly the
+   memory rows), and SERVICE.md's "Service counters" table names every
+   member, --metrics key and Prometheus family the service prints. *)
+let test_serve_counter_table_pinned () =
+  let prom = Filename.temp_file "serve" ".prom" in
+  let svc = Scald_incr.Serve.create ~prom () in
+  let responses =
+    List.map
+      (fun line ->
+        let resp, _ = Scald_incr.Serve.handle_line svc line in
+        match Json.parse resp with Ok j -> j | Error e -> Alcotest.fail e)
+      [
+        {|{"op":"load","source":"PERIOD 50.0;\nCLOCK UNIT 6.25;\n1 CHG (DELAY=1.0/3.0) (A .S0-6) -> B;\nSETUP HOLD CHK (SETUP=8.0, HOLD=1.0) (B, CK .P2-3);"}|};
+        {|{"op":"delta","edits":[{"edit":"wire_delay","signal":"B","min_ns":0,"max_ns":9}]}|};
+        {|{"op":"verify"}|};
+        {|{"op":"stats"}|};
+        {|{"op":"health"}|};
+      ]
+  in
+  let families =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ "#"; "TYPE"; name; _ ] -> Some name
+        | _ -> None)
+      (String.split_on_char '\n' (read_file prom))
+  in
+  Sys.remove prom;
+  let keys = function Json.Obj kvs -> List.map fst kvs | _ -> Alcotest.fail "not an object" in
+  let response op =
+    List.find (fun r -> Json.member "op" r = Some (Json.Str op)) responses
+  in
+  let shapes =
+    match Json.parse (read_file "../doc/serve.schema.json") with
+    | Ok j -> Option.get (Option.bind (Json.member "oneOf" j) Json.list)
+    | Error e -> Alcotest.fail e
+  in
+  let shape op =
+    List.find
+      (fun sh ->
+        Option.bind (Json.member "properties" sh) (Json.member "op")
+        = Some (Json.Obj [ ("enum", Json.List [ Json.Str op ]) ]))
+      shapes
+  in
+  let required sh =
+    List.filter_map Json.str (Option.get (Option.bind (Json.member "required" sh) Json.list))
+  in
+  let sorted = List.sort compare in
+  List.iter
+    (fun op ->
+      Alcotest.(check (list string)) (op ^ " schema requires what it prints")
+        (sorted (keys (response op))) (sorted (required (shape op))))
+    [ "stats"; "health" ];
+  let mem = Option.get (Json.member "mem" (response "health")) in
+  Alcotest.(check (list string)) "health mem schema requires the memory rows"
+    (sorted (keys mem))
+    (sorted
+       (required
+          (Option.get
+             (Option.bind (Json.member "properties" (shape "health")) (Json.member "mem")))));
+  (* the per-kind latency keys are documented once, with <kind> for the kind *)
+  let metrics =
+    List.map
+      (fun (k, _) ->
+        match String.split_on_char '_' k with
+        | "svc" :: kind :: rest
+          when List.mem kind [ "load"; "delta"; "verify"; "stats"; "health" ] ->
+          String.concat "_" ("svc" :: "<kind>" :: rest)
+        | _ -> k)
+      (Scald_incr.Serve.extra_counters svc)
+  in
+  let doc = read_file "../doc/SERVICE.md" in
+  let section =
+    let start =
+      match index_of doc "## Service counters" with
+      | Some i -> i
+      | None -> Alcotest.fail "SERVICE.md has no Service counters section"
+    in
+    let rest = String.sub doc (start + 3) (String.length doc - start - 3) in
+    match index_of rest "\n## " with Some i -> String.sub rest 0 i | None -> rest
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " in SERVICE.md's counter table") true
+        (contains section ("`" ^ name ^ "`")))
+    (List.filter
+       (fun k -> k <> "ok" && k <> "op")
+       (keys (response "stats") @ keys (response "health"))
+    @ keys mem @ metrics @ families)
+
 let test_underconstrained_explain () =
   match Scald_sdl.Expander.load (read_file "../examples/underconstrained.sdl") with
   | Error e -> Alcotest.failf "expander: %s" e
@@ -776,6 +891,7 @@ let suite =
     Alcotest.test_case "hist-quantiles" `Quick test_hist_quantiles;
     Alcotest.test_case "hist-merge" `Quick test_hist_merge;
     Alcotest.test_case "mem-sample" `Quick test_mem_sample;
+    Alcotest.test_case "prom-samples-exact" `Quick test_prom_samples_exact;
     Alcotest.test_case "span-lanes" `Quick test_span_lanes;
     Alcotest.test_case "metrics-requests-and-dups" `Quick
       test_metrics_requests_and_dups;
@@ -784,4 +900,5 @@ let suite =
     Alcotest.test_case "underconstrained-explain" `Quick test_underconstrained_explain;
     Alcotest.test_case "metrics-add-up" `Quick test_metrics_add_up;
     Alcotest.test_case "counter-table-pinned" `Quick test_counter_table_pinned;
+    Alcotest.test_case "serve-counter-table-pinned" `Quick test_serve_counter_table_pinned;
   ]
