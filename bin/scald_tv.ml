@@ -408,7 +408,8 @@ let serve_log =
 let serve_prom =
   let doc =
     "Maintain a Prometheus text-format exposition of the service metrics in \
-     $(docv), atomically rewritten after every request."
+     $(docv), atomically rewritten at most once per 250 ms, after every stats and \
+     health request, and on exit."
   in
   Arg.(value & opt (some string) None & info [ "prom" ] ~docv:"FILE" ~doc)
 

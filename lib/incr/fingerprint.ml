@@ -150,16 +150,32 @@ let chunk b f x =
   f b x;
   Buffer.contents b
 
+(* ---- the two-level digest ------------------------------------------------ *)
+
+(* The digest hashes the chunks in blocks of [block_chunks] consecutive
+   chunks: one MD5 per block over its chunks joined, then one MD5 over
+   the block digests in order.  An edit stales only the blocks holding
+   the chunks it changed, so the next digest re-hashes those blocks and
+   the short string of block digests, not the whole dump.  The cold
+   [digest] hashes every block the same way, so a cold load and an
+   edited session that describe one netlist agree. *)
+let block_chunks = 64
+let md5_bytes = 16
+
 type content = {
   (* [| header; net 0 .. net n-1; instance count; inst 0 .. inst m-1;
      trailer |] *)
   c_chunks : string array;
   c_n_nets : int;
   c_skeleton : string;
+  (* block [k]'s digest at bytes [k * md5_bytes ..], current unless
+     [c_stale.(k)] *)
+  c_blocks : Bytes.t;
+  c_stale : bool array;
   mutable c_digest : string option;
-  (* the chunks are joined here to be hashed, so a digest allocates
-     nothing the size of the design *)
-  mutable c_scratch : Bytes.t;
+  (* one block's chunks are joined here to be hashed, reused by every
+     block and every digest *)
+  mutable c_block_buf : Bytes.t;
 }
 
 let content nl =
@@ -179,39 +195,56 @@ let content nl =
       chunks.(n_nets + 2 + i.i_id) <- chunk b (add_inst ~params:true) i;
       add_inst ~params:false sk i);
   chunks.(n_nets + n_insts + 2) <- chunk b add_trailer nl;
+  let n_blocks = (Array.length chunks + block_chunks - 1) / block_chunks in
   {
     c_chunks = chunks;
     c_n_nets = n_nets;
     c_skeleton = Digest.to_hex (Digest.string (Buffer.contents sk));
+    c_blocks = Bytes.create (n_blocks * md5_bytes);
+    c_stale = Array.make n_blocks true;
     c_digest = None;
-    c_scratch = Bytes.empty;
+    c_block_buf = Bytes.empty;
   }
+
+let hash_block c k =
+  let first = k * block_chunks in
+  let last = min (Array.length c.c_chunks) (first + block_chunks) - 1 in
+  let len = ref 0 in
+  for i = first to last do
+    len := !len + String.length c.c_chunks.(i)
+  done;
+  if Bytes.length c.c_block_buf < !len then c.c_block_buf <- Bytes.create (2 * !len);
+  let pos = ref 0 in
+  for i = first to last do
+    let s = c.c_chunks.(i) in
+    Bytes.blit_string s 0 c.c_block_buf !pos (String.length s);
+    pos := !pos + String.length s
+  done;
+  Bytes.blit_string (Digest.subbytes c.c_block_buf 0 !len) 0 c.c_blocks (k * md5_bytes)
+    md5_bytes;
+  c.c_stale.(k) <- false
 
 let content_digest c =
   match c.c_digest with
   | Some d -> d
   | None ->
-    let len = Array.fold_left (fun a s -> a + String.length s) 0 c.c_chunks in
-    if Bytes.length c.c_scratch < len then c.c_scratch <- Bytes.create (len + (len / 8));
-    let pos = ref 0 in
-    Array.iter
-      (fun s ->
-        Bytes.blit_string s 0 c.c_scratch !pos (String.length s);
-        pos := !pos + String.length s)
-      c.c_chunks;
-    let d = Digest.to_hex (Digest.subbytes c.c_scratch 0 len) in
+    for k = 0 to Array.length c.c_stale - 1 do
+      if c.c_stale.(k) then hash_block c k
+    done;
+    let d = Digest.to_hex (Digest.bytes c.c_blocks) in
     c.c_digest <- Some d;
     d
 
 let content_skeleton c = c.c_skeleton
 
-(* Re-serialize the given nets and instances and the trailer; the
-   digest is dropped only when some chunk actually changed. *)
+(* Re-serialize the given nets and instances and the trailer; a chunk
+   that actually changed stales its block and drops the digest. *)
 let refresh c nl ~nets ~insts =
   let b = Buffer.create 256 in
   let put k s =
     if not (String.equal c.c_chunks.(k) s) then begin
       c.c_chunks.(k) <- s;
+      c.c_stale.(k / block_chunks) <- true;
       c.c_digest <- None
     end
   in

@@ -10,6 +10,7 @@ type t = {
   sv_slow_ms : float;
   sv_log : out_channel option;
   sv_prom : string option;
+  mutable sv_prom_us : float;  (* service clock at the last --prom write *)
   sv_t0_us : float;
   mutable sv_requests : int;
   mutable sv_errors : int;
@@ -49,6 +50,7 @@ let create ?obs ?(telemetry = true) ?slow_ms ?log ?prom () =
     sv_slow_ms = Option.value slow_ms ~default:infinity;
     sv_log = log;
     sv_prom = prom;
+    sv_prom_us = neg_infinity;
     sv_t0_us = Scald_obs.Obs.now_us sv_obs;
     sv_requests = 0;
     sv_errors = 0;
@@ -267,7 +269,7 @@ let prom_name r =
   let suffix = if r.typ = `Counter then "_total" else "" in
   "scald_" ^ (if r.group = Memory then "mem_" else "") ^ r.name ^ suffix
 
-(* named once: the exporter walks them after every request *)
+(* named once: the exporter walks them on every write *)
 let prom_rows = List.map (fun r -> (prom_name r, r)) (shown Prom)
 
 let prom_families t =
@@ -292,6 +294,23 @@ let prom_families t =
                quantiles)
            (busy t));
     ]
+
+(* A scraper reads the Prometheus file far less often than requests
+   arrive, so the file is rewritten at most once per interval on the
+   service clock; [stats], [health] and the end of [run] write it
+   regardless. *)
+let prom_interval_us = 250_000.0
+
+(* [sampled]: the memory snapshot is already current.  Between the full
+   sampling points only this exporter reads the snapshot, so only a
+   write pays the GC sample. *)
+let write_prom ~force ~sampled t ~now_us =
+  match t.sv_prom with
+  | Some path when force || now_us -. t.sv_prom_us >= prom_interval_us ->
+    if not sampled then refresh_resources t;
+    Prom.write_file path (prom_families t);
+    t.sv_prom_us <- now_us
+  | _ -> ()
 
 let log_request t ~reqno ~op ~ok ~dur_us ~slow =
   match t.sv_log with
@@ -534,21 +553,17 @@ let handle t req =
   if not succeeded then t.sv_errors <- t.sv_errors + 1;
   if t.sv_telemetry then begin
     Scald_obs.Obs.set_lane t.sv_obs 0;
-    let dur_us = Scald_obs.Obs.now_us t.sv_obs -. t_start in
+    let t_end = Scald_obs.Obs.now_us t.sv_obs in
+    let dur_us = t_end -. t_start in
     Array.iter (fun (k, h) -> if String.equal k op then Hist.add h dur_us) t.sv_kinds;
     let slow = dur_us /. 1000.0 > t.sv_slow_ms in
     if slow then t.sv_slow <- t.sv_slow + 1;
-    (match op with
-    | "load" when succeeded -> refresh_resources ~full:true t
-    | "stats" | "health" -> ()  (* refreshed pre-dispatch *)
-    | _ ->
-      (* between the full sampling points only the prom exporter reads
-         the snapshot, so only it pays the per-request GC sample *)
-      if t.sv_prom <> None then refresh_resources t);
+    (* stats and health refreshed the snapshot pre-dispatch *)
+    let full = op = "stats" || op = "health" in
+    let loaded = op = "load" && succeeded in
+    if loaded then refresh_resources ~full:true t;
     log_request t ~reqno ~op:(op_label op) ~ok:succeeded ~dur_us ~slow;
-    match t.sv_prom with
-    | Some path -> Prom.write_file path (prom_families t)
-    | None -> ()
+    write_prom ~force:full ~sampled:(full || loaded) t ~now_us:t_end
   end;
   match result with
   | Ok resp -> (resp, op <> "shutdown")
@@ -595,6 +610,7 @@ let run ?metrics ?slow_ms ?log ?prom ?trace ?(telemetry = true) ic oc =
       end
   in
   loop ();
+  write_prom ~force:true ~sampled:false t ~now_us:(Scald_obs.Obs.now_us t.sv_obs);
   (match metrics with
   | Some path -> ignore (write_metrics t path)
   | None -> ());

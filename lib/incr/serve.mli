@@ -24,8 +24,10 @@
     snapshots are taken at request boundaries — the expensive parts
     (procfs, O(design) size walk) only at [load]/[stats]/[health].  Optional sinks: a JSONL
     request log with a slow-request threshold, and a Prometheus
-    text-format file atomically rewritten after each request
-    (doc/OBSERVABILITY.md, "Service telemetry").  The spans themselves
+    text-format file atomically rewritten at most once per 250 ms of
+    the observability handle's clock, after every [stats] and [health],
+    and when {!run} ends (doc/OBSERVABILITY.md, "Service telemetry");
+    only a request that rewrites it samples the GC.  The spans themselves
     are kept only when a trace file will be written; otherwise only
     their per-name totals (the metrics file's [phases_s]) are.  With
     telemetry off no span is recorded at all.
@@ -52,7 +54,9 @@ val create :
     included; [slow_ms] (default: never) marks requests over the
     threshold slow in the log and counters; [log] receives one JSONL
     line per request; [prom] names a Prometheus text file rewritten
-    after each request.
+    by the first request, then by the first request at least 250 ms
+    (on [obs]'s clock) after the last write, and by every [stats] and
+    [health].
     @raise Invalid_argument with {!telemetry_conflict}'s message. *)
 
 val telemetry_conflict :
@@ -114,7 +118,8 @@ val run :
 (** The serve main loop: banner, then read-dispatch-respond until
     [shutdown] or end of input.  [metrics] names a file to write final
     run metrics to on exit; [trace] a Chrome trace written on exit (the
-    only reason the spans are kept);
+    only reason the spans are kept); [prom] is written once more on
+    exit, so it counts every request;
     [log]/[prom]/[slow_ms]/[telemetry] as in {!create} ([log] is
     opened and closed by the loop).  Returns the process exit code
     (0).

@@ -99,15 +99,17 @@ val pending : t -> int
 
 val id : t -> string
 (** The session's handle: the content digest of the design it was
-    loaded with.  Stable for the session's lifetime. *)
+    loaded with ({!Fingerprint.content_digest} at {!load}, the
+    definition {!digest} and {!Fingerprint.digest} use).  Stable for the
+    session's lifetime. *)
 
 val digest : t -> string
 (** Content digest of the design {e as currently edited}, equal to
     {!Fingerprint.digest} of {!netlist}.  {!reverify} re-serializes only
-    the chunks of the nets and instances its edits touched
-    ({!Fingerprint.refresh}); the first reader after a change (a
-    response, a {!Store} lookup) joins the cached chunks and hashes
-    them, without walking the design. *)
+    the chunks of the nets and instances its edits touched and stales
+    their blocks ({!Fingerprint.refresh}); the first reader after a
+    change (a response, a {!Store} lookup) re-hashes only those blocks,
+    then the block digests, without walking the design. *)
 
 val skeleton : t -> string
 (** Structure-only digest ({!Fingerprint.skeleton}); invariant under

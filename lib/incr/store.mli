@@ -1,6 +1,11 @@
 (** Content-addressed session store (doc/SERVICE.md).
 
     Sessions are addressed by the {!Fingerprint.digest} of their design.
+    A [load] computes the submitted design's digest cold and compares it
+    with each session's {!Session.digest}, maintained incrementally
+    across edits; both follow {!Fingerprint}'s one two-level definition,
+    so a session edited into a design answers that design's [load]
+    warm.
     A [load] of a design the store has already verified comes back
     {!Warm} (nothing to do — the cached report stands); a design that is
     structurally identical to a live session but differs in parameters

@@ -1,7 +1,8 @@
 (** Prometheus text-format exposition (version 0.0.4).
 
-    The serve daemon's [--prom FILE] flag rewrites one of these after
-    every request (doc/OBSERVABILITY.md, "Service telemetry");
+    The serve daemon's [--prom FILE] flag rewrites one of these at most
+    once per 250 ms, after every [stats] and [health], and on exit
+    (doc/OBSERVABILITY.md, "Service telemetry");
     [tools/check_prom.py] lints the output in CI.  Dependency-free:
     the format is [# HELP] / [# TYPE] comments plus
     [name{label="value"} 42] sample lines. *)

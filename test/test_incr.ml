@@ -231,6 +231,77 @@ let test_fingerprint_digest () =
   Alcotest.(check string) "but not the skeleton" (Fingerprint.skeleton a)
     (Fingerprint.skeleton c)
 
+(* The digest is two-level: one hash per block of
+   [Fingerprint.block_chunks] chunks, then one over the block hashes.
+   On a netgen design spanning many blocks, change every net's chunk,
+   every instance's and the trailer's, one at a time, through
+   [refresh]: each change must move the digest and its revert bring
+   back the original, and on both sides of every block boundary and
+   throughout the last, partial block the maintained digest must equal
+   a cold one. *)
+let test_fingerprint_blocks () =
+  let nl =
+    (Netgen.to_netlist (Netgen.generate (Netgen.scaled ~chips:200 ())))
+      .Scald_sdl.Expander.e_netlist
+  in
+  (* [| header; nets; instance count; instances; trailer |] *)
+  let n_chunks = Netlist.n_nets nl + Netlist.n_insts nl + 3 in
+  let block = Fingerprint.block_chunks in
+  Alcotest.(check bool) "the design spans many blocks" true (n_chunks > 4 * block);
+  Alcotest.(check bool) "its last block is partial" true (n_chunks mod block <> 0);
+  let c = Fingerprint.content nl in
+  let d0 = Fingerprint.content_digest c in
+  Alcotest.(check string) "maintained = cold" (Fingerprint.digest nl) d0;
+  let last_block = n_chunks / block * block in
+  let step k ~nets ~insts change revert =
+    change ();
+    Fingerprint.refresh c nl ~nets ~insts;
+    let d = Fingerprint.content_digest c in
+    if d = d0 then Alcotest.failf "chunk %d: the change kept the digest" k;
+    if k mod block = 0 || k mod block = block - 1 || k >= last_block then
+      Alcotest.(check string) (Printf.sprintf "chunk %d: maintained = cold" k)
+        (Fingerprint.digest nl) d;
+    revert ();
+    Fingerprint.refresh c nl ~nets ~insts;
+    if Fingerprint.content_digest c <> d0 then
+      Alcotest.failf "chunk %d: the revert lost the digest" k
+  in
+  let bump d = Delay.add d (Delay.of_ns 0.1 0.1) in
+  Netlist.iter_nets nl (fun n ->
+      let id = n.Netlist.n_id and old = n.Netlist.n_wire_delay in
+      step (1 + id) ~nets:[ id ] ~insts:[]
+        (fun () ->
+          Netlist.set_wire_delay_opt nl id
+            (Some (bump (Option.value old ~default:Delay.zero))))
+        (fun () -> Netlist.set_wire_delay_opt nl id old));
+  Netlist.iter_insts nl (fun i ->
+      let id = i.Netlist.i_id and old = i.Netlist.i_prim in
+      let k = Netlist.n_nets nl + 2 + id in
+      match Primitive.element_delay old with
+      | Some d ->
+        step k ~nets:[] ~insts:[ id ]
+          (fun () -> Netlist.set_element_delay nl id (bump d))
+          (fun () -> Netlist.set_element_delay nl id d)
+      | None ->
+        let edited =
+          match old with
+          | Primitive.Setup_hold_check m ->
+            Primitive.Setup_hold_check { m with setup = m.setup + 1 }
+          | Primitive.Setup_rise_hold_fall_check m ->
+            Primitive.Setup_rise_hold_fall_check { m with hold = m.hold + 1 }
+          | Primitive.Min_pulse_width m ->
+            Primitive.Min_pulse_width { m with high = m.high + 1 }
+          | Primitive.Const v -> Primitive.Const (List.find (( <> ) v) Tvalue.all)
+          | _ -> Alcotest.fail "a primitive with neither a delay nor a parameter"
+        in
+        step k ~nets:[] ~insts:[ id ]
+          (fun () -> Netlist.replace_prim nl id edited)
+          (fun () -> Netlist.replace_prim nl id old));
+  let corners = Netlist.corners nl in
+  step (n_chunks - 1) ~nets:[] ~insts:[]
+    (fun () -> Netlist.set_corners nl (Corner.of_spec "typ,slow"))
+    (fun () -> Netlist.set_corners nl corners)
+
 (* ---- Edit ------------------------------------------------------------------- *)
 
 let test_edit_apply_and_diff () =
@@ -1001,6 +1072,54 @@ let test_serve_lanes_and_slow () =
   | Some (Json.Obj []) -> ()
   | _ -> Alcotest.fail "telemetry off: latency_us must be empty"
 
+(* --prom rewrites its file at most once per 250 ms of the service
+   clock, and on every stats and health: a request inside the interval
+   leaves the file as it was, the first one past it rewrites it.  The
+   end of [Serve.run] writes it once more, so the file counts every
+   request. *)
+let test_serve_prom_interval () =
+  let now = ref 0.0 in
+  let obs = Scald_obs.Obs.create ~clock:(fun () -> !now) () in
+  let prom = Filename.temp_file "serve" ".prom" in
+  Sys.remove prom;
+  let read () = In_channel.with_open_bin prom In_channel.input_all in
+  let t = Serve.create ~obs ~prom () in
+  let at s line =
+    now := s;
+    ignore (serve_req t line)
+  in
+  at 0.0 (List.hd telemetry_script);
+  Alcotest.(check bool) "the first request writes the file" true (Sys.file_exists prom);
+  let first = read () in
+  at 0.1 (List.nth telemetry_script 1);
+  at 0.2499 {| {"op":"verify"} |};
+  Alcotest.(check string) "requests inside the interval leave it" first (read ());
+  at 0.25 {| {"op":"verify"} |};
+  let past = read () in
+  Alcotest.(check bool) "the first past it rewrites it" true (past <> first);
+  at 0.251 {| {"op":"health"} |};
+  let health = read () in
+  Alcotest.(check bool) "health rewrites it" true (health <> past);
+  at 0.252 {| {"op":"stats"} |};
+  let stats = read () in
+  Alcotest.(check bool) "stats rewrites it" true (stats <> health);
+  at 0.3 {| {"op":"verify"} |};
+  Alcotest.(check string) "and restarts the interval" stats (read ());
+  Sys.remove prom;
+  let requests = Filename.temp_file "serve" ".jsonl" in
+  Out_channel.with_open_bin requests (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) telemetry_script);
+  let ic = open_in_bin requests in
+  let oc = open_out_bin Filename.null in
+  ignore (Serve.run ~prom ic oc);
+  close_in ic;
+  close_out oc;
+  Sys.remove requests;
+  let verifies = read () in
+  Sys.remove prom;
+  Alcotest.(check bool) "the end of run writes every request" true
+    (List.mem {|scald_requests_total{op="verify"} 2|} (String.split_on_char '\n' verifies))
+
 (* A service that writes no trace keeps no per-request history: after
    many edit/verify cycles its profiler holds no span and names no
    lane, yet its metrics file's phases_s are the per-name sums of the
@@ -1435,6 +1554,7 @@ let suite =
     Alcotest.test_case "json edge cases" `Quick test_json_edge_cases;
     json_roundtrip_property;
     Alcotest.test_case "fingerprint digest/skeleton" `Quick test_fingerprint_digest;
+    Alcotest.test_case "fingerprint digest across many blocks" `Quick test_fingerprint_blocks;
     Alcotest.test_case "edit apply and diff" `Quick test_edit_apply_and_diff;
     Alcotest.test_case "edit check rejects without mutating" `Quick test_edit_check;
     Alcotest.test_case "edit of_json" `Quick test_edit_of_json;
@@ -1463,6 +1583,8 @@ let suite =
       test_serve_deterministic_quantiles;
     Alcotest.test_case "serve lanes and slow requests" `Quick
       test_serve_lanes_and_slow;
+    Alcotest.test_case "serve --prom rewrites at most every 250 ms" `Quick
+      test_serve_prom_interval;
     Alcotest.test_case "serve keeps no spans without a trace" `Quick
       test_serve_keeps_no_spans_without_trace;
     serve_counters_property;
