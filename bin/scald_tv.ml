@@ -16,16 +16,13 @@ let read_file path =
 
 let run file case_file jobs corners summary xref quiet paths corr_advice prob
     slack diagram vcd_out phys lint lint_only lint_fatal lint_json profile_out
-    metrics_out explain trace_buffer classes windows =
+    metrics_out explain classes windows =
   (* The observability layer is built only when asked for; with every
-     obs flag off the verifier sees no probe and the evaluator's event
-     hook stays None (the zero-overhead contract of doc/OBSERVABILITY.md). *)
+     obs flag off the verifier sees no probe (the zero-overhead contract
+     of doc/OBSERVABILITY.md). *)
   let obs =
-    if profile_out <> None || metrics_out <> None || explain then
-      Some
-        (Scald_obs.Obs.create ~keep_spans:(profile_out <> None)
-           ~trace_buffer:(if explain then max 1 trace_buffer else trace_buffer)
-           ())
+    if profile_out <> None || metrics_out <> None then
+      Some (Scald_obs.Obs.create ~keep_spans:(profile_out <> None) ())
     else None
   in
   let span name f =
@@ -169,13 +166,10 @@ let run file case_file jobs corners summary xref quiet paths corr_advice prob
         (List.length report.Verifier.r_cases)
         (Eval.counter report.Verifier.r_counters "events")
         (Eval.counter report.Verifier.r_counters "evaluations");
+    if explain then Format.printf "@.%a@." Scald_obs.Causal.pp_listing report;
     (match obs with
     | None -> ()
     | Some o ->
-      if explain then
-        Format.printf "@.%s@."
-          (Scald_obs.Obs.explain_all o report.Verifier.r_eval
-             report.Verifier.r_violations);
       (match metrics_out with
       | None -> ()
       | Some path ->
@@ -213,11 +207,11 @@ let non_negative = checked Arg.int ~expected:"an integer >= 0" (fun n -> n >= 0)
 
 let file =
   let doc = "Design source in the textual SCALD HDL." in
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"DESIGN" ~doc)
+  Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"DESIGN" ~doc)
 
 let case_file =
   let doc = "Case-analysis specification file (e.g. \"CONTROL = 0; CONTROL = 1;\")." in
-  Arg.(value & opt (some file) None & info [ "c"; "cases" ] ~docv:"CASES" ~doc)
+  Arg.(value & opt (some non_dir_file) None & info [ "c"; "cases" ] ~docv:"CASES" ~doc)
 
 let corners =
   let doc =
@@ -342,18 +336,12 @@ let metrics_out =
 
 let explain =
   let doc =
-    "After the error listing, print a causal trace for every violation: the \
-     chain of evaluator events that produced the failing edge (implies event \
-     tracing with the current $(b,--trace-buffer))."
+    "After the error listing, print a causal trace for every violation, from \
+     the waveforms of the first case that raised it: the chain of signals, \
+     each changing within its driver's delay range before the next, from an \
+     asserted source to the checked signal's failing edge."
   in
   Arg.(value & flag & info [ "explain" ] ~doc)
-
-let trace_buffer =
-  let doc =
-    "Capacity of the causal event ring buffer used by $(b,--explain), an \
-     integer >= 0; 0 disables event tracing."
-  in
-  Arg.(value & opt non_negative 4096 & info [ "trace-buffer" ] ~docv:"N" ~doc)
 
 let classes =
   let doc =
@@ -377,8 +365,7 @@ let verify_term =
   Term.(
     const run $ file $ case_file $ jobs $ corners $ summary $ xref $ quiet $ paths
     $ corr_advice $ prob $ slack $ diagram $ vcd_out $ phys $ lint $ lint_only
-    $ lint_fatal $ lint_json $ profile_out $ metrics_out $ explain $ trace_buffer
-    $ classes $ windows)
+    $ lint_fatal $ lint_json $ profile_out $ metrics_out $ explain $ classes $ windows)
 
 let verify_cmd =
   let doc = "verify one design and print the error listing (the default command)" in

@@ -180,7 +180,6 @@ type t = {
   net_live : Bytes.t;
   mutable n_live : int;
   count : int array;  (* one slot per counter-table row, then per kind *)
-  mutable on_event : (inst_id:int -> net_id:int -> unit) option;
   mutable converged : bool;
   mutable initialized : bool;
 }
@@ -277,7 +276,6 @@ let create ?sched nl =
       net_live = Bytes.make n_nets '\000';
       n_live = 0;
       count = Array.make n_slots 0;
-      on_event = None;
       converged = true;
       initialized = false;
     }
@@ -351,9 +349,6 @@ let evals_by_kind c =
   List.init n_kinds (fun k -> (kind_name k, c.(kind_base + k)))
   |> List.filter (fun (_, n) -> n > 0)
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let set_event_hook t h = t.on_event <- h
-let event_hook t = t.on_event
 
 let period t = Timebase.period (Netlist.timebase t.nl)
 
@@ -450,6 +445,25 @@ let shares_lane0 t lane id =
   let v0 = l0.l_value.(id) in
   ln.l_value.(id) == v0 && (ln.l_wscale = l0.l_wscale || Waveform.n_segments v0 = 1)
 
+(* A [W]/[Z]/[H] directive zeroes the wire into an input (§2.6). *)
+let wire_delay t lane (inst : Netlist.inst) i =
+  if Directive.zero_wire (Directive.head (effective_directive t inst i)) then Delay.zero
+  else
+    Delay.scale t.lanes.(lane).l_wscale
+      (Netlist.wire_delay t.nl (Netlist.net t.nl inst.i_inputs.(i).c_net))
+
+(* A [Z]/[H] directive on any input zeroes a gating level's delay. *)
+let rec zero_gate t (inst : Netlist.inst) i =
+  i < Array.length inst.i_inputs
+  && (Directive.zero_gate (Directive.head (effective_directive t inst i))
+     || zero_gate t inst (i + 1))
+
+let element_delay t lane (inst : Netlist.inst) =
+  match Primitive.element_delay inst.i_prim with
+  | Some d when not (Primitive.is_gating inst.i_prim && zero_gate t inst 0) ->
+    Delay.scale t.lanes.(lane).l_dscale d
+  | Some _ | None -> Delay.zero
+
 (* The input waveform is a pure function of the driving net's evaluation
    state (value + evaluation string) and of static structure, so it is
    memoized per connection, keyed on the net's generation stamp.  High-
@@ -470,7 +484,6 @@ let rec input_waveform t lane (inst : Netlist.inst) i =
     else begin
       add t Row.cache_misses 1;
       let raw = ln.l_value.(id) in
-      let n = Netlist.net t.nl id in
       let wf =
         if (not c.c_invert) && c.c_directive = [] then begin
           (* Untransformed connection: the result is a function of the
@@ -479,25 +492,15 @@ let rec input_waveform t lane (inst : Netlist.inst) i =
              are unchanged — only the allocation is shared). *)
           if ln.l_net_gen.(id) = gen then ln.l_net_wf.(id)
           else begin
-            let letter = Directive.head t.eval_str.(id) in
-            let wf =
-              if Directive.zero_wire letter then raw
-              else
-                Waveform.apply_delay
-                  (Delay.scale ln.l_wscale (Netlist.wire_delay t.nl n))
-                  raw
-            in
+            let wf = Waveform.apply_delay (wire_delay t lane inst i) raw in
             ln.l_net_gen.(id) <- gen;
             ln.l_net_wf.(id) <- wf;
             wf
           end
         end
         else begin
-          let letter = Directive.head (effective_directive t inst i) in
           let wf = if c.c_invert then Waveform.map Tvalue.lnot raw else raw in
-          if Directive.zero_wire letter then wf
-          else
-            Waveform.apply_delay (Delay.scale ln.l_wscale (Netlist.wire_delay t.nl n)) wf
+          Waveform.apply_delay (wire_delay t lane inst i) wf
         end
       in
       ln.l_cache_gen.(idx) <- gen;
@@ -675,10 +678,9 @@ let eval_output t lane (inst : Netlist.inst) =
     None
   | Primitive.Const v -> Some (Waveform.const ~period:(period t) v)
   | Primitive.Buf { invert; delay } ->
-    let letter = Directive.head (effective_directive t inst 0) in
     let wf = input 0 in
     let wf = if invert then Waveform.map Tvalue.lnot wf else wf in
-    let d = if Directive.zero_gate letter then Delay.zero else sc delay in
+    let d = if zero_gate t inst 0 then Delay.zero else sc delay in
     Some (Waveform.apply_delay d wf)
   | Primitive.Gate { fn; n_inputs; invert; delay } ->
     let letters =
@@ -701,13 +703,8 @@ let eval_output t lane (inst : Netlist.inst) =
   | Primitive.Mux2 { delay; select_extra } ->
     let a = input 0 and b = input 1 and s = input 2 in
     let s = Waveform.apply_delay (sc select_extra) s in
-    let zero_gate =
-      List.exists
-        (fun i -> Directive.zero_gate (Directive.head (effective_directive t inst i)))
-        [ 0; 1; 2 ]
-    in
     let combined = Waveform.map3 mux_value a b s in
-    let d = if zero_gate then Delay.zero else sc delay in
+    let d = if zero_gate t inst 0 then Delay.zero else sc delay in
     let out = Waveform.apply_delay d combined in
     (* A select transition may change the output even when both data
        inputs are stable (their unknown stable values can differ), so
@@ -839,9 +836,6 @@ let eval_inst t inst_id =
            by [assign]. *)
         if not changed then bump t out_id;
         add t Row.events 1;
-        (match t.on_event with
-        | None -> ()
-        | Some f -> f ~inst_id ~net_id:out_id);
         enqueue_fanout t out_id
       end)
 

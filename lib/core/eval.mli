@@ -129,6 +129,17 @@ val input_waveform : t -> int -> Netlist.inst -> int -> Waveform.t
     values seen by the checker).  Memoized per connection on the driving
     net's generation stamp. *)
 
+val wire_delay : t -> int -> Netlist.inst -> int -> Delay.t
+(** [wire_delay t lane inst i] — the interconnection delay
+    {!input_waveform} applies to input [i]: the net's, scaled by the
+    corner, or zero under a [W], [Z] or [H] directive (§2.6). *)
+
+val element_delay : t -> int -> Netlist.inst -> Delay.t
+(** The delay an evaluation puts between the instance's inputs, as
+    {!input_waveform} gives them, and its output: its
+    {!Primitive.element_delay} scaled by the corner, or zero under a [Z]
+    or [H] directive, and for checkers and constants. *)
+
 val events : t -> int
 (** The live ["events"] counter: events processed since creation (or
     the last {!reset_counters}); an event is an output being given a
@@ -161,10 +172,9 @@ val count_request : t -> unit
 (** {2 Instrumentation}
 
     The evaluator keeps a handful of always-on integer counters (the
-    thesis reports its runtime shape in exactly these terms, §3.3.2) and
-    offers one optional per-event hook.  With the hook unset the hot
-    event path pays only plain integer increments — no allocation, no
-    lookup by name, no indirect call.
+    thesis reports its runtime shape in exactly these terms, §3.3.2):
+    the hot event path pays only plain integer increments — no
+    allocation, no lookup by name, no indirect call.
 
     Every counter is one row of {!table}, declared once in [eval.ml]:
     the key it is printed under in the metrics file
@@ -225,10 +235,3 @@ val evals_by_kind : counters -> (string * int) list
     alphabetical, zero-count kinds omitted.  They sum to
     ["evaluations"]. *)
 
-val set_event_hook : t -> (inst_id:int -> net_id:int -> unit) option -> unit
-(** Install (or clear) a hook called once per event, {e after} the
-    output net [net_id] of instance [inst_id] has been given its new
-    value.  Used by the observability layer to feed its causal ring
-    buffer; [None] (the default) restores the zero-cost path. *)
-
-val event_hook : t -> (inst_id:int -> net_id:int -> unit) option

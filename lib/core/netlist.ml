@@ -196,6 +196,10 @@ let intern_prim t prim =
 let add t ?name prim ~inputs ~output =
   let prim = intern_prim t prim in
   let expected = Primitive.n_inputs prim in
+  (match prim with
+  | Primitive.Gate _ when expected < 1 ->
+    invalid_arg (Printf.sprintf "Netlist.add: %s needs an input" (Primitive.mnemonic prim))
+  | _ -> ());
   if List.length inputs <> expected then
     invalid_arg
       (Printf.sprintf "Netlist.add: %s expects %d inputs, got %d" (Primitive.mnemonic prim)

@@ -86,9 +86,10 @@ val set_width : t -> int -> int -> unit
 val add : t -> ?name:string -> Primitive.t -> inputs:conn list -> output:int option -> inst
 (** Instantiate a primitive.
 
-    @raise Invalid_argument if the input count does not match the
-    primitive, if a checker is given an output, if a non-checker lacks
-    one, or if the output net already has a driver. *)
+    @raise Invalid_argument for a gate of fewer than one input, if the
+    input count does not match the primitive, if a checker is given an
+    output, if a non-checker lacks one, or if the output net already has
+    a driver. *)
 
 val trim : t -> unit
 (** Shrink the growable arenas (net/instance arrays, per-net fanout

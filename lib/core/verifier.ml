@@ -129,9 +129,6 @@ let run_case ?probe ev nl i case =
 
 let verify_sequential ~probe ~sched ~case_list nl =
   let ev = Eval.create ~sched nl in
-  (match probe with
-  | Some { pr_event = Some _ as h; _ } -> Eval.set_event_hook ev h
-  | Some { pr_event = None; _ } | None -> ());
   let results = List.mapi (run_case ?probe ev nl) case_list in
   (results, Eval.counters ev, ev)
 
@@ -145,9 +142,6 @@ let verify_sequential ~probe ~sched ~case_list nl =
    have given it — per-case event counts, violations and the merged
    counters are then identical to [jobs:1] (doc/PARALLEL.md). *)
 let verify_parallel ~probe ~sched ~case_list ~jobs nl =
-  let span : 'a. string -> (unit -> 'a) -> 'a =
-   fun name f -> match probe with None -> f () | Some p -> p.pr_span name f
-  in
   let case_arr = Array.of_list case_list in
   let n = Array.length case_arr in
   (* Resolve in the parent: name errors surface before any domain is
@@ -155,18 +149,15 @@ let verify_parallel ~probe ~sched ~case_list ~jobs nl =
   let resolved = Array.map (Case_analysis.resolve nl) case_arr in
   let shards = Par.shards ~jobs n in
   let jobs = Array.length shards in
-  let record_events =
-    match probe with Some { pr_event = Some _; _ } -> true | _ -> false
-  in
   let run_shard k =
     let lo, hi = shards.(k) in
     (* the schedule is structural and read-only: every domain shares
        it *)
     let ev = Eval.create ~sched nl in
     if lo > 0 then begin
-      (* Warm-start priming: un-measured, un-hooked, un-counted.  The
-         check passes are replayed too: they fill the input-waveform
-         caches and drain the dirty logs of every lane exactly as the
+      (* Warm-start priming: un-measured and un-counted.  The check
+         passes are replayed too: they fill the input-waveform caches
+         and drain the dirty logs of every lane exactly as the
          sequential run's preceding case did, so the cache hit/miss
          counters of every measured case stay identical to jobs:1. *)
       Eval.run ~case:resolved.(lo - 1) ev;
@@ -174,41 +165,16 @@ let verify_parallel ~probe ~sched ~case_list ~jobs nl =
       ignore (lane_checks ev);
       Eval.reset_counters ev
     end;
-    let buf = ref [] in
-    if record_events then
-      Eval.set_event_hook ev
-        (Some (fun ~inst_id ~net_id -> buf := (inst_id, net_id) :: !buf));
-    let results =
-      List.init (hi - lo) (fun j ->
-          let i = lo + j in
-          buf := [];
-          let r = run_case ev nl i case_arr.(i) in
-          (r, List.rev !buf))
-    in
+    let results = List.init (hi - lo) (fun j -> run_case ev nl (lo + j) case_arr.(lo + j)) in
     (results, Eval.counters ev, ev)
   in
+  let par () = Par.run ~jobs run_shard in
   let shard_results =
-    span
-      (Printf.sprintf "evaluate:parallel(j%d)" jobs)
-      (fun () -> Par.run ~jobs run_shard)
+    match probe with
+    | None -> par ()
+    | Some p -> p.pr_span (Printf.sprintf "evaluate:parallel(j%d)" jobs) par
   in
-  (* Replay the per-domain event logs into the caller's hook from this
-     single domain, in case order — the stream an external consumer
-     (e.g. the causal ring) sees is the sequential one. *)
-  (match probe with
-  | Some { pr_event = Some h; _ } ->
-    span "merge:events" (fun () ->
-        Array.iter
-          (fun (results, _, _) ->
-            List.iter
-              (fun (_, events) ->
-                List.iter (fun (inst_id, net_id) -> h ~inst_id ~net_id) events)
-              results)
-          shard_results)
-  | Some { pr_event = None; _ } | None -> ());
-  let results =
-    List.concat_map (fun (rs, _, _) -> List.map fst rs) (Array.to_list shard_results)
-  in
+  let results = List.concat_map (fun (rs, _, _) -> rs) (Array.to_list shard_results) in
   let counters =
     (* per-domain counter structs merged at join; no shared hot-path
        state (merge semantics in Eval.merge_counters). *)

@@ -74,8 +74,7 @@ type probe = {
       (** wraps each internal phase — ["evaluate:caseN"],
           ["check:caseN"] — so an external profiler can time them *)
   pr_event : (inst_id:int -> net_id:int -> unit) option;
-      (** when present, installed as the evaluator's per-event hook
-          (see {!Eval.set_event_hook}) *)
+      (** ignored; kept for the ledger *)
 }
 (** Instrumentation hook record.  It keeps the dependency direction
     clean: the observability library ([scald_obs]) depends on this one
@@ -106,9 +105,8 @@ type report = {
   r_obs : obs_summary;  (** {!obs_of_counters} [r_counters]; kept for the ledger *)
   r_eval : Eval.t;
       (** the evaluator that ran the last case: its waveforms, on every
-          lane, are the ones the listings, VCD and causal traces of this
-          report read; a later {!verify} of the same netlist leaves them
-          unchanged *)
+          lane, are the ones the listings and VCD of this report read; a
+          later {!verify} of the same netlist leaves them unchanged *)
   r_jobs : int;  (** effective parallelism the run actually used *)
 }
 
@@ -124,8 +122,7 @@ val verify :
 (** Verify all timing constraints.  With no [cases] (or an empty list) a
     single symbolic cycle is evaluated; otherwise one incremental cycle
     per case.  When [probe] is given its span hook brackets every
-    internal phase and its event hook (if any) sees every evaluator
-    event.
+    internal phase.
 
     [jobs] (default 1) is the number of domains to shard the cases
     over; [0] means {!Par.available}.  It is clamped to the case count,
@@ -133,11 +130,8 @@ val verify :
     sequential path.  With [jobs > 1] the evaluation schedule is
     computed once on the calling domain and shared read-only by every
     worker, and case resolution still runs on the calling domain;
-    workers never call [pr_span] (the
-    parallel section is bracketed by single ["evaluate:parallel(jN)"]
-    and ["merge:events"] spans from the calling domain), and per-event
-    hook calls are buffered per domain and replayed in case order after
-    the join, so the event stream a consumer sees is the sequential one.
+    workers never call [pr_span] (the parallel section is bracketed by
+    one ["evaluate:parallel(jN)"] span from the calling domain).
 
     [analysis] supplies a precomputed schedule (it must describe this
     netlist's structure); used by tests that evaluate under

@@ -100,7 +100,10 @@ let error ?op msg =
 
 let ok op fields = Json.Obj (("ok", Json.Bool true) :: ("op", Json.Str op) :: fields)
 
+(* A directory would open, then fail naming no path. *)
 let read_file path =
+  if Sys.file_exists path && Sys.is_directory path then
+    raise (Sys_error (path ^ ": Is a directory"));
   let ic = open_in_bin path in
   let n = in_channel_length ic in
   let s = really_input_string ic n in

@@ -109,9 +109,7 @@ let reverify ?(carry_counters = true) t =
      below re-initializes every net, and its memos start empty).  The
      cumulative counters keep accumulating across the swap. *)
   if not (Corner.table_equal (Eval.corners t.s_ev) (Netlist.corners nl)) then begin
-    let ev = Eval.create ~sched:(Eval.sched t.s_ev) nl in
-    Eval.set_event_hook ev (Eval.event_hook t.s_ev);
-    t.s_ev <- ev
+    t.s_ev <- Eval.create ~sched:(Eval.sched t.s_ev) nl
   end;
   let ev = t.s_ev in
   Eval.reset_counters ev;

@@ -25,7 +25,7 @@ type macro_def = {
 }
 
 type top_stmt =
-  | Period of float
+  | Period of float * int
   | Clock_unit of float
   | Default_wire of float * float
   | Wire_rule of (float * float) * (float * float)

@@ -56,7 +56,7 @@ type macro_def = {
 }
 
 type top_stmt =
-  | Period of float             (** [PERIOD 50.0;] in ns *)
+  | Period of float * int       (** [PERIOD 50.0;] in ns, and its line *)
   | Clock_unit of float         (** [CLOCK UNIT 6.25;] in ns *)
   | Default_wire of float * float  (** [DEFAULT WIRE DELAY 0.0/2.0;] *)
   | Wire_rule of (float * float) * (float * float)

@@ -131,7 +131,7 @@ let param_base name =
 (* ---- pass 1: declarations ----------------------------------------------------- *)
 
 type settings = {
-  mutable period_ns : float option;
+  mutable period_ns : (float * int) option;  (* and its statement's line *)
   mutable clock_unit_ns : float option;
   mutable default_wire : float * float;
   mutable wire_rule : ((float * float) * (float * float)) option;
@@ -157,7 +157,7 @@ let corner_table_of entries =
    depend on, wherever they stand in the text. *)
 let declare s stmt =
   match stmt with
-  | Ast.Period p -> s.period_ns <- Some p
+  | Ast.Period (p, line) -> s.period_ns <- Some (p, line)
   | Ast.Clock_unit u -> s.clock_unit_ns <- Some u
   | Ast.Default_wire (a, b) -> s.default_wire <- (a, b)
   | Ast.Wire_rule (base, per_load) -> s.wire_rule <- Some (base, per_load)
@@ -395,13 +395,17 @@ let run ?defaults (source : (Ast.top_stmt -> unit) -> (unit, string) result) =
     let t0 = Sys.time () in
     let* () = source (declare settings) in
     let pass1_s = Sys.time () -. t0 in
-    let period_ns =
+    let period_ns, period_line =
       match settings.period_ns with
       | Some p -> p
       | None -> fail "design has no PERIOD statement"
     in
     let clock_unit_ns =
-      match settings.clock_unit_ns with Some u -> u | None -> period_ns /. 8.
+      match settings.clock_unit_ns with
+      | Some u -> u
+      | None when Timebase.ps_of_ns (period_ns /. 8.) < 1 ->
+        fail "line %d: the default CLOCK UNIT (PERIOD/8) is below 1 ps" period_line
+      | None -> period_ns /. 8.
     in
     let tb = Timebase.make ~period_ns ~clock_unit_ns in
     let wmin, wmax = settings.default_wire in

@@ -278,10 +278,11 @@ let parse_top st =
   match peek st with
   | Lexer.Word w when keyword_is w "MACRO" -> Ast.Macro (parse_macro st)
   | Lexer.Word w when keyword_is w "PERIOD" ->
+    let line = line st in
     advance st;
     let f = parse_period st "PERIOD" in
     expect st Lexer.Semi "';'";
-    Ast.Period f
+    Ast.Period (f, line)
   | Lexer.Word w
     when keyword_is w "CLOCK"
          && match peek2 st with Lexer.Word u -> keyword_is u "UNIT" | _ -> false ->

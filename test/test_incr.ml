@@ -900,6 +900,17 @@ let test_serve_protocol () =
   Alcotest.(check (option string)) "answered as a load" (Some "load") (jstr "op" bad_cases);
   Alcotest.(check bool) "the error names the signal" true
     (Test_obs.contains (Option.value ~default:"" (jstr "error" bad_cases)) "NO SUCH SIGNAL");
+  (* a directory as the design or the cases file: the error names it,
+     once, and loads nothing *)
+  List.iter
+    (fun line ->
+      let r, _ = serve_req t line in
+      Alcotest.(check (option string)) (line ^ ": names the directory once")
+        (Some "../examples: Is a directory") (jstr "error" r))
+    [
+      {| {"op":"load","file":"../examples"} |};
+      {| {"op":"load","file":"../examples/s1_subset.sdl","cases_file":"../examples"} |};
+    ];
   let after = live () in
   Alcotest.(check bool) "no session changed" true
     (List.length before = List.length after

@@ -1,6 +1,6 @@
-(* The observability subsystem: span profiler, evaluator counters and
-   event hook, causal ring buffer and violation traces, and the two
-   JSON exporters (Chrome trace events, flat metrics). *)
+(* The observability subsystem: span profiler, evaluator counters,
+   causal violation traces, and the two JSON exporters (Chrome trace
+   events, flat metrics). *)
 
 open Scald_core
 open Scald_obs
@@ -259,91 +259,89 @@ let test_counters () =
   Alcotest.(check int) "reset keeps the lane count" 1 (n "corners");
   Alcotest.(check (list (pair string int))) "reset kinds" [] (Eval.evals_by_kind c)
 
-let test_event_hook () =
-  let nl = two_buf_circuit () in
-  let ev = Eval.create nl in
-  let calls = ref 0 in
-  Alcotest.(check bool) "hook off by default" true (Eval.event_hook ev = None);
-  Eval.set_event_hook ev (Some (fun ~inst_id:_ ~net_id:_ -> incr calls));
-  Eval.run ev;
-  Alcotest.(check int) "one call per event" (Eval.events ev) !calls;
-  Alcotest.(check bool) "events happened" true (!calls > 0);
-  Eval.set_event_hook ev None;
-  Alcotest.(check bool) "hook cleared" true (Eval.event_hook ev = None)
+(* ---- causal traces --------------------------------------------------------- *)
 
-(* ---- causal ring ---------------------------------------------------------- *)
-
-let test_ring_bounds () =
-  let r = Causal.create ~capacity:3 in
-  for i = 0 to 9 do
-    Causal.record r ~inst_id:i ~net_id:(100 + i)
-  done;
-  Alcotest.(check int) "total recorded" 10 (Causal.recorded r);
-  let evs = Causal.events r in
-  Alcotest.(check int) "bounded" 3 (List.length evs);
-  Alcotest.(check (list int)) "keeps newest, oldest first" [ 7; 8; 9 ]
-    (List.map (fun e -> e.Causal.e_seq) evs);
-  Alcotest.check_raises "capacity 0 rejected"
-    (Invalid_argument "Causal.create: capacity must be >= 1") (fun () ->
-      ignore (Causal.create ~capacity:0))
-
+(* A .S0-4 -> B1 -> N1 -> B2 -> Q, each buffer 1/2 ns, no wire delay:
+   the checked signal's chain walks back one minimum delay per buffer
+   from the violation's instant to the asserted source. *)
 let test_causal_chain () =
   let nl = two_buf_circuit () in
-  let ev = Eval.create nl in
-  let ring = Causal.create ~capacity:64 in
-  Eval.set_event_hook ev (Some (Causal.hook ring));
-  Eval.run ev;
-  Alcotest.(check int) "ring saw every event" (Eval.events ev)
-    (Causal.recorded ring);
-  let steps = Causal.explain_signal ring ev "Q" in
-  Alcotest.(check bool) "chain found" true (List.length steps >= 2);
-  let last = List.nth steps (List.length steps - 1) in
-  Alcotest.(check string) "chain ends at Q" "Q" last.Causal.st_net;
-  Alcotest.(check string) "driven by B2" "B2" last.Causal.st_inst;
-  Alcotest.(check string) "primitive named" "BUF" last.Causal.st_prim;
-  let first = List.hd steps in
-  Alcotest.(check string) "root cause is N1" "N1" first.Causal.st_net;
-  Alcotest.(check bool) "root precedes final" true
-    (first.Causal.st_seq < last.Causal.st_seq);
-  Alcotest.(check bool) "edge time attached" true (last.Causal.st_at_ns <> None)
+  let report = Verifier.verify nl in
+  let v = List.hd report.Verifier.r_violations in
+  let x = List.hd (Causal.explain report) in
+  Alcotest.(check bool) "explains the first violation" true (x.Causal.x_violation = v);
+  let c = match x.Causal.x_signal with Some c -> c | None -> Alcotest.fail "no signal chain" in
+  Alcotest.(check bool) "rooted at an assertion" true (c.Causal.c_origin = Causal.Asserted);
+  let name (s : Causal.step) = (Netlist.net nl s.Causal.st_net).Netlist.n_name in
+  Alcotest.(check (list string)) "source to checked signal" [ "A .S0-4"; "N1"; "Q" ]
+    (List.map name c.Causal.c_steps);
+  let at = Option.get v.Check.v_at in
+  Alcotest.(check (list int)) "one minimum delay per buffer back from the AT time"
+    [ at - 2000; at - 1000; at ]
+    (List.map (fun (s : Causal.step) -> s.Causal.st_at) c.Causal.c_steps);
+  let chk = Option.get (Netlist.find_inst nl "CHK") in
+  Alcotest.(check bool) "the last step is the checker's data input" true
+    ((List.nth c.Causal.c_steps 2).Causal.st_view = Some (chk, 0))
+
+(* Two expansions of one macro name their checkers alike and both read
+   D; only the one on CK B violates.  Its block views D through D's
+   wire (2/4 ns), which the other checker's &W connection zeroes, so
+   the source changes 3 ns (BUF 1 + wire 2) before the AT time. *)
+let test_explain_views_the_violating_checker () =
+  let src =
+    "PERIOD 50.0; CLOCK UNIT 6.25; DEFAULT WIRE DELAY 2.0/4.0;\n\
+     MACRO R;\nPARAMETER I /P, CK /P, Q /P;\nBODY\n\
+     REG (DELAY=1.0/2.0) (I /P, CK /P) -> Q /P;\n\
+     SETUP HOLD CHK (SETUP=2.5, HOLD=1.5) (I /P, CK /P);\nEND;\n\
+     BUF (DELAY=1.0/2.0) (DIN .S0-4) -> D;\n\
+     R (D, CK B .P5-6) -> QB;\nR (D &W, CK A .P3-4) -> QA;\n"
+  in
+  let nl =
+    match Scald_sdl.Expander.load src with
+    | Ok e -> e.Scald_sdl.Expander.e_netlist
+    | Error e -> Alcotest.fail e
+  in
+  let report = Verifier.verify nl in
+  List.iter
+    (fun (x : Causal.explanation) ->
+      let v = x.Causal.x_violation in
+      Alcotest.(check (option string)) "the violating clock" (Some "CK B .P5-6") v.Check.v_clock;
+      let steps = (Option.get x.Causal.x_signal).Causal.c_steps in
+      let last = List.nth steps (List.length steps - 1) in
+      let chk, _ = Option.get last.Causal.st_view in
+      Alcotest.(check bool) "viewed by the checker on CK B" true
+        (Array.exists
+           (fun (c : Netlist.conn) -> c.Netlist.c_net = Option.get (Netlist.find nl "CK B .P5-6"))
+           (Netlist.inst nl chk).Netlist.i_inputs);
+      Alcotest.(check int) "the source changes a BUF and a wire before"
+        (Option.get v.Check.v_at - 3000)
+        (List.hd steps).Causal.st_at)
+    (Causal.explain report)
 
 let test_explain_violation () =
   let nl = two_buf_circuit () in
-  let obs = Obs.create ~trace_buffer:64 () in
-  let report = Verifier.verify ~probe:(Obs.probe obs) nl in
+  let report = Verifier.verify nl in
   Alcotest.(check bool) "setup violation present" true
     (report.Verifier.r_violations <> []);
-  let v = List.hd report.Verifier.r_violations in
-  let ring = match Obs.ring obs with Some r -> r | None -> assert false in
-  let ev = report.Verifier.r_eval in
-  let steps = Causal.explain ring ev v in
-  Alcotest.(check bool) "violation explained" true (steps <> []);
-  let listing = Obs.explain_all obs ev report.Verifier.r_violations in
+  let listing = Format.asprintf "%a" Causal.pp_listing report in
+  Alcotest.(check bool) "heading" true
+    (String.starts_with ~prefix:"CAUSAL VIOLATION TRACES\n" listing);
   Alcotest.(check int) "one block per violation"
     (List.length report.Verifier.r_violations)
     (count_substring listing "EXPLAIN ");
-  Alcotest.(check bool) "names the driving primitive" true (contains listing "B2")
-
-let test_explain_without_tracing () =
-  let nl = two_buf_circuit () in
-  let obs = Obs.create () in
-  let report = Verifier.verify ~probe:(Obs.probe obs) nl in
-  Alcotest.(check bool) "no ring allocated" true (Obs.ring obs = None);
-  Alcotest.(check bool) "evaluator hook stayed off" true
-    (Eval.event_hook report.Verifier.r_eval = None);
-  let listing = Obs.explain_all obs report.Verifier.r_eval report.Verifier.r_violations in
-  Alcotest.(check int) "blocks still printed"
+  Alcotest.(check int) "a case line per block"
     (List.length report.Verifier.r_violations)
-    (count_substring listing "EXPLAIN ");
-  Alcotest.(check bool) "degrades to the note" true
-    (contains listing "no recorded events")
+    (count_substring listing "\n  case: none   corner: typ (x1)\n");
+  Alcotest.(check bool) "names the driving primitive" true (contains listing "B2");
+  Alcotest.(check bool) "roots the chain at the assertion" true
+    (contains listing "(asserted)                                -> A .S0-4")
 
 (* ---- verifier probe and r_obs --------------------------------------------- *)
 
 let test_probe_spans_and_r_obs () =
   let nl = two_buf_circuit () in
   let clock, _ = fake_clock () in
-  let obs = Obs.create ~clock ~trace_buffer:16 () in
+  let obs = Obs.create ~clock () in
   let report = Verifier.verify ~probe:(Obs.probe obs) nl in
   let names = List.map (fun s -> s.Span.s_name) (Span.spans (Obs.profiler obs)) in
   List.iter
@@ -363,15 +361,13 @@ let test_r_obs_without_probe () =
   let nl = two_buf_circuit () in
   let report = Verifier.verify nl in
   Alcotest.(check bool) "counters carried with no probe" true
-    (report.Verifier.r_obs.Verifier.os_queued > 0);
-  Alcotest.(check bool) "hook never installed" true
-    (Eval.event_hook report.Verifier.r_eval = None)
+    (report.Verifier.r_obs.Verifier.os_queued > 0)
 
 (* ---- exporters ------------------------------------------------------------- *)
 
 let test_metrics_json () =
   let nl = two_buf_circuit () in
-  let obs = Obs.create ~trace_buffer:16 () in
+  let obs = Obs.create () in
   let report = Verifier.verify ~probe:(Obs.probe obs) nl in
   let m = Obs.metrics obs ~report in
   Alcotest.(check int) "events counter" report.Verifier.r_events
@@ -861,14 +857,14 @@ let test_underconstrained_explain () =
   match Scald_sdl.Expander.load (read_file "../examples/underconstrained.sdl") with
   | Error e -> Alcotest.failf "expander: %s" e
   | Ok { Scald_sdl.Expander.e_netlist = nl; _ } ->
-    let obs = Obs.create ~trace_buffer:4096 () in
-    let report = Verifier.verify ~probe:(Obs.probe obs) nl in
+    let report = Verifier.verify nl in
     Alcotest.(check bool) "violations exist" true
       (report.Verifier.r_violations <> []);
-    let listing = Obs.explain_all obs report.Verifier.r_eval report.Verifier.r_violations in
-    Alcotest.(check int) "a causal block for every violation"
-      (List.length report.Verifier.r_violations)
-      (count_substring listing "EXPLAIN ")
+    let listing = Format.asprintf "%a" Causal.pp_listing report in
+    let n = List.length report.Verifier.r_violations in
+    Alcotest.(check int) "a causal block for every violation" n
+      (count_substring listing "EXPLAIN ");
+    Alcotest.(check int) "a case line in every block" n (count_substring listing "\n  case: ")
 
 let suite =
   [
@@ -876,11 +872,10 @@ let suite =
     Alcotest.test_case "span-nesting" `Quick test_span_nesting;
     Alcotest.test_case "span-records-on-raise" `Quick test_span_records_on_raise;
     Alcotest.test_case "counters" `Quick test_counters;
-    Alcotest.test_case "event-hook" `Quick test_event_hook;
-    Alcotest.test_case "ring-bounds" `Quick test_ring_bounds;
     Alcotest.test_case "causal-chain" `Quick test_causal_chain;
     Alcotest.test_case "explain-violation" `Quick test_explain_violation;
-    Alcotest.test_case "explain-without-tracing" `Quick test_explain_without_tracing;
+    Alcotest.test_case "explain-views-the-violating-checker" `Quick
+      test_explain_views_the_violating_checker;
     Alcotest.test_case "probe-spans-and-r-obs" `Quick test_probe_spans_and_r_obs;
     Alcotest.test_case "r-obs-without-probe" `Quick test_r_obs_without_probe;
     Alcotest.test_case "metrics-json" `Quick test_metrics_json;

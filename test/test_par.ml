@@ -188,23 +188,6 @@ let test_jobs_clamped_and_validated () =
     (Invalid_argument "Verifier.verify: jobs must be >= 0") (fun () ->
       ignore (Verifier.verify ~jobs:(-1) (slow_loop ())))
 
-let test_event_stream_replayed_in_case_order () =
-  let stream jobs =
-    let log = ref [] in
-    let probe =
-      {
-        Verifier.pr_span = (fun _ f -> f ());
-        pr_event = Some (fun ~inst_id ~net_id -> log := (inst_id, net_id) :: !log);
-      }
-    in
-    ignore (Verifier.verify ~probe ~cases:slow_loop_cases ~jobs (slow_loop ()));
-    List.rev !log
-  in
-  let seq = stream 1 in
-  Alcotest.(check bool) "events were recorded" true (seq <> []);
-  Alcotest.(check bool) "jobs:2 replays the sequential event stream" true
-    (stream 2 = seq)
-
 (* ---- random circuits ---------------------------------------------------------------- *)
 
 type recipe = {
@@ -383,7 +366,7 @@ let print_warm (d, cases) =
            (fun c -> String.concat "," (List.map (fun (i, b) -> Printf.sprintf "%d=%d" i b) c))
            cs)
 
-let gen_warm =
+let gen_warm_cases =
   let open QCheck.Gen in
   let gen_case =
     let* picks = list_repeat 4 (int_range 0 2) in
@@ -396,6 +379,10 @@ let gen_warm =
       (Subsets
          (List.filteri (fun i _ -> i < at) cases @ ([] :: List.filteri (fun i _ -> i >= at) cases)))
   in
+  frequency [ (1, return Complete); (1, gen_subsets) ]
+
+let gen_warm =
+  let open QCheck.Gen in
   QCheck.make ~print:print_warm
     (pair
        (frequency
@@ -403,11 +390,11 @@ let gen_warm =
             (3, map (fun r -> Gates r) (QCheck.gen gen_recipe));
             (1, map (fun c -> Corners c) (QCheck.gen gen_corner_recipe));
           ])
-       (frequency [ (1, return Complete); (1, gen_subsets) ]))
+       gen_warm_cases)
 
-(* A fresh netlist of the input's design, its cases, and an evaluator
-   created the way the input asks. *)
-let warm_evaluator (d, mode) =
+(* A fresh netlist of the input's design, its cases, and whether the
+   input asks for the flat schedule. *)
+let warm_design (d, mode) =
   let nl, complete, inputs, flat =
     match d with
     | Gates r ->
@@ -427,59 +414,14 @@ let warm_evaluator (d, mode) =
              |> Option.map (fun name -> (name, if b = 1 then Tvalue.V1 else Tvalue.V0))))
         cs
   in
+  (nl, cases, flat)
+
+(* ... and an evaluator created the way the input asks. *)
+let warm_evaluator input =
+  let nl, cases, flat = warm_design input in
   (nl, cases, Eval.create ?sched:(if flat then Some (Sched.flat nl) else None) nl)
 
 (* ---- a report's waveforms belong to it ------------------------------------------ *)
-
-(* The CI smoke step's design: netgen seed 4, 300 chips, two broken
-   registers, and its 16 cases over the first four scalar primary
-   inputs asserted stable ("IN k .S..." with the smallest k). *)
-let ci_design () =
-  let nl =
-    (Netgen.to_netlist
-       (Netgen.generate (Netgen.scaled ~seed:4 ~broken_registers:2 ~chips:300 ())))
-      .Scald_sdl.Expander.e_netlist
-  in
-  let inputs = ref [] in
-  Netlist.iter_nets nl (fun n ->
-      match String.split_on_char ' ' n.Netlist.n_name with
-      | [ "IN"; k; a ] when String.starts_with ~prefix:".S" a -> (
-        match int_of_string_opt k with
-        | Some k -> inputs := (k, n.Netlist.n_name) :: !inputs
-        | None -> ())
-      | _ -> ());
-  let first4 =
-    List.filteri (fun i _ -> i < 4) (List.sort compare !inputs) |> List.map snd
-  in
-  let cases =
-    List.init 16 (fun k ->
-        List.mapi
-          (fun b name -> (name, if (k lsr b) land 1 = 1 then Tvalue.V1 else Tvalue.V0))
-          first4)
-  in
-  (nl, cases)
-
-(* The causal traces print each signal's final value: at every job count
-   it is the value the last case left, not whatever another shard's
-   evaluation left behind. *)
-let test_explain_same_at_every_jobs () =
-  let nl, cases = ci_design () in
-  Alcotest.(check int) "sixteen cases over four inputs" 16 (List.length cases);
-  List.iter
-    (fun spec ->
-      let explain jobs =
-        let obs = Scald_obs.Obs.create ~trace_buffer:4096 () in
-        let r =
-          Verifier.verify ~probe:(Scald_obs.Obs.probe obs) ~cases ~jobs
-            ~corners:(Corner.of_spec spec) nl
-        in
-        Alcotest.(check bool) (spec ^ ": violations to explain") true
-          (r.Verifier.r_violations <> []);
-        Scald_obs.Obs.explain_all obs r.Verifier.r_eval r.Verifier.r_violations
-      in
-      let j1 = explain 1 in
-      Alcotest.(check string) (spec ^ ": -j 3 explains as -j 1") j1 (explain 3))
-    [ "typ"; "typ,slow,fast" ]
 
 let load_s1_subset () =
   let src = In_channel.with_open_bin "../examples/s1_subset.sdl" In_channel.input_all in
@@ -517,8 +459,145 @@ let test_report_owns_waveforms () =
         true (List.for_all2 Waveform.equal a b))
     (List.combine lanes lanes')
 
+(* ---- causal traces --------------------------------------------------------------- *)
+
+(* A small netgen design with at least one broken register, at a random
+   corner table, with a case list; verified at the recipe's -j. *)
+let gen_explain =
+  let open QCheck.Gen in
+  QCheck.make ~print:print_warm
+    (pair
+       (map
+          (fun c -> Corners { c with co_broken = max 1 c.co_broken })
+          (QCheck.gen gen_corner_recipe))
+       gen_warm_cases)
+
+let in_window p s (w : Waveform.window) =
+  w.w_stop - w.w_start >= p || Timebase.wrap_period p (s - w.w_start) <= w.w_stop - w.w_start
+
+(* Circular distance of [x] from 0, and of [at] from a window. *)
+let circ p x = min (Timebase.wrap_period p x) (Timebase.wrap_period p (-x))
+
+let window_distance p at (w : Waveform.window) =
+  if in_window p at w then 0 else min (circ p (at - w.w_start)) (circ p (at - w.w_stop))
+
+(* A chain of violation [v] holds on the evaluator [ev] of its case: it
+   starts at an undriven net holding its assertion (under the case's
+   [mapping]) or closes a feedback loop; each step's instant lies in a
+   transition window of the net as the next instance sees it (a rising
+   window for a register's clock); each hop
+   takes the driver's element delay (a 2 MUX select's SELDELAY added)
+   plus the wire into the next viewer; and it ends at the signal, as
+   the checker sees it, at the instant nearest the AT time. *)
+let chain_ok nl ev mapping (v : Check.t) (c : Scald_obs.Causal.chain) =
+  let open Scald_obs.Causal in
+  let p = Timebase.period (Netlist.timebase nl) in
+  let view s =
+    match s.st_view with
+    | Some (i, j) -> Eval.input_waveform ev 0 (Netlist.inst nl i) j
+    | None -> Eval.value ev s.st_net
+  in
+  let windows s =
+    match s.st_view with
+    | Some (i, 1) when (match (Netlist.inst nl i).i_prim with Primitive.Reg _ -> true | _ -> false)
+      ->
+      Waveform.rising_windows (view s)
+    | _ -> Waveform.change_windows (view s)
+  in
+  let wire s =
+    match s.st_view with
+    | Some (i, j) -> Eval.wire_delay ev 0 (Netlist.inst nl i) j
+    | None -> Delay.zero
+  in
+  let hop (inst : Netlist.inst) i =
+    let d = Eval.element_delay ev 0 inst in
+    match inst.i_prim with
+    | Primitive.Mux2 { select_extra; _ } when i = 2 ->
+      Delay.add (Delay.scale (Eval.corners ev).(0).Corner.delay_scale select_extra) d
+    | _ -> d
+  in
+  let rec hops = function
+    | a :: (b :: _ as rest) ->
+      (match a.st_view with
+      | Some (d, i) ->
+        let inst = Netlist.inst nl d in
+        let h = Delay.add (hop inst i) (wire b) in
+        inst.i_output = Some b.st_net
+        && inst.i_inputs.(i).c_net = a.st_net
+        && Timebase.wrap_period p (b.st_at - a.st_at - h.Delay.dmin)
+           <= h.Delay.dmax - h.Delay.dmin
+      | None -> false)
+      && hops rest
+    | [ _ ] | [] -> true
+  in
+  match c.c_origin, c.c_steps with
+  | Settled, steps -> steps = []
+  | _, [] -> false
+  | origin, (root :: _ as steps) ->
+    let last = List.nth steps (List.length steps - 1) in
+    let root_net = Netlist.net nl root.st_net in
+    let at = Option.value v.v_at ~default:0 in
+    (match origin with
+    | Asserted -> root_net.n_driver = None && root_net.n_assertion <> None
+    | Case_assigned -> root_net.n_driver = None && List.mem_assoc root.st_net mapping
+    | Feedback m -> root_net.n_driver <> None && List.exists (fun s -> s.st_net = m) steps
+    | Unexplained | Settled -> false)
+    && List.for_all (fun s -> List.exists (in_window p s.st_at) (windows s)) steps
+    && hops steps
+    && last.st_net = c.c_net
+    && (match last.st_view with
+       | Some (i, j) ->
+         let chk = Netlist.inst nl i in
+         let reads name =
+           Array.exists (fun (cn : Netlist.conn) -> Some cn.c_net = Netlist.find nl name) chk.i_inputs
+         in
+         chk.i_name = v.v_inst
+         && chk.i_inputs.(j).c_net = c.c_net
+         && List.for_all reads (v.v_signal :: Option.to_list v.v_clock)
+       | None -> v.v_kind = Check.Stable_assertion_violation)
+    && circ p (at - last.st_at)
+       = List.fold_left (fun acc w -> min acc (window_distance p at w)) max_int (windows last)
+
 let properties =
   [
+    prop ~count:25 "explain walks back from its own case" gen_explain
+      (fun input ->
+        let module C = Scald_obs.Causal in
+        let nl, cases, _ = warm_design input in
+        let jobs = match fst input with Corners c -> c.co_jobs | Gates _ -> 1 in
+        let r = Verifier.verify ~cases ~jobs nl in
+        QCheck.assume r.Verifier.r_converged;
+        let lanes ev = List.init (Eval.n_corners ev) (fun lane -> waveforms ~lane nl ev) in
+        let before = lanes r.Verifier.r_eval in
+        let block x = Format.asprintf "%a" (C.pp_explanation nl) x in
+        (* each case's -j 1 run alone, explained once *)
+        let alone = Hashtbl.create 8 in
+        let explain_alone case =
+          match Hashtbl.find_opt alone case with
+          | Some xs -> xs
+          | None ->
+            let xs = C.explain (Verifier.verify ~cases:[ case ] nl) in
+            Hashtbl.add alone case xs;
+            xs
+        in
+        List.for_all2
+          (fun v (x : C.explanation) ->
+            let first =
+              List.find (fun c -> List.mem v c.Verifier.cr_violations) r.Verifier.r_cases
+            in
+            let mapping = Case_analysis.resolve nl x.C.x_case in
+            let ev = Eval.create nl in
+            Eval.run ~case:mapping ev;
+            x.C.x_violation = v
+            && x.C.x_case = first.Verifier.cr_case
+            && List.for_all (chain_ok nl ev mapping v)
+                 (Option.to_list x.C.x_signal @ Option.to_list x.C.x_clock)
+            && List.exists
+                 (fun y -> y.C.x_violation = v && block y = block x)
+                 (explain_alone x.C.x_case))
+          r.Verifier.r_violations (C.explain r)
+        && List.for_all2 (List.for_all2 Waveform.equal) (lanes r.Verifier.r_eval) before);
+
     prop "warm-start equals a fresh evaluation of every case" gen_warm (fun input ->
         let warm_nl, cases, warm = warm_evaluator input in
         List.for_all
@@ -555,10 +634,6 @@ let suite =
     Alcotest.test_case "jobs equal on diverging circuit" `Quick
       test_jobs_equal_on_diverging_circuit;
     Alcotest.test_case "jobs clamped and validated" `Quick test_jobs_clamped_and_validated;
-    Alcotest.test_case "event stream replayed in case order" `Quick
-      test_event_stream_replayed_in_case_order;
-    Alcotest.test_case "explain is the same at every jobs" `Quick
-      test_explain_same_at_every_jobs;
     Alcotest.test_case "a report's waveforms belong to it" `Quick
       test_report_owns_waveforms;
   ]

@@ -53,7 +53,7 @@ let parse_ok src =
 
 let test_parse_settings () =
   match parse_ok "PERIOD 50.0;\nCLOCK UNIT 6.25;\nDEFAULT WIRE DELAY 0.0/2.0;" with
-  | [ Ast.Period p; Ast.Clock_unit u; Ast.Default_wire (a, b) ] ->
+  | [ Ast.Period (p, 1); Ast.Clock_unit u; Ast.Default_wire (a, b) ] ->
     Alcotest.(check (float 1e-9)) "period" 50.0 p;
     Alcotest.(check (float 1e-9)) "unit" 6.25 u;
     Alcotest.(check (pair (float 1e-9) (float 1e-9))) "wire" (0.0, 2.0) (a, b)
@@ -264,6 +264,23 @@ let test_expand_errors () =
   fails_at 3 (and_chk "50.0" "1e16");
   fails_at 1 (and_chk "1e30" "1");
   fails_at 2 "PERIOD 50.0;\nCORNERS typ, x=1e308;\nBUF (DELAY=1/2) (A) -> Q;";
+  (* a gate needs an input: every kind, and a negative count *)
+  List.iter
+    (fun g -> fails_at 2 (Printf.sprintf "PERIOD 50;\n%s (DELAY=1/2) () -> D;" g))
+    [ "0 AND"; "0 OR"; "0 XOR"; "0 CHG"; "0 NAND" ];
+  fails_at 2 "PERIOD 50;\n-1 AND (DELAY=1/2) (A) -> D;";
+  (* a PERIOD whose default CLOCK UNIT (PERIOD/8) rounds below 1 ps
+     fails at the PERIOD statement, naming the default *)
+  let tiny = "-- tiny\nPERIOD 0.001;\nBUF (DELAY=1/2) (A .S0-4) -> Q;" in
+  fails_at 2 tiny;
+  (match Expander.load tiny with
+  | Error e ->
+    Alcotest.(check bool) "names the default clock unit" true
+      (String.starts_with ~prefix:"line 2: the default CLOCK UNIT (PERIOD/8" e)
+  | Ok _ -> ());
+  (match Expander.load "PERIOD 0.001;\nCLOCK UNIT 0.001;\nBUF (DELAY=1/2) (A) -> Q;" with
+  | Error e -> Alcotest.failf "an explicit CLOCK UNIT rejected: %s" e
+  | Ok _ -> ());
   fails_at 2 "PERIOD 50.0;\nWIRE DELAY (A) = 0/1e16;\nBUF (DELAY=1/2) (A) -> Q;";
   (* so are assertion times in clock units, once the clock unit is
      known: 1.6e8 units of 6.25 ns is the bound itself *)
