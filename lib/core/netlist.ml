@@ -164,9 +164,14 @@ let signal_parsed t (sn : Signal_name.t) =
     (match sn.assertion with Some a -> check_assertion t sn.base a | None -> ());
     add_net t ~name:key ~width:(Signal_name.width sn) ~assertion:sn.assertion
 
+(* A plain name is its own key: an existing net is found without parsing. *)
+let find_plain t name =
+  if Signal_name.is_plain name then Hashtbl.find t.by_name name else raise_notrace Not_found
+
 let signal t name =
-  let sn = Signal_name.parse_exn name in
-  signal_parsed t sn
+  match find_plain t name with
+  | id -> id
+  | exception Not_found -> signal_parsed t (Signal_name.parse_exn name)
 
 let conn ?(invert = false) ?(directive = []) net_id =
   { c_net = net_id; c_invert = invert; c_directive = directive }
@@ -242,13 +247,12 @@ let net t id = t.nets.(id)
 let inst t id = t.insts.(id)
 let find t name = Hashtbl.find_opt t.by_name name
 
-let find_inst t name =
-  let rec scan i =
-    if i >= t.n_insts then None
-    else if String.equal t.insts.(i).i_name name then Some i
-    else scan (i + 1)
-  in
-  scan 0
+let insts_named t name =
+  let acc = ref [] in
+  for i = t.n_insts - 1 downto 0 do
+    if String.equal t.insts.(i).i_name name then acc := i :: !acc
+  done;
+  !acc
 
 (* ---- post-construction edits (lib/incr, doc/SERVICE.md) ------------------ *)
 

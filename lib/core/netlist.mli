@@ -123,8 +123,10 @@ val fanout : net -> int list
 val fanout_array : net -> int array
 (** The fanout as a fresh array, same order as {!fanout}. *)
 
-val find_inst : t -> string -> int option
-(** Look up an instance by name (linear scan; first registered wins). *)
+val insts_named : t -> string -> int list
+(** Every instance of a name, in id order (linear scan).  A macro body
+    line names each of its instances [head.line], so one name may stand
+    for several. *)
 
 (** {2 Post-construction edits}
 

@@ -95,4 +95,16 @@ let key t =
   | None -> t.base
   | Some a -> t.base ^ " ." ^ Assertion.to_string a
 
+(* No leading '-' (a complement), no '.' that [split_assertion] could
+   take (one at the start or after a blank), and nothing [trim] removes. *)
+let rec no_marker s i =
+  i + 1 >= String.length s || ((s.[i] <> ' ' || s.[i + 1] <> '.') && no_marker s (i + 1))
+
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+let is_plain s =
+  let n = String.length s in
+  n > 0 && s.[0] <> '-' && s.[0] <> '.' && (not (is_blank s.[0])) && (not (is_blank s.[n - 1]))
+  && no_marker s 0
+
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -35,4 +35,8 @@ val key : t -> string
     distinct signals; complementation does not create a distinct
     signal. *)
 
+val is_plain : string -> bool
+(** Whether a name is its own {!key}: it has no complement, no assertion
+    and no surrounding blank, so [key (parse_exn s) = s]. *)
+
 val pp : Format.formatter -> t -> unit

@@ -23,10 +23,17 @@ let net_id nl signal =
   | Some id -> id
   | None -> invalid_arg (Printf.sprintf "Edit.apply: unknown signal %s" signal)
 
+(* An edit names one instance.  Every instance of a macro body line
+   shares the line's name, and such a name is rejected, not read as the
+   first of them. *)
+let find_inst nl name =
+  match Netlist.insts_named nl name with
+  | [ id ] -> Ok id
+  | [] -> Error (Printf.sprintf "unknown instance %s" name)
+  | ids -> Error (Printf.sprintf "instance %S names %d instances" name (List.length ids))
+
 let inst_id nl name =
-  match Netlist.find_inst nl name with
-  | Some id -> id
-  | None -> invalid_arg (Printf.sprintf "Edit.apply: unknown instance %s" name)
+  match find_inst nl name with Ok id -> id | Error m -> invalid_arg ("Edit.apply: " ^ m)
 
 let apply nl = function
   | Wire_delay { signal; delay } ->
@@ -69,11 +76,7 @@ let check nl e =
     | Some id -> Ok id
     | None -> Error (Printf.sprintf "unknown signal %s" signal)
   in
-  let inst name =
-    match Netlist.find_inst nl name with
-    | Some id -> Ok id
-    | None -> Error (Printf.sprintf "unknown instance %s" name)
-  in
+  let inst name = find_inst nl name in
   match e with
   | Wire_delay { signal; _ } | Assertion { signal; assertion = None } ->
     Result.map (fun _ -> ()) (net signal)

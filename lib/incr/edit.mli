@@ -46,7 +46,10 @@ type applied = {
 
 val check : Netlist.t -> t -> (unit, string) result
 (** Validate an edit against a netlist without mutating anything —
-    names resolve, the primitive accepts the edit, an assertion's times
+    names resolve (an instance name to exactly one instance: a name that
+    several share, as every instance of one macro body line does, is
+    rejected, [instance "2 OR.9" names 14 instances]), the primitive
+    accepts the edit, an assertion's times
     lie within {!Scald_core.Timebase.max_ns} ({!Scald_core.Assertion.check})
     — so a [delta] request can be rejected atomically before anything is
     staged. *)
@@ -55,8 +58,9 @@ val apply : Netlist.t -> t -> applied
 (** Mutate the netlist and report what the edit touched: the nets
     whose stamps the session bumps, the nets it re-asserts, the
     instances it re-evaluates and a new case group.
-    @raise Invalid_argument on an unknown signal/instance name or an
-    ill-typed edit (e.g. an element delay on a checker). *)
+    @raise Invalid_argument on an unknown signal/instance name, an
+    instance name several instances share, or an ill-typed edit (e.g.
+    an element delay on a checker). *)
 
 val diff : Netlist.t -> Netlist.t -> t list
 (** [diff old new] — the parameter edits that turn [old] into [new].

@@ -50,13 +50,21 @@ let load t ?(cases = []) ?probe nl =
           String.equal (Session.skeleton s) skeleton && Session.pending s = 0)
         t.sessions
     in
-    match by_skeleton with
-    | Some s ->
+    (* The parameter diff is replayed only if every edit checks: an edit
+       cannot name an instance whose name several share. *)
+    let adoptable =
+      Option.bind by_skeleton (fun s ->
+          let edits = Edit.diff (Session.netlist s) nl in
+          if List.for_all (fun e -> Edit.check (Session.netlist s) e = Ok ()) edits then
+            Some (s, edits)
+          else None)
+    in
+    match adoptable with
+    | Some (s, edits) ->
       (* Same structure, different parameters: adopt the live session by
          replaying the parameter diff.  The submitted netlist is only
          read for the diff and then dropped — the session keeps (and
          edits) its own. *)
-      let edits = Edit.diff (Session.netlist s) nl in
       List.iter (Session.stage s) edits;
       let n =
         if same_cases (Session.cases s) cases then List.length edits

@@ -11,8 +11,10 @@
     structurally identical to a live session but differs in parameters
     comes back {!Adopted}, with the parameter diff staged as edits on
     that session, so the next [verify] re-evaluates only the diff's
-    dirty cone instead of the whole design; everything else is a
-    {!Cold} load. *)
+    dirty cone instead of the whole design.  Only the most recently used
+    such session is tried, and if the diff touches an instance whose
+    name several instances share ({!Edit.check} rejects such a name),
+    the load is {!Cold}; so is everything else. *)
 
 open Scald_core
 

@@ -20,6 +20,11 @@ let fail fmt = Format.kasprintf (fun msg -> raise (Expand_error msg)) fmt
 
 (* ---- size expressions in vector subscripts --------------------------------- *)
 
+(* Every integer up to 2^53 is exact as a float.  The bound holds for each
+   value a subscript names or computes, each vector's width and each size
+   property, so no subscript arithmetic can wrap. *)
+let max_size = 1 lsl 53
+
 (* Evaluate an integer expression such as "SIZE-1" or "2*SIZE+1" under an
    environment of macro properties. *)
 let eval_size_expr env line expr =
@@ -33,6 +38,10 @@ let eval_size_expr env line expr =
       skip ()
     | Some _ | None -> ()
   in
+  let out_of_range () =
+    fail "line %d: subscript %S is out of range (a value beyond 2^53 in magnitude)" line expr
+  in
+  let bounded v = if v < -max_size || v > max_size then out_of_range () else v in
   let atom () =
     skip ();
     let start = !pos in
@@ -47,10 +56,11 @@ let eval_size_expr env line expr =
     if !pos = start then fail "line %d: bad subscript expression %S" line expr;
     let word = String.sub expr start (!pos - start) in
     match int_of_string_opt word with
-    | Some i -> i
+    | Some i -> bounded i
     | None -> (
       match List.assoc_opt (String.uppercase_ascii word) env with
       | Some v -> v
+      | None when String.for_all (fun c -> c >= '0' && c <= '9') word -> out_of_range ()
       | None -> fail "line %d: unbound size variable %S in %S" line word expr)
   in
   let rec term acc =
@@ -58,7 +68,9 @@ let eval_size_expr env line expr =
     match peek () with
     | Some '*' ->
       incr pos;
-      term (acc * atom ())
+      let b = atom () in
+      if b <> 0 && abs acc > max_size / abs b then out_of_range ();
+      term (acc * b)
     | Some _ | None -> acc
   in
   let rec sum acc =
@@ -66,10 +78,10 @@ let eval_size_expr env line expr =
     match peek () with
     | Some '+' ->
       incr pos;
-      sum (acc + term (atom ()))
+      sum (bounded (acc + term (atom ())))
     | Some '-' ->
       incr pos;
-      sum (acc - term (atom ()))
+      sum (bounded (acc - term (atom ())))
     | Some _ | None -> acc
   in
   let result = sum (term (atom ())) in
@@ -77,34 +89,62 @@ let eval_size_expr env line expr =
   if !pos <> n then fail "line %d: trailing garbage in subscript %S" line expr;
   result
 
+(* Whether every <...> group of [name] from [i] on already reads as
+   [substitute_subscripts] would print it: one decimal literal, or two
+   joined by ':', none with a leading zero ("<3>", "<0:31>").  At most 15
+   digits keeps each value, and so each width, below 2^53. *)
+let rec literal_subscripts name i =
+  i = String.length name
+  || if name.[i] = '<' then literal_digits name (i + 1) 0 false else literal_subscripts name (i + 1)
+
+(* Inside a group: [k] digits of its current literal read so far, [colon]
+   whether its ':' has been read. *)
+and literal_digits name i k colon =
+  i < String.length name
+  &&
+  match name.[i] with
+  | '0' .. '9' ->
+    k < 15 && (k <> 1 || name.[i - 1] <> '0') && literal_digits name (i + 1) (k + 1) colon
+  | ':' -> k > 0 && (not colon) && literal_digits name (i + 1) 0 true
+  | '>' -> k > 0 && literal_subscripts name (i + 1)
+  | _ -> false
+
 (* Rewrite every <...> group in a name, evaluating its expressions. *)
 let substitute_subscripts env line name =
-  let buf = Buffer.create (String.length name) in
-  let n = String.length name in
-  let rec go i =
-    if i >= n then Buffer.contents buf
-    else if name.[i] = '<' then (
-      match String.index_from_opt name i '>' with
-      | None -> fail "line %d: unclosed '<' in signal name %S" line name
-      | Some j ->
-        let inside = String.sub name (i + 1) (j - i - 1) in
-        (match String.index_opt inside ':' with
-        | None ->
-          Buffer.add_string buf
-            (Printf.sprintf "<%d>" (eval_size_expr env line inside))
-        | Some c ->
-          let lo = String.sub inside 0 c in
-          let hi = String.sub inside (c + 1) (String.length inside - c - 1) in
-          Buffer.add_string buf
-            (Printf.sprintf "<%d:%d>" (eval_size_expr env line lo)
-               (eval_size_expr env line hi)));
-        go (j + 1))
-    else begin
-      Buffer.add_char buf name.[i];
-      go (i + 1)
-    end
-  in
-  go 0
+  if literal_subscripts name 0 then name
+  else
+    let n = String.length name in
+    let buf = Buffer.create (n + 8) in
+    let rec go i =
+      if i >= n then Buffer.contents buf
+      else if name.[i] = '<' then (
+        match String.index_from_opt name i '>' with
+        | None -> fail "line %d: unclosed '<' in signal name %S" line name
+        | Some j ->
+          let inside = String.sub name (i + 1) (j - i - 1) in
+          Buffer.add_char buf '<';
+          (match String.index_opt inside ':' with
+          | None -> Buffer.add_string buf (string_of_int (eval_size_expr env line inside))
+          | Some c ->
+            (* the upper bound is evaluated first: of two bad bounds, it
+               is the one reported *)
+            let hi =
+              eval_size_expr env line (String.sub inside (c + 1) (String.length inside - c - 1))
+            in
+            let lo = eval_size_expr env line (String.sub inside 0 c) in
+            if abs (hi - lo) >= max_size then
+              fail "line %d: subscript <%s> is wider than 2^53" line inside;
+            Buffer.add_string buf (string_of_int lo);
+            Buffer.add_char buf ':';
+            Buffer.add_string buf (string_of_int hi));
+          Buffer.add_char buf '>';
+          go (j + 1))
+      else begin
+        Buffer.add_char buf name.[i];
+        go (i + 1)
+      end
+    in
+    go 0
 
 (* Base of a formal parameter name: the words before any subscript or
    assertion, e.g. "I" for "I<0:SIZE-1>". *)
@@ -128,16 +168,49 @@ let param_base name =
   in
   String.trim (String.sub name 0 stop)
 
+(* The first of [bases] from [k] on that is [base], or -1. *)
+let rec formal_index bases base k =
+  if k = Array.length bases then -1
+  else if String.equal bases.(k) base then k
+  else formal_index bases base (k + 1)
+
 (* ---- pass 1: declarations ----------------------------------------------------- *)
 
+(* The settings also hold the run's caches: a macro's calls share what
+   its definition fixes, and a spelling is parsed once. *)
 type settings = {
   mutable period_ns : (float * int) option;  (* and its statement's line *)
   mutable clock_unit_ns : float option;
   mutable default_wire : float * float;
   mutable wire_rule : ((float * float) * (float * float)) option;
   mutable corners : (string * float list) list option;
-  macros : (string, Ast.macro_def) Hashtbl.t;
+  macros : (string, macro) Hashtbl.t;
+  spellings : (string, int) Hashtbl.t;
+      (* each spelling that is not its own net key (one with an
+         assertion, say) and its net *)
 }
+
+and macro = {
+  m_def : Ast.macro_def;
+  m_bases : string array;  (* each formal's base *)
+  m_body : slot array;
+}
+
+(* A body line, or a top-level instance, and what it stands for: filled
+   at its first expansion and shared by every later one, so a macro that
+   is never called is never classified. *)
+and slot = { s_inst : Ast.instance; mutable s_head : head option }
+
+and head =
+  | P of Primitive.t * string  (* the primitive and its instance name, head.line *)
+  | Macro_call of macro * (string * int) list  (* the macro and the call's size variables *)
+
+let macro_of (m : Ast.macro_def) =
+  {
+    m_def = m;
+    m_bases = Array.of_list (List.map (fun (p : Ast.sigref) -> param_base p.Ast.name) m.Ast.m_params);
+    m_body = Array.of_list (List.map (fun i -> { s_inst = i; s_head = None }) m.Ast.m_body);
+  }
 
 (* A CORNERS entry list into a validated table, reusing the CLI codec so
    SDL and [--corners] accept the same names and presets. *)
@@ -165,62 +238,82 @@ let declare s stmt =
   | Ast.Macro m ->
     if Hashtbl.mem s.macros m.Ast.m_name then
       fail "line %d: macro %S defined twice" m.Ast.m_line m.Ast.m_name;
-    Hashtbl.add s.macros m.Ast.m_name m
+    Hashtbl.add s.macros m.Ast.m_name (macro_of m)
   | Ast.Wire_delay _ | Ast.Width_decl _ | Ast.Top_instance _ -> ()
 
 (* ---- resolved signal references ------------------------------------------------ *)
 
+(* The net an actual names.  Its id is looked up at the first use and
+   kept, so nets are created in the order of their first use, and every
+   later reference through the same binding costs nothing. *)
+type actual = {
+  a_name : string;
+  a_local : bool;  (* a /M macro-local: chip-internal, zero wire delay *)
+  mutable a_id : int;  (* -1 until first used *)
+}
+
 type binding = {
-  b_name : string;
+  b_actual : actual;
   b_complement : bool;
   b_directive : string option;
-  b_local : bool;  (* a /M macro-local: chip-internal, zero wire delay *)
 }
 
-type frame = {
-  f_env : (string * int) list;  (** size variables *)
-  f_bindings : (string * binding) list;  (** formal base -> actual *)
-  f_path : string;  (** unique prefix for /M locals *)
+type frame =
+  | Top
+  | Call of call
+
+and call = {
+  c_macro : macro;
+  c_line : int;
+  c_env : (string * int) list;  (* size variables *)
+  c_bindings : binding array;  (* by formal *)
+  c_caller : frame;
+  mutable c_path : string;  (* the unique prefix of its /M locals; "" until one asks *)
 }
 
-let top_frame = { f_env = []; f_bindings = []; f_path = "" }
+let rec path = function
+  | Top -> ""
+  | Call c ->
+    if c.c_path = "" then
+      c.c_path <-
+        String.concat ""
+          [ path c.c_caller; "$"; c.c_macro.m_def.Ast.m_name; "."; string_of_int c.c_line ];
+    c.c_path
+
+let fresh name ~local (s : Ast.sigref) =
+  {
+    b_actual = { a_name = name; a_local = local; a_id = -1 };
+    b_complement = s.Ast.complement;
+    b_directive = s.Ast.directive;
+  }
 
 let resolve_sigref frame line (s : Ast.sigref) =
-  let name = substitute_subscripts frame.f_env line s.Ast.name in
-  match s.Ast.scope with
-  | Ast.Param -> (
-    let base = param_base name in
-    match List.assoc_opt base frame.f_bindings with
-    | None ->
-      if frame.f_path = "" then
-        (* A /P reference outside any macro is just a global. *)
-        { b_name = name; b_complement = s.Ast.complement; b_directive = s.Ast.directive;
-          b_local = false }
-      else fail "line %d: %S is not a parameter of this macro" line base
-    | Some b ->
+  let env = match frame with Top -> [] | Call c -> c.c_env in
+  let name = substitute_subscripts env line s.Ast.name in
+  match s.Ast.scope, frame with
+  | Ast.Param, Call c -> (
+    let bases = c.c_macro.m_bases in
+    (* a name that is itself a formal's base is its own base *)
+    let formal =
+      match formal_index bases name 0 with
+      | -1 -> formal_index bases (param_base name) 0
+      | k -> k
+    in
+    if formal < 0 then fail "line %d: %S is not a parameter of this macro" line (param_base name);
+    let b = c.c_bindings.(formal) in
+    match s.Ast.complement, s.Ast.directive with
+    | false, None -> b
+    | complement, directive ->
       {
-        b_name = b.b_name;
-        b_complement = s.Ast.complement <> b.b_complement;
-        b_directive =
-          (match s.Ast.directive with Some d -> Some d | None -> b.b_directive);
-        b_local = b.b_local;
+        b with
+        b_complement = complement <> b.b_complement;
+        b_directive = (match directive with Some _ -> directive | None -> b.b_directive);
       })
-  | Ast.Local ->
-    {
-      b_name = (if frame.f_path = "" then name else frame.f_path ^ "$" ^ name);
-      b_complement = s.Ast.complement;
-      b_directive = s.Ast.directive;
-      b_local = frame.f_path <> "";
-    }
-  | Ast.Global ->
-    { b_name = name; b_complement = s.Ast.complement; b_directive = s.Ast.directive;
-      b_local = false }
+  | Ast.Local, Call _ -> fresh (path frame ^ "$" ^ name) ~local:true s
+  (* a /P or /M reference outside any macro is just a global *)
+  | (Ast.Param | Ast.Local | Ast.Global), _ -> fresh name ~local:false s
 
 (* ---- primitive heads --------------------------------------------------------------- *)
-
-type head =
-  | P of Primitive.t
-  | Macro_call of Ast.macro_def
 
 let prop_pair props name =
   List.find_map
@@ -256,34 +349,34 @@ let gate_fn_of_string = function
   | "CHG" -> Some (Primitive.Chg, false)
   | _ -> None
 
-let classify_head settings line head props =
+let primitive line head props =
   let upper = String.uppercase_ascii head in
   let words = String.split_on_char ' ' upper in
   match words with
-  | [ "REG" ] -> P (Primitive.Reg { delay = prop_delay props line; has_set_reset = false })
+  | [ "REG" ] -> Some (Primitive.Reg { delay = prop_delay props line; has_set_reset = false })
   | [ "REG"; "RS" ] ->
-    P (Primitive.Reg { delay = prop_delay props line; has_set_reset = true })
+    Some (Primitive.Reg { delay = prop_delay props line; has_set_reset = true })
   | [ "LATCH" ] ->
-    P (Primitive.Latch { delay = prop_delay props line; has_set_reset = false })
+    Some (Primitive.Latch { delay = prop_delay props line; has_set_reset = false })
   | [ "LATCH"; "RS" ] ->
-    P (Primitive.Latch { delay = prop_delay props line; has_set_reset = true })
-  | [ "ZERO" ] -> P (Primitive.Const Tvalue.V0)
-  | [ "ONE" ] -> P (Primitive.Const Tvalue.V1)
-  | [ "BUF" ] -> P (Primitive.Buf { invert = false; delay = prop_delay props line })
-  | [ "NOT" ] -> P (Primitive.Buf { invert = true; delay = prop_delay props line })
+    Some (Primitive.Latch { delay = prop_delay props line; has_set_reset = true })
+  | [ "ZERO" ] -> Some (Primitive.Const Tvalue.V0)
+  | [ "ONE" ] -> Some (Primitive.Const Tvalue.V1)
+  | [ "BUF" ] -> Some (Primitive.Buf { invert = false; delay = prop_delay props line })
+  | [ "NOT" ] -> Some (Primitive.Buf { invert = true; delay = prop_delay props line })
   | [ "2"; "MUX" ] ->
     let select_extra =
       match prop_pair props "SELDELAY" with
       | Some (a, b) -> Delay.of_ns a b
       | None -> Delay.zero
     in
-    P (Primitive.Mux2 { delay = prop_delay props line; select_extra })
+    Some (Primitive.Mux2 { delay = prop_delay props line; select_extra })
   | [ "SETUP"; "HOLD"; "CHK" ] ->
-    P
+    Some
       (Primitive.Setup_hold_check
          { setup = prop_time props "SETUP" 0; hold = prop_time props "HOLD" 0 })
   | [ "SETUP"; "RISE"; "HOLD"; "FALL"; "CHK" ] ->
-    P
+    Some
       (Primitive.Setup_rise_hold_fall_check
          { setup = prop_time props "SETUP" 0; hold = prop_time props "HOLD" 0 })
   | [ "MIN"; "PULSE"; "WIDTH" ] ->
@@ -292,16 +385,49 @@ let classify_head settings line head props =
       | Some (a, b) -> (Timebase.ps_of_ns a, Timebase.ps_of_ns b)
       | None -> (0, 0)
     in
-    P (Primitive.Min_pulse_width { high; low })
+    Some (Primitive.Min_pulse_width { high; low })
   | [ n; g ] when gate_fn_of_string g <> None && int_of_string_opt n <> None -> (
     match gate_fn_of_string g, int_of_string_opt n with
     | Some (fn, invert), Some n_inputs ->
-      P (Primitive.Gate { fn; n_inputs; invert; delay = prop_delay props line })
+      Some (Primitive.Gate { fn; n_inputs; invert; delay = prop_delay props line })
     | _, _ -> assert false)
-  | _ -> (
+  | _ -> None
+
+(* A macro call's integral properties are its size variables. *)
+let size_env line props =
+  List.filter_map
+    (fun (p : Ast.prop) ->
+      match p.Ast.p_values with
+      | [ v ] when Float.is_integer v ->
+        if Float.abs v > float_of_int max_size then
+          fail "line %d: size property %s=%g is beyond 2^53 in magnitude" line p.Ast.p_name v;
+        Some (p.Ast.p_name, int_of_float v)
+      | _ -> None)
+    props
+
+(* What an instance line stands for.  Every check here reads the line
+   alone (and the macro table), so it runs at the line's first expansion
+   only; a later call of the same body line cannot fail it. *)
+let classify settings (inst : Ast.instance) =
+  let line = inst.Ast.i_line and head = inst.Ast.i_head in
+  match primitive line head inst.Ast.i_props with
+  | Some prim -> P (prim, head ^ "." ^ string_of_int line)
+  | None -> (
     match Hashtbl.find_opt settings.macros head with
-    | Some m -> Macro_call m
-    | None -> fail "line %d: unknown primitive or macro %S" line head)
+    | None -> fail "line %d: unknown primitive or macro %S" line head
+    | Some m ->
+      let def = m.m_def in
+      let env = size_env line inst.Ast.i_props in
+      let expected = Array.length m.m_bases in
+      let got = List.length inst.Ast.i_args + List.length inst.Ast.i_outs in
+      if got <> expected then
+        fail "line %d: macro %S expects %d connections, got %d" line def.Ast.m_name expected got;
+      (* the formals' subscripts must evaluate under the call's sizes *)
+      List.iter
+        (fun (formal : Ast.sigref) ->
+          ignore (substitute_subscripts env def.Ast.m_line formal.Ast.name))
+        def.Ast.m_params;
+      Macro_call (m, env))
 
 (* ---- pass 2: netlist construction ------------------------------------------------------- *)
 
@@ -310,27 +436,44 @@ type counts = {
   mutable c_synonyms : int;
 }
 
-let conn_of_binding nl b =
+(* The net of a spelling.  A plain name is its own key, which
+   {!Netlist.signal} finds without parsing; any other spelling is parsed
+   once per run. *)
+let net_of_name settings nl name =
+  if Signal_name.is_plain name then Netlist.signal nl name
+  else
+    match Hashtbl.find settings.spellings name with
+    | id -> id
+    | exception Not_found ->
+      let id = Netlist.signal nl name in
+      Hashtbl.add settings.spellings name id;
+      id
+
+let net settings nl a =
+  if a.a_id < 0 then a.a_id <- net_of_name settings nl a.a_name;
+  a.a_id
+
+let conn_of_binding settings nl b =
   let directive =
     match b.b_directive with
     | None -> []
     | Some d -> Directive.of_string_exn d
   in
-  let id = Netlist.signal nl b.b_name in
-  if b.b_local then Netlist.set_wire_delay nl id Delay.zero;
+  let id = net settings nl b.b_actual in
+  if b.b_actual.a_local then Netlist.set_wire_delay nl id Delay.zero;
   Netlist.conn ~invert:b.b_complement ~directive id
 
-let emit nl line head prim args outs =
-  let inputs = List.map (conn_of_binding nl) args in
+let emit settings nl line name prim args outs =
+  let inputs = List.map (conn_of_binding settings nl) args in
   let output =
     match outs with
     | [] -> None
     | [ o ] ->
       if o.b_complement then fail "line %d: complemented output is not supported" line
-      else Some (Netlist.signal nl o.b_name)
+      else Some (net settings nl o.b_actual)
     | _ -> fail "line %d: primitives have at most one output" line
   in
-  ignore (Netlist.add nl ~name:(Printf.sprintf "%s.%d" head line) prim ~inputs ~output)
+  ignore (Netlist.add nl ~name prim ~inputs ~output)
 
 let max_depth = 64
 
@@ -339,47 +482,42 @@ let max_depth = 64
    its actual.  A library rejection (a bad delay pair, directive or
    signal name) is reported at the instance's own line — for a nested
    instance, its line in the macro body. *)
-let rec walk_instance settings nl counts frame depth (inst : Ast.instance) =
+let rec walk_instance settings nl counts frame depth slot =
+  let inst = slot.s_inst in
   let line = inst.Ast.i_line in
   if depth > max_depth then
     fail "line %d: macro expansion deeper than %d (recursive macro?)" line max_depth;
   let args = List.map (resolve_sigref frame line) inst.Ast.i_args in
   let outs = List.map (resolve_sigref frame line) inst.Ast.i_outs in
-  match classify_head settings line inst.Ast.i_head inst.Ast.i_props with
-  | exception Invalid_argument msg -> fail "line %d: %s" line msg
-  | P prim -> (
-    try emit nl line inst.Ast.i_head prim args outs
+  let head =
+    match slot.s_head with
+    | Some h -> h
+    | None ->
+      let h = try classify settings inst with Invalid_argument msg -> fail "line %d: %s" line msg in
+      slot.s_head <- Some h;
+      h
+  in
+  match head with
+  | P (prim, name) -> (
+    try emit settings nl line name prim args outs
     with Invalid_argument msg -> fail "line %d: %s" line msg)
-  | Macro_call m ->
+  | Macro_call (m, env) ->
     counts.c_macros <- counts.c_macros + 1;
-    let env =
-      List.filter_map
-        (fun (p : Ast.prop) ->
-          match p.Ast.p_values with
-          | [ v ] when Float.is_integer v -> Some (p.Ast.p_name, int_of_float v)
-          | _ -> None)
-        inst.Ast.i_props
+    counts.c_synonyms <- counts.c_synonyms + Array.length m.m_bases;
+    let call =
+      Call
+        {
+          c_macro = m;
+          c_line = line;
+          c_env = env;
+          c_bindings = Array.of_list (args @ outs);
+          c_caller = frame;
+          c_path = "";
+        }
     in
-    let actuals = args @ outs in
-    if List.length actuals <> List.length m.Ast.m_params then
-      fail "line %d: macro %S expects %d connections, got %d" line m.Ast.m_name
-        (List.length m.Ast.m_params) (List.length actuals);
-    let bindings =
-      List.map2
-        (fun (formal : Ast.sigref) actual ->
-          let fname = substitute_subscripts env m.Ast.m_line formal.Ast.name in
-          counts.c_synonyms <- counts.c_synonyms + 1;
-          (param_base fname, actual))
-        m.Ast.m_params actuals
-    in
-    let frame' =
-      {
-        f_env = env;
-        f_bindings = bindings;
-        f_path = Printf.sprintf "%s$%s.%d" frame.f_path m.Ast.m_name line;
-      }
-    in
-    List.iter (walk_instance settings nl counts frame' (depth + 1)) m.Ast.m_body
+    for k = 0 to Array.length m.m_body - 1 do
+      walk_instance settings nl counts call (depth + 1) m.m_body.(k)
+    done
 
 (* ---- the two reads ------------------------------------------------------------------------ *)
 
@@ -390,7 +528,8 @@ let run ?defaults (source : (Ast.top_stmt -> unit) -> (unit, string) result) =
   try
     let settings =
       { period_ns = None; clock_unit_ns = None; default_wire = (0.0, 2.0);
-        wire_rule = None; corners = None; macros = Hashtbl.create 16 }
+        wire_rule = None; corners = None; macros = Hashtbl.create 16;
+        spellings = Hashtbl.create 64 }
     in
     let t0 = Sys.time () in
     let* () = source (declare settings) in
@@ -416,7 +555,8 @@ let run ?defaults (source : (Ast.top_stmt -> unit) -> (unit, string) result) =
     let* () =
       source (fun stmt ->
           match stmt with
-          | Ast.Top_instance i -> walk_instance settings nl counts top_frame 0 i
+          | Ast.Top_instance i ->
+            walk_instance settings nl counts Top 0 { s_inst = i; s_head = None }
           | Ast.Wire_delay _ | Ast.Width_decl _ -> deferred := stmt :: !deferred
           | Ast.Period _ | Ast.Clock_unit _ | Ast.Default_wire _ | Ast.Wire_rule _
           | Ast.Corners _ | Ast.Macro _ ->

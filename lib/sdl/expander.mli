@@ -19,10 +19,22 @@
 
     Macros take numeric properties (e.g. [SIZE=32]) that parameterize
     vector subscripts: a parameter declared [I<0:SIZE-1>] expands to
-    [I<0:31>].  One expanded primitive stands for the whole vector —
-    vector symmetry is exploited, not bit-blasted (§3.3.2).  A macro may
-    be used before its definition.  Macro calls nest at most 64 levels
-    deep ([max_depth]); deeper nesting (a recursive macro) is an error.
+    [I<0:31>].  Subscripts are sums and products ([+], [-], [*]) of
+    integers and size variables; every value they name or compute, every
+    vector's width and every size property must stay within 2^53 in
+    magnitude, or the expansion fails at the line.  One expanded
+    primitive stands for the whole vector — vector symmetry is
+    exploited, not bit-blasted (§3.3.2).  A macro may be used before
+    its definition.  Macro calls nest at most 64 levels deep
+    ([max_depth]); deeper nesting (a recursive macro) is an error.
+
+    A macro's calls share what its definition fixes.  Each body line is
+    classified (its primitive and instance name, or the macro it calls
+    and that call's size variables) at its first expansion, and every
+    later call reuses it, so a macro that is never called is never
+    checked.  A call looks each actual's net up at its first use and
+    keeps it; a spelling that is not its own net key (one carrying an
+    assertion) is parsed once per run.
 
     {b Errors} are [Error "line N: ..."] where the problem has a line: a
     rejected property, directive or signal name inside an instance names

@@ -28,9 +28,11 @@ let pp_token ppf = function
   | Amp d -> Format.fprintf ppf "&%s" d
   | Eof -> Format.pp_print_string ppf "<eof>"
 
+(* '+' and '*' (with '-', below) spell the sums and products of vector
+   subscripts such as "I<0:2*SIZE-1>". *)
 let is_word_char c =
   match c with
-  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '<' | '>' | ':' | '+' | '_' | '$' | '#' ->
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '<' | '>' | ':' | '+' | '*' | '_' | '$' | '#' ->
     true
   | _ -> false
 

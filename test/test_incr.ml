@@ -776,6 +776,87 @@ let jbool key j = Option.bind (Json.member key j) Json.bool
 let jint key j = Option.bind (Json.member key j) Json.int
 let jstr key j = Option.bind (Json.member key j) Json.str
 
+(* Every instance of a macro body line is named head.line, so names
+   repeat across calls: on CI's 300-chip netgen design 14 instances are
+   "2 OR.9".  An edit naming one of them is rejected instead of editing
+   the first; a load that differs from a live session on such an
+   instance loads cold; a unique name still edits and adopts. *)
+let test_shared_instance_names () =
+  let source =
+    Netgen.to_sdl (Netgen.generate (Netgen.scaled ~seed:4 ~broken_registers:2 ~chips:300 ()))
+  in
+  let expand () =
+    match Scald_sdl.Expander.load source with
+    | Ok e -> e.Scald_sdl.Expander.e_netlist
+    | Error m -> Alcotest.fail m
+  in
+  let nl = expand () in
+  let shared = "2 OR.9" in
+  let ids = Netlist.insts_named nl shared in
+  Alcotest.(check int) "14 instances share the name" 14 (List.length ids);
+  let msg = "instance \"2 OR.9\" names 14 instances" in
+  let first = Netlist.inst nl (List.hd ids) in
+  List.iter
+    (fun e ->
+      Alcotest.(check (result unit string)) "check rejects it" (Error msg) (Edit.check nl e);
+      match Edit.apply nl e with
+      | _ -> Alcotest.fail "apply edited a shared name"
+      | exception Invalid_argument m ->
+        Alcotest.(check string) "apply rejects it" ("Edit.apply: " ^ msg) m)
+    [
+      Edit.Element_delay { inst = shared; delay = Delay.of_ns 1.0 9.0 };
+      Edit.Directive { inst = shared; input = 0; directive = [ Directive.H ] };
+      Edit.Replace_prim { inst = shared; prim = first.i_prim };
+    ];
+  Alcotest.(check bool) "the first instance kept its delay" true
+    ((Netlist.inst nl (List.hd ids)).i_prim == first.i_prim);
+  (* through serve: the delta names the name and stages nothing *)
+  let t = Serve.create () in
+  let load, _ =
+    serve_req t (Json.to_string (Json.Obj [ ("op", Json.Str "load"); ("source", Json.Str source) ]))
+  in
+  Alcotest.(check (option bool)) "load ok" (Some true) (jbool "ok" load);
+  let delta, _ =
+    serve_req t
+      {| {"op":"delta","edits":[{"edit":"element_delay","inst":"2 OR.9","min_ns":1,"max_ns":9}]} |}
+  in
+  Alcotest.(check (option bool)) "delta rejected" (Some false) (jbool "ok" delta);
+  Alcotest.(check (option string)) "naming the shared name" (Some msg) (jstr "error" delta);
+  let v, _ = serve_req t {| {"op":"verify"} |} in
+  Alcotest.(check (option bool)) "nothing staged" (Some false) (jbool "fresh" v);
+  (* a unique name (the one top-level primitive, GND's ZERO) still
+     edits; a design differing there is adopted, one differing on the
+     third "2 OR.9" loads cold *)
+  let gnd =
+    List.find
+      (fun id -> match (Netlist.inst nl id).i_prim with Primitive.Const _ -> true | _ -> false)
+      (List.init (Netlist.n_insts nl) Fun.id)
+  in
+  let one = Primitive.Const Tvalue.V1 in
+  let gnd_name = (Netlist.inst nl gnd).i_name in
+  Alcotest.(check (list int)) "GND's source has a name of its own" [ gnd ]
+    (Netlist.insts_named nl gnd_name);
+  Alcotest.(check (result unit string)) "a unique name checks" (Ok ())
+    (Edit.check nl (Edit.Replace_prim { inst = gnd_name; prim = one }));
+  let tweaked edit =
+    let nl = expand () in
+    edit nl;
+    nl
+  in
+  let slower_or nl = Netlist.set_element_delay nl (List.nth ids 2) (Delay.of_ns 1.0 9.0) in
+  let st = Store.create () in
+  ignore (Store.load st (expand ()));
+  (match Store.load st (tweaked slower_or) with
+  | Store.Cold s ->
+    Alcotest.(check bool) "the cold session verifies the tweaked design" true
+      (verdicts_equal (Session.report s) (Session.report (Session.load (tweaked slower_or))))
+  | Store.Warm _ | Store.Adopted _ -> Alcotest.fail "a shared-name difference must load cold");
+  let st = Store.create () in
+  ignore (Store.load st (expand ()));
+  match Store.load st (tweaked (fun nl -> Netlist.replace_prim nl gnd one)) with
+  | Store.Adopted (_, staged) -> Alcotest.(check int) "one edit staged" 1 staged
+  | Store.Warm _ | Store.Cold _ -> Alcotest.fail "a unique-name difference must be adopted"
+
 let test_serve_protocol () =
   let t = Serve.create () in
   (match Json.parse (Json.to_string (Serve.hello ())) with
@@ -1587,6 +1668,8 @@ let suite =
     Alcotest.test_case "session digest through a feedback loop" `Quick
       test_session_digest_feedback;
     Alcotest.test_case "store warm/adopt/cold" `Quick test_store_warm_adopt_cold;
+    Alcotest.test_case "edits reject a shared instance name" `Quick
+      test_shared_instance_names;
     Alcotest.test_case "serve protocol" `Quick test_serve_protocol;
     Alcotest.test_case "serve listing equals CLI" `Quick test_serve_matches_cli_listing;
     Alcotest.test_case "serve health" `Quick test_serve_health;

@@ -279,7 +279,7 @@ let test_causal_chain () =
   Alcotest.(check (list int)) "one minimum delay per buffer back from the AT time"
     [ at - 2000; at - 1000; at ]
     (List.map (fun (s : Causal.step) -> s.Causal.st_at) c.Causal.c_steps);
-  let chk = Option.get (Netlist.find_inst nl "CHK") in
+  let chk = match Netlist.insts_named nl "CHK" with [ id ] -> id | _ -> Alcotest.fail "CHK" in
   Alcotest.(check bool) "the last step is the checker's data input" true
     ((List.nth c.Causal.c_steps 2).Causal.st_view = Some (chk, 0))
 

@@ -306,6 +306,67 @@ let test_expand_errors () =
   check 7 two "load" (Expander.load two);
   check 13 two "parse" (Parser.parse two)
 
+let contains hay needle =
+  let n = String.length hay and k = String.length needle in
+  let rec go i = i + k <= n && (String.sub hay i k = needle || go (i + 1)) in
+  go 0
+
+(* '*' lexes in subscripts and binds tighter than '+' and '-'. *)
+let test_expand_subscript_products () =
+  let src =
+    "PERIOD 50.0;\n\
+     MACRO W;\nPARAMETER I<0:2*SIZE-1> /P, Q<0:2*SIZE-1> /P;\nBODY\n\
+     BUF (DELAY=1.0/2.0) (I<0:2*SIZE-1> /P) -> T<0:SIZE*2-1> /M;\n\
+     BUF (DELAY=1.0/2.0) (T<0:2 * SIZE-1> /M) -> Q<0:2*SIZE-1> /P;\nEND;\n\
+     W (SIZE=4) (A<0:7> .S0-6) -> B<0:7>;\n"
+  in
+  let nl = (expand_ok src).Expander.e_netlist in
+  match Netlist.find nl "$W.8$T<0:7>" with
+  | Some id -> Alcotest.(check int) "width 2*SIZE" 8 (Netlist.net nl id).Netlist.n_width
+  | None -> Alcotest.fail "the local T<0:2*SIZE-1> is missing"
+
+(* Subscript values, vector widths and size properties stay within
+   2^53: a literal, sum or product beyond it, a wider vector and a
+   larger size property each fail at their line, naming the subscript
+   or property, through both entry points. *)
+let test_expand_subscript_bounds () =
+  let fails_at line what src =
+    List.iter
+      (fun (how, result) ->
+        match result with
+        | Ok _ -> Alcotest.failf "%s: expected %S to fail" how src
+        | Error e ->
+          let prefix = Printf.sprintf "line %d: " line in
+          if not (String.starts_with ~prefix e && contains e what) then
+            Alcotest.failf "%s: %S: expected %S naming %S, got %S" how src prefix what e)
+      [ ("load", Expander.load src); ("parse + expand", Result.bind (Parser.parse src) Expander.expand) ]
+  in
+  let local sub size =
+    Printf.sprintf
+      "PERIOD 50.0;\nMACRO W;\nPARAMETER I /P, Q /P;\nBODY\n\
+       BUF (DELAY=1/2) (I /P) -> T%s /M;\nEND;\nW (SIZE=%s) (X) -> Y;\n"
+      sub size
+  in
+  (* 2^32 squared wraps a 63-bit int; 2^53 doubled does not, but is
+     beyond the bound *)
+  fails_at 5 "\"SIZE*SIZE\"" (local "<0:SIZE*SIZE>" "4294967296");
+  fails_at 5 "\"SIZE+SIZE\"" (local "<0:SIZE+SIZE>" "9007199254740992");
+  fails_at 5 "\"2*SIZE-1\"" (local "<0:2*SIZE-1>" "9007199254740992");
+  fails_at 7 "SIZE=1e+30" (local "<0:SIZE-1>" "1e30");
+  fails_at 7 "SIZE=-1e+16" (local "<0:SIZE-1>" "-1e16");
+  let top name = Printf.sprintf "PERIOD 50.0;\nBUF (DELAY=1/2) (%s) -> Q;\n" name in
+  fails_at 2 "\"99999999999999999999\"" (top "A<99999999999999999999:0>");
+  fails_at 2 "\"4611686018427387903\"" (top "A<0:4611686018427387903>");
+  fails_at 2 "<0:9007199254740992>" (top "A<0:9007199254740992>");
+  fails_at 2 "<9007199254740992:00>" (top "A<9007199254740992:00>");
+  (* of two bad bounds, the upper one is reported *)
+  fails_at 2 "\"BAR\"" (top "A<FOO:BAR>");
+  (* the bounds themselves are accepted *)
+  let nl = (expand_ok (top "A<1:9007199254740992>")).Expander.e_netlist in
+  Alcotest.(check int) "a 2^53-wide vector" (1 lsl 53)
+    (Netlist.net nl (Option.get (Netlist.find nl "A<1:9007199254740992>"))).Netlist.n_width;
+  ignore (expand_ok (local "<0:SIZE-1>" "9007199254740992"))
+
 let test_expand_zero_one () =
   let e = expand_ok "PERIOD 50.0;\nZERO () -> GND;\nONE () -> VCC;" in
   let nl = e.Expander.e_netlist in
@@ -415,13 +476,53 @@ let late_period_src =
    PERIOD 50.0;\n\
    DEFAULT WIRE DELAY 0.0/1.0;\n"
 
+(* The edges of what macro calls share: BANK is called before its MACRO
+   statement at two sizes, through an actual with a non-canonical
+   literal subscript (<00:3>) and formals and locals with computed ones
+   (<SIZE-1:0>); a complemented and an &W actual, and one global clock
+   spelled two ways (.P2-3 and .p2.0-3.0, one net) with a directive,
+   pass through BANK into LANE, whose /M locals nest inside BANK's; the
+   second LANE call passes EN and CK on unchanged.  NEVER is never
+   called, and its body is wrong four ways. *)
+let macro_edges_src =
+  "-- every fast path's edge\n\
+   PERIOD 50.0;\n\
+   CLOCK UNIT 6.25;\n\
+   BANK (SIZE=4) (IN A<00:3> .S0-6, - EN .S0-7, CK .P2-3) -> OUT A<0:3>;\n\
+   BANK (SIZE=2) (IN B<0:1> .S0-6, EN .S0-7 &W, CK .p2.0-3.0 &Z) -> OUT B<1:0>;\n\
+   2 OR (DELAY=1.0/2.0) (CK .P2-3, - EN .S0-7) -> MISC;\n\
+   WIRE DELAY (OUT A<0:3>) = 0.0/1.0;\n\
+   MACRO BANK;\n\
+   PARAMETER I<SIZE-1:0> /P, EN /P, CK /P, Q<0:SIZE-1> /P;\n\
+   BODY\n\
+  \  BUF (DELAY=0.5/1.0) (I<SIZE-1:0> /P) -> T<SIZE-1:0> /M;\n\
+  \  LANE (T<SIZE-1:0> /M, - EN /P, CK /P &H) -> U<0:SIZE-1> /M;\n\
+  \  LANE (U<0:SIZE-1> /M, EN /P, CK /P) -> Q<0:SIZE-1> /P;\n\
+   END;\n\
+   MACRO NEVER;\n\
+   PARAMETER I /P, Q /P;\n\
+   BODY\n\
+  \  FROB (DELAY=5/1) (I<0:NOPE> /P, X /P) -> Q /P;\n\
+   END;\n\
+   MACRO LANE;\n\
+   PARAMETER D /P, E /P, C /P, Q /P;\n\
+   BODY\n\
+  \  2 AND (DELAY=1.0/2.0) (C /P, E /P) -> G /M;\n\
+  \  REG (DELAY=1.5/4.5) (D /P, G /M) -> R /M;\n\
+  \  BUF (DELAY=0.5/1.0) (- R /M) -> Q /P;\n\
+  \  SETUP HOLD CHK (SETUP=2.5, HOLD=1.5) (D /P, G /M);\n\
+  \  MIN PULSE WIDTH (WIDTH=4.0/0.0) (- C /P &W);\n\
+   END;\n"
+
 (* Netlist digests ({!Scald_incr.Fingerprint.digest}: structure and every
    parameter) and summary lines captured from the expander as it stood
    before Pass 1 became a declaration read; the last two designs took
    that expander's fallback from streaming to the AST walk.  The digests
    were re-taken when the digest became two-level (block digests, then
    one over them); the flat MD5 of the same dump still gave the earlier
-   pins, so the serialization they cover is unchanged. *)
+   pins, so the serialization they cover is unchanged.  The "macro
+   edges" pin was taken from the expander that re-derived each body
+   line at every call, before macro calls came to share it. *)
 let pinned =
   [
     ( "examples/cdc.sdl", "9424bb04d5f6938e7371df38bf4b03b9",
@@ -440,6 +541,8 @@ let pinned =
       "macro expansions: 1  primitives: 3  signals: 4  synonyms resolved: 3" );
     ( "late period", "b99a1fde07d29ae5f51c09f98d578162",
       "macro expansions: 0  primitives: 3  signals: 5  synonyms resolved: 0" );
+    ( "macro edges", "604f69a983def5c67e3940bce5baf83d",
+      "macro expansions: 6  primitives: 23  signals: 19  synonyms resolved: 24" );
   ]
 
 let test_load_matches_expand () =
@@ -449,6 +552,7 @@ let test_load_matches_expand () =
     | "netgen 400 chips" -> Netgen.to_sdl (Netgen.generate (Netgen.scaled ~chips:400 ()))
     | "forward macro" -> forward_macro_src
     | "late period" -> late_period_src
+    | "macro edges" -> macro_edges_src
     | path -> read_file ("../" ^ path)
   in
   List.iter
@@ -469,6 +573,32 @@ let test_load_matches_expand () =
       check "load" (Expander.load src);
       check "expand" (Result.bind (Parser.parse src) Expander.expand))
     pinned
+
+(* Macro calls share what their definitions fix (each body line's
+   classified head and instance name, each actual's net, each assertion
+   spelling's parse), so on the 400-chip netgen design Expander.expand
+   of the parsed design allocates 241.3 minor words per primitive (980.2
+   when every call re-derived its body), and Expander.load, both reads
+   of the source included, 870.2 (1,609.1).  Minor-word counts repeat
+   exactly from run to run.  The expand bound sits below each single
+   piece undone: building the /M prefix at every call reads 284.6,
+   classifying every call 287.9, printing every instance name 293.0,
+   parsing every assertion spelling 359.0, rewriting every subscripted
+   name 425.8.  The load bound, that figure plus 25%, catches a
+   wholesale return to per-call re-derivation. *)
+let test_allocation_per_primitive () =
+  let src = Netgen.to_sdl (Netgen.generate (Netgen.scaled ~chips:400 ())) in
+  let design = parse_ok src in
+  let per_prim what bound f =
+    let before = Gc.minor_words () in
+    let e = match f () with Ok e -> e | Error m -> Alcotest.fail m in
+    let words = Gc.minor_words () -. before in
+    let per_prim = words /. float_of_int e.Expander.e_summary.Expander.s_primitives in
+    if per_prim > bound then
+      Alcotest.failf "%s allocated %.1f minor words per primitive (bound %g)" what per_prim bound
+  in
+  per_prim "Expander.expand" 265. (fun () -> Expander.expand design);
+  per_prim "Expander.load" 1088. (fun () -> Expander.load src)
 
 (* ---- xref ------------------------------------------------------------------------- *)
 
@@ -507,10 +637,13 @@ let suite =
     Alcotest.test_case "expand nested macros" `Quick test_expand_nested_macros;
     Alcotest.test_case "expand recursive rejected" `Quick test_expand_recursive_macro_rejected;
     Alcotest.test_case "expand errors" `Quick test_expand_errors;
+    Alcotest.test_case "expand subscript products" `Quick test_expand_subscript_products;
+    Alcotest.test_case "expand subscript bounds" `Quick test_expand_subscript_bounds;
     Alcotest.test_case "expand zero/one" `Quick test_expand_zero_one;
     Alcotest.test_case "register_file.sdl matches API" `Quick test_register_file_sdl_matches_api;
     Alcotest.test_case "wire rule statement" `Quick test_wire_rule_statement;
     Alcotest.test_case "s1_subset.sdl clean" `Quick test_s1_subset_clean;
     Alcotest.test_case "load matches expand" `Quick test_load_matches_expand;
+    Alcotest.test_case "allocation per primitive" `Quick test_allocation_per_primitive;
     Alcotest.test_case "xref" `Quick test_xref;
   ]
