@@ -91,13 +91,9 @@ let run file case_file jobs corners summary xref quiet paths corr_advice prob
     let cases =
       match case_file with
       | None -> Ok []
-      | Some cf -> (
-        match Case_analysis.parse (read_file cf) with
-        | Error msg -> Error (cf, msg)
-        | Ok cases -> (
-          match List.iter (fun c -> ignore (Case_analysis.resolve nl c)) cases with
-          | () -> Ok cases
-          | exception Invalid_argument msg -> Error (cf, msg)))
+      | Some cf ->
+        Case_analysis.parse ~netlist:nl (read_file cf)
+        |> Result.map_error (fun msg -> (cf, msg))
     in
     match cases with
     | Error (cf, msg) ->

@@ -1,18 +1,40 @@
 type case = (string * Tvalue.t) list
 
-let parse text =
-  (* An error names the line of the assignment it is about: the first
-     non-blank character of [piece], which starts at offset [pos]. *)
-  let error pos piece msg =
+let unknown_signals names =
+  Printf.sprintf "unknown signal%s %s"
+    (if List.length names = 1 then "" else "s")
+    (String.concat ", " (List.map (Printf.sprintf "%S") names))
+
+let parse ?netlist text =
+  (* The line of an assignment: that of the first non-blank character
+     of [piece], which starts at offset [pos].  Assignments are asked
+     about in text order, so each newline is counted once. *)
+  let line = ref 1 and counted = ref 0 in
+  let line_of pos piece =
     let rec blanks i =
       if i < String.length piece && String.contains " \t\r\n" piece.[i] then blanks (i + 1)
       else i
     in
-    let line = ref 1 in
-    for i = 0 to pos + blanks 0 - 1 do
+    let at = pos + blanks 0 in
+    for i = !counted to at - 1 do
       if text.[i] = '\n' then incr line
     done;
-    Error (Printf.sprintf "line %d: %s" !line msg)
+    counted := max !counted at;
+    !line
+  in
+  let error pos piece msg = Error (Printf.sprintf "line %d: %s" (line_of pos piece) msg) in
+  (* Each line naming signals the netlist lacks, with their names, the
+     latest first. *)
+  let unknown = ref [] in
+  let note_unknown pos piece name =
+    match netlist with
+    | Some nl when Netlist.find nl name = None -> (
+      let ln = line_of pos piece in
+      match !unknown with
+      | (l, names) :: rest when l = ln ->
+        if not (List.mem name names) then unknown := (l, name :: names) :: rest
+      | u -> unknown := (ln, [ name ]) :: u)
+    | Some _ | None -> ()
   in
   let parse_assignment s =
     match String.index_opt s '=' with
@@ -44,7 +66,9 @@ let parse text =
             if List.mem_assoc name acc then
               error pos p
                 (Printf.sprintf "duplicate assignment for signal %S within one case" name)
-            else go (a :: acc) next rest)
+            else (
+              note_unknown pos p name;
+              go (a :: acc) next rest))
     in
     go [] pos (String.split_on_char ',' g)
   in
@@ -57,33 +81,21 @@ let parse text =
       | Ok c -> go (c :: acc) next rest
       | Error e -> Error e)
   in
-  go [] 0 (String.split_on_char ';' text)
+  match go [] 0 (String.split_on_char ';' text) with
+  | Ok _ when !unknown <> [] ->
+    (* Every unknown name at once: a designer fixing a case file should
+       not have to re-run once per typo. *)
+    let at (ln, names) = Printf.sprintf "line %d: %s" ln (unknown_signals (List.rev names)) in
+    Error (String.concat "; " (List.rev_map at !unknown))
+  | r -> r
 
 let parse_exn text =
   match parse text with Ok cs -> cs | Error e -> invalid_arg ("Case_analysis.parse: " ^ e)
 
 let resolve nl case =
-  let unknown =
-    List.filter_map
-      (fun (name, _) ->
-        match Netlist.find nl name with Some _ -> None | None -> Some name)
-      case
-  in
-  (match unknown with
-  | [] -> ()
-  | names ->
-    (* Report every unknown name at once: a designer fixing a case file
-       should not have to re-run once per typo. *)
-    invalid_arg
-      (Printf.sprintf "Case_analysis.resolve: unknown signal%s %s"
-         (if List.length names = 1 then "" else "s")
-         (String.concat ", " (List.map (Printf.sprintf "%S") names))));
-  List.map
-    (fun (name, v) ->
-      match Netlist.find nl name with
-      | Some id -> (id, v)
-      | None -> assert false)
-    case
+  match List.filter (fun (name, _) -> Netlist.find nl name = None) case with
+  | [] -> List.map (fun (name, v) -> (Option.get (Netlist.find nl name), v)) case
+  | unknown -> invalid_arg ("Case_analysis.resolve: " ^ unknown_signals (List.map fst unknown))
 
 let max_controls = 16
 

@@ -17,11 +17,14 @@ type case = (string * Tvalue.t) list
 (** One case: signal base names and the value substituted for their
     [Stable] states. *)
 
-val parse : string -> (case list, string) result
+val parse : ?netlist:Netlist.t -> string -> (case list, string) result
 (** Parse a case-specification text.  A signal assigned twice within
     one case group (["A = 0, A = 1;"]) is rejected — the evaluator
     would otherwise silently let the last write win.  An error message
-    starts with ["line N: "], the line of the bad assignment. *)
+    starts with ["line N: "], the line of the bad assignment.  With
+    [netlist], a signal it lacks is an error too, and every one is named
+    at once, at its line: [line 2: unknown signal "X"; line 4: unknown
+    signals "Y", "Z"]. *)
 
 val parse_exn : string -> case list
 

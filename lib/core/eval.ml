@@ -66,10 +66,11 @@ module Row = struct
   let max_scc_size = row "max_scc_size" Max "largest component (1 when acyclic)"
 
   let cache_hits = row "cache_hits" Sum
-      "input-waveform and register-data memo hits, plus the verdicts each check \
-       pass kept"
+      "input-waveform cache hits, plus the verdicts each check pass kept"
 
-  let cache_misses = row "cache_misses" Sum "memo fills, plus the verdicts re-derived"
+  let cache_misses = row "cache_misses" Sum
+      "input-waveform cache fills, plus the verdicts re-derived"
+
   let corners = row "corners" Max "corners evaluated per traversal (1 single-corner)"
 
   let lanes_shared = row "corner_lanes_shared" Sum
@@ -133,9 +134,6 @@ type lane = {
      of allocating its own. *)
   l_net_gen : int array;
   l_net_wf : Waveform.t array;
-  (* Register data-materialization memo, same generation key. *)
-  l_mat_gen : int array;
-  l_mat_wf : Waveform.t array;
   (* Check-pass state.  An instance's verdicts are a pure function of
      its input waveforms and its own parameters, a net's of its value
      and its assertion, so a check pass re-derives only what the dirty
@@ -241,8 +239,6 @@ let create ?sched nl =
           l_cache_wf = Array.make (max 1 !n_conns) dummy_wf;
           l_net_gen = Array.make n_nets (-1);
           l_net_wf = Array.make n_nets dummy_wf;
-          l_mat_gen = Array.make (max 1 n_insts) (-1);
-          l_mat_wf = Array.make (max 1 n_insts) dummy_wf;
           l_chk = Array.make (max 1 n_insts) [];
           l_chk_net = Array.make n_nets [];
           l_bad_insts = Ids.empty;
@@ -593,30 +589,6 @@ let reg_output ~period ~delay ~data_m ~clock =
     in
     Waveform.of_intervals ~period ~inside:Tvalue.Change ~outside:base change_ivals
 
-(* Materialized register data input, memoized on the driving net's
-   generation: the register is typically re-evaluated for clock events
-   while its data is unchanged, and materialization (folding the skew
-   windows into the segment list) is the expensive half. *)
-let rec materialized_data t lane (inst : Netlist.inst) =
-  let data = inst.i_inputs.(0).c_net in
-  if shares_lane0 t lane data then materialized_data t 0 inst
-  else begin
-    let ln = t.lanes.(lane) in
-    let id = inst.i_id in
-    let gen = t.gen.(data) in
-    if ln.l_mat_gen.(id) = gen then begin
-      add t Row.cache_hits 1;
-      ln.l_mat_wf.(id)
-    end
-    else begin
-      add t Row.cache_misses 1;
-      let m = Waveform.materialize (input_waveform t lane inst 0) in
-      ln.l_mat_gen.(id) <- gen;
-      ln.l_mat_wf.(id) <- m;
-      m
-    end
-  end
-
 (* Transparent-latch value as a function of the data and enable values
    at an instant; the result is then delayed by the latch delay. *)
 let latch_value d e =
@@ -713,7 +685,9 @@ let eval_output t lane (inst : Netlist.inst) =
     Some (paint_change_windows ~period:(period t) ~d (Waveform.change_windows s) out)
   | Primitive.Reg { delay; has_set_reset } ->
     let delay = sc delay in
-    let data_m = lazy (materialized_data t lane inst) in
+    (* The data input's record comes from the input cache and keeps its
+       folded form, so a clock-only re-evaluation folds nothing. *)
+    let data_m = lazy (Waveform.materialize (input 0)) in
     let clock = input 1 in
     let out = reg_output ~period:(period t) ~delay ~data_m ~clock in
     if not has_set_reset then Some out

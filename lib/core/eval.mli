@@ -25,13 +25,13 @@
 
     Every delay corner is a {e lane} with the same storage, derivation
     and memo state (doc/CORNERS.md): each lane keeps its own per-net
-    waveforms, input waveforms and register data are memoized per lane,
-    keyed on per-net generation stamps, and every lane keeps its own
-    checker verdicts, re-derived only where a stamp moved.  The stamps
-    and the evaluation strings (§2.8) live in the evaluator too: an
-    evaluator only reads its netlist, so several may evaluate one
-    netlist at once, and every listing reads an evaluator's waveforms
-    through {!value}. *)
+    waveforms, input waveforms (each keeping its skew-folded form) are
+    memoized per lane, keyed on per-net generation stamps, and every
+    lane keeps its own checker verdicts, re-derived only where a stamp
+    moved.  The stamps and the evaluation strings (§2.8) live in the
+    evaluator too: an evaluator only reads its netlist, so several may
+    evaluate one netlist at once, and every listing reads an evaluator's
+    waveforms through {!value}. *)
 
 type t
 

@@ -9,10 +9,12 @@
 
 type t = {
   period : Timebase.ps;
-  n_segs : int; (* >= 1 *)
-  segs : int array; (* length n_segs; (start lsl 3) lor value code *)
+  segs : int array; (* >= 1 entries; (start lsl 3) lor value code *)
   early : Timebase.ps; (* <= 0 *)
   late : Timebase.ps; (* >= 0 *)
+  mutable folded : t option;
+      (* [materialize]'s result once computed; it has zero skew and an
+         empty slot, so no record reaches itself *)
 }
 
 let code = function
@@ -41,16 +43,16 @@ let period w = w.period
 
 let skew w = (w.early, w.late)
 
-let n_segments w = w.n_segs
+let n_segments w = Array.length w.segs
 
 let seg_width w i =
-  (if i = w.n_segs - 1 then w.period else seg_start w (i + 1)) - seg_start w i
+  (if i = n_segments w - 1 then w.period else seg_start w (i + 1)) - seg_start w i
 
 let segments w =
   let rec go i acc =
     if i < 0 then acc else go (i - 1) ((seg_val w i, seg_width w i) :: acc)
   in
-  go (w.n_segs - 1) []
+  go (n_segments w - 1) []
 
 let wrap p x =
   let r = x mod p in
@@ -85,7 +87,7 @@ let of_segs ~period ~early ~late segs =
       end
   in
   fill 0 0 segs;
-  { period; n_segs = n_merged; segs = arr; early; late }
+  { period; segs = arr; early; late; folded = None }
 
 let create ~period segs =
   if period <= 0 then invalid_arg "Waveform.create: period must be positive";
@@ -102,13 +104,9 @@ let const ~period v = create ~period [ (v, period) ]
 
 let with_skew ~early ~late w =
   if early > 0 || late < 0 then invalid_arg "Waveform.with_skew: need early <= 0 <= late";
-  { w with early; late }
+  { w with early; late; folded = None }
 
-let equal a b =
-  a.period = b.period && a.early = b.early && a.late = b.late && a.n_segs = b.n_segs
-  &&
-  let rec go i = i >= a.n_segs || (a.segs.(i) = b.segs.(i) && go (i + 1)) in
-  go 0
+let equal a b = a.period = b.period && a.early = b.early && a.late = b.late && a.segs = b.segs
 
 (* ---- pieces: absolute [start, stop) covering [0, period) ------------- *)
 
@@ -116,15 +114,15 @@ type piece = { p_start : Timebase.ps; p_stop : Timebase.ps; p_val : Tvalue.t }
 
 let piece_at w i =
   { p_start = seg_start w i;
-    p_stop = (if i = w.n_segs - 1 then w.period else seg_start w (i + 1));
+    p_stop = (if i = n_segments w - 1 then w.period else seg_start w (i + 1));
     p_val = seg_val w i }
 
-let pieces_arr w = Array.init w.n_segs (piece_at w)
+let pieces_arr w = Array.init (n_segments w) (piece_at w)
 
 (* Index of the segment covering instant [t] in [0, period): the largest
    [i] with [start i <= t]. *)
 let seg_index w t =
-  let lo = ref 0 and hi = ref (w.n_segs - 1) in
+  let lo = ref 0 and hi = ref (n_segments w - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi + 1) / 2 in
     if w.segs.(mid) asr 3 <= t then lo := mid else hi := mid - 1
@@ -163,7 +161,7 @@ let emit o start c =
 
 let finish o ~period ~early ~late =
   let segs = if o.len = Array.length o.buf then o.buf else Array.sub o.buf 0 o.len in
-  { period; n_segs = o.len; segs; early; late }
+  { period; segs; early; late; folded = None }
 
 (* The value of the windows covering an instant, kept as per-code counts:
    [merge_uncertain] is a flat-lattice join (equal values give that
@@ -242,10 +240,10 @@ let of_intervals ~period ~inside ~outside ivals =
    last and the first segment can merge.  A constant comes back as a
    fresh record too: lanes compare records with [==]. *)
 let rotate w d =
-  let p = w.period and n = w.n_segs in
+  let p = w.period and n = n_segments w in
   let d = wrap p d in
   if d = 0 then w
-  else if n = 1 then { w with segs = w.segs }
+  else if n = 1 then { w with folded = None }
   else
     let j = seg_index w (p - d) in
     let split = seg_start w j < p - d in
@@ -262,7 +260,7 @@ let rotate w d =
 let delay ~dmin ~dmax w =
   if dmin < 0 || dmax < dmin then invalid_arg "Waveform.delay: need 0 <= dmin <= dmax";
   let w = rotate w dmin in
-  { w with late = w.late + (dmax - dmin) }
+  { w with late = w.late + (dmax - dmin); folded = None }
 
 (* ---- materialization --------------------------------------------------- *)
 
@@ -272,11 +270,10 @@ let delay ~dmin ~dmax w =
    so each sequence is sorted once rotated past the entries that wrap,
    and the sweep merges them with the segment starts.  A window as wide
    as the cycle covers every instant. *)
-let materialize w =
-  if w.early = 0 && w.late = 0 then w
-  else if w.n_segs = 1 then { w with early = 0; late = 0 }
+let fold w =
+  if n_segments w = 1 then { w with early = 0; late = 0; folded = None }
   else
-    let p = w.period and n = w.n_segs in
+    let p = w.period and n = n_segments w in
     let whole = w.late - w.early >= p in
     let first = if w.segs.(n - 1) land 7 = w.segs.(0) land 7 then 1 else 0 in
     let m = n - first in
@@ -299,16 +296,25 @@ let materialize w =
     done;
     sweep ~period:p ~base:w.segs ~nb:n ~opens ~closes ~cover
 
+let materialize w =
+  match w.folded with
+  | Some m -> m
+  | None when w.early = 0 && w.late = 0 -> w
+  | None ->
+    let m = fold w in
+    w.folded <- Some m;
+    m
+
 (* ---- pointwise maps ---------------------------------------------------- *)
 
 let map f w =
-  let o = out_create w.n_segs in
-  for i = 0 to w.n_segs - 1 do
+  let o = out_create (n_segments w) in
+  for i = 0 to n_segments w - 1 do
     emit o (seg_start w i) (code (f (seg_val w i)))
   done;
   finish o ~period:w.period ~early:w.early ~late:w.late
 
-let is_const w = w.n_segs = 1
+let is_const w = n_segments w = 1
 
 let check_periods ws =
   match ws with
@@ -337,15 +343,16 @@ let mapn f ws =
     let ms = Array.map materialize (Array.of_list ws) in
     let k = Array.length ms in
     let cur = Array.make k 0 in
-    let o = out_create (Array.fold_left (fun acc m -> acc + m.n_segs) 0 ms) in
+    let o = out_create (Array.fold_left (fun acc m -> acc + n_segments m) 0 ms) in
     let rec values i acc = if i < 0 then acc else values (i - 1) (seg_val ms.(i) cur.(i) :: acc) in
     let x = ref 0 in
     while !x < p do
       let t = !x and next = ref p in
       for i = 0 to k - 1 do
         let m = ms.(i) in
-        if cur.(i) + 1 < m.n_segs && m.segs.(cur.(i) + 1) asr 3 = t then cur.(i) <- cur.(i) + 1;
-        if cur.(i) + 1 < m.n_segs then next := Int.min !next (m.segs.(cur.(i) + 1) asr 3)
+        let n = n_segments m in
+        if cur.(i) + 1 < n && m.segs.(cur.(i) + 1) asr 3 = t then cur.(i) <- cur.(i) + 1;
+        if cur.(i) + 1 < n then next := Int.min !next (m.segs.(cur.(i) + 1) asr 3)
       done;
       emit o t (code (f (values (k - 1) [])));
       x := !next
@@ -366,7 +373,7 @@ type window = { w_start : Timebase.ps; w_stop : Timebase.ps }
    with the wrap-spanning segment (equal first/last values) merged into a
    single piece whose stop exceeds the period. *)
 let circular_pieces m =
-  let n = m.n_segs in
+  let n = n_segments m in
   if n <= 1 then pieces_arr m
   else
     let first_v = seg_val m 0 and last_v = seg_val m (n - 1) in
@@ -475,7 +482,7 @@ let delay_rise_fall ~rise:(rmin, rmax) ~fall:(fmin, fmax) w =
   let m = materialize w in
   let value_known =
     let rec go i =
-      i >= m.n_segs
+      i >= n_segments m
       || (match seg_val m i with
          | Tvalue.V0 | Tvalue.V1 | Tvalue.Rise | Tvalue.Fall -> go (i + 1)
          | Tvalue.Stable | Tvalue.Change | Tvalue.Unknown -> false)
@@ -568,7 +575,7 @@ let pulse_intervals v w =
 
 let stable_everywhere w =
   let m = materialize w in
-  let rec go i = i >= m.n_segs || (Tvalue.is_stable (seg_val m i) && go (i + 1)) in
+  let rec go i = i >= n_segments m || (Tvalue.is_stable (seg_val m i) && go (i + 1)) in
   go 0
 
 let stable_over w ~start ~width =
@@ -587,7 +594,7 @@ let stable_interval_around w t =
 (* ---- printing ---------------------------------------------------------- *)
 
 let pp ppf w =
-  for i = 0 to w.n_segs - 1 do
+  for i = 0 to n_segments w - 1 do
     if i > 0 then Format.pp_print_string ppf "  ";
     Format.fprintf ppf "%a %a" Tvalue.pp (seg_val w i) Timebase.pp_ns (seg_start w i)
   done;

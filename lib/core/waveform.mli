@@ -16,6 +16,14 @@
     to paint the transition windows (Figure 2-9). *)
 
 type t
+(** The evaluator's lanes compare records with [==], so record identity
+    is part of the contract.  {!materialize} returns its input when the
+    skew is zero and otherwise one folded record per input, which
+    {!delay_rise_fall} also returns for a waveform without edges;
+    {!rotate} by a multiple of the period and {!apply_delay} by zero
+    return their input.  Every other result is a fresh record, and
+    starts unmaterialized.  Each record belongs to one evaluator, so no
+    two domains fold one record. *)
 
 val period : t -> Timebase.ps
 
@@ -101,7 +109,8 @@ val materialize : t -> t
     values [a] and [b] nominally at [t] is replaced by a window
     [\[t + early, t + late)] holding {!Tvalue.worst_edge}[ ~before:a
     ~after:b]; overlapping windows merge with {!Tvalue.merge_uncertain}.
-    The result has zero skew (Figure 2-9). *)
+    The result has zero skew (Figure 2-9).  A skewed record keeps the
+    first call's result, and every later call returns that record. *)
 
 val map : (Tvalue.t -> Tvalue.t) -> t -> t
 (** Pointwise value map on the nominal list (skew preserved).  Used for

@@ -185,7 +185,7 @@ let delay_of_json j =
       | exception Invalid_argument m -> Error m)
     | _ -> Error "edit: expected \"min_ns\"/\"max_ns\" numbers or \"delay\": null")
 
-let of_json j =
+let of_json ?netlist j =
   let* kind = req_str j "edit" in
   match kind with
   | "wire_delay" ->
@@ -214,7 +214,7 @@ let of_json j =
     Ok (Directive { inst; input; directive })
   | "cases" ->
     let* text = req_str j "text" in
-    let* cases = Case_analysis.parse text in
+    let* cases = Case_analysis.parse ?netlist text in
     Ok (Cases cases)
   | "corners" ->
     let* spec = req_str j "spec" in

@@ -69,8 +69,9 @@ val diff : Netlist.t -> Netlist.t -> t list
     design.
     @raise Invalid_argument when the structures differ. *)
 
-val of_json : Json.t -> (t, string) result
+val of_json : ?netlist:Netlist.t -> Json.t -> (t, string) result
 (** Decode one edit object of a [delta] request, e.g.
-    [{"edit":"wire_delay","signal":"A","min_ns":0.5,"max_ns":3}]. *)
+    [{"edit":"wire_delay","signal":"A","min_ns":0.5,"max_ns":3}].  With
+    [netlist], a [cases] edit names each signal it lacks at its line. *)
 
 val pp : Format.formatter -> t -> unit

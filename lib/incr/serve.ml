@@ -362,16 +362,17 @@ let target_session t j =
     | Some s -> Ok s
     | None -> Error "no session loaded")
 
-let cases_of j =
+(* The case-specification text of a [load]: empty when it names none. *)
+let cases_text_of j =
   let* text = opt_str j "cases" in
   let* path = opt_str j "cases_file" in
   match text, path with
-  | Some text, None -> Case_analysis.parse text
+  | Some text, None -> Ok text
   | None, Some path -> (
     match read_file path with
-    | text -> Case_analysis.parse text
+    | text -> Ok text
     | exception Sys_error m -> Error m)
-  | None, None -> Ok []
+  | None, None -> Ok ""
   | Some _, Some _ -> Error "give either \"cases\" or \"cases_file\", not both"
 
 let source_of j =
@@ -396,11 +397,11 @@ let session_fields s =
 
 let do_load t j =
   let* src = source_of j in
-  let* cases = cases_of j in
+  let* case_text = cases_text_of j in
   let* { Scald_sdl.Expander.e_netlist = nl; _ } = Scald_sdl.Expander.load src in
   (* a case group naming a signal the design lacks fails the load on
      every path — cold, warm or adopted — before the store sees it *)
-  let* () = Edit.check nl (Edit.Cases cases) in
+  let* cases = Case_analysis.parse ~netlist:nl case_text in
   let probe =
     if t.sv_telemetry then Some (Scald_obs.Obs.probe t.sv_obs) else None
   in
@@ -432,7 +433,7 @@ let do_delta t j =
       List.fold_left
         (fun acc ej ->
           let* acc = acc in
-          let* e = Edit.of_json ej in
+          let* e = Edit.of_json ~netlist:(Session.netlist s) ej in
           let* () = Edit.check (Session.netlist s) e in
           Ok (e :: acc))
         (Ok []) js

@@ -85,6 +85,39 @@ let test_resolve_reports_all_unknowns () =
     Alcotest.(check bool) "second unknown named" true (contains "MISSING TWO")
   | _ -> Alcotest.fail "unknown signals should fail"
 
+(* Parsed against a netlist, a case text names every signal the design
+   lacks at its line, all at once; without one it parses as before. *)
+let test_parse_names_unknown_lines () =
+  let nl = Netlist.create (Timebase.make ~period_ns:50.0 ~clock_unit_ns:6.25) in
+  ignore (Netlist.signal nl "A .S0-4");
+  ignore (Netlist.signal nl "B .S0-4");
+  let parse text = Case_analysis.parse ~netlist:nl text in
+  let err = Alcotest.(result reject string) in
+  Alcotest.check err "one unknown" (Error {|line 1: unknown signal "A"|}) (parse "A = 1;");
+  Alcotest.check err "every unknown, each at its line"
+    (Error {|line 2: unknown signal "X"; line 4: unknown signals "Y", "Z"|})
+    (parse "A .S0-4 = 1;\nX = 0, B .S0-4 = 1;\n\n  Y = 1,\t Z = 0;\nA .S0-4 = 0;\n");
+  Alcotest.check err "a name repeated on one line once"
+    (Error {|line 1: unknown signal "X"|}) (parse "X = 0; X = 1;");
+  Alcotest.check err "syntax errors first" (Error {|line 2: case value must be 0 or 1, got "2"|})
+    (parse "X = 0;\nA .S0-4 = 2;");
+  (match parse "A .S0-4 = 1, B .S0-4 = 0;\nA .S0-4 = 0;" with
+  | Ok cs -> Alcotest.(check int) "known signals parse" 2 (List.length cs)
+  | Error e -> Alcotest.fail e);
+  (* each line is counted once, however many lines name unknowns *)
+  let n = 50_000 in
+  let t0 = Sys.time () in
+  (match parse (String.concat "" (List.init n (Printf.sprintf "X%d = 0;\n"))) with
+  | Error e ->
+    Alcotest.(check bool) "the last line named" true
+      (String.ends_with ~suffix:(Printf.sprintf {|line %d: unknown signal "X%d"|} n (n - 1)) e)
+  | Ok _ -> Alcotest.fail "unknown signals parse");
+  let elapsed = Sys.time () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "linear in the text (%.3fs)" elapsed) true (elapsed < 1.0);
+  match Case_analysis.parse "A = 1;" with
+  | Ok [ [ ("A", _) ] ] -> ()
+  | _ -> Alcotest.fail "without a netlist every name parses"
+
 let test_complete_dedupes_names () =
   (* complete ["A"; "A"] must not emit the contradictory A=0,A=1 case *)
   let cases = Case_analysis.complete_exn [ "A"; "A" ] in
@@ -152,4 +185,6 @@ let suite =
     Alcotest.test_case "complete control limit" `Quick test_complete_limit;
     Alcotest.test_case "resolve" `Quick test_resolve;
     Alcotest.test_case "bypass delays 40 vs 30" `Quick test_bypass_delays;
+    Alcotest.test_case "parse names unknown signals at their lines" `Quick
+      test_parse_names_unknown_lines;
   ]

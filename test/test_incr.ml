@@ -1000,6 +1000,41 @@ let test_serve_protocol () =
   Alcotest.(check (option bool)) "shutdown ok" (Some true) (jbool "ok" bye);
   Alcotest.(check bool) "loop ends" false cont
 
+(* A case group naming signals the design lacks names each at its line,
+   all at once, whether it comes inline, from a file or in a [cases]
+   edit; a rejected edit stages nothing. *)
+let test_serve_case_lines () =
+  let t = Serve.create () in
+  let source = "PERIOD 50.0;\n2 OR (DELAY=1.0/2.0) (A .S0-4, B .S0-4) -> Q;\n" in
+  let text = "A .S0-4 = 1;\nX = 0, B .S0-4 = 1;\nA .S0-4 = 0;\nY = 1, Z = 0;\n" in
+  let expected = {|line 2: unknown signal "X"; line 4: unknown signals "Y", "Z"|} in
+  let path = Filename.temp_file "serve_cases" ".cases" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  let load cases =
+    Json.to_string (Json.Obj ([ ("op", Json.Str "load"); ("source", Json.Str source) ] @ cases))
+  in
+  let error what line want =
+    let r, _ = serve_req t line in
+    Alcotest.(check (option string)) what (Some want) (jstr "error" r)
+  in
+  error "inline, one line" (load [ ("cases", Json.Str "A = 1;") ]) {|line 1: unknown signal "A"|};
+  error "inline" (load [ ("cases", Json.Str text) ]) expected;
+  error "from a file" (load [ ("cases_file", Json.Str path) ]) expected;
+  Sys.remove path;
+  let r, _ = serve_req t (load []) in
+  Alcotest.(check (option bool)) "loads without cases" (Some true) (jbool "ok" r);
+  error "a cases edit"
+    (Json.to_string
+       (Json.Obj
+          [
+            ("op", Json.Str "delta");
+            ("edits", Json.List [ Json.Obj [ ("edit", Json.Str "cases"); ("text", Json.Str text) ] ]);
+          ]))
+    expected;
+  match Store.latest (Serve.store t) with
+  | Some s -> Alcotest.(check int) "nothing staged" 0 (Session.pending s)
+  | None -> Alcotest.fail "no session"
+
 let test_serve_matches_cli_listing () =
   (* the serve-mode listing file must be byte-identical to what the CLI
      prints for the equivalent cold design *)
@@ -1672,6 +1707,8 @@ let suite =
       test_shared_instance_names;
     Alcotest.test_case "serve protocol" `Quick test_serve_protocol;
     Alcotest.test_case "serve listing equals CLI" `Quick test_serve_matches_cli_listing;
+    Alcotest.test_case "serve names unknown case signals at their lines" `Quick
+      test_serve_case_lines;
     Alcotest.test_case "serve health" `Quick test_serve_health;
     Alcotest.test_case "serve deterministic quantiles" `Quick
       test_serve_deterministic_quantiles;

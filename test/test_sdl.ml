@@ -600,6 +600,42 @@ let test_allocation_per_primitive () =
   per_prim "Expander.expand" 265. (fun () -> Expander.expand design);
   per_prim "Expander.load" 1088. (fun () -> Expander.load src)
 
+(* A skewed waveform record keeps its folded form, so the gates and
+   checks that read one net's record fold it once between them.  On the
+   same 400-chip design, the 16 cases over its first four primary
+   inputs allocate 326.6 minor words per evaluation of Eval.run plus
+   the check pass of every lane at one corner and 961.7 at
+   typ,slow,fast (416.9 and 1,232.2 before records kept their fold).
+   Each bound is its figure plus 10%. *)
+let test_words_per_evaluation () =
+  let src = Netgen.to_sdl (Netgen.generate (Netgen.scaled ~chips:400 ())) in
+  let per_eval spec bound =
+    let nl = (Result.get_ok (Expander.load src)).Expander.e_netlist in
+    Netlist.set_corners nl (Corner.of_spec spec);
+    let inputs = ref [] in
+    Netlist.iter_nets nl (fun n ->
+        if List.length !inputs < 4 && String.starts_with ~prefix:"IN " n.Netlist.n_name then
+          inputs := n.Netlist.n_name :: !inputs);
+    let cases =
+      List.map (Case_analysis.resolve nl) (Case_analysis.complete_exn (List.rev !inputs))
+    in
+    Alcotest.(check int) (spec ^ ": cases") 16 (List.length cases);
+    let ev = Eval.create nl in
+    let before = Gc.minor_words () in
+    List.iter
+      (fun case ->
+        Eval.run ~case ev;
+        for lane = 0 to Eval.n_corners ev - 1 do
+          ignore (Eval.check ~lane ev)
+        done)
+      cases;
+    let per_eval = (Gc.minor_words () -. before) /. float_of_int (Eval.evaluations ev) in
+    if per_eval > bound then
+      Alcotest.failf "%s: %.1f minor words per evaluation (bound %g)" spec per_eval bound
+  in
+  per_eval "typ" 359.;
+  per_eval "typ,slow,fast" 1058.
+
 (* ---- xref ------------------------------------------------------------------------- *)
 
 let test_xref () =
@@ -645,5 +681,6 @@ let suite =
     Alcotest.test_case "s1_subset.sdl clean" `Quick test_s1_subset_clean;
     Alcotest.test_case "load matches expand" `Quick test_load_matches_expand;
     Alcotest.test_case "allocation per primitive" `Quick test_allocation_per_primitive;
+    Alcotest.test_case "words per evaluation" `Quick test_words_per_evaluation;
     Alcotest.test_case "xref" `Quick test_xref;
   ]

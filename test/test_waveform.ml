@@ -416,6 +416,21 @@ let print_ranges (ranges, inside, outside) =
   Format.asprintf "%a over %a: %s" Tvalue.pp inside Tvalue.pp outside
     (String.concat " " (List.map (fun (s, e) -> Printf.sprintf "(%d,%d)" s e) ranges))
 
+(* Two delay ranges and a shift; a zero minimum now and then, so that
+   [delay] builds its result from its input's own segment array. *)
+let gen_slot_params =
+  let open QCheck.Gen in
+  let gen_d = frequency [ (2, return 0); (3, int_range 1 3000); (1, int_range 0 period) ] in
+  let* dmin = gen_d in
+  let* spread = gen_d in
+  let* fmin = gen_d in
+  let* fspread = gen_d in
+  let* d = gen_shift in
+  return (dmin, dmin + spread, (fmin, fmin + fspread), d)
+
+let print_slot_params (dmin, dmax, (fmin, fmax), d) =
+  Printf.sprintf "delay %d/%d, fall %d/%d, shift %d" dmin dmax fmin fmax d
+
 let oracle name gen f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:2000 ~name gen f)
 
 let oracle_properties =
@@ -445,6 +460,47 @@ let oracle_properties =
         (Waveform.rotate w d == w) = (d mod period = 0)
         && (Waveform.materialize w == w) = (Waveform.skew w = (0, 0))
         && Waveform.map Fun.id w != w);
+    (* A record keeps its folded form: a second [materialize] hands back
+       the first one's result, and every record derived from it folds as
+       if the input had never been materialized. *)
+    oracle "materialize keeps its result; derived records start unfilled"
+      QCheck.(triple gen_waveform gen_waveform (make ~print:print_slot_params gen_slot_params))
+      (fun (w, w2, (dmin, dmax, fall, d)) ->
+        let fresh () =
+          let early, late = Waveform.skew w in
+          Waveform.with_skew ~early ~late (Waveform.create ~period (Waveform.segments w))
+        in
+        let filled () =
+          let x = fresh () in
+          ignore (Waveform.materialize x);
+          x
+        in
+        let x = fresh () in
+        let m = Waveform.materialize x in
+        let kept = Waveform.equal m (O.materialize w) && Waveform.materialize x == m in
+        let early, late = Waveform.skew w2 in
+        let derived =
+          [
+            Waveform.with_skew ~early ~late;
+            Waveform.delay ~dmin ~dmax;
+            (fun v -> Waveform.rotate v d);
+            Waveform.apply_delay (Delay.make dmin dmax);
+            Waveform.apply_delay (Delay.make_rise_fall ~rise:(dmin, dmax) ~fall);
+            Waveform.map Tvalue.lnot;
+            (fun v -> Waveform.map2 Tvalue.lor_ v w2);
+            (fun v -> Waveform.map3 O.mux_value v w2 v);
+            (fun v -> Waveform.mapn (Primitive.gate_fold Primitive.Xor) [ v; w2; v ]);
+            Waveform.materialize;
+          ]
+        in
+        let same f =
+          let a = f (fresh ()) and b = f (filled ()) in
+          Waveform.equal a b && Waveform.equal (Waveform.materialize a) (Waveform.materialize b)
+        in
+        let x1 = filled () and x2 = filled () in
+        kept && List.for_all same derived
+        && compare x1 x2 = 0
+        && Hashtbl.hash x1 = Hashtbl.hash x2);
   ]
 
 let test_many_segments () =
