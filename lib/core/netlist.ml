@@ -118,6 +118,7 @@ let dummy_net =
     n_fanout_n = 0;
   }
 
+(* Only for a name [by_name] lacks. *)
 let add_net t ~name ~width ~assertion =
   t.nets <- grow t.nets t.n_nets dummy_net;
   let id = t.n_nets in
@@ -135,7 +136,7 @@ let add_net t ~name ~width ~assertion =
   in
   t.nets.(id) <- n;
   t.n_nets <- t.n_nets + 1;
-  Hashtbl.replace t.by_name name id;
+  Hashtbl.add t.by_name name id;
   id
 
 (* An assertion's times are bounded once, when a net takes it on. *)
@@ -164,14 +165,17 @@ let signal_parsed t (sn : Signal_name.t) =
     (match sn.assertion with Some a -> check_assertion t sn.base a | None -> ());
     add_net t ~name:key ~width:(Signal_name.width sn) ~assertion:sn.assertion
 
-(* A plain name is its own key: an existing net is found without parsing. *)
-let find_plain t name =
-  if Signal_name.is_plain name then Hashtbl.find t.by_name name else raise_notrace Not_found
+(* A plain name is its own key: one probe finds its net, and only a new
+   net's name is parsed, for its width. *)
+let plain_signal t name =
+  match Hashtbl.find t.by_name name with
+  | id -> id
+  | exception Not_found ->
+    add_net t ~name ~width:(Signal_name.width (Signal_name.parse_exn name)) ~assertion:None
 
 let signal t name =
-  match find_plain t name with
-  | id -> id
-  | exception Not_found -> signal_parsed t (Signal_name.parse_exn name)
+  if Signal_name.is_plain name then plain_signal t name
+  else signal_parsed t (Signal_name.parse_exn name)
 
 let conn ?(invert = false) ?(directive = []) net_id =
   { c_net = net_id; c_invert = invert; c_directive = directive }

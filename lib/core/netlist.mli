@@ -71,6 +71,11 @@ val signal : t -> string -> int
     guarantees assertion consistency by construction (§2.5.1), so we
     enforce it here. *)
 
+val plain_signal : t -> string -> int
+(** {!signal} for a name that {!Signal_name.is_plain} accepts, which is
+    not checked again: the name is its own key, so one lookup finds an
+    existing net, and only a new one is parsed (for its width). *)
+
 val signal_conn : t -> ?directive:Directive.t -> string -> conn
 (** Like {!signal} but returns a connection, honouring a leading ["-"]
     complement in the name. *)

@@ -3,7 +3,14 @@ module R = Lint_report
 
 type input = { nl : Netlist.t; flow : Flow.t Lazy.t; window : Window.t Lazy.t }
 
-let input nl = { nl; flow = lazy (Flow.analyse nl); window = lazy (Window.analyse nl) }
+(* Both analyses walk one schedule, computed at most once. *)
+let input nl =
+  let sched = lazy (Sched.compute nl) in
+  {
+    nl;
+    flow = lazy (Flow.analyse ~sched:(Lazy.force sched) nl);
+    window = lazy (Window.analyse ~sched:(Lazy.force sched) nl);
+  }
 
 type rule = {
   id : string;

@@ -45,9 +45,10 @@
 type input
 (** What one audit hands every rule: the netlist, plus its signal-class
     ({!Scald_core.Flow}) and arrival-window ({!Scald_core.Window})
-    analyses, each built the first time a rule asks for it.  Nothing is
-    kept between audits: auditing a netlist again, after editing it in
-    place, takes a fresh {!input}. *)
+    analyses, each built the first time a rule asks for it, over one
+    {!Scald_core.Sched} schedule computed for the first of them.
+    Nothing is kept between audits: auditing a netlist again, after
+    editing it in place, takes a fresh {!input}. *)
 
 val input : Scald_core.Netlist.t -> input
 

@@ -16,6 +16,10 @@ type expansion = {
 
 exception Expand_error of string
 
+(* Raised by the single read when the text uses a declaration before it
+   states it: the two reads then start over. *)
+exception Restart
+
 let fail fmt = Format.kasprintf (fun msg -> raise (Expand_error msg)) fmt
 
 (* ---- size expressions in vector subscripts --------------------------------- *)
@@ -174,11 +178,12 @@ let rec formal_index bases base k =
   else if String.equal bases.(k) base then k
   else formal_index bases base (k + 1)
 
-(* ---- pass 1: declarations ----------------------------------------------------- *)
+(* ---- declarations ------------------------------------------------------------- *)
 
 (* The settings also hold the run's caches: a macro's calls share what
    its definition fixes, and a spelling is parsed once. *)
 type settings = {
+  single : bool;  (* one read: a macro may not be defined yet *)
   mutable period_ns : (float * int) option;  (* and its statement's line *)
   mutable clock_unit_ns : float option;
   mutable default_wire : float * float;
@@ -226,8 +231,8 @@ let corner_table_of entries =
   | tbl -> tbl
   | exception Invalid_argument m -> fail "CORNERS: %s" m
 
-(* Pass 1 reads one statement: the declarations every instance may
-   depend on, wherever they stand in the text. *)
+(* Record one declaration: a setting (the last statement of each kind
+   wins) or a macro. *)
 let declare s stmt =
   match stmt with
   | Ast.Period (p, line) -> s.period_ns <- Some (p, line)
@@ -414,6 +419,7 @@ let classify settings (inst : Ast.instance) =
   | Some prim -> P (prim, head ^ "." ^ string_of_int line)
   | None -> (
     match Hashtbl.find_opt settings.macros head with
+    | None when settings.single -> raise Restart
     | None -> fail "line %d: unknown primitive or macro %S" line head
     | Some m ->
       let def = m.m_def in
@@ -429,7 +435,7 @@ let classify settings (inst : Ast.instance) =
         def.Ast.m_params;
       Macro_call (m, env))
 
-(* ---- pass 2: netlist construction ------------------------------------------------------- *)
+(* ---- netlist construction ---------------------------------------------------------------- *)
 
 type counts = {
   mutable c_macros : int;
@@ -437,10 +443,10 @@ type counts = {
 }
 
 (* The net of a spelling.  A plain name is its own key, which
-   {!Netlist.signal} finds without parsing; any other spelling is parsed
-   once per run. *)
+   {!Netlist.plain_signal} finds without parsing; any other spelling is
+   parsed once per run. *)
 let net_of_name settings nl name =
-  if Signal_name.is_plain name then Netlist.signal nl name
+  if Signal_name.is_plain name then Netlist.plain_signal nl name
   else
     match Hashtbl.find settings.spellings name with
     | id -> id
@@ -519,49 +525,71 @@ let rec walk_instance settings nl counts frame depth slot =
       walk_instance settings nl counts call (depth + 1) m.m_body.(k)
     done
 
-(* ---- the two reads ------------------------------------------------------------------------ *)
+(* ---- the reads ---------------------------------------------------------------------------- *)
+
+(* The netlist the timing settings describe. *)
+let create_netlist ?defaults s =
+  let period_ns, period_line =
+    match s.period_ns with
+    | Some p -> p
+    | None -> fail "design has no PERIOD statement"
+  in
+  let clock_unit_ns =
+    match s.clock_unit_ns with
+    | Some u -> u
+    | None when Timebase.ps_of_ns (period_ns /. 8.) < 1 ->
+      fail "line %d: the default CLOCK UNIT (PERIOD/8) is below 1 ps" period_line
+    | None -> period_ns /. 8.
+  in
+  let wmin, wmax = s.default_wire in
+  Netlist.create (Timebase.make ~period_ns ~clock_unit_ns) ?defaults
+    ~default_wire_delay:(Delay.of_ns wmin wmax)
 
 (* A statement source feeds each statement of a design to a callback, in
-   textual order; it is read once per pass. *)
-let run ?defaults (source : (Ast.top_stmt -> unit) -> (unit, string) result) =
+   textual order.  [single] reads it once, declaring each statement as it
+   arrives and creating the netlist at the first top-level instance; it
+   raises [Restart] where the text uses a declaration before stating it.
+   Otherwise a declaration read precedes the expanding one.  Either way
+   each top-level instance is expanded as it arrives, and the first
+   instance error is held until the read ends, so a parse or declaration
+   error later in the text wins. *)
+let read ?defaults ~t0 ~single source =
   let ( let* ) = Result.bind in
-  try
-    let settings =
-      { period_ns = None; clock_unit_ns = None; default_wire = (0.0, 2.0);
-        wire_rule = None; corners = None; macros = Hashtbl.create 16;
-        spellings = Hashtbl.create 64 }
-    in
-    let t0 = Sys.time () in
-    let* () = source (declare settings) in
-    let pass1_s = Sys.time () -. t0 in
-    let period_ns, period_line =
-      match settings.period_ns with
-      | Some p -> p
-      | None -> fail "design has no PERIOD statement"
-    in
-    let clock_unit_ns =
-      match settings.clock_unit_ns with
-      | Some u -> u
-      | None when Timebase.ps_of_ns (period_ns /. 8.) < 1 ->
-        fail "line %d: the default CLOCK UNIT (PERIOD/8) is below 1 ps" period_line
-      | None -> period_ns /. 8.
-    in
-    let tb = Timebase.make ~period_ns ~clock_unit_ns in
-    let wmin, wmax = settings.default_wire in
-    let nl = Netlist.create tb ?defaults ~default_wire_delay:(Delay.of_ns wmin wmax) in
-    let counts = { c_macros = 0; c_synonyms = 0 } in
-    let deferred = ref [] in
-    let t0 = Sys.time () in
-    let* () =
-      source (fun stmt ->
-          match stmt with
-          | Ast.Top_instance i ->
-            walk_instance settings nl counts Top 0 { s_inst = i; s_head = None }
-          | Ast.Wire_delay _ | Ast.Width_decl _ -> deferred := stmt :: !deferred
-          | Ast.Period _ | Ast.Clock_unit _ | Ast.Default_wire _ | Ast.Wire_rule _
-          | Ast.Corners _ | Ast.Macro _ ->
-            ())
-    in
+  let s =
+    { single; period_ns = None; clock_unit_ns = None; default_wire = (0.0, 2.0);
+      wire_rule = None; corners = None; macros = Hashtbl.create 16;
+      spellings = Hashtbl.create 64 }
+  in
+  let counts = { c_macros = 0; c_synonyms = 0 } in
+  let nl = ref None and t1 = ref t0 and held = ref None and deferred = ref [] in
+  let create () =
+    let n = create_netlist ?defaults s in
+    nl := Some n;
+    t1 := Sys.time ();
+    n
+  in
+  let expand nl i =
+    if !held = None then
+      try walk_instance s nl counts Top 0 { s_inst = i; s_head = None }
+      with Expand_error m | Invalid_argument m -> held := Some m
+  in
+  let* () = if single then Ok () else source (declare s) in
+  if not single then ignore (create ());
+  let* () =
+    source (fun stmt ->
+        match stmt, !nl with
+        | Ast.Top_instance i, Some nl -> expand nl i
+        | Ast.Top_instance i, None ->
+          expand (try create () with Expand_error _ | Invalid_argument _ -> raise Restart) i
+        | (Ast.Wire_delay _ | Ast.Width_decl _), _ -> deferred := stmt :: !deferred
+        | _, _ when not single -> ()
+        | (Ast.Period _ | Ast.Clock_unit _ | Ast.Default_wire _), Some _ -> raise Restart
+        | _, _ -> declare s stmt)
+  in
+  match !held with
+  | Some m -> Error m
+  | None ->
+    let nl = match !nl with Some n -> n | None -> create () in
     (* Every primitive connection is a net, and nothing else is one until
        the declarations below run; every primitive is an instance. *)
     let n_signals = Netlist.n_nets nl in
@@ -578,21 +606,21 @@ let run ?defaults (source : (Ast.top_stmt -> unit) -> (unit, string) result) =
     (* The refined interconnection rule fills every remaining net from
        its fanout count (explicit WIRE DELAYs, /M locals and de-skewed
        clock runs keep their settings). *)
-    (match settings.wire_rule with
+    (match s.wire_rule with
     | None -> ()
     | Some ((b1, b2), (p1, p2)) ->
       ignore
         (Wire_rule.apply nl
            (Wire_rule.loaded ~base:(Delay.of_ns b1 b2) ~per_load:(Delay.of_ns p1 p2))));
-    (match settings.corners with
+    (match s.corners with
     | None -> ()
     | Some entries -> Netlist.set_corners nl (corner_table_of entries));
     Netlist.trim nl;
     Ok
       {
         e_netlist = nl;
-        e_pass1_s = pass1_s;
-        e_pass2_s = Sys.time () -. t0;
+        e_pass1_s = !t1 -. t0;
+        e_pass2_s = Sys.time () -. !t1;
         e_summary =
           {
             s_macros_expanded = counts.c_macros;
@@ -601,9 +629,13 @@ let run ?defaults (source : (Ast.top_stmt -> unit) -> (unit, string) result) =
             s_synonyms = counts.c_synonyms;
           };
       }
-  with
-  | Expand_error msg -> Error msg
-  | Invalid_argument msg -> Error msg
+
+let run ?defaults source =
+  let t0 = Sys.time () in
+  try
+    try read ?defaults ~t0 ~single:true source
+    with Restart -> read ?defaults ~t0 ~single:false source
+  with Expand_error msg | Invalid_argument msg -> Error msg
 
 let expand ?defaults design =
   run ?defaults (fun f ->

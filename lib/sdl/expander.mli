@@ -3,14 +3,30 @@
     Processing happens in the thesis's three phases:
 
     + reading the input and building data structures ({!Parser});
-    + {b Pass 1}: a read of the statements for the declarations every
-      instance may depend on, wherever they stand in the text: the
+    + {b Pass 1}: the declarations every instance may depend on: the
       timing settings ([PERIOD], [CLOCK UNIT], [DEFAULT WIRE DELAY]),
       [WIRE RULE], [CORNERS] and the macro table;
-    + {b Pass 2}: a second read that expands each top-level instance as
-      it arrives into a {!Scald_core.Netlist.t} ready for the Timing
-      Verifier, then applies the [WIRE DELAY] and [WIDTH] declarations
-      in textual order.
+    + {b Pass 2}: each top-level instance expanded as it arrives into a
+      {!Scald_core.Netlist.t} ready for the Timing Verifier, then the
+      [WIRE DELAY] and [WIDTH] declarations applied in textual order.
+
+    When the text states each declaration before its use, both passes
+    happen in {b one read}: each statement is declared as it arrives,
+    the netlist is created at the first top-level instance and each
+    top-level instance is expanded as it arrives.  The read is abandoned,
+    and {b two reads} run from the start (the first for the
+    declarations, the second to expand), when the text uses something
+    before stating it:
+    - no netlist can be built at the first top-level instance (no
+      [PERIOD] yet, or a default [CLOCK UNIT] below 1 ps);
+    - a [PERIOD], [CLOCK UNIT] or [DEFAULT WIRE DELAY] follows the first
+      top-level instance;
+    - a call, nested ones included, names a macro not yet defined.
+
+    Only the text picks the path, and both build the same netlist and
+    report the same errors: the two reads are the reference.  So a macro
+    may be used before its definition, and the last statement of each
+    setting wins wherever it stands.
 
     The thesis's Pass 1 also built a synonym structure for the different
     names of each signal.  Here the expansion frames resolve each formal
@@ -24,9 +40,9 @@
     vector's width and every size property must stay within 2^53 in
     magnitude, or the expansion fails at the line.  One expanded
     primitive stands for the whole vector — vector symmetry is
-    exploited, not bit-blasted (§3.3.2).  A macro may be used before
-    its definition.  Macro calls nest at most 64 levels deep
-    ([max_depth]); deeper nesting (a recursive macro) is an error.
+    exploited, not bit-blasted (§3.3.2).  Macro calls nest at most 64
+    levels deep ([max_depth]); deeper nesting (a recursive macro) is an
+    error.
 
     A macro's calls share what its definition fixes.  Each body line is
     classified (its primitive and instance name, or the macro it calls
@@ -40,10 +56,12 @@
     rejected property, directive or signal name inside an instance names
     that instance's own line (the macro-body line for a nested
     instance).  When a design has two errors, the one that comes first
-    in the reading order is reported: Pass 1 reads the whole text, so a
-    declaration error (a duplicate [MACRO] at line 7) is reported before
-    a parse error further down (at line 13), and an instance error
-    before a later instance's. *)
+    in the two reads' order is reported: the declaration read meets
+    every parse and declaration error, so a duplicate [MACRO] at line 7
+    is reported before a parse error further down (at line 13), and a
+    parse error at line 13 before an instance error at line 2; of two
+    instance errors, the earlier.  A single read keeps this order by
+    holding the first instance error until the read ends. *)
 
 type summary = {
   s_macros_expanded : int;  (** macro call sites expanded *)
@@ -56,26 +74,30 @@ type expansion = {
   e_netlist : Scald_core.Netlist.t;
   e_summary : summary;
   e_pass1_s : float;
-      (** CPU seconds spent in Pass 1: the declaration read, which under
-          {!load} includes lexing and parsing the source once *)
+      (** CPU seconds before the netlist is created.  In one read: the
+          statements ahead of the first top-level instance (under
+          {!load}, their lexing and parsing too).  In two reads: the
+          abandoned read and the declaration read. *)
   e_pass2_s : float;
-      (** CPU seconds spent in Pass 2: netlist output, the deferred
-          declarations, wire rule and corners, and under {!load} the
-          second lex and parse *)
+      (** CPU seconds from the netlist's creation to the end: netlist
+          output, the deferred declarations, wire rule and corners.  In
+          one read it also covers every statement from the first
+          top-level instance on; in two reads, the second read; under
+          {!load}, the lexing and parsing of what it reads. *)
 }
 
 val expand :
   ?defaults:Scald_core.Assertion.defaults ->
   Ast.design ->
   (expansion, string) result
-(** Run both passes over a parsed design.  The design must contain a
-    [PERIOD] statement; [CLOCK UNIT] defaults to one eighth of the
-    period, the default wire delay to 0.0/2.0 ns. *)
+(** Expand a parsed design, in one read of its statement list or two.
+    The design must contain a [PERIOD] statement; [CLOCK UNIT] defaults
+    to one eighth of the period, the default wire delay to 0.0/2.0 ns. *)
 
 val expand_exn : ?defaults:Scald_core.Assertion.defaults -> Ast.design -> expansion
 
 val load : ?defaults:Scald_core.Assertion.defaults -> string -> (expansion, string) result
-(** Expand a source text without building its AST: each pass reads the
+(** Expand a source text without building its AST: each read takes the
     statements straight from {!Parser.iter_stream}, so peak memory
     tracks the expanded design rather than the source's statement list.
     Accepts exactly the designs [parse] + {!expand} accept and builds

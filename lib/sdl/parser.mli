@@ -19,7 +19,7 @@ val iter_stream : string -> (Ast.top_stmt -> unit) -> (unit, string) result
 (** Parse statement-at-a-time, invoking the callback on each top-level
     statement as soon as it is complete.  Nothing but the source string
     and the statement in flight is retained — {!Expander.load} reads
-    both passes of macro expansion this way.  A lex or parse error
+    the source this way, once or twice.  A lex or parse error
     stops the iteration with the error {!parse} reports; statements
     already delivered stay delivered, and an exception the callback
     raises passes through. *)

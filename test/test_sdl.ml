@@ -304,7 +304,14 @@ let test_expand_errors () =
      the whole text meets first *)
   let two = "PERIOD 50.0;\n" ^ buf_macro "1/1" ^ buf_macro "1/1" ^ "M (A) -> B;\n2 AND (A, B Q;\n" in
   check 7 two "load" (Expander.load two);
-  check 13 two "parse" (Parser.parse two)
+  check 13 two "parse" (Parser.parse two);
+  (* a single read holds an instance error ("expects 2 inputs", line 2)
+     until the read ends, so a parse error (line 4) or a duplicate MACRO
+     (line 8) further down is still the one reported *)
+  let bad_and = "PERIOD 50.0;\n2 AND (DELAY=1/2) (A .S0-4) -> R;\n" in
+  fails_at 2 bad_and;
+  fails_at 4 (bad_and ^ "BUF (DELAY=1/2) (A .S0-4) -> Q;\n2 AND (A, B Q;\n");
+  fails_at 8 (bad_and ^ buf_macro "1/1" ^ buf_macro "1/1" ^ "M (A .S0-4) -> B;\n")
 
 let contains hay needle =
   let n = String.length hay and k = String.length needle in
@@ -452,8 +459,9 @@ let test_s1_subset_clean () =
 (* ---- one expander, two entry points ------------------------------------------------- *)
 
 (* A macro used before its MACRO statement, and a PERIOD (and default
-   wire delay) after the first instance: Pass 1 reads every declaration
-   before Pass 2 expands anything. *)
+   wire delay) after the first instance: each takes the two reads, the
+   first of which reads every declaration before the second expands
+   anything. *)
 let forward_macro_src =
   "PERIOD 50.0;\n\
    CLOCK UNIT 6.25;\n\
@@ -466,6 +474,21 @@ let forward_macro_src =
    REG (DELAY=1.5/4.5) (T /M, CK /P) -> Q /P;\n\
    SETUP HOLD CHK (SETUP=2.5, HOLD=1.5) (T /M, CK /P);\n\
    END;\n"
+
+(* A setting stated after the first instance: the last statement of
+   each kind wins.  PERIOD 0.003 alone defaults CLOCK UNIT to 0.375 ps,
+   which rounds below 1 ps, so no netlist can be built at its first
+   instance (PERIOD 0.004's default, 0.5 ps, rounds to 1 ps); the later
+   CLOCK UNIT replaces that default. *)
+let late_clock_unit_src period =
+  Printf.sprintf "PERIOD %s;\nBUF (DELAY=0.001/0.002) (A .S0-4) -> Q;\nCLOCK UNIT 0.001;\n" period
+
+let restated_src =
+  "PERIOD 50.0;\nCLOCK UNIT 6.25;\nDEFAULT WIRE DELAY 0.0/2.0;\n\
+   2 AND (DELAY=1.0/3.0) (A .S0-6, B .S0-6) -> G;\n\
+   REG (DELAY=1.5/4.5) (G, CK .P2-3) -> Q;\n\
+   SETUP HOLD CHK (SETUP=2.5, HOLD=1.5) (G, CK .P2-3);\n\
+   CLOCK UNIT 5.0;\nDEFAULT WIRE DELAY 0.5/1.5;\n"
 
 let late_period_src =
   "CLOCK UNIT 6.25;\n\
@@ -516,13 +539,14 @@ let macro_edges_src =
 
 (* Netlist digests ({!Scald_incr.Fingerprint.digest}: structure and every
    parameter) and summary lines captured from the expander as it stood
-   before Pass 1 became a declaration read; the last two designs took
-   that expander's fallback from streaming to the AST walk.  The digests
+   before Pass 1 became a declaration read; "forward macro" and "late
+   period" took that expander's fallback from streaming to the AST walk.  The digests
    were re-taken when the digest became two-level (block digests, then
    one over them); the flat MD5 of the same dump still gave the earlier
    pins, so the serialization they cover is unchanged.  The "macro
    edges" pin was taken from the expander that re-derived each body
-   line at every call, before macro calls came to share it. *)
+   line at every call, before macro calls came to share it, and the
+   last three from the expander that always read the text twice. *)
 let pinned =
   [
     ( "examples/cdc.sdl", "9424bb04d5f6938e7371df38bf4b03b9",
@@ -543,6 +567,12 @@ let pinned =
       "macro expansions: 0  primitives: 3  signals: 5  synonyms resolved: 0" );
     ( "macro edges", "604f69a983def5c67e3940bce5baf83d",
       "macro expansions: 6  primitives: 23  signals: 19  synonyms resolved: 24" );
+    ( "late clock unit", "f4d9ef4a2ec7f942d1b73e058ea31b52",
+      "macro expansions: 0  primitives: 1  signals: 2  synonyms resolved: 0" );
+    ( "default clock unit below 1 ps", "5ccc4977f156cbc7b0f3e33ea62fb17d",
+      "macro expansions: 0  primitives: 1  signals: 2  synonyms resolved: 0" );
+    ( "restated settings", "2ee9603fe292c50398e0eca0f44a8cea",
+      "macro expansions: 0  primitives: 3  signals: 5  synonyms resolved: 0" );
   ]
 
 let test_load_matches_expand () =
@@ -553,6 +583,9 @@ let test_load_matches_expand () =
     | "forward macro" -> forward_macro_src
     | "late period" -> late_period_src
     | "macro edges" -> macro_edges_src
+    | "late clock unit" -> late_clock_unit_src "0.004"
+    | "default clock unit below 1 ps" -> late_clock_unit_src "0.003"
+    | "restated settings" -> restated_src
     | path -> read_file ("../" ^ path)
   in
   List.iter
@@ -578,14 +611,15 @@ let test_load_matches_expand () =
    classified head and instance name, each actual's net, each assertion
    spelling's parse), so on the 400-chip netgen design Expander.expand
    of the parsed design allocates 241.3 minor words per primitive (980.2
-   when every call re-derived its body), and Expander.load, both reads
-   of the source included, 870.2 (1,609.1).  Minor-word counts repeat
-   exactly from run to run.  The expand bound sits below each single
-   piece undone: building the /M prefix at every call reads 284.6,
-   classifying every call 287.9, printing every instance name 293.0,
-   parsing every assertion spelling 359.0, rewriting every subscripted
-   name 425.8.  The load bound, that figure plus 25%, catches a
-   wholesale return to per-call re-derivation. *)
+   when every call re-derived its body), and Expander.load, its one read
+   of the source included, 555.7 (870.2 when it read the source twice,
+   1,609.1 when it also re-derived every call; one read is 314.5).
+   Minor-word counts repeat exactly from run to run.  The expand bound
+   sits below each single piece undone: building the /M prefix at every
+   call reads 284.6, classifying every call 287.9, printing every
+   instance name 293.0, parsing every assertion spelling 359.0,
+   rewriting every subscripted name 425.8.  The load bound, that figure
+   plus 25%, catches a design that quietly takes the two reads. *)
 let test_allocation_per_primitive () =
   let src = Netgen.to_sdl (Netgen.generate (Netgen.scaled ~chips:400 ())) in
   let design = parse_ok src in
@@ -598,7 +632,7 @@ let test_allocation_per_primitive () =
       Alcotest.failf "%s allocated %.1f minor words per primitive (bound %g)" what per_prim bound
   in
   per_prim "Expander.expand" 265. (fun () -> Expander.expand design);
-  per_prim "Expander.load" 1088. (fun () -> Expander.load src)
+  per_prim "Expander.load" 695. (fun () -> Expander.load src)
 
 (* A skewed waveform record keeps its folded form, so the gates and
    checks that read one net's record fold it once between them.  On the
