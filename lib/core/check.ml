@@ -86,170 +86,151 @@ let undefined_clock ~inst ~signal ~clock ck =
     ]
   else []
 
+(* Each checker walks its windows or intervals with a recursive helper
+   that builds a verdict only for a violation, so a clean check
+   allocates nothing beyond the window list the kernel returns. *)
+
+let violation kind ~inst ~signal ~clock ~required ~actual ~at ~detail =
+  {
+    v_kind = kind;
+    v_inst = inst;
+    v_signal = signal;
+    v_clock = clock;
+    v_required = required;
+    v_actual = actual;
+    v_at = at;
+    v_detail = detail;
+  }
+
+let rec setup_hold_windows ~inst ~signal ~clock ~setup ~hold ~data ~period = function
+  | [] -> []
+  | { Waveform.w_start = ws; w_stop = we } :: rest ->
+    let acc = setup_hold_windows ~inst ~signal ~clock ~setup ~hold ~data ~period rest in
+    let win = we - ws in
+    let acc =
+      if Waveform.stable_over data ~start:ws ~width:(win + hold) then acc
+      else
+        violation Hold_violation ~inst ~signal ~clock:(Some clock) ~required:hold
+          ~actual:(clamp_margin hold (hold_margin data we))
+          ~at:(Some (Timebase.wrap_period period ws)) ~detail:""
+        :: acc
+    in
+    if Waveform.stable_over data ~start:(ws - setup) ~width:(setup + win) then acc
+    else
+      violation Setup_violation ~inst ~signal ~clock:(Some clock) ~required:setup
+        ~actual:(clamp_margin setup (setup_margin data ws))
+        ~at:(Some (Timebase.wrap_period period ws)) ~detail:""
+      :: acc
+
 let check_setup_hold ~inst ~signal ~clock ~setup ~hold ~data ~ck =
-  let windows = Waveform.rising_windows ck in
-  if windows = [] then undefined_clock ~inst ~signal ~clock ck
-  else
-    List.concat_map
-      (fun { Waveform.w_start = ws; w_stop = we } ->
-        let win = we - ws in
-        let setup_ok = Waveform.stable_over data ~start:(ws - setup) ~width:(setup + win) in
-        let hold_ok = Waveform.stable_over data ~start:ws ~width:(win + hold) in
-        let mk kind required actual =
-          {
-            v_kind = kind;
-            v_inst = inst;
-            v_signal = signal;
-            v_clock = Some clock;
-            v_required = required;
-            v_actual = actual;
-            v_at = Some (Timebase.wrap_period (Waveform.period ck) ws);
-            v_detail = "";
-          }
-        in
-        let setup_err =
-          if setup_ok then []
-          else [ mk Setup_violation setup (clamp_margin setup (setup_margin data ws)) ]
-        in
-        let hold_err =
-          if hold_ok then []
-          else [ mk Hold_violation hold (clamp_margin hold (hold_margin data we)) ]
-        in
-        setup_err @ hold_err)
+  match Waveform.rising_windows ck with
+  | [] -> undefined_clock ~inst ~signal ~clock ck
+  | windows ->
+    setup_hold_windows ~inst ~signal ~clock ~setup ~hold ~data ~period:(Waveform.period ck)
       windows
 
-let pair_falling period rising fallings =
-  (* The first falling window whose start follows the rising window's
-     start (modulo the period). *)
-  match fallings with
-  | [] -> None
-  | _ ->
-    let dist f = Timebase.wrap_period period (f.Waveform.w_start - rising.Waveform.w_start) in
-    let best =
-      List.fold_left
-        (fun acc f ->
-          match acc with
-          | None -> Some f
-          | Some g -> if dist f < dist g then Some f else acc)
-        None fallings
+let rec nearest_falling period rising best d = function
+  | [] -> best
+  | f :: rest ->
+    let df = Timebase.wrap_period period (f.Waveform.w_start - rising.Waveform.w_start) in
+    if df < d then nearest_falling period rising (Some f) df rest
+    else nearest_falling period rising best d rest
+
+(* The first falling window whose start follows the rising window's
+   start (modulo the period). *)
+let pair_falling period rising fallings = nearest_falling period rising None max_int fallings
+
+let rec setup_rise_hold_fall_windows ~inst ~signal ~clock ~setup ~hold ~data ~period ~falling =
+  function
+  | [] -> []
+  | r :: rest -> (
+    let acc =
+      setup_rise_hold_fall_windows ~inst ~signal ~clock ~setup ~hold ~data ~period ~falling rest
     in
-    best
+    match pair_falling period r falling with
+    | None -> acc
+    | Some f ->
+      let rs = r.Waveform.w_start and fe = f.Waveform.w_stop in
+      let high = Timebase.wrap_period period (fe - rs) in
+      let acc =
+        if Waveform.stable_over data ~start:fe ~width:hold then acc
+        else
+          violation Hold_violation ~inst ~signal ~clock:(Some clock) ~required:hold
+            ~actual:(clamp_margin hold (hold_margin data fe))
+            ~at:(Some (Timebase.wrap_period period fe)) ~detail:""
+          :: acc
+      in
+      let acc =
+        if Waveform.stable_over data ~start:rs ~width:high then acc
+        else
+          violation Stable_high_violation ~inst ~signal ~clock:(Some clock) ~required:high
+            ~actual:None
+            ~at:(Some (Timebase.wrap_period period rs)) ~detail:""
+          :: acc
+      in
+      if Waveform.stable_over data ~start:(rs - setup) ~width:setup then acc
+      else
+        violation Setup_violation ~inst ~signal ~clock:(Some clock) ~required:setup
+          ~actual:(clamp_margin setup (setup_margin data rs))
+          ~at:(Some (Timebase.wrap_period period rs)) ~detail:""
+        :: acc)
 
 let check_setup_rise_hold_fall ~inst ~signal ~clock ~setup ~hold ~data ~ck =
-  let rising = Waveform.rising_windows ck in
-  let falling = Waveform.falling_windows ck in
-  if rising = [] then undefined_clock ~inst ~signal ~clock ck
-  else
-    let period = Waveform.period ck in
-    List.concat_map
-      (fun r ->
-        match pair_falling period r falling with
-        | None -> []
-        | Some f ->
-          let high = Timebase.wrap_period period (f.Waveform.w_stop - r.Waveform.w_start) in
-          let mk kind required actual at =
-            {
-              v_kind = kind;
-              v_inst = inst;
-              v_signal = signal;
-              v_clock = Some clock;
-              v_required = required;
-              v_actual = actual;
-              v_at = Some (Timebase.wrap_period period at);
-              v_detail = "";
-            }
-          in
-          let setup_ok =
-            Waveform.stable_over data ~start:(r.Waveform.w_start - setup) ~width:setup
-          in
-          let high_ok = Waveform.stable_over data ~start:r.Waveform.w_start ~width:high in
-          let hold_ok = Waveform.stable_over data ~start:f.Waveform.w_stop ~width:hold in
-          List.concat
-            [
-              (if setup_ok then []
-               else
-                 [
-                   mk Setup_violation setup
-                     (clamp_margin setup (setup_margin data r.Waveform.w_start))
-                     r.Waveform.w_start;
-                 ]);
-              (if high_ok then [] else [ mk Stable_high_violation high None r.Waveform.w_start ]);
-              (if hold_ok then []
-               else
-                 [
-                   mk Hold_violation hold
-                     (clamp_margin hold (hold_margin data f.Waveform.w_stop))
-                     f.Waveform.w_stop;
-                 ]);
-            ])
-      rising
+  match Waveform.rising_windows ck with
+  | [] -> undefined_clock ~inst ~signal ~clock ck
+  | rising ->
+    setup_rise_hold_fall_windows ~inst ~signal ~clock ~setup ~hold ~data
+      ~period:(Waveform.period ck) ~falling:(Waveform.falling_windows ck) rising
+
+let rec narrow_pulses ~inst ~signal ~kind ~required ~period = function
+  | [] -> []
+  | (s, width) :: rest ->
+    let acc = narrow_pulses ~inst ~signal ~kind ~required ~period rest in
+    if width >= period || width >= required then acc
+    else
+      violation kind ~inst ~signal ~clock:None ~required ~actual:(Some width)
+        ~at:(Some (Timebase.wrap_period period s)) ~detail:""
+      :: acc
 
 let check_min_pulse_width ~inst ~signal ~high ~low wf =
   let period = Waveform.period wf in
-  let mk kind required actual at =
-    {
-      v_kind = kind;
-      v_inst = inst;
-      v_signal = signal;
-      v_clock = None;
-      v_required = required;
-      v_actual = Some actual;
-      v_at = Some (Timebase.wrap_period period at);
-      v_detail = "";
-    }
-  in
-  let check_runs kind required v =
+  let pulses kind required v =
     if required <= 0 then []
-    else
-      Waveform.pulse_intervals v wf
-      |> List.filter_map (fun (s, width) ->
-             if width >= period then None
-             else if width < required then Some (mk kind required width s)
-             else None)
+    else narrow_pulses ~inst ~signal ~kind ~required ~period (Waveform.pulse_intervals v wf)
   in
-  check_runs Min_high_width high Tvalue.V1 @ check_runs Min_low_width low Tvalue.V0
+  pulses Min_high_width high Tvalue.V1 @ pulses Min_low_width low Tvalue.V0
+
+let rec unstable_while ~inst ~signal ~clock wf = function
+  | [] -> []
+  | (s, width) :: rest ->
+    let acc = unstable_while ~inst ~signal ~clock wf rest in
+    if Waveform.stable_over wf ~start:s ~width then acc
+    else
+      violation Hazard ~inst ~signal ~clock:(Some clock) ~required:width ~actual:None
+        ~at:(Some s) ~detail:"control input may change while the clock is asserted"
+      :: acc
+
+let asserted v = not (Tvalue.equal v Tvalue.V0)
 
 let check_stable_while ~inst ~signal ~clock ~gate_wf wf =
-  let asserted =
-    Waveform.intervals_where (fun v -> not (Tvalue.equal v Tvalue.V0)) gate_wf
-  in
-  List.filter_map
-    (fun (s, width) ->
-      if Waveform.stable_over wf ~start:s ~width then None
-      else
-        Some
-          {
-            v_kind = Hazard;
-            v_inst = inst;
-            v_signal = signal;
-            v_clock = Some clock;
-            v_required = width;
-            v_actual = None;
-            v_at = Some s;
-            v_detail = "control input may change while the clock is asserted";
-          })
-    asserted
+  unstable_while ~inst ~signal ~clock wf (Waveform.intervals_where asserted gate_wf)
+
+let rec unstable_ranges ~signal ~period wf = function
+  | [] -> []
+  | ((s, e) as r) :: rest ->
+    let acc = unstable_ranges ~signal ~period wf rest in
+    let at, width = Timebase.modular_range ~period r in
+    if width = 0 || Waveform.stable_over wf ~start:at ~width then acc
+    else
+      violation Stable_assertion_violation ~inst:signal ~signal ~clock:None ~required:width
+        ~actual:None ~at:(Some at)
+        ~detail:
+          (Printf.sprintf "signal asserted stable from %.1f to %.1f ns" (Timebase.ns_of_ps s)
+             (Timebase.ns_of_ps e))
+      :: acc
 
 let check_stable_assertion ~signal ~tb assertion wf =
   match assertion.Assertion.kind with
   | Assertion.Precision_clock | Assertion.Nonprecision_clock -> []
   | Assertion.Stable ->
-    Assertion.intervals tb assertion
-    |> List.filter_map (fun (s, e) ->
-           let at, width = Timebase.modular_range ~period:(Timebase.period tb) (s, e) in
-           if width = 0 then None
-           else if Waveform.stable_over wf ~start:at ~width then None
-           else
-             Some
-               {
-                 v_kind = Stable_assertion_violation;
-                 v_inst = signal;
-                 v_signal = signal;
-                 v_clock = None;
-                 v_required = width;
-                 v_actual = None;
-                 v_at = Some at;
-                 v_detail =
-                   Printf.sprintf "signal asserted stable from %.1f to %.1f ns"
-                     (Timebase.ns_of_ps s) (Timebase.ns_of_ps e);
-               })
+    unstable_ranges ~signal ~period:(Timebase.period tb) wf (Assertion.intervals tb assertion)

@@ -454,6 +454,14 @@ let rec zero_gate t (inst : Netlist.inst) i =
   && (Directive.zero_gate (Directive.head (effective_directive t inst i))
      || zero_gate t inst (i + 1))
 
+(* An [A]/[H] directive makes input [i] a hazard input: the gate checks
+   the others are stable while it is asserted (§2.6). *)
+let hazard_letter t (inst : Netlist.inst) i =
+  Directive.check_hazard (Directive.head (effective_directive t inst i))
+
+let rec hazard_input t (inst : Netlist.inst) i =
+  i < Array.length inst.i_inputs && (hazard_letter t inst i || hazard_input t inst (i + 1))
+
 let element_delay t lane (inst : Netlist.inst) =
   match Primitive.element_delay inst.i_prim with
   | Some d when not (Primitive.is_gating inst.i_prim && zero_gate t inst 0) ->
@@ -494,10 +502,7 @@ let rec input_waveform t lane (inst : Netlist.inst) i =
             wf
           end
         end
-        else begin
-          let wf = if c.c_invert then Waveform.map Tvalue.lnot raw else raw in
-          Waveform.apply_delay (wire_delay t lane inst i) wf
-        end
+        else Waveform.buffer ~invert:c.c_invert ~delay:(wire_delay t lane inst i) raw
       in
       ln.l_cache_gen.(idx) <- gen;
       ln.l_cache_wf.(idx) <- wf;
@@ -541,45 +546,30 @@ let set_reset_overlay out s r =
   | Tvalue.Unknown, _ | _, Tvalue.Unknown -> Tvalue.Unknown
   | _, _ -> Tvalue.Change
 
-(* The value a register samples over a clock window, or None when the
-   data input is not a constant 0/1 throughout it. *)
-let sampled_value data_m { Waveform.w_start; w_stop } =
-  let v = Waveform.value_at data_m w_start in
-  match v with
-  | Tvalue.V0 | Tvalue.V1 ->
-    let width = w_stop - w_start in
-    if width = 0 then Some v
-    else
-      let ok =
-        Waveform.intervals_where (Tvalue.equal v) data_m
-        |> List.exists (fun (s, w) ->
-               let p = Waveform.period data_m in
-               let off = (w_start - s) mod p in
-               let off = if off < 0 then off + p else off in
-               off + width <= w)
-      in
-      if ok then Some v else None
-  | _ -> None
+(* Whether every remaining window samples [v] from the data input. *)
+let rec samples_all data_m v = function
+  | [] -> true
+  | w :: rest -> (
+    match Waveform.sampled data_m w with
+    | Some v' when Tvalue.equal v v' -> samples_all data_m v rest
+    | Some _ | None -> false)
 
 let reg_output ~period ~delay ~data_m ~clock =
-  let windows = Waveform.rising_windows clock in
-  if windows = [] then
+  match Waveform.rising_windows clock with
+  | [] ->
     if
       List.for_all
         (fun (v, _) -> match v with Tvalue.Unknown -> true | _ -> false)
         (Waveform.segments clock)
     then Waveform.const ~period Tvalue.Unknown
     else Waveform.const ~period Tvalue.Stable
-  else
+  | first :: rest as windows ->
     let data_m = Lazy.force data_m in
-    let samples = List.map (sampled_value data_m) windows in
+    (* The value every window samples, else Stable. *)
     let base =
-      match samples with
-      | [] -> Tvalue.Stable
-      | first :: rest ->
-        if List.for_all (fun s -> s = first) rest then
-          match first with Some v -> v | None -> Tvalue.Stable
-        else Tvalue.Stable
+      match Waveform.sampled data_m first with
+      | Some v when samples_all data_m v rest -> v
+      | Some _ | None -> Tvalue.Stable
     in
     let change_ivals =
       List.map
@@ -642,41 +632,42 @@ let paint_change_windows ~period ~d windows wf =
    the element and wire delays differ per lane, so the body is shared
    and the lane selects the input derivation and the delay scale. *)
 let eval_output t lane (inst : Netlist.inst) =
-  let input i = input_waveform t lane inst i in
-  let sc d = Delay.scale t.lanes.(lane).l_dscale d in
+  let dscale = t.lanes.(lane).l_dscale in
   match inst.i_prim with
   | Primitive.Setup_hold_check _ | Primitive.Setup_rise_hold_fall_check _
   | Primitive.Min_pulse_width _ ->
     None
   | Primitive.Const v -> Some (Waveform.const ~period:(period t) v)
   | Primitive.Buf { invert; delay } ->
-    let wf = input 0 in
-    let wf = if invert then Waveform.map Tvalue.lnot wf else wf in
-    let d = if zero_gate t inst 0 then Delay.zero else sc delay in
-    Some (Waveform.apply_delay d wf)
+    let d = if zero_gate t inst 0 then Delay.zero else Delay.scale dscale delay in
+    Some (Waveform.buffer ~invert ~delay:d (input_waveform t lane inst 0))
   | Primitive.Gate { fn; n_inputs; invert; delay } ->
-    let letters =
-      Array.init n_inputs (fun i -> Directive.head (effective_directive t inst i))
-    in
-    let hazard = Array.exists Directive.check_hazard letters in
-    let zero_gate = Array.exists Directive.zero_gate letters in
     let wfs =
-      List.init n_inputs (fun i ->
-          if hazard && not (Directive.check_hazard letters.(i)) then
-            (* &A / &H: assume the other (control) inputs enable the
-               gate, so the output follows the clock alone (§2.6). *)
-            Waveform.const ~period:(period t) (Primitive.enabling_value fn)
-          else input i)
+      if hazard_input t inst 0 then begin
+        (* &A / &H: assume the other (control) inputs enable the gate,
+           so the output follows the clock alone (§2.6). *)
+        let enabling = Waveform.const ~period:(period t) (Primitive.enabling_value fn) in
+        let wfs = Array.make n_inputs enabling in
+        for i = 0 to n_inputs - 1 do
+          if hazard_letter t inst i then wfs.(i) <- input_waveform t lane inst i
+        done;
+        wfs
+      end
+      else begin
+        let wfs = Array.make n_inputs (input_waveform t lane inst 0) in
+        for i = 1 to n_inputs - 1 do
+          wfs.(i) <- input_waveform t lane inst i
+        done;
+        wfs
+      end
     in
-    let combined = Waveform.mapn (Primitive.gate_fold fn) wfs in
-    let combined = if invert then Waveform.map Tvalue.lnot combined else combined in
-    let d = if zero_gate then Delay.zero else sc delay in
-    Some (Waveform.apply_delay d combined)
+    let d = if zero_gate t inst 0 then Delay.zero else Delay.scale dscale delay in
+    Some (Waveform.gate (Primitive.gate_table fn) ~invert ~delay:d wfs)
   | Primitive.Mux2 { delay; select_extra } ->
-    let a = input 0 and b = input 1 and s = input 2 in
-    let s = Waveform.apply_delay (sc select_extra) s in
+    let a = input_waveform t lane inst 0 and b = input_waveform t lane inst 1 and s = input_waveform t lane inst 2 in
+    let s = Waveform.apply_delay (Delay.scale dscale select_extra) s in
     let combined = Waveform.map3 mux_value a b s in
-    let d = if zero_gate t inst 0 then Delay.zero else sc delay in
+    let d = if zero_gate t inst 0 then Delay.zero else Delay.scale dscale delay in
     let out = Waveform.apply_delay d combined in
     (* A select transition may change the output even when both data
        inputs are stable (their unknown stable values can differ), so
@@ -684,20 +675,20 @@ let eval_output t lane (inst : Netlist.inst) =
        mux delay. *)
     Some (paint_change_windows ~period:(period t) ~d (Waveform.change_windows s) out)
   | Primitive.Reg { delay; has_set_reset } ->
-    let delay = sc delay in
+    let delay = Delay.scale dscale delay in
     (* The data input's record comes from the input cache and keeps its
        folded form, so a clock-only re-evaluation folds nothing. *)
-    let data_m = lazy (Waveform.materialize (input 0)) in
-    let clock = input 1 in
+    let data_m = lazy (Waveform.materialize (input_waveform t lane inst 0)) in
+    let clock = input_waveform t lane inst 1 in
     let out = reg_output ~period:(period t) ~delay ~data_m ~clock in
     if not has_set_reset then Some out
     else
-      let s = Waveform.apply_delay delay (input 2)
-      and r = Waveform.apply_delay delay (input 3) in
+      let s = Waveform.apply_delay delay (input_waveform t lane inst 2)
+      and r = Waveform.apply_delay delay (input_waveform t lane inst 3) in
       Some (Waveform.map3 set_reset_overlay out s r)
   | Primitive.Latch { delay; has_set_reset } ->
-    let delay = sc delay in
-    let data = input 0 and enable = input 1 in
+    let delay = Delay.scale dscale delay in
+    let data = input_waveform t lane inst 0 and enable = input_waveform t lane inst 1 in
     let out = Waveform.apply_delay delay (Waveform.map2 latch_value data enable) in
     (* The opening (rising-enable) edge may change the output even with
        stable data: the held value from the previous cycle can differ
@@ -709,8 +700,8 @@ let eval_output t lane (inst : Netlist.inst) =
     in
     if not has_set_reset then Some out
     else
-      let s = Waveform.apply_delay delay (input 2)
-      and r = Waveform.apply_delay delay (input 3) in
+      let s = Waveform.apply_delay delay (input_waveform t lane inst 2)
+      and r = Waveform.apply_delay delay (input_waveform t lane inst 3) in
       Some (Waveform.map3 set_reset_overlay out s r)
 
 (* The evaluation string passed along with the output value: the rest of
@@ -981,47 +972,48 @@ let touch_inst t inst_id =
 
 let net_name t id = (Netlist.net t.nl id).n_name
 
+(* The &A/&H checks of hazard input [i] onwards: each other input that
+   is not a hazard input must be stable while input [i] is asserted. *)
+let rec hazard_checks t lane (inst : Netlist.inst) i =
+  let n = Array.length inst.i_inputs in
+  if i = n then []
+  else if not (hazard_letter t inst i) then hazard_checks t lane inst (i + 1)
+  else
+    let gate_wf = input_waveform t lane inst i in
+    let rec others j =
+      if j = n then hazard_checks t lane inst (i + 1)
+      else if j = i || hazard_letter t inst j then others (j + 1)
+      else
+        let v =
+          Check.check_stable_while ~inst:inst.i_name
+            ~signal:(net_name t inst.i_inputs.(j).c_net)
+            ~clock:(net_name t inst.i_inputs.(i).c_net)
+            ~gate_wf (input_waveform t lane inst j)
+        in
+        v @ others (j + 1)
+    in
+    others 0
+
 let check_inst_compute t lane (inst : Netlist.inst) =
-  let input i = input_waveform t lane inst i in
   match inst.i_prim with
   | Primitive.Setup_hold_check { setup; hold } ->
-    let data = input 0 and ck = input 1 in
+    let data = input_waveform t lane inst 0 and ck = input_waveform t lane inst 1 in
     Check.check_setup_hold ~inst:inst.i_name
       ~signal:(net_name t inst.i_inputs.(0).c_net)
       ~clock:(net_name t inst.i_inputs.(1).c_net)
       ~setup ~hold ~data ~ck
   | Primitive.Setup_rise_hold_fall_check { setup; hold } ->
-    let data = input 0 and ck = input 1 in
+    let data = input_waveform t lane inst 0 and ck = input_waveform t lane inst 1 in
     Check.check_setup_rise_hold_fall ~inst:inst.i_name
       ~signal:(net_name t inst.i_inputs.(0).c_net)
       ~clock:(net_name t inst.i_inputs.(1).c_net)
       ~setup ~hold ~data ~ck
   | Primitive.Min_pulse_width { high; low } ->
-    let wf = input 0 in
+    let wf = input_waveform t lane inst 0 in
     Check.check_min_pulse_width ~inst:inst.i_name
       ~signal:(net_name t inst.i_inputs.(0).c_net)
       ~high ~low wf
-  | Primitive.Gate _ ->
-    let n = Array.length inst.i_inputs in
-    let hazard_inputs =
-      List.filter
-        (fun i -> Directive.check_hazard (Directive.head (effective_directive t inst i)))
-        (List.init n (fun i -> i))
-    in
-    List.concat_map
-      (fun i ->
-        let gate_wf = input i in
-        List.concat_map
-          (fun j ->
-            if j = i || Directive.check_hazard (Directive.head (effective_directive t inst j))
-            then []
-            else
-              Check.check_stable_while ~inst:inst.i_name
-                ~signal:(net_name t inst.i_inputs.(j).c_net)
-                ~clock:(net_name t inst.i_inputs.(i).c_net)
-                ~gate_wf (input j))
-          (List.init n (fun j -> j)))
-      hazard_inputs
+  | Primitive.Gate _ -> if hazard_input t inst 0 then hazard_checks t lane inst 0 else []
   | Primitive.Buf _ | Primitive.Mux2 _ | Primitive.Reg _ | Primitive.Latch _
   | Primitive.Const _ ->
     []

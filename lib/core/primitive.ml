@@ -54,12 +54,31 @@ let enabling_value = function
   | Or | Xor -> Tvalue.V0
   | Chg -> Tvalue.Stable
 
-let gate_fold fn vs =
-  match fn with
-  | And -> List.fold_left Tvalue.land_ Tvalue.V1 vs
-  | Or -> List.fold_left Tvalue.lor_ Tvalue.V0 vs
-  | Xor -> List.fold_left Tvalue.lxor_ Tvalue.V0 vs
-  | Chg -> List.fold_left Tvalue.chg Tvalue.Stable vs
+let gate_step = function
+  | And -> Tvalue.land_
+  | Or -> Tvalue.lor_
+  | Xor -> Tvalue.lxor_
+  | Chg -> Tvalue.chg
+
+let gate_fold fn vs = List.fold_left (gate_step fn) (enabling_value fn) vs
+
+(* Each built once, when the module is initialized; a table is
+   immutable. *)
+let table fn = Waveform.table ~init:(enabling_value fn) (gate_step fn)
+
+let and_table = table And
+
+let or_table = table Or
+
+let xor_table = table Xor
+
+let chg_table = table Chg
+
+let gate_table = function
+  | And -> and_table
+  | Or -> or_table
+  | Xor -> xor_table
+  | Chg -> chg_table
 
 let input_label p i =
   match p, i with

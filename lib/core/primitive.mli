@@ -73,7 +73,13 @@ val enabling_value : gate_fn -> Tvalue.t
 
 val gate_fold : gate_fn -> Tvalue.t list -> Tvalue.t
 (** The gate function over its input values at one instant, before the
-    output inversion. *)
+    output inversion: a fold of {!Tvalue.land_}, {!Tvalue.lor_},
+    {!Tvalue.lxor_} or {!Tvalue.chg} from the {!enabling_value}. *)
+
+val gate_table : gate_fn -> Waveform.table
+(** {!gate_fold} as the table {!Waveform.gate} merges through, derived
+    once per function from the same [Tvalue] function and start
+    value. *)
 
 val input_label : t -> int -> string
 (** Diagnostic name of input port [i], e.g. ["DATA"], ["CK"]. *)

@@ -12,6 +12,12 @@ let ps_of_ns ns =
 
 let ns_of_ps ps = float_of_int ps /. 1000.
 
+(* Within a few ulps of a whole number of ps: the decimal a design
+   states reaches here through one parse and one product. *)
+let is_whole_ps ns =
+  let x = ns *. 1000. in
+  Float.abs (x -. Float.round x) <= 8. *. epsilon_float *. Float.abs x
+
 let of_period_ps ~period ~clock_unit =
   if period <= 0 then invalid_arg "Timebase: period must be positive";
   if clock_unit <= 0 then invalid_arg "Timebase: clock unit must be positive";

@@ -50,6 +50,12 @@ val ps_of_ns : float -> ps
 val ns_of_ps : ps -> float
 (** Convert picoseconds back to nanoseconds. *)
 
+val is_whole_ps : float -> bool
+(** Whether a time in nanoseconds is a whole number of picoseconds, up to
+    the rounding of its decimal: [6.25] and [0.004] are, [0.0005] is
+    not.  A period or clock unit must be, since {!ps_of_ns} would round
+    it and every clock unit and assertion would move with it. *)
+
 val ps_of_units : t -> float -> ps
 (** Convert designer clock units to picoseconds, rounding to the nearest
     ps.

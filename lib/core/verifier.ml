@@ -96,23 +96,21 @@ let lane_checks ev =
 
 let run_case ?probe ev nl i case =
   (* [span] must stay let-bound polymorphic: it wraps both unit and
-     list-returning phases. *)
-  let span : 'a. string -> (unit -> 'a) -> 'a =
-   fun name f -> match probe with None -> f () | Some p -> p.pr_span name f
+     list-returning phases.  It names the span "<phase>:case<i><suffix>"
+     only for a probe, so a run without one builds no name. *)
+  let span : 'a. string -> string -> (unit -> 'a) -> 'a =
+   fun phase suffix f ->
+    match probe with
+    | None -> f ()
+    | Some p -> p.pr_span (phase ^ ":case" ^ string_of_int (i + 1) ^ suffix) f
   in
   let before_events = Eval.events ev and before_evals = Eval.evaluations ev in
-  span
-    (Printf.sprintf "evaluate:case%d" (i + 1))
-    (fun () -> Eval.run ~case:(Case_analysis.resolve nl case) ev);
-  let violations =
-    span (Printf.sprintf "check:case%d" (i + 1)) (fun () -> Eval.check ev)
-  in
+  span "evaluate" "" (fun () -> Eval.run ~case:(Case_analysis.resolve nl case) ev);
+  let violations = span "check" "" (fun () -> Eval.check ev) in
   let corner_violations =
     (* no extra span (or work) on the single-corner path: traces must
        stay identical to the historical ones *)
-    if Eval.n_corners ev = 1 then []
-    else
-      span (Printf.sprintf "check:case%d:corners" (i + 1)) (fun () -> lane_checks ev)
+    if Eval.n_corners ev = 1 then [] else span "check" ":corners" (fun () -> lane_checks ev)
   in
   ( {
       cr_case = case;

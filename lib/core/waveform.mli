@@ -20,9 +20,9 @@ type t
     is part of the contract.  {!materialize} returns its input when the
     skew is zero and otherwise one folded record per input, which
     {!delay_rise_fall} also returns for a waveform without edges;
-    {!rotate} by a multiple of the period and {!apply_delay} by zero
-    return their input.  Every other result is a fresh record, and
-    starts unmaterialized.  Each record belongs to one evaluator, so no
+    {!rotate} by a multiple of the period, {!apply_delay} by zero and
+    {!buffer} without inversion by zero return their input.  Every other
+    result is a fresh record, and starts unmaterialized.  Each record belongs to one evaluator, so no
     two domains fold one record. *)
 
 val period : t -> Timebase.ps
@@ -114,20 +114,46 @@ val materialize : t -> t
 
 val map : (Tvalue.t -> Tvalue.t) -> t -> t
 (** Pointwise value map on the nominal list (skew preserved).  Used for
-    complementation and for case-analysis substitution of [Stable]. *)
+    complementation and for case-analysis substitution of [Stable].
+    [f] is tabulated once on each of the seven values. *)
 
 val map2 : (Tvalue.t -> Tvalue.t -> Tvalue.t) -> t -> t -> t
-(** Pointwise combination of two signals.  Both are materialized first,
-    since the skew of a combined value cannot in general be represented
-    by a single window.  @raise Invalid_argument on period mismatch. *)
+(** Pointwise combination of two signals.  When one is constant the
+    other is mapped and keeps its skew; otherwise both are materialized
+    first, since the skew of a combined value cannot in general be
+    represented by a single window.  [f] is called on decoded values
+    and must not itself call a kernel of this module.
+    @raise Invalid_argument on period mismatch. *)
 
 val map3 : (Tvalue.t -> Tvalue.t -> Tvalue.t -> Tvalue.t) -> t -> t -> t -> t
 (** Three-input pointwise combination (e.g. 2-input multiplexer with its
-    select line). *)
+    select line), by the same rule as {!map2}: all three inputs are
+    materialized once two or more of them vary. *)
 
-val mapn : (Tvalue.t list -> Tvalue.t) -> t list -> t
-(** N-input pointwise combination.  @raise Invalid_argument on an empty
-    list or period mismatch. *)
+val buffer : invert:bool -> delay:Delay.t -> t -> t
+(** [buffer ~invert ~delay w] is {!apply_delay}[ delay] of [w], or of
+    its complement when [invert]: a buffer or inverter, or a connection
+    that inverts.  The complement and an envelope delay's rotation are
+    written in one copy. *)
+
+type table
+(** A two-input value function over the seven values, tabulated on the
+    segment codes, with the value a fold over it starts from. *)
+
+val table : init:Tvalue.t -> (Tvalue.t -> Tvalue.t -> Tvalue.t) -> table
+(** [table ~init f] tabulates [f] on all 49 pairs of values. *)
+
+val lookup : table -> Tvalue.t -> Tvalue.t -> Tvalue.t
+(** [lookup (table ~init f) a b = f a b]. *)
+
+val gate : table -> invert:bool -> delay:Delay.t -> t array -> t
+(** [gate (table ~init f) ~invert ~delay ws] is a gate's output: at each
+    instant, [List.fold_left f init] over the inputs' values, complemented
+    when [invert], then delayed as by {!apply_delay}.  With every input
+    but at most one constant (a record used twice counts twice) the
+    varying input keeps its skew, as in {!map2}; otherwise the inputs
+    are materialized.  The result is always a fresh record.
+    @raise Invalid_argument on an empty array or a period mismatch. *)
 
 type window = { w_start : Timebase.ps; w_stop : Timebase.ps }
 (** A time window within the cycle; [w_stop >= w_start] always, and the
@@ -180,6 +206,13 @@ val stable_interval_around :
   t -> Timebase.ps -> (Timebase.ps * Timebase.ps) option
 (** The maximal stable interval [(start, width)] containing the given
     instant, if the materialized value there is stable. *)
+
+val sampled : t -> window -> Tvalue.t option
+(** What a register samples over a clock window: [Some v] when the
+    materialized value at the window's start is [V0] or [V1] and holds
+    through its stop, else [None].  A one-segment waveform is one run
+    from 0 to the period here, so a window that crosses the wrap samples
+    [None] from it. *)
 
 val pp : Format.formatter -> t -> unit
 (** Summary-listing format in the style of Figure 3-10: a sequence of

@@ -539,6 +539,9 @@ let create_netlist ?defaults s =
     | Some u -> u
     | None when Timebase.ps_of_ns (period_ns /. 8.) < 1 ->
       fail "line %d: the default CLOCK UNIT (PERIOD/8) is below 1 ps" period_line
+    | None when not (Timebase.is_whole_ps (period_ns /. 8.)) ->
+      fail "line %d: the default CLOCK UNIT (PERIOD/8) is %g ns, not a whole number of ps"
+        period_line (period_ns /. 8.)
     | None -> period_ns /. 8.
   in
   let wmin, wmax = s.default_wire in

@@ -93,7 +93,8 @@ let parse_period st what =
   let line = line st in
   let f = parse_number st in
   match Scald_core.Timebase.ps_of_ns f with
-  | ps when ps > 0 -> f
+  | ps when ps > 0 && Scald_core.Timebase.is_whole_ps f -> f
+  | ps when ps > 0 -> fail_at line "%s must be a whole number of picoseconds, found %g ns" what f
   | _ -> fail_at line "%s must be at least 1 ps, found %g ns" what f
   | exception Invalid_argument msg -> fail_at line "%s: %s" what msg
 

@@ -281,6 +281,18 @@ let test_expand_errors () =
   (match Expander.load "PERIOD 0.001;\nCLOCK UNIT 0.001;\nBUF (DELAY=1/2) (A) -> Q;" with
   | Error e -> Alcotest.failf "an explicit CLOCK UNIT rejected: %s" e
   | Ok _ -> ());
+  (* a PERIOD or CLOCK UNIT that is not a whole number of picoseconds
+     fails at its line instead of rounding, and so does a default CLOCK
+     UNIT that is not one, at the PERIOD *)
+  fails_at 2 "PERIOD 0.004;\nCLOCK UNIT 0.0005;\nBUF (DELAY=0.001/0.001) (A .S0-4) -> Q;";
+  fails_at 1 "PERIOD 0.0045;\nCLOCK UNIT 0.001;\nBUF (DELAY=0.001/0.001) (A .S0-4) -> Q;";
+  let half_ps = "PERIOD 0.004;\nBUF (DELAY=0.001/0.001) (A .S0-4) -> Q;" in
+  fails_at 1 half_ps;
+  (match Expander.load half_ps with
+  | Error e ->
+    Alcotest.(check bool) "names the default clock unit" true
+      (String.starts_with ~prefix:"line 1: the default CLOCK UNIT (PERIOD/8" e)
+  | Ok _ -> ());
   fails_at 2 "PERIOD 50.0;\nWIRE DELAY (A) = 0/1e16;\nBUF (DELAY=1/2) (A) -> Q;";
   (* so are assertion times in clock units, once the clock unit is
      known: 1.6e8 units of 6.25 ns is the bound itself *)
@@ -477,9 +489,9 @@ let forward_macro_src =
 
 (* A setting stated after the first instance: the last statement of
    each kind wins.  PERIOD 0.003 alone defaults CLOCK UNIT to 0.375 ps,
-   which rounds below 1 ps, so no netlist can be built at its first
-   instance (PERIOD 0.004's default, 0.5 ps, rounds to 1 ps); the later
-   CLOCK UNIT replaces that default. *)
+   which rounds below 1 ps, and PERIOD 0.004 to 0.5 ps, which is not a
+   whole number of ps, so at either no netlist can be built at the first
+   instance; the later CLOCK UNIT replaces that default. *)
 let late_clock_unit_src period =
   Printf.sprintf "PERIOD %s;\nBUF (DELAY=0.001/0.002) (A .S0-4) -> Q;\nCLOCK UNIT 0.001;\n" period
 
@@ -634,13 +646,15 @@ let test_allocation_per_primitive () =
   per_prim "Expander.expand" 265. (fun () -> Expander.expand design);
   per_prim "Expander.load" 695. (fun () -> Expander.load src)
 
-(* A skewed waveform record keeps its folded form, so the gates and
-   checks that read one net's record fold it once between them.  On the
-   same 400-chip design, the 16 cases over its first four primary
-   inputs allocate 326.6 minor words per evaluation of Eval.run plus
-   the check pass of every lane at one corner and 961.7 at
-   typ,slow,fast (416.9 and 1,232.2 before records kept their fold).
-   Each bound is its figure plus 10%. *)
+(* The primitive models and checkers read and write packed segment
+   codes through the waveform kernels, and a skewed waveform record
+   keeps its folded form, so the gates and checks that read one net's
+   record fold it once between them.  On the same 400-chip design, the
+   16 cases over its first four primary inputs allocate 71.4 minor words
+   per evaluation of Eval.run plus the check pass of every lane at one
+   corner and 204.0 at typ,slow,fast (323.0 and 947.4 when the kernels
+   built lists of values and pieces; 416.9 and 1,232.2 before records
+   kept their fold).  Each bound is its figure plus 10%. *)
 let test_words_per_evaluation () =
   let src = Netgen.to_sdl (Netgen.generate (Netgen.scaled ~chips:400 ())) in
   let per_eval spec bound =
@@ -664,11 +678,12 @@ let test_words_per_evaluation () =
         done)
       cases;
     let per_eval = (Gc.minor_words () -. before) /. float_of_int (Eval.evaluations ev) in
+    Printf.eprintf "WPE %s %.1f\n%!" spec per_eval;
     if per_eval > bound then
       Alcotest.failf "%s: %.1f minor words per evaluation (bound %g)" spec per_eval bound
   in
-  per_eval "typ" 359.;
-  per_eval "typ,slow,fast" 1058.
+  per_eval "typ" 79.;
+  per_eval "typ,slow,fast" 224.
 
 (* ---- xref ------------------------------------------------------------------------- *)
 

@@ -367,27 +367,74 @@ let gen_map_fn =
       ("case 1", fun v -> if Tvalue.equal v Tvalue.Stable then Tvalue.V1 else v);
     ]
 
-(* The four gate folds over 1–5 inputs, the multiplexer over 3 and the
-   latch over 2; now and then the first input twice, as one record. *)
-let gen_combination =
+(* [n] inputs, each now and then a constant (skewed or not) or the
+   record of an earlier input again. *)
+let gen_inputs n =
   let open QCheck.Gen in
-  let folds =
-    List.map
-      (fun (name, fn) -> (name, Primitive.gate_fold fn, int_range 1 5))
-      [ ("AND", Primitive.And); ("OR", Primitive.Or); ("XOR", Primitive.Xor); ("CHG", Primitive.Chg) ]
+  let gen_const =
+    let* v = oneofl Tvalue.all in
+    let* late = frequency [ (2, return 0); (1, int_range 1 3000) ] in
+    return (Waveform.with_skew ~early:0 ~late (Waveform.const ~period v))
   in
-  let mux = function [ a; b; s ] -> O.mux_value a b s | _ -> assert false in
-  let latch = function [ d; e ] -> O.latch_value d e | _ -> assert false in
-  let* name, f, arity =
-    oneofl (folds @ [ ("MUX2", mux, return 3); ("LATCH", latch, return 2) ])
-  in
-  let* n = arity in
-  let* ws = list_repeat n (QCheck.gen gen_waveform) in
-  let* twice = frequency [ (4, return false); (1, return true) ] in
-  return (name, f, match ws with a :: _ :: rest when twice -> a :: a :: rest | _ -> ws)
+  let* ws = list_repeat n (frequency [ (3, QCheck.gen gen_waveform); (2, gen_const) ]) in
+  let* repeats = list_repeat n (frequency [ (4, return None); (1, map Option.some (int_bound n)) ]) in
+  let ws = Array.of_list ws in
+  List.iteri (fun i r -> match r with Some j when j < i -> ws.(i) <- ws.(j) | _ -> ()) repeats;
+  return ws
 
-let print_combination (name, _, ws) =
-  String.concat "\n" (name :: List.map (Format.asprintf "%a" Waveform.pp) ws)
+let print_inputs ws =
+  String.concat "\n" (List.map (Format.asprintf "%a" Waveform.pp) (Array.to_list ws))
+
+(* No delay, an envelope delay of up to two cycles, or a rise/fall one. *)
+let gen_delay =
+  let open QCheck.Gen in
+  frequency
+    [
+      (2, return Delay.zero);
+      ( 3,
+        let* dmin = int_range 0 (2 * period) in
+        let* spread = int_range 0 3000 in
+        return (Delay.make dmin (dmin + spread)) );
+      ( 1,
+        let* r = int_range 0 3000 in
+        let* rs = int_range 0 2000 in
+        let* f = int_range 0 3000 in
+        let* fs = int_range 0 2000 in
+        return (Delay.make_rise_fall ~rise:(r, r + rs) ~fall:(f, f + fs)) );
+    ]
+
+let gate_fns = Primitive.[ ("AND", And); ("OR", Or); ("XOR", Xor); ("CHG", Chg) ]
+
+(* Each gate function over 1–6 inputs, complemented or not, delayed. *)
+let gen_gate =
+  let open QCheck.Gen in
+  let* name, fn = oneofl gate_fns in
+  let* invert = bool in
+  let* delay = gen_delay in
+  let* n = int_range 1 6 in
+  let* ws = gen_inputs n in
+  return (name, fn, invert, delay, ws)
+
+let print_gate (name, _, invert, delay, ws) =
+  Format.asprintf "%s%s delay %a\n%s" (if invert then "N" else "") name Delay.pp delay
+    (print_inputs ws)
+
+(* The evaluator's value functions of two and of three inputs. *)
+let gen_map2 =
+  let open QCheck.Gen in
+  let* name, f =
+    oneofl [ ("LATCH", O.latch_value); ("paint", O.paint); ("OR", Tvalue.lor_) ]
+  in
+  let* ws = gen_inputs 2 in
+  return (name, f, ws)
+
+let gen_map3 =
+  let open QCheck.Gen in
+  let* name, f = oneofl [ ("MUX2", O.mux_value); ("SET/RESET", O.set_reset_overlay) ] in
+  let* ws = gen_inputs 3 in
+  return (name, f, ws)
+
+let print_named (name, _, ws) = name ^ "\n" ^ print_inputs ws
 
 (* Ranges whose stop lies before, at, just past or a cycle or more away
    from the start, over starts anywhere in [-2, 3) cycles. *)
@@ -431,7 +478,89 @@ let gen_slot_params =
 let print_slot_params (dmin, dmax, (fmin, fmax), d) =
   Printf.sprintf "delay %d/%d, fall %d/%d, shift %d" dmin dmax fmin fmax d
 
-let oracle name gen f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:2000 ~name gen f)
+(* A predicate, as the set of values it holds on, and one value. *)
+let arb_values =
+  QCheck.make
+    ~print:(fun vs -> String.concat "" (List.map (Format.asprintf "%a" Tvalue.pp) vs))
+    QCheck.Gen.(
+      map (fun keep -> List.filteri (fun i _ -> keep land (1 lsl i) <> 0) Tvalue.all) (int_bound 127))
+
+let arb_value = QCheck.make ~print:(Format.asprintf "%a" Tvalue.pp) (QCheck.Gen.oneofl Tvalue.all)
+
+(* A window anywhere in [-2, 3) cycles, as wide as 0 to just over a
+   cycle, and an instant; or, half the time, a window from near one
+   segment start of the materialized waveform to near another, and the
+   first of them, where an off-by-one shows. *)
+let gen_query =
+  let open QCheck.Gen in
+  let* start = int_range (-2 * period) (3 * period) in
+  let* width =
+    frequency
+      [ (4, int_range 0 period); (1, oneofl [ -1; 0; 1; period - 1; period; period + 1 ]) ]
+  in
+  let* t = int_range (-2 * period) (3 * period) in
+  let* near = oneofl [ -1; 0; 1 ] in
+  let* anchors = opt (quad (int_bound 15) (int_bound 15) (oneofl [ -1; 0; 1 ]) (return near)) in
+  return (start, width, t, anchors)
+
+let print_query (start, width, t, anchors) =
+  match anchors with
+  | None -> Printf.sprintf "start %d, width %d, at %d" start width t
+  | Some (i, j, di, dj) -> Printf.sprintf "from segment %d%+d to segment %d%+d" i di j dj
+
+(* The window and instant a query names on [w]. *)
+let resolve_query w (start, width, t, anchors) =
+  match anchors with
+  | None -> (start, width, t)
+  | Some (i, j, di, dj) ->
+    let starts = Array.of_list (O.starts (O.materialize w)) in
+    let at k = starts.(k mod Array.length starts) in
+    let a = at i + di in
+    (a, O.wrap period (at j + dj - a), a)
+
+(* A second record for [equal]: the first itself, a copy, the copy with
+   other skew, a rotation of it, or another waveform. *)
+let gen_pair =
+  let open QCheck.Gen in
+  let* a = QCheck.gen gen_waveform in
+  let* b = QCheck.gen gen_waveform in
+  let copy () =
+    let early, late = Waveform.skew a in
+    Waveform.with_skew ~early ~late (Waveform.create ~period (Waveform.segments a))
+  in
+  let* k = int_range 0 4 in
+  let* d = int_range 1 (period - 1) in
+  let b =
+    match k with
+    | 0 -> a
+    | 1 -> copy ()
+    | 2 -> Waveform.with_skew ~early:(fst (Waveform.skew a) - 1) ~late:0 (copy ())
+    | 3 -> Waveform.rotate a d
+    | _ -> b
+  in
+  return (a, b)
+
+let print_pair (a, b) = Format.asprintf "%a\n%a" Waveform.pp a Waveform.pp b
+
+(* The kernels are held to their references on 2,000 cases each, and
+   20,000 with QCHECK_LONG=1. *)
+let oracle name gen f =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:2000 ~long_factor:10 ~name gen f)
+
+let test_gate_tables () =
+  List.iter
+    (fun ((name, fn), op) ->
+      let tb = Primitive.gate_table fn in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              Alcotest.check tv
+                (Format.asprintf "%s %a %a" name Tvalue.pp a Tvalue.pp b)
+                (op a b) (Waveform.lookup tb a b))
+            Tvalue.all)
+        Tvalue.all)
+    (List.combine gate_fns [ Tvalue.land_; Tvalue.lor_; Tvalue.lxor_; Tvalue.chg ])
 
 let oracle_properties =
   [
@@ -443,9 +572,42 @@ let oracle_properties =
     oracle "map equals its reference"
       QCheck.(pair gen_waveform (make ~print:fst gen_map_fn))
       (fun (w, (_, f)) -> Waveform.equal (Waveform.map f w) (O.map f w));
-    oracle "mapn equals its reference"
-      (QCheck.make ~print:print_combination gen_combination)
-      (fun (_, f, ws) -> Waveform.equal (Waveform.mapn f ws) (O.mapn f ws));
+    oracle "gate merge equals its reference" (QCheck.make ~print:print_gate gen_gate)
+      (fun (_, fn, invert, delay, ws) ->
+        let out = Waveform.gate (Primitive.gate_table fn) ~invert ~delay ws in
+        Waveform.equal out (O.gate fn ~invert ~delay (Array.to_list ws))
+        && Array.for_all (fun w -> w != out) ws);
+    oracle "map2 equals its reference" (QCheck.make ~print:print_named gen_map2)
+      (fun (_, f, ws) ->
+        Waveform.equal (Waveform.map2 f ws.(0) ws.(1))
+          (O.mapn (function [ x; y ] -> f x y | _ -> assert false) (Array.to_list ws)));
+    oracle "map3 equals its reference" (QCheck.make ~print:print_named gen_map3)
+      (fun (_, f, ws) ->
+        Waveform.equal (Waveform.map3 f ws.(0) ws.(1) ws.(2))
+          (O.mapn (function [ x; y; z ] -> f x y z | _ -> assert false) (Array.to_list ws)));
+    oracle "edge and change windows equal their reference" gen_waveform (fun w ->
+        Waveform.rising_windows w = O.rising_windows w
+        && Waveform.falling_windows w = O.falling_windows w
+        && Waveform.change_windows w = O.change_windows w);
+    oracle "intervals_where and pulse_intervals equal their reference"
+      QCheck.(triple gen_waveform arb_values arb_value)
+      (fun (w, vs, v) ->
+        let pred x = List.exists (Tvalue.equal x) vs in
+        Waveform.intervals_where pred w = O.intervals_where pred w
+        && Waveform.pulse_intervals v w = O.pulse_intervals v w);
+    oracle "stable_over, stable_interval_around and sampled equal their reference"
+      QCheck.(pair gen_waveform (make ~print:print_query gen_query))
+      (fun (w, q) ->
+        let start, width, t = resolve_query w q in
+        let win = { Waveform.w_start = start; w_stop = start + Int.max 0 width } in
+        Waveform.stable_over w ~start ~width = O.stable_over w ~start ~width
+        && Waveform.stable_interval_around w t = O.stable_interval_around w t
+        && Waveform.sampled w win = O.sampled w win);
+    oracle "equal equals its reference" (QCheck.make ~print:print_pair gen_pair) (fun (a, b) ->
+        Waveform.equal a b
+        = (Waveform.period a = Waveform.period b
+          && Waveform.skew a = Waveform.skew b
+          && Waveform.segments a = Waveform.segments b));
     oracle "of_intervals equals its reference"
       (QCheck.make ~print:print_ranges gen_ranges)
       (fun (ranges, inside, outside) ->
@@ -489,7 +651,10 @@ let oracle_properties =
             Waveform.map Tvalue.lnot;
             (fun v -> Waveform.map2 Tvalue.lor_ v w2);
             (fun v -> Waveform.map3 O.mux_value v w2 v);
-            (fun v -> Waveform.mapn (Primitive.gate_fold Primitive.Xor) [ v; w2; v ]);
+            (fun v ->
+              Waveform.gate (Primitive.gate_table Primitive.Xor) ~invert:false
+                ~delay:Delay.zero [| v; w2; v |]);
+            Waveform.buffer ~invert:true ~delay:(Delay.make dmin dmax);
             Waveform.materialize;
           ]
         in
@@ -558,5 +723,6 @@ let suite =
     Alcotest.test_case "pulse width ignores separate skew" `Quick
       test_pulse_intervals_ignore_skew;
     Alcotest.test_case "pulse width after folding" `Quick test_pulse_intervals_after_fold;
+    Alcotest.test_case "gate tables equal their Tvalue functions" `Quick test_gate_tables;
   ]
   @ properties @ oracle_properties
