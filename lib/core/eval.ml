@@ -580,8 +580,10 @@ let reg_output ~period ~delay ~data_m ~clock =
     Waveform.of_intervals ~period ~inside:Tvalue.Change ~outside:base change_ivals
 
 (* Transparent-latch value as a function of the data and enable values
-   at an instant; the result is then delayed by the latch delay. *)
-let latch_value d e =
+   at an instant, tabulated once; the result is then delayed by the
+   latch delay. *)
+let latch_table =
+  Waveform.table @@ fun d e ->
   match e with
   | Tvalue.V0 -> Tvalue.Stable
   | Tvalue.Unknown -> Tvalue.Unknown
@@ -603,6 +605,14 @@ let latch_value d e =
     | Tvalue.Change | Tvalue.Rise | Tvalue.Fall -> Tvalue.Change
     | Tvalue.V0 | Tvalue.V1 | Tvalue.Stable -> Tvalue.Stable)
 
+(* A value with the overlay's Change painted over it. *)
+let paint_table =
+  Waveform.table (fun v p ->
+      match p, v with
+      | Tvalue.Change, Tvalue.Unknown -> Tvalue.Unknown
+      | Tvalue.Change, _ -> Tvalue.Change
+      | _, v -> v)
+
 (* Paint Change over the given windows (dilated by a delay range) on a
    waveform -- used for output changes caused by an input transition that
    the pointwise combination cannot see, such as a zero-width select or
@@ -618,13 +628,7 @@ let paint_change_windows ~period ~d windows wf =
     let overlay =
       Waveform.of_intervals ~period ~inside:Tvalue.Change ~outside:Tvalue.Stable ivals
     in
-    let paint v p =
-      match p, v with
-      | Tvalue.Change, Tvalue.Unknown -> Tvalue.Unknown
-      | Tvalue.Change, _ -> Tvalue.Change
-      | _, v -> v
-    in
-    Waveform.map2 paint wf overlay
+    Waveform.map2 paint_table wf overlay
 
 (* ---- instance evaluation ------------------------------------------------ *)
 
@@ -662,7 +666,9 @@ let eval_output t lane (inst : Netlist.inst) =
       end
     in
     let d = if zero_gate t inst 0 then Delay.zero else Delay.scale dscale delay in
-    Some (Waveform.gate (Primitive.gate_table fn) ~invert ~delay:d wfs)
+    Some
+      (Waveform.gate (Primitive.gate_table fn) ~init:(Primitive.enabling_value fn) ~invert
+         ~delay:d wfs)
   | Primitive.Mux2 { delay; select_extra } ->
     let a = input_waveform t lane inst 0 and b = input_waveform t lane inst 1 and s = input_waveform t lane inst 2 in
     let s = Waveform.apply_delay (Delay.scale dscale select_extra) s in
@@ -689,7 +695,7 @@ let eval_output t lane (inst : Netlist.inst) =
   | Primitive.Latch { delay; has_set_reset } ->
     let delay = Delay.scale dscale delay in
     let data = input_waveform t lane inst 0 and enable = input_waveform t lane inst 1 in
-    let out = Waveform.apply_delay delay (Waveform.map2 latch_value data enable) in
+    let out = Waveform.apply_delay delay (Waveform.map2 latch_table data enable) in
     (* The opening (rising-enable) edge may change the output even with
        stable data: the held value from the previous cycle can differ
        from the current data value.  Zero-width edges are invisible to
@@ -1013,7 +1019,7 @@ let check_inst_compute t lane (inst : Netlist.inst) =
     Check.check_min_pulse_width ~inst:inst.i_name
       ~signal:(net_name t inst.i_inputs.(0).c_net)
       ~high ~low wf
-  | Primitive.Gate _ -> if hazard_input t inst 0 then hazard_checks t lane inst 0 else []
+  | Primitive.Gate _ -> hazard_checks t lane inst 0
   | Primitive.Buf _ | Primitive.Mux2 _ | Primitive.Reg _ | Primitive.Latch _
   | Primitive.Const _ ->
     []

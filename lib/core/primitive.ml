@@ -64,7 +64,7 @@ let gate_fold fn vs = List.fold_left (gate_step fn) (enabling_value fn) vs
 
 (* Each built once, when the module is initialized; a table is
    immutable. *)
-let table fn = Waveform.table ~init:(enabling_value fn) (gate_step fn)
+let table fn = Waveform.table (gate_step fn)
 
 let and_table = table And
 

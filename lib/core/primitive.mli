@@ -77,9 +77,9 @@ val gate_fold : gate_fn -> Tvalue.t list -> Tvalue.t
     {!Tvalue.lxor_} or {!Tvalue.chg} from the {!enabling_value}. *)
 
 val gate_table : gate_fn -> Waveform.table
-(** {!gate_fold} as the table {!Waveform.gate} merges through, derived
-    once per function from the same [Tvalue] function and start
-    value. *)
+(** The step of {!gate_fold} as the table {!Waveform.gate} merges
+    through (its start value is the {!enabling_value}), derived once per
+    function from the same [Tvalue] function. *)
 
 val input_label : t -> int -> string
 (** Diagnostic name of input port [i], e.g. ["DATA"], ["CK"]. *)

@@ -320,25 +320,19 @@ let rec fill_ranges period c ~opens ~closes ~cover i = function
       fill_ranges period c ~opens ~closes ~cover (i + 1) rest
     end
 
-(* Sort the first [k] entries of [a]: by insertion when there are few,
-   as there are for a clock's windows or an assertion's ranges (the
-   stdlib sort allocates its closures on every call), and through the
-   stdlib sort otherwise, so a long range list is not quadratic. *)
+(* Sort the first [k] entries of [a] in place, by insertion: quadratic
+   in [k], but [k] is small.  A register passes its clock's rising
+   windows, the window analysis at most [Window.max_spans] spans, an
+   assertion its written ranges. *)
 let sort_prefix a k =
-  if k <= 16 then
-    for i = 1 to k - 1 do
-      let x = a.(i) and j = ref (i - 1) in
-      while !j >= 0 && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done
-  else begin
-    let b = Array.sub a 0 k in
-    Array.sort Int.compare b;
-    Array.blit b 0 a 0 k
-  end
+  for i = 1 to k - 1 do
+    let x = a.(i) and j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
 
 (* The intervals are windows of [inside] over a constant base. *)
 let of_intervals ~period ~inside ~outside ivals =
@@ -419,13 +413,60 @@ let materialize w =
 
 (* ---- pointwise maps ---------------------------------------------------- *)
 
-let map f w =
+(* [w] relabelled through the code map [cmap], keeping its skew. *)
+let relabel cmap w =
   let n = n_segments w in
   let buf = (scratch n).s0 in
-  rotated ~period:w.period buf (relabel_into buf (code_map f) w.segs n) 0 ~early:w.early
-    ~late:w.late
+  rotated ~period:w.period buf (relabel_into buf cmap w.segs n) 0 ~early:w.early ~late:w.late
+
+let map f w = relabel (code_map f) w
 
 let check_period p w = if w.period <> p then invalid_arg "Waveform: period mismatch"
+
+(* Entry [(a lsl 3) lor b] of a table is the code of [f a b]. *)
+type table = string
+
+let table f =
+  String.init 64 (fun k ->
+      let a = k lsr 3 and b = k land 7 in
+      Char.chr (if a < 7 && b < 7 then code (f (decode a) (decode b)) else 0))
+
+let[@inline] step tb a b = Char.code (String.unsafe_get tb ((a lsl 3) lor b))
+
+let lookup tb a b = decode (step tb (code a) (code b))
+
+(* The code maps [x -> step tb c x] and [x -> step tb x c]. *)
+let row tb c =
+  let m = ref 0 in
+  for x = 0 to 6 do
+    m := !m lor (step tb c x lsl (3 * x))
+  done;
+  !m
+
+let column tb c =
+  let m = ref 0 in
+  for x = 0 to 6 do
+    m := !m lor (step tb x c lsl (3 * x))
+  done;
+  !m
+
+(* Merge the first [na] entries of [a] with the segment array [b]
+   through [tb] into [o]; returns the merged length. *)
+let merge_into tb ~period a na b o =
+  let nb = Array.length b in
+  let i = ref 0 and j = ref 0 and len = ref 0 and go = ref true in
+  while !go do
+    let ea = a.(!i) and eb = b.(!j) in
+    len := push o !len (Int.max (ea asr 3) (eb asr 3)) (step tb (ea land 7) (eb land 7));
+    let xa = seg_stop a na period !i and xb = seg_stop b nb period !j in
+    let x = Int.min xa xb in
+    if x = period then go := false
+    else begin
+      if xa = x then incr i;
+      if xb = x then incr j
+    end
+  done;
+  !len
 
 (* A combination whose inputs are all constant but (at most) one cannot
    fold skews together, so the varying input is relabelled and keeps its
@@ -435,36 +476,19 @@ let check_period p w = if w.period <> p then invalid_arg "Waveform: period misma
    materialized and the regions between their merged segment starts are
    combined in one pass. *)
 
-let map2 f a b =
+let map2 tb a b =
   let p = a.period in
   check_period p b;
+  let ca = a.segs.(0) land 7 and cb = b.segs.(0) land 7 in
   match n_segments a > 1, n_segments b > 1 with
-  | false, false -> const ~period:p (f (seg_val a 0) (seg_val b 0))
-  | true, false ->
-    let vb = seg_val b 0 in
-    map (fun x -> f x vb) a
-  | false, true ->
-    let va = seg_val a 0 in
-    map (fun x -> f va x) b
+  | false, false -> const ~period:p (decode (step tb ca cb))
+  | true, false -> relabel (column tb cb) a
+  | false, true -> relabel (row tb ca) b
   | true, true ->
     let sa = (materialize a).segs and sb = (materialize b).segs in
-    let na = Array.length sa and nb = Array.length sb in
-    let buf = (scratch (na + nb)).s0 in
-    let i = ref 0 and j = ref 0 and len = ref 0 and go = ref true in
-    while !go do
-      let ea = sa.(!i) and eb = sb.(!j) in
-      len :=
-        push buf !len (Int.max (ea asr 3) (eb asr 3))
-          (code (f (decode (ea land 7)) (decode (eb land 7))));
-      let xa = seg_stop sa na p !i and xb = seg_stop sb nb p !j in
-      let x = Int.min xa xb in
-      if x = p then go := false
-      else begin
-        if xa = x then incr i;
-        if xb = x then incr j
-      end
-    done;
-    rotated ~period:p buf !len 0 ~early:0 ~late:0
+    let na = Array.length sa in
+    let buf = (scratch (na + Array.length sb)).s0 in
+    rotated ~period:p buf (merge_into tb ~period:p sa na sb buf) 0 ~early:0 ~late:0
 
 let map3 f a b c =
   let p = a.period in
@@ -783,53 +807,13 @@ let buffer ~invert ~delay w =
 
 (* ---- gates --------------------------------------------------------------- *)
 
-(* Entry [(a lsl 3) lor b] of [t_codes] is the code of [f a b]. *)
-type table = { t_init : int; t_codes : string }
-
-let table ~init f =
-  let entry k =
-    let a = k lsr 3 and b = k land 7 in
-    Char.chr (if a < 7 && b < 7 then code (f (decode a) (decode b)) else 0)
-  in
-  { t_init = code init; t_codes = String.init 64 entry }
-
-let[@inline] step tb a b = Char.code (String.unsafe_get tb.t_codes ((a lsl 3) lor b))
-
-let lookup tb a b = decode (step tb (code a) (code b))
-
-(* The codes [step tb c x] for each [x], packed like a code map. *)
-let fold_codes tb c =
-  let m = ref 0 in
-  for x = 0 to 6 do
-    m := !m lor (step tb c x lsl (3 * x))
-  done;
-  !m
-
-(* Merge the first [na] entries of [a] with the segment array [b]
-   through [tb] into [o]; returns the merged length. *)
-let merge_into tb ~period a na b o =
-  let nb = Array.length b in
-  let i = ref 0 and j = ref 0 and len = ref 0 and go = ref true in
-  while !go do
-    let ea = a.(!i) and eb = b.(!j) in
-    len := push o !len (Int.max (ea asr 3) (eb asr 3)) (step tb (ea land 7) (eb land 7));
-    let xa = seg_stop a na period !i and xb = seg_stop b nb period !j in
-    let x = Int.min xa xb in
-    if x = period then go := false
-    else begin
-      if xa = x then incr i;
-      if xb = x then incr j
-    end
-  done;
-  !len
-
 (* The three cases of the combination rule above.  With no varying
    input the fold is one code; with one, its value at each code is a
    packed code map through which the varying input is relabelled; with
    more, the inputs are folded pairwise, each merge writing one scratch
    buffer from the other.  The output inversion relabels the result and
    the delay rotates it as it is copied out. *)
-let gate tb ~invert ~delay ws =
+let gate tb ~init ~invert ~delay ws =
   let k = Array.length ws in
   if k = 0 then invalid_arg "Waveform.gate: no inputs";
   let p = ws.(0).period in
@@ -841,9 +825,9 @@ let gate tb ~invert ~delay ws =
       vi := i
     end
   done;
-  let out = if invert then lnot_codes else ident_codes in
+  let init = code init and out = if invert then lnot_codes else ident_codes in
   if !varying = 0 then begin
-    let acc = ref tb.t_init in
+    let acc = ref init in
     for i = 0 to k - 1 do
       acc := step tb !acc (ws.(i).segs.(0) land 7)
     done;
@@ -853,7 +837,7 @@ let gate tb ~invert ~delay ws =
   end
   else if !varying = 1 then begin
     let v = ws.(!vi) in
-    let pre = ref tb.t_init in
+    let pre = ref init in
     for i = 0 to !vi - 1 do
       pre := step tb !pre (ws.(i).segs.(0) land 7)
     done;
@@ -878,7 +862,7 @@ let gate tb ~invert ~delay ws =
     let sc = scratch !total in
     let a = ref sc.s0 and b = ref sc.s1 in
     let first = (materialize ws.(0)).segs in
-    let len = ref (relabel_into !a (fold_codes tb tb.t_init) first (Array.length first)) in
+    let len = ref (relabel_into !a (row tb init) first (Array.length first)) in
     for i = 1 to k - 1 do
       len := merge_into tb ~period:p !a !len (materialize ws.(i)).segs !b;
       let t = !a in

@@ -117,18 +117,28 @@ val map : (Tvalue.t -> Tvalue.t) -> t -> t
     complementation and for case-analysis substitution of [Stable].
     [f] is tabulated once on each of the seven values. *)
 
-val map2 : (Tvalue.t -> Tvalue.t -> Tvalue.t) -> t -> t -> t
-(** Pointwise combination of two signals.  When one is constant the
-    other is mapped and keeps its skew; otherwise both are materialized
-    first, since the skew of a combined value cannot in general be
-    represented by a single window.  [f] is called on decoded values
-    and must not itself call a kernel of this module.
+type table
+(** A two-input value function over the seven values, tabulated on the
+    segment codes. *)
+
+val table : (Tvalue.t -> Tvalue.t -> Tvalue.t) -> table
+(** [table f] tabulates [f] on all 49 pairs of values. *)
+
+val lookup : table -> Tvalue.t -> Tvalue.t -> Tvalue.t
+(** [lookup (table f) a b = f a b]. *)
+
+val map2 : table -> t -> t -> t
+(** [map2 (table f) a b] is the pointwise combination [f] of two
+    signals.  When one is constant the other is mapped and keeps its
+    skew; otherwise both are materialized first, since the skew of a
+    combined value cannot in general be represented by a single window.
     @raise Invalid_argument on period mismatch. *)
 
 val map3 : (Tvalue.t -> Tvalue.t -> Tvalue.t -> Tvalue.t) -> t -> t -> t -> t
 (** Three-input pointwise combination (e.g. 2-input multiplexer with its
     select line), by the same rule as {!map2}: all three inputs are
-    materialized once two or more of them vary. *)
+    materialized once two or more of them vary.  [f] is called on
+    decoded values and must not itself call a kernel of this module. *)
 
 val buffer : invert:bool -> delay:Delay.t -> t -> t
 (** [buffer ~invert ~delay w] is {!apply_delay}[ delay] of [w], or of
@@ -136,18 +146,8 @@ val buffer : invert:bool -> delay:Delay.t -> t -> t
     that inverts.  The complement and an envelope delay's rotation are
     written in one copy. *)
 
-type table
-(** A two-input value function over the seven values, tabulated on the
-    segment codes, with the value a fold over it starts from. *)
-
-val table : init:Tvalue.t -> (Tvalue.t -> Tvalue.t -> Tvalue.t) -> table
-(** [table ~init f] tabulates [f] on all 49 pairs of values. *)
-
-val lookup : table -> Tvalue.t -> Tvalue.t -> Tvalue.t
-(** [lookup (table ~init f) a b = f a b]. *)
-
-val gate : table -> invert:bool -> delay:Delay.t -> t array -> t
-(** [gate (table ~init f) ~invert ~delay ws] is a gate's output: at each
+val gate : table -> init:Tvalue.t -> invert:bool -> delay:Delay.t -> t array -> t
+(** [gate (table f) ~init ~invert ~delay ws] is a gate's output: at each
     instant, [List.fold_left f init] over the inputs' values, complemented
     when [invert], then delayed as by {!apply_delay}.  With every input
     but at most one constant (a record used twice counts twice) the

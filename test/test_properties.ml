@@ -30,7 +30,7 @@ let gen_zero_skew_waveform =
 
 (* With zero skew, binary combination is exactly pointwise. *)
 let pointwise_prop f (a, b) =
-  let c = Waveform.map2 f a b in
+  let c = Waveform.map2 (Waveform.table f) a b in
   List.for_all
     (fun t ->
       Tvalue.equal (Waveform.value_at c t) (f (Waveform.value_at a t) (Waveform.value_at b t)))

@@ -678,7 +678,6 @@ let test_words_per_evaluation () =
         done)
       cases;
     let per_eval = (Gc.minor_words () -. before) /. float_of_int (Eval.evaluations ev) in
-    Printf.eprintf "WPE %s %.1f\n%!" spec per_eval;
     if per_eval > bound then
       Alcotest.failf "%s: %.1f minor words per evaluation (bound %g)" spec per_eval bound
   in

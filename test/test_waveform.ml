@@ -139,7 +139,7 @@ let test_map2_or () =
   (* Figure 2-8/2-9: OR of two signals through a 5/10 ns gate. *)
   let a = pulse ~from_ns:5. ~to_ns:15. in
   let b = pulse ~from_ns:10. ~to_ns:25. in
-  let z = Waveform.map2 Tvalue.lor_ a b in
+  let z = Waveform.map2 (Waveform.table Tvalue.lor_) a b in
   Alcotest.check tv "either high" Tvalue.V1 (Waveform.value_at z (ps 7.));
   Alcotest.check tv "both low" Tvalue.V0 (Waveform.value_at z (ps 30.));
   Alcotest.check tv "overlap" Tvalue.V1 (Waveform.value_at z (ps 12.))
@@ -149,7 +149,7 @@ let test_map2_const_preserves_skew () =
      clock's skew into its value list (§2.8). *)
   let ck = Waveform.with_skew ~early:(-1000) ~late:1000 (pulse ~from_ns:10. ~to_ns:20.) in
   let en = Waveform.const ~period Tvalue.V1 in
-  let z = Waveform.map2 Tvalue.land_ ck en in
+  let z = Waveform.map2 (Waveform.table Tvalue.land_) ck en in
   Alcotest.(check (pair int int)) "skew preserved" (-1000, 1000) (Waveform.skew z);
   Alcotest.check tv "pulse passes" Tvalue.V1 (Waveform.value_at z (ps 15.))
 
@@ -159,7 +159,7 @@ let test_map2_folds_skew () =
     Waveform.with_skew ~early:(ps (-1.)) ~late:(ps 1.) (pulse ~from_ns:10. ~to_ns:20.)
   in
   let b = pulse ~from_ns:30. ~to_ns:40. in
-  let z = Waveform.map2 Tvalue.lor_ a b in
+  let z = Waveform.map2 (Waveform.table Tvalue.lor_) a b in
   Alcotest.(check (pair int int)) "zero skew" (0, 0) (Waveform.skew z);
   Alcotest.check tv "rise window folded" Tvalue.Rise (Waveform.value_at z (ps 10.))
 
@@ -340,7 +340,7 @@ let properties =
         in
         go 0 (Waveform.segments w));
     prop "map2 or commutative" QCheck.(pair gen_waveform gen_waveform) (fun (a, b) ->
-        Waveform.equal (Waveform.map2 Tvalue.lor_ a b) (Waveform.map2 Tvalue.lor_ b a));
+        Waveform.equal (Waveform.map2 (Waveform.table Tvalue.lor_) a b) (Waveform.map2 (Waveform.table Tvalue.lor_) b a));
     prop "delay then delay = combined delay (values)" gen_waveform (fun w ->
         let d1 = Waveform.delay ~dmin:2000 ~dmax:3000 (Waveform.delay ~dmin:1000 ~dmax:2000 w) in
         let d2 = Waveform.delay ~dmin:3000 ~dmax:5000 w in
@@ -453,7 +453,7 @@ let gen_ranges =
     let* d = gen_delta in
     return (s, s + d)
   in
-  let* k = int_range 0 4 in
+  let* k = frequency [ (3, int_range 0 4); (1, int_range 5 20) ] in
   let* ranges = list_repeat k gen_range in
   let* inside = oneofl Tvalue.all in
   let* outside = oneofl Tvalue.all in
@@ -574,12 +574,15 @@ let oracle_properties =
       (fun (w, (_, f)) -> Waveform.equal (Waveform.map f w) (O.map f w));
     oracle "gate merge equals its reference" (QCheck.make ~print:print_gate gen_gate)
       (fun (_, fn, invert, delay, ws) ->
-        let out = Waveform.gate (Primitive.gate_table fn) ~invert ~delay ws in
+        let out =
+          Waveform.gate (Primitive.gate_table fn) ~init:(Primitive.enabling_value fn) ~invert
+            ~delay ws
+        in
         Waveform.equal out (O.gate fn ~invert ~delay (Array.to_list ws))
         && Array.for_all (fun w -> w != out) ws);
     oracle "map2 equals its reference" (QCheck.make ~print:print_named gen_map2)
       (fun (_, f, ws) ->
-        Waveform.equal (Waveform.map2 f ws.(0) ws.(1))
+        Waveform.equal (Waveform.map2 (Waveform.table f) ws.(0) ws.(1))
           (O.mapn (function [ x; y ] -> f x y | _ -> assert false) (Array.to_list ws)));
     oracle "map3 equals its reference" (QCheck.make ~print:print_named gen_map3)
       (fun (_, f, ws) ->
@@ -649,11 +652,12 @@ let oracle_properties =
             Waveform.apply_delay (Delay.make dmin dmax);
             Waveform.apply_delay (Delay.make_rise_fall ~rise:(dmin, dmax) ~fall);
             Waveform.map Tvalue.lnot;
-            (fun v -> Waveform.map2 Tvalue.lor_ v w2);
+            (fun v -> Waveform.map2 (Waveform.table Tvalue.lor_) v w2);
             (fun v -> Waveform.map3 O.mux_value v w2 v);
             (fun v ->
-              Waveform.gate (Primitive.gate_table Primitive.Xor) ~invert:false
-                ~delay:Delay.zero [| v; w2; v |]);
+              Waveform.gate (Primitive.gate_table Primitive.Xor)
+                ~init:(Primitive.enabling_value Primitive.Xor) ~invert:false ~delay:Delay.zero
+                [| v; w2; v |]);
             Waveform.buffer ~invert:true ~delay:(Delay.make dmin dmax);
             Waveform.materialize;
           ]
